@@ -5,7 +5,7 @@ import (
 	"aqueue/internal/sim"
 )
 
-// This file is the fluid half of the unified arrival-stream abstraction.
+// This file is the fluid half of the A-Gap: arrivals as rates, not packets.
 //
 // Expression 7 defines the A-Gap over an entity's arrival *rate*, not its
 // packets; Algorithm 1 is merely the streaming form for the special case
@@ -56,85 +56,109 @@ func (fb FluidFeedback) LossFrac() float64 {
 	return fb.Dropped / total
 }
 
-// ArrivalStream is the unified arrival abstraction: anything that
-// contributes bytes to an AQ over time. Discrete packets are the
-// degenerate case (all bytes at one instant, routed through
-// Table.Process for speed); fluid flows report an epoch's worth of bytes
-// at once and consume the AQ's decision as fractional feedback.
-type ArrivalStream interface {
-	// AQID returns the tag the stream's bytes carry, matched against the
-	// table like a packet's header tag. NoAQ streams pass unmatched.
-	AQID() packet.AQID
-	// OfferedBytes returns the bytes the stream contributes over the
-	// epoch (now-dt, now].
-	OfferedBytes(now sim.Time, dt sim.Time) float64
-	// OnFeedback delivers the AQ's epoch verdict back to the stream.
-	OnFeedback(fb FluidFeedback)
-}
-
 // OnFluidEpoch integrates one fluid epoch through the AQ: `bytes` arrived
 // at a constant rate over (now-dt, now]. It advances the same registers as
 // Update — the two entry points may interleave on one AQ — and returns the
-// epoch's feedback.
+// epoch's feedback. It is the n = 1 call of OnFluidRun, which holds the
+// arithmetic.
+func (a *AQ) OnFluidEpoch(now sim.Time, bytes float64, dt sim.Time) FluidFeedback {
+	var accepted, dropped, mark [1]float64
+	var delay [1]sim.Time
+	a.OnFluidRun(now, dt, []float64{bytes}, accepted[:], dropped[:], mark[:], delay[:])
+	return FluidFeedback{
+		Accepted: accepted[0],
+		Dropped:  dropped[0],
+		MarkFrac: mark[0],
+		Gap:      a.gap,
+		Delay:    delay[0],
+	}
+}
+
+// OnFluidRun integrates a run of consecutive entity epochs through the AQ
+// as one register transaction: entity i offered bytes[i] at a constant rate
+// over (now-dt, now], and the entities arrive in slice order, exactly as
+// len(bytes) successive OnFluidEpoch calls would deliver them. gap,
+// last_time and the fluid counters live in locals for the whole run and are
+// written back once; every per-entity operand and operation order is that
+// of the single-epoch form, so the registers, the counters and every output
+// are bit-identical to the call sequence.
 //
 // If packet arrivals already advanced last_time into this epoch, only the
-// remaining sub-interval is integrated and the epoch's full mass is spread
-// over it; the displacement is at most one epoch, within the fidelity
-// contract of the fluid lane.
-func (a *AQ) OnFluidEpoch(now sim.Time, bytes float64, dt sim.Time) FluidFeedback {
-	if bytes < 0 {
-		bytes = 0
+// remaining sub-interval is integrated and the first entity's full mass is
+// spread over it; the displacement is at most one epoch, within the
+// fidelity contract of the fluid lane. The first entity leaves last_time at
+// now, so nothing of the epoch is left for the rest of the run: their mass
+// lands as point deposits, exactly the packet form.
+//
+// accepted and dropped (each at least len(bytes) long) receive the
+// per-entity split. mark and delay are optional: when non-nil they receive
+// the mark fraction and the virtual delay gap/R at the entity's boundary —
+// the Delay cohorts are the only caller that pays for the divide.
+func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float64, delay []sim.Time) {
+	if len(bytes) == 0 {
+		return
 	}
 	start := now - dt
 	if dt <= 0 || a.lastTime > start {
 		start = a.lastTime
 	}
 	width := float64(now - start)
-	g0 := a.gap
-	var g1, markFrac float64
-	if width <= 0 {
-		// Nothing left of the epoch to integrate: the mass lands as a
-		// point deposit, exactly the packet form.
-		g1 = g0 + bytes
-		if a.cc == ECNType && g1 > a.ecnThreshold {
-			markFrac = 1
+	gap, rate, limit, k := a.gap, a.rate, a.limit, a.ecnThreshold
+	ecn := a.cc == ECNType
+	fluidBytes, fluidDropped, fluidMarked := a.fluidBytes, a.fluidDropped, a.fluidMarked
+	accepted, dropped = accepted[:len(bytes)], dropped[:len(bytes)]
+	for i, b := range bytes {
+		if b < 0 {
+			b = 0
 		}
-	} else {
-		slope := bytes/width - a.rate
-		g1 = g0 + slope*width
-		if g1 < 0 {
-			g1 = 0
+		var g1, markFrac float64
+		if width <= 0 {
+			// Nothing left of the epoch to integrate: the mass lands as a
+			// point deposit, exactly the packet form.
+			g1 = gap + b
+			if ecn && g1 > k {
+				markFrac = 1
+			}
+		} else {
+			slope := b/width - rate
+			g1 = gap + slope*width
+			if g1 < 0 {
+				g1 = 0
+			}
+			if ecn {
+				markFrac = markFraction(gap, slope, width, k)
+			}
 		}
-		if a.cc == ECNType {
-			markFrac = markFraction(g0, slope, width, a.ecnThreshold)
+		// The fluid form of the AQ-limit rule: the gap may not end the
+		// epoch beyond the limit; the excess is shed and (as in Algorithm
+		// 2) does not count against the allocation.
+		d := g1 - limit
+		if d < 0 {
+			d = 0
 		}
+		if d > b {
+			d = b
+		}
+		gap = g1 - d
+		acc := b - d
+		fluidBytes += b
+		fluidDropped += d
+		fluidMarked += acc * markFrac
+		accepted[i], dropped[i] = acc, d
+		if mark != nil {
+			mark[i] = markFrac
+		}
+		if delay != nil {
+			delay[i] = 0
+			if rate > 0 {
+				delay[i] = sim.Time(gap / rate)
+			}
+		}
+		width = 0 // last_time is now at the boundary
 	}
-	// The fluid form of the AQ-limit rule: the gap may not end the epoch
-	// beyond the limit; the excess is shed and (as in Algorithm 2) does
-	// not count against the allocation.
-	dropped := g1 - a.limit
-	if dropped < 0 {
-		dropped = 0
-	}
-	if dropped > bytes {
-		dropped = bytes
-	}
-	a.gap = g1 - dropped
+	a.gap = gap
 	a.lastTime = now
-	accepted := bytes - dropped
-	a.fluidBytes += bytes
-	a.fluidDropped += dropped
-	a.fluidMarked += accepted * markFrac
-	fb := FluidFeedback{
-		Accepted: accepted,
-		Dropped:  dropped,
-		MarkFrac: markFrac,
-		Gap:      a.gap,
-	}
-	if a.rate > 0 {
-		fb.Delay = sim.Time(a.gap / a.rate)
-	}
-	return fb
+	a.fluidBytes, a.fluidDropped, a.fluidMarked = fluidBytes, fluidDropped, fluidMarked
 }
 
 // markFraction returns the fraction of [0, width] during which the linear
@@ -184,13 +208,4 @@ func (t *Table) ProcessFluid(now sim.Time, id packet.AQID, bytes float64, dt sim
 		return FluidFeedback{Accepted: bytes}
 	}
 	return aq.OnFluidEpoch(now, bytes, dt)
-}
-
-// ProcessStream drives one arrival stream through the table for the epoch
-// ending at now: ask the stream for its bytes, integrate them, hand the
-// verdict back. This is the fluid lane's per-entity step.
-func (t *Table) ProcessStream(now sim.Time, dt sim.Time, s ArrivalStream) FluidFeedback {
-	fb := t.ProcessFluid(now, s.AQID(), s.OfferedBytes(now, dt), dt)
-	s.OnFeedback(fb)
-	return fb
 }

@@ -181,3 +181,205 @@ func TestDeployBatchMatchesDeploy(t *testing.T) {
 		}
 	}
 }
+
+// refOnFluidEpoch is AQ.OnFluidEpoch as it stood before OnFluidRun took
+// over the arithmetic, verbatim: the single-epoch reference the run kernel
+// is fuzzed against.
+func refOnFluidEpoch(a *AQ, now sim.Time, bytes float64, dt sim.Time) FluidFeedback {
+	if bytes < 0 {
+		bytes = 0
+	}
+	start := now - dt
+	if dt <= 0 || a.lastTime > start {
+		start = a.lastTime
+	}
+	width := float64(now - start)
+	g0 := a.gap
+	var g1, markFrac float64
+	if width <= 0 {
+		// Nothing left of the epoch to integrate: the mass lands as a
+		// point deposit, exactly the packet form.
+		g1 = g0 + bytes
+		if a.cc == ECNType && g1 > a.ecnThreshold {
+			markFrac = 1
+		}
+	} else {
+		slope := bytes/width - a.rate
+		g1 = g0 + slope*width
+		if g1 < 0 {
+			g1 = 0
+		}
+		if a.cc == ECNType {
+			markFrac = markFraction(g0, slope, width, a.ecnThreshold)
+		}
+	}
+	// The fluid form of the AQ-limit rule: the gap may not end the epoch
+	// beyond the limit; the excess is shed and (as in Algorithm 2) does
+	// not count against the allocation.
+	dropped := g1 - a.limit
+	if dropped < 0 {
+		dropped = 0
+	}
+	if dropped > bytes {
+		dropped = bytes
+	}
+	a.gap = g1 - dropped
+	a.lastTime = now
+	accepted := bytes - dropped
+	a.fluidBytes += bytes
+	a.fluidDropped += dropped
+	a.fluidMarked += accepted * markFrac
+	fb := FluidFeedback{
+		Accepted: accepted,
+		Dropped:  dropped,
+		MarkFrac: markFrac,
+		Gap:      a.gap,
+	}
+	if a.rate > 0 {
+		fb.Delay = sim.Time(a.gap / a.rate)
+	}
+	return fb
+}
+
+// sameBits reports bitwise float equality. Any NaN equals any NaN: which
+// operand's payload survives an addition of two NaNs depends on the
+// operand order the compiler picked for a commutative instruction, which
+// is not part of the arithmetic under test.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// fuzzTape decodes a fuzz input as a stream of small integers; an
+// exhausted tape reads zeros.
+type fuzzTape struct{ b []byte }
+
+func (t *fuzzTape) uint(width int) (v uint64) {
+	for i := 0; i < width; i++ {
+		v <<= 8
+		if len(t.b) > 0 {
+			v |= uint64(t.b[0])
+			t.b = t.b[1:]
+		}
+	}
+	return v
+}
+
+// mass draws one entity's offered bytes: zero, negative, ordinary, around
+// the limit, huge, infinite, and raw bit patterns (NaNs, subnormals).
+func (t *fuzzTape) mass() float64 {
+	switch t.uint(1) % 8 {
+	case 0:
+		return 0
+	case 1:
+		return -float64(t.uint(2))
+	case 2:
+		return 1e300
+	case 3:
+		return math.Inf(1)
+	case 4:
+		return math.Float64frombits(t.uint(8))
+	case 5:
+		return float64(t.uint(3))
+	default:
+		return float64(t.uint(2)) / 7
+	}
+}
+
+// FuzzFluidRunVsEpoch drives two identically configured AQs with the same
+// tape of packet Updates and fluid runs — one through OnFluidRun (chunked
+// at a fuzzed cap, with and without the optional outputs), one through the
+// reference single-epoch call per entity — and requires the registers, the
+// counters and every per-entity output to stay bitwise equal. The exported
+// OnFluidEpoch rides along as a third AQ.
+//
+// The tape is a sequence of ops. An op byte divisible by four is a packet:
+// two bytes of time offset, two of size. Any other op is a run: one byte of
+// entity count, one of chunk cap, two of clock advance, four of signed dt,
+// then one mass per entity (see fuzzTape.mass); bit 2 of the op asks for the
+// mark output and bit 3 for the delay output. The seed corpus is under
+// testdata/fuzz/FuzzFluidRunVsEpoch, one file per regime its name states.
+func FuzzFluidRunVsEpoch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, cc uint8, rateMbps, limit, threshold uint32, data []byte) {
+		cfg := Config{
+			ID:           1,
+			Rate:         units.BitRate(rateMbps) * units.Mbps,
+			Limit:        int(limit),
+			CC:           CCType(cc % 3),
+			ECNThreshold: int(threshold),
+		}
+		run, ref, epoch := New(cfg), New(cfg), New(cfg)
+		check := func(what string, a *AQ) {
+			t.Helper()
+			rs, as := ref.Stats(), a.Stats()
+			if !sameBits(a.gap, ref.gap) || a.lastTime != ref.lastTime ||
+				!sameBits(as.FluidBytes, rs.FluidBytes) || !sameBits(as.FluidDropped, rs.FluidDropped) ||
+				!sameBits(as.FluidMarked, rs.FluidMarked) {
+				t.Fatalf("%s: gap %v last %v stats %+v, reference gap %v last %v stats %+v",
+					what, a.gap, a.lastTime, as, ref.gap, ref.lastTime, rs)
+			}
+		}
+		tape := &fuzzTape{b: data}
+		var now sim.Time
+		for len(tape.b) > 0 {
+			op := tape.uint(1)
+			if op%4 == 0 {
+				// A packet arrival between runs: last_time lands wherever
+				// the tape says, inside the next epoch or past its end.
+				at, size := now+sim.Time(tape.uint(2)), int(tape.uint(2))
+				for _, a := range []*AQ{run, ref, epoch} {
+					a.Update(at, size)
+				}
+				check("after Update", run)
+				continue
+			}
+			n := int(tape.uint(1))
+			chunk := int(tape.uint(1))%70 + 1
+			now += sim.Time(tape.uint(2))
+			dt := sim.Time(int32(tape.uint(4))) // signed: dt <= 0 is an input
+			bytes := make([]float64, n)
+			for i := range bytes {
+				bytes[i] = tape.mass()
+			}
+			accepted, dropped := make([]float64, n), make([]float64, n)
+			var mark []float64
+			var delay []sim.Time
+			if op&4 != 0 {
+				mark = make([]float64, n)
+			}
+			if op&8 != 0 {
+				delay = make([]sim.Time, n)
+			}
+			if n == 0 {
+				run.OnFluidRun(now, dt, nil, nil, nil, nil, nil) // an empty run is no call at all
+			}
+			for lo := 0; lo < n; lo += chunk {
+				hi := min(lo+chunk, n)
+				var m []float64
+				var d []sim.Time
+				if mark != nil {
+					m = mark[lo:hi]
+				}
+				if delay != nil {
+					d = delay[lo:hi]
+				}
+				run.OnFluidRun(now, dt, bytes[lo:hi], accepted[lo:hi], dropped[lo:hi], m, d)
+			}
+			for i, b := range bytes {
+				want := refOnFluidEpoch(ref, now, b, dt)
+				got := epoch.OnFluidEpoch(now, b, dt)
+				if !sameBits(got.Accepted, want.Accepted) || !sameBits(got.Dropped, want.Dropped) ||
+					!sameBits(got.MarkFrac, want.MarkFrac) || !sameBits(got.Gap, want.Gap) || got.Delay != want.Delay {
+					t.Fatalf("OnFluidEpoch entity %d of %d: %+v, reference %+v", i, n, got, want)
+				}
+				if !sameBits(accepted[i], want.Accepted) || !sameBits(dropped[i], want.Dropped) ||
+					(mark != nil && !sameBits(mark[i], want.MarkFrac)) ||
+					(delay != nil && delay[i] != want.Delay) {
+					t.Fatalf("OnFluidRun entity %d of %d (chunk %d): accepted %v dropped %v mark %v delay %v, reference %+v",
+						i, n, chunk, accepted[i], dropped[i], mark, delay, want)
+				}
+			}
+			check("after OnFluidRun", run)
+			check("after OnFluidEpoch", epoch)
+		}
+	})
+}

@@ -7,9 +7,9 @@ import (
 // StreamCursor batches a table's per-entity fluid work across one lane
 // epoch, the fluid analogue of BurstCursor. Two costs amortize:
 //
-//   - the AQ lookup: a cohort of same-tag entities resolves its AQ once —
-//     the cursor memoizes the last (id → aq) resolution, so after the first
-//     entity of a cohort every Resolve is one integer compare;
+//   - the AQ lookup: a run of same-tag entities resolves its AQ once, and
+//     the cursor memoizes the last (id → aq) resolution, so a run chunked
+//     by the lane's scratch cap re-resolves with one integer compare;
 //   - the counters: fluidEpochs/fluidMisses accumulate in plain locals and
 //     flush to the table's atomics once per epoch instead of once per
 //     entity (two contended atomic adds per entity at a million entities).
@@ -40,14 +40,15 @@ func (c *StreamCursor) Bind(t *Table) {
 	c.epochs, c.misses = 0, 0
 }
 
-// Resolve is ProcessFluid's tag match through the epoch memo: it counts one
-// per-entity epoch integration and returns the deployed AQ, or nil for a
-// miss (pass-through — the caller accepts everything, as ProcessFluid
-// does). Callers must handle packet.NoAQ themselves: untagged streams never
-// reach the table and touch no counter, exactly like ProcessFluid's early
-// return.
-func (c *StreamCursor) Resolve(id packet.AQID) *AQ {
-	c.epochs++
+// ResolveRun is ProcessFluid's tag match for a run of n same-tag entities
+// through the epoch memo: it counts n per-entity epoch integrations (and n
+// misses when nothing is deployed under id) and returns the deployed AQ, or
+// nil for a miss (pass-through — the caller accepts everything, as
+// ProcessFluid does). Callers must handle packet.NoAQ themselves: untagged
+// streams never reach the table and touch no counter, exactly like
+// ProcessFluid's early return.
+func (c *StreamCursor) ResolveRun(id packet.AQID, n int) *AQ {
+	c.epochs += uint64(n)
 	t := c.t
 	if t.gen != c.gen {
 		c.gen = t.gen
@@ -61,7 +62,7 @@ func (c *StreamCursor) Resolve(id packet.AQID) *AQ {
 		c.lastID, c.lastAQ, c.haveLast = id, aq, true
 	}
 	if aq == nil {
-		c.misses++
+		c.misses += uint64(n)
 	}
 	return aq
 }

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -10,9 +11,9 @@ import (
 // (pipe, Params) class. Entity state lives in parallel slices — structure
 // of arrays — so the epoch loop streams through contiguous float64 lanes
 // instead of pointer-chasing one heap object per entity, and the model
-// reaction is resolved once per cohort instead of once per entity.
+// and its constants are a property of the cohort, not of each entity.
 //
-// The run-based grouping is what keeps the default path byte-identical to
+// The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
 // entities in index order replays the exact global registration order, so
 // every floating-point accumulation (pipe demand, lane totals, AQ state)
@@ -29,8 +30,8 @@ type cohort struct {
 	floorRate float64
 
 	// Parallel per-entity state. aqid is per-entity (tags are not part of
-	// the run key: a cohort may carry one tag per entity, as the scale
-	// benchmarks do, or one tag for all, which the batched path exploits).
+	// the run key): the lane integrates each maximal run of equal
+	// consecutive tags as one AQ transaction.
 	aqid      []packet.AQID
 	rate      []float64      // current sending rate, bytes/ns
 	want      []float64      // pre-clip demanded rate for the current epoch
@@ -40,8 +41,7 @@ type cohort struct {
 	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
 	meters    []*stats.Meter // allocated only once some entity has a meter
 
-	uniformTag bool // every entity carries aqid[0] (batching eligibility)
-	hasMeter   bool
+	hasMeter bool
 
 	// Quiescence state. A Fixed-model cohort whose tags all missed the
 	// table (or are untagged), with no meters attached, is inert: given the
@@ -110,51 +110,79 @@ func (c *cohort) droppedAt(i int32) float64 {
 	return d
 }
 
-// react folds one epoch's feedback into entity i's rate ODE — the exact
-// per-model update of the former Entity.OnFeedback, with the composite
-// loss already computed by the caller. Used by the batched path, where the
-// whole cohort shares one feedback; the default path inlines the same
-// arithmetic in per-model loops instead of switching per entity.
-func (c *cohort) react(i int, loss, markFrac float64, delay sim.Time, fdt float64) {
-	switch c.par.Model {
-	case Fixed:
+// prime records the quiescence aggregates after a full pass found the
+// cohort inert (Fixed, every tag missed or absent, no meters): every entity
+// was accepted in full, so the sums are recomputed from want in entity
+// order, exactly as the pass accumulated them. Nothing about the cohort can
+// change until the clip, the epoch width, the table membership or the
+// population does.
+func (c *cohort) prime(gen uint64, clip, fdt float64) {
+	var wantSum, acceptSum float64
+	for _, w := range c.want {
+		wantSum += w
+		acceptSum += float64(w * clip * fdt)
+	}
+	c.primed = true
+	c.aqGen = gen
+	c.wantSum, c.acceptSum = wantSum, acceptSum
+	c.lastClip, c.lastFdt = clip, fdt
+}
+
+// react folds one epoch's feedback into the rate ODEs of the entities from
+// lo on, one per element of accepted: the first-order update of the
+// cohort's model. Each model reads only its own signal — dropped for the
+// loss fraction, mark for ECN, delay for Delay — and Fixed reads none.
+func (c *cohort) react(lo int, accepted, dropped, mark []float64, delay []sim.Time, clip, fdt float64) {
+	if c.par.Model == Fixed {
 		return
-	case Loss:
-		if loss > 1e-9 {
-			c.rate[i] *= 1 - c.par.Beta
-		} else {
-			c.rate[i] += c.aiSlope * fdt
-		}
-	case ECN:
-		g := c.par.Gain
-		c.alpha[i] = (1-g)*c.alpha[i] + g*markFrac
-		if markFrac > 1e-9 || loss > 1e-9 {
-			cut := c.alpha[i] / 2
-			if loss > 1e-9 && cut < c.par.Beta {
-				cut = c.par.Beta // losses still halve, as DCTCP does
-			}
-			c.rate[i] *= 1 - cut
-		} else {
-			c.rate[i] += c.aiSlope * fdt
-		}
-	case Delay:
-		d := float64(delay)
-		if t := float64(c.par.Target); d > t && d > 0 {
-			f := 1 - c.par.Beta*(d-t)/d
-			if f < 0.3 {
-				f = 0.3
-			}
-			c.rate[i] *= f
-		} else if loss > 1e-9 {
-			c.rate[i] *= 1 - c.par.Beta
-		} else {
-			c.rate[i] += c.aiSlope * fdt
-		}
 	}
-	if c.rate[i] < c.floorRate {
-		c.rate[i] = c.floorRate
-	}
-	if d := c.demand[i]; d > 0 && c.rate[i] > d {
-		c.rate[i] = d
+	beta := c.par.Beta
+	rate, demand := c.rate[lo:], c.demand[lo:]
+	for j, acc := range accepted {
+		loss := core.FluidFeedback{Accepted: acc, Dropped: dropped[j]}.LossFrac()
+		if clip < 1 {
+			loss = 1 - clip*(1-loss)
+		}
+		r := rate[j]
+		switch c.par.Model {
+		case Loss:
+			if loss > 1e-9 {
+				r *= 1 - beta
+			} else {
+				r += c.aiSlope * fdt
+			}
+		case ECN:
+			g := c.par.Gain
+			a := (1-g)*c.alpha[lo+j] + g*mark[j]
+			c.alpha[lo+j] = a
+			if mark[j] > 1e-9 || loss > 1e-9 {
+				cut := a / 2
+				if loss > 1e-9 && cut < beta {
+					cut = beta // losses still halve, as DCTCP does
+				}
+				r *= 1 - cut
+			} else {
+				r += c.aiSlope * fdt
+			}
+		case Delay:
+			if d, target := float64(delay[j]), float64(c.par.Target); d > target && d > 0 {
+				f := 1 - beta*(d-target)/d
+				if f < 0.3 {
+					f = 0.3
+				}
+				r *= f
+			} else if loss > 1e-9 {
+				r *= 1 - beta
+			} else {
+				r += c.aiSlope * fdt
+			}
+		}
+		if r < c.floorRate {
+			r = c.floorRate
+		}
+		if d := demand[j]; d > 0 && r > d {
+			r = d
+		}
+		rate[j] = r
 	}
 }

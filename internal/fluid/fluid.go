@@ -16,11 +16,11 @@
 //
 // Entity state is structure-of-arrays: consecutively-registered entities
 // of one (pipe, params) class form a cohort whose state lives in parallel
-// float64 slices (cohort.go), stepped by per-model inner loops with the
-// cohort's AQ resolved through a core.StreamCursor, quiescent cohorts
-// skipped in O(1), and — under WithCohortBatching — a whole same-tag
-// cohort integrated as one closed-form epoch. An Entity is a stable
-// (cohort, index) handle.
+// float64 slices (cohort.go). A cohort is stepped in maximal same-tag
+// runs, each resolved once through a core.StreamCursor and integrated as
+// one core.AQ.OnFluidRun transaction — bit-identical to one
+// Table.ProcessFluid call per entity — and quiescent cohorts are skipped
+// in O(1). An Entity is a stable (cohort, index) handle.
 package fluid
 
 import (

@@ -36,22 +36,9 @@ type pipeAccount struct {
 	accepted float64 // accepted fluid rate this epoch, bytes/ns
 }
 
-// LaneOption configures a Lane at construction.
+// LaneOption configures a Lane at construction. None is defined at
+// present; the type keeps NewLane's signature stable for its callers.
 type LaneOption func(*Lane)
-
-// WithCohortBatching folds each uniform-tag cohort's offered bytes into a
-// single AQ.OnFluidEpoch call per epoch, distributing the feedback
-// pro-rata by demand, instead of integrating one epoch per entity. For n
-// same-tag entities this replaces n closed-form integrations (of which
-// all but the first degenerate to point deposits, since the first already
-// advanced last_time to the epoch boundary) with one integration of the
-// summed rate — O(1) AQ work per cohort, and arguably closer to the
-// continuous Expression 7 than the per-entity pile-up. The trajectory is
-// not bit-identical to the per-entity path; the equivalence test bounds
-// the divergence within the fluid lane's fidelity tolerance.
-func WithCohortBatching() LaneOption {
-	return func(l *Lane) { l.batch = true }
-}
 
 // Lane advances a set of fluid entities at a fixed epoch on its engine's
 // timer wheel. Everything a Lane touches — its table, its pipes, its
@@ -61,15 +48,15 @@ func WithCohortBatching() LaneOption {
 // and the cluster's fingerprint gates bind exactly as before.
 //
 // Entity state is held in structure-of-arrays cohorts (see cohort.go);
-// the lane steps cohorts directly with per-model inner loops, resolving
-// AQs through a core.StreamCursor, and skips quiescent cohorts outright.
-// The steady state of fire allocates nothing.
+// the lane steps cohorts directly, integrating each maximal same-tag run
+// of entities as one AQ.OnFluidRun transaction resolved once through a
+// core.StreamCursor, and skips quiescent cohorts outright. The steady
+// state of fire allocates nothing.
 type Lane struct {
 	eng   *sim.Engine
 	table *core.Table
 	epoch sim.Time
 	timer *sim.Timer
-	batch bool
 
 	cohorts []cohort
 	pipes   []pipeAccount
@@ -86,7 +73,6 @@ type Lane struct {
 	epochs              uint64
 	entityEpochs        uint64
 	skippedEntityEpochs uint64
-	batchedEntityEpochs uint64
 	delivered           float64
 	dropped             float64
 }
@@ -151,11 +137,10 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	ci := len(l.cohorts) - 1
 	if ci < 0 || !l.cohorts[ci].matches(pipe, par) {
 		l.cohorts = append(l.cohorts, cohort{
-			par:        par,
-			pipe:       pipe,
-			aiSlope:    par.ai(),
-			floorRate:  par.floor(),
-			uniformTag: true,
+			par:       par,
+			pipe:      pipe,
+			aiSlope:   par.ai(),
+			floorRate: par.floor(),
 		})
 		ci++
 	}
@@ -163,9 +148,6 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	// A population change invalidates any primed quiescence aggregates.
 	c.materialize()
 	c.primed = false
-	if len(c.aqid) > 0 && c.aqid[0] != cfg.AQ {
-		c.uniformTag = false
-	}
 	if cfg.Meter != nil && c.meters == nil {
 		// First metered entity: backfill nil meters for the earlier ones.
 		c.meters = make([]*stats.Meter, len(c.aqid))
@@ -241,8 +223,8 @@ func (l *Lane) settle() {
 // table, and push the accepted fluid rate back onto the pipes. Cohorts
 // iterate in creation order and entities in index order — exactly the
 // global registration order — so a run is deterministic for a given
-// build-up sequence regardless of domain count, and the default path is
-// byte-identical to the former per-entity-object layout.
+// build-up sequence regardless of domain count, and byte-identical to
+// stepping one object per entity.
 func (l *Lane) fire() {
 	now := l.eng.Now()
 	dt := now - l.lastFire
@@ -333,10 +315,6 @@ func (l *Lane) fire() {
 		}
 		c.materialize()
 		c.primed = false
-		if l.batch && c.uniformTag && len(c.aqid) > 0 && c.aqid[0] != packet.NoAQ && l.table.Lookup(c.aqid[0]) != nil {
-			l.stepCohortBatched(c, now, dt, fdt, clip, pa)
-			continue
-		}
 		l.stepCohort(c, gen, now, dt, fdt, clip, pa)
 	}
 	l.entityEpochs += uint64(l.total)
@@ -351,270 +329,96 @@ func (l *Lane) fire() {
 	l.rearm(now)
 }
 
-// stepCohort advances one cohort per-entity — the default, byte-identical
-// path. The model dispatch is hoisted out of the entity loop: each model
-// gets its own inner loop over the cohort's arrays, with both the epoch
-// integration and the reaction arithmetic inlined exactly as the former
-// ProcessStream + Entity.OnFeedback computed them (same operands, same
-// order, per entity). The duplication across the four loops is deliberate:
-// this is the hot loop of the million-entity scenarios, and keeping the
-// body inline lets the compiler hold the lane accumulators in registers.
-// The Fixed loop omits the loss computation entirely — the model ignores
-// it, so the divisions had no observable effect.
-func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
-	n := len(c.rate)
-	cur := &l.cursor
-	switch c.par.Model {
-	case Fixed:
-		aqFree := true
-		var wantSum, acceptSum float64
-		for i := 0; i < n; i++ {
-			want := c.want[i]
-			var fb core.FluidFeedback
-			if id := c.aqid[i]; id != packet.NoAQ {
-				if aq := cur.Resolve(id); aq != nil {
-					fb = aq.OnFluidEpoch(now, want*clip*fdt, dt)
-					aqFree = false
-				} else {
-					fb.Accepted = want * clip * fdt
-				}
-			} else {
-				fb.Accepted = want * clip * fdt
-			}
-			c.delivered[i] += fb.Accepted
-			clipped := want*fdt - (fb.Accepted + fb.Dropped)
-			if clipped < 0 {
-				clipped = 0
-			}
-			c.dropped[i] += fb.Dropped + clipped
-			if c.meters != nil {
-				if m := c.meters[i]; m != nil {
-					m.AddFloat(now, fb.Accepted)
-				}
-			}
-			l.delivered += fb.Accepted
-			l.dropped += fb.Dropped
-			if pa != nil {
-				pa.accepted += fb.Accepted / fdt
-			}
-			wantSum += want
-			acceptSum += fb.Accepted
-		}
-		if aqFree && !c.hasMeter {
-			// Prime the quiescence aggregates: nothing about this cohort
-			// can change until the clip, the epoch width, the table
-			// membership, or the population does.
-			c.primed = true
-			c.aqGen = gen
-			c.wantSum, c.acceptSum = wantSum, acceptSum
-			c.lastClip, c.lastFdt = clip, fdt
-		}
-	case Loss:
-		beta := c.par.Beta
-		for i := 0; i < n; i++ {
-			want := c.want[i]
-			var fb core.FluidFeedback
-			if id := c.aqid[i]; id != packet.NoAQ {
-				if aq := cur.Resolve(id); aq != nil {
-					fb = aq.OnFluidEpoch(now, want*clip*fdt, dt)
-				} else {
-					fb.Accepted = want * clip * fdt
-				}
-			} else {
-				fb.Accepted = want * clip * fdt
-			}
-			c.delivered[i] += fb.Accepted
-			clipped := want*fdt - (fb.Accepted + fb.Dropped)
-			if clipped < 0 {
-				clipped = 0
-			}
-			c.dropped[i] += fb.Dropped + clipped
-			if c.meters != nil {
-				if m := c.meters[i]; m != nil {
-					m.AddFloat(now, fb.Accepted)
-				}
-			}
-			l.delivered += fb.Accepted
-			l.dropped += fb.Dropped
-			if pa != nil {
-				pa.accepted += fb.Accepted / fdt
-			}
-			loss := fb.LossFrac()
-			if clip < 1 {
-				loss = 1 - clip*(1-loss)
-			}
-			r := c.rate[i]
-			if loss > 1e-9 {
-				r *= 1 - beta
-			} else {
-				r += c.aiSlope * fdt
-			}
-			if r < c.floorRate {
-				r = c.floorRate
-			}
-			if d := c.demand[i]; d > 0 && r > d {
-				r = d
-			}
-			c.rate[i] = r
-		}
-	case ECN:
-		g := c.par.Gain
-		beta := c.par.Beta
-		for i := 0; i < n; i++ {
-			want := c.want[i]
-			var fb core.FluidFeedback
-			if id := c.aqid[i]; id != packet.NoAQ {
-				if aq := cur.Resolve(id); aq != nil {
-					fb = aq.OnFluidEpoch(now, want*clip*fdt, dt)
-				} else {
-					fb.Accepted = want * clip * fdt
-				}
-			} else {
-				fb.Accepted = want * clip * fdt
-			}
-			c.delivered[i] += fb.Accepted
-			clipped := want*fdt - (fb.Accepted + fb.Dropped)
-			if clipped < 0 {
-				clipped = 0
-			}
-			c.dropped[i] += fb.Dropped + clipped
-			if c.meters != nil {
-				if m := c.meters[i]; m != nil {
-					m.AddFloat(now, fb.Accepted)
-				}
-			}
-			l.delivered += fb.Accepted
-			l.dropped += fb.Dropped
-			if pa != nil {
-				pa.accepted += fb.Accepted / fdt
-			}
-			loss := fb.LossFrac()
-			if clip < 1 {
-				loss = 1 - clip*(1-loss)
-			}
-			a := (1-g)*c.alpha[i] + g*fb.MarkFrac
-			c.alpha[i] = a
-			r := c.rate[i]
-			if fb.MarkFrac > 1e-9 || loss > 1e-9 {
-				cut := a / 2
-				if loss > 1e-9 && cut < beta {
-					cut = beta // losses still halve, as DCTCP does
-				}
-				r *= 1 - cut
-			} else {
-				r += c.aiSlope * fdt
-			}
-			if r < c.floorRate {
-				r = c.floorRate
-			}
-			if d := c.demand[i]; d > 0 && r > d {
-				r = d
-			}
-			c.rate[i] = r
-		}
-	case Delay:
-		beta := c.par.Beta
-		target := float64(c.par.Target)
-		for i := 0; i < n; i++ {
-			want := c.want[i]
-			var fb core.FluidFeedback
-			if id := c.aqid[i]; id != packet.NoAQ {
-				if aq := cur.Resolve(id); aq != nil {
-					fb = aq.OnFluidEpoch(now, want*clip*fdt, dt)
-				} else {
-					fb.Accepted = want * clip * fdt
-				}
-			} else {
-				fb.Accepted = want * clip * fdt
-			}
-			c.delivered[i] += fb.Accepted
-			clipped := want*fdt - (fb.Accepted + fb.Dropped)
-			if clipped < 0 {
-				clipped = 0
-			}
-			c.dropped[i] += fb.Dropped + clipped
-			if c.meters != nil {
-				if m := c.meters[i]; m != nil {
-					m.AddFloat(now, fb.Accepted)
-				}
-			}
-			l.delivered += fb.Accepted
-			l.dropped += fb.Dropped
-			if pa != nil {
-				pa.accepted += fb.Accepted / fdt
-			}
-			loss := fb.LossFrac()
-			if clip < 1 {
-				loss = 1 - clip*(1-loss)
-			}
-			r := c.rate[i]
-			if d := float64(fb.Delay); d > target && d > 0 {
-				f := 1 - beta*(d-target)/d
-				if f < 0.3 {
-					f = 0.3
-				}
-				r *= f
-			} else if loss > 1e-9 {
-				r *= 1 - beta
-			} else {
-				r += c.aiSlope * fdt
-			}
-			if r < c.floorRate {
-				r = c.floorRate
-			}
-			if d := c.demand[i]; d > 0 && r > d {
-				r = d
-			}
-			c.rate[i] = r
-		}
-	}
-}
+// runCap is the longest run of entity epochs stepCohort integrates as one
+// AQ transaction: the size of its stack scratch. A constant, not a knob —
+// longer same-tag runs are chunked and carry their state through the AQ
+// registers, so the cap moves no result, only how often the registers are
+// written back.
+const runCap = 64
 
-// stepCohortBatched integrates a uniform-tag cohort as one stream: the
-// summed offered bytes go through AQ.OnFluidEpoch once, and the feedback
-// is distributed pro-rata by each entity's demanded rate. Only reached
-// under WithCohortBatching, and only when the shared tag resolves to a
-// deployed AQ (misses fall back to the per-entity pass-through, which is
-// already O(n) trivial work).
-func (l *Lane) stepCohortBatched(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
-	n := len(c.rate)
-	aq := l.cursor.Resolve(c.aqid[0])
-	var wantSum float64
-	for i := 0; i < n; i++ {
-		wantSum += c.want[i]
-	}
-	fb := aq.OnFluidEpoch(now, wantSum*clip*fdt, dt)
-	loss := fb.LossFrac()
-	if clip < 1 {
-		loss = 1 - clip*(1-loss)
-	}
-	inv := 0.0
-	if wantSum > 0 {
-		inv = 1 / wantSum
-	}
-	for i := 0; i < n; i++ {
-		share := c.want[i] * inv
-		acc := fb.Accepted * share
-		drp := fb.Dropped * share
-		c.delivered[i] += acc
-		clipped := c.want[i]*fdt - (acc + drp)
-		if clipped < 0 {
-			clipped = 0
+// stepCohort advances one cohort by one epoch, runCap entities at a time:
+// compute each entity's offered mass, integrate every maximal same-tag run
+// through its AQ in one OnFluidRun transaction (untagged and unmatched runs
+// pass with everything accepted), account the outcome per entity, then
+// apply the cohort's model reaction. Per entity the operands and their
+// order are those of Table.ProcessFluid followed by the model update, and
+// every accumulator — AQ registers, lane totals, pipe account, meters —
+// still sees the entities in registration order, so the result is
+// bit-identical to stepping them one call at a time.
+func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
+	var bytes, acc, drp, markBuf [runCap]float64
+	var delayBuf [runCap]sim.Time
+	// Only the model that reacts to a signal pays for computing it.
+	needMark, needDelay := c.par.Model == ECN, c.par.Model == Delay
+	aqFree := true
+	for lo, n := 0, len(c.rate); lo < n; lo += runCap {
+		hi := lo + runCap
+		if hi > n {
+			hi = n
 		}
-		c.dropped[i] += drp + clipped
-		if c.meters != nil {
-			if m := c.meters[i]; m != nil {
-				m.AddFloat(now, acc)
+		k := hi - lo
+		want, ids := c.want[lo:hi], c.aqid[lo:hi]
+		for j, w := range want {
+			bytes[j] = w * clip * fdt
+		}
+		for s := 0; s < k; {
+			id := ids[s]
+			e := s + 1
+			for e < k && ids[e] == id {
+				e++
+			}
+			var mark []float64
+			var delay []sim.Time
+			if needMark {
+				mark = markBuf[s:e]
+			}
+			if needDelay {
+				delay = delayBuf[s:e]
+			}
+			var aq *core.AQ
+			if id != packet.NoAQ {
+				aq = l.cursor.ResolveRun(id, e-s)
+			}
+			if aq != nil {
+				aqFree = false
+				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay)
+			} else {
+				copy(acc[s:e], bytes[s:e])
+				clear(drp[s:e])
+				clear(mark)
+				clear(delay)
+			}
+			s = e
+		}
+		delivered, dropped := c.delivered[lo:hi], c.dropped[lo:hi]
+		laneDelivered, laneDropped := l.delivered, l.dropped
+		for j, w := range want {
+			a, d := acc[j], drp[j]
+			delivered[j] += a
+			clipped := w*fdt - (a + d)
+			if clipped < 0 {
+				clipped = 0
+			}
+			dropped[j] += d + clipped
+			laneDelivered += a
+			laneDropped += d
+			if pa != nil {
+				pa.accepted += a / fdt
 			}
 		}
-		c.react(i, loss, fb.MarkFrac, fb.Delay, fdt)
+		l.delivered, l.dropped = laneDelivered, laneDropped
+		if c.meters != nil {
+			for j, m := range c.meters[lo:hi] {
+				if m != nil {
+					m.AddFloat(now, acc[j])
+				}
+			}
+		}
+		c.react(lo, acc[:k], drp[:k], markBuf[:k], delayBuf[:k], clip, fdt)
 	}
-	l.delivered += fb.Accepted
-	l.dropped += fb.Dropped
-	if pa != nil {
-		pa.accepted += fb.Accepted / fdt
+	if aqFree && c.par.Model == Fixed && !c.hasMeter {
+		c.prime(gen, clip, fdt)
 	}
-	l.batchedEntityEpochs += uint64(n)
 }
 
 // rearm schedules the next epoch unless the deadline passed.
@@ -636,15 +440,13 @@ func (l *Lane) rearm(now sim.Time) {
 }
 
 // LaneStats summarises a lane for telemetry and benchmarks. The skipped
-// and batched counters are subsets of EntityEpochs: every entity is
-// accounted every epoch, whether it was stepped individually, folded into
-// a cohort aggregate, or skipped as quiescent.
+// counter is a subset of EntityEpochs: every entity is accounted every
+// epoch, whether it was stepped or skipped as quiescent.
 type LaneStats struct {
 	Entities            int     `json:"entities"`
 	Epochs              uint64  `json:"epochs"`
 	EntityEpochs        uint64  `json:"entity_epochs"`
 	SkippedEntityEpochs uint64  `json:"skipped_entity_epochs,omitempty"`
-	BatchedEntityEpochs uint64  `json:"batched_entity_epochs,omitempty"`
 	DeliveredBytes      float64 `json:"delivered_bytes"`
 	DroppedBytes        float64 `json:"dropped_bytes"`
 	EpochNS             int64   `json:"epoch_ns"`
@@ -659,7 +461,6 @@ func (l *Lane) Stats() LaneStats {
 		Epochs:              l.epochs,
 		EntityEpochs:        l.entityEpochs,
 		SkippedEntityEpochs: l.skippedEntityEpochs,
-		BatchedEntityEpochs: l.batchedEntityEpochs,
 		DeliveredBytes:      l.delivered,
 		DroppedBytes:        l.dropped,
 		EpochNS:             int64(l.epoch),

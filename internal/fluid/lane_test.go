@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"aqueue/internal/core"
+	"aqueue/internal/packet"
 	"aqueue/internal/sim"
+	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/units"
 )
@@ -44,71 +46,271 @@ func TestFireSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestCohortBatchingEquivalence: folding a uniform-tag cohort into one
-// OnFluidEpoch call must track the per-entity path within the fluid lane's
-// 5% fidelity tolerance. For a non-reactive cohort the two paths shed the
-// same mass (the AQ's per-epoch drain is fixed, only its split over calls
-// differs), so delivered AND dropped must agree. For a reactive cohort the
-// loss signal's timing differs by construction — per-entity integration
-// piles deposits up inside the epoch, so late entities absorb the shed
-// while batching spreads it — which perturbs the AIMD trajectory; there
-// the contract is on delivered bytes and the equal-share split, not on the
-// offered-load transient.
-func TestCohortBatchingEquivalence(t *testing.T) {
-	run := func(cc string, rate units.BitRate, opts ...LaneOption) (*Lane, []Entity) {
-		eng := sim.NewEngine()
-		table := core.NewTableDense(eng.Options().DenseTables)
-		table.Deploy(core.Config{ID: 3, Rate: 2 * units.Gbps})
-		lane := NewLane(eng, table, 0, opts...)
-		lane.AddN(EntityConfig{AQ: 3, CC: cc, Rate: rate, Pipe: -1}, 32)
-		lane.Start(0)
-		horizon := 20 * sim.Millisecond
-		lane.SetDeadline(horizon)
-		eng.RunUntil(horizon)
-		return lane, lane.Entities()
+// refEntity is one entity of the per-entity reference lane: an object with
+// its own tag, model and rate, as the lane stored them before cohorts.
+type refEntity struct {
+	id     packet.AQID
+	par    Params
+	pipe   int
+	meter  *stats.Meter
+	rate   float64
+	want   float64
+	demand float64
+	alpha  float64
+
+	delivered, dropped float64
+}
+
+// refLane steps entities one table call at a time: Table.ProcessFluid per
+// entity in registration order, then that entity's model update. It has no
+// cohorts, no runs, no cursor and no scratch — the reference the run-length
+// lane must match bit for bit.
+type refLane struct {
+	table    *core.Table
+	pipeCap  []float64 // bytes per ns
+	accepted []float64 // per pipe, bytes per ns, last epoch
+	ents     []refEntity
+
+	delivered, dropped float64
+}
+
+func (r *refLane) add(cfg EntityConfig, n int) {
+	par := *cfg.Params
+	rate := cfg.Rate.BytesPerNano()
+	if par.Model != Fixed && rate < par.floor() {
+		rate = par.floor()
 	}
-	relDiff := func(a, b float64) float64 {
-		if a == 0 && b == 0 {
-			return 0
+	for ; n > 0; n-- {
+		r.ents = append(r.ents, refEntity{
+			id: cfg.AQ, par: par, pipe: cfg.Pipe, meter: cfg.Meter,
+			rate: rate, demand: cfg.Demand.BytesPerNano(),
+		})
+	}
+}
+
+func (r *refLane) step(now, dt sim.Time) {
+	fdt := float64(dt)
+	demand := make([]float64, len(r.pipeCap))
+	for i := range r.ents {
+		e := &r.ents[i]
+		e.want = e.rate
+		if e.demand > 0 && e.want > e.demand {
+			e.want = e.demand
 		}
-		return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+		if e.pipe >= 0 {
+			demand[e.pipe] += e.want
+		}
+	}
+	clips := make([]float64, len(r.pipeCap))
+	for p, cap := range r.pipeCap {
+		clips[p] = 1
+		if demand[p] > cap {
+			clips[p] = cap / demand[p]
+		}
+		r.accepted[p] = 0
+	}
+	for i := range r.ents {
+		e := &r.ents[i]
+		clip := 1.0
+		if e.pipe >= 0 {
+			clip = clips[e.pipe]
+		}
+		fb := r.table.ProcessFluid(now, e.id, e.want*clip*fdt, dt)
+		e.delivered += fb.Accepted
+		clipped := e.want*fdt - (fb.Accepted + fb.Dropped)
+		if clipped < 0 {
+			clipped = 0
+		}
+		e.dropped += fb.Dropped + clipped
+		if e.meter != nil {
+			e.meter.AddFloat(now, fb.Accepted)
+		}
+		r.delivered += fb.Accepted
+		r.dropped += fb.Dropped
+		if e.pipe >= 0 {
+			r.accepted[e.pipe] += fb.Accepted / fdt
+		}
+		if e.par.Model == Fixed {
+			continue
+		}
+		loss := fb.LossFrac()
+		if clip < 1 {
+			loss = 1 - clip*(1-loss)
+		}
+		ai := e.par.ai() * fdt
+		switch e.par.Model {
+		case Loss:
+			if loss > 1e-9 {
+				e.rate *= 1 - e.par.Beta
+			} else {
+				e.rate += ai
+			}
+		case ECN:
+			g := e.par.Gain
+			e.alpha = (1-g)*e.alpha + g*fb.MarkFrac
+			if fb.MarkFrac > 1e-9 || loss > 1e-9 {
+				cut := e.alpha / 2
+				if loss > 1e-9 && cut < e.par.Beta {
+					cut = e.par.Beta
+				}
+				e.rate *= 1 - cut
+			} else {
+				e.rate += ai
+			}
+		case Delay:
+			d := float64(fb.Delay)
+			if target := float64(e.par.Target); d > target && d > 0 {
+				f := 1 - e.par.Beta*(d-target)/d
+				if f < 0.3 {
+					f = 0.3
+				}
+				e.rate *= f
+			} else if loss > 1e-9 {
+				e.rate *= 1 - e.par.Beta
+			} else {
+				e.rate += ai
+			}
+		}
+		if e.rate < e.par.floor() {
+			e.rate = e.par.floor()
+		}
+		if e.demand > 0 && e.rate > e.demand {
+			e.rate = e.demand
+		}
+	}
+}
+
+// TestRunLengthLaneMatchesPerEntity is the lane-level differential: the
+// run-length lane against refLane on the same population, bitwise. The
+// population mixes what the run walk has to get right — tags that change
+// mid-cohort, untagged entities, tags nothing is deployed under, same-tag
+// runs longer than the scratch cap and runs that straddle a chunk
+// boundary, all four models, all three AQ feedback types, metered
+// entities, a clipping pipe — and the script deploys and removes AQs
+// between epochs (bumping the table generation under the cursor) and
+// interleaves packet Updates that leave last_time mid-epoch.
+func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
+	const epoch = 100 * sim.Microsecond
+	deploy := []core.Config{
+		{ID: 1, Rate: 2 * units.Gbps, Limit: 40_000},
+		{ID: 2, Rate: units.Gbps, CC: core.ECNType, ECNThreshold: 8_000, Limit: 30_000},
+		{ID: 3, Rate: 500 * units.Mbps, CC: core.DelayType, Limit: 20_000},
+		{ID: 5, Rate: 100 * units.Mbps, Limit: 1},
+	}
+	eng := sim.NewEngine()
+	tables := [2]*core.Table{}
+	for i := range tables {
+		tables[i] = core.NewTableDense(eng.Options().DenseTables)
+		for _, cfg := range deploy {
+			tables[i].Deploy(cfg)
+		}
+	}
+	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
+	lane := NewLane(eng, tables[0], epoch)
+	pi := lane.AddPipe(pipe)
+	ref := &refLane{table: tables[1], pipeCap: []float64{pipe.Rate().BytesPerNano()}, accepted: make([]float64, 1)}
+
+	var meters [2][]*stats.Meter
+	add := func(cfg EntityConfig, n int, metered bool) {
+		cfgs := [2]EntityConfig{cfg, cfg}
+		if metered {
+			for i := range cfgs {
+				m := stats.NewMeter(epoch)
+				meters[i] = append(meters[i], m)
+				cfgs[i].Meter = m
+			}
+		}
+		lane.AddN(cfgs[0], n)
+		ref.add(cfgs[1], n)
+	}
+	for _, cc := range []string{"udp", "cubic", "dctcp", "swift"} {
+		// One cohort per model (same pipe, same params), walked as: a
+		// metered run, a run longer than the cap, a miss, untagged
+		// entities, single-entity tag flips, and a run that crosses the
+		// next chunk boundary. The floor is lowered so the reactive
+		// models have room to move in both directions.
+		par := ParamsFor(cc)
+		par.MinRate = units.Mbps.BytesPerNano()
+		add(EntityConfig{AQ: 1, Params: &par, Rate: 200 * units.Mbps, Pipe: pi}, 3, true)
+		add(EntityConfig{AQ: 2, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 2*runCap+5, false)
+		add(EntityConfig{AQ: 9, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 4, false)
+		add(EntityConfig{Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 3, true)
+		for i := 0; i < 6; i++ {
+			add(EntityConfig{AQ: packet.AQID(1 + i%3), Params: &par, Rate: 30 * units.Mbps, Demand: 300 * units.Mbps, Pipe: pi}, 1, i == 0)
+		}
+		add(EntityConfig{AQ: 3, Params: &par, Rate: 5 * units.Mbps, Pipe: pi}, runCap, false)
+		add(EntityConfig{AQ: 5, Params: &par, Rate: 5 * units.Mbps, Pipe: -1}, 7, false)
 	}
 
-	// Non-reactive overload: 4 Gbps offered against a 2 Gbps allocation.
-	pf, _ := run("udp", 125*units.Mbps)
-	bf, _ := run("udp", 125*units.Mbps, WithCohortBatching())
-	pfs, bfs := pf.Stats(), bf.Stats()
-	if bfs.BatchedEntityEpochs == 0 {
-		t.Fatalf("batching enabled but no entity-epochs took the batched path")
+	// Table edits and packet arrivals between epochs, applied to both
+	// tables at the same simulated instant.
+	both := func(f func(t *core.Table)) { f(tables[0]); f(tables[1]) }
+	lane.Start(0)
+	for k := 1; k <= 40; k++ {
+		now := sim.Time(k) * epoch
+		eng.RunUntil(now + epoch/2) // epoch k fires at now
+		ref.step(now, epoch)
+		switch k {
+		case 3: // a packet lands mid-epoch on AQ 1
+			both(func(t *core.Table) { t.Lookup(1).Update(eng.Now(), 9000) })
+		case 5: // the missing tag gets an AQ
+			both(func(t *core.Table) { t.Deploy(core.Config{ID: 9, Rate: 50 * units.Mbps, Limit: 5_000}) })
+		case 8: // the long runs start missing
+			both(func(t *core.Table) { t.Remove(2) })
+		case 9: // last_time past the end of the next epoch
+			both(func(t *core.Table) { t.Lookup(3).Update(eng.Now()+epoch+7, 1500) })
+		case 12:
+			both(func(t *core.Table) { t.Deploy(deploy[1]) })
+		case 25:
+			both(func(t *core.Table) { t.Remove(9) })
+		}
 	}
-	if pfs.EntityEpochs != bfs.EntityEpochs {
-		t.Fatalf("entity-epoch accounting diverged: %d vs %d", pfs.EntityEpochs, bfs.EntityEpochs)
-	}
-	if d := relDiff(pfs.DeliveredBytes, bfs.DeliveredBytes); d > 0.05 {
-		t.Errorf("fixed: delivered diverged %.1f%%: per-entity %.0f vs batched %.0f",
-			d*100, pfs.DeliveredBytes, bfs.DeliveredBytes)
-	}
-	if d := relDiff(pfs.DroppedBytes, bfs.DroppedBytes); d > 0.05 {
-		t.Errorf("fixed: dropped diverged %.1f%%: per-entity %.0f vs batched %.0f",
-			d*100, pfs.DroppedBytes, bfs.DroppedBytes)
-	}
+	lane.Stop()
 
-	// Reactive: cubic entities seeking the allocation.
-	pr, _ := run("cubic", 250*units.Mbps)
-	br, ents := run("cubic", 250*units.Mbps, WithCohortBatching())
-	prs, brs := pr.Stats(), br.Stats()
-	if d := relDiff(prs.DeliveredBytes, brs.DeliveredBytes); d > 0.05 {
-		t.Errorf("reactive: delivered diverged %.1f%%: per-entity %.0f vs batched %.0f",
-			d*100, prs.DeliveredBytes, brs.DeliveredBytes)
+	bits := math.Float64bits
+	ents := lane.Entities()
+	if len(ents) != len(ref.ents) {
+		t.Fatalf("%d entities, reference %d", len(ents), len(ref.ents))
 	}
-	// Identical entities sharing one AQ must come out even under batching.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, e := range ents {
-		d := e.Delivered()
-		lo, hi = math.Min(lo, d), math.Max(hi, d)
+	for i, e := range ents {
+		r := &ref.ents[i]
+		c := &lane.cohorts[e.c]
+		if bits(c.rate[e.i]) != bits(r.rate) || bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
+			t.Fatalf("entity %d (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v",
+				i, r.id, r.par.Model, c.rate[e.i], e.Delivered(), e.Dropped(), r.rate, r.delivered, r.dropped)
+		}
+		if r.par.Model == ECN && bits(c.alpha[e.i]) != bits(r.alpha) {
+			t.Fatalf("entity %d: alpha %v, reference %v", i, c.alpha[e.i], r.alpha)
+		}
 	}
-	if hi > 0 && lo/hi < 0.99 {
-		t.Errorf("pro-rata split uneven across identical entities: min %.0f max %.0f", lo, hi)
+	st := lane.Stats()
+	if bits(st.DeliveredBytes) != bits(ref.delivered) || bits(st.DroppedBytes) != bits(ref.dropped) {
+		t.Fatalf("lane delivered %v dropped %v, reference %v %v", st.DeliveredBytes, st.DroppedBytes, ref.delivered, ref.dropped)
+	}
+	if st.SkippedEntityEpochs != 0 {
+		t.Fatalf("%d entity-epochs skipped as quiescent; the reference has no such path to compare", st.SkippedEntityEpochs)
+	}
+	if got, want := bits(lane.pipes[0].accepted), bits(ref.accepted[0]); got != want {
+		t.Fatalf("pipe accepted rate %v, reference %v", lane.pipes[0].accepted, ref.accepted[0])
+	}
+	if got, want := tables[0].Stats(), tables[1].Stats(); got != want {
+		t.Fatalf("table stats %+v, reference %+v", got, want)
+	}
+	if ts := tables[0].Stats(); ts.FluidMisses == 0 || ts.FluidMisses == ts.FluidEpochs {
+		t.Fatalf("table stats %+v: want both hits and misses exercised", ts)
+	}
+	for _, id := range tables[1].IDs() {
+		a, r := tables[0].Lookup(id), tables[1].Lookup(id)
+		as, rs := a.Stats(), r.Stats()
+		if bits(a.Gap()) != bits(r.Gap()) || a.VirtualDelay() != r.VirtualDelay() ||
+			bits(as.FluidBytes) != bits(rs.FluidBytes) || bits(as.FluidDropped) != bits(rs.FluidDropped) || bits(as.FluidMarked) != bits(rs.FluidMarked) {
+			t.Fatalf("AQ %d: gap %v stats %+v, reference gap %v stats %+v", id, a.Gap(), as, r.Gap(), rs)
+		}
+	}
+	for i, m := range meters[0] {
+		if got, want := m.TotalBytes(), meters[1][i].TotalBytes(); got != want || got == 0 {
+			t.Fatalf("meter %d: %d bytes, reference %d (want equal and non-zero)", i, got, want)
+		}
 	}
 }
 

@@ -132,6 +132,12 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	return d, nil
 }
 
+// MaxFluidEntities bounds the entity count of one kind "fluid" driver. The
+// count arrives over the wire and every entity is allocated up front; a
+// million is the largest population the repository's scenarios attach to
+// one lane.
+const MaxFluidEntities = 1 << 20
+
 // attachFluid builds a kind "fluid" driver: the offered load split over
 // spec.Entities rate-ODE entities advancing at the fabric's fluid epoch
 // through the bottleneck switch's ingress table, sharing the trunk with
@@ -145,9 +151,22 @@ func (f *Fabric) attachFluid(spec LoadSpec) (*Driver, error) {
 	if entities <= 0 {
 		entities = 1
 	}
+	if entities > MaxFluidEntities {
+		return nil, fmt.Errorf("service: %d fluid entities exceed the per-driver ceiling of %d", entities, MaxFluidEntities)
+	}
 	ccName := spec.CC
 	if ccName == "" {
 		ccName = f.cfg.CC
+	}
+	// fluid.ParamsFor maps any name it does not know to the non-reactive
+	// Fixed model; the names that mean it are spelled out here so a typo
+	// is refused as it is for a packet driver.
+	switch ccName {
+	case "", "udp", "fixed":
+	default:
+		if cc.ByName(ccName) == nil {
+			return nil, fmt.Errorf("service: unknown cc algorithm %q", ccName)
+		}
 	}
 	id := f.nextID
 	f.nextID++

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"aqueue/internal/cc"
 	"aqueue/internal/control"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
@@ -128,10 +129,19 @@ func TestAttachValidation(t *testing.T) {
 		{Kind: "bursty", Load: 0.5},                  // unknown kind
 		{Kind: "fixed", Load: 0.5},                   // fixed without size
 		{Kind: "websearch", Load: 0.5, CC: "osmium"}, // unknown cc
+		{Kind: "fluid", Load: 0.5, CC: "cubik"},      // unknown cc must not fall back to a blaster
+		{Kind: "fluid", Load: 0.5, Entities: MaxFluidEntities + 1},
 	}
 	for _, spec := range bad {
 		if _, err := f.Attach(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
+		}
+	}
+	// Every name a fluid driver may carry: the fixed-rate spellings and
+	// the packet algorithms.
+	for _, name := range append([]string{"", "udp", "fixed"}, cc.Names()...) {
+		if _, err := f.Attach(LoadSpec{Kind: "fluid", Load: 0.01, CC: name, Entities: 2}); err != nil {
+			t.Fatalf("fluid attach with cc %q: %v", name, err)
 		}
 	}
 }

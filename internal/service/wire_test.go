@@ -171,6 +171,8 @@ func TestServiceWireErrors(t *testing.T) {
 		{control.WireRequest{Op: "detach", V: 2, ID: 99}, control.CodeUnknownID},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "websearch"}, control.CodeBadRequest},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "nope", Load: 0.5}, control.CodeBadRequest},
+		{control.WireRequest{Op: "attach", V: 2, Kind: "fluid", Load: 0.5, CC: "cubik"}, control.CodeBadRequest},
+		{control.WireRequest{Op: "attach", V: 2, Kind: "fluid", Load: 0.5, Entities: MaxFluidEntities + 1}, control.CodeBadRequest},
 		{control.WireRequest{Op: "release", V: 2, ID: 42}, control.CodeUnknownID},
 		{control.WireRequest{Op: "grant", V: 2, Mode: "weighted", Weight: 1, Switch: "S9"}, control.CodeUnknownTable},
 	}
