@@ -21,7 +21,6 @@ type coreMetrics struct {
 	Engine     benchcore.EngineResult     `json:"engine"`
 	Forwarding benchcore.ForwardingResult `json:"forwarding"`
 	Drain      *benchcore.DrainResult     `json:"drain,omitempty"`
-	Timers     *benchcore.TimersResult    `json:"timers,omitempty"`
 	FatTree    *benchcore.FatTreeResult   `json:"fattree,omitempty"`
 	// FatTreeWide is the k=8 fabric, measured only on hosts whose
 	// GOMAXPROCS can back the domain workers — it carries the parallel
@@ -94,14 +93,6 @@ func runBenchCore(parallel, domains, burst int, path string) {
 	drn := benchcore.MeasureDrain(forwardingRuns, drainPackets, burst)
 	fmt.Printf("  %.4f events/pkt burst vs %.2f per-packet (%d inlined/op, %.0f ns/pkt, identical=%v)\n",
 		drn.EventsPerPacket, drn.NoBurstEventsPerPacket, drn.InlinedPerOp, drn.NsPerPacket, drn.Identical)
-
-	const timerFlows = 64
-	fmt.Printf("benchcore: timer-heavy churn, %d flows x 20ms, wheel vs heap\n", timerFlows)
-	tmr := benchcore.MeasureTimers(timerFlows, 20*sim.Millisecond)
-	fmt.Printf("  wheel %v, heap %v (speedup %.2fx, %d pkts/op, identical=%v)\n",
-		time.Duration(tmr.WheelNS).Round(time.Millisecond),
-		time.Duration(tmr.HeapNS).Round(time.Millisecond),
-		tmr.Speedup, tmr.PacketsPerOp, tmr.Identical)
 
 	ftDomains := domains
 	if ftDomains < 2 {
@@ -203,7 +194,7 @@ func runBenchCore(parallel, domains, burst int, path string) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Baseline:   readBaseline(path),
-		Current:    coreMetrics{Engine: eng, Forwarding: fwd, Drain: &drn, Timers: &tmr, FatTree: &ft, FatTreeWide: ftWide, Fluid: &fluidSec, Sweep: sweep},
+		Current:    coreMetrics{Engine: eng, Forwarding: fwd, Drain: &drn, FatTree: &ft, FatTreeWide: ftWide, Fluid: &fluidSec, Sweep: sweep},
 	}
 	if rec.Baseline != nil {
 		b, c := rec.Baseline.Forwarding, rec.Current.Forwarding
@@ -229,9 +220,6 @@ func runBenchCore(parallel, domains, burst int, path string) {
 		if err := ftWide.CheckSpeedup(); err != nil {
 			fatalf("%v", err)
 		}
-	}
-	if !tmr.Identical {
-		fatalf("wheel timer run differs from heap run — determinism regression")
 	}
 	if !fls.Identical {
 		fatalf("partitioned fluid-scale run differs from single-engine — determinism regression")

@@ -47,12 +47,6 @@ type metrics struct {
 		EventsPerPacket *float64 `json:"events_per_packet"`
 		Identical       *bool    `json:"identical"`
 	} `json:"drain"`
-	Timers *struct {
-		WheelNS   *float64 `json:"wheel_ns"`
-		HeapNS    *float64 `json:"heap_ns"`
-		Speedup   *float64 `json:"speedup"`
-		Identical *bool    `json:"identical"`
-	} `json:"timers"`
 	FatTree *struct {
 		Domains          int      `json:"domains"`
 		SingleNS         *float64 `json:"single_ns"`
@@ -155,15 +149,6 @@ func report(w io.Writer, oldPath, newPath string) error {
 	row(w, "engine ns/event",
 		fieldOf(o.Engine, func() *float64 { return o.Engine.NsPerEvent }),
 		fieldOf(n.Engine, func() *float64 { return n.Engine.NsPerEvent }))
-	row(w, "timers wheel ns/op",
-		fieldOf(o.Timers, func() *float64 { return o.Timers.WheelNS }),
-		fieldOf(n.Timers, func() *float64 { return n.Timers.WheelNS }))
-	row(w, "timers heap ns/op",
-		fieldOf(o.Timers, func() *float64 { return o.Timers.HeapNS }),
-		fieldOf(n.Timers, func() *float64 { return n.Timers.HeapNS }))
-	boolRow(w, "timers identical",
-		fieldOf(o.Timers, func() *bool { return o.Timers.Identical }),
-		fieldOf(n.Timers, func() *bool { return n.Timers.Identical }))
 	row(w, "fat-tree single-engine ns/op",
 		fieldOf(o.FatTree, func() *float64 { return o.FatTree.SingleNS }),
 		fieldOf(n.FatTree, func() *float64 { return n.FatTree.SingleNS }))

@@ -36,9 +36,6 @@ func TestReportToleratesV1Records(t *testing.T) {
 	for _, want := range []string{
 		"forwarding events/packet",
 		"sweep utilization",
-		"timers wheel ns/op",
-		"timers heap ns/op",
-		"timers identical",
 		"fat-tree single-engine ns/op",
 		"fat-tree partitioned ns/op",
 		"fat-tree windows/run",

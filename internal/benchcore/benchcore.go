@@ -69,9 +69,7 @@ func RunSingleBottleneck(horizon sim.Time, opts ...sim.Option) BottleneckResult 
 // RunEngineChurn drives an engine-only workload: width self-perpetuating
 // timers, each firing re-arming itself, until the requested number of
 // events has fired. It isolates the event core from the network model, and
-// rides the Timer API so it measures whichever scheduling lane timer-class
-// events actually use — the hierarchical wheel by default, the heap when
-// the wheel is disabled.
+// rides the Timer API, so it measures the wheel lane.
 func RunEngineChurn(events int, width int) {
 	if width > events {
 		width = events
@@ -260,68 +258,6 @@ func MeasureDrain(runs, packets, burst int) DrainResult {
 		NoBurstEventsPerPacket: float64(refEvents) / float64(refDelivered),
 		Identical:              delivered == refDelivered && end == refEnd,
 	}
-}
-
-// RunTimerHeavy drives the timer-dominated workload: `flows` CUBIC senders
-// crowd a 10 Gbps dumbbell built for a handful, so congestion windows
-// collapse to fractional values and every flow lives in pacing/RTO churn —
-// the RTO deadline slides on every ACK, pacing timers re-arm between
-// segments, and losses fire real retransmission timeouts. It returns the
-// packets put on the bottleneck wire, the quantity the wheel-vs-heap
-// determinism check compares.
-func RunTimerHeavy(flows int, horizon sim.Time, opts ...sim.Option) uint64 {
-	eng := sim.NewEngine(opts...)
-	spec := topo.DefaultSim()
-	d := topo.NewDumbbell(eng, 4, 4, spec, spec)
-	var senders []*transport.Sender
-	for i := 0; i < flows; i++ {
-		s := transport.NewSender(d.Left[i%4], d.Right[(i+3)%4], 0, cc.NewCubic(),
-			transport.Options{})
-		s.Start(sim.Time(i) * sim.Microsecond)
-		senders = append(senders, s)
-	}
-	eng.RunUntil(horizon)
-	for _, s := range senders {
-		s.Stop()
-	}
-	return d.Bottleneck.TxPackets
-}
-
-// TimersResult is the timer-lane benchmark record: the same timer-heavy run
-// measured once on the hierarchical wheel (the default) and once forced
-// back onto the event heap. Identical reports whether both lanes delivered
-// exactly the same traffic — the determinism gate at benchmark scope.
-type TimersResult struct {
-	Flows        int     `json:"flows"`
-	HorizonNS    int64   `json:"horizon_ns"`
-	PacketsPerOp uint64  `json:"packets_per_op"`
-	WheelNS      int64   `json:"wheel_ns"`
-	HeapNS       int64   `json:"heap_ns"`
-	Speedup      float64 `json:"speedup"`
-	Identical    bool    `json:"identical"`
-}
-
-// MeasureTimers times RunTimerHeavy with the wheel on and off, configured
-// per engine through options — nothing process-global is touched.
-func MeasureTimers(flows int, horizon sim.Time) TimersResult {
-	r := TimersResult{Flows: flows, HorizonNS: int64(horizon)}
-
-	RunTimerHeavy(flows, horizon/4, sim.WithTimerWheel(true)) // warm-up: heat pools and the wheel
-	start := time.Now()
-	wheelPkts := RunTimerHeavy(flows, horizon, sim.WithTimerWheel(true))
-	r.WheelNS = time.Since(start).Nanoseconds()
-	r.PacketsPerOp = wheelPkts
-
-	RunTimerHeavy(flows, horizon/4, sim.WithTimerWheel(false))
-	start = time.Now()
-	heapPkts := RunTimerHeavy(flows, horizon, sim.WithTimerWheel(false))
-	r.HeapNS = time.Since(start).Nanoseconds()
-
-	r.Identical = wheelPkts == heapPkts
-	if r.WheelNS > 0 {
-		r.Speedup = float64(r.HeapNS) / float64(r.WheelNS)
-	}
-	return r
 }
 
 // FatTreeResult is the partitioned large-fabric benchmark record: one op is

@@ -81,6 +81,13 @@ const (
 // AQ is one augmented queue: the deployed configuration plus the two runtime
 // registers of Algorithm 1 (gap and last_time). The paper stores these in
 // switch SRAM; the 15-byte-per-AQ layout is modelled in internal/control.
+//
+// An AQ has a single owner: the goroutine of the engine its switch runs on.
+// Process, Update, the fluid kernels, SetRate and Reset all mutate the
+// registers and counters as plain fields — exactly one register transaction
+// per packet, as on the switch — so two goroutines must never drive one AQ,
+// and Stats is only safe from the owner or after the run has quiesced.
+// Partitioned runs keep this by construction: an AQ lives in one domain.
 type AQ struct {
 	id           packet.AQID
 	rate         float64 // bytes per nanosecond
@@ -92,10 +99,10 @@ type AQ struct {
 	gap      float64  // A-Gap in bytes
 	lastTime sim.Time // arrival time of the previous packet
 
-	// Counters, exposed through Stats. Plain (non-atomic) fields: an AQ is
-	// only touched from its engine's goroutine while traffic flows, and the
-	// harness snapshots results only after a run completes (the worker
-	// pool's WaitGroup provides the happens-before edge).
+	// Counters, exposed through Stats. Plain (non-atomic) fields, per the
+	// single-owner rule above; the harness snapshots results only after a
+	// run completes (the worker pool's WaitGroup provides the
+	// happens-before edge).
 	arrived      uint64
 	arrivedBytes uint64
 	drops        uint64

@@ -166,11 +166,11 @@ func TestDeployBatchMatchesDeploy(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = Config{ID: packet.AQID(i + 1), Rate: units.Gbps}
 	}
-	a := NewTableDense(true)
+	a := NewTable()
 	for _, c := range cfgs {
 		a.Deploy(c)
 	}
-	b := NewTableDense(true)
+	b := NewTable()
 	b.DeployBatch(cfgs)
 	if a.Len() != b.Len() {
 		t.Fatalf("len %d vs %d", a.Len(), b.Len())

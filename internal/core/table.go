@@ -19,20 +19,25 @@ import (
 // Bypass predicate is installed and reports true (e.g. "the physical queue
 // of the output port is empty"), AQ processing is skipped so entities may
 // exceed their allocations while the network is idle.
+//
+// Concurrency: a table has a single owner, the goroutine of the engine its
+// switch runs on. Only the owner — or a caller it is parked behind, as the
+// service run loop is at a window boundary — may call Process,
+// ProcessFluid, the cursors, Deploy, DeployBatch and Remove: they run or
+// replace AQs, whose registers are plain fields (see AQ). What other
+// goroutines may do while the owner works is observe: Stats reads atomic
+// counters, which is what the control-plane server and the harness rely on.
 type Table struct {
 	aqs map[packet.AQID]*AQ
 
 	// dense, when non-nil, is a direct-indexed mirror of aqs covering
 	// [0, maxID]: the hot path indexes it with the packet's tag instead of
 	// hashing. It is rebuilt on every Deploy/Remove and only kept while
-	// denseOK is set and ident.Dense approves the ID range (sparse deploys
-	// fall back to the map). Both layouts hold the same *AQ pointers, so
-	// which one serves a lookup is unobservable in results.
+	// ident.Dense approves the ID range; a sparse deploy — one far-away ID
+	// is enough — falls back to the map until a Remove makes the range
+	// dense again. Both layouts hold the same *AQ pointers, so which one
+	// serves a lookup is unobservable in results.
 	dense []*AQ
-
-	// denseOK permits the dense layout; fixed at construction from the
-	// engine options (or the process defaults for bare NewTable).
-	denseOK bool
 
 	// gen counts membership changes (Deploy/Remove). BurstCursor snapshots
 	// it so a memoized lookup can never survive a table rebuild.
@@ -47,10 +52,10 @@ type Table struct {
 	trace      trace.Sink
 	traceWhere string
 
-	// Counters. Atomic because a table may be observed from outside its
-	// simulation goroutine: the control-plane server reports tables over
-	// TCP while traffic flows, and the parallel experiment harness snapshots
-	// them after concurrent runs.
+	// Counters. Atomic for the one writer / many readers contract above:
+	// the control-plane server reports tables over TCP while traffic flows,
+	// and the parallel experiment harness snapshots them after concurrent
+	// runs.
 	lookups  atomic.Uint64
 	misses   atomic.Uint64
 	bypassed atomic.Uint64
@@ -86,18 +91,8 @@ func (t *Table) Stats() TableStats {
 	}
 }
 
-// NewTable returns an empty AQ table, with the dense layout governed by the
-// process default options. Components with an engine in hand should prefer
-// NewTableDense(eng.Options().DenseTables).
-func NewTable() *Table {
-	return NewTableDense(sim.DefaultOptions().DenseTables)
-}
-
-// NewTableDense returns an empty AQ table with the dense lookup layout
-// explicitly permitted or forbidden.
-func NewTableDense(dense bool) *Table {
-	return &Table{aqs: make(map[packet.AQID]*AQ), denseOK: dense}
-}
+// NewTable returns an empty AQ table.
+func NewTable() *Table { return &Table{aqs: make(map[packet.AQID]*AQ)} }
 
 // Deploy installs (or replaces) an AQ built from cfg and returns it.
 func (t *Table) Deploy(cfg Config) *AQ {
@@ -132,9 +127,6 @@ func (t *Table) Remove(id packet.AQID) {
 func (t *Table) rebuild() {
 	t.gen++
 	t.dense = nil
-	if !t.denseOK || len(t.aqs) == 0 {
-		return
-	}
 	maxID := -1
 	for id := range t.aqs {
 		if int(id) > maxID {

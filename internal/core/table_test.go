@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"aqueue/internal/packet"
@@ -73,32 +74,130 @@ func TestTableBypass(t *testing.T) {
 	}
 }
 
-// TestTableCountersConcurrent hammers Process from several goroutines and
-// reads Stats concurrently; run with -race this pins the counters'
-// thread-safety (the control-plane server and the parallel harness both
-// observe tables while traffic flows).
+// TestTableCountersConcurrent pins the table's concurrency contract: one
+// owner — the engine goroutine — runs Process, and any number of observers
+// read Table.Stats while it does (the control-plane server and the harness
+// both watch tables while traffic flows). Under -race the readers must not
+// race the writer, every snapshot they take must be monotone, and the
+// final counts are exact. Concurrent Process on one table is NOT part of
+// the contract: the A-Gap registers are plain fields, and parallel domains
+// put each AQ on exactly one engine.
 func TestTableCountersConcurrent(t *testing.T) {
 	tbl := NewTable()
 	tbl.Deploy(Config{ID: 1, Rate: units.Gbps, Limit: 1 << 30})
-	const workers, perWorker = 4, 1000
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
+	const readers, rounds = 4, 4000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
-			p := packet.NewData(1, 2, 1, 0, 960)
-			for i := 0; i < perWorker; i++ {
-				tbl.Process(sim.Time(i), 1, p)
-				tbl.Process(sim.Time(i), 42, p) // miss
+			defer wg.Done()
+			var last TableStats
+			for {
+				s := tbl.Stats()
+				if s.Lookups < last.Lookups || s.Misses < last.Misses {
+					t.Errorf("Stats went backwards: %+v after %+v", s, last)
+					return
+				}
+				last = s
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 		}()
 	}
-	for w := 0; w < workers; w++ {
-		_ = tbl.Stats() // concurrent reads must not race
-		<-done
+	p := packet.NewData(1, 2, 1, 0, 960)
+	for i := 0; i < rounds; i++ {
+		tbl.Process(sim.Time(i), 1, p)
+		tbl.Process(sim.Time(i), 42, p) // miss
 	}
-	s := tbl.Stats()
-	if s.Lookups != 2*workers*perWorker || s.Misses != workers*perWorker {
-		t.Fatalf("Stats = %+v, want %d lookups, %d misses", s, 2*workers*perWorker, workers*perWorker)
+	close(stop)
+	wg.Wait()
+	if s := tbl.Stats(); s.Lookups != 2*rounds || s.Misses != rounds {
+		t.Fatalf("Stats = %+v, want %d lookups, %d misses", s, 2*rounds, rounds)
+	}
+	if a := tbl.Lookup(1).Stats(); a.Arrived != rounds {
+		t.Fatalf("AQ arrived = %d, want %d", a.Arrived, rounds)
+	}
+}
+
+// TestTableLayoutFlipsDenseMapDense walks one table through the layouts the
+// way production reaches them — a deploy at a far-away ID makes ident.Dense
+// decline, removing it restores the mirror — and checks at every stage
+// which layout served, that lookups through it agree with the map for hits,
+// misses and out-of-range IDs, that Generation ticks on each change, and
+// that a BurstCursor and a StreamCursor bound before a flip drop their
+// memo instead of serving an AQ pointer from the previous layout.
+func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
+	const far = packet.AQID(1 << 20)
+	tbl := NewTable()
+	for id := packet.AQID(1); id <= 8; id++ {
+		tbl.Deploy(Config{ID: id, Rate: units.Gbps, Limit: 1 << 30})
+	}
+	p := packet.NewData(1, 2, 1, 0, 960)
+	now := sim.Time(0)
+
+	var bc BurstCursor
+	var sc StreamCursor
+	bc.Bind(tbl)
+	sc.Bind(tbl)
+
+	// check asserts the layout and lookup parity, then drives one packet and
+	// one fluid run for AQ 3 through the cursors bound at the start: the
+	// counters must land on whichever *AQ the table holds now.
+	check := func(stage string, wantDense bool, wantGen uint64) {
+		t.Helper()
+		if got := tbl.dense != nil; got != wantDense {
+			t.Fatalf("%s: dense layout = %v, want %v", stage, got, wantDense)
+		}
+		if tbl.Generation() != wantGen {
+			t.Fatalf("%s: Generation() = %d, want %d", stage, tbl.Generation(), wantGen)
+		}
+		for _, id := range []packet.AQID{0, 1, 3, 8, 9, 500, far, far + 1} {
+			if got, want := tbl.lookup(id), tbl.aqs[id]; got != want {
+				t.Fatalf("%s: lookup(%d) = %p, map holds %p", stage, id, got, want)
+			}
+		}
+		aq := tbl.Lookup(3)
+		before := aq.Stats().Arrived
+		now += 1000
+		if v := bc.Process(now, 3, p); v != Pass {
+			t.Fatalf("%s: cursor verdict = %v, want Pass", stage, v)
+		}
+		if got := aq.Stats().Arrived; got != before+1 {
+			t.Fatalf("%s: BurstCursor ran a stale AQ: arrived %d → %d on the deployed one", stage, before, got)
+		}
+		if got := sc.ResolveRun(3, 1); got != aq {
+			t.Fatalf("%s: StreamCursor resolved %p, table holds %p", stage, got, aq)
+		}
+	}
+
+	check("dense", true, 8)
+
+	tbl.Deploy(Config{ID: far, Rate: units.Gbps}) // sparse: the map serves
+	check("map after far deploy", false, 9)
+
+	// Replace AQ 3 while on the map layout: the memoized pointer is now
+	// stale in both cursors, and only the generation check can tell.
+	tbl.Deploy(Config{ID: 3, Rate: units.Gbps, Limit: 1 << 30})
+	check("map after redeploy", false, 10)
+
+	tbl.Remove(far) // dense again
+	check("dense after far remove", true, 11)
+
+	tbl.Remove(3)
+	if got := sc.ResolveRun(3, 1); got != nil {
+		t.Fatalf("StreamCursor resolved removed AQ 3 to %p", got)
+	}
+	if v := bc.Process(now, 3, p); v != Pass {
+		t.Fatalf("removed AQ 3 still enforced through the cursor: %v", v)
+	}
+	bc.Flush()
+	sc.Flush()
+	if s := tbl.Stats(); s.Lookups != 5 || s.Misses != 1 || s.FluidEpochs != 5 || s.FluidMisses != 1 {
+		t.Fatalf("flushed counters = %+v, want 5 lookups / 1 miss on each lane", s)
 	}
 }
 

@@ -22,7 +22,7 @@ func (sink) Receive(p *packet.Packet) {}
 // fluid form of Figure 1's rate-limiting result.
 func TestFixedEntityAQRateLimit(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	table.Deploy(core.Config{ID: 7, Rate: 2 * units.Gbps})
 	lane := NewLane(eng, table, 0)
 	lane.Add(EntityConfig{AQ: 7, CC: "udp", Rate: 10 * units.Gbps, Pipe: -1})
@@ -49,7 +49,7 @@ func TestFixedEntityAQRateLimit(t *testing.T) {
 // with no AQ should AIMD their way to roughly half the link each.
 func TestLossEntityConvergesToShare(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
 	lane := NewLane(eng, table, 0)
 	pi := lane.AddPipe(pipe)
@@ -77,7 +77,7 @@ func TestLossEntityConvergesToShare(t *testing.T) {
 // packet lane's residual, and be released when the deadline passes.
 func TestResidualCoupling(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
 	lane := NewLane(eng, table, 0)
 	pi := lane.AddPipe(pipe)

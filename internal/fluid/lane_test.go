@@ -18,7 +18,7 @@ import (
 // untagged entities, and a live pipe account.
 func TestFireSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	table.Deploy(core.Config{ID: 1, Rate: 2 * units.Gbps})
 	table.Deploy(core.Config{ID: 2, Rate: units.Gbps})
 	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
@@ -200,7 +200,7 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	eng := sim.NewEngine()
 	tables := [2]*core.Table{}
 	for i := range tables {
-		tables[i] = core.NewTableDense(eng.Options().DenseTables)
+		tables[i] = core.NewTable()
 		for _, cfg := range deploy {
 			tables[i].Deploy(cfg)
 		}
@@ -320,7 +320,7 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 // residual.
 func TestLaneRestart(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
 	lane := NewLane(eng, table, 0)
 	pi := lane.AddPipe(pipe)
@@ -361,7 +361,7 @@ func TestLaneRestart(t *testing.T) {
 // rather than clipping against the capacity captured at AddPipe.
 func TestPipeRateChangeMidRun(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
 	lane := NewLane(eng, table, 0)
 	pi := lane.AddPipe(pipe)
@@ -387,7 +387,7 @@ func TestPipeRateChangeMidRun(t *testing.T) {
 // the closed-form value.
 func TestQuiescenceSkipping(t *testing.T) {
 	eng := sim.NewEngine()
-	table := core.NewTableDense(eng.Options().DenseTables)
+	table := core.NewTable()
 	lane := NewLane(eng, table, 0)
 	e0 := lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1})
 	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1}, 3)

@@ -44,11 +44,11 @@ type Params struct {
 	// too. The runner applies it by appending sim.WithParallelDomains to
 	// the job's Sim options.
 	Parallel bool `json:"parallel,omitempty"`
-	// Sim overrides engine options (dense layouts, timer wheel, pooling,
-	// burst size) for the experiment's engines. Like Domains, every knob
-	// here trades only execution strategy — results are byte-identical for
-	// any setting, which the fingerprint gates enforce — so the field is
-	// excluded from result JSON and fingerprints.
+	// Sim overrides engine options — the burst size; the runner adds
+	// parallel domains from Parallel above — for the experiment's engines.
+	// Like Domains, both trade only execution strategy — results are
+	// byte-identical for any setting, which the quick-sweep golden gate
+	// enforces — so the field is excluded from result JSON and fingerprints.
 	Sim []sim.Option `json:"-"`
 }
 

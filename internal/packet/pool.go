@@ -18,15 +18,13 @@ import (
 // parallel experiment harness simple: engines on different goroutines
 // share the pool safely, and because a recycled packet is fully zeroed
 // before reuse, run results stay byte-identical whether a packet's memory
-// is fresh or reused — the pooled-vs-unpooled fingerprint test holds the
-// simulator to that.
+// is fresh or reused; a use after release is caught by the aqdebug poison
+// build (poison_debug.go), which CI runs.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Get returns a zeroed packet from the pool. Prefer NewData/NewAck, which
 // also fill in the common header fields. Engine-bound components should
-// use their engine's Pool, which fixes the pooling choice at engine
-// construction (sim.WithPooling) — that is the only way to disable reuse;
-// the package-level form always recycles.
+// use their engine's Pool, which never contends with other engines.
 func Get() *Packet {
 	p := pool.Get().(*Packet)
 	*p = Packet{}
@@ -57,36 +55,28 @@ const maxEngineFree = 4096
 // needs no locking, and parallel harness workers recycling through their
 // own engine's Pool never contend on — or bounce cache lines through — the
 // process-wide pool; the sync.Pool is only the spill/refill tier. A Pool
-// honours its engine's Pooling option and the aqdebug poisoning exactly
-// like the package Get/Release, and packets are fully zeroed on reuse
-// either way, so which tier served an allocation is unobservable in
-// results.
+// honours the aqdebug poisoning exactly like the package Get/Release, and
+// packets are fully zeroed on reuse either way, so which tier served an
+// allocation is unobservable in results.
 type Pool struct {
 	free []*Packet
-	// enabled is the engine's Pooling option, cached so the hot path pays
-	// no atomic load: the choice is fixed for the life of the engine.
-	enabled bool
 }
 
 // PoolFor returns the engine's packet free list, creating it on first use.
 // It is stored in the engine's opaque pool slot, so components built on the
-// same engine share one list; whether it recycles at all is the engine's
-// Pooling option.
+// same engine share one list.
 func PoolFor(e *sim.Engine) *Pool {
 	slot := e.PacketPoolSlot()
 	if p, ok := (*slot).(*Pool); ok {
 		return p
 	}
-	p := &Pool{enabled: e.Options().Pooling}
+	p := new(Pool)
 	*slot = p
 	return p
 }
 
 // Get returns a zeroed packet, preferring the engine-local free list.
 func (pl *Pool) Get() *Packet {
-	if !pl.enabled {
-		return new(Packet)
-	}
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
@@ -95,17 +85,14 @@ func (pl *Pool) Get() *Packet {
 		debugAcquire(p)
 		return p
 	}
-	p := pool.Get().(*Packet)
-	*p = Packet{}
-	debugAcquire(p)
-	return p
+	return Get()
 }
 
 // Release returns a packet to the engine-local free list (spilling to the
 // shared pool past the cap). Same ownership contract as the package-level
 // Release.
 func (pl *Pool) Release(p *Packet) {
-	if p == nil || !pl.enabled {
+	if p == nil {
 		return
 	}
 	debugRelease(p)

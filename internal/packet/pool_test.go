@@ -3,8 +3,6 @@ package packet
 import (
 	"sync"
 	"testing"
-
-	"aqueue/internal/sim"
 )
 
 func TestGetReturnsZeroedPacket(t *testing.T) {
@@ -21,23 +19,6 @@ func TestGetReturnsZeroedPacket(t *testing.T) {
 
 func TestReleaseNilIsNoop(t *testing.T) {
 	Release(nil)
-}
-
-// TestEnginePoolFixedAtConstruction pins the options-first contract: an
-// engine built with WithPooling(false) gets a Pool that never recycles —
-// the engine option is the only pooling switch left in the system.
-func TestEnginePoolFixedAtConstruction(t *testing.T) {
-	e := sim.NewEngine(sim.WithPooling(false))
-	pl := PoolFor(e)
-	p := pl.NewData(1, 2, 3, 0, 1000)
-	pl.Release(p)
-	if p.Size != 1000+HeaderBytes {
-		t.Fatal("unpooled engine Pool mutated a released packet")
-	}
-	q := pl.Get()
-	if q == p {
-		t.Fatal("unpooled engine Pool recycled a packet")
-	}
 }
 
 // TestPoolConcurrentChurn hammers the pool from many goroutines under

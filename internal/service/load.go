@@ -49,7 +49,7 @@ type Driver struct {
 	ecn     bool
 	meanGap sim.Time
 
-	next      *sim.Event
+	next      *sim.Timer // the arrival process; nil on kind "fluid" drivers
 	stopped   bool
 	tracker   stats.FCT
 	doneBytes int64
@@ -126,6 +126,7 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 		ecn:     ccName == "dctcp",
 		meanGap: meanGap,
 	}
+	d.next = d.eng.NewTimer(d.fire)
 	f.drivers[id] = d
 	f.order = append(f.order, id)
 	d.arm()
@@ -192,8 +193,7 @@ func (f *Fabric) Detach(id uint32) bool {
 	}
 	d.stopped = true
 	if d.next != nil {
-		d.next.Cancel()
-		d.next = nil
+		d.next.Disarm()
 	}
 	if d.lane != nil {
 		d.lane.Stop()
@@ -205,7 +205,7 @@ func (f *Fabric) Detach(id uint32) bool {
 func (f *Fabric) Driver(id uint32) *Driver { return f.drivers[id] }
 
 func (d *Driver) arm() {
-	d.next = d.eng.After(d.rand.ExpTime(d.meanGap), d.fire)
+	d.next.ArmAfter(d.rand.ExpTime(d.meanGap))
 }
 
 func (d *Driver) fire() {

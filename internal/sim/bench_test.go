@@ -23,51 +23,3 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 		e.Step()
 	}
 }
-
-// BenchmarkEngineCancelHeavy measures the cancel-and-rearm pattern of
-// retransmission timers: every fired event schedules two successors and
-// cancels one of them, so half the scheduled events become tombstones.
-func BenchmarkEngineCancelHeavy(b *testing.B) {
-	const population = 512
-	e := NewEngine()
-	var fire func()
-	i := 0
-	fire = func() {
-		i++
-		doomed := e.After(Time(i%89+1), func() {})
-		e.After(Time(i%97+1), fire)
-		doomed.Cancel()
-	}
-	for j := 0; j < population; j++ {
-		e.After(Time(j%97+1), fire)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for e.Processed < uint64(b.N) {
-		e.Step()
-	}
-}
-
-// BenchmarkEngineReschedule measures moving a pending timer instead of
-// cancelling and reallocating it — the pattern armRTO turns into.
-func BenchmarkEngineReschedule(b *testing.B) {
-	e := NewEngine()
-	// A drain event keeps the clock moving.
-	var tick func()
-	tick = func() { e.After(10, tick) }
-	e.After(10, tick)
-	ev := e.After(1000, func() {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-		ev = rearm(e, ev, e.Now()+1000)
-	}
-	_ = ev
-}
-
-// rearm moves the timer. Pre-refactor this was cancel-and-reallocate
-// (ev.Cancel() then a fresh e.At); the event core now reschedules in place.
-func rearm(e *Engine, ev *Event, t Time) *Event {
-	return e.Reschedule(ev, t, nil)
-}

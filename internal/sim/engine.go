@@ -7,22 +7,16 @@
 //
 // The event core is built for the per-packet hot path:
 //
-//   - a 4-ary index heap (shallower than a binary heap, so fewer
-//     comparisons and pointer moves per push/pop on the deep queues a
-//     packet simulation builds);
-//   - cancelled events are counted and opportunistically compacted away,
-//     so Pending reports live events and cancel-heavy workloads do not
-//     drag tombstones through every sift;
-//   - timers can be rescheduled in place (Reschedule), so a retransmission
-//     timer that re-arms on every ACK reuses one Event allocation for the
-//     life of the flow;
-//   - fire-and-forget callbacks (AtDetached/AfterDetached) live inline in
-//     the heap slots — no Event object exists for them — making
-//     steady-state packet forwarding allocation-free;
-//   - timer-class events (RTO, pacing, periodic ticks) ride a second lane,
-//     the hierarchical timing wheel of wheel.go, with O(1) arm/disarm/
-//     re-arm and no tombstones; the dispatch loop merges the two lanes by
-//     (time, ordering word), so lane choice never changes event order.
+//   - a 4-ary heap (shallower than a binary heap, so fewer comparisons
+//     and moves per push/pop on the deep queues a packet simulation
+//     builds) of handle-less slots: a heap event is fire-and-forget, its
+//     callback lives inline in the slot, nothing outside the heap points
+//     into it, and steady-state packet forwarding allocates nothing;
+//   - everything cancellable or re-armable (RTO, pacing, periodic ticks,
+//     arrival processes) is a Timer on the second lane, the hierarchical
+//     timing wheel of wheel.go, with O(1) arm/disarm/re-arm and no
+//     tombstones; the dispatch loop merges the two lanes by (time,
+//     ordering word), so lane choice never changes event order.
 package sim
 
 import "fmt"
@@ -56,52 +50,14 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. It can be cancelled before it fires, or
-// moved with Engine.Reschedule. A cancelled event stays in the heap as a
-// tombstone until it is popped or compacted away; tombstones are excluded
-// from Pending.
-type Event struct {
-	at  Time
-	seq uint64
-	eng *Engine
-
-	fn func()
-
-	index     int // heap index, -1 once popped
-	cancelled bool
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.cancelled {
-		return
-	}
-	e.cancelled = true
-	if e.index >= 0 && e.eng != nil {
-		e.eng.dead++
-		e.eng.maybeCompact()
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
-
-// Pending reports whether the event is in the heap and will fire. Timer
-// owners use it to skip a Reschedule when an already-armed event fires no
-// later than needed (the lazy re-arm pattern: let it fire and re-check).
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 && !e.cancelled }
-
-// Time returns the instant the event is scheduled for.
-func (e *Event) Time() Time { return e.at }
-
 // The pending-event heap is stored as two parallel arrays: 16-byte keys
 // (what sift comparisons read — four children fit in one cache line) and
-// the payloads (moved in tandem, never compared). Exactly one of a
-// payload's ev and fnArg is set. Handle events (At/After/Reschedule) carry
-// an *Event so the caller can cancel or re-arm them. Detached events
-// (AtDetached) carry their callback inline: no Event object exists at all,
-// so scheduling one allocates nothing and firing one dereferences nothing.
+// the payloads (moved in tandem, never compared). A slot carries its
+// callback inline and has no handle: nothing outside the heap knows where
+// a slot sits, so a sift moves keys and payloads and maintains nothing
+// else, and a heap event can be neither cancelled nor moved — that is what
+// Timer is for.
+//
 // The seq field actually holds an *ordering word*: lane<<laneOrdShift | seq.
 // Ordinary events run on lane 0, so their word is the raw scheduling
 // sequence and same-instant events fire in scheduling order, as ever.
@@ -117,17 +73,8 @@ type heapKey struct {
 }
 
 type heapVal struct {
-	ev    *Event
 	fnArg func(any)
 	arg   any
-}
-
-// setIndex records the slot's heap position in its Event; detached slots
-// have none to maintain.
-func (e *Engine) setIndex(i int) {
-	if ev := e.vals[i].ev; ev != nil {
-		ev.index = i
-	}
 }
 
 // Engine owns the simulated clock and the two scheduling lanes: the
@@ -140,7 +87,6 @@ type Engine struct {
 	seq  uint64
 	keys []heapKey // 4-ary min-heap on (at, ord)
 	vals []heapVal // payloads, parallel to keys
-	dead int       // cancelled events still in the heap
 	seqs seqTable
 	opt  Options
 
@@ -156,18 +102,11 @@ type Engine struct {
 	// the handler schedules can drop straight into the root with one
 	// sift-down, fusing the pop's down + push's up of the ubiquitous
 	// fire-then-reschedule pattern into a single down. While the hole is
-	// open the root key is stale; peekHeap and Pending compensate, and
-	// every path that moves heap slots (Reschedule, compaction) closes the
-	// hole first.
+	// open the root key is stale; peekHeap and Pending compensate.
 	hole bool
 
-	// wheel is the timer lane; nil when the engine was built with
-	// WithTimerWheel(false), in which case Timer handles fall back to heap
-	// events.
-	wheel *timerWheel
-
-	// Processed counts events that have fired (not cancelled ones); it is
-	// exposed for benchmarks and sanity checks.
+	// Processed counts events that have fired; it is exposed for
+	// benchmarks and sanity checks.
 	Processed uint64
 
 	// Inlined counts deliveries drained inline by burst mode — each one an
@@ -188,6 +127,10 @@ type Engine struct {
 	// mid-window. Single-engine construction leaves it false and those
 	// guards compile down to an untaken branch.
 	multiDomain bool
+
+	// wheel is the timer lane. Last, so its 12 KB of level headers do not
+	// sit between the dispatch loop's scalars.
+	wheel timerWheel
 }
 
 // MultiDomain reports whether the engine is one domain of a 2+ domain
@@ -202,24 +145,18 @@ func (e *Engine) MultiDomain() bool { return e.multiDomain }
 func (e *Engine) PacketPoolSlot() *any { return &e.packetPool }
 
 // NewEngine returns an engine with the clock at zero and no pending events,
-// configured by the process defaults overridden with opts. The timer-wheel
-// lane is materialized here when enabled (the default), so one engine's
-// lane choice — like every other option — is fixed for its lifetime.
+// configured by DefaultOptions overridden with opts.
 func NewEngine(opts ...Option) *Engine {
 	o := DefaultOptions()
 	for _, f := range opts {
 		f(&o)
 	}
-	e := &Engine{opt: o}
-	if o.TimerWheel {
-		e.wheel = newTimerWheel()
-	}
-	return e
+	return &Engine{opt: o}
 }
 
 // Options returns the engine's configuration, fixed at construction.
-// Components built on the engine (switches, hosts, pipes, pools) read
-// their layout and burst knobs from here instead of package globals.
+// Components built on the engine (pipes, clusters) read their execution
+// strategy from here instead of package globals.
 func (e *Engine) Options() Options { return e.opt }
 
 // EngineStats is a snapshot of the engine's dispatch counters, following
@@ -264,28 +201,20 @@ func (e *Engine) SeqDomain(name string) SeqDomain { return e.seqs.domain(name) }
 func (e *Engine) NextIn(d SeqDomain) uint64 { return e.seqs.next(d) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it is always a logic error in a discrete-event model.
-func (e *Engine) At(t Time, fn func()) *Event {
-	e.checkTime(t)
-	ev := &Event{at: t, seq: e.seq, fn: fn, eng: e}
-	e.seq++
-	e.push(ev)
-	return ev
-}
+// it is always a logic error in a discrete-event model. At is the closure
+// convenience over AtDetached: the func value rides in the slot's arg, so
+// nothing is allocated beyond the caller's closure.
+func (e *Engine) At(t Time, fn func()) { e.AtDetached(t, callFunc, fn) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) { e.AfterDetached(d, callFunc, fn) }
 
-// AtDetached schedules fn(arg) at absolute time t without returning a
-// handle: the event cannot be cancelled or rescheduled, which is exactly
-// what lets it live inline in a heap node — no Event object is created, so
-// scheduling and firing per-packet callbacks (transmit-done, delivery)
-// allocates nothing and never touches Event memory.
+func callFunc(fn any) { fn.(func())() }
+
+// AtDetached schedules fn(arg) at absolute time t. Like every heap event it
+// has no handle — it cannot be cancelled or moved (use a Timer for that) —
+// which is exactly what lets it live inline in a heap slot: scheduling and
+// firing per-packet callbacks (transmit-done, delivery) allocates nothing.
 func (e *Engine) AtDetached(t Time, fn func(any), arg any) {
 	e.checkTime(t)
 	k := heapKey{at: t, seq: e.seq}
@@ -373,7 +302,7 @@ func (e *Engine) InlineRunnable(t Time, ord uint64) bool {
 	if hk, ok := e.peekHeap(); ok && less(hk, k) {
 		return false
 	}
-	if e.wheel != nil && e.wheel.live > 0 {
+	if e.wheel.live > 0 {
 		if wk, _ := e.wheel.peek(e.now); less(wk, k) {
 			return false
 		}
@@ -397,69 +326,19 @@ func (e *Engine) AdvanceInline(t Time) {
 	e.Inlined++
 }
 
-// Reschedule moves a timer to fire fn at absolute time t, reusing ev when
-// possible instead of allocating: a pending event (cancelled or not) is
-// updated and sifted in place; an already-fired event object is pushed
-// back onto the heap. The rescheduled event takes a fresh sequence number,
-// so it orders among same-instant events exactly as a newly scheduled one
-// would. A nil fn keeps the event's current callback.
-//
-// The caller must be the sole holder of ev (true for the timer fields
-// transport keeps); passing nil ev simply schedules a new event.
-func (e *Engine) Reschedule(ev *Event, t Time, fn func()) *Event {
-	e.checkTime(t)
-	if ev == nil {
-		return e.At(t, fn)
-	}
-	if ev.cancelled {
-		ev.cancelled = false
-		if ev.index >= 0 {
-			e.dead--
-		}
-	}
-	ev.at = t
-	ev.seq = e.seq
-	e.seq++
-	if fn != nil {
-		ev.fn = fn
-	}
-	ev.eng = e
-	if ev.index >= 0 {
-		if e.hole {
-			e.closeHole() // fix moves slots; indices must be consistent
-		}
-		e.fix(ev.index)
-	} else {
-		e.push(ev)
-	}
-	return ev
-}
-
-// RescheduleAfter moves a timer to fire fn d nanoseconds from now; see
-// Reschedule.
-func (e *Engine) RescheduleAfter(ev *Event, d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.Reschedule(ev, e.now+d, fn)
-}
-
 func (e *Engine) checkTime(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v which is before now %v", t, e.now))
 	}
 }
 
-// Pending reports the number of live (non-cancelled) events across both
-// lanes: heap events minus tombstones, plus armed wheel timers (the wheel
-// has no tombstones to exclude).
+// Pending reports the number of events that will fire across both lanes:
+// heap slots plus armed wheel timers. Neither lane holds tombstones — a
+// heap event cannot be cancelled and a disarmed timer leaves its slot.
 func (e *Engine) Pending() int {
-	n := len(e.keys) - e.dead
+	n := len(e.keys) + e.wheel.live
 	if e.hole {
 		n-- // the stale root is the event currently firing, not pending
-	}
-	if e.wheel != nil {
-		n += e.wheel.live
 	}
 	return n
 }
@@ -471,7 +350,7 @@ func (e *Engine) Pending() int {
 func (e *Engine) NextEventTime() (Time, bool) {
 	hk, ok := e.peekHeap()
 	at := hk.at
-	if e.wheel != nil && e.wheel.live > 0 {
+	if e.wheel.live > 0 {
 		if wk, _ := e.wheel.peek(e.now); !ok || wk.at < at {
 			at, ok = wk.at, true
 		}
@@ -479,28 +358,21 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return at, ok
 }
 
-// peekHeap discards tombstones from the heap root and reports the key of
-// the earliest live heap event, or ok=false when the heap has none.
+// peekHeap reports the key of the earliest heap event, or ok=false when
+// the heap has none.
 func (e *Engine) peekHeap() (heapKey, bool) {
 	if e.hole {
 		return e.peekSansRoot()
 	}
-	for len(e.keys) > 0 {
-		if v := e.vals[0]; v.ev != nil && v.ev.cancelled {
-			e.pop()
-			e.dead--
-			continue
-		}
-		return e.keys[0], true
+	if len(e.keys) == 0 {
+		return heapKey{}, false
 	}
-	return heapKey{}, false
+	return e.keys[0], true
 }
 
 // peekSansRoot reports the earliest heap key excluding the stale root of an
 // open hole: by the heap property that is the least of the root's (at most
-// four) children. Tombstones are not discarded here — a cancelled child's
-// key is a conservative answer for InlineRunnable, and the dispatch loop
-// purges tombstones at its top, when the hole is closed.
+// four) children.
 func (e *Engine) peekSansRoot() (heapKey, bool) {
 	n := len(e.keys)
 	if n <= 1 {
@@ -519,16 +391,18 @@ func (e *Engine) peekSansRoot() (heapKey, bool) {
 	return e.keys[min], true
 }
 
-// Step fires the earliest pending event — merging the heap and wheel lanes
-// by (time, ordering word) — and returns true, or returns false when both
-// lanes are empty. Cancelled heap events are discarded without firing.
-// Keys never compare equal across lanes: both draw from the one scheduling
-// sequence, so the merge is a strict total order.
-func (e *Engine) Step() bool {
+// step fires the earliest pending event — merging the heap and wheel lanes
+// by (time, ordering word) — if it is due by the deadline, and reports
+// whether one fired. Keys never compare equal across lanes: both draw from
+// the one scheduling sequence, so the merge is a strict total order.
+func (e *Engine) step(deadline Time) bool {
 	hk, hasHeap := e.peekHeap()
-	if e.wheel != nil && e.wheel.live > 0 {
+	if e.wheel.live > 0 {
 		wk, wt := e.wheel.peek(e.now)
 		if !hasHeap || less(wk, hk) {
+			if wk.at > deadline {
+				return false
+			}
 			e.wheel.remove(wt)
 			e.now = wk.at
 			wt.fn()
@@ -536,16 +410,17 @@ func (e *Engine) Step() bool {
 			return true
 		}
 	}
-	if !hasHeap {
+	if !hasHeap || hk.at > deadline {
 		return false
 	}
+	// Deferred pop: open the root hole and fire. The handler's first
+	// scheduling call refills the root directly (see place); only a
+	// handler that schedules nothing pays the full pop. The payload is
+	// copied out first, so the callback may freely schedule new events.
 	v := e.vals[0]
-	if ev := v.ev; ev != nil {
-		ev.index = -1
-	}
 	e.hole = true
 	e.now = hk.at
-	e.fire(v)
+	v.fnArg(v.arg)
 	e.Processed++
 	if e.hole {
 		e.closeHole()
@@ -558,10 +433,14 @@ func (e *Engine) Step() bool {
 // zero that means "no dispatch active".
 const maxTime = Time(1<<62 - 1)
 
+// Step fires the earliest pending event and returns true, or returns false
+// when both lanes are empty.
+func (e *Engine) Step() bool { return e.step(maxTime) }
+
 // Run fires events until both lanes are empty.
 func (e *Engine) Run() {
 	e.deadline = maxTime
-	for e.Step() {
+	for e.step(maxTime) {
 	}
 	e.deadline = 0
 }
@@ -581,38 +460,7 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) runTo(deadline Time) {
 	e.deadline = deadline
 	defer func() { e.deadline = 0 }()
-	for {
-		hk, hasHeap := e.peekHeap()
-		if e.wheel != nil && e.wheel.live > 0 {
-			wk, wt := e.wheel.peek(e.now)
-			if !hasHeap || less(wk, hk) {
-				if wk.at > deadline {
-					break
-				}
-				e.wheel.remove(wt)
-				e.now = wk.at
-				wt.fn()
-				e.Processed++
-				continue
-			}
-		}
-		if !hasHeap || hk.at > deadline {
-			break
-		}
-		// Deferred pop: open the root hole and fire. The handler's first
-		// scheduling call refills the root directly (see place); only a
-		// handler that schedules nothing pays the full pop.
-		v := e.vals[0]
-		if ev := v.ev; ev != nil {
-			ev.index = -1
-		}
-		e.hole = true
-		e.now = hk.at
-		e.fire(v)
-		e.Processed++
-		if e.hole {
-			e.closeHole()
-		}
+	for e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -630,58 +478,11 @@ func (e *Engine) drainPool() {
 	}
 }
 
-// fire invokes the slot's callback. The slot was already popped; it is
-// passed by value so the callback may freely schedule new events.
-func (e *Engine) fire(v heapVal) {
-	if v.ev != nil {
-		v.ev.fn()
-		return
-	}
-	v.fnArg(v.arg)
-}
-
-// maybeCompact rebuilds the heap without tombstones once cancelled events
-// outnumber live ones (and there are enough of them to matter). This keeps
-// cancel-heavy workloads — retransmission timers under steady ACK clocking
-// — from sifting dead weight on every operation.
-func (e *Engine) maybeCompact() {
-	if e.dead < 64 || e.dead*2 <= len(e.keys) {
-		return
-	}
-	if e.hole {
-		e.closeHole() // never rebuild the heap around a stale root
-	}
-	liveK, liveV := e.keys[:0], e.vals[:0]
-	for i, v := range e.vals {
-		if v.ev != nil && v.ev.cancelled {
-			v.ev.index = -1
-			continue
-		}
-		liveK = append(liveK, e.keys[i])
-		liveV = append(liveV, v)
-	}
-	for i := len(liveK); i < len(e.keys); i++ {
-		e.keys[i] = heapKey{}
-		e.vals[i] = heapVal{}
-	}
-	e.keys, e.vals = liveK, liveV
-	e.dead = 0
-	// Floyd heapify: sift down every internal node.
-	if n := len(e.keys); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.down(i)
-		}
-	}
-	for i := range e.keys {
-		e.setIndex(i)
-	}
-}
-
 // ---------------------------------------------------------------------------
-// 4-ary index heap on (at, seq). Child c of node i is 4i+1 … 4i+4; the
-// parent of i is (i-1)/4. Shallower than a binary heap: a million pending
-// events sit 10 levels deep instead of 20. Keys live inline in heapNode so
-// every comparison during a sift is a sequential read of the node array.
+// 4-ary heap on (at, ord). Child c of node i is 4i+1 … 4i+4; the parent of
+// i is (i-1)/4. Shallower than a binary heap: a million pending events sit
+// 10 levels deep instead of 20. Keys live in their own array, so every
+// comparison during a sift is a sequential read of 16-byte keys.
 
 func less(a, b heapKey) bool {
 	if a.at != b.at {
@@ -690,14 +491,9 @@ func less(a, b heapKey) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(ev *Event) {
-	e.place(heapKey{at: ev.at, seq: ev.seq}, heapVal{ev: ev})
-}
-
 // place inserts one heap slot. When the dispatch loop's root hole is open
 // (see Engine.hole), the slot drops straight into the root and sifts down —
-// the fused form of pop-then-push. Otherwise it appends and sifts up; both
-// paths record final positions via setIndex.
+// the fused form of pop-then-push. Otherwise it appends and sifts up.
 func (e *Engine) place(key heapKey, val heapVal) {
 	if e.hole {
 		e.hole = false
@@ -714,20 +510,9 @@ func (e *Engine) place(key heapKey, val heapVal) {
 
 // closeHole physically removes the stale root left by a deferred pop: the
 // fired handler scheduled nothing, so the last slot moves up as a normal
-// pop would have done. The stale payload is cleared first so pop cannot
-// touch the fired event object (the handler may have re-armed it elsewhere
-// in the heap).
+// pop would have done.
 func (e *Engine) closeHole() {
 	e.hole = false
-	e.vals[0] = heapVal{}
-	e.pop()
-}
-
-// pop removes the heap root; callers copy the root's key/val first.
-func (e *Engine) pop() {
-	if ev := e.vals[0].ev; ev != nil {
-		ev.index = -1
-	}
 	n := len(e.keys) - 1
 	e.keys[0] = e.keys[n]
 	e.vals[0] = e.vals[n]
@@ -736,7 +521,7 @@ func (e *Engine) pop() {
 	e.keys = e.keys[:n]
 	e.vals = e.vals[:n]
 	if n > 0 {
-		e.down(0) // records the moved slot's final position
+		e.down(0)
 	}
 }
 
@@ -751,12 +536,10 @@ func (e *Engine) up(i int) {
 		}
 		k[i] = k[parent]
 		e.vals[i] = e.vals[parent]
-		e.setIndex(i)
 		i = parent
 	}
 	k[i] = key
 	e.vals[i] = val
-	e.setIndex(i)
 }
 
 func (e *Engine) down(i int) {
@@ -784,19 +567,8 @@ func (e *Engine) down(i int) {
 		}
 		k[i] = k[min]
 		e.vals[i] = e.vals[min]
-		e.setIndex(i)
 		i = min
 	}
 	k[i] = key
 	e.vals[i] = val
-	e.setIndex(i)
-}
-
-// fix restores heap order after the event at index i changed its key,
-// refreshing the inline key from the event first.
-func (e *Engine) fix(i int) {
-	ev := e.vals[i].ev
-	e.keys[i] = heapKey{at: ev.at, seq: ev.seq}
-	e.up(i)
-	e.down(ev.index)
 }

@@ -5,170 +5,6 @@ import (
 	"testing/quick"
 )
 
-// TestPendingExcludesCancelled is the regression test for the tombstone
-// miscount: Pending must report live events only, even when cancellations
-// dominate the heap.
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	var live, dead []*Event
-	for i := 0; i < 1000; i++ {
-		ev := e.At(Time(10+i), func() {})
-		if i%2 == 0 {
-			dead = append(dead, ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for _, ev := range dead {
-		ev.Cancel()
-	}
-	if got := e.Pending(); got != len(live) {
-		t.Fatalf("Pending() = %d after cancelling half, want %d", got, len(live))
-	}
-	// Double-cancel must not double-count.
-	dead[0].Cancel()
-	if got := e.Pending(); got != len(live) {
-		t.Fatalf("Pending() = %d after double cancel, want %d", got, len(live))
-	}
-	fired := 0
-	for e.Step() {
-		fired++
-	}
-	if fired != len(live) {
-		t.Fatalf("fired %d events, want %d", fired, len(live))
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain, want 0", e.Pending())
-	}
-}
-
-// TestPendingCancelHeavyWorkload drives a transport-like cancel/re-arm loop
-// and checks Pending stays exact while compaction churns the heap.
-func TestPendingCancelHeavyWorkload(t *testing.T) {
-	e := NewEngine()
-	liveTimers := make([]*Event, 0, 4096)
-	for round := 0; round < 50; round++ {
-		// Arm a batch of timers far in the future, then cancel them all —
-		// the RTO pattern under a steady ACK clock.
-		for i := 0; i < 200; i++ {
-			liveTimers = append(liveTimers, e.After(Time(1000+i), func() {}))
-		}
-		for _, ev := range liveTimers {
-			ev.Cancel()
-		}
-		liveTimers = liveTimers[:0]
-		// One live event per round keeps the clock moving.
-		e.After(1, func() {})
-		if e.Pending() != 1 {
-			t.Fatalf("round %d: Pending() = %d, want 1", round, e.Pending())
-		}
-		if !e.Step() {
-			t.Fatalf("round %d: no live event to fire", round)
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("round %d: Pending() = %d after drain, want 0", round, e.Pending())
-		}
-	}
-}
-
-func TestRunUntilSkipsTombstones(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 0; i < 100; i++ {
-		ev := e.At(Time(10+i), func() { fired++ })
-		if i%3 != 0 {
-			ev.Cancel()
-		}
-	}
-	e.RunUntil(200)
-	if want := 34; fired != want { // i = 0, 3, 6, ..., 99
-		t.Fatalf("fired %d, want %d", fired, want)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
-	}
-}
-
-func TestRescheduleMovesPendingEvent(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	ev := e.At(10, func() { at = e.Now() })
-	ev2 := e.Reschedule(ev, 50, nil)
-	if ev2 != ev {
-		t.Fatal("rescheduling a pending event allocated a new one")
-	}
-	e.Run()
-	if at != 50 {
-		t.Fatalf("rescheduled event fired at %v, want 50", at)
-	}
-}
-
-func TestRescheduleReusesFiredEvent(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	ev := e.At(10, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Fatal("event did not fire")
-	}
-	// The holder re-arms the fired timer: same object, back on the heap.
-	ev2 := e.Reschedule(ev, e.Now()+5, nil)
-	if ev2 != ev {
-		t.Fatal("rescheduling a fired event allocated a new one")
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatalf("re-armed event fired %d times total, want 2", count)
-	}
-}
-
-func TestRescheduleRevivesCancelledEvent(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after cancel, want 0", e.Pending())
-	}
-	e.Reschedule(ev, 20, nil)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d after revive, want 1", e.Pending())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("revived event did not fire")
-	}
-}
-
-func TestRescheduleSameInstantOrdersAsFreshSchedule(t *testing.T) {
-	// A rescheduled event must order among same-instant events exactly as a
-	// newly scheduled one would (fresh sequence number) — this is what keeps
-	// the cancel-and-reallocate → reschedule refactor byte-identical.
-	e := NewEngine()
-	var order []string
-	ev := e.At(10, func() { order = append(order, "timer") })
-	e.At(20, func() { order = append(order, "a") })
-	e.Reschedule(ev, 20, nil) // after "a": must fire after it
-	e.At(20, func() { order = append(order, "b") })
-	e.Run()
-	want := []string{"a", "timer", "b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestRescheduleNilSchedulesFresh(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.Reschedule(nil, 10, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("Reschedule(nil, ...) did not schedule")
-	}
-}
-
 func TestDetachedEventsFireAndRecycle(t *testing.T) {
 	e := NewEngine()
 	sum := 0
@@ -195,7 +31,8 @@ func TestDetachedEventsFireAndRecycle(t *testing.T) {
 }
 
 func TestDetachedInterleavesWithHandles(t *testing.T) {
-	// Detached and handle events at the same instant fire in scheduling
+	// At is the closure convenience over AtDetached: both file one
+	// handle-less slot, so at the same instant they fire in scheduling
 	// order, like any other events.
 	e := NewEngine()
 	var order []int
@@ -203,6 +40,9 @@ func TestDetachedInterleavesWithHandles(t *testing.T) {
 	e.At(5, func() { order = append(order, 1) })
 	e.AtDetached(5, func(v any) { order = append(order, v.(int)) }, 2)
 	e.Run()
+	if len(order) != 3 {
+		t.Fatalf("order = %v", order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order = %v", order)
@@ -210,34 +50,48 @@ func TestDetachedInterleavesWithHandles(t *testing.T) {
 	}
 }
 
-// TestHeapOrderingProperty re-checks time ordering under a mix of
-// scheduling, cancellation and rescheduling on the 4-ary heap.
+// TestHeapOrderingProperty re-checks (time, scheduling order) dispatch on
+// the 4-ary heap under a mix of up-front scheduling and scheduling from
+// inside a firing handler — the first such call refills the root hole, the
+// rest append and sift up.
 func TestHeapOrderingProperty(t *testing.T) {
-	f := func(delays []uint16, cancelMask []bool) bool {
+	f := func(delays []uint16, chain []uint8) bool {
 		e := NewEngine()
-		last := Time(-1)
-		ok := true
-		evs := make([]*Event, 0, len(delays))
-		for _, d := range delays {
-			evs = append(evs, e.At(Time(d), func() {
-				if e.Now() < last {
-					ok = false
+		type stamp struct {
+			at  Time
+			ord int
+		}
+		var fired []stamp
+		ord := 0
+		var schedule func(d Time, follow int)
+		schedule = func(d Time, follow int) {
+			me := stamp{e.Now() + d, ord}
+			ord++
+			e.After(d, func() {
+				if e.Now() != me.at {
+					me.ord = -1 // fired at the wrong instant: poison the trace
 				}
-				last = e.Now()
-			}))
+				fired = append(fired, me)
+				for k := 0; k < follow; k++ {
+					schedule(Time(k%3), 0)
+				}
+			})
 		}
-		for i, ev := range evs {
-			if i < len(cancelMask) && cancelMask[i] {
-				ev.Cancel()
+		for i, d := range delays {
+			follow := 0
+			if i < len(chain) {
+				follow = int(chain[i] % 4)
 			}
-		}
-		for i, ev := range evs {
-			if i%7 == 3 && !ev.Cancelled() && ev.index >= 0 {
-				e.Reschedule(ev, ev.Time()+Time(i%5), nil)
-			}
+			schedule(Time(d), follow)
 		}
 		e.Run()
-		return ok && e.Pending() == 0
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if a.ord < 0 || b.ord < 0 || a.at > b.at || (a.at == b.at && a.ord > b.ord) {
+				return false
+			}
+		}
+		return len(fired) == ord && e.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

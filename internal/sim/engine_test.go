@@ -50,23 +50,6 @@ func TestEngineAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() is false after Cancel")
-	}
-	if e.Processed != 0 {
-		t.Fatalf("Processed = %d, want 0", e.Processed)
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time

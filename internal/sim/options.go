@@ -1,30 +1,16 @@
 package sim
 
-// Engine configuration. Every feature knob that used to be a package-global
-// toggle (dense AQ tables, dense forwarding, the timer-wheel lane, packet
-// pooling) plus the burst-drain size is carried by an Options value fixed at
-// engine construction: two engines in one process can run with different
-// configurations, and nothing a test flips can leak into an engine built
-// elsewhere. The deprecated Set* shims (and the mutable process defaults
-// behind them) are gone; DefaultOptions is a constant.
+// Engine configuration. The engine has one data plane — dense layouts
+// wherever ident.Dense approves the ID range, timers on the wheel, packets
+// recycled through the engine's free list — and no knob selects another.
+// What an Options value carries, fixed at engine construction, is execution
+// strategy: two choices that each still pick between two live paths and
+// never move a result.
 
-// Options is the per-engine feature configuration. The zero value is NOT
-// the default configuration — use DefaultOptions (or just NewEngine, which
-// starts from it) and override with With* options.
+// Options is the per-engine configuration. The zero value is NOT the
+// default — use DefaultOptions (or just NewEngine, which starts from it)
+// and override with With* options.
 type Options struct {
-	// DenseTables enables the direct-indexed AQ lookup layout for tables
-	// built against this engine (see core.Table). Layout only — results are
-	// byte-identical either way.
-	DenseTables bool
-	// DenseForwarding enables the direct-indexed forwarding tables of
-	// switches and the dense flow dispatch of hosts built on this engine.
-	DenseForwarding bool
-	// TimerWheel routes timer-class events through the hierarchical timing
-	// wheel; off, Timer handles fall back to heap events.
-	TimerWheel bool
-	// Pooling enables packet reuse through the engine's free list; off, Get
-	// falls back to the garbage collector and Release is a no-op.
-	Pooling bool
 	// BurstSize caps how many back-to-back pipe deliveries one engine event
 	// may drain inline (the burst-mode data plane); 0 disables bursting and
 	// every delivery is its own event. Results are byte-identical for any
@@ -41,18 +27,6 @@ type Options struct {
 
 // Option overrides one knob of an engine's Options.
 type Option func(*Options)
-
-// WithDenseTables sets Options.DenseTables.
-func WithDenseTables(on bool) Option { return func(o *Options) { o.DenseTables = on } }
-
-// WithDenseForwarding sets Options.DenseForwarding.
-func WithDenseForwarding(on bool) Option { return func(o *Options) { o.DenseForwarding = on } }
-
-// WithTimerWheel sets Options.TimerWheel.
-func WithTimerWheel(on bool) Option { return func(o *Options) { o.TimerWheel = on } }
-
-// WithPooling sets Options.Pooling.
-func WithPooling(on bool) Option { return func(o *Options) { o.Pooling = on } }
 
 // WithParallelDomains sets Options.ParallelDomains.
 func WithParallelDomains(on bool) Option { return func(o *Options) { o.ParallelDomains = on } }
@@ -73,16 +47,8 @@ func WithBurstSize(n int) Option {
 // pipe owning the whole window; 64 mirrors the DPDK burst convention.
 const DefaultBurstSize = 64
 
-// DefaultOptions returns the default engine configuration: everything on,
-// BurstSize = DefaultBurstSize. It is a pure constant — there is no way to
-// change the defaults process-wide; callers that want a different
-// configuration pass With* options to NewEngine or NewCluster.
-func DefaultOptions() Options {
-	return Options{
-		DenseTables:     true,
-		DenseForwarding: true,
-		TimerWheel:      true,
-		Pooling:         true,
-		BurstSize:       DefaultBurstSize,
-	}
-}
+// DefaultOptions returns the default engine configuration: cooperative
+// domains, BurstSize = DefaultBurstSize. It is a pure constant — there is
+// no way to change the defaults process-wide; callers that want a
+// different configuration pass With* options to NewEngine or NewCluster.
+func DefaultOptions() Options { return Options{BurstSize: DefaultBurstSize} }

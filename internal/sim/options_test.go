@@ -2,24 +2,18 @@ package sim
 
 import "testing"
 
+// TestDefaultOptionsEverythingOn pins the one default: burst draining on
+// at DefaultBurstSize, cooperative domains.
 func TestDefaultOptionsEverythingOn(t *testing.T) {
-	o := DefaultOptions()
-	if !o.DenseTables || !o.DenseForwarding || !o.TimerWheel || !o.Pooling {
-		t.Fatalf("defaults not all on: %+v", o)
-	}
-	if o.BurstSize != DefaultBurstSize {
-		t.Fatalf("default BurstSize = %d, want %d", o.BurstSize, DefaultBurstSize)
+	if o, want := DefaultOptions(), (Options{BurstSize: DefaultBurstSize}); o != want {
+		t.Fatalf("DefaultOptions() = %+v, want %+v", o, want)
 	}
 }
 
 func TestNewEngineCapturesOptionsAtConstruction(t *testing.T) {
-	e := NewEngine(WithTimerWheel(false), WithBurstSize(3), WithPooling(false))
-	o := e.Options()
-	if o.TimerWheel || o.Pooling || o.BurstSize != 3 {
-		t.Fatalf("engine options = %+v", o)
-	}
-	if e.wheel != nil {
-		t.Fatal("wheel lane built despite WithTimerWheel(false)")
+	e := NewEngine(WithBurstSize(3), WithParallelDomains(true))
+	if o, want := e.Options(), (Options{BurstSize: 3, ParallelDomains: true}); o != want {
+		t.Fatalf("engine options = %+v, want %+v", o, want)
 	}
 	// A bare engine gets exactly the constant defaults.
 	if e2 := NewEngine(); e2.Options() != DefaultOptions() {

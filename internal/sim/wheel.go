@@ -5,19 +5,20 @@ import "math/bits"
 // The timer lane. Timer-class events — RTO re-arms, pacing gates, CBR and
 // token-bucket ticks, periodic controller loops — are overwhelmingly
 // short-horizon, frequently re-armed, and often disarmed before firing.
-// On the event heap each of those operations costs a log-depth sift and a
-// cancellation leaves a tombstone behind for Pending and maybeCompact to
-// churn through. The wheel gives the same events O(1) arm, disarm, and
-// re-arm with no tombstones at all: a disarm clears its slot entry in
-// place, so the heap never sees timer garbage.
+// On a heap each of those operations would cost a log-depth sift, and a
+// cancellation would either leave a tombstone behind or need every slot to
+// maintain a back-pointer through every sift. The wheel gives the same
+// events O(1) arm, disarm, and re-arm with no tombstones at all — a disarm
+// clears its slot entry in place — and it is the engine's only
+// cancellable primitive, so the heap never needs handles.
 //
 // Determinism is preserved exactly. Every armed timer carries an ordering
 // word drawn from the engine's one scheduling-sequence counter — the same
 // counter heap events draw from — and the engine's dispatch loop merges the
 // two lanes by (time, ordering word). A timer armed between two heap
-// schedules therefore fires between them at equal instants, byte-identical
-// to the ordering a heap-only engine produces; the fingerprint gates run
-// the full quick sweep with the wheel lane on and off to hold this.
+// schedules therefore fires between them at equal instants, exactly where a
+// single priority queue would fire it; wheel_test.go holds the engine to a
+// deliberately naive flat-slice scheduler over seeded and fuzzed scripts.
 //
 // Structure: wheelLevels levels of wheelSlots slots. Level l slots are
 // 64^l ns wide, so level 0 resolves exact nanoseconds and the hierarchy
@@ -58,17 +59,12 @@ type Timer struct {
 	slot  int32
 	idx   int32
 	armed bool
-
-	// ev is the heap fallback used when the engine was built with the
-	// wheel lane disabled; nil otherwise.
-	ev     *Event
-	onHeap bool
 }
 
 // NewTimer returns an unarmed timer firing fn. The callback is fixed at
 // construction — re-arming never allocates a closure.
 func (e *Engine) NewTimer(fn func()) *Timer {
-	return &Timer{eng: e, fn: fn, onHeap: e.wheel == nil}
+	return &Timer{eng: e, fn: fn}
 }
 
 // Arm schedules the timer to fire at absolute time t, moving it if it is
@@ -78,11 +74,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 func (t *Timer) Arm(at Time) {
 	e := t.eng
 	e.checkTime(at)
-	if t.onHeap {
-		t.ev = e.Reschedule(t.ev, at, t.fn)
-		return
-	}
-	w := e.wheel
+	w := &e.wheel
 	if t.armed {
 		w.remove(t)
 	}
@@ -114,41 +106,27 @@ func (t *Timer) Rearm(at Time) { t.Arm(at) }
 // RearmAfter re-arms the timer to fire d nanoseconds from now; see Rearm.
 func (t *Timer) RearmAfter(d Time) { t.ArmAfter(d) }
 
-// Disarm stops the timer. Disarming an unarmed timer is a no-op. On the
-// wheel lane the slot entry is cleared in place — no tombstone survives.
+// Disarm stops the timer. Disarming an unarmed timer is a no-op. The slot
+// entry is cleared in place — no tombstone survives.
 func (t *Timer) Disarm() {
-	if t.onHeap {
-		t.ev.Cancel()
-		return
-	}
 	if t.armed {
 		t.eng.wheel.remove(t)
 	}
 }
 
 // Pending reports whether the timer is armed and will fire. Lazy re-arm
-// callers use it the way they used Event.Pending: skip the re-arm when an
-// already-armed timer fires no later than needed.
-func (t *Timer) Pending() bool {
-	if t.onHeap {
-		return t.ev.Pending()
-	}
-	return t.armed
-}
+// callers use it to skip the re-arm when an already-armed timer fires no
+// later than needed.
+func (t *Timer) Pending() bool { return t.armed }
 
 // Time returns the instant the timer is armed for (the last armed instant
 // once fired).
-func (t *Timer) Time() Time {
-	if t.onHeap {
-		return t.ev.Time()
-	}
-	return t.at
-}
+func (t *Timer) Time() Time { return t.at }
 
-// timerWheel is the engine's hierarchical wheel state. It is created
-// lazily by NewEngine (engines in timer-free benchmarks pay only a nil
-// pointer) and holds no reference to the engine: the engine pushes its
-// clock in through advance/peek.
+// timerWheel is the engine's hierarchical wheel state; its zero value is an
+// empty wheel, and slot storage is carved per level on first use. It holds
+// no reference to the engine: the engine pushes its clock in through
+// advance/peek.
 type timerWheel struct {
 	cur  Time // wheel clock: trails the engine clock, synced on use
 	live int  // armed timers across all levels and the overflow list
@@ -191,8 +169,6 @@ func (lv *wheelLevel) initSlots() {
 	}
 	lv.ready = true
 }
-
-func newTimerWheel() *timerWheel { return &timerWheel{} }
 
 // levelFor returns the level a deadline files at: the smallest l whose
 // 64^(l+1)-aligned window contains both at and cur, found from the highest

@@ -9,7 +9,7 @@ import "testing"
 // across benchmark sweeps that build thousands of short-lived engines.
 func TestWheelSlotArenaLazyPerLevel(t *testing.T) {
 	e := NewEngine()
-	w := e.wheel
+	w := &e.wheel
 	for l := range w.levels {
 		if w.levels[l].ready {
 			t.Fatalf("level %d slots initialized before any timer", l)

@@ -29,28 +29,26 @@ func TestTimerFiresAtArmedInstant(t *testing.T) {
 func TestTimerSameInstantOrdersWithHeapEvents(t *testing.T) {
 	// A timer armed between two heap schedules for the same instant fires
 	// between them: the merge runs on the shared ordering sequence, so lane
-	// choice is invisible. This is the ordering the wheel-off fallback (and
-	// the pre-wheel engine) produces.
-	for _, wheel := range []bool{true, false} {
-		e := NewEngine(WithTimerWheel(wheel))
-		var order []string
-		e.At(20, func() { order = append(order, "a") })
-		tm := e.NewTimer(func() { order = append(order, "timer") })
-		tm.Arm(20)
-		e.At(20, func() { order = append(order, "b") })
-		e.Run()
-		want := []string{"a", "timer", "b"}
-		for i := range want {
-			if i >= len(order) || order[i] != want[i] {
-				t.Fatalf("wheel=%v: order = %v, want %v", wheel, order, want)
-			}
+	// choice is invisible — the order a single priority queue produces.
+	e := NewEngine()
+	var order []string
+	e.At(20, func() { order = append(order, "a") })
+	tm := e.NewTimer(func() { order = append(order, "timer") })
+	tm.Arm(20)
+	e.At(20, func() { order = append(order, "b") })
+	e.Run()
+	want := []string{"a", "timer", "b"}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 }
 
 func TestTimerRearmDrawsFreshOrderingWord(t *testing.T) {
 	// Re-arming must order the timer among same-instant events as a fresh
-	// schedule would — the Timer analogue of Reschedule's fresh-seq rule.
+	// schedule would: a moved timer queues behind what was scheduled for
+	// its new instant before the move.
 	e := NewEngine()
 	var order []string
 	tm := e.NewTimer(func() { order = append(order, "timer") })
@@ -140,9 +138,8 @@ func TestTimerDisarmThenRearmSameTick(t *testing.T) {
 }
 
 func TestTimerDisarmLeavesNoTombstone(t *testing.T) {
-	// The heap lane counts a cancelled event as a tombstone until it is
-	// compacted or popped; the wheel lane must not — a disarmed timer
-	// leaves Pending exact and the engine with literally nothing to do.
+	// A disarmed timer leaves its slot at once: Pending stays exact and the
+	// engine has literally nothing to do.
 	e := NewEngine()
 	timers := make([]*Timer, 1000)
 	for i := range timers {
@@ -161,7 +158,7 @@ func TestTimerDisarmLeavesNoTombstone(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step fired something after all timers were disarmed")
 	}
-	// Double disarm is a no-op, as for Event.Cancel.
+	// Double disarm is a no-op.
 	timers[0].Disarm()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after double disarm, want 0", e.Pending())
@@ -169,19 +166,20 @@ func TestTimerDisarmLeavesNoTombstone(t *testing.T) {
 }
 
 func TestPendingCountsLiveWheelTimers(t *testing.T) {
-	// Pending must see both lanes: heap events minus tombstones plus armed
-	// timers, through arm/disarm/fire churn.
+	// Pending must see both lanes: heap events plus armed timers, through
+	// arm/disarm/fire churn.
 	e := NewEngine()
 	tm := e.NewTimer(func() {})
 	tm.Arm(100)
-	ev := e.At(50, func() {})
+	other := e.NewTimer(func() {})
+	other.Arm(50)
 	e.At(60, func() {})
 	if e.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3", e.Pending())
 	}
-	ev.Cancel()
+	other.Disarm()
 	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d after heap cancel, want 2", e.Pending())
+		t.Fatalf("Pending() = %d after disarm, want 2", e.Pending())
 	}
 	if !e.Step() { // fires the heap event at 60
 		t.Fatal("no event to fire")
@@ -278,66 +276,258 @@ func TestTimerRearmAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWheelMatchesHeapReference drives an adversarial mix of timers and
-// heap events through both lanes and through the heap-only fallback,
-// requiring identical firing sequences. This is the lane-equivalence
-// property the sweep fingerprint gates check at simulator scope.
-func TestWheelMatchesHeapReference(t *testing.T) {
-	run := func(wheel bool, seed int64) []Time {
-		var trace []Time
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine(WithTimerWheel(wheel))
-		const n = 40
-		timers := make([]*Timer, n)
-		record := func() { trace = append(trace, e.Now()) }
-		for i := range timers {
-			timers[i] = e.NewTimer(record)
-		}
-		var step func()
-		steps := 0
-		step = func() {
-			trace = append(trace, -e.Now()) // mark driver ticks distinctly
-			if steps++; steps > 400 {
-				return
-			}
-			// The churn is deterministic per seed: arm, rearm, disarm a
-			// few timers, sprinkle heap events, and keep the clock moving.
-			for k := 0; k < 4; k++ {
-				tm := timers[rng.Intn(n)]
-				switch rng.Intn(3) {
-				case 0:
-					tm.ArmAfter(Time(rng.Intn(200_000)))
-				case 1:
-					tm.Disarm()
-				case 2:
-					tm.RearmAfter(Time(rng.Intn(5_000_000)))
-				}
-			}
-			if rng.Intn(3) == 0 {
-				e.After(Time(rng.Intn(1000)), record)
-			}
-			e.After(Time(1+rng.Intn(30_000)), step)
-		}
-		e.After(0, step)
-		e.RunUntil(5 * Millisecond)
-		return trace
-	}
-	for seed := int64(1); seed <= 20; seed++ {
-		on := run(true, seed)
-		off := run(false, seed)
-		if len(on) != len(off) {
-			t.Fatalf("seed %d: wheel trace has %d entries, heap trace %d", seed, len(on), len(off))
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("seed %d: traces diverge at %d: wheel %v vs heap %v", seed, i, on[i], off[i])
-			}
+// The reference the engine is held to: a deliberately naive scheduler — one
+// flat slice, popped by linear minimum scan over (time, lane, scheduling
+// order) — with none of the engine's structure to share a bug with: no
+// heap, no root hole, no wheel levels, no cascades, no cached minimum.
+type naiveEntry struct {
+	at   Time
+	lane uint32
+	seq  uint64
+	id   int
+}
+
+type naive struct {
+	now  Time
+	seq  uint64
+	q    []naiveEntry
+	fire func(id int)
+}
+
+func (n *naive) Now() Time    { return n.now }
+func (n *naive) Pending() int { return len(n.q) }
+
+func (n *naive) after(d Time, lane uint32, id int) {
+	n.q = append(n.q, naiveEntry{n.now + d, lane, n.seq, id})
+	n.seq++
+}
+
+func (n *naive) arm(id int, d Time) { n.disarm(id); n.after(d, 0, id) }
+
+func (n *naive) disarm(id int) {
+	for i := range n.q {
+		if n.q[i].id == id {
+			n.q = append(n.q[:i], n.q[i+1:]...)
+			return
 		}
 	}
 }
 
+func (x naiveEntry) before(y naiveEntry) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.lane != y.lane {
+		return x.lane < y.lane
+	}
+	return x.seq < y.seq
+}
+
+func (n *naive) step(deadline Time) bool {
+	m := -1
+	for i := range n.q {
+		if m < 0 || n.q[i].before(n.q[m]) {
+			m = i
+		}
+	}
+	if m < 0 || n.q[m].at > deadline {
+		return false
+	}
+	x := n.q[m]
+	n.q = append(n.q[:m], n.q[m+1:]...)
+	n.now = x.at
+	n.fire(x.id)
+	return true
+}
+
+func (n *naive) stepOnce() bool { return n.step(maxTime) }
+
+func (n *naive) run() {
+	for n.step(maxTime) {
+	}
+}
+
+func (n *naive) runUntil(deadline Time) {
+	for n.step(deadline) {
+	}
+	n.now = max(n.now, deadline)
+}
+
+// engineSched adapts the engine to the same surface. Timer ids index its
+// Timer handles; every other id is a one-shot heap event, filed through
+// each of the heap's entry points in turn.
+type engineSched struct {
+	*Engine
+	timers []*Timer
+	fire   func(id int)
+}
+
+func (r *engineSched) after(d Time, lane uint32, id int) {
+	switch {
+	case lane != 0:
+		r.AtOrdered(lane, r.Now()+d, func(any) { r.fire(id) }, nil)
+	case id%2 == 0:
+		r.After(d, func() { r.fire(id) })
+	default:
+		r.AfterDetached(d, func(x any) { r.fire(x.(int)) }, id)
+	}
+}
+
+func (r *engineSched) arm(id int, d Time) {
+	if id%2 == 0 {
+		r.timers[id].ArmAfter(d)
+	} else {
+		r.timers[id].Rearm(r.Now() + d)
+	}
+}
+
+func (r *engineSched) disarm(id int)          { r.timers[id].Disarm() }
+func (r *engineSched) stepOnce() bool         { return r.Step() }
+func (r *engineSched) run()                   { r.Run() }
+func (r *engineSched) runUntil(deadline Time) { r.RunUntil(deadline) }
+
+type scheduler interface {
+	Now() Time
+	Pending() int
+	after(d Time, lane uint32, id int)
+	arm(id int, d Time)
+	disarm(id int)
+	stepOnce() bool
+	run()
+	runUntil(deadline Time)
+}
+
+const scriptTimers = 32
+
+// fired is one trace entry: which event fired (or -1 for a script step),
+// when, and what Pending read at that moment.
+type fired struct {
+	id      int
+	at      Time
+	pending int
+}
+
+// runScript interprets a byte script against a scheduler and returns the
+// trace. Top-level steps schedule one-shots (anonymous and ordered lanes),
+// arm, re-arm and disarm timers, pile runs of timers and one-shots onto one
+// instant, park timers past the wheel's 2^42 ns span, and advance the clock
+// by window-bounded RunUntil calls or single Steps. Firing handlers read
+// the script too — they re-arm themselves, schedule same-instant follow-ups
+// (the first refills the heap's root hole) and disarm or arm other timers —
+// so a divergence in firing order also derails everything after it.
+func runScript(script []byte, mk func(fire func(id int)) scheduler) []fired {
+	pos := 0
+	next := func() byte {
+		if pos >= len(script) {
+			return 0 // exhausted: every decode below reads as "do nothing"
+		}
+		pos++
+		return script[pos-1]
+	}
+	// Delays span every wheel level: a 5-bit mantissa at one of eight
+	// scales, the last of which lands on the overflow list.
+	delay := func() Time {
+		b := next()
+		return Time(b&31) << [8]uint{0, 2, 5, 9, 14, 20, 30, 42}[b>>5]
+	}
+	timer := func() int { return int(next()) % scriptTimers }
+
+	var trace []fired
+	var sc scheduler
+	oneShot := scriptTimers
+	after := func(d Time, lane uint32) {
+		sc.after(d, lane, oneShot)
+		oneShot++
+	}
+	sc = mk(func(id int) {
+		trace = append(trace, fired{id, sc.Now(), sc.Pending()})
+		switch next() % 8 {
+		case 1:
+			if id < scriptTimers {
+				sc.arm(id, delay())
+			} else {
+				after(delay(), 0)
+			}
+		case 2:
+			after(0, 0)
+		case 3:
+			sc.disarm(timer())
+		case 4:
+			sc.arm(timer(), delay())
+		case 5:
+			after(delay(), 0)
+			after(delay(), 0)
+		}
+	})
+	for pos < len(script) {
+		switch next() % 8 {
+		case 0:
+			after(delay(), 0)
+		case 1:
+			after(delay(), 1+uint32(next()%3))
+		case 2:
+			sc.arm(timer(), delay())
+		case 3:
+			sc.disarm(timer())
+		case 4:
+			first, d, n := timer(), delay(), int(next()%48)
+			for j := 0; j < n; j++ {
+				if j%4 == 3 {
+					after(d, 0)
+				} else {
+					sc.arm((first+j)%scriptTimers, d)
+				}
+			}
+		case 5:
+			sc.runUntil(sc.Now() + delay())
+		case 6:
+			sc.stepOnce()
+		case 7:
+			sc.arm(timer(), 1<<42+delay())
+		}
+		trace = append(trace, fired{-1, sc.Now(), sc.Pending()})
+	}
+	sc.run()
+	return append(trace, fired{-1, sc.Now(), sc.Pending()})
+}
+
+// FuzzEngineVsNaive holds the two-lane engine to the naive reference:
+// identical (id, time) firing traces and identical Pending after every
+// step, for any script. The seed corpus is twenty random scripts plus two
+// committed shapes under testdata/fuzz — an incast (many timers on one
+// instant) and a back-to-back burst — and runs under plain `go test`.
+func FuzzEngineVsNaive(f *testing.F) {
+	for seed := int64(1); seed <= 20; seed++ {
+		script := make([]byte, 1024)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 2048 {
+			script = script[:2048] // bounds the clock well inside int64
+		}
+		got := runScript(script, func(fire func(int)) scheduler {
+			r := &engineSched{Engine: NewEngine(), fire: fire}
+			for id := 0; id < scriptTimers; id++ {
+				r.timers = append(r.timers, r.NewTimer(func() { fire(id) }))
+			}
+			return r
+		})
+		want := runScript(script, func(fire func(int)) scheduler { return &naive{fire: fire} })
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("traces diverge at entry %d of %d/%d: engine %+v, naive %+v",
+					i, len(got), len(want), got[min(i, len(got)-1)], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("engine trace has %d entries, naive %d", len(got), len(want))
+		}
+	})
+}
+
 // TestWheelOrderingProperty is the quick.Check analogue of
-// TestHeapOrderingProperty for the merged two-lane dispatch: arbitrary
+// TestHeapOrderingProperty for the timer lane: arbitrary
 // deadlines and disarm masks must still fire in nondecreasing time order
 // with an exact Pending count.
 func TestWheelOrderingProperty(t *testing.T) {

@@ -32,14 +32,20 @@ func TestFlowHashSpreadsConsecutiveFlows(t *testing.T) {
 	}
 }
 
+// farHost is a destination ID far outside any built topology: one route to
+// it is how production ends up on the map layout (ident.Dense declines the
+// range), so it is how the tests force that layout too.
+const farHost = packet.HostID(1 << 20)
+
 // TestDenseECMPMatchesMapPath pins the dense forwarding table to the map
-// path it replaces: for every (dst, flow), the slice-indexed lookup must
+// path it mirrors: for every (dst, flow), the slice-indexed lookup must
 // resolve the identical port — exact-route precedence included. The layout
-// is an engine option fixed at construction, so the test builds one switch
-// per layout with identical routes and compares the chosen port indices.
+// is chosen from the routes themselves, so the test builds two switches
+// with identical routes, gives one a far-away destination on top, asserts
+// which layout served each, and compares the chosen port indices.
 func TestDenseECMPMatchesMapPath(t *testing.T) {
-	build := func(dense bool) *Switch {
-		eng := sim.NewEngine(sim.WithDenseForwarding(dense))
+	build := func(sparse bool) *Switch {
+		eng := sim.NewEngine()
 		sw := NewSwitch(eng, "ecmp")
 		sink := &collector{eng: eng}
 		for i := 0; i < 4; i++ {
@@ -49,6 +55,9 @@ func TestDenseECMPMatchesMapPath(t *testing.T) {
 		sw.AddECMPRoute(2, 2, 3)
 		sw.AddRoute(2, 0) // exact route shadows dst 2's group on both paths
 		sw.AddRoute(3, 1)
+		if sparse {
+			sw.AddRoute(farHost, 3)
+		}
 		return sw
 	}
 	portIndex := func(sw *Switch, p *Pipe) int {
@@ -64,8 +73,8 @@ func TestDenseECMPMatchesMapPath(t *testing.T) {
 		return -2
 	}
 
-	dsw := build(true)
-	msw := build(false)
+	dsw := build(false)
+	msw := build(true)
 	for dst := packet.HostID(1); dst <= 4; dst++ {
 		for f := 0; f < 512; f++ {
 			p := &packet.Packet{Dst: dst, Flow: packet.FlowID(f)}
@@ -77,7 +86,7 @@ func TestDenseECMPMatchesMapPath(t *testing.T) {
 
 			mapped := portIndex(msw, msw.outPipe(p))
 			if msw.fwd != nil {
-				t.Fatal("map path still using the dense table")
+				t.Fatal("dense table built over a sparse destination range")
 			}
 
 			if dense != mapped {
@@ -90,5 +99,12 @@ func TestDenseECMPMatchesMapPath(t *testing.T) {
 				t.Fatalf("exact route for dst 2 did not shadow its ECMP group")
 			}
 		}
+	}
+	far := &packet.Packet{Dst: farHost}
+	if got := portIndex(msw, msw.outPipe(far)); got != 3 {
+		t.Fatalf("far destination resolved port %d on the map path, want 3", got)
+	}
+	if got := portIndex(dsw, dsw.outPipe(far)); got != -1 {
+		t.Fatalf("far destination resolved port %d past the dense table's end, want a miss", got)
 	}
 }

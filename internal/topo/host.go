@@ -52,11 +52,9 @@ type Host struct {
 	// per engine; per host the range stays tight enough for a flat slice
 	// until flows churn far past the live set, at which point ident.Dense
 	// rejects the layout and lookups fall back to the map. Rebuilt lazily
-	// (dirty) so registration bursts at setup cost one rebuild. denseOK
-	// permits the layout, fixed at construction from the engine options.
-	dense   []FlowHandler
-	dirty   bool
-	denseOK bool
+	// (dirty) so registration bursts at setup cost one rebuild.
+	dense []FlowHandler
+	dirty bool
 
 	// shared is set when the engine belongs to a multi-domain cluster: a
 	// sender constructed at runtime in another domain registers its
@@ -97,7 +95,6 @@ func NewHost(eng *sim.Engine, id packet.HostID) *Host {
 		id:       id,
 		flowSeq:  eng.SeqDomain("transport.flow"),
 		handlers: make(map[packet.FlowID]FlowHandler),
-		denseOK:  eng.Options().DenseForwarding,
 		shared:   eng.MultiDomain(),
 	}
 }
@@ -182,9 +179,6 @@ func (h *Host) Unregister(id packet.FlowID) {
 func (h *Host) rebuildDispatch() {
 	h.dirty = false
 	h.dense = nil
-	if !h.denseOK {
-		return
-	}
 	maxID := -1
 	for id := range h.handlers {
 		if int(id) > maxID {

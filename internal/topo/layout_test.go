@@ -1,0 +1,159 @@
+package topo
+
+import (
+	"fmt"
+	"testing"
+
+	"aqueue/internal/core"
+	"aqueue/internal/packet"
+	"aqueue/internal/sim"
+	"aqueue/internal/units"
+)
+
+// The dense layouts — forwarding tables, host flow dispatch, AQ tables —
+// have no switch: each is built whenever ident.Dense approves the ID range
+// and the map serves otherwise. These tests keep the fallback covered by
+// forcing it the way production reaches it, one far-away ID per structure,
+// and holding it to the dense build.
+
+const (
+	farFlow = packet.FlowID(1 << 40)
+	farAQ   = packet.AQID(1 << 20)
+)
+
+// countingHandler counts the packets dispatched to one flow.
+type countingHandler struct{ n int }
+
+func (c *countingHandler) Handle(*packet.Packet) { c.n++ }
+
+// TestHostDispatchMapMatchesDense registers the same flows on two hosts,
+// one of which also holds a far-away flow ID, and requires identical
+// handler resolution from the slice and from the map — hits, misses and
+// IDs past the slice's end — then removes the far flow and checks the host
+// flips back to the dense slice.
+func TestHostDispatchMapMatchesDense(t *testing.T) {
+	eng := sim.NewEngine()
+	dense, sparse := NewHost(eng, 0), NewHost(eng, 1)
+	handlers := make(map[packet.FlowID]*countingHandler)
+	for id := packet.FlowID(1); id <= 64; id += 2 { // odd IDs only: misses in between
+		handlers[id] = &countingHandler{}
+		dense.Register(id, handlers[id])
+		sparse.Register(id, handlers[id])
+	}
+	sparse.Register(farFlow, &countingHandler{})
+
+	for id := packet.FlowID(0); id <= 70; id++ {
+		d, m := dense.handler(id), sparse.handler(id)
+		if dense.dense == nil {
+			t.Fatal("dense dispatch slice not built for a dense flow range")
+		}
+		if sparse.dense != nil {
+			t.Fatal("dense dispatch slice built over a sparse flow range")
+		}
+		if d != m {
+			t.Fatalf("flow %d: dense resolved %v, map resolved %v", id, d, m)
+		}
+		if want, ok := handlers[id]; ok && d != FlowHandler(want) {
+			t.Fatalf("flow %d resolved the wrong handler", id)
+		} else if !ok && d != nil {
+			t.Fatalf("flow %d has no handler but resolved one", id)
+		}
+	}
+	if sparse.handler(farFlow) == nil || dense.handler(farFlow) != nil {
+		t.Fatal("far flow must resolve on the host that registered it, and only there")
+	}
+
+	sparse.Unregister(farFlow)
+	if sparse.handler(1) != FlowHandler(handlers[1]) || sparse.dense == nil {
+		t.Fatal("host did not return to the dense slice once the far flow was gone")
+	}
+}
+
+// layoutRun drives a fixed packet script through a dumbbell — three AQs at
+// S1's ingress (one dropping, one ECN-marking, one stamping delay), one at
+// S2's egress, an untagged stream and a table miss — and returns every
+// counter the run produced. With sparse set, each switch also routes a
+// far-away host, each table holds a far-away AQ and each host a far-away
+// flow, so every lookup of the run is served by a map.
+func layoutRun(t *testing.T, sparse bool) string {
+	t.Helper()
+	eng := sim.NewEngine()
+	spec := LinkSpec{Rate: 10 * units.Gbps, Delay: 2 * sim.Microsecond, QueueLimit: 30 * 1000, ECNThreshold: 10 * 1000}
+	d := NewDumbbell(eng, 2, 2, spec, spec)
+	d.S1.Ingress.Deploy(core.Config{ID: 1, Rate: units.Gbps, Limit: 20 * 1000})
+	d.S1.Ingress.Deploy(core.Config{ID: 2, Rate: 2 * units.Gbps, CC: core.ECNType, ECNThreshold: 5 * 1000})
+	d.S1.Ingress.Deploy(core.Config{ID: 3, Rate: 2 * units.Gbps, CC: core.DelayType})
+	d.S2.Egress.Deploy(core.Config{ID: 1, Rate: 3 * units.Gbps, Limit: 30 * 1000})
+
+	hosts := append(append([]*Host(nil), d.Left...), d.Right...)
+	var handlers []*countingHandler
+	var delaySum sim.Time
+	for _, h := range hosts {
+		for f := packet.FlowID(1); f <= 5; f++ {
+			c := &countingHandler{}
+			handlers = append(handlers, c)
+			h.Register(f, c)
+		}
+		h.RxHook = func(p *packet.Packet) { delaySum += p.VirtualDelay }
+	}
+	if sparse {
+		for _, sw := range []*Switch{d.S1, d.S2} {
+			sw.AddRoute(farHost, 0)
+			sw.Ingress.Deploy(core.Config{ID: farAQ, Rate: units.Gbps})
+			sw.Egress.Deploy(core.Config{ID: farAQ, Rate: units.Gbps})
+		}
+		for _, h := range hosts {
+			h.Register(farFlow, &countingHandler{})
+		}
+	}
+
+	pool := packet.PoolFor(eng)
+	for i := 0; i < 3000; i++ {
+		src, dst := d.Left[i%2], d.Right[(i/2)%2]
+		flow := packet.FlowID(1 + i%6) // flow 6 has no handler: orphans
+		eng.At(sim.Time(i)*300, func() {
+			p := pool.NewData(src.ID(), dst.ID(), flow, int64(i), 1000)
+			p.IngressAQ = packet.AQID(i % 5) // 0 untagged, 4 a table miss
+			p.EgressAQ = packet.AQID(i % 2)
+			p.EcnCapable = i%5 == 2
+			src.Send(p)
+		})
+	}
+	eng.Run()
+
+	if got := d.S1.fwd == nil && d.S2.fwd == nil && hosts[0].dense == nil && hosts[3].dense == nil; got != sparse {
+		t.Fatalf("sparse=%v: forwarding tables dense=%v/%v, host dispatch dense=%v/%v",
+			sparse, d.S1.fwd != nil, d.S2.fwd != nil, hosts[0].dense != nil, hosts[3].dense != nil)
+	}
+
+	out := fmt.Sprintf("events %d delay %d\n", eng.Processed+eng.Inlined, delaySum)
+	for _, sw := range []*Switch{d.S1, d.S2} {
+		out += fmt.Sprintf("%v %+v in %+v eg %+v\n", sw, sw.Stats(), sw.Ingress.Stats(), sw.Egress.Stats())
+		for _, tbl := range []*core.Table{sw.Ingress, sw.Egress} {
+			for _, id := range tbl.IDs() {
+				if id != farAQ {
+					out += fmt.Sprintf("  aq %d %+v gap %.3f\n", id, tbl.Lookup(id).Stats(), tbl.Lookup(id).Gap())
+				}
+			}
+		}
+	}
+	for _, h := range hosts {
+		out += fmt.Sprintf("host %d %+v\n", h.ID(), h.Stats())
+	}
+	for _, c := range handlers {
+		out += fmt.Sprintf("%d ", c.n)
+	}
+	return out + fmt.Sprintf("\ntrunk %+v %+v", d.Bottleneck.Stats(), d.Bottleneck.Queue().Stats())
+}
+
+// TestMapLayoutRunMatchesDense is the run-level half: the same traffic
+// through the same topology must leave every counter — AQ drops, marks,
+// gaps and stamped delays, table lookups and misses, queue drops, per-flow
+// deliveries, orphans, the engine's event count — identical whether slices
+// or maps served the lookups.
+func TestMapLayoutRunMatchesDense(t *testing.T) {
+	dense, mapped := layoutRun(t, false), layoutRun(t, true)
+	if dense != mapped {
+		t.Fatalf("map-layout run diverged from the dense run\ndense:\n%s\nmap:\n%s", dense, mapped)
+	}
+}

@@ -127,7 +127,7 @@ type Pipe struct {
 
 	// txDoneFn and deliverFn are the long-lived callbacks the transmitter
 	// schedules per packet (via the engine's detached events), so the hot
-	// path allocates neither closures nor Event objects.
+	// path allocates no closures.
 	txDoneFn  func(any)
 	deliverFn func(any)
 

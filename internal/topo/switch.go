@@ -30,12 +30,10 @@ type Switch struct {
 	// destination host ID, each entry caches the resolved egress pipe (or
 	// the resolved ECMP pipe group), so the common hop touches no map and
 	// no s.ports indirection. Rebuilt lazily (fwdDirty) after route
-	// changes; ident.Dense decides whether the host-ID range justifies it.
-	// denseFwd permits the layout, fixed at construction from the engine
-	// options.
+	// changes; ident.Dense decides whether the host-ID range justifies it,
+	// and the routes/ecmp maps serve when it does not.
 	fwd      []fwdEntry
 	fwdDirty bool
-	denseFwd bool
 
 	// bursting is true between BeginBurst and EndBurst: Receive then runs
 	// the AQ pipelines through the table cursors, which memoize the last
@@ -64,19 +62,16 @@ type Switch struct {
 	AQBypassed uint64
 }
 
-// NewSwitch returns an empty switch, with the dense layouts of its AQ
-// tables and forwarding table taken from the engine's options.
+// NewSwitch returns an empty switch.
 func NewSwitch(eng *sim.Engine, name string) *Switch {
-	o := eng.Options()
 	return &Switch{
-		eng:      eng,
-		pool:     packet.PoolFor(eng),
-		name:     name,
-		routes:   make(map[packet.HostID]int),
-		ecmp:     make(map[packet.HostID][]int),
-		Ingress:  core.NewTableDense(o.DenseTables),
-		Egress:   core.NewTableDense(o.DenseTables),
-		denseFwd: o.DenseForwarding,
+		eng:     eng,
+		pool:    packet.PoolFor(eng),
+		name:    name,
+		routes:  make(map[packet.HostID]int),
+		ecmp:    make(map[packet.HostID][]int),
+		Ingress: core.NewTable(),
+		Egress:  core.NewTable(),
 	}
 }
 
@@ -134,14 +129,11 @@ type fwdEntry struct {
 }
 
 // rebuildFwd refreshes the dense forwarding table after a route change. The
-// table is dropped (map fallback) when dense forwarding is disabled, when
-// any destination ID is negative, or when the ID range is too sparse.
+// table is dropped (map fallback) when any destination ID is negative or
+// the ID range is too sparse.
 func (s *Switch) rebuildFwd() {
 	s.fwdDirty = false
 	s.fwd = nil
-	if !s.denseFwd {
-		return
-	}
 	maxDst, count := -1, 0
 	seen := func(dst packet.HostID) bool {
 		if dst < 0 {

@@ -159,8 +159,8 @@ func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *
 	}
 	s.trySendFn = s.trySend
 	// All three flow timers live on the engine's wheel lane: re-arming on
-	// every ACK or pacing gate is O(1) and a cancelled timer leaves no
-	// tombstone behind for the event heap to churn through.
+	// every ACK or pacing gate is O(1) and a disarmed timer leaves nothing
+	// behind.
 	s.rtoT = s.eng.NewTimer(s.onTimeout)
 	s.pacedT = s.eng.NewTimer(s.trySendFn)
 	s.startT = s.eng.NewTimer(s.trySendFn)

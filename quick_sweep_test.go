@@ -1,0 +1,154 @@
+// The quick-sweep determinism gate at simulator scope. The engine has one
+// configuration; what remains selectable is execution strategy — how many
+// domains a topology is split across, whether those domains advance
+// cooperatively or on worker goroutines, and whether back-to-back pipe
+// deliveries drain inline (sim.Options.BurstSize). None of them may move a
+// result: the reference sweep must equal the fingerprints committed under
+// testdata/golden (path == recorded truth), and every other strategy must
+// equal the reference (path == path).
+package aqueue_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"aqueue/internal/experiments"
+	"aqueue/internal/harness"
+	"aqueue/internal/sim"
+)
+
+// update rewrites the golden file for the running GOARCH from the reference
+// sweep. Legitimate only in a change that means to move results.
+var update = flag.Bool("update", false, "rewrite testdata/golden/quick_<GOARCH>.json from the reference sweep")
+
+// goldenPath is per architecture: FMA fusion on arm64/ppc64/s390x moves
+// float results, so a fingerprint recorded on amd64 says nothing there.
+func goldenPath() string {
+	return filepath.Join("testdata", "golden", "quick_"+runtime.GOARCH+".json")
+}
+
+// runSweep executes the full quick sweep — every registered experiment at
+// quick parameters with the horizon cut further: the gate needs identical
+// runs, not converged ones — partitioned into the given number of domains,
+// with the engine options carried per job (harness.Params.Sim), and returns
+// scenario name → hex sha256 of its harness.Fingerprint. One worker: the
+// domains themselves advance inside each run.
+func runSweep(t *testing.T, domains int, parallel bool, opts ...sim.Option) map[string]string {
+	t.Helper()
+	base := experiments.DefaultParams(true)
+	base.Horizon = 20 * sim.Millisecond
+	base.Flows = 4
+	base.Domains = domains
+	base.Parallel = parallel
+	base.Sim = opts
+	jobs, err := harness.Jobs(harness.Names(), nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) < 16 {
+		t.Fatalf("registry holds %d quick-sweep scenarios, expected the full 16", len(jobs))
+	}
+	hashes := make(map[string]string, len(jobs))
+	for _, r := range (&harness.Pool{Workers: 1}).Run(jobs) {
+		if r.Error != "" {
+			t.Fatalf("%s failed: %s", r.Name, r.Error)
+		}
+		sum := sha256.Sum256([]byte(harness.Fingerprint(r)))
+		hashes[r.Name] = hex.EncodeToString(sum[:])
+	}
+	return hashes
+}
+
+// requireEqual reports every scenario of got whose fingerprint hash differs
+// from want's.
+func requireEqual(t *testing.T, got, want map[string]string, wantLabel string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d scenarios, the sweep ran %d", wantLabel, len(want), len(got))
+	}
+	for name, g := range got {
+		if w := want[name]; g != w {
+			t.Errorf("%s: fingerprint %.16s… differs from %s %.16s…", name, g, wantLabel, w)
+		}
+	}
+}
+
+// TestQuickSweepGolden runs the quick sweep eight times. The reference
+// (default options, one engine) is held to the committed golden; each
+// remaining execution strategy is held to the reference: cooperative and
+// parallel partitioning at 2 and 4 domains — a divergence there means an
+// event ordering, sequence draw or measurement leaked the partitioning into
+// the model, and under -race the parallel arms also prove that only the
+// boundary mailboxes cross a domain while workers run — and per-packet
+// delivery (burst draining off) at 1, 2 and 4 domains, where a divergence
+// means an inlined delivery ran ahead of an event that should have preceded
+// it, or a burst crossed a window boundary.
+func TestQuickSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full quick sweep eight times")
+	}
+	ref := runSweep(t, 1, false)
+
+	t.Run("golden", func(t *testing.T) {
+		path := goldenPath()
+		if *update {
+			writeGolden(t, path, ref)
+			return
+		}
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			t.Skipf("no golden recorded for GOARCH=%s (%s); the relative comparisons still run", runtime.GOARCH, path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var golden map[string]string
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		requireEqual(t, ref, golden, path)
+	})
+
+	perPacket := sim.WithBurstSize(0)
+	for _, c := range []struct {
+		name     string
+		domains  int
+		parallel bool
+		opts     []sim.Option
+	}{
+		{name: "cooperative-2", domains: 2},
+		{name: "cooperative-4", domains: 4},
+		{name: "parallel-2", domains: 2, parallel: true},
+		{name: "parallel-4", domains: 4, parallel: true},
+		{name: "per-packet-1", domains: 1, opts: []sim.Option{perPacket}},
+		{name: "per-packet-2", domains: 2, opts: []sim.Option{perPacket}},
+		{name: "per-packet-4", domains: 4, opts: []sim.Option{perPacket}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			requireEqual(t, runSweep(t, c.domains, c.parallel, c.opts...), ref, "the reference sweep")
+		})
+	}
+}
+
+func writeGolden(t *testing.T, path string, hashes map[string]string) {
+	t.Helper()
+	raw, err := json.MarshalIndent(hashes, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s (%d scenarios)", path, len(hashes))
+}

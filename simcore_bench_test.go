@@ -84,28 +84,6 @@ func BenchmarkEngineChurn(b *testing.B) {
 	benchcore.RunEngineChurn(b.N, 1024)
 }
 
-// BenchmarkTimerHeavyWheel and BenchmarkTimerHeavyHeap bracket the
-// timer-dominated scenario -benchcore records: 64 flows crowding a
-// dumbbell, every one in pacing/RTO churn, scheduled on the hierarchical
-// timing wheel vs forced back onto the event heap (DESIGN.md §3c).
-func BenchmarkTimerHeavyWheel(b *testing.B) {
-	b.ReportAllocs()
-	var pkts uint64
-	for i := 0; i < b.N; i++ {
-		pkts = benchcore.RunTimerHeavy(64, 20*sim.Millisecond, sim.WithTimerWheel(true))
-	}
-	b.ReportMetric(float64(pkts), "pkts")
-}
-
-func BenchmarkTimerHeavyHeap(b *testing.B) {
-	b.ReportAllocs()
-	var pkts uint64
-	for i := 0; i < b.N; i++ {
-		pkts = benchcore.RunTimerHeavy(64, 20*sim.Millisecond, sim.WithTimerWheel(false))
-	}
-	b.ReportMetric(float64(pkts), "pkts")
-}
-
 // BenchmarkFatTreeSingleEngine and BenchmarkFatTreePartitioned bracket the
 // partitioned large-fabric scenario -benchcore records: a k=4 fat tree with
 // all-cross-pod long flows, run whole vs split into two cooperative
