@@ -14,12 +14,11 @@
 //	aqsim -experiment all -json out.json      # machine-readable results
 //	aqsim -experiment fig6 -seeds 1,2,3       # multi-seed sweep
 //	aqsim -experiment table2 -domains 4       # partitioned engines, same bytes
-//	aqsim -bench -quick                       # harness speedup check (untracked output)
-//	aqsim -benchcore                          # regenerate BENCH_simcore.json
-//	aqsim -benchcore -cpuprofile cpu.pprof    # profile the hot path
+//	aqsim -experiment fig6 -cpuprofile cpu.pprof  # profile a run
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,38 +30,43 @@ import (
 
 	"aqueue/internal/experiments"
 	"aqueue/internal/harness"
-	"aqueue/internal/sim"
 )
 
-func main() {
-	exp := flag.String("experiment", "all", "experiment name, comma list, or all")
-	quick := flag.Bool("quick", false, "use reduced horizons/workloads")
-	format := flag.String("format", "text", "output format: text|csv|none")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	domains := flag.Int("domains", 1, "partition each run's topology into this many time-synced simulation domains (results are byte-identical for any value)")
-	parallelDomains := flag.Bool("parallel-domains", false, "advance each run's domains on worker goroutines (needs -domains >= 2; results are byte-identical either way)")
-	seeds := flag.String("seeds", "", "comma-separated seeds for a multi-seed sweep (overrides -seed)")
-	parallel := flag.Int("parallel", 1, "concurrent runs (0 = GOMAXPROCS)")
-	jsonOut := flag.String("json", "", "write a JSON results report to this path")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	bench := flag.Bool("bench", false, "run the benchmark mode (sequential vs parallel) and write -benchout")
-	benchOut := flag.String("benchout", "BENCH_harness.json", "path of the benchmark record written by -bench")
-	benchCore := flag.Bool("benchcore", false, "run the simulation-core benchmarks and write -benchcoreout")
-	benchCoreOut := flag.String("benchcoreout", "BENCH_simcore.json", "path of the record written by -benchcore")
-	burst := flag.Int("burst", sim.DefaultBurstSize, "burst size for the -benchcore forwarding macro-bench (0 disables burst draining)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command with an exit status in place of os.Exit, so the
+// deferred profile flushes happen on every path — a failing run is the one
+// most worth profiling.
+func run(args []string) int {
+	fs := flag.NewFlagSet("aqsim", flag.ContinueOnError)
+	exp := fs.String("experiment", "all", "experiment name, comma list, or all")
+	quick := fs.Bool("quick", false, "use reduced horizons/workloads")
+	format := fs.String("format", "text", "output format: text|csv|none")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	domains := fs.Int("domains", 1, "partition each run's topology into this many time-synced simulation domains (results are byte-identical for any value)")
+	parallelDomains := fs.Bool("parallel-domains", false, "advance each run's domains on worker goroutines (needs -domains >= 2; results are byte-identical either way)")
+	seeds := fs.String("seeds", "", "comma-separated seeds for a multi-seed sweep (overrides -seed)")
+	parallel := fs.Int("parallel", 1, "concurrent runs (0 = GOMAXPROCS)")
+	jsonOut := fs.String("json", "", "write a JSON results report to this path")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatalf("creating %s: %v", *cpuprofile, err)
+			return failf("creating %s: %v", *cpuprofile, err)
 		}
+		defer closeProfile(f)
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("starting CPU profile: %v", err)
+			return failf("starting CPU profile: %v", err)
 		}
-		// Flushed on normal return; fatalf exits hard and skips profiles.
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
@@ -72,23 +76,19 @@ func main() {
 	switch *format {
 	case "text", "csv", "none":
 	default:
-		fatalf("bad -format %q: want text, csv, or none", *format)
+		return failf("bad -format %q: want text, csv, or none", *format)
 	}
 
 	if *list {
 		for _, name := range harness.Names() {
 			fmt.Printf("%-10s %s\n", name, experiments.Description(name))
 		}
-		return
+		return 0
 	}
 
 	names := harness.Names()
 	if *exp != "all" {
 		names = splitList(*exp)
-	}
-	if *benchCore {
-		runBenchCore(*parallel, *domains, *burst, *benchCoreOut)
-		return
 	}
 
 	base := experiments.DefaultParams(*quick)
@@ -97,17 +97,12 @@ func main() {
 	base.Parallel = *parallelDomains
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
-		fatalf("bad -seeds: %v", err)
+		return failf("bad -seeds: %v", err)
 	}
 
 	jobs, err := harness.Jobs(names, seedList, base)
 	if err != nil {
-		fatalf("%v (use -list to see the registry)", err)
-	}
-
-	if *bench {
-		runBench(jobs, *parallel, *benchOut)
-		return
+		return failf("%v (use -list to see the registry)", err)
 	}
 
 	pool := &harness.Pool{Workers: *parallel}
@@ -128,35 +123,14 @@ func main() {
 	if *jsonOut != "" {
 		report := harness.NewReport(effectiveWorkers(*parallel, len(jobs)), results)
 		if err := report.WriteJSONFile(*jsonOut); err != nil {
-			fatalf("writing %s: %v", *jsonOut, err)
+			return failf("writing %s: %v", *jsonOut, err)
 		}
 		fmt.Printf("[results written to %s]\n", *jsonOut)
 	}
 	if failed > 0 {
-		fatalf("%d of %d runs failed", failed, len(results))
+		return failf("%d of %d runs failed", failed, len(results))
 	}
-}
-
-// runBench executes the batch sequentially and in parallel, prints the
-// comparison, and writes the machine-readable record.
-func runBench(jobs []harness.Job, parallel int, path string) {
-	workers := effectiveWorkers(parallel, len(jobs))
-	fmt.Printf("benchmark: %d jobs, sequential then %d workers (GOMAXPROCS=%d)\n",
-		len(jobs), workers, runtime.GOMAXPROCS(0))
-	b, err := harness.RunBench(jobs, workers)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("sequential: %v\n", time.Duration(b.SequentialNS).Round(time.Millisecond))
-	fmt.Printf("parallel:   %v (speedup %.2fx, utilization %.0f%%, identical=%v)\n",
-		time.Duration(b.ParallelNS).Round(time.Millisecond), b.Speedup, 100*b.Utilization, b.Identical)
-	if err := b.WriteJSONFile(path); err != nil {
-		fatalf("writing %s: %v", path, err)
-	}
-	fmt.Printf("[benchmark written to %s]\n", path)
-	if !b.Identical {
-		fatalf("parallel results differ from sequential — determinism regression")
-	}
+	return 0
 }
 
 func printResult(r *harness.Result, format string) {
@@ -237,7 +211,16 @@ func writeMemProfile(path string) {
 	}
 }
 
-func fatalf(format string, args ...any) {
+// closeProfile closes a finished CPU profile; a failed close means a short
+// file, which is worth a line on stderr.
+func closeProfile(f *os.File) {
+	if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "closing %s: %v\n", f.Name(), err)
+	}
+}
+
+// failf reports a failure on stderr and returns the failing exit status.
+func failf(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
+	return 2
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -200,68 +199,6 @@ func TestFingerprintIgnoresWallTime(t *testing.T) {
 	c := &Result{Name: "x", Metrics: map[string]float64{"m": 2}, WallNS: 10}
 	if Fingerprint(a) == Fingerprint(c) {
 		t.Fatal("fingerprint misses metric change")
-	}
-}
-
-func TestRunBenchIdenticalAndTimed(t *testing.T) {
-	// The worker count under test may exceed this box's core count; raise
-	// GOMAXPROCS so RunBench's oversubscription guard stays out of the way
-	// (the scheduling is still legal, just not a meaningful speedup).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e := okExperiment("test-bench")
-	var jobs []Job
-	for seed := uint64(1); seed <= 8; seed++ {
-		jobs = append(jobs, Job{Experiment: e, Params: Params{Seed: seed}})
-	}
-	b, err := RunBench(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != BenchSchema || b.Jobs != 8 || b.Workers != 4 || b.RequestedWorkers != 4 {
-		t.Fatalf("bench header: %+v", b)
-	}
-	if !b.Identical {
-		t.Fatal("deterministic experiment reported non-identical passes")
-	}
-	if len(b.Runs) != 8 || b.SequentialNS <= 0 || b.ParallelNS <= 0 {
-		t.Fatalf("bench timing: %+v", b)
-	}
-	if len(b.WorkerBusyNS) != 4 {
-		t.Fatalf("WorkerBusyNS = %v, want 4 entries", b.WorkerBusyNS)
-	}
-	if b.Utilization <= 0 || b.Utilization > 1.5 {
-		t.Fatalf("Utilization = %v, want a sane busy fraction", b.Utilization)
-	}
-}
-
-func TestRunBenchRefusesOversubscription(t *testing.T) {
-	// Benchmarking more workers than schedulable processors must be a hard
-	// error: the recorded speedup would describe a configuration that never
-	// ran (the regression this guards against shipped a 4-worker "0.99x
-	// speedup" measured on GOMAXPROCS=1).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	jobs := []Job{{Experiment: okExperiment("test-bench-oversub")}}
-	if _, err := RunBench(jobs, 2); err == nil {
-		t.Fatal("RunBench accepted 2 workers on GOMAXPROCS=1")
-	}
-}
-
-func TestRunBenchCapsWorkersAtJobs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	e := okExperiment("test-bench-cap")
-	jobs := []Job{
-		{Experiment: e, Params: Params{Seed: 1}},
-		{Experiment: e, Params: Params{Seed: 2}},
-	}
-	b, err := RunBench(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.RequestedWorkers != 4 || b.Workers != 2 {
-		t.Fatalf("requested/effective = %d/%d, want 4/2", b.RequestedWorkers, b.Workers)
-	}
-	if len(b.WorkerBusyNS) != 2 {
-		t.Fatalf("WorkerBusyNS = %v, want 2 entries", b.WorkerBusyNS)
 	}
 }
 

@@ -39,6 +39,24 @@ func (r *Result) Rendered() string {
 	return out
 }
 
+// Fingerprint digests everything deterministic about a result — name,
+// params, tables, metrics, error — and excludes wall time and the domain
+// count. Two runs of the same (experiment, seed) must fingerprint
+// identically regardless of what else runs in the process, and a
+// partitioned run (Params.Domains > 1) must fingerprint identically to the
+// single-engine run it is an execution strategy for.
+func Fingerprint(r *Result) string {
+	c := *r
+	c.WallNS = 0
+	c.Params.Domains = 0
+	c.Params.Parallel = false
+	buf, err := json.Marshal(&c)
+	if err != nil {
+		return "unmarshalable: " + err.Error()
+	}
+	return string(buf)
+}
+
 // Report is the serialized outcome of a batch of runs.
 type Report struct {
 	Schema     string    `json:"schema"`

@@ -49,14 +49,6 @@ type Pool struct {
 // A run that returns an error or panics yields a Result with Error set;
 // the rest of the batch is unaffected.
 func (pl *Pool) Run(jobs []Job) []*Result {
-	results, _ := pl.RunTracked(jobs)
-	return results
-}
-
-// RunTracked is Run plus per-worker accounting: the second return value
-// holds each worker's cumulative time inside jobs, which RunBench turns
-// into a utilization figure for the benchmark artifact.
-func (pl *Pool) RunTracked(jobs []Job) ([]*Result, []int64) {
 	workers := pl.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -65,29 +57,23 @@ func (pl *Pool) RunTracked(jobs []Job) ([]*Result, []int64) {
 		workers = len(jobs)
 	}
 	results := make([]*Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-	busy := make([]int64, workers)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
-				start := time.Now()
 				results[i] = runOne(jobs[i])
-				busy[w] += time.Since(start).Nanoseconds()
 			}
-		}(w)
+		}()
 	}
 	for i := range jobs {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results, busy
+	return results
 }
 
 // runOne executes one job with wall-clock accounting and panic recovery.

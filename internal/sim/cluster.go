@@ -56,7 +56,7 @@ import (
 // persistent worker goroutine per domain, parked on a channel barrier
 // between rounds. That is only sound when nothing crosses domains outside
 // the mailboxes at runtime — no shared meters, no cross-domain flow
-// registration — as in the benchcore fat-tree scenario and the fabric
+// registration — as in a fat tree of setup-only flows and the fabric
 // service (whose runtime mutations all go through its boundary-only
 // mailbox). Long-lived embedders must Close a parallel cluster to release
 // the workers.
@@ -83,8 +83,8 @@ type Cluster struct {
 
 	workers []*domainWorker
 
-	// Windows counts synchronization rounds executed, for tests and the
-	// benchcore report.
+	// Windows counts synchronization rounds executed, for tests and
+	// SyncStats.
 	Windows uint64
 
 	flushes     uint64

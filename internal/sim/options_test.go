@@ -97,7 +97,7 @@ func TestInlineRunnableGates(t *testing.T) {
 }
 
 // TestAdvanceInlineCountsAndMovesClock checks the inline bookkeeping the
-// benchcore events/packet metric is built on.
+// events-per-packet figures are built on.
 func TestAdvanceInlineCountsAndMovesClock(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceInline(42)

@@ -194,3 +194,40 @@ func TestBurstTruncatedAtClusterWindow(t *testing.T) {
 	}
 	requireSameTrace(t, on, off)
 }
+
+// TestDrainRunBurstParity is the regime burst mode is built for: 5000 MSS
+// packets queued onto an idle 10 Gbps pipe at t=0 with nothing else on the
+// calendar, so the whole drain is one back-to-back run. The traffic must
+// not depend on burst draining — same deliveries, same final clock, same
+// events + inlined total — and the burst pass must dispatch under a tenth
+// of the per-packet pass's events.
+func TestDrainRunBurstParity(t *testing.T) {
+	const pkts = 5000
+	run := func(burst int) (int, sim.EngineStats) {
+		eng := sim.NewEngine(sim.WithBurstSize(burst))
+		c := &collector{eng: eng}
+		p := NewPipe(eng, 10*units.Gbps, 5*sim.Microsecond, 0, 0, c)
+		for i := 0; i < pkts; i++ {
+			p.Send(packet.NewData(1, 2, 1, int64(i)*packet.DefaultMSS, packet.DefaultMSS))
+		}
+		eng.Run()
+		return len(c.pkts), eng.Stats()
+	}
+	d, on := run(sim.DefaultBurstSize)
+	refD, off := run(0)
+	if d != pkts || refD != pkts {
+		t.Fatalf("delivered %d burst vs %d per-packet, want %d", d, refD, pkts)
+	}
+	if on.Now != off.Now {
+		t.Fatalf("final clock %d burst vs %d per-packet", on.Now, off.Now)
+	}
+	if off.Inlined != 0 {
+		t.Fatalf("burst-off pass inlined %d deliveries", off.Inlined)
+	}
+	if on.Processed+on.Inlined != off.Processed+off.Inlined {
+		t.Fatalf("event+inline total %d burst vs %d per-packet", on.Processed+on.Inlined, off.Processed+off.Inlined)
+	}
+	if on.Processed*10 >= off.Processed {
+		t.Fatalf("burst drain dispatched %d events vs %d per-packet — expected >10x cut", on.Processed, off.Processed)
+	}
+}

@@ -11,8 +11,8 @@ import (
 // aggregation switches, (k/2)² core switches, and k/2 hosts per edge
 // switch — k³/4 hosts in all. Traffic climbs with ECMP (edge → any of the
 // pod's aggs, agg → any of its k/2 cores) and descends on exact routes, so
-// one flow follows one path. This is the large-fabric shape the benchcore
-// partitioning scenario scales on: pods are natural domains with all
+// one flow follows one path. This is the large-fabric shape partitioned
+// runs scale on: pods are natural domains with all
 // boundary links in the agg<->core tier.
 type FatTree struct {
 	Eng   *sim.Engine
