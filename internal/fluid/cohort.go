@@ -1,17 +1,47 @@
 package fluid
 
 import (
+	"sort"
+
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
 )
 
+// tagRun is what registration fixed for one maximal run of consecutively
+// registered entities with equal tag, demand cap and registered rate — the
+// configuration half of the paper's Table 1 split. AddN extends the last
+// run or appends one, so a population attached n identical entities at a
+// time stores its constants once per run, not n times.
+type tagRun struct {
+	end    int32 // one past the run's last entity index in the cohort
+	aqid   packet.AQID
+	demand float64 // cap on rate, bytes/ns (0 = none)
+	rate   float64 // registered rate, bytes/ns: a Fixed entity's rate for good, a reactive one's first
+}
+
+// capped returns rate held to the demand cap: an entity's pre-clip demanded
+// rate ("want") for an epoch. It is derived wherever it is used rather than
+// stored, because it is a pure function of a constant and one other value.
+func capped(rate, demand float64) float64 {
+	if demand > 0 && rate > demand {
+		return demand
+	}
+	return rate
+}
+
+// want returns the want of every entity of a Fixed cohort's run.
+func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
+
 // cohort is a maximal run of consecutively-registered entities sharing one
-// (pipe, Params) class. Entity state lives in parallel slices — structure
-// of arrays — so the epoch loop streams through contiguous float64 lanes
-// instead of pointer-chasing one heap object per entity, and the model
-// and its constants are a property of the cohort, not of each entity.
+// (pipe, Params) class. What registration fixed lives in the run table;
+// what the model evolves lives in parallel per-entity slices — structure of
+// arrays — so the epoch loop streams through contiguous float64 lanes
+// instead of pointer-chasing one heap object per entity, and the model and
+// its constants are a property of the cohort, not of each entity. A Fixed
+// entity is delivered + dropped, 16 B; the reactive models add rate, and
+// ECN alpha.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -29,19 +59,16 @@ type cohort struct {
 	aiSlope   float64
 	floorRate float64
 
-	// Parallel per-entity state. aqid is per-entity (tags are not part of
-	// the run key): the lane integrates each maximal run of equal
-	// consecutive tags as one AQ transaction.
-	aqid      []packet.AQID
-	rate      []float64      // current sending rate, bytes/ns
-	want      []float64      // pre-clip demanded rate for the current epoch
-	demand    []float64      // cap on rate (0 = none)
+	// runs partitions the entity indices in order. Tags are not part of the
+	// cohort key: the lane integrates each run as one AQ transaction.
+	runs []tagRun
+
+	// Parallel per-entity state.
+	rate      []float64      // current sending rate, bytes/ns; reactive models only
 	alpha     []float64      // DCTCP mark-fraction EWMA; allocated for ECN only
 	delivered []float64      // cumulative accepted bytes
 	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
 	meters    []*stats.Meter // allocated only once some entity has a meter
-
-	hasMeter bool
 
 	// Quiescence state. A Fixed-model cohort whose tags all missed the
 	// table (or are untagged), with no meters attached, is inert: given the
@@ -52,7 +79,7 @@ type cohort struct {
 	// slices when anything changes (or on Stop/read).
 	primed    bool
 	aqGen     uint64  // table generation the all-miss observation was made at
-	wantSum   float64 // Σ want[i], the cohort's phase-A demand contribution
+	wantSum   float64 // Σ want, the cohort's phase-A demand contribution
 	acceptSum float64 // Σ accepted bytes per epoch at (lastClip, lastFdt)
 	lastClip  float64
 	lastFdt   float64
@@ -65,23 +92,51 @@ func (c *cohort) matches(pipe int32, par Params) bool {
 	return c.pipe == pipe && c.par == par
 }
 
-// materialize replays a quiescent streak into the per-entity slices: each
-// skipped epoch delivered want·clip·fdt bytes and shed the link-clip
-// remainder, for every entity, with no AQ involved (the cohort was
-// all-miss). Called before any state-changing step and on Stop.
+// size returns the cohort's entity count.
+func (c *cohort) size() int { return len(c.delivered) }
+
+// runOf returns the run holding entity i.
+func (c *cohort) runOf(i int32) *tagRun {
+	return &c.runs[sort.Search(len(c.runs), func(k int) bool { return c.runs[k].end > i })]
+}
+
+// rateAt returns entity i's current sending rate in bytes/ns: its own for a
+// reactive model, its run's registered rate for Fixed.
+func (c *cohort) rateAt(i int32) float64 {
+	if c.rate != nil {
+		return c.rate[i]
+	}
+	return c.runOf(i).rate
+}
+
+// streakEpoch returns what one skipped epoch delivered and shed per entity
+// of a run wanting w: w·clip·fdt bytes accepted and the link-clip remainder
+// dropped, with no AQ involved (a quiescent cohort is Fixed and all-miss).
+func (c *cohort) streakEpoch(w float64) (delivered, dropped float64) {
+	x := w * c.lastClip * c.lastFdt
+	cl := w*c.lastFdt - x
+	if cl < 0 {
+		cl = 0
+	}
+	return x, cl
+}
+
+// materialize replays a quiescent streak into the per-entity slices. Called
+// before any state-changing step and on Stop.
 func (c *cohort) materialize() {
 	if c.streak == 0 {
 		return
 	}
 	k := float64(c.streak)
-	for i := range c.rate {
-		x := c.want[i] * c.lastClip * c.lastFdt
-		cl := c.want[i]*c.lastFdt - x
-		if cl < 0 {
-			cl = 0
+	lo := 0
+	for _, r := range c.runs {
+		x, cl := c.streakEpoch(r.want())
+		delivered, dropped := c.delivered[lo:r.end], c.dropped[lo:r.end]
+		for i := range delivered {
+			delivered[i] += k * x
+			dropped[i] += k * cl
 		}
-		c.delivered[i] += k * x
-		c.dropped[i] += k * cl
+		lo = int(r.end)
 	}
 	c.streak = 0
 }
@@ -91,7 +146,8 @@ func (c *cohort) materialize() {
 func (c *cohort) deliveredAt(i int32) float64 {
 	d := c.delivered[i]
 	if c.streak > 0 {
-		d += float64(c.streak) * (c.want[i] * c.lastClip * c.lastFdt)
+		x, _ := c.streakEpoch(c.runOf(i).want())
+		d += float64(c.streak) * x
 	}
 	return d
 }
@@ -100,11 +156,7 @@ func (c *cohort) deliveredAt(i int32) float64 {
 func (c *cohort) droppedAt(i int32) float64 {
 	d := c.dropped[i]
 	if c.streak > 0 {
-		x := c.want[i] * c.lastClip * c.lastFdt
-		cl := c.want[i]*c.lastFdt - x
-		if cl < 0 {
-			cl = 0
-		}
+		_, cl := c.streakEpoch(c.runOf(i).want())
 		d += float64(c.streak) * cl
 	}
 	return d
@@ -112,15 +164,20 @@ func (c *cohort) droppedAt(i int32) float64 {
 
 // prime records the quiescence aggregates after a full pass found the
 // cohort inert (Fixed, every tag missed or absent, no meters): every entity
-// was accepted in full, so the sums are recomputed from want in entity
-// order, exactly as the pass accumulated them. Nothing about the cohort can
-// change until the clip, the epoch width, the table membership or the
-// population does.
+// was accepted in full, so the sums are folded from the run table one
+// entity at a time, exactly as the pass accumulated them. Nothing about the
+// cohort can change until the clip, the epoch width, the table membership
+// or the population does.
 func (c *cohort) prime(gen uint64, clip, fdt float64) {
 	var wantSum, acceptSum float64
-	for _, w := range c.want {
-		wantSum += w
-		acceptSum += float64(w * clip * fdt)
+	lo := int32(0)
+	for _, r := range c.runs {
+		w := r.want()
+		a := float64(w * clip * fdt) // rounded before the sum, never fused into it
+		for ; lo < r.end; lo++ {
+			wantSum += w
+			acceptSum += a
+		}
 	}
 	c.primed = true
 	c.aqGen = gen
@@ -132,12 +189,14 @@ func (c *cohort) prime(gen uint64, clip, fdt float64) {
 // lo on, one per element of accepted: the first-order update of the
 // cohort's model. Each model reads only its own signal — dropped for the
 // loss fraction, mark for ECN, delay for Delay — and Fixed reads none.
-func (c *cohort) react(lo int, accepted, dropped, mark []float64, delay []sim.Time, clip, fdt float64) {
+// demand holds the chunk's demand caps, spread from the run table by the
+// caller.
+func (c *cohort) react(lo int, accepted, dropped, mark, demand []float64, delay []sim.Time, clip, fdt float64) {
 	if c.par.Model == Fixed {
 		return
 	}
 	beta := c.par.Beta
-	rate, demand := c.rate[lo:], c.demand[lo:]
+	rate := c.rate[lo:]
 	for j, acc := range accepted {
 		loss := core.FluidFeedback{Accepted: acc, Dropped: dropped[j]}.LossFrac()
 		if clip < 1 {

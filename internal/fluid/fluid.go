@@ -15,10 +15,14 @@
 // simulator from thousands of concurrent flows to millions of entities.
 //
 // Entity state is structure-of-arrays: consecutively-registered entities
-// of one (pipe, params) class form a cohort whose state lives in parallel
-// float64 slices (cohort.go). A cohort is stepped in maximal same-tag
-// runs, each resolved once through a core.StreamCursor and integrated as
-// one core.AQ.OnFluidRun transaction — bit-identical to one
+// of one (pipe, params) class form a cohort (cohort.go) that keeps, as the
+// paper's Table 1 does for an AQ, configuration apart from state: a run
+// table holds what registration fixed — tag, demand cap, registered rate,
+// once per run of identical entities — and parallel float64 slices hold
+// only what a model evolves (delivered and dropped for every entity, rate
+// for the reactive models, alpha for ECN). A cohort is stepped run by run,
+// each resolved once through a core.StreamCursor and integrated as one
+// core.AQ.OnFluidRun transaction — bit-identical to one
 // Table.ProcessFluid call per entity — and quiescent cohorts are skipped
 // in O(1). An Entity is a stable (cohort, index) handle.
 package fluid
@@ -148,11 +152,11 @@ type Entity struct {
 }
 
 // AQID returns the tag the entity's bytes carry through the lane's table.
-func (e Entity) AQID() packet.AQID { return e.lane.cohorts[e.c].aqid[e.i] }
+func (e Entity) AQID() packet.AQID { return e.lane.cohorts[e.c].runOf(e.i).aqid }
 
 // Rate returns the entity's current sending rate.
 func (e Entity) Rate() units.BitRate {
-	return units.BitRate(e.lane.cohorts[e.c].rate[e.i] * 8e9)
+	return units.BitRate(e.lane.cohorts[e.c].rateAt(e.i) * 8e9)
 }
 
 // Delivered returns the cumulative bytes the network accepted from the

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
@@ -36,10 +37,6 @@ type pipeAccount struct {
 	accepted float64 // accepted fluid rate this epoch, bytes/ns
 }
 
-// LaneOption configures a Lane at construction. None is defined at
-// present; the type keeps NewLane's signature stable for its callers.
-type LaneOption func(*Lane)
-
 // Lane advances a set of fluid entities at a fixed epoch on its engine's
 // timer wheel. Everything a Lane touches — its table, its pipes, its
 // entities — lives on one engine: epochs are ordinary domain-local timer
@@ -47,9 +44,10 @@ type LaneOption func(*Lane)
 // only shrink a domain's earliest-arrival bound, which is always honest),
 // and the cluster's fingerprint gates bind exactly as before.
 //
-// Entity state is held in structure-of-arrays cohorts (see cohort.go);
-// the lane steps cohorts directly, integrating each maximal same-tag run
-// of entities as one AQ.OnFluidRun transaction resolved once through a
+// Entity state is held in structure-of-arrays cohorts (see cohort.go):
+// a run table for what registration fixed, per-entity arrays for what the
+// model evolves. The lane steps cohorts directly, integrating each run of
+// the table as one AQ.OnFluidRun transaction resolved once through a
 // core.StreamCursor, and skips quiescent cohorts outright. The steady
 // state of fire allocates nothing.
 type Lane struct {
@@ -79,14 +77,11 @@ type Lane struct {
 
 // NewLane builds a fluid lane stepping the given table's AQs on eng every
 // epoch (0 selects DefaultEpoch).
-func NewLane(eng *sim.Engine, table *core.Table, epoch sim.Time, opts ...LaneOption) *Lane {
+func NewLane(eng *sim.Engine, table *core.Table, epoch sim.Time) *Lane {
 	if epoch <= 0 {
 		epoch = DefaultEpoch
 	}
 	l := &Lane{eng: eng, table: table, epoch: epoch}
-	for _, o := range opts {
-		o(l)
-	}
 	l.timer = eng.NewTimer(l.fire)
 	return l
 }
@@ -115,13 +110,19 @@ func (l *Lane) AddPipe(p *topo.Pipe) int {
 // extend one cohort.
 func (l *Lane) Add(cfg EntityConfig) Entity { return l.AddN(cfg, 1) }
 
-// AddN registers n identical entities from cfg — one cohort extension, the
-// bulk path for drivers attaching whole populations — and returns the
-// handle of the first. Handles for the rest follow in registration order
-// via Entities().
+// AddN registers n identical entities from cfg — one cohort extension, one
+// run of its table extended or appended, each per-entity slice grown once —
+// and returns the handle of the first. Handles for the rest follow in
+// registration order via Entities(). It panics on n < 1, a pipe index
+// AddPipe did not return, a Rate or Demand that is NaN, infinite or
+// negative (no such rate is ever stored), and a cohort that would outgrow
+// the int32 entity index.
 func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	if n <= 0 {
 		panic("fluid: AddN needs n >= 1")
+	}
+	if !validRate(cfg.Rate) || !validRate(cfg.Demand) {
+		panic(fmt.Sprintf("fluid: entity rate %v and demand %v must be finite and non-negative", float64(cfg.Rate), float64(cfg.Demand)))
 	}
 	par := ParamsFor(cfg.CC)
 	if cfg.Params != nil {
@@ -134,8 +135,15 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 		}
 		pipe = int32(cfg.Pipe)
 	}
-	ci := len(l.cohorts) - 1
-	if ci < 0 || !l.cohorts[ci].matches(pipe, par) {
+	ci, first := len(l.cohorts)-1, 0
+	extends := ci >= 0 && l.cohorts[ci].matches(pipe, par)
+	if extends {
+		first = l.cohorts[ci].size()
+	}
+	if n > math.MaxInt32-first {
+		panic(fmt.Sprintf("fluid: %d more entities overflow a cohort of %d", n, first))
+	}
+	if !extends {
 		l.cohorts = append(l.cohorts, cohort{
 			par:       par,
 			pipe:      pipe,
@@ -148,36 +156,41 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	// A population change invalidates any primed quiescence aggregates.
 	c.materialize()
 	c.primed = false
-	if cfg.Meter != nil && c.meters == nil {
-		// First metered entity: backfill nil meters for the earlier ones.
-		c.meters = make([]*stats.Meter, len(c.aqid))
-	}
-	first := int32(len(c.aqid))
 	rate := cfg.Rate.BytesPerNano()
 	if par.Model != Fixed && rate < c.floorRate {
 		rate = c.floorRate
 	}
 	demand := cfg.Demand.BytesPerNano()
-	for k := 0; k < n; k++ {
-		c.aqid = append(c.aqid, cfg.AQ)
-		c.rate = append(c.rate, rate)
-		c.want = append(c.want, 0)
-		c.demand = append(c.demand, demand)
-		c.delivered = append(c.delivered, 0)
-		c.dropped = append(c.dropped, 0)
-		if par.Model == ECN {
-			c.alpha = append(c.alpha, 0)
-		}
-		if c.meters != nil {
-			c.meters = append(c.meters, cfg.Meter)
+	end := int32(first + n)
+	if last := len(c.runs) - 1; last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
+		c.runs[last].end = end
+	} else {
+		c.runs = append(c.runs, tagRun{end: end, aqid: cfg.AQ, demand: demand, rate: rate})
+	}
+	c.delivered = append(c.delivered, make([]float64, n)...)
+	c.dropped = append(c.dropped, make([]float64, n)...)
+	if par.Model != Fixed {
+		c.rate = append(c.rate, make([]float64, n)...)
+		for i := first; i < int(end); i++ {
+			c.rate[i] = rate
 		}
 	}
-	if cfg.Meter != nil {
-		c.hasMeter = true
+	if par.Model == ECN {
+		c.alpha = append(c.alpha, make([]float64, n)...)
+	}
+	if cfg.Meter != nil || c.meters != nil {
+		// The first metered entity backfills nil meters for the earlier ones.
+		c.meters = append(c.meters, make([]*stats.Meter, int(end)-len(c.meters))...)
+		for i := first; i < int(end); i++ {
+			c.meters[i] = cfg.Meter
+		}
 	}
 	l.total += n
-	return Entity{lane: l, c: int32(ci), i: first}
+	return Entity{lane: l, c: int32(ci), i: int32(first)}
 }
+
+// validRate reports whether r may be stored as a rate or a demand cap.
+func validRate(r units.BitRate) bool { return r >= 0 && !math.IsInf(float64(r), 1) }
 
 // Start arms the first epoch at now+epoch. Idempotent while running. On a
 // restart after Stop, the per-pipe tx counters are re-baselined: packet
@@ -255,32 +268,34 @@ func (l *Lane) fire() {
 	gen := l.table.Generation()
 	// Accumulate demand, then convert residuals into clip fractions. A
 	// primed cohort's wants are unchanged by construction, so its
-	// precomputed sum replaces the per-entity pass.
+	// precomputed sum replaces the pass; the rest add their wants run by
+	// run, still one entity at a time in registration order (n·w is not n
+	// additions of w), with the pipe's sum in a register. An unpiped
+	// cohort demands of no pipe and is passed over.
 	for ci := range l.cohorts {
 		c := &l.cohorts[ci]
-		if c.primed && c.aqGen == gen {
-			if c.pipe >= 0 {
-				l.pipes[c.pipe].demand += c.wantSum
-			}
+		if c.pipe < 0 {
 			continue
 		}
-		if c.pipe >= 0 {
-			pd := &l.pipes[c.pipe].demand
-			for i, r := range c.rate {
-				if d := c.demand[i]; d > 0 && r > d {
-					r = d
+		pd := &l.pipes[c.pipe].demand
+		if c.primed && c.aqGen == gen {
+			*pd += c.wantSum
+			continue
+		}
+		sum, lo := *pd, int32(0)
+		for _, r := range c.runs {
+			if c.rate == nil {
+				for w := r.want(); lo < r.end; lo++ {
+					sum += w
 				}
-				c.want[i] = r
-				*pd += r
-			}
-		} else {
-			for i, r := range c.rate {
-				if d := c.demand[i]; d > 0 && r > d {
-					r = d
+			} else {
+				for _, w := range c.rate[lo:r.end] {
+					sum += capped(w, r.demand)
 				}
-				c.want[i] = r
+				lo = r.end
 			}
 		}
+		*pd = sum
 	}
 	for i := range l.pipes {
 		pa := &l.pipes[i]
@@ -310,7 +325,7 @@ func (l *Lane) fire() {
 			if pa != nil {
 				pa.accepted += c.acceptSum / fdt
 			}
-			l.skippedEntityEpochs += uint64(len(c.rate))
+			l.skippedEntityEpochs += uint64(c.size())
 			continue
 		}
 		c.materialize()
@@ -337,35 +352,46 @@ func (l *Lane) fire() {
 const runCap = 64
 
 // stepCohort advances one cohort by one epoch, runCap entities at a time:
-// compute each entity's offered mass, integrate every maximal same-tag run
-// through its AQ in one OnFluidRun transaction (untagged and unmatched runs
-// pass with everything accepted), account the outcome per entity, then
-// apply the cohort's model reaction. Per entity the operands and their
-// order are those of Table.ProcessFluid followed by the model update, and
-// every accumulator — AQ registers, lane totals, pipe account, meters —
-// still sees the entities in registration order, so the result is
+// walk the run table with a cursor, derive each entity's want and offered
+// mass (once per run for a Fixed cohort, whose rate is the run's), integrate
+// every run through its AQ in one OnFluidRun transaction (untagged and
+// unmatched runs pass with everything accepted), account the outcome per
+// entity, then apply the cohort's model reaction. Per entity the operands
+// and their order are those of Table.ProcessFluid followed by the model
+// update, and every accumulator — AQ registers, lane totals, pipe account,
+// meters — still sees the entities in registration order, so the result is
 // bit-identical to stepping them one call at a time.
 func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
-	var bytes, acc, drp, markBuf [runCap]float64
+	var want, demand, bytes, acc, drp, markBuf [runCap]float64
 	var delayBuf [runCap]sim.Time
 	// Only the model that reacts to a signal pays for computing it.
 	needMark, needDelay := c.par.Model == ECN, c.par.Model == Delay
 	aqFree := true
-	for lo, n := 0, len(c.rate); lo < n; lo += runCap {
+	ri := 0 // the run holding the next entity to step
+	for lo, n := 0, c.size(); lo < n; lo += runCap {
 		hi := lo + runCap
 		if hi > n {
 			hi = n
 		}
 		k := hi - lo
-		want, ids := c.want[lo:hi], c.aqid[lo:hi]
-		for j, w := range want {
-			bytes[j] = w * clip * fdt
-		}
 		for s := 0; s < k; {
-			id := ids[s]
-			e := s + 1
-			for e < k && ids[e] == id {
-				e++
+			run := &c.runs[ri]
+			e := k
+			if end := int(run.end); end <= hi {
+				e = end - lo
+				ri++
+			}
+			if c.rate == nil {
+				w := run.want()
+				b := w * clip * fdt
+				for j := s; j < e; j++ {
+					want[j], bytes[j] = w, b
+				}
+			} else {
+				for j, r := range c.rate[lo+s : lo+e] {
+					w := capped(r, run.demand)
+					want[s+j], demand[s+j], bytes[s+j] = w, run.demand, w*clip*fdt
+				}
 			}
 			var mark []float64
 			var delay []sim.Time
@@ -376,8 +402,8 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 				delay = delayBuf[s:e]
 			}
 			var aq *core.AQ
-			if id != packet.NoAQ {
-				aq = l.cursor.ResolveRun(id, e-s)
+			if run.aqid != packet.NoAQ {
+				aq = l.cursor.ResolveRun(run.aqid, e-s)
 			}
 			if aq != nil {
 				aqFree = false
@@ -391,8 +417,11 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 			s = e
 		}
 		delivered, dropped := c.delivered[lo:hi], c.dropped[lo:hi]
-		laneDelivered, laneDropped := l.delivered, l.dropped
-		for j, w := range want {
+		laneDelivered, laneDropped, pipeAccepted := l.delivered, l.dropped, 0.0
+		if pa != nil {
+			pipeAccepted = pa.accepted
+		}
+		for j, w := range want[:k] {
 			a, d := acc[j], drp[j]
 			delivered[j] += a
 			clipped := w*fdt - (a + d)
@@ -402,11 +431,12 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 			dropped[j] += d + clipped
 			laneDelivered += a
 			laneDropped += d
-			if pa != nil {
-				pa.accepted += a / fdt
-			}
+			pipeAccepted += a / fdt
 		}
 		l.delivered, l.dropped = laneDelivered, laneDropped
+		if pa != nil {
+			pa.accepted = pipeAccepted
+		}
 		if c.meters != nil {
 			for j, m := range c.meters[lo:hi] {
 				if m != nil {
@@ -414,9 +444,9 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 				}
 			}
 		}
-		c.react(lo, acc[:k], drp[:k], markBuf[:k], delayBuf[:k], clip, fdt)
+		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
-	if aqFree && c.par.Model == Fixed && !c.hasMeter {
+	if aqFree && c.par.Model == Fixed && c.meters == nil {
 		c.prime(gen, clip, fdt)
 	}
 }
@@ -473,7 +503,7 @@ func (l *Lane) Stats() LaneStats {
 func (l *Lane) Entities() []Entity {
 	out := make([]Entity, 0, l.total)
 	for ci := range l.cohorts {
-		for i := range l.cohorts[ci].rate {
+		for i, n := 0, l.cohorts[ci].size(); i < n; i++ {
 			out = append(out, Entity{lane: l, c: int32(ci), i: int32(i)})
 		}
 	}

@@ -275,9 +275,9 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	for i, e := range ents {
 		r := &ref.ents[i]
 		c := &lane.cohorts[e.c]
-		if bits(c.rate[e.i]) != bits(r.rate) || bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
+		if bits(c.rateAt(e.i)) != bits(r.rate) || bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
 			t.Fatalf("entity %d (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v",
-				i, r.id, r.par.Model, c.rate[e.i], e.Delivered(), e.Dropped(), r.rate, r.delivered, r.dropped)
+				i, r.id, r.par.Model, c.rateAt(e.i), e.Delivered(), e.Dropped(), r.rate, r.delivered, r.dropped)
 		}
 		if r.par.Model == ECN && bits(c.alpha[e.i]) != bits(r.alpha) {
 			t.Fatalf("entity %d: alpha %v, reference %v", i, c.alpha[e.i], r.alpha)
@@ -422,5 +422,47 @@ func TestQuiescenceSkipping(t *testing.T) {
 	lane.Stop()
 	if got, want := e0.Delivered(), 12*perEpoch; got != want {
 		t.Fatalf("post-Stop Delivered = %v, want exactly %v", got, want)
+	}
+}
+
+// TestAddNRefusesBadInput: AddN panics — as it does for n < 1 and a pipe
+// index AddPipe never returned — on a Rate or Demand that is NaN, infinite
+// or negative, and on a population that would outgrow the int32 entity
+// index, and in every case before it has touched the lane. A +Inf rate
+// stored Inf - Inf = NaN in the lane's and the AQ's counters at the first
+// epoch; an index past MaxInt32 wrapped silently.
+func TestAddNRefusesBadInput(t *testing.T) {
+	lane := NewLane(sim.NewEngine(), core.NewTable(), 0)
+	lane.AddN(EntityConfig{CC: "cubic", Rate: units.Gbps, Pipe: -1}, 3)
+	ok := EntityConfig{CC: "cubic", Rate: units.Gbps, Pipe: -1}
+	with := func(edit func(*EntityConfig)) EntityConfig { cfg := ok; edit(&cfg); return cfg }
+	maxInt32 := math.MaxInt32 // a variable: the sum below is not a constant a 32-bit int must hold
+	for _, tc := range []struct {
+		name string
+		cfg  EntityConfig
+		n    int
+	}{
+		{"n=0", ok, 0},
+		{"pipe out of range", with(func(c *EntityConfig) { c.Pipe = 0 }), 1},
+		{"NaN rate", with(func(c *EntityConfig) { c.Rate = units.BitRate(math.NaN()) }), 1},
+		{"+Inf rate", with(func(c *EntityConfig) { c.Rate = units.BitRate(math.Inf(1)) }), 1},
+		{"negative rate", with(func(c *EntityConfig) { c.Rate = -units.Mbps }), 1},
+		{"NaN demand", with(func(c *EntityConfig) { c.Demand = units.BitRate(math.NaN()) }), 1},
+		{"+Inf demand", with(func(c *EntityConfig) { c.Demand = units.BitRate(math.Inf(1)) }), 1},
+		{"negative demand", with(func(c *EntityConfig) { c.Demand = -units.Mbps }), 1},
+		{"cohort past MaxInt32", ok, maxInt32 - 2},
+		{"new cohort past MaxInt32", with(func(c *EntityConfig) { c.CC = "udp" }), maxInt32 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddN accepted it")
+				}
+				if st := lane.Stats(); st.Entities != 3 || len(lane.cohorts) != 1 || len(lane.cohorts[0].runs) != 1 {
+					t.Errorf("the refused AddN left %d entities in %d cohorts, want the 3 in 1 it found", st.Entities, len(lane.cohorts))
+				}
+			}()
+			lane.AddN(tc.cfg, tc.n)
+		})
 	}
 }

@@ -1,0 +1,262 @@
+package fluid
+
+import (
+	"math"
+	"testing"
+
+	"aqueue/internal/core"
+	"aqueue/internal/packet"
+	"aqueue/internal/sim"
+	"aqueue/internal/stats"
+	"aqueue/internal/topo"
+	"aqueue/internal/units"
+)
+
+// FuzzLaneLayout drives the lane's storage layout — the run table for what
+// registration fixed, per-entity arrays only for what a model evolves —
+// against refLane, the one-object-per-entity reference, with a byte script
+// of Add/AddN calls, epochs and table edits, and compares the two bitwise
+// after every epoch and after Stop. What the layout has to get right and a
+// script can reach: runs that merge across AddN calls and runs that must
+// not (equal tag, different demand cap or rate), runs ending exactly on,
+// one short of and one past a 64-entity chunk, a run spanning four chunks,
+// Fixed cohorts with no rate array beside reactive ones with it, a meter
+// first attached to a late entity, a cohort grown while it is running and
+// while a quiescent streak is pending, and the read-only accessors, which
+// find an entity's run by binary search.
+//
+// Script encoding, one op byte at a time:
+//
+//	op&3 == 0, 1  add: n = layoutSizes[op>>2&7], unpiped = op>>5&1, rate
+//	              menu entry op>>6; then a shape byte sh: tag menu entry
+//	              sh&7 (mod 6), model sh>>3&3, demand cap sh>>5&3 (none,
+//	              rate/2, rate·2, rate), metered = sh>>7
+//	op&3 == 2     1 + op>>2&7 epochs, each followed by a full comparison
+//	op&3 == 3     table edit op>>2 mod 6: deploy 9, remove 9, remove 2,
+//	              redeploy 2, a packet on AQ 1 now, a packet on AQ 3 whose
+//	              last_time lands past the next epoch
+//
+// The quiescent fold is exact only where k·x equals k additions of x, so an
+// add that could ever sit in a quiescent cohort (Fixed, unmetered, untagged
+// or tagged 9) is registered unpiped at a dyadic rate, Fixed entities never
+// carry the removable tag 2, and AQ 9 admits everything: every number such
+// an entity accumulates is then exact and stays bitwise comparable. The one
+// thing that is not is the lane's byte totals, which take a skipped
+// cohort's epoch as one addition where the reference makes one per entity:
+// they are compared bitwise until the first skip and to 1e-12 after it. A
+// skipped entity-epoch never reaches the table either, so the table's
+// epoch and miss counts are compared until the first skip and its hits
+// always.
+func FuzzLaneLayout(f *testing.F) {
+	f.Add([]byte{0x08, 0x09, 0x02})
+	f.Fuzz(runLayoutScript)
+}
+
+var (
+	layoutSizes = [8]int{1, 15, 16, 17, 63, 64, 65, 200}
+	// Tag menus: 9 is deployed only by a table edit, 2 can be removed.
+	layoutTags      = [6]packet.AQID{packet.NoAQ, 1, 2, 3, 5, 9}
+	layoutFixedTags = [6]packet.AQID{packet.NoAQ, 1, 1, 3, 5, 9}
+	layoutRates     = [4]units.BitRate{10 * units.Mbps, 30 * units.Mbps, 200 * units.Mbps, 7 * units.Mbps}
+	layoutDyadic    = [4]units.BitRate{31.25 * units.Mbps, 62.5 * units.Mbps, 125 * units.Mbps, 500 * units.Mbps}
+	layoutModels    = [4]string{"udp", "cubic", "dctcp", "swift"}
+)
+
+func runLayoutScript(t *testing.T, script []byte) {
+	const (
+		epoch       = 100 * sim.Microsecond
+		maxEntities = 4096
+		maxEpochs   = 40
+	)
+	deploy := []core.Config{
+		{ID: 1, Rate: 2 * units.Gbps, Limit: 40_000},
+		{ID: 2, Rate: units.Gbps, CC: core.ECNType, ECNThreshold: 8_000, Limit: 30_000},
+		{ID: 3, Rate: 500 * units.Mbps, CC: core.DelayType, Limit: 20_000},
+		{ID: 5, Rate: 100 * units.Mbps, Limit: 1},
+	}
+	late := core.Config{ID: 9, Rate: 100 * units.Gbps, Limit: 1 << 40}
+	eng := sim.NewEngine()
+	var tables [2]*core.Table
+	for i := range tables {
+		tables[i] = core.NewTable()
+		for _, cfg := range deploy {
+			tables[i].Deploy(cfg)
+		}
+	}
+	both := func(f func(t *core.Table)) { f(tables[0]); f(tables[1]) }
+	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
+	lane := NewLane(eng, tables[0], epoch)
+	pi := lane.AddPipe(pipe)
+	ref := &refLane{table: tables[1], pipeCap: []float64{pipe.Rate().BytesPerNano()}, accepted: make([]float64, 1)}
+	var pars [4]Params
+	for m, name := range layoutModels {
+		pars[m] = ParamsFor(name)
+		pars[m].MinRate = units.Mbps.BytesPerNano() // room for the reactive models to move both ways
+	}
+	var meters [2][]*stats.Meter
+	lane.Start(0)
+
+	epochs := 0
+	for len(script) > 0 && epochs < maxEpochs {
+		op := script[0]
+		script = script[1:]
+		switch op & 3 {
+		case 0, 1:
+			if len(script) == 0 {
+				break
+			}
+			sh := script[0]
+			script = script[1:]
+			n := layoutSizes[op>>2&7]
+			if len(ref.ents)+n > maxEntities {
+				break
+			}
+			model, metered := Model(sh>>3&3), sh>>7 == 1
+			cfg := EntityConfig{AQ: layoutTags[sh&7%6], Params: &pars[model], Rate: layoutRates[op>>6], Pipe: pi}
+			if model == Fixed {
+				cfg.AQ = layoutFixedTags[sh&7%6]
+			}
+			if op>>5&1 == 1 {
+				cfg.Pipe = -1
+			}
+			if model == Fixed && !metered && (cfg.AQ == packet.NoAQ || cfg.AQ == 9) {
+				cfg.Rate, cfg.Pipe = layoutDyadic[op>>6], -1
+			}
+			switch sh >> 5 & 3 {
+			case 1:
+				cfg.Demand = cfg.Rate / 2
+			case 2:
+				cfg.Demand = cfg.Rate * 2
+			case 3:
+				cfg.Demand = cfg.Rate
+			}
+			cfgs := [2]EntityConfig{cfg, cfg}
+			if metered {
+				for i := range cfgs {
+					cfgs[i].Meter = stats.NewMeter(epoch)
+					meters[i] = append(meters[i], cfgs[i].Meter)
+				}
+			}
+			if n == 1 {
+				lane.Add(cfgs[0])
+			} else {
+				lane.AddN(cfgs[0], n)
+			}
+			ref.add(cfgs[1], n)
+		case 2:
+			for k := 1 + int(op>>2&7); k > 0 && epochs < maxEpochs; k-- {
+				epochs++
+				now := sim.Time(epochs) * epoch
+				eng.RunUntil(now + epoch/2) // the epoch fires at now
+				ref.step(now, epoch)
+				checkLayout(t, lane, ref, tables)
+			}
+		case 3:
+			switch op >> 2 % 6 {
+			case 0:
+				both(func(t *core.Table) { t.Deploy(late) })
+			case 1:
+				both(func(t *core.Table) { t.Remove(9) })
+			case 2:
+				both(func(t *core.Table) { t.Remove(2) })
+			case 3:
+				both(func(t *core.Table) { t.Deploy(deploy[1]) })
+			case 4:
+				both(func(t *core.Table) { t.Lookup(1).Update(eng.Now(), 9000) })
+			case 5:
+				both(func(t *core.Table) { t.Lookup(3).Update(eng.Now()+epoch+7, 1500) })
+			}
+		}
+	}
+	lane.Stop()
+	checkLayout(t, lane, ref, tables)
+
+	bits := math.Float64bits
+	for _, id := range tables[1].IDs() {
+		a, r := tables[0].Lookup(id), tables[1].Lookup(id)
+		as, rs := a.Stats(), r.Stats()
+		if bits(a.Gap()) != bits(r.Gap()) || a.VirtualDelay() != r.VirtualDelay() ||
+			bits(as.FluidBytes) != bits(rs.FluidBytes) || bits(as.FluidDropped) != bits(rs.FluidDropped) || bits(as.FluidMarked) != bits(rs.FluidMarked) {
+			t.Fatalf("AQ %d: gap %v stats %+v, reference gap %v stats %+v", id, a.Gap(), as, r.Gap(), rs)
+		}
+	}
+	for i, m := range meters[0] {
+		if got, want := m.TotalBytes(), meters[1][i].TotalBytes(); got != want {
+			t.Fatalf("meter %d: %d bytes, reference %d", i, got, want)
+		}
+	}
+}
+
+// checkLayout compares the lane with the reference entity by entity in
+// registration order, checks the run table's own invariants on the way —
+// runs ordered, non-empty, maximal, covering the cohort — and reads the
+// first and last entity of every run through the public handle, whose
+// AQID and Rate go through runOf and whose Delivered and Dropped fold a
+// pending streak without settling it.
+func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table) {
+	t.Helper()
+	bits := math.Float64bits
+	if lane.total != len(ref.ents) {
+		t.Fatalf("%d entities, reference %d", lane.total, len(ref.ents))
+	}
+	base := 0 // registration index of the cohort's first entity
+	for ci := range lane.cohorts {
+		c := &lane.cohorts[ci]
+		if (c.rate != nil) != (c.par.Model != Fixed) || (c.alpha != nil) != (c.par.Model == ECN) {
+			t.Fatalf("cohort %d (%v): rate array %v, alpha array %v", ci, c.par.Model, c.rate != nil, c.alpha != nil)
+		}
+		lo := int32(0)
+		for ri, run := range c.runs {
+			if run.end <= lo {
+				t.Fatalf("cohort %d run %d ends at %d, previous at %d", ci, ri, run.end, lo)
+			}
+			if ri > 0 {
+				if p := c.runs[ri-1]; p.aqid == run.aqid && p.demand == run.demand && p.rate == run.rate {
+					t.Fatalf("cohort %d runs %d and %d are one run split in two: %+v", ci, ri-1, ri, run)
+				}
+			}
+			for _, i := range [2]int32{lo, run.end - 1} {
+				e, r := Entity{lane: lane, c: int32(ci), i: i}, &ref.ents[base+int(i)]
+				if e.AQID() != r.id || e.Rate() != units.BitRate(r.rate*8e9) ||
+					bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
+					t.Fatalf("handle (%d,%d) with streak %d: tag %d rate %v delivered %v dropped %v, reference %d %v %v %v", ci, i, c.streak,
+						e.AQID(), e.Rate(), e.Delivered(), e.Dropped(), r.id, units.BitRate(r.rate*8e9), r.delivered, r.dropped)
+				}
+			}
+			lo = run.end
+		}
+		if int(lo) != c.size() || len(c.dropped) != c.size() {
+			t.Fatalf("cohort %d: runs cover %d of %d entities (%d dropped slots)", ci, lo, c.size(), len(c.dropped))
+		}
+		for i := int32(0); i < lo; i++ {
+			r := &ref.ents[base+int(i)]
+			if bits(c.rateAt(i)) != bits(r.rate) || bits(c.deliveredAt(i)) != bits(r.delivered) || bits(c.droppedAt(i)) != bits(r.dropped) {
+				t.Fatalf("entity (%d,%d) (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v", ci, i, r.id, r.par.Model,
+					c.rateAt(i), c.deliveredAt(i), c.droppedAt(i), r.rate, r.delivered, r.dropped)
+			}
+			if c.alpha != nil && bits(c.alpha[i]) != bits(r.alpha) {
+				t.Fatalf("entity (%d,%d): alpha %v, reference %v", ci, i, c.alpha[i], r.alpha)
+			}
+			if metered := c.meters != nil && c.meters[i] != nil; metered != (r.meter != nil) {
+				t.Fatalf("entity (%d,%d): metered %v, reference %v", ci, i, metered, r.meter != nil)
+			}
+		}
+		base += c.size()
+	}
+	st, got, want := lane.Stats(), tables[0].Stats(), tables[1].Stats()
+	near := func(a, b float64) bool { return bits(a) == bits(b) }
+	if st.SkippedEntityEpochs > 0 {
+		near = func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+		got.FluidEpochs, want.FluidEpochs = got.FluidEpochs-got.FluidMisses, want.FluidEpochs-want.FluidMisses
+		got.FluidMisses, want.FluidMisses = 0, 0
+	}
+	if !near(st.DeliveredBytes, ref.delivered) || !near(st.DroppedBytes, ref.dropped) {
+		t.Fatalf("lane delivered %v dropped %v, reference %v %v (%d skipped)", st.DeliveredBytes, st.DroppedBytes, ref.delivered, ref.dropped, st.SkippedEntityEpochs)
+	}
+	if bits(lane.pipes[0].accepted) != bits(ref.accepted[0]) {
+		t.Fatalf("pipe accepted rate %v, reference %v", lane.pipes[0].accepted, ref.accepted[0])
+	}
+	if got != want {
+		t.Fatalf("table stats %+v, reference %+v", got, want)
+	}
+}

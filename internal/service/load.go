@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"aqueue/internal/cc"
 	"aqueue/internal/fluid"
@@ -80,8 +81,12 @@ func sizerFor(kind string, size int64) (workload.Sizer, error) {
 // Arrivals are deterministic: the seed defaults to a function of the
 // driver id, so a scripted attach replays identically.
 func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
-	if spec.Load <= 0 {
-		return nil, fmt.Errorf("service: attach needs a positive load, got %g", spec.Load)
+	// Written so that NaN, which no comparison admits, is refused with the
+	// non-positive loads, and so is a finite load (1e308 arrives intact over
+	// the wire) whose offered rate overflows: a lane or an arrival process
+	// given +Inf stores NaN by its first epoch.
+	if offered := spec.Load * float64(f.capacity); !(spec.Load > 0 && offered <= math.MaxFloat64) {
+		return nil, fmt.Errorf("service: attach needs a positive load with a finite offered rate, got %g", spec.Load)
 	}
 	if spec.Kind == "fluid" {
 		return f.attachFluid(spec)

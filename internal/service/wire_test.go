@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -203,6 +204,55 @@ func TestServiceWireErrors(t *testing.T) {
 	good, err := rcli.Do(control.WireRequest{Op: "list", V: 2})
 	if err != nil || !good.OK {
 		t.Fatalf("connection died after malformed line: %+v err %v", good, err)
+	}
+}
+
+// TestServiceWireAttachOverflowLoad: a load whose offered rate overflows
+// float64 (or is not a number at all) must be refused with a coded error
+// where it enters. Answered OK, the per-entity rate was +Inf, the lane's
+// first epoch stored Inf - Inf = NaN in its own and the AQ's counters, and
+// the next window's snapshot no longer marshalled — one request killed the
+// daemon. After the refusals the fabric still steps and answers stats, and
+// an ordinary fluid attach still works.
+func TestServiceWireAttachOverflowLoad(t *testing.T) {
+	td := dialService(t, testConfig(), RunConfig{StartPaused: true})
+	defer td.done()
+	cli := td.cli
+
+	for _, kind := range []string{"fluid", "websearch"} {
+		resp, err := cli.Do(control.WireRequest{Op: "attach", V: 2, Kind: kind, Load: 1e308, Entities: 4})
+		if err == nil || resp.OK || resp.Code != control.CodeBadRequest {
+			t.Fatalf("attach kind %q load 1e308: %+v err %v, want code %q", kind, resp, err, control.CodeBadRequest)
+		}
+	}
+	// NaN and +Inf cannot be written in JSON; in-process ScriptAt callers
+	// reach Attach with them all the same.
+	for _, load := range []float64{math.NaN(), math.Inf(1), -1, 0} {
+		td.s.Do(func(f *Fabric) control.WireResponse {
+			if d, err := f.Attach(LoadSpec{Kind: "fluid", Load: load, Entities: 4}); err == nil {
+				t.Errorf("Attach accepted load %v as driver %d", load, d.ID)
+			}
+			return control.WireResponse{OK: true}
+		})
+	}
+
+	if resp, err := cli.Do(control.WireRequest{Op: "attach", V: 2, Kind: "fluid", CC: "fixed", Load: 0.2, Entities: 4}); err != nil || !resp.OK {
+		t.Fatalf("ordinary fluid attach after the refusals: %+v err %v", resp, err)
+	}
+	step, err := cli.Do(control.WireRequest{Op: "step", V: 2, Count: 3})
+	if err != nil || !step.OK {
+		t.Fatalf("step after refused attach: %+v err %v", step, err)
+	}
+	stats, err := cli.Do(control.WireRequest{Op: "stats", V: 2})
+	if err != nil || !stats.OK {
+		t.Fatalf("stats after refused attach: %+v err %v", stats, err)
+	}
+	var reply StatsReply
+	if err := json.Unmarshal(stats.Data, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if reply.Window != 3 || len(reply.Drivers) != 1 || !(reply.Drivers[0].FluidDelivered > 0) {
+		t.Fatalf("after the refusals: window %d, drivers %+v; want window 3 and the one accepted driver delivering", reply.Window, reply.Drivers)
 	}
 }
 
