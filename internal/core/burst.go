@@ -20,8 +20,10 @@ import (
 // Verdicts are byte-identical to Table.Process: the memo only short-cuts
 // *where* the AQ pointer comes from, never what runs, and the per-table
 // generation counter invalidates the memo the moment a Deploy or Remove
-// changes membership mid-burst. A cursor is owned by one switch and used
-// only between BeginBurst/EndBurst on the engine goroutine.
+// changes membership mid-burst. A cursor is owned by one caller and used
+// only between Bind and Flush on the engine goroutine. No caller remains in
+// the tree: the type is kept for bench's core.burst_ns_per_pkt feeder until
+// ROADMAP 1(a).
 type BurstCursor struct {
 	t   *Table
 	gen uint64
@@ -36,7 +38,7 @@ type BurstCursor struct {
 }
 
 // Bind points the cursor at a table and clears any stale memo or counts.
-// Call once per burst (BeginBurst); cheap enough to call unconditionally.
+// Call once per burst; cheap enough to call unconditionally.
 func (c *BurstCursor) Bind(t *Table) {
 	c.t = t
 	c.gen = t.gen

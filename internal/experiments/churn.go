@@ -8,6 +8,23 @@ import (
 	"aqueue/internal/sim"
 )
 
+// churnFabric builds Churn's 4-host dumbbell. The service picks its cluster's
+// execution strategy from Config.Parallel alone, so the harness's engine
+// options are resolved into that field here.
+func churnFabric(window sim.Time, domains int, opts []sim.Option) *service.Fabric {
+	f, err := service.NewFabric(service.Config{
+		Hosts:    4,
+		Domains:  domains,
+		Parallel: sim.NewEngine(opts...).Options().ParallelDomains,
+		Window:   window,
+		TraceLen: 0, // traces are for the daemon; experiments stay lean
+	})
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // Churn exercises the fabric-service mutation path as an experiment: a
 // dumbbell run where tenants are granted, loaded, reconfigured, and torn
 // down at fixed window boundaries through internal/service — the same
@@ -24,17 +41,8 @@ import (
 //	w15: B detached and marked idle (A absorbs the link)
 func Churn(horizon sim.Time, domains int, opts ...sim.Option) (*Table, *Table) {
 	const windows = 20
-	cfg := service.Config{
-		Hosts:    4,
-		Domains:  domains,
-		Window:   horizon / windows,
-		Sim:      opts,
-		TraceLen: 0, // traces are for the daemon; experiments stay lean
-	}
-	f, err := service.NewFabric(cfg)
-	if err != nil {
-		panic(err)
-	}
+	f := churnFabric(horizon/windows, domains, opts)
+	defer f.Close()
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
 		g, err := f.Ctrl().Grant(control.Request{
 			Tenant: tenant, Mode: control.Weighted, Weight: weight,

@@ -44,11 +44,11 @@ type Params struct {
 	// too. The runner applies it by appending sim.WithParallelDomains to
 	// the job's Sim options.
 	Parallel bool `json:"parallel,omitempty"`
-	// Sim overrides engine options — the burst size; the runner adds
-	// parallel domains from Parallel above — for the experiment's engines.
-	// Like Domains, both trade only execution strategy — results are
-	// byte-identical for any setting, which the quick-sweep golden gate
-	// enforces — so the field is excluded from result JSON and fingerprints.
+	// Sim carries engine options to the experiment's engines; the only one
+	// is parallel domains, which the runner adds from Parallel above. It
+	// trades only execution strategy — results are byte-identical, which
+	// the quick-sweep golden gate enforces — so the field is excluded from
+	// result JSON and fingerprints.
 	Sim []sim.Option `json:"-"`
 }
 

@@ -59,8 +59,6 @@ type Config struct {
 	// Edge and Trunk configure the link classes; zero Rate selects
 	// topo.DefaultSim for both.
 	Edge, Trunk topo.LinkSpec
-	// Sim forwards engine options (burst size, dense tables, ...).
-	Sim []sim.Option
 	// TraceLen bounds the event ring attached to hosts and switches;
 	// 0 disables tracing entirely.
 	TraceLen int
@@ -172,14 +170,13 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
 		cfg:     cfg,
-		cluster: sim.NewCluster(cfg.Domains, cfg.Sim...),
+		cluster: sim.NewCluster(cfg.Domains, sim.WithParallelDomains(cfg.Parallel)),
 		tables:  make(map[string]*core.Table),
 		drivers: make(map[uint32]*Driver),
 		script:  make(map[uint64][]func(*Fabric)),
 		fp:      fnv.New64a(),
 		nextID:  1,
 	}
-	f.cluster.SetParallel(cfg.Parallel)
 	if cfg.TraceLen > 0 {
 		f.ring = trace.NewRing(cfg.TraceLen)
 		f.sink = f.ring

@@ -17,8 +17,7 @@ import (
 // LoadSpec describes one open-loop workload driver: Poisson flow arrivals
 // at the given offered load (fraction of the guaranteed-link capacity),
 // sizes drawn from the named distribution, every flow tagged with the
-// tenant's granted AQ. It is the runtime analogue of what cmd/aqload
-// scripts up front.
+// tenant's granted AQ.
 type LoadSpec struct {
 	Tenant string      `json:"tenant,omitempty"`
 	AQ     packet.AQID `json:"aq,omitempty"`   // ingress AQ tag (0 = untagged)

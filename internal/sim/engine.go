@@ -90,13 +90,6 @@ type Engine struct {
 	seqs seqTable
 	opt  Options
 
-	// deadline is the inclusive bound of the dispatch loop currently
-	// running (Run/RunUntil/runTo); 0 when no bounded dispatch is active
-	// (e.g. during a bare Step), which disables inline burst draining.
-	// Bursts may only consume events up to the deadline, so a windowed
-	// cluster run can never drain a delivery past its window boundary.
-	deadline Time
-
 	// hole is true while the root slot holds the event currently firing:
 	// the dispatch loop defers the physical pop so that the first event
 	// the handler schedules can drop straight into the root with one
@@ -108,10 +101,6 @@ type Engine struct {
 	// Processed counts events that have fired; it is exposed for
 	// benchmarks and sanity checks.
 	Processed uint64
-
-	// Inlined counts deliveries drained inline by burst mode — each one an
-	// engine event (heap push + pop + dispatch) that never had to exist.
-	Inlined uint64
 
 	// packetPool is an opaque per-engine slot the packet package uses for
 	// its engine-local free list (sim cannot import packet). See
@@ -154,9 +143,9 @@ func NewEngine(opts ...Option) *Engine {
 	return &Engine{opt: o}
 }
 
-// Options returns the engine's configuration, fixed at construction.
-// Components built on the engine (pipes, clusters) read their execution
-// strategy from here instead of package globals.
+// Options returns the engine's configuration, fixed at construction. A
+// cluster reads its execution strategy from here instead of a package
+// global.
 func (e *Engine) Options() Options { return e.opt }
 
 // EngineStats is a snapshot of the engine's dispatch counters, following
@@ -164,13 +153,15 @@ func (e *Engine) Options() Options { return e.opt }
 type EngineStats struct {
 	Now       Time   `json:"now_ns"`
 	Processed uint64 `json:"processed"`
-	Inlined   uint64 `json:"inlined"`
-	Pending   int    `json:"pending"`
+	// Inlined is never set and always 0; it stays only because bench's
+	// counter folds still name the field (ROADMAP 1(a)).
+	Inlined uint64 `json:"inlined"`
+	Pending int    `json:"pending"`
 }
 
 // Stats returns a snapshot of the clock and event counters.
 func (e *Engine) Stats() EngineStats {
-	return EngineStats{Now: e.now, Processed: e.Processed, Inlined: e.Inlined, Pending: e.Pending()}
+	return EngineStats{Now: e.now, Processed: e.Processed, Pending: e.Pending()}
 }
 
 // Now returns the current simulated time.
@@ -252,78 +243,6 @@ func (e *Engine) AtOrdered(lane uint32, t Time, fn func(any), arg any) {
 	k := heapKey{at: t, seq: uint64(lane)<<laneOrdShift | e.seq}
 	e.seq++
 	e.place(k, heapVal{fnArg: fn, arg: arg})
-}
-
-// The burst-drain protocol. A pipe whose deliveries are strictly ordered
-// can elide the heap push/pop pair of its next delivery when that delivery
-// is provably the engine's next event anyway:
-//
-//	ord := e.ReserveOrd(lane)      // draw the ordering word where AtOrdered would
-//	dst.Receive(pkt)               // the receiver may schedule events
-//	if e.InlineRunnable(at, ord) { // would (at, ord) fire next, within the window?
-//	    e.AdvanceInline(at)        // yes: run it here, no event exists
-//	} else {
-//	    e.ScheduleReserved(at, ord, fn, arg) // no: arm it with the reserved word
-//	}
-//
-// Determinism is exact, not approximate: the ordering word is drawn at the
-// same logical point the per-packet path draws it (before Receive), so
-// every event — inlined or armed — carries the key it would have carried,
-// and InlineRunnable compares that key against both scheduling lanes. An
-// inlined delivery therefore fires exactly when and where the per-packet
-// schedule would have fired it; only the heap traffic disappears.
-
-// ReserveOrd draws the next ordering word for the lane without scheduling
-// anything; pair it with ScheduleReserved or an inline dispatch. Reserving
-// consumes one scheduling sequence number, exactly like AtOrdered.
-func (e *Engine) ReserveOrd(lane uint32) uint64 {
-	ord := uint64(lane)<<laneOrdShift | e.seq
-	e.seq++
-	return ord
-}
-
-// ScheduleReserved schedules fn(arg) at absolute time t under a previously
-// reserved ordering word. It is AtOrdered with the draw already made.
-func (e *Engine) ScheduleReserved(t Time, ord uint64, fn func(any), arg any) {
-	e.checkTime(t)
-	e.place(heapKey{at: t, seq: ord}, heapVal{fnArg: fn, arg: arg})
-}
-
-// InlineRunnable reports whether an event with key (t, ord) would be the
-// very next event the dispatch loop fires — no pending heap event or armed
-// wheel timer precedes it — and t lies within the currently running
-// bounded dispatch. False whenever no bounded dispatch is active, which
-// disables bursting under bare Step loops.
-func (e *Engine) InlineRunnable(t Time, ord uint64) bool {
-	if e.deadline == 0 || t > e.deadline {
-		return false
-	}
-	k := heapKey{at: t, seq: ord}
-	if hk, ok := e.peekHeap(); ok && less(hk, k) {
-		return false
-	}
-	if e.wheel.live > 0 {
-		if wk, _ := e.wheel.peek(e.now); less(wk, k) {
-			return false
-		}
-	}
-	return true
-}
-
-// InlineTruncated reports whether an inline dispatch of an event at t is
-// ruled out by the dispatch bound itself — no bounded dispatch is running,
-// or t lies beyond its deadline — rather than by competing events. Burst
-// probers use this to tell a window truncation (try again next window)
-// from an interleave defeat (worth backing off from).
-func (e *Engine) InlineTruncated(t Time) bool {
-	return e.deadline == 0 || t > e.deadline
-}
-
-// AdvanceInline moves the clock to t for an inlined event the caller has
-// proved runnable with InlineRunnable, and accounts the elided event.
-func (e *Engine) AdvanceInline(t Time) {
-	e.now = t
-	e.Inlined++
 }
 
 func (e *Engine) checkTime(t Time) {
@@ -428,9 +347,8 @@ func (e *Engine) step(deadline Time) bool {
 	return true
 }
 
-// maxTime is the deadline sentinel for an unbounded dispatch (Run): far
-// enough out that no schedulable time exceeds it, distinguishable from the
-// zero that means "no dispatch active".
+// maxTime is the deadline of an unbounded dispatch (Run, Step): far enough
+// out that no schedulable time exceeds it.
 const maxTime = Time(1<<62 - 1)
 
 // Step fires the earliest pending event and returns true, or returns false
@@ -439,10 +357,8 @@ func (e *Engine) Step() bool { return e.step(maxTime) }
 
 // Run fires events until both lanes are empty.
 func (e *Engine) Run() {
-	e.deadline = maxTime
 	for e.step(maxTime) {
 	}
-	e.deadline = 0
 }
 
 // RunUntil fires events with timestamps <= deadline and then advances the
@@ -458,8 +374,6 @@ func (e *Engine) RunUntil(deadline Time) {
 // Wheel timers respect the deadline exactly like heap events, so a
 // windowed cluster run can never skip a timer past a window boundary.
 func (e *Engine) runTo(deadline Time) {
-	e.deadline = deadline
-	defer func() { e.deadline = 0 }()
 	for e.step(deadline) {
 	}
 	if e.now < deadline {

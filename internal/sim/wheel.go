@@ -324,11 +324,11 @@ func (w *timerWheel) advance(now Time) {
 func (w *timerWheel) peek(now Time) (heapKey, *Timer) {
 	if w.min == nil {
 		// The slot scan below needs cascades current; syncing only here —
-		// not on the cache-hit path — keeps the per-dispatch merge (and the
-		// burst probe) at one pointer read. Cascading re-files timers but
-		// never changes which one is earliest, so a cached minimum stays
-		// valid however far the wheel clock trails. Arm syncs before
-		// placing, so entries are always filed against a current clock.
+		// not on the cache-hit path — keeps the per-dispatch merge at one
+		// pointer read. Cascading re-files timers but never changes which
+		// one is earliest, so a cached minimum stays valid however far the
+		// wheel clock trails. Arm syncs before placing, so entries are
+		// always filed against a current clock.
 		w.advance(now)
 		w.recomputeMin()
 	}

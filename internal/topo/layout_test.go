@@ -126,7 +126,7 @@ func layoutRun(t *testing.T, sparse bool) string {
 			sparse, d.S1.fwd != nil, d.S2.fwd != nil, hosts[0].dense != nil, hosts[3].dense != nil)
 	}
 
-	out := fmt.Sprintf("events %d delay %d\n", eng.Processed+eng.Inlined, delaySum)
+	out := fmt.Sprintf("events %d delay %d\n", eng.Processed, delaySum)
 	for _, sw := range []*Switch{d.S1, d.S2} {
 		out += fmt.Sprintf("%v %+v in %+v eg %+v\n", sw, sw.Stats(), sw.Ingress.Stats(), sw.Egress.Stats())
 		for _, tbl := range []*core.Table{sw.Ingress, sw.Egress} {

@@ -19,21 +19,6 @@ type Receiver interface {
 	Receive(p *packet.Packet)
 }
 
-// probeCap bounds the adaptive probe backoff: in steady interleaved traffic
-// a pipe probes roughly one delivery in 16, which keeps the probe cost in
-// the noise while still noticing a drainable run within a dozen deliveries.
-const probeCap = 15
-
-// burstReceiver is implemented by receivers that can amortize per-packet
-// work across a delivery burst (the Switch binds its table cursors in
-// BeginBurst and flushes them in EndBurst). Brackets never nest: a Receive
-// never synchronously triggers another pipe's deliver — onward hops always
-// go through the engine as events.
-type burstReceiver interface {
-	BeginBurst()
-	EndBurst()
-}
-
 // Pipe is one direction of a link: a FIFO egress buffer drained by a
 // transmitter at the link rate, followed by a fixed propagation delay.
 type Pipe struct {
@@ -104,23 +89,6 @@ type Pipe struct {
 	inflight      deliveryRing
 	deliveryArmed bool
 
-	// burstMax caps how many chained deliveries one engine event may drain
-	// inline (from the engine's BurstSize option; 0 disables bursting), and
-	// bdst is dst's burst bracket when it has one.
-	burstMax int
-	bdst     burstReceiver
-
-	// probeSkip/probeBackoff implement adaptive burst probing. In
-	// closed-loop traffic other pipes' events interleave every gap, so the
-	// inline probe (InlineRunnable) almost never passes — and a failed
-	// probe costs about what an elided event saves. After a failure the
-	// pipe schedules the next probeSkip deliveries directly (the event keys
-	// are identical either way, so this is invisible to determinism) with
-	// the skip doubling up to probeCap; one success resets to eager, so a
-	// back-to-back drain run pays the probe only on its first delivery.
-	probeSkip    int
-	probeBackoff int
-
 	// DelayHook, when set, observes the physical queuing delay of every
 	// packet at dequeue time (excludes serialization and propagation).
 	DelayHook func(d sim.Time, p *packet.Packet)
@@ -153,16 +121,14 @@ func newPipeWithAQMSeq(eng *sim.Engine, rate units.BitRate, delay sim.Time, queu
 	q := queue.New(queueLimit, ecnThreshold)
 	q.SetAQMSeed(0xA11CE + aqmSeq*0x5bd1e995)
 	p := &Pipe{
-		eng:      eng,
-		pool:     packet.PoolFor(eng),
-		rate:     rate,
-		delay:    delay,
-		q:        q,
-		fq:       q,
-		dst:      dst,
-		burstMax: eng.Options().BurstSize,
+		eng:   eng,
+		pool:  packet.PoolFor(eng),
+		rate:  rate,
+		delay: delay,
+		q:     q,
+		fq:    q,
+		dst:   dst,
 	}
-	p.bdst, _ = dst.(burstReceiver)
 	p.txDoneFn = func(x any) { p.txDone(x.(*packet.Packet)) }
 	p.deliverFn = func(x any) { p.deliver(x.(*packet.Packet)) }
 	return p
@@ -444,81 +410,16 @@ func (p *Pipe) planDelivery(end sim.Time, pkt *packet.Packet) {
 }
 
 // deliver hands the head packet to the destination and continues the
-// delivery chain. With bursting off, the next planned delivery is armed as
-// an engine event before Receive runs, so the chain's event schedule is
+// delivery chain: the next planned delivery is armed before Receive runs,
+// so it takes the engine's root hole and the chain's event schedule is
 // independent of whatever the receiver does.
-//
-// With bursting on, one engine event drains a whole back-to-back run: the
-// next delivery's ordering word is reserved at exactly the point the
-// per-packet path would arm it, and — after Receive, so anything the
-// receiver scheduled gets its say — the delivery runs inline when the
-// engine proves nothing else precedes it (sim.Engine.InlineRunnable).
-// Every elided event carries the key it would have carried, so burst
-// boundaries can never reorder same-instant deliveries relative to the
-// per-packet path; the fingerprint gates hold this across the sweep.
 func (p *Pipe) deliver(pkt *packet.Packet) {
-	next, at, ok := p.inflight.pop()
-	if !ok {
-		p.deliveryArmed = false
-		p.dst.Receive(pkt)
-		return
-	}
-	if p.burstMax <= 1 {
+	if next, at, ok := p.inflight.pop(); ok {
 		p.eng.AtOrdered(p.lane, at, p.deliverFn, next)
-		p.dst.Receive(pkt)
-		return
+	} else {
+		p.deliveryArmed = false
 	}
-	ord := p.eng.ReserveOrd(p.lane)
 	p.dst.Receive(pkt)
-	if p.probeSkip > 0 {
-		p.probeSkip--
-		p.eng.ScheduleReserved(at, ord, p.deliverFn, next)
-		return
-	}
-	if !p.eng.InlineRunnable(at, ord) {
-		// No burst forms: the chain re-arms exactly as the per-packet path
-		// would, and the receiver's cursor bracket is never opened — a
-		// singleton delivery pays nothing for burst mode. Only an
-		// interleave defeat feeds the backoff; a window truncation says
-		// nothing about the next window's traffic.
-		if !p.eng.InlineTruncated(at) {
-			if p.probeBackoff < probeCap {
-				p.probeBackoff = p.probeBackoff*2 + 1
-			}
-			p.probeSkip = p.probeBackoff
-		}
-		p.eng.ScheduleReserved(at, ord, p.deliverFn, next)
-		return
-	}
-	p.probeBackoff = 0
-	// A burst formed. Bracket the rest of the run so the receiver can
-	// memoize table lookups and batch its counter flushes; packet 1 ran
-	// unbracketed, which is unobservable (the bracket is pure memoization).
-	if p.bdst != nil {
-		p.bdst.BeginBurst()
-	}
-	p.eng.AdvanceInline(at)
-	pkt = next
-	for n := 2; ; n++ {
-		next, at, ok = p.inflight.pop()
-		if !ok {
-			p.deliveryArmed = false
-			p.dst.Receive(pkt)
-			break
-		}
-		ord = p.eng.ReserveOrd(p.lane)
-		p.dst.Receive(pkt)
-		if n < p.burstMax && p.eng.InlineRunnable(at, ord) {
-			p.eng.AdvanceInline(at)
-			pkt = next
-			continue
-		}
-		p.eng.ScheduleReserved(at, ord, p.deliverFn, next)
-		break
-	}
-	if p.bdst != nil {
-		p.bdst.EndBurst()
-	}
 }
 
 // deliveryRing is a growable circular buffer of (deliver-at, packet) pairs.

@@ -35,13 +35,6 @@ type Switch struct {
 	fwd      []fwdEntry
 	fwdDirty bool
 
-	// bursting is true between BeginBurst and EndBurst: Receive then runs
-	// the AQ pipelines through the table cursors, which memoize the last
-	// entity's lookup and batch counter updates for the whole burst.
-	bursting bool
-	inCur    core.BurstCursor
-	egCur    core.BurstCursor
-
 	// Ingress and Egress are the AQ tables for the two pipeline positions.
 	Ingress *core.Table
 	Egress  *core.Table
@@ -240,18 +233,6 @@ func (s *Switch) Receive(p *packet.Packet) {
 		return
 	}
 	now := s.eng.Now()
-	if s.bursting {
-		if s.inCur.Process(now, p.IngressAQ, p) == core.Drop {
-			s.aqDrop(p)
-			return
-		}
-		if s.egCur.Process(now, p.EgressAQ, p) == core.Drop {
-			s.aqDrop(p)
-			return
-		}
-		out.Send(p)
-		return
-	}
 	if s.Ingress.Process(now, p.IngressAQ, p) == core.Drop {
 		s.aqDrop(p)
 		return
@@ -261,24 +242,6 @@ func (s *Switch) Receive(p *packet.Packet) {
 		return
 	}
 	out.Send(p)
-}
-
-// BeginBurst brackets a delivery burst from one ingress pipe: the AQ
-// pipelines run through per-burst table cursors that coalesce same-entity
-// lookups and counter updates into one transaction each (core.BurstCursor).
-// Verdicts are byte-identical to the per-packet path.
-func (s *Switch) BeginBurst() {
-	s.inCur.Bind(s.Ingress)
-	s.egCur.Bind(s.Egress)
-	s.bursting = true
-}
-
-// EndBurst closes the bracket, flushing the cursors' batched counts into
-// the tables' atomic counters.
-func (s *Switch) EndBurst() {
-	s.inCur.Flush()
-	s.egCur.Flush()
-	s.bursting = false
 }
 
 // SwitchStats is a snapshot of the switch's data-plane counters, following

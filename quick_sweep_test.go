@@ -1,9 +1,8 @@
 // The quick-sweep determinism gate at simulator scope. The engine has one
 // configuration; what remains selectable is execution strategy — how many
-// domains a topology is split across, whether those domains advance
-// cooperatively or on worker goroutines, and whether back-to-back pipe
-// deliveries drain inline (sim.Options.BurstSize). None of them may move a
-// result: the reference sweep must equal the fingerprints committed under
+// domains a topology is split across, and whether those domains advance
+// cooperatively or on worker goroutines. Neither may move a result: the
+// reference sweep must equal the fingerprints committed under
 // testdata/golden (path == recorded truth), and every other strategy must
 // equal the reference (path == path).
 package aqueue_test
@@ -38,17 +37,15 @@ func goldenPath() string {
 // runSweep executes the full quick sweep — every registered experiment at
 // quick parameters with the horizon cut further: the gate needs identical
 // runs, not converged ones — partitioned into the given number of domains,
-// with the engine options carried per job (harness.Params.Sim), and returns
-// scenario name → hex sha256 of its harness.Fingerprint. One worker: the
-// domains themselves advance inside each run.
-func runSweep(t *testing.T, domains int, parallel bool, opts ...sim.Option) map[string]string {
+// and returns scenario name → hex sha256 of its harness.Fingerprint. One
+// worker: the domains themselves advance inside each run.
+func runSweep(t *testing.T, domains int, parallel bool) map[string]string {
 	t.Helper()
 	base := experiments.DefaultParams(true)
 	base.Horizon = 20 * sim.Millisecond
 	base.Flows = 4
 	base.Domains = domains
 	base.Parallel = parallel
-	base.Sim = opts
 	jobs, err := harness.Jobs(harness.Names(), nil, base)
 	if err != nil {
 		t.Fatal(err)
@@ -81,19 +78,16 @@ func requireEqual(t *testing.T, got, want map[string]string, wantLabel string) {
 	}
 }
 
-// TestQuickSweepGolden runs the quick sweep eight times. The reference
+// TestQuickSweepGolden runs the quick sweep five times. The reference
 // (default options, one engine) is held to the committed golden; each
 // remaining execution strategy is held to the reference: cooperative and
 // parallel partitioning at 2 and 4 domains — a divergence there means an
 // event ordering, sequence draw or measurement leaked the partitioning into
 // the model, and under -race the parallel arms also prove that only the
-// boundary mailboxes cross a domain while workers run — and per-packet
-// delivery (burst draining off) at 1, 2 and 4 domains, where a divergence
-// means an inlined delivery ran ahead of an event that should have preceded
-// it, or a burst crossed a window boundary.
+// boundary mailboxes cross a domain while workers run.
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick sweep eight times")
+		t.Skip("runs the full quick sweep five times")
 	}
 	ref := runSweep(t, 1, false)
 
@@ -117,23 +111,18 @@ func TestQuickSweepGolden(t *testing.T) {
 		requireEqual(t, ref, golden, path)
 	})
 
-	perPacket := sim.WithBurstSize(0)
 	for _, c := range []struct {
 		name     string
 		domains  int
 		parallel bool
-		opts     []sim.Option
 	}{
 		{name: "cooperative-2", domains: 2},
 		{name: "cooperative-4", domains: 4},
 		{name: "parallel-2", domains: 2, parallel: true},
 		{name: "parallel-4", domains: 4, parallel: true},
-		{name: "per-packet-1", domains: 1, opts: []sim.Option{perPacket}},
-		{name: "per-packet-2", domains: 2, opts: []sim.Option{perPacket}},
-		{name: "per-packet-4", domains: 4, opts: []sim.Option{perPacket}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			requireEqual(t, runSweep(t, c.domains, c.parallel, c.opts...), ref, "the reference sweep")
+			requireEqual(t, runSweep(t, c.domains, c.parallel), ref, "the reference sweep")
 		})
 	}
 }
