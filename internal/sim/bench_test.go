@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineScheduleFire measures raw event-core throughput: a fixed
 // population of self-perpetuating timers, each firing and scheduling its
@@ -21,5 +24,38 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	b.ResetTimer()
 	for e.Processed < uint64(b.N) {
 		e.Step()
+	}
+}
+
+// BenchmarkEngineHold measures the engine under the delivery pattern: k
+// streams, each on its own ordering lane with strictly increasing deadlines
+// a serialization time apart, every handler re-arming its stream before it
+// returns — so every fire refills the root hole and costs exactly one
+// sift-down at depth k. Stream l's gap is the serialization time plus l ns:
+// with one gap for all, the streams fire in a fixed rotation a branch
+// predictor learns at small k, which no workload's interleaving is. The
+// depths are the pending-event counts the bench workloads hold (udp_fanin
+// 17, fwd_ccmix 48, fluid_scale 106) plus BenchmarkEngineScheduleFire's 1024.
+func BenchmarkEngineHold(b *testing.B) {
+	const serialization, offset = 832, 5000 // ns: one MTU at 10 Gbps, one hop
+	for _, pending := range []int{17, 48, 106, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			lanes := make([]any, pending) // pre-boxed: the handler must not allocate
+			var fire func(any)
+			fire = func(lane any) {
+				l := lane.(uint32)
+				e.AtOrdered(l, e.Now()+serialization+Time(l), fire, lane)
+			}
+			for i := range lanes {
+				lanes[i] = uint32(i + 1)
+				e.AtOrdered(uint32(i+1), offset+serialization, fire, lanes[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

@@ -19,7 +19,10 @@
 //     ordering word), so lane choice never changes event order.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a simulated instant, in nanoseconds since the start of the run.
 type Time int64
@@ -134,9 +137,9 @@ func (e *Engine) MultiDomain() bool { return e.multiDomain }
 func (e *Engine) PacketPoolSlot() *any { return &e.packetPool }
 
 // NewEngine returns an engine with the clock at zero and no pending events,
-// configured by DefaultOptions overridden with opts.
+// configured by the zero Options overridden with opts.
 func NewEngine(opts ...Option) *Engine {
-	o := DefaultOptions()
+	var o Options
 	for _, f := range opts {
 		f(&o)
 	}
@@ -208,9 +211,7 @@ func callFunc(fn any) { fn.(func())() }
 // firing per-packet callbacks (transmit-done, delivery) allocates nothing.
 func (e *Engine) AtDetached(t Time, fn func(any), arg any) {
 	e.checkTime(t)
-	k := heapKey{at: t, seq: e.seq}
-	e.seq++
-	e.place(k, heapVal{fnArg: fn, arg: arg})
+	e.place(heapKey{at: t, seq: e.nextOrd(0)}, heapVal{fnArg: fn, arg: arg})
 }
 
 // AfterDetached schedules fn(arg) to run d nanoseconds from now; see
@@ -222,14 +223,24 @@ func (e *Engine) AfterDetached(d Time, fn func(any), arg any) {
 	e.AtDetached(e.now+d, fn, arg)
 }
 
-// laneOrdShift positions the lane in the high bits of the ordering word.
-// 2^40 scheduling sequence numbers per engine (~a week of simulated
-// traffic at the hot-path event rate) and 2^24 lanes per cluster are both
-// far beyond any run this simulator hosts.
+// laneOrdShift positions the lane in the high bits of the ordering word:
+// 2^24 lanes per cluster, and 2^40 scheduling sequence numbers before the
+// low field wraps (~34 h of a free-running engine at 9 M events/s).
 const laneOrdShift = 40
 
 // MaxLane is the largest lane AtOrdered accepts.
 const MaxLane = 1<<24 - 1
+
+// nextOrd draws the next ordering word on a lane. Every scheduling call —
+// AtDetached, AtOrdered, Timer.Arm — builds its word here, with the
+// sequence masked to its field so that a long-lived engine's counter never
+// bleeds into the lane. What a wrap can still misorder is a same-instant
+// tie within one lane between two schedules 2^40 draws apart.
+func (e *Engine) nextOrd(lane uint32) uint64 {
+	w := uint64(lane)<<laneOrdShift | e.seq&(1<<laneOrdShift-1)
+	e.seq++
+	return w
+}
 
 // AtOrdered is AtDetached on an explicit ordering lane: among events
 // scheduled for the same instant, a lower lane fires first, and only ties
@@ -240,9 +251,7 @@ const MaxLane = 1<<24 - 1
 // events in exactly the order the single-domain run does.
 func (e *Engine) AtOrdered(lane uint32, t Time, fn func(any), arg any) {
 	e.checkTime(t)
-	k := heapKey{at: t, seq: uint64(lane)<<laneOrdShift | e.seq}
-	e.seq++
-	e.place(k, heapVal{fnArg: fn, arg: arg})
+	e.place(heapKey{at: t, seq: e.nextOrd(lane)}, heapVal{fnArg: fn, arg: arg})
 }
 
 func (e *Engine) checkTime(t Time) {
@@ -398,11 +407,21 @@ func (e *Engine) drainPool() {
 // 10 levels deep instead of 20. Keys live in their own array, so every
 // comparison during a sift is a sequential read of 16-byte keys.
 
-func less(a, b heapKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// ltMask is the one statement of the order: all ones when a fires before b,
+// zero otherwise — (at, ord) compared as one 128-bit unsigned value through
+// a borrow chain (at is never negative, see checkTime, so the cast preserves
+// order). less is that mask tested; down selects with it.
+func ltMask(a, b heapKey) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return -borrow
+}
+
+func less(a, b heapKey) bool { return ltMask(a, b) != 0 }
+
+// selKey returns b where m is all ones and a where it is zero.
+func selKey(a, b heapKey, m uint64) heapKey {
+	return heapKey{at: a.at ^ (a.at^b.at)&Time(m), seq: a.seq ^ (a.seq^b.seq)&m}
 }
 
 // place inserts one heap slot. When the dispatch loop's root hole is open
@@ -456,6 +475,13 @@ func (e *Engine) up(i int) {
 	e.vals[i] = val
 }
 
+// down sifts slot i towards the leaves. Which of four children is least is
+// a coin toss to a branch predictor — hold-model keys arrive in no order it
+// can learn — so a full fan-out is decided by a tournament of masks (two
+// semifinals and a final select both the winning key and its index) and the
+// only data-dependent branch per level is the loop exit. The scalar loop
+// serves the at most one node with fewer than four children. Ties keep the
+// lower index in both.
 func (e *Engine) down(i int) {
 	k := e.keys
 	n := len(k)
@@ -466,20 +492,26 @@ func (e *Engine) down(i int) {
 		if first >= n {
 			break
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if less(k[c], k[min]) {
-				min = c
+		min, best := first, k[first]
+		if first+4 <= n {
+			c := k[first : first+4 : first+4]
+			m01, m23 := ltMask(c[1], c[0]), ltMask(c[3], c[2])
+			k01, k23 := selKey(c[0], c[1], m01), selKey(c[2], c[3], m23)
+			i01, i23 := m01&1, 2|m23&1
+			mf := ltMask(k23, k01)
+			best = selKey(k01, k23, mf)
+			min = first + int(i01^(i01^i23)&mf)
+		} else {
+			for c := first + 1; c < n; c++ {
+				if less(k[c], best) {
+					min, best = c, k[c]
+				}
 			}
 		}
-		if !less(k[min], key) {
+		if !less(best, key) {
 			break
 		}
-		k[i] = k[min]
+		k[i] = best
 		e.vals[i] = e.vals[min]
 		i = min
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +97,190 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lessRef is the order as the engine used to state it, one branch per
+// field. Product code states it once as a mask (ltMask); this is what the
+// mask, the select and the tournament in Engine.down are held to.
+func lessRef(a, b heapKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// leastChild runs Engine.down over a root that loses to every child and
+// reports which of the four children it promoted, read off the payload that
+// rode up with the key.
+func leastChild(c [4]heapKey) (heapKey, int) {
+	e := &Engine{keys: append([]heapKey{{at: maxTime + 1}}, c[:]...), vals: make([]heapVal, 5)}
+	for i := range c {
+		e.vals[1+i].arg = i
+	}
+	e.down(0)
+	return e.keys[0], e.vals[0].arg.(int)
+}
+
+// TestOrdCompareMatchesReference holds ltMask, selKey and the child index
+// Engine.down selects to the two-branch reference: over the corners of both
+// fields — the top lane sets bit 63 of the ordering word, so the borrow
+// chain must be unsigned — and over random quadruples in every permutation.
+func TestOrdCompareMatchesReference(t *testing.T) {
+	var table []heapKey
+	for _, at := range []Time{0, 1, maxTime} {
+		for _, ord := range []uint64{0, 1<<laneOrdShift - 1, 1 << laneOrdShift, MaxLane<<laneOrdShift | (1<<laneOrdShift - 1)} {
+			table = append(table, heapKey{at, ord})
+		}
+	}
+	for _, a := range table {
+		for _, b := range table {
+			want := uint64(0)
+			if lessRef(a, b) {
+				want = ^uint64(0)
+			}
+			if got := ltMask(a, b); got != want {
+				t.Fatalf("ltMask(%v, %v) = %#x, want %#x", a, b, got, want)
+			}
+			if less(a, b) != lessRef(a, b) {
+				t.Fatalf("less(%v, %v) = %v", a, b, less(a, b))
+			}
+			if selKey(a, b, 0) != a || selKey(a, b, ^uint64(0)) != b {
+				t.Fatalf("selKey(%v, %v) picked the wrong side", a, b)
+			}
+		}
+	}
+
+	// The reference's choice: the first child no other child precedes.
+	check := func(c [4]heapKey) error {
+		want := 0
+		for i := 1; i < 4; i++ {
+			if lessRef(c[i], c[want]) {
+				want = i
+			}
+		}
+		if key, got := leastChild(c); got != want || key != c[want] {
+			return fmt.Errorf("children %v: down promoted child %d (%v), want %d", c, got, key, want)
+		}
+		return nil
+	}
+	for _, a := range table { // ties included: equal keys keep the lower index
+		for _, b := range table {
+			for _, c := range [][4]heapKey{{a, a, b, b}, {a, b, a, b}, {b, a, a, b}, {b, b, b, a}, {a, a, a, a}} {
+				if err := check(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	perms := permutations(4)
+	f := func(at [4]int64, ord [4]uint64) bool {
+		var c [4]heapKey
+		for i := range c {
+			c[i] = heapKey{Time(at[i]) & maxTime, ord[i]}
+		}
+		for _, p := range perms {
+			if err := check([4]heapKey{c[p[0]], c[p[1]], c[p[2]], c[p[3]]}); err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			out = append(out, slices.Insert(slices.Clone(p), i, n-1))
+		}
+	}
+	return out
+}
+
+// TestSameInstantLanesFireInLaneOrder crowds one instant: ≥ 64 events on
+// lanes 0, 1 and MaxLane, from AtOrdered and AtDetached, a third of them
+// scheduled before the instant (the first into the root hole, the rest
+// sifting up) and the others from inside handlers firing at that very
+// instant. They must all fire, by (lane, scheduling order).
+func TestSameInstantLanesFireInLaneOrder(t *testing.T) {
+	f := func(script []uint8) bool {
+		for len(script) < 64 {
+			script = append(script, uint8(len(script)*7))
+		}
+		const instant = 1000
+		lanes := [3]uint32{0, 1, MaxLane}
+		e := NewEngine()
+		type stamp struct{ lane, ord int }
+		var fired []stamp
+		next := 0
+		var fire func(any)
+		// schedule files script[next] on its lane, or on floor if that is
+		// higher: a firing handler's word is the least pending, so what it
+		// adds at its own instant can only sort after it.
+		schedule := func(floor int) {
+			b := script[next]
+			me := &stamp{max(int(b%3), floor), next}
+			next++
+			if me.lane == 0 && b&4 != 0 {
+				e.AtDetached(instant, fire, me)
+			} else {
+				e.AtOrdered(lanes[me.lane], instant, fire, me)
+			}
+		}
+		fire = func(x any) {
+			me := *x.(*stamp)
+			fired = append(fired, me)
+			for k := 0; k < 2 && next < len(script); k++ {
+				schedule(me.lane)
+			}
+		}
+		e.At(instant-1, func() {
+			for next < len(script)/3 {
+				schedule(0)
+			}
+		})
+		e.Run()
+		if len(fired) != len(script) || e.Now() != instant || e.Pending() != 0 {
+			return false
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if a.lane > b.lane || (a.lane == b.lane && a.ord > b.ord) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOrderingWordMasksSeqAtWrap: once an engine has drawn 2^40 sequence
+// numbers the counter's next bit must not bleed into the lane field — all
+// three scheduling calls build their word through nextOrd, which masks it.
+// Unmasked, bit 40 ors into the lane: lane 2 reads as lane 3 and fires
+// behind the real lane 3 drawn before it.
+func TestOrderingWordMasksSeqAtWrap(t *testing.T) {
+	e := NewEngine()
+	e.seq = 1 << laneOrdShift
+	var got []uint32
+	rec := func(x any) { got = append(got, x.(uint32)) }
+	e.AtOrdered(3, 5, rec, uint32(3))
+	e.AtOrdered(2, 5, rec, uint32(2))
+	e.AtDetached(5, rec, uint32(0))
+	tm := e.NewTimer(func() { got = append(got, 99) })
+	tm.Arm(5) // lane 0, drawn last: after the detached event, before lane 2
+	e.Run()
+	if fmt.Sprint(got) != "[0 99 2 3]" {
+		t.Fatalf("fire order %v, want [0 99 2 3]", got)
 	}
 }

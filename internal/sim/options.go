@@ -23,9 +23,3 @@ type Option func(*Options)
 
 // WithParallelDomains sets Options.ParallelDomains.
 func WithParallelDomains(on bool) Option { return func(o *Options) { o.ParallelDomains = on } }
-
-// DefaultOptions returns the default engine configuration: cooperative
-// domains. It is a pure constant — there is no way to change the defaults
-// process-wide; callers that want a different configuration pass With*
-// options to NewEngine or NewCluster.
-func DefaultOptions() Options { return Options{} }

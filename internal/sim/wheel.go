@@ -79,8 +79,7 @@ func (t *Timer) Arm(at Time) {
 		w.remove(t)
 	}
 	t.at = at
-	t.ord = e.seq
-	e.seq++
+	t.ord = e.nextOrd(0)
 	t.armed = true
 	w.advance(e.now)
 	w.place(t)
