@@ -77,7 +77,7 @@ func BenchmarkTableMillionAQs(b *testing.B) {
 
 func BenchmarkFig1CCInterference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig1(60*sim.Millisecond, 1)
+		t := experiments.Fig1(60*sim.Millisecond, 1, false)
 		if len(t.Rows) != len(experiments.Fig1Pairs) {
 			b.Fatal("missing rows")
 		}
@@ -96,7 +96,7 @@ func BenchmarkFig3StrawmanVsAGap(b *testing.B) {
 
 func BenchmarkFig6CompletionVsVMs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig6([]int{1, 4}, 40, 1, 1)
+		t := experiments.Fig6([]int{1, 4}, 40, 1, 1, false)
 		if len(t.Rows) != 2 {
 			b.Fatal("missing rows")
 		}
@@ -105,7 +105,7 @@ func BenchmarkFig6CompletionVsVMs(b *testing.B) {
 
 func BenchmarkFig7EntityFairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig7([]int{4}, 40, 1, 1)
+		t := experiments.Fig7([]int{4}, 40, 1, 1, false)
 		if len(t.Rows) != 1 {
 			b.Fatal("missing rows")
 		}
@@ -114,7 +114,7 @@ func BenchmarkFig7EntityFairness(b *testing.B) {
 
 func BenchmarkFig8FlowCountIsolation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig8([]int{1, 16}, 60*sim.Millisecond, 1)
+		t := experiments.Fig8([]int{1, 16}, 60*sim.Millisecond, 1, false)
 		if len(t.Rows) != 2 {
 			b.Fatal("missing rows")
 		}
@@ -123,7 +123,7 @@ func BenchmarkFig8FlowCountIsolation(b *testing.B) {
 
 func BenchmarkFig9UDPvsTCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pq, aq := experiments.Fig9(40*sim.Millisecond, 1)
+		pq, aq := experiments.Fig9(40*sim.Millisecond, 1, false)
 		if len(pq.Rows) != 5 || len(aq.Rows) != 5 {
 			b.Fatal("missing rows")
 		}
@@ -132,7 +132,7 @@ func BenchmarkFig9UDPvsTCP(b *testing.B) {
 
 func BenchmarkFig10CCWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fair, total := experiments.Fig10(30, 1, 1)
+		fair, total := experiments.Fig10(30, 1, 1, false)
 		if len(fair.Rows) == 0 || len(total.Rows) == 0 {
 			b.Fatal("missing rows")
 		}
@@ -157,7 +157,7 @@ func BenchmarkFig12MemoryScaling(b *testing.B) {
 
 func BenchmarkTable2CCSharing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table2(60*sim.Millisecond, 1)
+		t := experiments.Table2(60*sim.Millisecond, 1, false)
 		if len(t.Rows) != len(experiments.Table2Settings) {
 			b.Fatal("missing rows")
 		}
@@ -166,7 +166,7 @@ func BenchmarkTable2CCSharing(b *testing.B) {
 
 func BenchmarkTable3VMGuarantee(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table3(1)
+		t := experiments.Table3(1, false)
 		if len(t.Rows) != 6 {
 			b.Fatal("missing rows")
 		}
@@ -176,7 +176,7 @@ func BenchmarkTable3VMGuarantee(b *testing.B) {
 func BenchmarkTable4AQvsPQBehaviour(b *testing.B) {
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		_, rows := experiments.Table4(1)
+		_, rows := experiments.Table4(1, false)
 		rel = rows[0].RelP95DeltaPct
 	}
 	b.ReportMetric(rel, "cubic-p95-rel%")
@@ -186,7 +186,7 @@ func BenchmarkTable4AQvsPQBehaviour(b *testing.B) {
 // and the incast inbound guarantee).
 func BenchmarkExtFabric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(experiments.ExtFabric(50*sim.Millisecond, 1).Rows) != 3 {
+		if len(experiments.ExtFabric(50*sim.Millisecond, 1, false).Rows) != 3 {
 			b.Fatal("missing rows")
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkExtFabric(b *testing.B) {
 func BenchmarkExtPerEntityQueues(b *testing.B) {
 	var drr, aq float64
 	for i := 0; i < b.N; i++ {
-		drr, aq = experiments.ExtPerEntityQueues(32, 8, 50*sim.Millisecond, 1)
+		drr, aq = experiments.ExtPerEntityQueues(32, 8, 50*sim.Millisecond, 1, false)
 	}
 	b.ReportMetric(drr, "drr-jain")
 	b.ReportMetric(aq, "aq-jain")
@@ -208,7 +208,7 @@ func BenchmarkExtPerEntityQueues(b *testing.B) {
 func BenchmarkFluidBG(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.FluidBG(60*sim.Millisecond, 12, 1, 1)
+		r := experiments.FluidBG(60*sim.Millisecond, 12, 1, 1, false)
 		worst = r.MaxDeltaPct()
 	}
 	b.ReportMetric(worst, "maxdelta-pct")

@@ -16,12 +16,12 @@ import (
 
 func main() {
 	const horizon = 150 * sim.Millisecond
-	pqA, pqB, aqA, aqB := experiments.ExtFabricIsolation(horizon, 1)
+	pqA, pqB, aqA, aqB := experiments.ExtFabricIsolation(horizon, 1, false)
 	fmt.Println("2-leaf/2-spine fabric, ECMP, 2:1 oversubscribed; A: 8 flows, B: 32 flows")
 	fmt.Printf("  physical queues: A %.2f Gbps, B %.2f Gbps\n", pqA, pqB)
 	fmt.Printf("  weighted AQs:    A %.2f Gbps, B %.2f Gbps\n", aqA, aqB)
 
-	pqIn, aqIn := experiments.ExtFabricIncast(horizon, 1)
+	pqIn, aqIn := experiments.ExtFabricIncast(horizon, 1, false)
 	fmt.Println("\n8:1 incast at a VM with a 2 Gbps inbound guarantee:")
 	fmt.Printf("  physical queues: %.2f Gbps land on the victim\n", pqIn)
 	fmt.Printf("  egress AQ:       %.2f Gbps (the profile holds)\n", aqIn)

@@ -28,8 +28,8 @@ type CCShareResult struct {
 // approach (PQ or AQ; the rate-limiting baselines are not part of these
 // experiments) and returns per-entity goodput measured after warmup.
 // domains selects how many conservative time-synced engines carry the run.
-func runCCShare(approach Approach, entities []ccEntity, horizon sim.Time, seed uint64, domains int, opts []sim.Option) []CCShareResult {
-	c := newClusterN(domains, opts...)
+func runCCShare(approach Approach, entities []ccEntity, horizon sim.Time, seed uint64, domains int, parallel bool) []CCShareResult {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	m := len(entities)
@@ -101,7 +101,7 @@ var Fig1Pairs = [][2]string{
 
 // Fig1 reproduces Figure 1: traffic interference between CC algorithm
 // pairs sharing a physical queue (no AQ).
-func Fig1(horizon sim.Time, domains int, opts ...sim.Option) *Table {
+func Fig1(horizon sim.Time, domains int, parallel bool) *Table {
 	t := &Table{
 		Title:  "Figure 1: CC interference in a shared physical queue (10 flows each)",
 		Header: []string{"pair", "thpt A (Gbps)", "thpt B (Gbps)"},
@@ -110,7 +110,7 @@ func Fig1(horizon sim.Time, domains int, opts ...sim.Option) *Table {
 		res := runCCShare(PQ, []ccEntity{
 			{cc: pair[0], flows: 10},
 			{cc: pair[1], flows: 10},
-		}, horizon, 1, domains, opts)
+		}, horizon, 1, domains, parallel)
 		t.AddRow(pair[0]+" + "+pair[1], res[0].Gbps, res[1].Gbps)
 	}
 	return t
@@ -136,14 +136,14 @@ var Table2Settings = [][]ccEntity{
 
 // Table2 reproduces Table 2: entity throughput under the CC settings, for
 // PQ and AQ.
-func Table2(horizon sim.Time, domains int, opts ...sim.Option) *Table {
+func Table2(horizon sim.Time, domains int, parallel bool) *Table {
 	t := &Table{
 		Title:  "Table 2: Throughput of entities with different CC settings (Gbps)",
 		Header: []string{"congestion control", "PQ", "AQ"},
 	}
 	for _, setting := range Table2Settings {
-		pq := runCCShare(PQ, setting, horizon, 1, domains, opts)
-		aq := runCCShare(AQ, setting, horizon, 1, domains, opts)
+		pq := runCCShare(PQ, setting, horizon, 1, domains, parallel)
+		aq := runCCShare(AQ, setting, horizon, 1, domains, parallel)
 		label, pqS, aqS := "", "", ""
 		for i := range setting {
 			if i > 0 {

@@ -8,14 +8,12 @@ import (
 	"aqueue/internal/sim"
 )
 
-// churnFabric builds Churn's 4-host dumbbell. The service picks its cluster's
-// execution strategy from Config.Parallel alone, so the harness's engine
-// options are resolved into that field here.
-func churnFabric(window sim.Time, domains int, opts []sim.Option) *service.Fabric {
+// churnFabric builds Churn's 4-host dumbbell.
+func churnFabric(window sim.Time, domains int, parallel bool) *service.Fabric {
 	f, err := service.NewFabric(service.Config{
 		Hosts:    4,
 		Domains:  domains,
-		Parallel: sim.NewEngine(opts...).Options().ParallelDomains,
+		Parallel: parallel,
 		Window:   window,
 		TraceLen: 0, // traces are for the daemon; experiments stay lean
 	})
@@ -39,9 +37,9 @@ func churnFabric(window sim.Time, domains int, opts []sim.Option) *service.Fabri
 //	w5:  tenant B — weighted 2, fixed 50 KB flows at 0.3 load
 //	w10: A's weight raised to 3 (live reconfiguration)
 //	w15: B detached and marked idle (A absorbs the link)
-func Churn(horizon sim.Time, domains int, opts ...sim.Option) (*Table, *Table) {
+func Churn(horizon sim.Time, domains int, parallel bool) (*Table, *Table) {
 	const windows = 20
-	f := churnFabric(horizon/windows, domains, opts)
+	f := churnFabric(horizon/windows, domains, parallel)
 	defer f.Close()
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
 		g, err := f.Ctrl().Grant(control.Request{

@@ -7,13 +7,13 @@ import (
 )
 
 // TestChurnHonoursParallelDomains: the harness asks for worker-driven
-// domains through the engine options every experiment takes; Churn's fabric
+// domains through the parallel flag every experiment takes; Churn's fabric
 // must actually put its cluster on workers, not silently run cooperatively.
 func TestChurnHonoursParallelDomains(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		f := churnFabric(sim.Millisecond, 2, []sim.Option{sim.WithParallelDomains(parallel)})
+		f := churnFabric(sim.Millisecond, 2, parallel)
 		if got := f.SyncStats().Parallel; got != parallel {
-			t.Errorf("WithParallelDomains(%v): cluster parallel = %v", parallel, got)
+			t.Errorf("parallel = %v: cluster parallel = %v", parallel, got)
 		}
 		f.Close()
 	}

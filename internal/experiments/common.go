@@ -144,16 +144,18 @@ func gbpsOf(bytes uint64, horizon sim.Time) float64 {
 }
 
 // newClusterN builds the simulation cluster for one run: domains engines
-// synchronized by conservative lookahead windows (see sim.Cluster), each
-// configured with the experiment's engine options. Values below 1 mean a
-// single engine. Every experiment routes its topology construction through
-// the cluster builders so that the same scenario produces byte-identical
-// results for any domain count (and any option setting).
-func newClusterN(domains int, opts ...sim.Option) *sim.Cluster {
+// synchronized by one conservative window (see sim.Cluster), advanced on
+// workers when parallel is set. Values below 1 mean a single engine. Every
+// experiment routes its topology construction through the cluster builders
+// so that the same scenario produces byte-identical results for any domain
+// count (and either execution strategy).
+func newClusterN(domains int, parallel bool) *sim.Cluster {
 	if domains < 1 {
 		domains = 1
 	}
-	return sim.NewCluster(domains, opts...)
+	c := sim.NewCluster(domains)
+	c.SetParallel(parallel)
+	return c
 }
 
 // simSpec is the default §5.1 simulation link spec.

@@ -60,12 +60,12 @@ func TestFig3SurplusAmplification(t *testing.T) {
 
 func TestCCShareAQEqualizesDCTCPvsCUBIC(t *testing.T) {
 	entities := []ccEntity{{cc: "cubic", flows: 5}, {cc: "dctcp", flows: 5}}
-	pq := runCCShare(PQ, entities, 80*sim.Millisecond, 1, 1, nil)
+	pq := runCCShare(PQ, entities, 80*sim.Millisecond, 1, 1, false)
 	if pq[1].Gbps < 2*pq[0].Gbps {
 		t.Fatalf("PQ: DCTCP %v vs CUBIC %v — expected DCTCP dominance",
 			pq[1].Gbps, pq[0].Gbps)
 	}
-	aq := runCCShare(AQ, entities, 80*sim.Millisecond, 1, 1, nil)
+	aq := runCCShare(AQ, entities, 80*sim.Millisecond, 1, 1, false)
 	ratio := aq[0].Gbps / aq[1].Gbps
 	if ratio < 0.85 || ratio > 1.18 {
 		t.Fatalf("AQ split %.2f:%.2f, want near equal", aq[0].Gbps, aq[1].Gbps)
@@ -77,11 +77,11 @@ func TestCCShareAQEqualizesDCTCPvsCUBIC(t *testing.T) {
 
 func TestCCSharePQStarvesSwift(t *testing.T) {
 	entities := []ccEntity{{cc: "cubic", flows: 5}, {cc: "swift", flows: 5}}
-	pq := runCCShare(PQ, entities, 80*sim.Millisecond, 1, 1, nil)
+	pq := runCCShare(PQ, entities, 80*sim.Millisecond, 1, 1, false)
 	if pq[1].Gbps > pq[0].Gbps/4 {
 		t.Fatalf("PQ: Swift %v vs CUBIC %v — expected starvation", pq[1].Gbps, pq[0].Gbps)
 	}
-	aq := runCCShare(AQ, entities, 80*sim.Millisecond, 1, 1, nil)
+	aq := runCCShare(AQ, entities, 80*sim.Millisecond, 1, 1, false)
 	if aq[1].Gbps < 4.0 {
 		t.Fatalf("AQ: Swift only achieved %v Gbps of its 5 Gbps share", aq[1].Gbps)
 	}
@@ -89,22 +89,22 @@ func TestCCSharePQStarvesSwift(t *testing.T) {
 
 func TestFig8WeightedIsolation(t *testing.T) {
 	const horizon = 60 * sim.Millisecond
-	pqA, pqB := fig8Run(PQ, 16, 1, 1, horizon, 1, nil)
+	pqA, pqB := fig8Run(PQ, 16, 1, 1, horizon, 1, false)
 	if pqB < 3*pqA {
 		t.Fatalf("PQ with 16:1 flows split %.2f/%.2f, want B dominant", pqA, pqB)
 	}
-	aqA, aqB := fig8Run(AQ, 16, 1, 1, horizon, 1, nil)
+	aqA, aqB := fig8Run(AQ, 16, 1, 1, horizon, 1, false)
 	if r := aqA / aqB; r < 0.9 || r > 1.12 {
 		t.Fatalf("AQ 1:1 split %.2f/%.2f", aqA, aqB)
 	}
-	wA, wB := fig8Run(AQ, 16, 1, 2, horizon, 1, nil)
+	wA, wB := fig8Run(AQ, 16, 1, 2, horizon, 1, false)
 	if r := wB / wA; r < 1.7 || r > 2.3 {
 		t.Fatalf("AQ 1:2 split %.2f/%.2f, want ratio ~2", wA, wB)
 	}
 }
 
 func TestFig9ActiveSetSharing(t *testing.T) {
-	res := fig9Run(AQ, 40*sim.Millisecond, 1, nil)
+	res := fig9Run(AQ, 40*sim.Millisecond, 1, false)
 	// In the final phase all 5 entities are active: each should sit near
 	// 10/5 = 2 Gbps, including the UDP entity.
 	last := len(Fig9Entities)
@@ -119,7 +119,7 @@ func TestFig9ActiveSetSharing(t *testing.T) {
 		t.Fatalf("single active entity got %.2f Gbps", res.Series[0][0])
 	}
 
-	pq := fig9Run(PQ, 40*sim.Millisecond, 1, nil)
+	pq := fig9Run(PQ, 40*sim.Millisecond, 1, false)
 	// Under PQ the UDP entity (index 2) dominates once it starts.
 	if pq.Series[2][last] < 6 {
 		t.Fatalf("PQ: UDP got %.2f Gbps in final phase, expected dominance", pq.Series[2][last])
@@ -128,13 +128,13 @@ func TestFig9ActiveSetSharing(t *testing.T) {
 
 func TestWorkloadCompletionAQTracksPQ(t *testing.T) {
 	specs := []wlSpec{{name: "app", cc: "cubic", vms: 4, weight: 1, flows: 30}}
-	base := wlRun(PQ, specs, 3, 1, nil)[0]
-	aq := wlRun(AQ, specs, 3, 1, nil)[0]
+	base := wlRun(PQ, specs, 3, 1, false)[0]
+	aq := wlRun(AQ, specs, 3, 1, false)[0]
 	ratio := float64(aq) / float64(base)
 	if ratio > 1.2 || ratio < 0.8 {
 		t.Fatalf("AQ/PQ completion ratio %.2f, want ~1", ratio)
 	}
-	prl := wlRun(PRL, specs, 3, 1, nil)[0]
+	prl := wlRun(PRL, specs, 3, 1, false)[0]
 	if float64(prl)/float64(base) < 1.1 {
 		t.Fatalf("PRL at 4 VMs ratio %.2f, expected slowdown", float64(prl)/float64(base))
 	}
@@ -145,14 +145,14 @@ func TestWorkloadFairnessAQ(t *testing.T) {
 		{name: "A", cc: "cubic", vms: 1, weight: 1, flows: 60},
 		{name: "B", cc: "cubic", vms: 4, weight: 1, flows: 60},
 	}
-	aq := fairness(wlRun(AQ, specs, 5, 1, nil))
+	aq := fairness(wlRun(AQ, specs, 5, 1, false))
 	if aq < 0.78 {
 		t.Fatalf("AQ entity fairness %.2f, want near 1", aq)
 	}
 }
 
 func TestTable3AQHoldsProfile(t *testing.T) {
-	row := table3RunFor(AQ, 7, 150*sim.Millisecond, 1, nil)
+	row := table3RunFor(AQ, 7, 150*sim.Millisecond, 1, false)
 	if row.OutLo < 4.2 || row.OutHi > 5.8 {
 		t.Fatalf("AQ outbound %.2f~%.2f, want ~5", row.OutLo, row.OutHi)
 	}
@@ -162,7 +162,7 @@ func TestTable3AQHoldsProfile(t *testing.T) {
 }
 
 func TestTable3PRLViolatesInbound(t *testing.T) {
-	row := table3RunFor(PRL, 7, 150*sim.Millisecond, 1, nil)
+	row := table3RunFor(PRL, 7, 150*sim.Millisecond, 1, false)
 	if row.OutHi > 6 {
 		t.Fatalf("PRL outbound %.2f~%.2f, want capped at ~5", row.OutLo, row.OutHi)
 	}
@@ -172,15 +172,15 @@ func TestTable3PRLViolatesInbound(t *testing.T) {
 }
 
 func TestTable3PQUnbounded(t *testing.T) {
-	row := table3RunFor(PQ, 7, 150*sim.Millisecond, 1, nil)
+	row := table3RunFor(PQ, 7, 150*sim.Millisecond, 1, false)
 	if row.InHi < 15 {
 		t.Fatalf("PQ inbound %.2f~%.2f, expected near link capacity", row.InLo, row.InHi)
 	}
 }
 
 func TestTable4BehaviourPreserved(t *testing.T) {
-	pqG, pqD := table4RunFor("cubic", false, 120*sim.Millisecond, 1, nil)
-	aqG, aqD := table4RunFor("cubic", true, 120*sim.Millisecond, 1, nil)
+	pqG, pqD := table4RunFor("cubic", false, 120*sim.Millisecond, 1, false)
+	aqG, aqD := table4RunFor("cubic", true, 120*sim.Millisecond, 1, false)
 	if pqG < 22 || aqG < 22 {
 		t.Fatalf("throughput PQ %.2f / AQ %.2f, want ~24", pqG, aqG)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestFabricIsolationAcrossECMP(t *testing.T) {
-	pqA, pqB, aqA, aqB := ExtFabricIsolation(80*sim.Millisecond, 1)
+	pqA, pqB, aqA, aqB := ExtFabricIsolation(80*sim.Millisecond, 1, false)
 	if pqB < 1.5*pqA {
 		t.Fatalf("PQ fabric split %.2f/%.2f, expected flow-count bias", pqA, pqB)
 	}
@@ -20,7 +20,7 @@ func TestFabricIsolationAcrossECMP(t *testing.T) {
 }
 
 func TestFabricIncastGuarantee(t *testing.T) {
-	pqIn, aqIn := ExtFabricIncast(80*sim.Millisecond, 1)
+	pqIn, aqIn := ExtFabricIncast(80*sim.Millisecond, 1, false)
 	if pqIn < 4 {
 		t.Fatalf("PQ incast inbound %.2f Gbps, expected the burst to land", pqIn)
 	}

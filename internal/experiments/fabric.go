@@ -32,9 +32,9 @@ func fabricSpecs() (edge, fab topo.LinkSpec) {
 // Under PQ the split follows flow counts; with weighted AQs deployed on
 // both leaf ingress pipelines it follows the weights. Returns per-entity
 // Gbps for (PQ A, PQ B, AQ A, AQ B).
-func ExtFabricIsolation(horizon sim.Time, domains int, opts ...sim.Option) (pqA, pqB, aqA, aqB float64) {
+func ExtFabricIsolation(horizon sim.Time, domains int, parallel bool) (pqA, pqB, aqA, aqB float64) {
 	run := func(useAQ bool) (float64, float64) {
-		c := newClusterN(domains, opts...)
+		c := newClusterN(domains, parallel)
 		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 2, 2, 4, edge, fab)
@@ -84,9 +84,9 @@ func ExtFabricIsolation(horizon sim.Time, domains int, opts ...sim.Option) (pqA,
 // a 2 Gbps inbound guarantee enforced by an egress-pipeline AQ on its
 // leaf. It returns the receiver's measured inbound rate and the fraction
 // of incast rounds completed, with and without the AQ.
-func ExtFabricIncast(horizon sim.Time, domains int, opts ...sim.Option) (pqGbps, aqGbps float64) {
+func ExtFabricIncast(horizon sim.Time, domains int, parallel bool) (pqGbps, aqGbps float64) {
 	run := func(useAQ bool) float64 {
-		c := newClusterN(domains, opts...)
+		c := newClusterN(domains, parallel)
 		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 3, 2, 3, edge, fab)
@@ -125,15 +125,15 @@ func ExtFabricIncast(horizon sim.Time, domains int, opts ...sim.Option) (pqGbps,
 }
 
 // ExtFabric renders both fabric extension results.
-func ExtFabric(horizon sim.Time, domains int, opts ...sim.Option) *Table {
+func ExtFabric(horizon sim.Time, domains int, parallel bool) *Table {
 	t := &Table{
 		Title:  "Extension: AQ on a 2-tier ECMP leaf-spine fabric",
 		Header: []string{"scenario", "PQ", "AQ"},
 	}
-	pqA, pqB, aqA, aqB := ExtFabricIsolation(horizon, domains, opts...)
+	pqA, pqB, aqA, aqB := ExtFabricIsolation(horizon, domains, parallel)
 	t.AddRow("isolation: entity A (8 flows) Gbps", pqA, aqA)
 	t.AddRow("isolation: entity B (32 flows) Gbps", pqB, aqB)
-	pqIn, aqIn := ExtFabricIncast(horizon, domains, opts...)
+	pqIn, aqIn := ExtFabricIncast(horizon, domains, parallel)
 	t.AddRow("8:1 incast victim inbound Gbps (guarantee 2)", pqIn, aqIn)
 	return t
 }

@@ -11,7 +11,7 @@ import (
 // approach is normalized to PQ, which fully utilizes the network. AQ
 // should track PQ; PRL and DRL should degrade as the VM count grows
 // because their per-VM allocations mismatch the trace's bursty demand.
-func Fig6(vmCounts []int, flows int, seed uint64, domains int, opts ...sim.Option) *Table {
+func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *Table {
 	if len(vmCounts) == 0 {
 		vmCounts = []int{1, 2, 4, 8}
 	}
@@ -21,10 +21,10 @@ func Fig6(vmCounts []int, flows int, seed uint64, domains int, opts ...sim.Optio
 	}
 	for _, k := range vmCounts {
 		spec := []wlSpec{{name: "app", cc: "dctcp", vms: k, weight: 1, flows: flows}}
-		base := wlRun(PQ, spec, seed, domains, opts)[0]
+		base := wlRun(PQ, spec, seed, domains, parallel)[0]
 		row := []any{fmt.Sprint(k), 1.0}
 		for _, ap := range []Approach{AQ, PRL, DRL} {
-			ct := wlRun(ap, spec, seed, domains, opts)[0]
+			ct := wlRun(ap, spec, seed, domains, parallel)[0]
 			row = append(row, float64(ct)/float64(base))
 		}
 		t.AddRow(row...)
@@ -37,7 +37,7 @@ func Fig6(vmCounts []int, flows int, seed uint64, domains int, opts ...sim.Optio
 // ratio of the shorter workload completion time to the longer. AQ holds it
 // near 1; PQ favours B (flow-level fairness rewards its concurrency); PRL
 // and DRL penalize B (fixed/laggy per-VM splits).
-func Fig7(vmCounts []int, flows int, seed uint64, domains int, opts ...sim.Option) *Table {
+func Fig7(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *Table {
 	if len(vmCounts) == 0 {
 		vmCounts = []int{1, 2, 4, 8}
 	}
@@ -52,7 +52,7 @@ func Fig7(vmCounts []int, flows int, seed uint64, domains int, opts ...sim.Optio
 		}
 		row := []any{fmt.Sprint(k)}
 		for _, ap := range Approaches {
-			ct := wlRun(ap, specs, seed, domains, opts)
+			ct := wlRun(ap, specs, seed, domains, parallel)
 			row = append(row, fairness(ct))
 		}
 		t.AddRow(row...)
@@ -90,7 +90,7 @@ var Fig10CCSettings = [][2]string{
 // Fig10 reproduces Figure 10: entity fairness (a) and total workload
 // completion time (b) for two 4-VM entities under different CC mixes and
 // all four approaches. Completion is reported normalized to PQ.
-func Fig10(flows int, seed uint64, domains int, opts ...sim.Option) (*Table, *Table) {
+func Fig10(flows int, seed uint64, domains int, parallel bool) (*Table, *Table) {
 	fair := &Table{
 		Title:  "Figure 10(a): entity fairness under different CC settings",
 		Header: []string{"CC setting", "PQ", "AQ", "PRL", "DRL"},
@@ -108,7 +108,7 @@ func Fig10(flows int, seed uint64, domains int, opts ...sim.Option) (*Table, *Ta
 		trow := []any{pair[0] + "+" + pair[1]}
 		var base sim.Time
 		for _, ap := range Approaches {
-			ct := wlRun(ap, specs, seed, domains, opts)
+			ct := wlRun(ap, specs, seed, domains, parallel)
 			frow = append(frow, fairness(ct))
 			tot := ct[0]
 			if ct[1] > tot {

@@ -13,8 +13,8 @@ import (
 // fig8Run shares the bottleneck between entity A (1 long flow) and entity
 // B (n long flows), each on its own VM, and returns (A, B) goodput in Gbps.
 // weights sets the A:B share when AQ is used.
-func fig8Run(approach Approach, nB int, wA, wB float64, horizon sim.Time, domains int, opts []sim.Option) (float64, float64) {
-	c := newClusterN(domains, opts...)
+func fig8Run(approach Approach, nB int, wA, wB float64, horizon sim.Time, domains int, parallel bool) (float64, float64) {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, 2, 2, spec, spec)
@@ -48,7 +48,7 @@ func fig8Run(approach Approach, nB int, wA, wB float64, horizon sim.Time, domain
 // raises its flow count. Under PQ the split follows the flow count; under
 // AQ it follows the configured weights (1:1 and 1:2 shown, as in the
 // paper).
-func Fig8(flowCounts []int, horizon sim.Time, domains int, opts ...sim.Option) *Table {
+func Fig8(flowCounts []int, horizon sim.Time, domains int, parallel bool) *Table {
 	if len(flowCounts) == 0 {
 		flowCounts = []int{1, 4, 16, 64}
 	}
@@ -57,9 +57,9 @@ func Fig8(flowCounts []int, horizon sim.Time, domains int, opts ...sim.Option) *
 		Header: []string{"flows in B", "PQ A", "PQ B", "AQ 1:1 A", "AQ 1:1 B", "AQ 1:2 A", "AQ 1:2 B"},
 	}
 	for _, n := range flowCounts {
-		pqA, pqB := fig8Run(PQ, n, 1, 1, horizon, domains, opts)
-		aqA, aqB := fig8Run(AQ, n, 1, 1, horizon, domains, opts)
-		wA, wB := fig8Run(AQ, n, 1, 2, horizon, domains, opts)
+		pqA, pqB := fig8Run(PQ, n, 1, 1, horizon, domains, parallel)
+		aqA, aqB := fig8Run(AQ, n, 1, 1, horizon, domains, parallel)
+		wA, wB := fig8Run(AQ, n, 1, 2, horizon, domains, parallel)
 		t.AddRow(fmt.Sprint(n), pqA, pqB, aqA, aqB, wA, wB)
 	}
 	return t

@@ -34,8 +34,8 @@ type Fig9Result struct {
 // starts at i*phase; the run ends after len(entities)+1 phases. Under AQ
 // the controller re-divides the link among the active entities at every
 // join (weighted mode, §4.1).
-func fig9Run(approach Approach, phase sim.Time, domains int, opts []sim.Option) Fig9Result {
-	c := newClusterN(domains, opts...)
+func fig9Run(approach Approach, phase sim.Time, domains int, parallel bool) Fig9Result {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	n := len(Fig9Entities)
@@ -89,12 +89,12 @@ func fig9Run(approach Approach, phase sim.Time, domains int, opts []sim.Option) 
 
 // Fig9 reproduces Figure 9: per-phase throughput of TCP and UDP entities
 // under PQ (a) and AQ (b).
-func Fig9(phase sim.Time, domains int, opts ...sim.Option) (*Table, *Table) {
+func Fig9(phase sim.Time, domains int, parallel bool) (*Table, *Table) {
 	if phase <= 0 {
 		phase = 100 * sim.Millisecond
 	}
 	mk := func(ap Approach, title string) *Table {
-		r := fig9Run(ap, phase, domains, opts)
+		r := fig9Run(ap, phase, domains, parallel)
 		t := &Table{Title: title, Header: []string{"entity"}}
 		for ph := 0; ph < len(Fig9Entities)+1; ph++ {
 			t.Header = append(t.Header, fmt.Sprintf("phase %d (n=%d)", ph+1, min(ph+1, len(Fig9Entities))))

@@ -70,10 +70,10 @@ func relDeltaPct(a, b float64) float64 {
 // under AQ weighted mode (2.5 Gbps each). The background is a UDP packet
 // sender or a fluid Fixed entity depending on fluidBG. Returns the
 // foreground goodputs over the steady window and the background goodput.
-func fluidGuaranteeRun(fluidBG bool, horizon sim.Time, domains int, opts []sim.Option) (fg []float64, bg float64) {
+func fluidGuaranteeRun(fluidBG bool, horizon sim.Time, domains int, parallel bool) (fg []float64, bg float64) {
 	const nFG = 3
 	n := nFG + 1
-	c := newClusterN(domains, opts...)
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, n, n, spec, spec)
@@ -133,9 +133,9 @@ func fluidGuaranteeRun(fluidBG bool, horizon sim.Time, domains int, opts []sim.O
 // both holding weight-1 AQ grants. Returns the tenant's workload
 // completion time. The background stops when the tenant finishes, so the
 // run ends promptly in both variants.
-func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, opts []sim.Option) sim.Time {
+func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, parallel bool) sim.Time {
 	const vms = 4
-	c := newClusterN(domains, opts...)
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, vms+1, vms+1, spec, spec)
@@ -196,10 +196,10 @@ func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, opts 
 }
 
 // FluidBG runs both fidelity scenarios and computes the gated deltas.
-func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, opts ...sim.Option) FluidBGResult {
+func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, parallel bool) FluidBGResult {
 	var r FluidBGResult
-	r.GoodputPkt, r.BGPkt = fluidGuaranteeRun(false, horizon, domains, opts)
-	r.GoodputFluid, r.BGFluid = fluidGuaranteeRun(true, horizon, domains, opts)
+	r.GoodputPkt, r.BGPkt = fluidGuaranteeRun(false, horizon, domains, parallel)
+	r.GoodputFluid, r.BGFluid = fluidGuaranteeRun(true, horizon, domains, parallel)
 	r.JainPkt = stats.JainIndex(r.GoodputPkt)
 	r.JainFluid = stats.JainIndex(r.GoodputFluid)
 	for i := range r.GoodputPkt {
@@ -209,8 +209,8 @@ func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, opts ...sim.
 	}
 	r.JainDeltaPct = relDeltaPct(r.JainPkt, r.JainFluid)
 
-	r.CompletionPkt = fluidCompletionRun(false, flows, seed, domains, opts)
-	r.CompletionFluid = fluidCompletionRun(true, flows, seed, domains, opts)
+	r.CompletionPkt = fluidCompletionRun(false, flows, seed, domains, parallel)
+	r.CompletionFluid = fluidCompletionRun(true, flows, seed, domains, parallel)
 	r.CompletionDeltaPct = relDeltaPct(float64(r.CompletionPkt), float64(r.CompletionFluid))
 	return r
 }

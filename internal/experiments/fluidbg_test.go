@@ -11,7 +11,7 @@ import (
 // completion under a fluid background must sit within FluidBGTolerancePct
 // of the all-packet baseline. CI runs this by name under -race.
 func TestFluidBGFidelityGate(t *testing.T) {
-	r := FluidBG(60*sim.Millisecond, 12, 1, 1)
+	r := FluidBG(60*sim.Millisecond, 12, 1, 1, false)
 	if r.GuaranteeDeltaPct > FluidBGTolerancePct {
 		t.Errorf("guarantee delta %.2f%% exceeds %.1f%% (pkt %v vs fluid %v)",
 			r.GuaranteeDeltaPct, FluidBGTolerancePct, r.GoodputPkt, r.GoodputFluid)
@@ -36,9 +36,9 @@ func TestFluidBGFidelityGate(t *testing.T) {
 // TestFluidBGDomainParity: the fluid lane is domain-local, so the paired
 // scenarios must produce identical results for any partitioning.
 func TestFluidBGDomainParity(t *testing.T) {
-	base := FluidBG(30*sim.Millisecond, 6, 1, 1)
+	base := FluidBG(30*sim.Millisecond, 6, 1, 1, false)
 	for _, domains := range []int{2, 4} {
-		got := FluidBG(30*sim.Millisecond, 6, 1, domains)
+		got := FluidBG(30*sim.Millisecond, 6, 1, domains, false)
 		if len(got.GoodputPkt) != len(base.GoodputPkt) || len(got.GoodputFluid) != len(base.GoodputFluid) {
 			t.Fatalf("domains=%d: result shape changed", domains)
 		}

@@ -24,9 +24,9 @@ import (
 // (classified by entity tag); the same setup is run with one weighted AQ
 // per entity instead. Returns Jain's fairness index across the entities'
 // goodputs for DRR and AQ.
-func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, opts ...sim.Option) (drrJain, aqJain float64) {
+func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, parallel bool) (drrJain, aqJain float64) {
 	run := func(useAQ bool) float64 {
-		c := newClusterN(domains, opts...)
+		c := newClusterN(domains, parallel)
 		defer c.Close()
 		spec := simSpec()
 		d := topo.NewDumbbellIn(c, entities, entities, spec, spec)
@@ -69,13 +69,13 @@ func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, o
 
 // ExtPerQueueTable sweeps the entity count against a fixed 8-queue DRR
 // port and renders the fairness comparison.
-func ExtPerQueueTable(horizon sim.Time, domains int, opts ...sim.Option) *Table {
+func ExtPerQueueTable(horizon sim.Time, domains int, parallel bool) *Table {
 	t := &Table{
 		Title:  "Extension: per-entity hardware queues (DRR, 8 queues) vs AQ — Jain fairness",
 		Header: []string{"#entities", "DRR(8 queues)", "AQ"},
 	}
 	for _, n := range []int{4, 8, 16, 32} {
-		dj, aj := ExtPerEntityQueues(n, 8, horizon, domains, opts...)
+		dj, aj := ExtPerEntityQueues(n, 8, horizon, domains, parallel)
 		t.AddRow(fmt.Sprint(n), dj, aj)
 	}
 	return t

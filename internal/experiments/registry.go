@@ -67,7 +67,7 @@ func tables(ts ...*Table) *harness.Result { return &harness.Result{Tables: ts} }
 func init() {
 	register("fig1", "CC interference in one shared physical queue (motivation)",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig1(p.Horizon, p.Domains, p.Sim...)), nil
+			return tables(Fig1(p.Horizon, p.Domains, p.Parallel)), nil
 		})
 	register("fig3", "strawman D(t) vs A-Gap under an aggressive rate controller",
 		func(p harness.Params) (*harness.Result, error) {
@@ -81,24 +81,24 @@ func init() {
 		})
 	register("fig6", "workload completion time vs number of VMs per entity",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig6(nil, p.Flows, p.Seed, p.Domains, p.Sim...)), nil
+			return tables(Fig6(nil, p.Flows, p.Seed, p.Domains, p.Parallel)), nil
 		})
 	register("fig7", "entity fairness vs number of VMs per entity",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig7(nil, p.Flows, p.Seed, p.Domains, p.Sim...)), nil
+			return tables(Fig7(nil, p.Flows, p.Seed, p.Domains, p.Parallel)), nil
 		})
 	register("fig8", "isolation vs per-entity flow count",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig8(nil, p.Horizon, p.Domains, p.Sim...)), nil
+			return tables(Fig8(nil, p.Horizon, p.Domains, p.Parallel)), nil
 		})
 	register("fig9", "staggered TCP and UDP entities joining the bottleneck",
 		func(p harness.Params) (*harness.Result, error) {
-			a, b := Fig9(p.Horizon/4, p.Domains, p.Sim...)
+			a, b := Fig9(p.Horizon/4, p.Domains, p.Parallel)
 			return tables(a, b), nil
 		})
 	register("fig10", "mixed-CC workloads: fairness and total throughput",
 		func(p harness.Params) (*harness.Result, error) {
-			fair, total := Fig10(p.Flows, p.Seed, p.Domains, p.Sim...)
+			fair, total := Fig10(p.Flows, p.Seed, p.Domains, p.Parallel)
 			return tables(fair, total), nil
 		})
 	register("fig11", "switch resource usage of the AQ pipelines",
@@ -111,15 +111,15 @@ func init() {
 		})
 	register("table2", "cross-CC sharing under PQ/AQ/PRL/DRL",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Table2(p.Horizon, p.Domains, p.Sim...)), nil
+			return tables(Table2(p.Horizon, p.Domains, p.Parallel)), nil
 		})
 	register("table3", "VM bandwidth guarantees on the testbed star",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(Table3(p.Domains, p.Sim...)), nil
+			return tables(Table3(p.Domains, p.Parallel)), nil
 		})
 	register("table4", "AQ vs PQ behaviour preservation per CC",
 		func(p harness.Params) (*harness.Result, error) {
-			t, rows := Table4(p.Domains, p.Sim...)
+			t, rows := Table4(p.Domains, p.Parallel)
 			res := tables(t)
 			res.Metrics = map[string]float64{}
 			for _, r := range rows {
@@ -130,15 +130,15 @@ func init() {
 		})
 	register("extfabric", "leaf-spine extension: ECMP isolation and incast",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(ExtFabric(p.Horizon, p.Domains, p.Sim...)), nil
+			return tables(ExtFabric(p.Horizon, p.Domains, p.Parallel)), nil
 		})
 	register("extqueues", "per-entity DRR queues vs AQ at scale",
 		func(p harness.Params) (*harness.Result, error) {
-			return tables(ExtPerQueueTable(p.Horizon, p.Domains, p.Sim...)), nil
+			return tables(ExtPerQueueTable(p.Horizon, p.Domains, p.Parallel)), nil
 		})
 	register("fluidbg", "fluid-background fidelity: foreground guarantees vs all-packet baseline",
 		func(p harness.Params) (*harness.Result, error) {
-			r := FluidBG(p.Horizon, p.Flows, p.Seed, p.Domains, p.Sim...)
+			r := FluidBG(p.Horizon, p.Flows, p.Seed, p.Domains, p.Parallel)
 			res := tables(FluidBGTable(r))
 			res.Metrics = map[string]float64{
 				"guarantee_delta_pct":  r.GuaranteeDeltaPct,
@@ -149,7 +149,7 @@ func init() {
 		})
 	register("churn", "runtime tenant churn through the fabric service (aqsimd path)",
 		func(p harness.Params) (*harness.Result, error) {
-			phases, final := Churn(p.Horizon, p.Domains, p.Sim...)
+			phases, final := Churn(p.Horizon, p.Domains, p.Parallel)
 			return tables(phases, final), nil
 		})
 }

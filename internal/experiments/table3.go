@@ -27,13 +27,13 @@ type Table3Row struct {
 // saturating. VM A's traffic profile is 5 Gbps outbound and 5 Gbps
 // inbound. The function returns the windowed min~max of A's outbound and
 // inbound rates.
-func table3Run(approach Approach, seed uint64, domains int, opts []sim.Option) Table3Row {
-	return table3RunFor(approach, seed, 400*sim.Millisecond, domains, opts)
+func table3Run(approach Approach, seed uint64, domains int, parallel bool) Table3Row {
+	return table3RunFor(approach, seed, 400*sim.Millisecond, domains, parallel)
 }
 
 // table3RunFor is table3Run with an explicit horizon (tests shorten it).
-func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int, opts []sim.Option) Table3Row {
-	c := newClusterN(domains, opts...)
+func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int, parallel bool) Table3Row {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := testbedSpec()
 	st := topo.NewStarIn(c, 4, spec)
@@ -146,17 +146,17 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 // the four approaches, plus a second AQ run standing in for the paper's
 // independent simulator measurement (different seed; documented
 // substitution).
-func Table3(domains int, opts ...sim.Option) *Table {
+func Table3(domains int, parallel bool) *Table {
 	t := &Table{
 		Title:  "Table 3: outbound and inbound rates of VM A (profile 5 Gbps each way)",
 		Header: []string{"approach", "outbound (Gbps)", "inbound (Gbps)"},
 	}
 	t.AddRow("Ideal", "5.00", "5.00")
 	rows := []Table3Row{
-		table3Run(PQ, 1, domains, opts),
-		table3Run(PRL, 1, domains, opts),
-		table3Run(DRL, 1, domains, opts),
-		table3Run(AQ, 1, domains, opts),
+		table3Run(PQ, 1, domains, parallel),
+		table3Run(PRL, 1, domains, parallel),
+		table3Run(DRL, 1, domains, parallel),
+		table3Run(AQ, 1, domains, parallel),
 	}
 	labels := []string{"PQ", "PRL", "DRL", "AQ-testbed"}
 	for i, r := range rows {
@@ -164,7 +164,7 @@ func Table3(domains int, opts ...sim.Option) *Table {
 			fmt.Sprintf("%.1f ~ %.1f", r.OutLo, r.OutHi),
 			fmt.Sprintf("%.1f ~ %.1f", r.InLo, r.InHi))
 	}
-	sim2 := table3Run(AQ, 424242, domains, opts)
+	sim2 := table3Run(AQ, 424242, domains, parallel)
 	t.AddRow("AQ-simulator",
 		fmt.Sprintf("%.1f ~ %.1f", sim2.OutLo, sim2.OutHi),
 		fmt.Sprintf("%.1f ~ %.1f", sim2.InLo, sim2.InHi))

@@ -28,13 +28,13 @@ type Table4Row struct {
 // at 25 Gbps and the physical queuing delay at the trunk is recorded;
 // under AQ the trunk runs at 100 Gbps with a 25 Gbps AQ, and the virtual
 // queuing delay carried in the packets is recorded (§5.5).
-func table4Run(ccName string, useAQ bool, domains int, opts []sim.Option) (float64, *stats.Percentiles) {
-	return table4RunFor(ccName, useAQ, 300*sim.Millisecond, domains, opts)
+func table4Run(ccName string, useAQ bool, domains int, parallel bool) (float64, *stats.Percentiles) {
+	return table4RunFor(ccName, useAQ, 300*sim.Millisecond, domains, parallel)
 }
 
 // table4RunFor is table4Run with an explicit horizon (tests shorten it).
-func table4RunFor(ccName string, useAQ bool, horizon sim.Time, domains int, opts []sim.Option) (float64, *stats.Percentiles) {
-	c := newClusterN(domains, opts...)
+func table4RunFor(ccName string, useAQ bool, horizon sim.Time, domains int, parallel bool) (float64, *stats.Percentiles) {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	const (
 		qLimit = 1000 * 1000
@@ -94,15 +94,15 @@ var Table4CCs = []string{"cubic", "newreno", "dctcp"}
 // Table4 reproduces Table 4: throughput and 95th-percentile queuing delay
 // of an entity under PQ (25 Gbps link) and AQ (25 Gbps allocation on a
 // 100 Gbps link).
-func Table4(domains int, opts ...sim.Option) (*Table, []Table4Row) {
+func Table4(domains int, parallel bool) (*Table, []Table4Row) {
 	t := &Table{
 		Title:  "Table 4: AQ vs PQ behaviour preservation (25 Gbps entity)",
 		Header: []string{"CC", "PQ thpt (Gbps)", "PQ p95 delay", "AQ thpt (Gbps)", "AQ p95 delay", "p95 rel diff"},
 	}
 	var rows []Table4Row
 	for _, ccName := range Table4CCs {
-		pqG, pqD := table4Run(ccName, false, domains, opts)
-		aqG, aqD := table4Run(ccName, true, domains, opts)
+		pqG, pqD := table4Run(ccName, false, domains, parallel)
+		aqG, aqD := table4Run(ccName, true, domains, parallel)
 		row := Table4Row{
 			CC:     ccName,
 			PQGbps: pqG, AQGbps: aqG,

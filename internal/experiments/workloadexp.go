@@ -29,8 +29,8 @@ type wlSpec struct {
 // shared trace queue one after another ("runs the web search trace",
 // §5.2): concurrency equals the VM count, which is exactly what makes the
 // four approaches differ.
-func wlRun(approach Approach, specs []wlSpec, seed uint64, domains int, opts []sim.Option) []sim.Time {
-	c := newClusterN(domains, opts...)
+func wlRun(approach Approach, specs []wlSpec, seed uint64, domains int, parallel bool) []sim.Time {
+	c := newClusterN(domains, parallel)
 	defer c.Close()
 	spec := simSpec()
 	totalVMs := 0

@@ -41,15 +41,8 @@ type Params struct {
 	// sim.Cluster.SetParallel). Like Domains it trades only execution
 	// strategy — results stay byte-identical, which the parallel parity
 	// gate enforces under the race detector — so Fingerprint excludes it
-	// too. The runner applies it by appending sim.WithParallelDomains to
-	// the job's Sim options.
+	// too.
 	Parallel bool `json:"parallel,omitempty"`
-	// Sim carries engine options to the experiment's engines; the only one
-	// is parallel domains, which the runner adds from Parallel above. It
-	// trades only execution strategy — results are byte-identical, which
-	// the quick-sweep golden gate enforces — so the field is excluded from
-	// result JSON and fingerprints.
-	Sim []sim.Option `json:"-"`
 }
 
 // Experiment is a registered, named experiment. Run must be safe to call

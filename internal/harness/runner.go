@@ -6,8 +6,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"aqueue/internal/sim"
 )
 
 // Job pairs an experiment with the parameters of one run.
@@ -90,13 +88,7 @@ func runOne(j Job) (res *Result) {
 		res.Params = j.Params
 		res.WallNS = time.Since(start).Nanoseconds()
 	}()
-	p := j.Params
-	if p.Parallel {
-		// Copy before appending: jobs from one Jobs() call share the Sim
-		// backing array, and the pool runs them concurrently.
-		p.Sim = append(append([]sim.Option(nil), p.Sim...), sim.WithParallelDomains(true))
-	}
-	r, err := j.Experiment.Run(p)
+	r, err := j.Experiment.Run(j.Params)
 	if err != nil {
 		return &Result{Error: err.Error()}
 	}

@@ -170,13 +170,14 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
 		cfg:     cfg,
-		cluster: sim.NewCluster(cfg.Domains, sim.WithParallelDomains(cfg.Parallel)),
+		cluster: sim.NewCluster(cfg.Domains),
 		tables:  make(map[string]*core.Table),
 		drivers: make(map[uint32]*Driver),
 		script:  make(map[uint64][]func(*Fabric)),
 		fp:      fnv.New64a(),
 		nextID:  1,
 	}
+	f.cluster.SetParallel(cfg.Parallel)
 	if cfg.TraceLen > 0 {
 		f.ring = trace.NewRing(cfg.TraceLen)
 		f.sink = f.ring

@@ -7,34 +7,27 @@ import (
 
 // Cluster runs a partitioned simulation: a topology is split into N
 // domains, each owning a private Engine (clock, event heap, packet free
-// list, ID/seed sequences), synchronized by conservative lookahead.
+// list, ID/seed sequences), synchronized by one conservative window.
 //
-// The protocol is null-message-free windowed PDES, scheduled per channel
-// rather than through one global window. Every boundary channel (an
-// Outbox) declares its minimum propagation delay at creation; the cluster
-// keeps the per-domain-pair minimum as a lookahead matrix. Between rounds
-// the coordinator computes, for every domain d, a bound on how far d can
-// safely run:
+// The protocol is null-message-free windowed PDES with a single bound per
+// round. Every boundary channel (an Outbox) declares its minimum
+// propagation delay at creation and the cluster keeps the least of them, W.
+// Between rounds every domain clock equals the cluster clock; the
+// coordinator flushes the mailboxes, reads E — the earliest event pending
+// in any domain — and runs every domain to
 //
-//	bound[d] = min over incoming channels s→d of
-//	           max( now[s] + delay(s→d),            // inclusive floor
-//	                horizon(s→d, EAT[s]) − 1 )       // strict dynamic term
+//	b = max(clock + W, E + W − 1), capped at the deadline
 //
-// where EAT[d] — the earliest instant domain d can possibly process an
-// event — is the least fixpoint of
-//
-//	EAT[d] = min( nextEvent(d), min over s→d of EAT[s] + delay(s→d) )
-//
-// computed by relaxation (all delays are positive, so it converges), and
-// horizon is the channel's own refinement: a boundary pipe reports
-// max(max(EAT[s], txFreeAt) + delay, lastPlan+1), so a backlogged uplink's
-// serialization backlog becomes extra lookahead for its destination. The
-// floor term reproduces the classic guarantee (anything s posts while
-// running leaves no earlier than its clock plus the channel delay) and
-// keeps the laggard domain always runnable; the EAT terms let loosely
-// coupled or momentarily idle neighbourhoods stride far past the static
-// window, which is what cuts the number of rounds — and with it the
-// barrier and flush passes — on real topologies.
+// Nothing fires before E, so nothing is posted before E and no delivery
+// lands before E + W: running through E + W − 1 is safe however events
+// cascade through the channels, and it is what lets an idle fabric stride
+// to its next event in one round. clock + W is the classic inclusive
+// window; the two differ only when an event is due at the clock itself.
+// All domains share the bound on purpose: a scheduler that gives domains
+// different bounds lets one get x ahead of its neighbour, after which one
+// advances W − x and the other W + x every round and they alternate instead
+// of overlapping. A fabric whose channel delays differ gives up the strides
+// a per-pair bound could have taken, never correctness.
 //
 // Determinism does not depend on the round schedule. Cross-domain
 // deliveries are pushed onto the destination heap at flush time — later
@@ -48,38 +41,32 @@ import (
 // (single-threaded) construction, a scenario's results are a pure function
 // of the topology and workload — byte-identical for any N, and identical
 // whether the domains of a round run cooperatively or on workers (the
-// bounds are computed from parked engine state either way).
+// bound is computed from parked engine state either way).
 //
 // Construction is always single-threaded. RunUntil advances the domains
 // of each round sequentially by default ("cooperative" mode, always
-// safe); SetParallel (or the WithParallelDomains option) runs them on one
-// persistent worker goroutine per domain, parked on a channel barrier
-// between rounds. That is only sound when nothing crosses domains outside
-// the mailboxes at runtime — no shared meters, no cross-domain flow
-// registration — as in a fat tree of setup-only flows and the fabric
-// service (whose runtime mutations all go through its boundary-only
-// mailbox). Long-lived embedders must Close a parallel cluster to release
-// the workers.
+// safe); SetParallel runs them on one persistent worker goroutine per
+// domain, parked on a channel barrier between rounds. That is only sound
+// when nothing crosses domains outside the mailboxes at runtime — no shared
+// meters, no cross-domain flow registration — as in a fat tree of
+// setup-only flows and the fabric service (whose runtime mutations all go
+// through its boundary-only mailbox). Long-lived embedders must Close a
+// parallel cluster to release the workers.
 type Cluster struct {
 	engines []*Engine
 	seqs    seqTable
 	index   map[*Engine]int
 
-	lanes     uint32
-	lookahead Time // min reported link delay; 0 until a link is reported
-	parallel  bool
-	now       Time
+	lanes    uint32
+	window   Time // W: the least boundary channel delay; 0 while there is no channel
+	parallel bool
+	now      Time
 
 	outboxes []*Outbox
-	inChans  [][]*Outbox // incoming boundary channels, per destination domain
-	la       []Time      // lookahead matrix: la[src*N+dst] = min channel delay, 0 = no channel
-	minIn    []Time      // per-domain stride quantum: min incoming channel delay, 0 = no incoming
 
 	// Per-round scratch, sized N at construction.
-	next  []Time // earliest local pending event per domain (maxTime = none)
-	eat   []Time // earliest-activity fixpoint per domain
-	bound []Time // per-domain advance bound for the current round
-	work  []int  // domains with events due inside their bound
+	next []Time // earliest local pending event per domain (maxTime = none)
+	work []int  // domains with events due inside the round's bound
 
 	workers []*domainWorker
 
@@ -92,35 +79,29 @@ type Cluster struct {
 	advanceNS   int64
 	barrierNS   int64
 	loads       []DomainLoad
+	epoch       time.Time // origin of hostNS
 }
 
-// NewCluster returns a cluster of n fresh engines (n >= 1), each configured
-// by the process defaults overridden with the same opts. The
-// WithParallelDomains option pre-selects parallel execution (see
-// SetParallel).
-func NewCluster(n int, opts ...Option) *Cluster {
+// NewCluster returns a cluster of n fresh engines (n >= 1) that advances
+// cooperatively until SetParallel says otherwise.
+func NewCluster(n int) *Cluster {
 	if n < 1 {
 		panic("sim: cluster needs at least one domain")
 	}
 	c := &Cluster{
 		engines: make([]*Engine, n),
 		index:   make(map[*Engine]int, n),
-		inChans: make([][]*Outbox, n),
-		la:      make([]Time, n*n),
-		minIn:   make([]Time, n),
 		next:    make([]Time, n),
-		eat:     make([]Time, n),
-		bound:   make([]Time, n),
 		work:    make([]int, 0, n),
 		loads:   make([]DomainLoad, n),
+		epoch:   time.Now(),
 	}
 	for i := range c.engines {
-		c.engines[i] = NewEngine(opts...)
+		c.engines[i] = NewEngine()
 		c.engines[i].multiDomain = n > 1
 		c.index[c.engines[i]] = i
 		c.loads[i].Domain = i
 	}
-	c.parallel = c.engines[0].Options().ParallelDomains
 	return c
 }
 
@@ -159,28 +140,6 @@ func (c *Cluster) NextLane() uint32 {
 	return c.lanes
 }
 
-// ObserveLinkDelay folds one link's propagation delay into the global
-// lookahead floor. Builders report every link — not just boundary ones —
-// so Lookahead stays a property of the topology alone; the scheduler
-// itself runs on the per-channel matrix built by Outbox.
-func (c *Cluster) ObserveLinkDelay(d Time) {
-	if d <= 0 {
-		return
-	}
-	if c.lookahead == 0 || d < c.lookahead {
-		c.lookahead = d
-	}
-}
-
-// Lookahead returns the global synchronization floor: the minimum reported
-// link delay, or 0 when no link has been reported yet.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
-
-// PairLookahead returns the lookahead matrix entry for src→dst: the
-// minimum declared delay of the boundary channels from domain src into
-// domain dst, or 0 when no channel connects them.
-func (c *Cluster) PairLookahead(src, dst int) Time { return c.la[src*len(c.engines)+dst] }
-
 // SetParallel switches RunUntil between advancing a round's domains
 // sequentially (false, the default, always safe) and on the persistent
 // domain workers (true; sound only for scenarios with no cross-domain
@@ -192,11 +151,11 @@ func (c *Cluster) Parallel() bool { return c.parallel }
 
 // Outbox creates the mailbox for one boundary channel from src's domain
 // into dst's domain, delivering on the given ordering lane, and registers
-// it for flushing and lookahead. delay is the channel's minimum latency
-// promise: every Post must carry a delivery time at least the poster's
-// clock plus delay (a pipe's propagation delay satisfies this by
-// construction). fn is invoked with each posted argument at its posted
-// time, on the destination engine.
+// it for flushing. delay is the channel's minimum latency promise — every
+// Post must carry a delivery time at least the poster's clock plus delay
+// (a pipe's propagation delay satisfies this by construction) — and the
+// least delay of all channels is the cluster's window. fn is invoked with
+// each posted argument at its posted time, on the destination engine.
 func (c *Cluster) Outbox(src, dst *Engine, lane uint32, delay Time, fn func(any)) *Outbox {
 	si, ok := c.index[src]
 	if !ok {
@@ -212,17 +171,11 @@ func (c *Cluster) Outbox(src, dst *Engine, lane uint32, delay Time, fn func(any)
 	if delay <= 0 {
 		panic("sim: boundary channel needs a positive delay")
 	}
-	o := &Outbox{dst: dst, lane: lane, fn: fn, srcDom: si, dstDom: di, delay: delay}
+	o := &Outbox{dst: dst, lane: lane, fn: fn}
 	c.outboxes = append(c.outboxes, o)
-	c.inChans[di] = append(c.inChans[di], o)
-	n := len(c.engines)
-	if cur := c.la[si*n+di]; cur == 0 || delay < cur {
-		c.la[si*n+di] = delay
+	if c.window == 0 || delay < c.window {
+		c.window = delay
 	}
-	if cur := c.minIn[di]; cur == 0 || delay < cur {
-		c.minIn[di] = delay
-	}
-	c.ObserveLinkDelay(delay)
 	return o
 }
 
@@ -233,30 +186,7 @@ func (c *Cluster) RunUntil(deadline Time) {
 	if deadline < c.now {
 		panic(fmt.Sprintf("sim: cluster run until %v which is before now %v", deadline, c.now))
 	}
-	if len(c.outboxes) == 0 {
-		// No boundary links: the domains cannot interact, so each runs
-		// straight to the deadline in one round.
-		if c.now < deadline {
-			for d := range c.engines {
-				c.bound[d] = deadline
-				c.next[d] = 0 // force full dispatch, workers included
-			}
-			c.advanceRound(deadline)
-			c.now = deadline
-			c.Windows++
-		}
-	} else {
-		c.runRounds(deadline)
-	}
-	for _, e := range c.engines {
-		e.drainPool()
-	}
-}
-
-// runRounds is the windowed loop: flush, compute per-domain bounds from
-// the lookahead matrix and the EAT fixpoint, advance, repeat until every
-// domain reaches the deadline.
-func (c *Cluster) runRounds(deadline Time) {
+	mark := c.hostNS()
 	for {
 		moved := uint64(0)
 		for _, o := range c.outboxes {
@@ -266,161 +196,102 @@ func (c *Cluster) runRounds(deadline Time) {
 			c.flushes++
 			c.flushedMsgs += moved
 		}
-		done := true
-		for _, e := range c.engines {
-			if e.Now() < deadline {
-				done = false
-				break
-			}
-		}
-		if done {
+		if c.now >= deadline {
 			break
 		}
-		c.computeEAT()
-		for d := range c.engines {
-			c.bound[d] = c.boundFor(d, deadline)
-		}
-		c.advanceRound(deadline)
+		b := c.roundBound(deadline)
+		mark = c.advanceRound(b, mark)
+		c.now = b
 		c.Windows++
 	}
-	c.now = deadline
+	for _, e := range c.engines {
+		e.drainPool()
+	}
 }
 
-// computeEAT fills next (each domain's earliest local pending event) and
-// eat (the least fixpoint of next under channel relaxation): eat[d] lower-
-// bounds the next instant domain d processes anything, however events
-// cascade through the boundary channels. maxTime means "never again".
-func (c *Cluster) computeEAT() {
+// roundBound fills next (each domain's earliest pending event, maxTime for
+// none) and returns the bound every domain runs to this round. Without a
+// boundary channel the domains cannot interact and without a pending event
+// nothing can be posted: either way one round reaches the deadline.
+func (c *Cluster) roundBound(deadline Time) Time {
+	earliest := maxTime
 	for d, e := range c.engines {
+		if debugChecks && e.Now() != c.now {
+			panic(fmt.Sprintf("sim: domain %d at %v, cluster at %v — clocks must agree between rounds", d, e.Now(), c.now))
+		}
+		c.next[d] = maxTime
 		if t, ok := e.NextEventTime(); ok {
 			c.next[d] = t
-		} else {
-			c.next[d] = maxTime
 		}
-		c.eat[d] = c.next[d]
+		earliest = min(earliest, c.next[d])
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, o := range c.outboxes {
-			s := c.eat[o.srcDom]
-			if s >= maxTime {
-				continue
-			}
-			if t := s + o.delay; t < c.eat[o.dstDom] {
-				c.eat[o.dstDom] = t
-				changed = true
-			}
-		}
+	if c.window == 0 || earliest == maxTime {
+		return deadline
 	}
+	return min(max(c.now+c.window, earliest+c.window-1), deadline)
 }
 
-// boundFor computes how far domain d may run this round. Every incoming
-// channel contributes the later of its inclusive floor (the source clock
-// plus the channel delay — the classic conservative window, which keeps
-// the laggard always runnable) and its strict dynamic term (the channel
-// horizon at the source's EAT, minus one so a delivery at exactly the
-// horizon still lands strictly in d's future). A source that can never
-// post again (EAT = maxTime) contributes no constraint.
-func (c *Cluster) boundFor(d int, deadline Time) Time {
-	b := deadline
-	for _, o := range c.inChans[d] {
-		s := o.srcDom
-		if c.eat[s] >= maxTime {
-			continue
-		}
-		hz := c.eat[s] + o.delay
-		if o.horizon != nil {
-			if h := o.horizon(c.eat[s]); h > hz {
-				hz = h
-			}
-		}
-		lim := hz - 1
-		if floor := c.engines[s].Now() + o.delay; floor > lim {
-			lim = floor
-		}
-		if lim < b {
-			b = lim
-		}
-	}
-	if now := c.engines[d].Now(); b < now {
-		b = now
-	}
-	return b
-}
+// hostNS reads the host's monotonic clock, as nanoseconds since the cluster
+// was built. time.Since reads the monotonic clock alone where time.Now reads
+// the wall clock too, and a busy dumbbell makes a hundred rounds, each with
+// a read per domain and one more, per simulated millisecond.
+func (c *Cluster) hostNS() int64 { return time.Since(c.epoch).Nanoseconds() }
 
-// advanceRound runs every domain with enough headroom to its bound.
-// Headroom below the domain's stride quantum (its minimum incoming channel
-// delay) is left to accumulate — a loosely coupled domain then wakes once
-// per large stride instead of inching along with the tightest pair in the
-// cluster. The global laggard's bound always clears its own quantum (every
-// source clock is at or ahead of it), so at least one domain advances
-// every round and the loop cannot stall; a bound that already reached the
-// deadline is always taken, so the final catch-up cannot be deferred.
-// Domains with no event due inside the bound get a coordinator-side clock
-// hop; the rest are dispatched — to the persistent workers in parallel
-// mode, inline otherwise — and their busy time is folded into the load
-// stats. The wall time of the dispatch minus the useful work is accounted
-// as barrier cost.
-func (c *Cluster) advanceRound(deadline Time) {
-	start := time.Now()
+// advanceRound takes every domain to the bound b and returns the host time
+// it finished at. Domains with no event due inside the bound get a
+// coordinator-side clock hop; the rest are dispatched — to the persistent
+// workers in parallel mode, inline otherwise — and their busy time is
+// folded into the load stats. mark is when the previous dispatch finished:
+// the wall time since then, flush and bound included, is the round's
+// advance time, and what of it was not useful engine work is barrier cost.
+// The reads of the host clock are chained — a domain's end is the next
+// one's start — so an inline round costs one per dispatched domain plus
+// one, a round on workers one, and a round that only hops clocks none: its
+// time falls to the next.
+func (c *Cluster) advanceRound(b Time, mark int64) int64 {
 	c.work = c.work[:0]
-	progressed := false
 	for d, e := range c.engines {
-		b := c.bound[d]
-		now := e.Now()
-		if b <= now {
-			continue
-		}
-		if b < deadline && b-now < c.minIn[d] {
-			continue // below the stride quantum: let headroom accumulate
-		}
-		progressed = true
 		if c.next[d] > b {
 			e.runTo(b) // clock hop: nothing to fire before the bound
 			continue
 		}
 		c.work = append(c.work, d)
 	}
-	if !progressed {
-		panic("sim: cluster round made no progress — lookahead invariant broken")
+	if len(c.work) == 0 {
+		return mark
 	}
+	var useful int64 // the sum of busy times inline, the longest on workers
+	var end int64
 	if c.parallel && len(c.work) > 1 {
 		if c.workers == nil {
 			c.startWorkers()
 		}
 		for _, d := range c.work {
-			c.workers[d].work <- c.bound[d]
+			c.workers[d].work <- b
 		}
-		var maxBusy int64
 		for _, d := range c.work {
 			busy := <-c.workers[d].done
 			c.loads[d].BusyNS += busy
 			c.loads[d].Runs++
-			if busy > maxBusy {
-				maxBusy = busy
-			}
+			useful = max(useful, busy)
 		}
-		wall := time.Since(start).Nanoseconds()
-		c.advanceNS += wall
-		if wall > maxBusy {
-			c.barrierNS += wall - maxBusy
-		}
+		end = c.hostNS()
 	} else {
-		var sum int64
+		end = c.hostNS()
 		for _, d := range c.work {
-			t0 := time.Now()
-			c.engines[d].runTo(c.bound[d])
-			busy := time.Since(t0).Nanoseconds()
+			start := end
+			c.engines[d].runTo(b)
+			end = c.hostNS()
+			busy := end - start
 			c.loads[d].BusyNS += busy
 			c.loads[d].Runs++
-			sum += busy
-		}
-		wall := time.Since(start).Nanoseconds()
-		c.advanceNS += wall
-		if wall > sum {
-			c.barrierNS += wall - sum
+			useful += busy
 		}
 	}
+	wall := end - mark
+	c.advanceNS += wall
+	c.barrierNS += max(wall-useful, 0)
+	return end
 }
 
 // domainWorker is one domain's persistent executor: a goroutine parked on
@@ -477,10 +348,11 @@ type DomainLoad struct {
 
 // SyncStats is the cluster's synchronization cost report. All durations
 // are host wall-clock — they never feed back into simulation results.
-// BarrierNS is the dispatch wall time not covered by useful engine work
+// AdvanceNS is the wall time of the rounds, mailbox flush and bound
+// included; BarrierNS is the part of it not covered by useful engine work
 // (sum of busy times cooperatively, the longest domain's busy time in
-// parallel mode): the cost of the barrier, the dispatch bookkeeping, and —
-// in parallel mode — load imbalance.
+// parallel mode): the cost of the flush, the barrier, the dispatch
+// bookkeeping, and — in parallel mode — load imbalance.
 type SyncStats struct {
 	Windows     uint64       `json:"windows"`
 	Flushes     uint64       `json:"flushes"`
@@ -521,15 +393,6 @@ type Outbox struct {
 	lane uint32
 	fn   func(any)
 
-	srcDom, dstDom int
-	delay          Time
-	// horizon, when set, refines the channel's lookahead: given a lower
-	// bound on the source domain's next activity it returns a lower bound
-	// on the earliest delivery the channel can still produce (a pipe folds
-	// its transmitter backlog and no-reorder watermark in). Read by the
-	// coordinator between rounds only.
-	horizon func(Time) Time
-
 	entries []outboxEntry
 
 	// peak/checks implement the shrink policy: after shrinkCheckEvery
@@ -545,13 +408,12 @@ type outboxEntry struct {
 	arg any
 }
 
-// SetHorizon installs the channel's dynamic lookahead refinement; see the
-// horizon field. The returned time must never exceed any delivery the
-// channel can still post.
-func (o *Outbox) SetHorizon(fn func(Time) Time) { o.horizon = fn }
-
 // Post records one delivery for the next flush. at must be no earlier than
-// the poster's current time plus the channel's declared delay.
+// the poster's current time plus the channel's declared delay. A delivery
+// with no slack at all, posted by an event due at the cluster clock, lands
+// on the round's inclusive bound — after whatever the destination already
+// fired at that instant, lanes notwithstanding; a pipe's serialization time
+// keeps every packet strictly later.
 func (o *Outbox) Post(at Time, arg any) {
 	o.entries = append(o.entries, outboxEntry{at, arg})
 }

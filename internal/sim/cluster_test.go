@@ -57,9 +57,8 @@ func TestSeqDomainMatchesNextSeq(t *testing.T) {
 
 // TestClusterWindowedExchange runs a two-domain ping-pong through outboxes
 // and checks the conservative loop: messages cross only at flush points,
-// arrive at their exact posted times, and the EAT-driven scheduler needs
-// fewer rounds than the horizon/lookahead global-window count because it
-// strides past the gaps between messages.
+// arrive at their exact posted times, and the earliest-event term of the
+// bound takes the idle tail in one round instead of one per window.
 func TestClusterWindowedExchange(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Engine(0), c.Engine(1)
@@ -89,8 +88,8 @@ func TestClusterWindowedExchange(t *testing.T) {
 	if c.Now() != 100 || a.Now() != 100 || b.Now() != 100 {
 		t.Fatalf("clocks: cluster %v, a %v, b %v, want all 100", c.Now(), a.Now(), b.Now())
 	}
-	// A global min-delay window would take horizon/delay = 10 rounds; the
-	// per-channel scheduler covers the exchange plus the idle tail in fewer.
+	// Stepping the clock by the window alone would take horizon/delay = 10
+	// rounds; the exchange takes one per hop and the idle tail one more.
 	if c.Windows >= 10 || c.Windows < 5 {
 		t.Fatalf("windows = %d, want within [5, 10) (one round per hop plus the idle tail)", c.Windows)
 	}
@@ -100,30 +99,12 @@ func TestClusterWindowedExchange(t *testing.T) {
 	}
 }
 
-// TestClusterPairLookahead: the matrix keeps the per-pair minimum of the
-// declared channel delays, and pairs without a channel stay 0.
-func TestClusterPairLookahead(t *testing.T) {
-	c := NewCluster(3)
-	sink := func(any) {}
-	c.Outbox(c.Engine(0), c.Engine(1), c.NextLane(), 40, sink)
-	c.Outbox(c.Engine(0), c.Engine(1), c.NextLane(), 25, sink)
-	c.Outbox(c.Engine(1), c.Engine(2), c.NextLane(), 700, sink)
-	if la := c.PairLookahead(0, 1); la != 25 {
-		t.Fatalf("pair 0→1 lookahead %d, want 25 (min of declared delays)", la)
-	}
-	if la := c.PairLookahead(1, 2); la != 700 {
-		t.Fatalf("pair 1→2 lookahead %d, want 700", la)
-	}
-	if la := c.PairLookahead(2, 0); la != 0 {
-		t.Fatalf("pair 2→0 lookahead %d, want 0 (no channel)", la)
-	}
-}
-
-// TestClusterAsymmetricChainStrides: in a 3-domain chain A→B→C where the
-// A→B hop is tight (delay 10) and the B→C hop is loose (delay 400), C must
-// rendezvous far less often than A and B — each pair syncs at its own
-// stride instead of everyone sharing the global minimum window.
-func TestClusterAsymmetricChainStrides(t *testing.T) {
+// TestClusterAsymmetricChainDelivers: in a 3-domain chain A→B→C where the
+// A→B hop is tight (delay 10) and the B→C hop is loose (delay 400), every
+// domain shares the window of the tightest channel and every message still
+// arrives: unequal delays cost C rounds it could have skipped, never a
+// delivery.
+func TestClusterAsymmetricChainDelivers(t *testing.T) {
 	c := NewCluster(3)
 	a, b, cc := c.Engine(0), c.Engine(1), c.Engine(2)
 	const horizon = 10_000
@@ -169,11 +150,6 @@ func TestClusterAsymmetricChainStrides(t *testing.T) {
 	runs := make(map[int]uint64)
 	for _, d := range st.Domains {
 		runs[d.Domain] = d.Runs
-	}
-	// B is held to ~10-unit strides by A; C only needs to wake when a
-	// 400-delay delivery can actually reach it.
-	if runs[2]*4 > runs[1] {
-		t.Fatalf("domain runs %v: C (pair delay 400) should run at least 4× less often than B (pair delay 10)", runs)
 	}
 	if runs[1] == 0 || runs[2] == 0 {
 		t.Fatalf("domain runs %v: every domain must have executed work", runs)
@@ -223,7 +199,6 @@ func TestClusterParallelWindows(t *testing.T) {
 	c := NewCluster(4)
 	c.SetParallel(true)
 	const delay = 7
-	c.ObserveLinkDelay(delay)
 
 	counts := make([]int, c.N())
 	boxes := make([]*Outbox, c.N())

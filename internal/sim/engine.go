@@ -91,7 +91,6 @@ type Engine struct {
 	keys []heapKey // 4-ary min-heap on (at, ord)
 	vals []heapVal // payloads, parallel to keys
 	seqs seqTable
-	opt  Options
 
 	// hole is true while the root slot holds the event currently firing:
 	// the dispatch loop defers the physical pop so that the first event
@@ -136,20 +135,8 @@ func (e *Engine) MultiDomain() bool { return e.multiDomain }
 // the value.
 func (e *Engine) PacketPoolSlot() *any { return &e.packetPool }
 
-// NewEngine returns an engine with the clock at zero and no pending events,
-// configured by the zero Options overridden with opts.
-func NewEngine(opts ...Option) *Engine {
-	var o Options
-	for _, f := range opts {
-		f(&o)
-	}
-	return &Engine{opt: o}
-}
-
-// Options returns the engine's configuration, fixed at construction. A
-// cluster reads its execution strategy from here instead of a package
-// global.
-func (e *Engine) Options() Options { return e.opt }
+// NewEngine returns an engine with the clock at zero and no pending events.
+func NewEngine() *Engine { return &Engine{} }
 
 // EngineStats is a snapshot of the engine's dispatch counters, following
 // the repo-wide stats convention (value type, no locks held).
@@ -378,7 +365,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // runTo is RunUntil without the pool spill: the cluster's windowed loop
-// calls it once per lookahead window, where draining the free list every
+// calls it once per round, where draining the free list every
 // window would throw the pooled packets away thousands of times per run.
 // Wheel timers respect the deadline exactly like heap events, so a
 // windowed cluster run can never skip a timer past a window boundary.

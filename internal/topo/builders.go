@@ -79,10 +79,10 @@ func newCbuild(c *sim.Cluster) *cbuild {
 }
 
 // pipe builds one link direction owned by srcEng delivering into dst
-// (which runs on dstEng): it assigns the pipe's ordering lane, folds the
-// delay into the cluster lookahead, and — when the two ends live in
-// different domains — binds the boundary mailbox that carries deliveries
-// across engines at window flushes.
+// (which runs on dstEng): it assigns the pipe's ordering lane and — when
+// the two ends live in different domains — binds the boundary mailbox that
+// carries deliveries across engines at round flushes, its delay folded into
+// the cluster's window.
 func (b *cbuild) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *Pipe {
 	p := newPipeWithAQMSeq(srcEng, spec.Rate, spec.Delay, spec.QueueLimit,
 		spec.ECNThreshold, dst, b.c.NextIn(b.aqmSeq))
@@ -91,7 +91,6 @@ func (b *cbuild) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *
 		p.SetJitter(spec.Jitter, 0x9e3779b9+b.c.NextIn(b.pipeSeq)*0x1234567)
 	}
 	p.SetLane(b.c.NextLane())
-	b.c.ObserveLinkDelay(spec.Delay)
 	if srcEng != dstEng {
 		p.BindOutbox(b.c.Outbox(srcEng, dstEng, p.Lane(), spec.Delay, p.DeliverFunc()))
 	}

@@ -37,9 +37,9 @@ func TestDumbbellInBoundaryDelivery(t *testing.T) {
 		t.Fatalf("route misses: S1=%d S2=%d", d.S1.RouteMiss, d.S2.RouteMiss)
 	}
 	// The one-shot sends span the first ~500 us of a 20 ms horizon. The
-	// per-channel scheduler needs a healthy number of rounds while traffic
-	// is in flight, but strides over the idle tail instead of paying the
-	// old horizon/lookahead = 2000 global windows.
+	// cluster needs a healthy number of rounds while traffic is in flight,
+	// but the earliest-event term of its bound strides over the idle tail
+	// instead of paying horizon/delay = 2000 rounds.
 	if c.Windows < 20 || c.Windows >= 2000 {
 		t.Fatalf("got %d rounds, want within [20, 2000): many while active, none for the idle tail", c.Windows)
 	}

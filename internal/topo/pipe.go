@@ -53,7 +53,7 @@ type Pipe struct {
 	// outbox, when non-nil, makes this a boundary pipe of a partitioned
 	// run: its destination lives on another engine, so deliveries are
 	// posted to the cluster mailbox instead of scheduled locally, and the
-	// cluster flushes them across at the end of each lookahead window.
+	// cluster flushes them across at the end of each round.
 	outbox *sim.Outbox
 
 	// jitter, when positive, adds a uniform random component in
@@ -158,33 +158,9 @@ func (p *Pipe) Lane() uint32 { return p.lane }
 
 // BindOutbox turns the pipe into a boundary pipe: deliveries are posted to
 // the mailbox (created by the cluster for this pipe's lane and destination
-// engine) instead of being scheduled on the local engine, and the pipe's
-// delivery horizon becomes the channel's dynamic lookahead. Must be called
+// engine) instead of being scheduled on the local engine. Must be called
 // before any packet is sent.
-func (p *Pipe) BindOutbox(o *sim.Outbox) {
-	p.outbox = o
-	o.SetHorizon(p.DeliveryHorizon)
-}
-
-// DeliveryHorizon reports a lower bound on the delivery time of any packet
-// this pipe has not yet planned, assuming its sending domain processes no
-// event before earliestSend: a future send starts serializing no earlier
-// than max(earliestSend, txFreeAt) and then rides the propagation delay,
-// and the no-reorder rule keeps every new plan strictly after lastPlan.
-// The cluster coordinator calls this between rounds (the sending domain is
-// parked), which turns a congested uplink's transmitter backlog into extra
-// lookahead for the destination domain.
-func (p *Pipe) DeliveryHorizon(earliestSend sim.Time) sim.Time {
-	start := earliestSend
-	if p.txFreeAt > start {
-		start = p.txFreeAt
-	}
-	at := start + p.delay
-	if at <= p.lastPlan {
-		at = p.lastPlan + 1
-	}
-	return at
-}
+func (p *Pipe) BindOutbox(o *sim.Outbox) { p.outbox = o }
 
 // DeliverFunc returns the callback an outbox must invoke to hand a posted
 // packet to this pipe's destination; it runs on the destination engine, so
@@ -396,8 +372,8 @@ func (p *Pipe) planDelivery(end sim.Time, pkt *packet.Packet) {
 	p.lastPlan = at
 	if p.outbox != nil {
 		// Boundary pipe: the destination is on another engine. Post to the
-		// mailbox; the cluster flushes it at the window end, which is never
-		// after `at` because at ≥ departure + delay ≥ window start + lookahead.
+		// mailbox; the cluster flushes it at the round's end, which is never
+		// after `at` because at ≥ departure + delay ≥ earliest event + window.
 		p.outbox.Post(at, pkt)
 		return
 	}
