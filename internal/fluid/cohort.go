@@ -41,7 +41,7 @@ func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
 // instead of pointer-chasing one heap object per entity, and the model and
 // its constants are a property of the cohort, not of each entity. A Fixed
 // entity is delivered + dropped, 16 B; the reactive models add rate, and
-// ECN alpha.
+// ECN alpha, all laid out at exact size when the lane first starts.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -63,7 +63,7 @@ type cohort struct {
 	// cohort key: the lane integrates each run as one AQ transaction.
 	runs []tagRun
 
-	// Parallel per-entity state.
+	// Parallel per-entity state, nil until a Start lays the cohort out.
 	rate      []float64      // current sending rate, bytes/ns; reactive models only
 	alpha     []float64      // DCTCP mark-fraction EWMA; allocated for ECN only
 	delivered []float64      // cumulative accepted bytes
@@ -92,16 +92,45 @@ func (c *cohort) matches(pipe int32, par Params) bool {
 	return c.pipe == pipe && c.par == par
 }
 
-// size returns the cohort's entity count.
-func (c *cohort) size() int { return len(c.delivered) }
+// size returns the cohort's entity count: the end of its last run.
+func (c *cohort) size() int { return int(c.runs[len(c.runs)-1].end) }
+
+// layout extends the per-entity arrays over the entities registered since
+// the last call, a reactive entity's rate from its run's registered (floored)
+// rate, walking the run table back from its end. The first call allocates
+// each array at exactly the cohort's size; a later one appends the tail.
+func (c *cohort) layout() {
+	n, from := c.size(), len(c.delivered)
+	c.delivered, c.dropped = extend(c.delivered, n), extend(c.dropped, n)
+	if c.par.Model == ECN {
+		c.alpha = extend(c.alpha, n)
+	}
+	if c.par.Model != Fixed {
+		c.rate = extend(c.rate, n)
+		for i, ri := n-1, len(c.runs)-1; i >= from; i-- {
+			if ri > 0 && int32(i) < c.runs[ri-1].end {
+				ri--
+			}
+			c.rate[i] = c.runs[ri].rate
+		}
+	}
+}
+
+// extend returns s zero-extended to n, allocated at exactly n when empty.
+func extend(s []float64, n int) []float64 {
+	if len(s) == 0 {
+		return make([]float64, n)
+	}
+	return append(s, make([]float64, n-len(s))...)
+}
 
 // runOf returns the run holding entity i.
 func (c *cohort) runOf(i int32) *tagRun {
 	return &c.runs[sort.Search(len(c.runs), func(k int) bool { return c.runs[k].end > i })]
 }
 
-// rateAt returns entity i's current sending rate in bytes/ns: its own for a
-// reactive model, its run's registered rate for Fixed.
+// rateAt returns entity i's current sending rate in bytes/ns: its own once a
+// reactive model is laid out, its run's registered rate otherwise.
 func (c *cohort) rateAt(i int32) float64 {
 	if c.rate != nil {
 		return c.rate[i]
@@ -144,6 +173,9 @@ func (c *cohort) materialize() {
 // deliveredAt returns entity i's cumulative accepted bytes with any active
 // streak folded in read-only — accessors must not mutate lane state.
 func (c *cohort) deliveredAt(i int32) float64 {
+	if c.delivered == nil {
+		return 0
+	}
 	d := c.delivered[i]
 	if c.streak > 0 {
 		x, _ := c.streakEpoch(c.runOf(i).want())
@@ -154,6 +186,9 @@ func (c *cohort) deliveredAt(i int32) float64 {
 
 // droppedAt returns entity i's cumulative dropped bytes, streak folded in.
 func (c *cohort) droppedAt(i int32) float64 {
+	if c.dropped == nil {
+		return 0
+	}
 	d := c.dropped[i]
 	if c.streak > 0 {
 		_, cl := c.streakEpoch(c.runOf(i).want())

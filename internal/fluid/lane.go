@@ -111,12 +111,14 @@ func (l *Lane) AddPipe(p *topo.Pipe) int {
 func (l *Lane) Add(cfg EntityConfig) Entity { return l.AddN(cfg, 1) }
 
 // AddN registers n identical entities from cfg — one cohort extension, one
-// run of its table extended or appended, each per-entity slice grown once —
-// and returns the handle of the first. Handles for the rest follow in
-// registration order via Entities(). It panics on n < 1, a pipe index
-// AddPipe did not return, a Rate or Demand that is NaN, infinite or
-// negative (no such rate is ever stored), and a cohort that would outgrow
-// the int32 entity index.
+// run of its table extended or appended — and returns the handle of the
+// first; the rest follow in registration order via Entities(). Their state
+// is laid out at the next Start, or at once while the lane runs or when
+// their cohort already has storage; until then they read 0 delivered and
+// dropped at their registered rate. It panics on
+// n < 1, a pipe index AddPipe did not return, a Rate or Demand that is NaN,
+// infinite or negative (no such rate is ever stored), and a cohort that
+// would outgrow the int32 entity index.
 func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	if n <= 0 {
 		panic("fluid: AddN needs n >= 1")
@@ -167,16 +169,8 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	} else {
 		c.runs = append(c.runs, tagRun{end: end, aqid: cfg.AQ, demand: demand, rate: rate})
 	}
-	c.delivered = append(c.delivered, make([]float64, n)...)
-	c.dropped = append(c.dropped, make([]float64, n)...)
-	if par.Model != Fixed {
-		c.rate = append(c.rate, make([]float64, n)...)
-		for i := first; i < int(end); i++ {
-			c.rate[i] = rate
-		}
-	}
-	if par.Model == ECN {
-		c.alpha = append(c.alpha, make([]float64, n)...)
+	if l.running || c.delivered != nil {
+		c.layout()
 	}
 	if cfg.Meter != nil || c.meters != nil {
 		// The first metered entity backfills nil meters for the earlier ones.
@@ -200,6 +194,9 @@ func (l *Lane) Start(now sim.Time) {
 		return
 	}
 	l.running = true
+	for ci := range l.cohorts {
+		l.cohorts[ci].layout()
+	}
 	l.lastFire = now
 	for i := range l.pipes {
 		l.pipes[i].lastTx = l.pipes[i].pipe.TxBytes

@@ -2,7 +2,9 @@ package fluid
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
@@ -464,5 +466,153 @@ func TestAddNRefusesBadInput(t *testing.T) {
 			}()
 			lane.AddN(tc.cfg, tc.n)
 		})
+	}
+}
+
+// buildLane registers entities in groups of 16 sharing a tag, as the scale
+// scenarios attach them: a third each in a cubic, a dctcp and a Fixed
+// cohort, one AddN call per group.
+func buildLane(entities int) *Lane {
+	lane := NewLane(sim.NewEngine(), core.NewTable(), 0)
+	groups := entities / 16
+	for g := 0; g < groups; g++ {
+		cc := [3]string{"cubic", "dctcp", "udp"}[3*g/groups]
+		lane.AddN(EntityConfig{AQ: packet.AQID(g + 1), CC: cc, Rate: units.Gbps, Pipe: -1}, 16)
+	}
+	return lane
+}
+
+// laneBytes is what a lane's entity storage holds: its cohorts, their run
+// tables and their per-entity arrays, each at its capacity.
+func laneBytes(l *Lane) uint64 {
+	n := uintptr(cap(l.cohorts)) * unsafe.Sizeof(cohort{})
+	for _, c := range l.cohorts {
+		n += uintptr(cap(c.runs))*unsafe.Sizeof(tagRun{}) +
+			uintptr(cap(c.delivered)+cap(c.dropped)+cap(c.rate)+cap(c.alpha)+cap(c.meters))*8
+	}
+	return uint64(n)
+}
+
+// TestLaneBuildLaysOutOnce pins what building a large population costs:
+// registering 200 k entities sixteen per AddN and starting the lane
+// allocates at most twice what the lane then holds — the run tables'
+// regrowth is the slack — and every per-entity array is exactly its
+// cohort's size. Grown per AddN call, the arrays allocated about five times
+// what they kept.
+func TestLaneBuildLaysOutOnce(t *testing.T) {
+	const entities = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	lane := buildLane(entities)
+	lane.Start(0)
+	runtime.ReadMemStats(&after)
+	allocated, held := after.TotalAlloc-before.TotalAlloc, laneBytes(lane)
+	t.Logf("built %d entities: %d B allocated, %d B held (%.2fx)", lane.total, allocated, held, float64(allocated)/float64(held))
+	if allocated > 2*held {
+		t.Errorf("building allocated %d B for %d B held: more than 2x", allocated, held)
+	}
+	for ci := range lane.cohorts {
+		c := &lane.cohorts[ci]
+		arrays := [][]float64{c.delivered, c.dropped}
+		if c.par.Model != Fixed {
+			arrays = append(arrays, c.rate)
+		}
+		if c.par.Model == ECN {
+			arrays = append(arrays, c.alpha)
+		}
+		for _, a := range arrays {
+			if len(a) != c.size() || cap(a) != c.size() {
+				t.Fatalf("cohort %d (%v): array len %d cap %d, want both %d", ci, c.par.Model, len(a), cap(a), c.size())
+			}
+		}
+	}
+}
+
+// TestLaneLayoutLifecycle walks a lane through every point its storage can
+// be read at against refLane, bitwise, through checkLayout: entities
+// registered before Start, answered from registration (nothing delivered or
+// dropped, the registered rate, floored for a reactive model), with no
+// storage behind them; the first Start, which lays everything out at exact
+// size; an AddN on a running lane, which lays out its tail at once; and,
+// between Stop and a restart, an AddN extending a laid-out cohort, which
+// does too, and one opening a new cohort, which the restart lays out.
+func TestLaneLayoutLifecycle(t *testing.T) {
+	const epoch = 100 * sim.Microsecond
+	eng := sim.NewEngine()
+	var tables [2]*core.Table
+	for i := range tables {
+		tables[i] = core.NewTable()
+		tables[i].Deploy(core.Config{ID: 1, Rate: units.Gbps, Limit: 30_000})
+		tables[i].Deploy(core.Config{ID: 2, Rate: units.Gbps, CC: core.ECNType, ECNThreshold: 4_000, Limit: 30_000})
+	}
+	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
+	lane := NewLane(eng, tables[0], epoch)
+	pi := lane.AddPipe(pipe)
+	ref := &refLane{table: tables[1], pipeCap: []float64{pipe.Rate().BytesPerNano()}, accepted: make([]float64, 1)}
+	var pars [3]Params
+	for i, name := range []string{"cubic", "dctcp", "udp"} {
+		pars[i] = ParamsFor(name)
+		pars[i].MinRate = 20 * units.Mbps.BytesPerNano()
+	}
+	laidOut := 0 // cohorts that have storage: all while running, those a Start saw otherwise
+	add := func(p, n int, aq packet.AQID, rate units.BitRate) Entity {
+		cfg := EntityConfig{AQ: aq, Params: &pars[p], Rate: rate, Pipe: pi}
+		e := lane.AddN(cfg, n)
+		ref.add(cfg, n)
+		if lane.running {
+			laidOut = len(lane.cohorts)
+		}
+		checkLayout(t, lane, ref, tables, laidOut)
+		return e
+	}
+	next := epoch // when the lane's next epoch fires
+	run := func(k int) {
+		laidOut = len(lane.cohorts)
+		for ; k > 0; k-- {
+			eng.RunUntil(next + epoch/2)
+			ref.step(next, epoch)
+			checkLayout(t, lane, ref, tables, laidOut)
+			next += epoch
+		}
+	}
+
+	slow := add(0, 16, 1, 5*units.Mbps) // below the 20 Mbps floor
+	add(0, 16, 2, 400*units.Mbps)
+	add(1, 17, 2, 300*units.Mbps)
+	add(2, 16, 1, 250*units.Mbps)
+	if got, want := slow.Rate(), units.BitRate(pars[0].MinRate*8e9); got != want || slow.Delivered() != 0 || slow.Dropped() != 0 {
+		t.Fatalf("before Start: rate %v delivered %v dropped %v, want %v 0 0", got, slow.Delivered(), slow.Dropped(), want)
+	}
+
+	lane.Start(0)
+	for ci := range lane.cohorts {
+		if c := &lane.cohorts[ci]; cap(c.delivered) != c.size() || cap(c.dropped) != c.size() || cap(c.rate) != len(c.rate) || cap(c.alpha) != len(c.alpha) {
+			t.Fatalf("cohort %d laid out with slack: caps %d %d %d %d for %d entities",
+				ci, cap(c.delivered), cap(c.dropped), cap(c.rate), cap(c.alpha), c.size())
+		}
+	}
+	run(3)
+	add(2, 5, 1, 250*units.Mbps) // extends the running Fixed cohort
+	add(0, 33, 2, 3*units.Mbps)  // a new cubic cohort, floored
+	add(0, 7, 1, 100*units.Mbps) // its second run
+	run(3)
+
+	lane.Stop()
+	add(0, 4, 1, 100*units.Mbps) // extends a laid-out cohort: its tail at once
+	add(1, 9, 1, 50*units.Mbps)  // a new cohort: no storage until the restart
+	lane.Start(eng.Now())
+	next = eng.Now() + epoch
+	run(3)
+	lane.Stop()
+	checkLayout(t, lane, ref, tables, laidOut)
+}
+
+// BenchmarkLaneBuild: one million entities registered sixteen per AddN,
+// then the Start that lays their state out.
+func BenchmarkLaneBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildLane(1_000_000).Start(0)
 	}
 }

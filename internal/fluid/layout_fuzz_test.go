@@ -23,15 +23,21 @@ import (
 // Fixed cohorts with no rate array beside reactive ones with it, a meter
 // first attached to a late entity, a cohort grown while it is running and
 // while a quiescent streak is pending, and the read-only accessors, which
-// find an entity's run by binary search.
+// find an entity's run by binary search. The lane starts at the script's
+// first epoch op, so the leading adds register on a lane with no per-entity
+// storage yet: each is compared through the accessors as it lands, the
+// first Start lays the whole population out, and every add after it lays
+// out its own tail.
 //
 // Script encoding, one op byte at a time:
 //
 //	op&3 == 0, 1  add: n = layoutSizes[op>>2&7], unpiped = op>>5&1, rate
 //	              menu entry op>>6; then a shape byte sh: tag menu entry
 //	              sh&7 (mod 6), model sh>>3&3, demand cap sh>>5&3 (none,
-//	              rate/2, rate·2, rate), metered = sh>>7
-//	op&3 == 2     1 + op>>2&7 epochs, each followed by a full comparison
+//	              rate/2, rate·2, rate), metered = sh>>7; compared at once
+//	              while the lane has not started
+//	op&3 == 2     Start(0) if not yet started, then 1 + op>>2&7 epochs,
+//	              each followed by a full comparison
 //	op&3 == 3     table edit op>>2 mod 6: deploy 9, remove 9, remove 2,
 //	              redeploy 2, a packet on AQ 1 now, a packet on AQ 3 whose
 //	              last_time lands past the next epoch
@@ -94,7 +100,6 @@ func runLayoutScript(t *testing.T, script []byte) {
 		pars[m].MinRate = units.Mbps.BytesPerNano() // room for the reactive models to move both ways
 	}
 	var meters [2][]*stats.Meter
-	lane.Start(0)
 
 	epochs := 0
 	for len(script) > 0 && epochs < maxEpochs {
@@ -143,13 +148,17 @@ func runLayoutScript(t *testing.T, script []byte) {
 				lane.AddN(cfgs[0], n)
 			}
 			ref.add(cfgs[1], n)
+			if !lane.running { // the lane stops only after the script
+				checkLayout(t, lane, ref, tables, 0)
+			}
 		case 2:
+			lane.Start(0) // a no-op once running; the engine is still at 0 before the first epoch
 			for k := 1 + int(op>>2&7); k > 0 && epochs < maxEpochs; k-- {
 				epochs++
 				now := sim.Time(epochs) * epoch
 				eng.RunUntil(now + epoch/2) // the epoch fires at now
 				ref.step(now, epoch)
-				checkLayout(t, lane, ref, tables)
+				checkLayout(t, lane, ref, tables, len(lane.cohorts))
 			}
 		case 3:
 			switch op >> 2 % 6 {
@@ -168,8 +177,12 @@ func runLayoutScript(t *testing.T, script []byte) {
 			}
 		}
 	}
+	laidOut := 0
+	if lane.running {
+		laidOut = len(lane.cohorts)
+	}
 	lane.Stop()
-	checkLayout(t, lane, ref, tables)
+	checkLayout(t, lane, ref, tables, laidOut)
 
 	bits := math.Float64bits
 	for _, id := range tables[1].IDs() {
@@ -189,11 +202,14 @@ func runLayoutScript(t *testing.T, script []byte) {
 
 // checkLayout compares the lane with the reference entity by entity in
 // registration order, checks the run table's own invariants on the way —
-// runs ordered, non-empty, maximal, covering the cohort — and reads the
-// first and last entity of every run through the public handle, whose
-// AQID and Rate go through runOf and whose Delivered and Dropped fold a
-// pending streak without settling it.
-func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table) {
+// runs ordered, non-empty, maximal — and the storage: the first laidOut
+// cohorts hold delivered and dropped spanning the cohort, rate too for a
+// reactive model and alpha for ECN, and the rest, registered since the last
+// Start on a lane that is not running, hold none. It reads the first and last
+// entity of every run through the public handle, whose AQID and Rate go
+// through runOf and whose Delivered and Dropped fold a pending streak
+// without settling it.
+func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table, laidOut int) {
 	t.Helper()
 	bits := math.Float64bits
 	if lane.total != len(ref.ents) {
@@ -202,8 +218,16 @@ func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table) 
 	base := 0 // registration index of the cohort's first entity
 	for ci := range lane.cohorts {
 		c := &lane.cohorts[ci]
-		if (c.rate != nil) != (c.par.Model != Fixed) || (c.alpha != nil) != (c.par.Model == ECN) {
-			t.Fatalf("cohort %d (%v): rate array %v, alpha array %v", ci, c.par.Model, c.rate != nil, c.alpha != nil)
+		slots := func(has bool) int {
+			if ci < laidOut && has {
+				return c.size()
+			}
+			return 0
+		}
+		if len(c.delivered) != slots(true) || len(c.dropped) != slots(true) ||
+			len(c.rate) != slots(c.par.Model != Fixed) || len(c.alpha) != slots(c.par.Model == ECN) {
+			t.Fatalf("cohort %d (%v, %d entities, %d of %d laid out): %d delivered, %d dropped, %d rate, %d alpha slots",
+				ci, c.par.Model, c.size(), laidOut, len(lane.cohorts), len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
 		}
 		lo := int32(0)
 		for ri, run := range c.runs {
@@ -224,9 +248,6 @@ func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table) 
 				}
 			}
 			lo = run.end
-		}
-		if int(lo) != c.size() || len(c.dropped) != c.size() {
-			t.Fatalf("cohort %d: runs cover %d of %d entities (%d dropped slots)", ci, lo, c.size(), len(c.dropped))
 		}
 		for i := int32(0); i < lo; i++ {
 			r := &ref.ents[base+int(i)]

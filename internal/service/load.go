@@ -138,9 +138,10 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 }
 
 // MaxFluidEntities bounds the entity count of one kind "fluid" driver. The
-// count arrives over the wire and every entity is allocated up front; a
-// million is the largest population the repository's scenarios attach to
-// one lane.
+// count arrives over the wire, and the attach that registers the entities
+// also starts their lane, which lays out every entity's state there and
+// then, once, at its final size; a million is the largest population the
+// repository's scenarios attach to one lane.
 const MaxFluidEntities = 1 << 20
 
 // attachFluid builds a kind "fluid" driver: the offered load split over

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aqueue/internal/control"
+	"aqueue/internal/packet"
 )
 
 // testDaemon is one wire-served service instance plus a first client.
@@ -188,6 +189,35 @@ func TestServiceWireErrors(t *testing.T) {
 	resp, _ := cli.Do(control.WireRequest{Op: "advance", V: 2, UntilNS: 1})
 	if resp.OK || resp.Code != control.CodeBadRequest {
 		t.Fatalf("advance into past: %+v", resp)
+	}
+
+	// A weight whose share overflows float64 is refused where it enters.
+	// Admitted, it put rate_bps +Inf into the reply, which the server could
+	// not encode, and into the next window's fingerprinted snapshot, which
+	// panicked. The grant keeps its rate and the fabric keeps answering.
+	if r, err := cli.Do(control.WireRequest{Op: "pause", V: 2}); err != nil || !r.OK {
+		t.Fatalf("pause: %+v err %v", r, err)
+	}
+	grant, err := cli.Do(control.WireRequest{Op: "grant", V: 2, Mode: "weighted", Weight: 1, Switch: "S1"})
+	if err != nil || !grant.OK {
+		t.Fatalf("grant: %+v err %v", grant, err)
+	}
+	for _, op := range []string{"set_weight", "grant"} {
+		r, err := cli.Do(control.WireRequest{Op: op, V: 2, ID: grant.ID, Mode: "weighted", Weight: 1e308, Switch: "S1"})
+		if r.OK || r.Code != control.CodeBadRequest {
+			t.Fatalf("%s weight 1e308: %+v err %v, want code %q", op, r, err, control.CodeBadRequest)
+		}
+	}
+	td.s.Do(func(f *Fabric) control.WireResponse {
+		if ids, rate := f.Ctrl().Grants(), f.Ctrl().Rate(packet.AQID(grant.ID)); len(ids) != 1 || float64(rate) != grant.Rate {
+			t.Errorf("after the refusals: grants %v, rate %v; want the one grant at %v", ids, rate, grant.Rate)
+		}
+		return control.WireResponse{OK: true}
+	})
+	for _, req := range []control.WireRequest{{Op: "step", V: 2, Count: 2}, {Op: "stats", V: 2}, {Op: "fingerprint", V: 2}} {
+		if r, err := cli.Do(req); err != nil || !r.OK {
+			t.Fatalf("%s after the refused weight: %+v err %v", req.Op, r, err)
+		}
 	}
 
 	// Malformed JSON gets a malformed code and the connection survives.
