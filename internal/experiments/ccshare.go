@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/topo"
@@ -101,8 +102,8 @@ var Fig1Pairs = [][2]string{
 
 // Fig1 reproduces Figure 1: traffic interference between CC algorithm
 // pairs sharing a physical queue (no AQ).
-func Fig1(horizon sim.Time, domains int, parallel bool) *Table {
-	t := &Table{
+func Fig1(horizon sim.Time, domains int, parallel bool) *harness.Table {
+	t := &harness.Table{
 		Title:  "Figure 1: CC interference in a shared physical queue (10 flows each)",
 		Header: []string{"pair", "thpt A (Gbps)", "thpt B (Gbps)"},
 	}
@@ -136,8 +137,8 @@ var Table2Settings = [][]ccEntity{
 
 // Table2 reproduces Table 2: entity throughput under the CC settings, for
 // PQ and AQ.
-func Table2(horizon sim.Time, domains int, parallel bool) *Table {
-	t := &Table{
+func Table2(horizon sim.Time, domains int, parallel bool) *harness.Table {
+	t := &harness.Table{
 		Title:  "Table 2: Throughput of entities with different CC settings (Gbps)",
 		Header: []string{"congestion control", "PQ", "AQ"},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/service"
 	"aqueue/internal/sim"
 )
@@ -37,7 +38,7 @@ func churnFabric(window sim.Time, domains int, parallel bool) *service.Fabric {
 //	w5:  tenant B — weighted 2, fixed 50 KB flows at 0.3 load
 //	w10: A's weight raised to 3 (live reconfiguration)
 //	w15: B detached and marked idle (A absorbs the link)
-func Churn(horizon sim.Time, domains int, parallel bool) (*Table, *Table) {
+func Churn(horizon sim.Time, domains int, parallel bool) (*harness.Table, *harness.Table) {
 	const windows = 20
 	f := churnFabric(horizon/windows, domains, parallel)
 	defer f.Close()
@@ -90,7 +91,7 @@ func Churn(horizon sim.Time, domains int, parallel bool) (*Table, *Table) {
 		}
 	}
 
-	phases := &Table{
+	phases := &harness.Table{
 		Title:  "Service churn: bottleneck throughput per script phase (Gbps)",
 		Header: []string{"phase", "windows", "tenants", "bottleneck Gbps"},
 	}
@@ -100,7 +101,7 @@ func Churn(horizon sim.Time, domains int, parallel bool) (*Table, *Table) {
 			fmt.Sprintf("%d-%d", i*perPhase, (i+1)*perPhase-1), labels[i], g)
 	}
 
-	final := &Table{
+	final := &harness.Table{
 		Title:  "Service churn: final tenant and driver state",
 		Header: []string{"tenant", "mode", "weight", "active", "aq arrived", "flows started", "flows done"},
 	}

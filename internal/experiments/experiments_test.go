@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func TestApproachString(t *testing.T) {
 }
 
 func TestTableRender(t *testing.T) {
-	tbl := &Table{Title: "T", Header: []string{"a", "long-header"}}
+	tbl := &harness.Table{Title: "T", Header: []string{"a", "long-header"}}
 	tbl.AddRow("x", 1.23456)
 	tbl.AddRow("longer-cell", "y")
 	out := tbl.Render()

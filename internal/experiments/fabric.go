@@ -4,6 +4,7 @@ import (
 	"aqueue/internal/cc"
 	"aqueue/internal/control"
 	"aqueue/internal/core"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -125,8 +126,8 @@ func ExtFabricIncast(horizon sim.Time, domains int, parallel bool) (pqGbps, aqGb
 }
 
 // ExtFabric renders both fabric extension results.
-func ExtFabric(horizon sim.Time, domains int, parallel bool) *Table {
-	t := &Table{
+func ExtFabric(horizon sim.Time, domains int, parallel bool) *harness.Table {
+	t := &harness.Table{
 		Title:  "Extension: AQ on a 2-tier ECMP leaf-spine fabric",
 		Header: []string{"scenario", "PQ", "AQ"},
 	}

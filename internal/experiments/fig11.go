@@ -5,6 +5,7 @@ import (
 
 	"aqueue/internal/control"
 	"aqueue/internal/core"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/units"
 )
@@ -12,9 +13,9 @@ import (
 // Fig11 reproduces Figure 11: the AQ program's usage of each switch
 // data-plane resource class (see internal/control's resource model and the
 // DESIGN.md substitution note for the Tofino toolchain).
-func Fig11() *Table {
+func Fig11() *harness.Table {
 	m := control.NewResourceModel()
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 11: usage of data-plane resources on the modelled Tofino switch",
 		Header: []string{"resource", "usage (%)"},
 	}
@@ -31,9 +32,9 @@ var Fig12Counts = []int{1000, 10_000, 100_000, 1_000_000, 2_000_000, 4_000_000}
 // (15 bytes each) against the SRAM budget. It also deploys a live
 // core.Table at the smaller sizes to confirm the model matches the
 // implementation's own accounting.
-func Fig12() *Table {
+func Fig12() *harness.Table {
 	m := control.NewResourceModel()
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 12: memory consumption vs number of traffic constituents",
 		Header: []string{"#AQs", "memory (MB)", "SRAM used (%)", "fits?"},
 	}

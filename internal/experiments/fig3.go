@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/core"
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 	"aqueue/internal/units"
 )
@@ -66,9 +67,9 @@ func Fig3(cycles int) Fig3Result {
 }
 
 // Fig3Table renders the peak sequences side by side.
-func Fig3Table(cycles int) *Table {
+func Fig3Table(cycles int) *harness.Table {
 	r := Fig3(cycles)
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 3: arrival-rate peaks under strawman D(t) vs A-Gap (allocated R = 5 Gbps)",
 		Header: []string{"cycle", "peak with D(t) (Gbps)", "peak with A-Gap (Gbps)"},
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
 
@@ -11,11 +12,11 @@ import (
 // approach is normalized to PQ, which fully utilizes the network. AQ
 // should track PQ; PRL and DRL should degrade as the VM count grows
 // because their per-VM allocations mismatch the trace's bursty demand.
-func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *Table {
+func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *harness.Table {
 	if len(vmCounts) == 0 {
 		vmCounts = []int{1, 2, 4, 8}
 	}
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 6: normalized workload completion time vs number of VMs",
 		Header: []string{"#VMs", "PQ", "AQ", "PRL", "DRL"},
 	}
@@ -37,11 +38,11 @@ func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *T
 // ratio of the shorter workload completion time to the longer. AQ holds it
 // near 1; PQ favours B (flow-level fairness rewards its concurrency); PRL
 // and DRL penalize B (fixed/laggy per-VM splits).
-func Fig7(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *Table {
+func Fig7(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *harness.Table {
 	if len(vmCounts) == 0 {
 		vmCounts = []int{1, 2, 4, 8}
 	}
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 7: entity fairness vs number of VMs in entity B",
 		Header: []string{"#VMs in B", "PQ", "AQ", "PRL", "DRL"},
 	}
@@ -90,12 +91,12 @@ var Fig10CCSettings = [][2]string{
 // Fig10 reproduces Figure 10: entity fairness (a) and total workload
 // completion time (b) for two 4-VM entities under different CC mixes and
 // all four approaches. Completion is reported normalized to PQ.
-func Fig10(flows int, seed uint64, domains int, parallel bool) (*Table, *Table) {
-	fair := &Table{
+func Fig10(flows int, seed uint64, domains int, parallel bool) (*harness.Table, *harness.Table) {
+	fair := &harness.Table{
 		Title:  "Figure 10(a): entity fairness under different CC settings",
 		Header: []string{"CC setting", "PQ", "AQ", "PRL", "DRL"},
 	}
-	total := &Table{
+	total := &harness.Table{
 		Title:  "Figure 10(b): total workload completion time (normalized to PQ)",
 		Header: []string{"CC setting", "PQ", "AQ", "PRL", "DRL"},
 	}

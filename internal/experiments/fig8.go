@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/topo"
@@ -48,11 +49,11 @@ func fig8Run(approach Approach, nB int, wA, wB float64, horizon sim.Time, domain
 // raises its flow count. Under PQ the split follows the flow count; under
 // AQ it follows the configured weights (1:1 and 1:2 shown, as in the
 // paper).
-func Fig8(flowCounts []int, horizon sim.Time, domains int, parallel bool) *Table {
+func Fig8(flowCounts []int, horizon sim.Time, domains int, parallel bool) *harness.Table {
 	if len(flowCounts) == 0 {
 		flowCounts = []int{1, 4, 16, 64}
 	}
-	t := &Table{
+	t := &harness.Table{
 		Title:  "Figure 8: throughput (Gbps) of entity A (1 flow) vs entity B (n flows)",
 		Header: []string{"flows in B", "PQ A", "PQ B", "AQ 1:1 A", "AQ 1:1 B", "AQ 1:2 A", "AQ 1:2 B"},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/topo"
@@ -89,13 +90,13 @@ func fig9Run(approach Approach, phase sim.Time, domains int, parallel bool) Fig9
 
 // Fig9 reproduces Figure 9: per-phase throughput of TCP and UDP entities
 // under PQ (a) and AQ (b).
-func Fig9(phase sim.Time, domains int, parallel bool) (*Table, *Table) {
+func Fig9(phase sim.Time, domains int, parallel bool) (*harness.Table, *harness.Table) {
 	if phase <= 0 {
 		phase = 100 * sim.Millisecond
 	}
-	mk := func(ap Approach, title string) *Table {
+	mk := func(ap Approach, title string) *harness.Table {
 		r := fig9Run(ap, phase, domains, parallel)
-		t := &Table{Title: title, Header: []string{"entity"}}
+		t := &harness.Table{Title: title, Header: []string{"entity"}}
 		for ph := 0; ph < len(Fig9Entities)+1; ph++ {
 			t.Header = append(t.Header, fmt.Sprintf("phase %d (n=%d)", ph+1, min(ph+1, len(Fig9Entities))))
 		}

@@ -6,6 +6,7 @@ import (
 
 	"aqueue/internal/control"
 	"aqueue/internal/fluid"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -216,8 +217,8 @@ func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, parallel boo
 }
 
 // FluidBGTable renders the paired runs side by side.
-func FluidBGTable(r FluidBGResult) *Table {
-	t := &Table{
+func FluidBGTable(r FluidBGResult) *harness.Table {
+	t := &harness.Table{
 		Title:  "Fluid background fidelity: foreground results, packet vs fluid background",
 		Header: []string{"metric", "packet bg", "fluid bg", "delta %"},
 	}

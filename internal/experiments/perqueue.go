@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/queue"
 	"aqueue/internal/sim"
@@ -69,8 +70,8 @@ func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, p
 
 // ExtPerQueueTable sweeps the entity count against a fixed 8-queue DRR
 // port and renders the fairness comparison.
-func ExtPerQueueTable(horizon sim.Time, domains int, parallel bool) *Table {
-	t := &Table{
+func ExtPerQueueTable(horizon sim.Time, domains int, parallel bool) *harness.Table {
+	t := &harness.Table{
 		Title:  "Extension: per-entity hardware queues (DRR, 8 queues) vs AQ — Jain fairness",
 		Header: []string{"#entities", "DRR(8 queues)", "AQ"},
 	}

@@ -59,7 +59,7 @@ func register(name, desc string, fn func(harness.Params) (*harness.Result, error
 }
 
 // tables is shorthand for a Result that is purely rendered tables.
-func tables(ts ...*Table) *harness.Result { return &harness.Result{Tables: ts} }
+func tables(ts ...*harness.Table) *harness.Result { return &harness.Result{Tables: ts} }
 
 // init registers every figure and table of the paper's evaluation plus the
 // repo's extensions, in the paper's presentation order. cmd/aqsim lists

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/ratelimit"
 	"aqueue/internal/sim"
@@ -146,8 +147,8 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 // the four approaches, plus a second AQ run standing in for the paper's
 // independent simulator measurement (different seed; documented
 // substitution).
-func Table3(domains int, parallel bool) *Table {
-	t := &Table{
+func Table3(domains int, parallel bool) *harness.Table {
+	t := &harness.Table{
 		Title:  "Table 3: outbound and inbound rates of VM A (profile 5 Gbps each way)",
 		Header: []string{"approach", "outbound (Gbps)", "inbound (Gbps)"},
 	}

@@ -5,6 +5,7 @@ import (
 
 	"aqueue/internal/control"
 	"aqueue/internal/core"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -94,8 +95,8 @@ var Table4CCs = []string{"cubic", "newreno", "dctcp"}
 // Table4 reproduces Table 4: throughput and 95th-percentile queuing delay
 // of an entity under PQ (25 Gbps link) and AQ (25 Gbps allocation on a
 // 100 Gbps link).
-func Table4(domains int, parallel bool) (*Table, []Table4Row) {
-	t := &Table{
+func Table4(domains int, parallel bool) (*harness.Table, []Table4Row) {
+	t := &harness.Table{
 		Title:  "Table 4: AQ vs PQ behaviour preservation (25 Gbps entity)",
 		Header: []string{"CC", "PQ thpt (Gbps)", "PQ p95 delay", "AQ thpt (Gbps)", "AQ p95 delay", "p95 rel diff"},
 	}

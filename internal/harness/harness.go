@@ -3,16 +3,15 @@
 // pool that executes independent runs in parallel, and machine-readable
 // JSON results.
 //
-// Every run owns its own sim.Engine, topology, and random streams (see
-// sim.Engine.NextSeq), so a run's outcome is a pure function of
-// (experiment, Params). That is what lets the pool saturate GOMAXPROCS
-// while keeping each result byte-identical to a sequential run with the
-// same parameters.
+// Every run owns its own sim.Engine, topology, and random streams (drawn
+// through sim.Engine.SeqDomain handles with NextIn), so a run's outcome is
+// a pure function of (experiment, Params). That is what lets the pool
+// saturate GOMAXPROCS while keeping each result byte-identical to a
+// sequential run with the same parameters.
 package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"aqueue/internal/sim"
@@ -106,12 +105,5 @@ func Names() []string {
 	defer registry.mu.RUnlock()
 	out := make([]string, len(registry.order))
 	copy(out, registry.order)
-	return out
-}
-
-// SortedNames returns the registered names in lexical order.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }

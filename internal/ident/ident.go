@@ -1,39 +1,13 @@
-// Package ident provides compact dense ID allocation and the density
-// heuristic the data plane uses to choose between direct-indexed slice
-// tables and map fallbacks.
+// Package ident holds the density heuristic the data plane uses to choose
+// between direct-indexed slice tables and map fallbacks.
 //
 // The paper's hardware design (§4.2) matches AQ tags against
 // direct-indexed register arrays; the simulator gets the same effect only
 // when IDs are small and contiguous. Topology builders and experiments
-// already number hosts and AQs from zero upward — an Allocator makes that
-// an invariant instead of a convention, and Dense decides, per table, when
-// the invariant holds well enough to pay for a flat slice.
+// number hosts from zero and AQs from one upward by convention, and Dense
+// decides, per table, when the IDs a table actually holds are contiguous
+// enough to pay for a flat slice.
 package ident
-
-// Allocator hands out consecutive IDs starting at a base. It is not
-// safe for concurrent use; allocate during topology construction, which is
-// single-threaded per engine by design.
-type Allocator struct {
-	base uint64
-	next uint64
-}
-
-// NewAllocator returns an allocator whose first ID is base. AQ allocators
-// use base 1 because AQID 0 is the reserved NoAQ tag; host allocators use
-// base 0.
-func NewAllocator(base uint64) *Allocator {
-	return &Allocator{base: base, next: base}
-}
-
-// Next returns the next dense ID.
-func (a *Allocator) Next() uint64 {
-	id := a.next
-	a.next++
-	return id
-}
-
-// Count reports how many IDs have been handed out.
-func (a *Allocator) Count() int { return int(a.next - a.base) }
 
 // DenseSlack is the fixed slice-length floor Dense tolerates regardless of
 // live-entry count, so small tables (a handful of AQs numbered 1..4, a

@@ -2,22 +2,6 @@ package ident
 
 import "testing"
 
-func TestAllocatorDense(t *testing.T) {
-	a := NewAllocator(1)
-	for want := uint64(1); want <= 100; want++ {
-		if got := a.Next(); got != want {
-			t.Fatalf("Next() = %d, want %d", got, want)
-		}
-	}
-	if a.Count() != 100 {
-		t.Fatalf("Count() = %d, want 100", a.Count())
-	}
-	b := NewAllocator(0)
-	if got := b.Next(); got != 0 {
-		t.Fatalf("base-0 Next() = %d, want 0", got)
-	}
-}
-
 func TestDenseHeuristic(t *testing.T) {
 	cases := []struct {
 		maxID, count int

@@ -76,9 +76,6 @@ func NewDRR(n, quantum, perQueueLimit int, classify Classifier) *DRR {
 	}
 }
 
-// NumQueues returns the hardware queue count.
-func (d *DRR) NumQueues() int { return len(d.queues) }
-
 // Push implements Interface.
 func (d *DRR) Push(now sim.Time, p *packet.Packet) bool {
 	q := &d.queues[d.classify(p)%uint64(len(d.queues))]

@@ -102,12 +102,6 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("service: unknown cc algorithm %q", ccName)
 	}
-	id := f.nextID
-	f.nextID++
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 0x5eed<<32 | uint64(id)
-	}
 	mean := float64(0)
 	if s, ok := sizer.(interface{ MeanBytes() float64 }); ok {
 		mean = s.MeanBytes()
@@ -115,9 +109,22 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 		mean = float64(spec.Size)
 	}
 	loadRate := spec.Load * float64(f.capacity) / 8 // bytes per second offered
-	meanGap := sim.Time(mean / loadRate * 1e9)
+	// The mean inter-arrival must convert to sim.Time: past int64 it would
+	// wrap negative and the clamp below would make it 1 ns, a flow per
+	// nanosecond. Under 2^56 ns, Rand.ExpTime's tail (−ln u ≤ 37) still fits.
+	gap := mean / loadRate * 1e9
+	if !(gap < 1<<56) {
+		return nil, fmt.Errorf("service: load %g is too small: mean flow inter-arrival %g ns exceeds %d", spec.Load, gap, int64(1)<<56)
+	}
+	meanGap := sim.Time(gap)
 	if meanGap < 1 {
 		meanGap = 1
+	}
+	id := f.nextID
+	f.nextID++
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 0x5eed<<32 | uint64(id)
 	}
 	d := &Driver{
 		ID:      id,

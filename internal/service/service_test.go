@@ -131,11 +131,17 @@ func TestAttachValidation(t *testing.T) {
 		{Kind: "websearch", Load: 0.5, CC: "osmium"}, // unknown cc
 		{Kind: "fluid", Load: 0.5, CC: "cubik"},      // unknown cc must not fall back to a blaster
 		{Kind: "fluid", Load: 0.5, Entities: MaxFluidEntities + 1},
+		{Kind: "websearch", Load: 1e-14},  // mean inter-arrival past 2^56 ns
+		{Kind: "websearch", Load: 1e-300}, // ... and past int64
 	}
 	for _, spec := range bad {
 		if _, err := f.Attach(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
 		}
+	}
+	// A tiny load whose mean inter-arrival fits is still admitted.
+	if _, err := f.Attach(LoadSpec{Kind: "websearch", Load: 1e-9}); err != nil {
+		t.Fatalf("websearch attach at load 1e-9: %v", err)
 	}
 	// Every name a fluid driver may carry: the fixed-rate spellings and
 	// the packet algorithms.

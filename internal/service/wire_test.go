@@ -175,6 +175,8 @@ func TestServiceWireErrors(t *testing.T) {
 		{control.WireRequest{Op: "attach", V: 2, Kind: "nope", Load: 0.5}, control.CodeBadRequest},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "fluid", Load: 0.5, CC: "cubik"}, control.CodeBadRequest},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "fluid", Load: 0.5, Entities: MaxFluidEntities + 1}, control.CodeBadRequest},
+		{control.WireRequest{Op: "attach", V: 2, Kind: "websearch", Load: 1e-14}, control.CodeBadRequest},
+		{control.WireRequest{Op: "attach", V: 2, Kind: "websearch", Load: 1e-300}, control.CodeBadRequest},
 		{control.WireRequest{Op: "release", V: 2, ID: 42}, control.CodeUnknownID},
 		{control.WireRequest{Op: "grant", V: 2, Mode: "weighted", Weight: 1, Switch: "S9"}, control.CodeUnknownTable},
 	}
@@ -214,9 +216,15 @@ func TestServiceWireErrors(t *testing.T) {
 		}
 		return control.WireResponse{OK: true}
 	})
+	// The attach loads refused above (1e-14, 1e-300) started a flow per
+	// nanosecond when admitted; a tiny load whose mean inter-arrival fits
+	// in int64 still attaches.
+	if r, err := cli.Do(control.WireRequest{Op: "attach", V: 2, Kind: "websearch", Load: 1e-9}); err != nil || !r.OK {
+		t.Fatalf("attach load 1e-9: %+v err %v", r, err)
+	}
 	for _, req := range []control.WireRequest{{Op: "step", V: 2, Count: 2}, {Op: "stats", V: 2}, {Op: "fingerprint", V: 2}} {
 		if r, err := cli.Do(req); err != nil || !r.OK {
-			t.Fatalf("%s after the refused weight: %+v err %v", req.Op, r, err)
+			t.Fatalf("%s after the refusals: %+v err %v", req.Op, r, err)
 		}
 	}
 

@@ -117,14 +117,11 @@ func (c *Cluster) Engines() []*Engine { return c.engines }
 // Now returns the cluster clock: the time every domain has advanced to.
 func (c *Cluster) Now() Time { return c.now }
 
-// NextSeq draws from the named cluster-scoped sequence. Builders derive
-// component identities and RNG seeds from cluster sequences (not engine
-// ones) so that a component's identity depends only on construction order,
-// never on which domain it was placed in.
-func (c *Cluster) NextSeq(name string) uint64 { return c.seqs.next(c.seqs.domain(name)) }
-
-// SeqDomain registers the named cluster sequence and returns its handle;
-// see Engine.SeqDomain.
+// SeqDomain registers the named cluster-scoped sequence and returns its
+// handle; see Engine.SeqDomain. Builders derive component identities and
+// RNG seeds from cluster sequences (not engine ones) so that a component's
+// identity depends only on construction order, never on which domain it
+// was placed in.
 func (c *Cluster) SeqDomain(name string) SeqDomain { return c.seqs.domain(name) }
 
 // NextIn draws from a cluster sequence registered with SeqDomain.

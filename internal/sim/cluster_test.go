@@ -40,17 +40,19 @@ func TestAtOrderedLaneBeatsLateAnonymous(t *testing.T) {
 	}
 }
 
+// TestSeqDomainMatchesNextSeq: looking a name up again finds the same
+// sequence — a handle taken once and one taken at every draw give the same
+// values — and a second name does not disturb it.
 func TestSeqDomainMatchesNextSeq(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
 	d := a.SeqDomain("x")
 	for i := 0; i < 5; i++ {
-		if av, bv := a.NextIn(d), b.NextSeq("x"); av != bv {
-			t.Fatalf("draw %d: handle gave %d, string gave %d", i, av, bv)
+		if av, bv := a.NextIn(d), b.NextIn(b.SeqDomain("x")); av != bv {
+			t.Fatalf("draw %d: held handle gave %d, fresh lookup gave %d", i, av, bv)
 		}
 	}
-	// Distinct domains stay independent under both APIs.
-	a.NextSeq("y")
-	if v := a.NextIn(d); v != 6 {
+	a.NextIn(a.SeqDomain("y"))
+	if v := a.NextIn(a.SeqDomain("x")); v != 6 {
 		t.Fatalf("domain x disturbed by domain y: next = %d, want 6", v)
 	}
 }
@@ -245,9 +247,10 @@ func TestClusterParallelWindows(t *testing.T) {
 func TestClusterSequencesArePartitionInvariant(t *testing.T) {
 	draw := func(n int) []uint64 {
 		c := NewCluster(n)
+		pipe, queue := c.SeqDomain("pipe"), c.SeqDomain("queue")
 		var out []uint64
 		for i := 0; i < 4; i++ {
-			out = append(out, c.NextSeq("pipe"), c.NextSeq("queue"))
+			out = append(out, c.NextIn(pipe), c.NextIn(queue))
 		}
 		return out
 	}

@@ -157,24 +157,14 @@ func (e *Engine) Stats() EngineStats {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// NextSeq returns the next value (1, 2, ...) of the named per-engine
-// sequence. Components derive identifiers and RNG seeds from these
+// SeqDomain registers (or finds) the named per-engine sequence and returns
+// its handle. Components derive identifiers and RNG seeds from these
 // sequences instead of process globals, so a run is fully determined by
 // its engine: two runs that build the same topology and schedule the same
 // events get identical IDs and random streams, no matter how many other
-// engines run before or concurrently with them.
-//
-// NextSeq is the convenience form: it pays a map probe on the name every
-// call. Hot callers should register the name once with SeqDomain and draw
-// through NextIn.
-func (e *Engine) NextSeq(domain string) uint64 {
-	return e.seqs.next(e.seqs.domain(domain))
-}
-
-// SeqDomain registers (or finds) the named sequence and returns its handle.
-// Handles are small integers valid for the life of the engine; drawing
-// through one (NextIn) skips the per-call string hash and map probe that
-// NextSeq pays.
+// engines run before or concurrently with them. Handles are small integers
+// valid for the life of the engine; drawing through one (NextIn) costs no
+// string hash or map probe.
 func (e *Engine) SeqDomain(name string) SeqDomain { return e.seqs.domain(name) }
 
 // NextIn returns the next value (1, 2, ...) of a sequence previously

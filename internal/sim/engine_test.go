@@ -185,13 +185,14 @@ func TestTimeString(t *testing.T) {
 
 func TestNextSeqPerDomainAndPerEngine(t *testing.T) {
 	e := NewEngine()
-	if e.NextSeq("a") != 1 || e.NextSeq("a") != 2 {
+	a := e.SeqDomain("a")
+	if e.NextIn(a) != 1 || e.NextIn(a) != 2 {
 		t.Fatal("sequence not monotonic from 1")
 	}
-	if e.NextSeq("b") != 1 {
+	if e.NextIn(e.SeqDomain("b")) != 1 {
 		t.Fatal("domains share a counter")
 	}
-	if NewEngine().NextSeq("a") != 1 {
+	if other := NewEngine(); other.NextIn(other.SeqDomain("a")) != 1 {
 		t.Fatal("engines share a counter")
 	}
 }

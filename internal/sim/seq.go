@@ -7,10 +7,10 @@ package sim
 type SeqDomain int
 
 // seqTable is the storage behind the named sequences of an Engine or a
-// Cluster: a registration map consulted only when a name is first seen (or
-// looked up via the string shim), and a flat counter array indexed by the
-// SeqDomain handles it hands out. Registration order is part of a run's
-// determinism contract, exactly like scheduling order.
+// Cluster: a registration map consulted only when a name is registered,
+// and a flat counter array indexed by the SeqDomain handles it hands out.
+// A value depends only on its name and the draws made from that name
+// before it, never on the order in which names were registered.
 type seqTable struct {
 	idx  map[string]SeqDomain
 	vals []uint64

@@ -48,60 +48,68 @@ func DefaultTestbed() LinkSpec {
 	}
 }
 
-// newPipe builds a pipe from a spec, seeding its jitter stream uniquely
-// within the engine (engine-scoped so concurrent runs stay deterministic).
-func newPipe(eng *sim.Engine, spec LinkSpec, dst Receiver) *Pipe {
-	p := NewPipe(eng, spec.Rate, spec.Delay, spec.QueueLimit, spec.ECNThreshold, dst)
-	p.Queue().AQMDropNonECT = spec.AQMDrop
-	if spec.Jitter > 0 {
-		p.SetJitter(spec.Jitter, 0x9e3779b9+eng.NextSeq("topo.pipe")*0x1234567)
-	}
-	return p
+// build is one topology construction. A topology's wiring is one method
+// on it; build decides only which engine each node lands on and where its
+// identities are drawn (DESIGN.md §3b). onEngine draws AQM and jitter
+// seeds from the engine's sequences, as NewPipe does. onCluster draws them
+// from the cluster's, so an identity depends on construction order alone,
+// and adds a lane per pipe, a mailbox per boundary pipe and a flow-ID
+// stride per host. pipe and host are the only methods that tell them apart.
+type build struct {
+	engines         []*sim.Engine
+	c               *sim.Cluster // nil on one engine
+	ids             sequences
+	aqmSeq, pipeSeq sim.SeqDomain
 }
 
-// cbuild is the shared state of one cluster-aware topology build: the
-// cluster, with its sequence handles pre-registered. All identity-bearing
-// draws (AQM seeds, jitter seeds, lanes) go through the cluster, so a
-// component's identity is fixed by construction order alone — independent
-// of which domain it is placed in and of how many domains exist.
-type cbuild struct {
-	c       *sim.Cluster
-	aqmSeq  sim.SeqDomain
-	pipeSeq sim.SeqDomain
+// sequences is where a build draws identities: a *sim.Engine or a
+// *sim.Cluster.
+type sequences interface {
+	SeqDomain(name string) sim.SeqDomain
+	NextIn(d sim.SeqDomain) uint64
 }
 
-func newCbuild(c *sim.Cluster) *cbuild {
-	return &cbuild{
-		c:       c,
-		aqmSeq:  c.SeqDomain("queue.aqm"),
-		pipeSeq: c.SeqDomain("topo.pipe"),
-	}
+func newBuild(engines []*sim.Engine, c *sim.Cluster, ids sequences) *build {
+	return &build{engines: engines, c: c, ids: ids,
+		aqmSeq: ids.SeqDomain("queue.aqm"), pipeSeq: ids.SeqDomain("topo.pipe")}
 }
+
+func onEngine(eng *sim.Engine) *build { return newBuild([]*sim.Engine{eng}, nil, eng) }
+
+func onCluster(c *sim.Cluster) *build { return newBuild(c.Engines(), c, c) }
+
+// engine returns domain i mod N, or the one engine.
+func (b *build) engine(i int) *sim.Engine { return b.engines[i%len(b.engines)] }
 
 // pipe builds one link direction owned by srcEng delivering into dst
-// (which runs on dstEng): it assigns the pipe's ordering lane and — when
-// the two ends live in different domains — binds the boundary mailbox that
-// carries deliveries across engines at round flushes, its delay folded into
-// the cluster's window.
-func (b *cbuild) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *Pipe {
+// (which runs on dstEng). On a cluster it also assigns the pipe's ordering
+// lane and — when the two ends live in different domains — binds the
+// boundary mailbox that carries deliveries across engines at round
+// flushes, its delay folded into the cluster's window.
+func (b *build) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *Pipe {
 	p := newPipeWithAQMSeq(srcEng, spec.Rate, spec.Delay, spec.QueueLimit,
-		spec.ECNThreshold, dst, b.c.NextIn(b.aqmSeq))
+		spec.ECNThreshold, dst, b.ids.NextIn(b.aqmSeq))
 	p.Queue().AQMDropNonECT = spec.AQMDrop
 	if spec.Jitter > 0 {
-		p.SetJitter(spec.Jitter, 0x9e3779b9+b.c.NextIn(b.pipeSeq)*0x1234567)
+		p.SetJitter(spec.Jitter, 0x9e3779b9+b.ids.NextIn(b.pipeSeq)*0x1234567)
 	}
-	p.SetLane(b.c.NextLane())
-	if srcEng != dstEng {
-		p.BindOutbox(b.c.Outbox(srcEng, dstEng, p.Lane(), spec.Delay, p.DeliverFunc()))
+	if b.c != nil {
+		p.SetLane(b.c.NextLane())
+		if srcEng != dstEng {
+			p.BindOutbox(b.c.Outbox(srcEng, dstEng, p.Lane(), spec.Delay, p.DeliverFunc()))
+		}
 	}
 	return p
 }
 
-// host builds a host on eng with a partition-invariant flow-ID stride:
-// host id of total hosts draws IDs id+1, id+1+total, id+1+2·total, ...
-func (b *cbuild) host(eng *sim.Engine, id packet.HostID, total int) *Host {
+// host builds a host on eng. On a cluster its flow IDs follow a
+// partition-invariant stride: host id of total hosts draws IDs id+1,
+// id+1+total, id+1+2·total, ...
+func (b *build) host(eng *sim.Engine, id packet.HostID, total int) *Host {
 	h := NewHost(eng, id)
-	h.SetFlowIDStride(uint64(id)+1, uint64(total))
+	if b.c != nil {
+		h.SetFlowIDStride(uint64(id)+1, uint64(total))
+	}
 	return h
 }
 
@@ -115,42 +123,11 @@ type Dumbbell struct {
 	ReverseTrunk *Pipe // S2 -> S1 direction (carries ACKs)
 }
 
-// NewDumbbell builds a dumbbell. Host IDs are 0..nLeft-1 on the left and
-// nLeft..nLeft+nRight-1 on the right. edge configures host<->switch links,
-// trunk the S1<->S2 bottleneck.
+// NewDumbbell builds a dumbbell on one engine. Host IDs are 0..nLeft-1 on
+// the left and nLeft..nLeft+nRight-1 on the right. edge configures
+// host<->switch links, trunk the S1<->S2 bottleneck.
 func NewDumbbell(eng *sim.Engine, nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
-	d := &Dumbbell{
-		Eng: eng,
-		S1:  NewSwitch(eng, "S1"),
-		S2:  NewSwitch(eng, "S2"),
-	}
-	d.Bottleneck = newPipe(eng, trunk, d.S2)
-	d.ReverseTrunk = newPipe(eng, trunk, d.S1)
-	trunkPort1 := d.S1.AddPort(d.Bottleneck)
-	trunkPort2 := d.S2.AddPort(d.ReverseTrunk)
-
-	id := packet.HostID(0)
-	for i := 0; i < nLeft; i++ {
-		h := NewHost(eng, id)
-		h.SetUplink(newPipe(eng, edge, d.S1))
-		down := newPipe(eng, edge, h)
-		port := d.S1.AddPort(down)
-		d.S1.AddRoute(id, port)
-		d.S2.AddRoute(id, trunkPort2)
-		d.Left = append(d.Left, h)
-		id++
-	}
-	for i := 0; i < nRight; i++ {
-		h := NewHost(eng, id)
-		h.SetUplink(newPipe(eng, edge, d.S2))
-		down := newPipe(eng, edge, h)
-		port := d.S2.AddPort(down)
-		d.S2.AddRoute(id, port)
-		d.S1.AddRoute(id, trunkPort1)
-		d.Right = append(d.Right, h)
-		id++
-	}
-	return d
+	return onEngine(eng).dumbbell(nLeft, nRight, edge, trunk)
 }
 
 // NewDumbbellIn builds the dumbbell across a cluster's domains with a
@@ -159,13 +136,14 @@ func NewDumbbell(eng *sim.Engine, nLeft, nRight int, edge, trunk LinkSpec) *Dumb
 // the two trunk directions. Keeping each side whole matters beyond
 // minimizing mailboxes: controllers, rate limiters and samplers that touch
 // the senders and S1 together stay within one domain, so their runtime
-// state never crosses engines. With one domain the layout degenerates to
-// the single-engine dumbbell (and is byte-identical to any N-domain run of
-// the same scenario).
+// state never crosses engines. The result is byte-identical for any
+// number of domains.
 func NewDumbbellIn(c *sim.Cluster, nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
-	b := newCbuild(c)
-	left := c.Engine(0)
-	right := c.Engine(1 % c.N())
+	return onCluster(c).dumbbell(nLeft, nRight, edge, trunk)
+}
+
+func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
+	left, right := b.engine(0), b.engine(1)
 	d := &Dumbbell{
 		Eng: left,
 		S1:  NewSwitch(left, "S1"),
@@ -220,20 +198,10 @@ type Star struct {
 	Down []*Pipe
 }
 
-// NewStar builds a star with n hosts using the given link spec.
+// NewStar builds a star with n hosts on one engine using the given link
+// spec.
 func NewStar(eng *sim.Engine, n int, edge LinkSpec) *Star {
-	s := &Star{Eng: eng, SW: NewSwitch(eng, "SW")}
-	for i := 0; i < n; i++ {
-		id := packet.HostID(i)
-		h := NewHost(eng, id)
-		h.SetUplink(newPipe(eng, edge, s.SW))
-		down := newPipe(eng, edge, h)
-		port := s.SW.AddPort(down)
-		s.SW.AddRoute(id, port)
-		s.Hosts = append(s.Hosts, h)
-		s.Down = append(s.Down, down)
-	}
-	return s
+	return onEngine(eng).star(n, edge)
 }
 
 // NewStarIn builds the star across a cluster's domains: all hosts in
@@ -242,9 +210,11 @@ func NewStar(eng *sim.Engine, n int, edge LinkSpec) *Star {
 // host-spanning control loops (the DRL baseline re-programs every VM's
 // token buckets each interval) whose state must live in one domain.
 func NewStarIn(c *sim.Cluster, n int, edge LinkSpec) *Star {
-	b := newCbuild(c)
-	hostEng := c.Engine(0)
-	swEng := c.Engine(1 % c.N())
+	return onCluster(c).star(n, edge)
+}
+
+func (b *build) star(n int, edge LinkSpec) *Star {
+	hostEng, swEng := b.engine(0), b.engine(1)
 	s := &Star{Eng: hostEng, SW: NewSwitch(swEng, "SW")}
 	for i := 0; i < n; i++ {
 		id := packet.HostID(i)

@@ -27,24 +27,38 @@ type LeafSpine struct {
 	HostDown  []*Pipe
 }
 
-// NewLeafSpine builds a fabric with the given leaf, spine and per-leaf host
-// counts. edge configures host links, fabricLink the leaf<->spine links.
+// NewLeafSpine builds a fabric on one engine with the given leaf, spine
+// and per-leaf host counts. edge configures host links, fabricLink the
+// leaf<->spine links.
 func NewLeafSpine(eng *sim.Engine, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
+	return onEngine(eng).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
+}
+
+// NewLeafSpineIn builds the leaf-spine fabric across a cluster's domains
+// with a per-pod split: leaf l and its hosts live in domain l mod N, spine
+// s in domain s mod N. Boundary links are the leaf<->spine hops whose ends
+// land in different domains; host edges are always domain-internal, so
+// transports, their timers and per-host hooks stay with their leaf.
+func NewLeafSpineIn(c *sim.Cluster, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
+	return onCluster(c).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
+}
+
+func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
 	if leaves < 1 || spines < 1 || hostsPerLeaf < 1 {
 		panic("topo: leaf-spine needs at least one of everything")
 	}
 	f := &LeafSpine{
-		Eng:          eng,
+		Eng:          b.engine(0),
 		HostsPerLeaf: hostsPerLeaf,
 		LeafUp:       make([][]*Pipe, leaves),
 		SpineDown:    make([][]*Pipe, spines),
 	}
 	for s := 0; s < spines; s++ {
-		f.Spines = append(f.Spines, NewSwitch(eng, fmt.Sprintf("spine%d", s)))
+		f.Spines = append(f.Spines, NewSwitch(b.engine(s), fmt.Sprintf("spine%d", s)))
 		f.SpineDown[s] = make([]*Pipe, leaves)
 	}
 	for l := 0; l < leaves; l++ {
-		f.Leaves = append(f.Leaves, NewSwitch(eng, fmt.Sprintf("leaf%d", l)))
+		f.Leaves = append(f.Leaves, NewSwitch(b.engine(l), fmt.Sprintf("leaf%d", l)))
 		f.LeafUp[l] = make([]*Pipe, spines)
 	}
 
@@ -53,24 +67,26 @@ func NewLeafSpine(eng *sim.Engine, leaves, spines, hostsPerLeaf int, edge, fabri
 	for l := 0; l < leaves; l++ {
 		upPorts[l] = make([]int, spines)
 		for s := 0; s < spines; s++ {
-			up := newPipe(eng, fabricLink, f.Spines[s])
+			up := b.pipe(b.engine(l), b.engine(s), fabricLink, f.Spines[s])
 			f.LeafUp[l][s] = up
 			upPorts[l][s] = f.Leaves[l].AddPort(up)
-			down := newPipe(eng, fabricLink, f.Leaves[l])
+			down := b.pipe(b.engine(s), b.engine(l), fabricLink, f.Leaves[l])
 			f.SpineDown[s][l] = down
-			// Port number on the spine toward leaf l is assigned below
-			// once we add routes (ports are added in leaf order).
+			// Spine ports are added in leaf order, so spine port l is
+			// toward leaf l (the routes below rely on it).
 			f.Spines[s].AddPort(down)
 		}
 	}
 
 	// Hosts.
+	total := leaves * hostsPerLeaf
 	id := packet.HostID(0)
 	for l := 0; l < leaves; l++ {
+		eng := b.engine(l)
 		for i := 0; i < hostsPerLeaf; i++ {
-			h := NewHost(eng, id)
-			h.SetUplink(newPipe(eng, edge, f.Leaves[l]))
-			down := newPipe(eng, edge, h)
+			h := b.host(eng, id, total)
+			h.SetUplink(b.pipe(eng, eng, edge, f.Leaves[l]))
+			down := b.pipe(eng, eng, edge, h)
 			port := f.Leaves[l].AddPort(down)
 			f.Leaves[l].AddRoute(id, port)
 			f.Hosts = append(f.Hosts, h)
@@ -80,88 +96,11 @@ func NewLeafSpine(eng *sim.Engine, leaves, spines, hostsPerLeaf int, edge, fabri
 	}
 
 	// Routing: leaves reach remote hosts via ECMP over all spines; spines
-	// reach every host via its leaf (spine port l is toward leaf l, since
-	// ports were added in leaf order).
-	total := leaves * hostsPerLeaf
-	for l := 0; l < leaves; l++ {
-		for h := 0; h < total; h++ {
-			hostLeaf := h / hostsPerLeaf
-			if hostLeaf == l {
-				continue // local route already installed
-			}
-			f.Leaves[l].AddECMPRoute(packet.HostID(h), upPorts[l]...)
-		}
-	}
-	for s := 0; s < spines; s++ {
-		for h := 0; h < total; h++ {
-			f.Spines[s].AddRoute(packet.HostID(h), h/hostsPerLeaf)
-		}
-	}
-	return f
-}
-
-// NewLeafSpineIn builds the leaf-spine fabric across a cluster's domains
-// with a per-pod split: leaf l and its hosts live in domain l mod N, spine
-// s in domain s mod N. Boundary links are the leaf<->spine hops whose ends
-// land in different domains; host edges are always domain-internal, so
-// transports, their timers and per-host hooks stay with their leaf.
-func NewLeafSpineIn(c *sim.Cluster, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
-	if leaves < 1 || spines < 1 || hostsPerLeaf < 1 {
-		panic("topo: leaf-spine needs at least one of everything")
-	}
-	b := newCbuild(c)
-	leafEng := func(l int) *sim.Engine { return c.Engine(l % c.N()) }
-	spineEng := func(s int) *sim.Engine { return c.Engine(s % c.N()) }
-	f := &LeafSpine{
-		Eng:          c.Engine(0),
-		HostsPerLeaf: hostsPerLeaf,
-		LeafUp:       make([][]*Pipe, leaves),
-		SpineDown:    make([][]*Pipe, spines),
-	}
-	for s := 0; s < spines; s++ {
-		f.Spines = append(f.Spines, NewSwitch(spineEng(s), fmt.Sprintf("spine%d", s)))
-		f.SpineDown[s] = make([]*Pipe, leaves)
-	}
-	for l := 0; l < leaves; l++ {
-		f.Leaves = append(f.Leaves, NewSwitch(leafEng(l), fmt.Sprintf("leaf%d", l)))
-		f.LeafUp[l] = make([]*Pipe, spines)
-	}
-
-	// Leaf <-> spine mesh, in the same construction order as NewLeafSpine.
-	upPorts := make([][]int, leaves)
-	for l := 0; l < leaves; l++ {
-		upPorts[l] = make([]int, spines)
-		for s := 0; s < spines; s++ {
-			up := b.pipe(leafEng(l), spineEng(s), fabricLink, f.Spines[s])
-			f.LeafUp[l][s] = up
-			upPorts[l][s] = f.Leaves[l].AddPort(up)
-			down := b.pipe(spineEng(s), leafEng(l), fabricLink, f.Leaves[l])
-			f.SpineDown[s][l] = down
-			f.Spines[s].AddPort(down)
-		}
-	}
-
-	// Hosts.
-	total := leaves * hostsPerLeaf
-	id := packet.HostID(0)
-	for l := 0; l < leaves; l++ {
-		for i := 0; i < hostsPerLeaf; i++ {
-			h := b.host(leafEng(l), id, total)
-			h.SetUplink(b.pipe(leafEng(l), leafEng(l), edge, f.Leaves[l]))
-			down := b.pipe(leafEng(l), leafEng(l), edge, h)
-			port := f.Leaves[l].AddPort(down)
-			f.Leaves[l].AddRoute(id, port)
-			f.Hosts = append(f.Hosts, h)
-			f.HostDown = append(f.HostDown, down)
-			id++
-		}
-	}
-
-	// Routing: identical rules to NewLeafSpine.
+	// reach every host via its leaf.
 	for l := 0; l < leaves; l++ {
 		for h := 0; h < total; h++ {
 			if h/hostsPerLeaf == l {
-				continue
+				continue // local route already installed
 			}
 			f.Leaves[l].AddECMPRoute(packet.HostID(h), upPorts[l]...)
 		}

@@ -33,9 +33,6 @@ func (f *FatTree) HostsPerPod() int { return (f.K / 2) * (f.K / 2) }
 // Host returns the host with the given ID.
 func (f *FatTree) Host(id packet.HostID) *Host { return f.Hosts[id] }
 
-// Pod returns the pod index of a host.
-func (f *FatTree) Pod(id packet.HostID) int { return int(id) / f.HostsPerPod() }
-
 // NewFatTreeIn builds a k-ary fat tree across a cluster's domains: pod p
 // lives in domain p mod N and core switch c in domain c mod N, so host
 // edges and the intra-pod mesh are always domain-internal and only
@@ -45,24 +42,22 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 	if k < 2 || k%2 != 0 {
 		panic("topo: fat tree needs an even k >= 2")
 	}
-	b := newCbuild(c)
+	b := onCluster(c)
 	half := k / 2
-	podEng := func(p int) *sim.Engine { return c.Engine(p % c.N()) }
-	coreEng := func(i int) *sim.Engine { return c.Engine(i % c.N()) }
-	f := &FatTree{Eng: c.Engine(0), K: k}
+	f := &FatTree{Eng: b.engine(0), K: k}
 
 	// Cores first, then pods, in fixed construction order.
 	for i := 0; i < half*half; i++ {
-		f.Cores = append(f.Cores, NewSwitch(coreEng(i), fmt.Sprintf("core%d", i)))
+		f.Cores = append(f.Cores, NewSwitch(b.engine(i), fmt.Sprintf("core%d", i)))
 	}
 	f.Aggs = make([][]*Switch, k)
 	f.Edges = make([][]*Switch, k)
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
-			f.Aggs[p] = append(f.Aggs[p], NewSwitch(podEng(p), fmt.Sprintf("agg%d.%d", p, j)))
+			f.Aggs[p] = append(f.Aggs[p], NewSwitch(b.engine(p), fmt.Sprintf("agg%d.%d", p, j)))
 		}
 		for e := 0; e < half; e++ {
-			f.Edges[p] = append(f.Edges[p], NewSwitch(podEng(p), fmt.Sprintf("edge%d.%d", p, e)))
+			f.Edges[p] = append(f.Edges[p], NewSwitch(b.engine(p), fmt.Sprintf("edge%d.%d", p, e)))
 		}
 	}
 
@@ -91,9 +86,9 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			agg := f.Aggs[p][j]
 			for m := 0; m < half; m++ {
 				core := f.Cores[j*half+m]
-				up := b.pipe(podEng(p), coreEng(j*half+m), fabricLink, core)
+				up := b.pipe(b.engine(p), b.engine(j*half+m), fabricLink, core)
 				aggCorePorts[p][j][m] = agg.AddPort(up)
-				down := b.pipe(coreEng(j*half+m), podEng(p), fabricLink, agg)
+				down := b.pipe(b.engine(j*half+m), b.engine(p), fabricLink, agg)
 				corePodPorts[j*half+m][p] = core.AddPort(down)
 			}
 		}
@@ -102,9 +97,9 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			es := f.Edges[p][e]
 			for j := 0; j < half; j++ {
 				agg := f.Aggs[p][j]
-				up := b.pipe(podEng(p), podEng(p), fabricLink, agg)
+				up := b.pipe(b.engine(p), b.engine(p), fabricLink, agg)
 				edgeUpPorts[p][e][j] = es.AddPort(up)
-				down := b.pipe(podEng(p), podEng(p), fabricLink, es)
+				down := b.pipe(b.engine(p), b.engine(p), fabricLink, es)
 				aggEdgePorts[p][j][e] = agg.AddPort(down)
 			}
 		}
@@ -120,9 +115,9 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			hostPorts[p][e] = make([]int, half)
 			es := f.Edges[p][e]
 			for i := 0; i < half; i++ {
-				h := b.host(podEng(p), id, total)
-				h.SetUplink(b.pipe(podEng(p), podEng(p), edge, es))
-				down := b.pipe(podEng(p), podEng(p), edge, h)
+				h := b.host(b.engine(p), id, total)
+				h.SetUplink(b.pipe(b.engine(p), b.engine(p), edge, es))
+				down := b.pipe(b.engine(p), b.engine(p), edge, h)
 				hostPorts[p][e][i] = es.AddPort(down)
 				f.Hosts = append(f.Hosts, h)
 				f.HostDown = append(f.HostDown, down)

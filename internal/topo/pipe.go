@@ -111,12 +111,13 @@ func NewPipe(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ec
 	// Derive the AQM stream from the engine so concurrent runs never share
 	// (or race on) a process-global sequence and a run's randomness is a
 	// pure function of its own construction order.
-	return newPipeWithAQMSeq(eng, rate, delay, queueLimit, ecnThreshold, dst, eng.NextSeq("queue.aqm"))
+	return newPipeWithAQMSeq(eng, rate, delay, queueLimit, ecnThreshold, dst, eng.NextIn(eng.SeqDomain("queue.aqm")))
 }
 
 // newPipeWithAQMSeq is NewPipe with the AQM sequence draw supplied by the
-// caller: cluster builders draw it from the cluster, not the engine, so a
-// queue's RED stream does not depend on which domain its pipe landed in.
+// caller: a topology build draws it through its own handle — from the
+// cluster, not the engine, when it spans domains, so a queue's RED stream
+// does not depend on which domain its pipe landed in.
 func newPipeWithAQMSeq(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ecnThreshold int, dst Receiver, aqmSeq uint64) *Pipe {
 	q := queue.New(queueLimit, ecnThreshold)
 	q.SetAQMSeed(0xA11CE + aqmSeq*0x5bd1e995)

@@ -19,20 +19,6 @@ import (
 	"aqueue/internal/topo"
 )
 
-// NextFlowID returns a fresh flow identifier scoped to the given engine.
-// Flows only need to be unique within one simulation; deriving them from
-// the engine (rather than a process global) keeps every run deterministic
-// even when many runs execute concurrently in the same process.
-//
-// Senders themselves draw through topo.Host.NextFlowID instead: the host
-// holds a pre-registered handle for this same sequence (no per-flow string
-// map probe) and, in cluster-built topologies, a partition-invariant
-// stride allocation. This shim remains for callers that only have an
-// engine.
-func NextFlowID(eng *sim.Engine) packet.FlowID {
-	return packet.FlowID(eng.NextSeq("transport.flow"))
-}
-
 // Options configures a sender beyond its CC algorithm.
 type Options struct {
 	// MSS is the payload bytes per segment; zero selects packet.DefaultMSS.
@@ -184,9 +170,6 @@ func (s *Sender) AckedBytes() int64 { return s.cumAck }
 
 // Receiver returns the receiving half (for delivered-byte accounting).
 func (s *Sender) Receiver() *Receiver { return s.receiver }
-
-// SRTT exposes the smoothed RTT (for tests).
-func (s *Sender) SRTT() sim.Time { return s.srtt }
 
 // Start schedules the first transmission after the given delay.
 func (s *Sender) Start(after sim.Time) {

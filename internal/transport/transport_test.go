@@ -249,19 +249,22 @@ func TestUDPStarvesTCPOnSharedPQ(t *testing.T) {
 	s.Stop()
 }
 
+// TestFlowIDsUnique: two hosts on one engine draw from the engine's one
+// flow sequence, so their flows never share an ID.
 func TestFlowIDsUnique(t *testing.T) {
 	eng := sim.NewEngine()
-	a, b := NextFlowID(eng), NextFlowID(eng)
-	if a == b {
-		t.Fatal("flow IDs collide")
+	h0, h1 := topo.NewHost(eng, 0), topo.NewHost(eng, 1)
+	a, b, c := h0.NextFlowID(), h1.NextFlowID(), h0.NextFlowID()
+	if a == b || b == c || a == c {
+		t.Fatalf("flow IDs collide: %d %d %d", a, b, c)
 	}
 }
 
 // TestFlowIDsEngineScoped pins the determinism contract the parallel
 // harness relies on: two engines allocate the same IDs independently.
 func TestFlowIDsEngineScoped(t *testing.T) {
-	e1, e2 := sim.NewEngine(), sim.NewEngine()
-	if NextFlowID(e1) != NextFlowID(e2) {
+	h1, h2 := topo.NewHost(sim.NewEngine(), 0), topo.NewHost(sim.NewEngine(), 0)
+	if h1.NextFlowID() != h2.NextFlowID() {
 		t.Fatal("flow IDs are not engine-scoped")
 	}
 }
