@@ -38,7 +38,7 @@ type pipeAccount struct {
 }
 
 // Lane advances a set of fluid entities at a fixed epoch on its engine's
-// timer wheel. Everything a Lane touches — its table, its pipes, its
+// timer lane. Everything a Lane touches — its table, its pipes, its
 // entities — lives on one engine: epochs are ordinary domain-local timer
 // events, so in a partitioned run they never widen a sync window (timers
 // only shrink a domain's earliest-arrival bound, which is always honest),

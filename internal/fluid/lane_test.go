@@ -32,7 +32,8 @@ func TestFireSteadyStateAllocFree(t *testing.T) {
 	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: pi}, 8)
 	lane.Start(0)
 
-	// Warm up: first epochs carve wheel slots and touch every code path.
+	// Warm up: first epochs grow the engine's heaps and touch every code
+	// path.
 	next := 5 * lane.Epoch()
 	eng.RunUntil(next)
 

@@ -13,10 +13,12 @@
 //     callback lives inline in the slot, nothing outside the heap points
 //     into it, and steady-state packet forwarding allocates nothing;
 //   - everything cancellable or re-armable (RTO, pacing, periodic ticks,
-//     arrival processes) is a Timer on the second lane, the hierarchical
-//     timing wheel of wheel.go, with O(1) arm/disarm/re-arm and no
-//     tombstones; the dispatch loop merges the two lanes by (time,
-//     ordering word), so lane choice never changes event order.
+//     arrival processes) is a Timer on the second lane, a small indexed
+//     4-ary heap of armed timers (timer.go): each timer knows its heap
+//     index, so arm, disarm and re-arm are exact O(log n) sifts in armed
+//     timers with no tombstones; the dispatch loop merges the two lane
+//     roots by (time, ordering word), so lane choice never changes event
+//     order.
 package sim
 
 import (
@@ -81,28 +83,36 @@ type heapVal struct {
 }
 
 // Engine owns the simulated clock and the two scheduling lanes: the
-// pending-event heap for packet and delivery events, and the hierarchical
-// timing wheel (see wheel.go) for cancellable, re-armable timers. The
-// dispatch loop merges the lanes by (time, ordering word), so which lane
-// an event rode is invisible to the model.
+// pending-event heap for packet and delivery events, and the timer heap
+// (see timer.go) for cancellable, re-armable timers. The dispatch loop
+// merges the lanes by (time, ordering word), so which lane an event rode
+// is invisible to the model.
 type Engine struct {
 	now  Time
 	seq  uint64
 	keys []heapKey // 4-ary min-heap on (at, ord)
 	vals []heapVal // payloads, parallel to keys
-	seqs seqTable
+
+	// tkeys and tptrs are the timer lane: a 4-ary min-heap of armed
+	// timers on (at, ord), keys and timers parallel, each timer holding
+	// its own index.
+	tkeys []heapKey
+	tptrs []*Timer
 
 	// hole is true while the root slot holds the event currently firing:
 	// the dispatch loop defers the physical pop so that the first event
 	// the handler schedules can drop straight into the root with one
 	// sift-down, fusing the pop's down + push's up of the ubiquitous
 	// fire-then-reschedule pattern into a single down. While the hole is
-	// open the root key is stale; peekHeap and Pending compensate.
-	hole bool
+	// open the root key is stale; peek and Pending compensate. thole is
+	// the same for the timer lane, refilled by the first timer armed.
+	hole, thole bool
 
 	// Processed counts events that have fired; it is exposed for
 	// benchmarks and sanity checks.
 	Processed uint64
+
+	seqs seqTable
 
 	// packetPool is an opaque per-engine slot the packet package uses for
 	// its engine-local free list (sim cannot import packet). See
@@ -118,10 +128,6 @@ type Engine struct {
 	// mid-window. Single-engine construction leaves it false and those
 	// guards compile down to an untaken branch.
 	multiDomain bool
-
-	// wheel is the timer lane. Last, so its 12 KB of level headers do not
-	// sit between the dispatch loop's scalars.
-	wheel timerWheel
 }
 
 // MultiDomain reports whether the engine is one domain of a 2+ domain
@@ -238,84 +244,65 @@ func (e *Engine) checkTime(t Time) {
 }
 
 // Pending reports the number of events that will fire across both lanes:
-// heap slots plus armed wheel timers. Neither lane holds tombstones — a
-// heap event cannot be cancelled and a disarmed timer leaves its slot.
+// heap slots plus armed timers. Neither lane holds tombstones — a heap
+// event cannot be cancelled and a disarmed timer leaves its heap at once.
 func (e *Engine) Pending() int {
-	n := len(e.keys) + e.wheel.live
+	n := len(e.keys) + len(e.tkeys)
 	if e.hole {
 		n-- // the stale root is the event currently firing, not pending
+	}
+	if e.thole {
+		n--
 	}
 	return n
 }
 
-// NextEventTime reports the earliest pending instant across the heap and
-// wheel lanes, or ok=false when the engine has nothing scheduled. The
+// NextEventTime reports the earliest pending instant across the event and
+// timer lanes, or ok=false when the engine has nothing scheduled. The
 // cluster coordinator reads it between rounds to bound how far a domain's
 // neighbours may safely run.
 func (e *Engine) NextEventTime() (Time, bool) {
-	hk, ok := e.peekHeap()
-	at := hk.at
-	if e.wheel.live > 0 {
-		if wk, _ := e.wheel.peek(e.now); !ok || wk.at < at {
-			at, ok = wk.at, true
-		}
+	hk, ok := peek(e.keys, e.hole)
+	if tk, tok := peek(e.tkeys, e.thole); tok && (!ok || tk.at < hk.at) {
+		return tk.at, true
 	}
-	return at, ok
+	return hk.at, ok
 }
 
-// peekHeap reports the key of the earliest heap event, or ok=false when
-// the heap has none.
-func (e *Engine) peekHeap() (heapKey, bool) {
-	if e.hole {
-		return e.peekSansRoot()
+// peek reports the least key of one lane's heap, or ok=false when the lane
+// has none. While the lane's root hole is open the root key is stale, and
+// by the heap property the least live key is the least of the root's (at
+// most four) children.
+func peek(k []heapKey, hole bool) (heapKey, bool) {
+	if !hole {
+		if len(k) == 0 {
+			return heapKey{}, false
+		}
+		return k[0], true
 	}
-	if len(e.keys) == 0 {
+	if len(k) <= 1 {
 		return heapKey{}, false
 	}
-	return e.keys[0], true
+	_, best := minChild(k, 1)
+	return best, true
 }
 
-// peekSansRoot reports the earliest heap key excluding the stale root of an
-// open hole: by the heap property that is the least of the root's (at most
-// four) children.
-func (e *Engine) peekSansRoot() (heapKey, bool) {
-	n := len(e.keys)
-	if n <= 1 {
-		return heapKey{}, false
-	}
-	min := 1
-	last := 5
-	if last > n {
-		last = n
-	}
-	for c := 2; c < last; c++ {
-		if less(e.keys[c], e.keys[min]) {
-			min = c
-		}
-	}
-	return e.keys[min], true
-}
-
-// step fires the earliest pending event — merging the heap and wheel lanes
-// by (time, ordering word) — if it is due by the deadline, and reports
-// whether one fired. Keys never compare equal across lanes: both draw from
-// the one scheduling sequence, so the merge is a strict total order.
+// step fires the earliest pending event — merging the event and timer
+// lanes by (time, ordering word) — if it is due by the deadline, and
+// reports whether one fired. Keys never compare equal across lanes: both
+// draw from the one scheduling sequence, so the merge is a strict total
+// order. No hole is open on entry: every fire closes its own.
 func (e *Engine) step(deadline Time) bool {
-	hk, hasHeap := e.peekHeap()
-	if e.wheel.live > 0 {
-		wk, wt := e.wheel.peek(e.now)
-		if !hasHeap || less(wk, hk) {
-			if wk.at > deadline {
-				return false
-			}
-			e.wheel.remove(wt)
-			e.now = wk.at
-			wt.fn()
-			e.Processed++
-			return true
+	k := e.keys
+	if len(e.tkeys) > 0 && (len(k) == 0 || less(e.tkeys[0], k[0])) {
+		at := e.tkeys[0].at
+		if at > deadline {
+			return false
 		}
+		e.fireTimer(at)
+		return true
 	}
-	if !hasHeap || hk.at > deadline {
+	if len(k) == 0 || k[0].at > deadline {
 		return false
 	}
 	// Deferred pop: open the root hole and fire. The handler's first
@@ -324,7 +311,7 @@ func (e *Engine) step(deadline Time) bool {
 	// copied out first, so the callback may freely schedule new events.
 	v := e.vals[0]
 	e.hole = true
-	e.now = hk.at
+	e.now = k[0].at
 	v.fnArg(v.arg)
 	e.Processed++
 	if e.hole {
@@ -357,7 +344,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // runTo is RunUntil without the pool spill: the cluster's windowed loop
 // calls it once per round, where draining the free list every
 // window would throw the pooled packets away thousands of times per run.
-// Wheel timers respect the deadline exactly like heap events, so a
+// Timers respect the deadline exactly like heap events, so a
 // windowed cluster run can never skip a timer past a window boundary.
 func (e *Engine) runTo(deadline Time) {
 	for e.step(deadline) {
@@ -452,39 +439,17 @@ func (e *Engine) up(i int) {
 	e.vals[i] = val
 }
 
-// down sifts slot i towards the leaves. Which of four children is least is
-// a coin toss to a branch predictor — hold-model keys arrive in no order it
-// can learn — so a full fan-out is decided by a tournament of masks (two
-// semifinals and a final select both the winning key and its index) and the
-// only data-dependent branch per level is the loop exit. The scalar loop
-// serves the at most one node with fewer than four children. Ties keep the
-// lower index in both.
+// down sifts slot i towards the leaves.
 func (e *Engine) down(i int) {
 	k := e.keys
-	n := len(k)
 	key := k[i]
 	val := e.vals[i]
 	for {
 		first := 4*i + 1
-		if first >= n {
+		if first >= len(k) {
 			break
 		}
-		min, best := first, k[first]
-		if first+4 <= n {
-			c := k[first : first+4 : first+4]
-			m01, m23 := ltMask(c[1], c[0]), ltMask(c[3], c[2])
-			k01, k23 := selKey(c[0], c[1], m01), selKey(c[2], c[3], m23)
-			i01, i23 := m01&1, 2|m23&1
-			mf := ltMask(k23, k01)
-			best = selKey(k01, k23, mf)
-			min = first + int(i01^(i01^i23)&mf)
-		} else {
-			for c := first + 1; c < n; c++ {
-				if less(k[c], best) {
-					min, best = c, k[c]
-				}
-			}
-		}
+		min, best := minChild(k, first)
 		if !less(best, key) {
 			break
 		}
@@ -494,4 +459,30 @@ func (e *Engine) down(i int) {
 	}
 	k[i] = key
 	e.vals[i] = val
+}
+
+// minChild returns the index and key of the least of the (up to four)
+// siblings starting at first, which must exist. Which of four children is
+// least is a coin toss to a branch predictor — hold-model keys arrive in
+// no order it can learn — so a full fan-out is decided by a tournament of
+// masks (two semifinals and a final select both the winning key and its
+// index) and the only data-dependent branch per level of a sift is its
+// loop exit. The scalar loop serves the at most one node with fewer than
+// four children. Ties keep the lower index in both.
+func minChild(k []heapKey, first int) (int, heapKey) {
+	if first+4 <= len(k) {
+		c := k[first : first+4 : first+4]
+		m01, m23 := ltMask(c[1], c[0]), ltMask(c[3], c[2])
+		k01, k23 := selKey(c[0], c[1], m01), selKey(c[2], c[3], m23)
+		i01, i23 := m01&1, 2|m23&1
+		mf := ltMask(k23, k01)
+		return first + int(i01^(i01^i23)&mf), selKey(k01, k23, mf)
+	}
+	min, best := first, k[first]
+	for c := first + 1; c < len(k); c++ {
+		if less(k[c], best) {
+			min, best = c, k[c]
+		}
+	}
+	return min, best
 }

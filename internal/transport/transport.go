@@ -144,9 +144,9 @@ func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *
 		rto:  10 * sim.Millisecond,
 	}
 	s.trySendFn = s.trySend
-	// All three flow timers live on the engine's wheel lane: re-arming on
-	// every ACK or pacing gate is O(1) and a disarmed timer leaves nothing
-	// behind.
+	// All three flow timers live on the engine's timer lane: re-arming on
+	// every ACK or pacing gate is one sift among the engine's few armed
+	// timers, and a fired or disarmed timer leaves nothing behind.
 	s.rtoT = s.eng.NewTimer(s.onTimeout)
 	s.pacedT = s.eng.NewTimer(s.trySendFn)
 	s.startT = s.eng.NewTimer(s.trySendFn)

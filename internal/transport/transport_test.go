@@ -268,3 +268,50 @@ func TestFlowIDsEngineScoped(t *testing.T) {
 		t.Fatal("flow IDs are not engine-scoped")
 	}
 }
+
+// TestEventsArePipeDeliveriesPlusTimerFires pins what the engine's events
+// are on a forwarding run: one delivery per packet a pipe puts on the wire
+// and one timer fire per UDP tick, nothing else. Four 4 Gbps senders of
+// 64 B datagrams converge on one host of a 5-host star; one of them rides
+// a 1 Gbps AQ, so packets die both on the AQ limit path and at the
+// downlink's FIFO tail, and neither kind may cost an event. A new event
+// class on the packet path breaks the identity.
+func TestEventsArePipeDeliveriesPlusTimerFires(t *testing.T) {
+	eng := sim.NewEngine()
+	star := topo.NewStar(eng, 5, topo.DefaultSim())
+	sink := star.Hosts[4]
+	aq := star.SW.Ingress.Deploy(core.Config{ID: 1, Rate: 1 * units.Gbps})
+	var senders []*UDPSender
+	for i := 0; i < 4; i++ {
+		opt := Options{MSS: 64}
+		if i == 0 {
+			opt.IngressAQ = 1
+		}
+		u := NewUDPSender(star.Hosts[i], sink, 4*units.Gbps, opt)
+		u.Start(sim.Time(100 * i))
+		senders = append(senders, u)
+	}
+	eng.RunUntil(2 * sim.Millisecond)
+	for _, u := range senders {
+		u.Stop()
+	}
+	eng.Run()
+
+	var tx, ticks uint64
+	for i, h := range star.Hosts {
+		tx += h.Uplink().TxPackets + star.Down[i].TxPackets
+	}
+	for _, u := range senders {
+		ticks += u.SentPackets
+	}
+	tail := star.Down[4].Queue().Stats().Dropped
+	if aq.Stats().Drops == 0 || tail == 0 {
+		t.Fatalf("AQ drops %d, tail drops %d: the run must exercise both", aq.Stats().Drops, tail)
+	}
+	if got := eng.Stats().Processed; got != tx+ticks {
+		t.Fatalf("engine fired %d events, want %d pipe deliveries + %d UDP ticks = %d",
+			got, tx, ticks, tx+ticks)
+	}
+	t.Logf("%d events = %d deliveries + %d ticks; %d AQ drops, %d tail drops",
+		eng.Stats().Processed, tx, ticks, aq.Stats().Drops, tail)
+}
