@@ -1,46 +1,39 @@
-// Command aqctl runs the AQ Controller of §4.1 as a TCP daemon, or acts as
-// a client sending it tenant requests. The client mode also speaks the v2
-// service verbs of cmd/aqsimd: workload attach/detach, guarantee
-// reconfiguration, telemetry and run control.
+// Command aqctl is the client of the AQ Controller of §4.1: it sends one
+// request to cmd/aqsimd, which serves the controller verbs against a live
+// fabric alongside the service verbs — workload attach/detach, guarantee
+// reconfiguration, telemetry and run control — and prints the answer.
 //
-// Server:
+// Controller verbs:
 //
-//	aqctl -serve -listen 127.0.0.1:7070 -capacity 10e9 -switches S1,S2
-//
-// Client (controller verbs, against aqctl -serve or aqsimd):
-//
-//	aqctl -addr 127.0.0.1:7070 -op grant -tenant t1 -mode weighted \
+//	aqctl -op grant -tenant t1 -mode weighted \
 //	      -weight 1 -cc ecn -position ingress -switch S1
-//	aqctl -addr 127.0.0.1:7070 -op set_rate -id 3 -bandwidth 2e9
-//	aqctl -addr 127.0.0.1:7070 -op set_weight -id 4 -weight 3
-//	aqctl -addr 127.0.0.1:7070 -op release -id 3
-//	aqctl -addr 127.0.0.1:7070 -op list
+//	aqctl -op set_rate -id 3 -bandwidth 2e9
+//	aqctl -op set_weight -id 4 -weight 3
+//	aqctl -op set_active -id 4 -active=false
+//	aqctl -op release -id 3
+//	aqctl -op list
 //
-// Client (service verbs, against aqsimd):
+// Service verbs:
 //
-//	aqctl -addr 127.0.0.1:7171 -op attach -tenant t1 -id 3 \
-//	      -kind websearch -load 0.5
-//	aqctl -addr 127.0.0.1:7171 -op attach -tenant bg -id 4 \
-//	      -kind fluid -load 0.8 -entities 100000
-//	aqctl -addr 127.0.0.1:7171 -op stats
-//	aqctl -addr 127.0.0.1:7171 -op watch -count 10
-//	aqctl -addr 127.0.0.1:7171 -op trace -count 50
-//	aqctl -addr 127.0.0.1:7171 -op pause
-//	aqctl -addr 127.0.0.1:7171 -op step -count 5
-//	aqctl -addr 127.0.0.1:7171 -op advance -until 2000000000
-//	aqctl -addr 127.0.0.1:7171 -op quit
+//	aqctl -op attach -tenant t1 -id 3 -kind websearch -load 0.5
+//	aqctl -op attach -tenant bg -id 4 -kind fluid -load 0.8 -entities 100000
+//	aqctl -op stats
+//	aqctl -op watch -count 10
+//	aqctl -op trace -count 50
+//	aqctl -op pause
+//	aqctl -op step -count 5
+//	aqctl -op advance -until 2000000000
+//	aqctl -op quit
 //
-// Requests are sent as protocol v2 by default; -proto 1 reproduces the
-// legacy v1 exchanges byte for byte.
+// -addr names the daemon (default aqsimd's 127.0.0.1:7171). A refused
+// request exits non-zero with its error code in brackets.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"strings"
 
 	"aqueue/internal/control"
 	"aqueue/internal/units"
@@ -48,14 +41,8 @@ import (
 
 func main() {
 	var (
-		serve    = flag.Bool("serve", false, "run as the controller daemon")
-		listen   = flag.String("listen", "127.0.0.1:7070", "daemon listen address")
-		switches = flag.String("switches", "S1", "comma-separated switch names to manage")
-		capacity = flag.Float64("capacity", 10e9, "managed link capacity in bits/s")
-
-		addr     = flag.String("addr", "127.0.0.1:7070", "daemon address (client mode)")
+		addr     = flag.String("addr", "127.0.0.1:7171", "daemon address")
 		op       = flag.String("op", "", "operation: hello|grant|release|set_active|set_rate|set_weight|list|attach|detach|stats|watch|trace|fingerprint|pause|resume|step|advance|quit")
-		proto    = flag.Int("proto", control.ProtoV2, "wire protocol version to speak")
 		tenant   = flag.String("tenant", "", "tenant name")
 		mode     = flag.String("mode", "absolute", "absolute|weighted")
 		bw       = flag.Float64("bandwidth", 0, "bandwidth in bits/s (grant/set_rate)")
@@ -75,20 +62,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if *serve {
-		runServer(*listen, *switches, units.BitRate(*capacity))
-		return
-	}
 	if *op == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	v := *proto
-	if v == control.ProtoV1 {
-		v = 0 // v1 requests omit the field entirely
-	}
 	runClient(*addr, control.WireRequest{
-		V:         v,
+		V:         control.ProtoV2,
 		Op:        *op,
 		Tenant:    *tenant,
 		Mode:      *mode,
@@ -107,28 +86,6 @@ func main() {
 		Count:     *count,
 		UntilNS:   *until,
 	})
-}
-
-func runServer(listen, switches string, capacity units.BitRate) {
-	ctrl := control.NewController(capacity)
-	srv := control.NewServer(ctrl)
-	for _, sw := range strings.Split(switches, ",") {
-		sw = strings.TrimSpace(sw)
-		if sw == "" {
-			continue
-		}
-		srv.RegisterTable(sw, control.Ingress, nil)
-		srv.RegisterTable(sw, control.Egress, nil)
-		log.Printf("managing switch %s (ingress+egress pipelines)", sw)
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	log.Printf("AQ controller listening on %s, capacity %v", ln.Addr(), capacity)
-	if err := srv.Serve(ln); err != nil {
-		log.Printf("serve: %v", err)
-	}
 }
 
 func runClient(addr string, req control.WireRequest) {

@@ -1,7 +1,7 @@
 // Command aqsimd hosts a long-running simulated fabric as a daemon: a
 // cluster-built topology with an AQ controller that free-runs (optionally
 // paced against the wall clock) and accepts runtime mutations over the
-// versioned wire protocol — tenant grants and guarantee reconfigurations,
+// wire protocol — tenant grants and guarantee reconfigurations,
 // open-loop workload attach/detach, telemetry snapshots and trace tails,
 // and run control. Mutations land only at window boundaries, so a session
 // scripted at fixed windows replays byte-identically (see
@@ -94,7 +94,7 @@ func main() {
 	}()
 
 	// Serve returns once the listener closes — via wire "quit" (the
-	// SetOnQuit hook) or a signal.
+	// SetOnQuit hook) or a signal, even one that arrived before Serve.
 	if err := ws.Serve(ln); err != nil {
 		// The accept error after Close is the normal shutdown path.
 		log.Printf("aqsimd: listener closed (%v)", err)

@@ -5,28 +5,22 @@ import (
 	"fmt"
 )
 
-// Wire protocol versions. A request carries its version in the "v" field;
-// an absent field (0) means v1, the original four-verb protocol, which is
-// accepted forever for backward compatibility. v2 adds the service verbs
-// (attach/detach, set_rate/set_weight, stats/watch/trace, run control),
-// machine-readable error codes, and structured payloads in "data".
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	// ProtoMax is the newest version this build speaks. Requests beyond it
-	// are rejected with CodeUnsupportedVersion and the server's ceiling in
-	// the response "v" field, so a newer client can downgrade.
-	ProtoMax = ProtoV2
-)
+// ProtoV2 is the wire protocol: the controller verbs of §4.1, the service
+// verbs (attach/detach, set_rate/set_weight, stats/watch/trace, run
+// control), machine-readable error codes and structured payloads in
+// "data". A request's "v" field is optional; absent or 2 means this
+// protocol, and any other value is refused with CodeUnsupportedVersion.
+// Every response carries "v":2.
+const ProtoV2 = 2
 
-// Machine-readable error codes carried in WireResponse.Code (v2). The
+// Machine-readable error codes carried in WireResponse.Code. The
 // human-readable Error string may change freely; scripts branch on these.
 const (
 	// CodeMalformed: the request line was not valid JSON.
 	CodeMalformed = "malformed"
-	// CodeUnsupportedVersion: the request's "v" exceeds ProtoMax.
+	// CodeUnsupportedVersion: the request's "v" is neither absent nor 2.
 	CodeUnsupportedVersion = "unsupported_version"
-	// CodeUnknownOp: the op is not recognized at the negotiated version.
+	// CodeUnknownOp: the op is not recognized.
 	CodeUnknownOp = "unknown_op"
 	// CodeBadRequest: the op is known but its arguments are invalid.
 	CodeBadRequest = "bad_request"

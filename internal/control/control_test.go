@@ -3,7 +3,6 @@ package control
 import (
 	"errors"
 	"math"
-	"net"
 	"testing"
 
 	"aqueue/internal/core"
@@ -197,18 +196,8 @@ func TestResourceModel(t *testing.T) {
 }
 
 func TestWireProtocolOverTCP(t *testing.T) {
-	ctrl := NewController(10 * units.Gbps)
-	srv := NewServer(ctrl)
-	tbl := srv.RegisterTable("S1", Ingress, nil)
-	srv.RegisterTable("S1", Egress, nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	cli, err := Dial(ln.Addr().String())
+	ctrl, tbl, addr := serveController(t, 10*units.Gbps)
+	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

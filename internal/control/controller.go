@@ -160,8 +160,8 @@ func (c *Controller) Grant(req Request, tbl *core.Table) (Grant, error) {
 }
 
 // Release undeploys a granted AQ and rebalances its table. It reports
-// whether the id named a live grant (callers that must distinguish a miss,
-// like the v2 wire protocol, check it; v1 semantics ignore it).
+// whether the id named a live grant (the wire protocol answers a miss
+// with unknown_id).
 func (c *Controller) Release(id packet.AQID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

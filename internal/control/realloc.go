@@ -108,7 +108,7 @@ func (r *Reallocator) tick() {
 		}
 		e.aq.SetRate(rate)
 	}
-	r.tickT.RearmAfter(r.interval)
+	r.tickT.ArmAfter(r.interval)
 }
 
 func (r *Reallocator) weights(total float64) []float64 {

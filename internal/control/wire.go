@@ -14,16 +14,14 @@ import (
 )
 
 // This file implements the controller's wire protocol: newline-delimited
-// JSON over TCP. Tenants (cmd/aqctl's client mode, or the hypervisor agent
-// of §4.1) send requests; the controller answers with grants. The protocol
-// is versioned (see codes.go): v1 is the original grant/release/
-// set_active/list surface of §4.1, v2 adds guarantee reconfiguration and
-// the verbs of the long-running fabric service (internal/service,
-// cmd/aqsimd). The full schema is documented in DESIGN.md.
+// JSON over TCP. Tenants (cmd/aqctl, or the hypervisor agent of §4.1) send
+// requests; cmd/aqsimd answers them against a live fabric (internal/service
+// layers its verbs around DispatchController). There is one protocol
+// version (see codes.go); the full schema is documented in DESIGN.md.
 
 // WireRequest is one client message.
 type WireRequest struct {
-	// V is the protocol version the client speaks; absent (0) means v1.
+	// V is the protocol version the client speaks: absent (0) or ProtoV2.
 	V         int     `json:"v,omitempty"`
 	Op        string  `json:"op"`
 	Tenant    string  `json:"tenant,omitempty"`
@@ -36,7 +34,7 @@ type WireRequest struct {
 	ID        uint32  `json:"id,omitempty"`
 	Active    *bool   `json:"active,omitempty"`
 
-	// v2 fields, used by the service verbs (internal/service).
+	// Fields of the service verbs (internal/service).
 	Kind     string  `json:"kind,omitempty"`     // attach: flow-size distribution (websearch|datamining|fixed) or "fluid"
 	Entities int     `json:"entities,omitempty"` // attach: fluid entity count (kind "fluid")
 	Load     float64 `json:"load,omitempty"`     // attach: offered load as a fraction of the bottleneck rate
@@ -48,13 +46,12 @@ type WireRequest struct {
 
 // WireResponse is the controller's answer.
 type WireResponse struct {
-	// V echoes the negotiated protocol version for v2+ exchanges; v1
-	// responses omit it, byte-compatible with pre-versioning servers.
+	// V is the protocol version; WireServer sets ProtoV2 on every response.
 	V     int    `json:"v,omitempty"`
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
 	// Code is the machine-readable error class (codes.go), set on every
-	// v2 error; scripts branch on it instead of parsing Error.
+	// error; scripts branch on it instead of parsing Error.
 	Code string   `json:"code,omitempty"`
 	ID   uint32   `json:"id,omitempty"`
 	Rate float64  `json:"rate_bps,omitempty"`
@@ -72,26 +69,31 @@ type WireResponse struct {
 type Handler func(req WireRequest, emit func(WireResponse) bool)
 
 // WireServer runs the newline-delimited-JSON loop for any Handler: it
-// owns the listener, decodes requests, enforces the version ceiling, and
-// normalizes responses (version echo, error-code fallback). The
-// controller's Server and the fabric service's wire front end are both
-// built on it.
+// owns the listener, decodes requests, refuses other protocol versions,
+// and normalizes responses (version stamp, error-code fallback). The
+// fabric service's wire front end is built on it.
 type WireServer struct {
-	h  Handler
-	mu sync.Mutex
-	ln net.Listener
-	wg sync.WaitGroup
+	h      Handler
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewWireServer wraps a handler.
 func NewWireServer(h Handler) *WireServer { return &WireServer{h: h} }
 
 // Serve accepts connections on ln until the listener closes. It blocks;
-// run it in a goroutine and call Close to stop.
+// run it in a goroutine and call Close to stop. On a server already
+// closed, Serve closes ln and returns at once.
 func (s *WireServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
+	closed := s.closed
 	s.mu.Unlock()
+	if closed {
+		ln.Close()
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -107,9 +109,10 @@ func (s *WireServer) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener; in-flight connections finish their current
-// request.
+// request. A Close before Serve is remembered: that Serve returns at once.
 func (s *WireServer) Close() error {
 	s.mu.Lock()
+	s.closed = true
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
@@ -123,126 +126,53 @@ func (s *WireServer) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	enc := json.NewEncoder(conn)
-	for sc.Scan() {
+	alive := true
+	// emit stamps every response with the protocol version and gives an
+	// error without a class the bad_request code, so clients can always
+	// branch on Code.
+	emit := func(resp WireResponse) bool {
+		if !alive {
+			return false
+		}
+		resp.V = ProtoV2
+		if resp.Error != "" && resp.Code == "" {
+			resp.Code = CodeBadRequest
+		}
+		if err := enc.Encode(resp); err != nil {
+			alive = false
+		}
+		return alive
+	}
+	for alive && sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var req WireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			if encErr := enc.Encode(Errf(CodeMalformed, "malformed request: %v", err)); encErr != nil {
-				return
-			}
-			continue
-		}
-		alive := true
-		emit := func(resp WireResponse) bool {
-			if !alive {
-				return false
-			}
-			// Echo the version on v2+ exchanges; leave v1 responses
-			// byte-compatible with the pre-versioning protocol. Errors
-			// without a class default to bad_request so v2 clients can
-			// always branch on Code.
-			if req.V >= ProtoV2 && resp.V == 0 {
-				resp.V = req.V
-			}
-			if resp.Error != "" && resp.Code == "" {
-				resp.Code = CodeBadRequest
-			}
-			if err := enc.Encode(resp); err != nil {
-				alive = false
-			}
-			return alive
-		}
-		if req.V > ProtoMax {
-			// Tell the newer client our ceiling so it can downgrade.
-			resp := Errf(CodeUnsupportedVersion, "protocol v%d not supported (max v%d)", req.V, ProtoMax)
-			resp.V = ProtoMax
-			if err := enc.Encode(resp); err != nil {
-				return
-			}
-			continue
-		}
-		s.h(req, emit)
-		if !alive {
-			return
+		switch err := json.Unmarshal(line, &req); {
+		case err != nil:
+			emit(Errf(CodeMalformed, "malformed request: %v", err))
+		case req.V != 0 && req.V != ProtoV2:
+			emit(Errf(CodeUnsupportedVersion, "protocol v%d not supported (this server speaks v%d)", req.V, ProtoV2))
+		default:
+			s.h(req, emit)
 		}
 	}
 }
 
-// Server exposes a Controller over TCP. Pipeline tables are registered
-// under "switch/position" names; grants address them by those names.
-type Server struct {
-	ctrl *Controller
-	ws   *WireServer
+// helloData is the "hello" payload: every protocol version the server
+// accepts.
+var helloData = json.RawMessage(`{"versions":[2]}`)
 
-	mu     sync.Mutex
-	tables map[string]*core.Table
-}
-
-// NewServer wraps a controller.
-func NewServer(ctrl *Controller) *Server {
-	s := &Server{ctrl: ctrl, tables: make(map[string]*core.Table)}
-	s.ws = NewWireServer(func(req WireRequest, emit func(WireResponse) bool) {
-		emit(s.dispatch(req))
-	})
-	return s
-}
-
-// RegisterTable exposes a pipeline table under the given switch name and
-// position, creating the table if nil is passed.
-func (s *Server) RegisterTable(sw string, pos Position, tbl *core.Table) *core.Table {
-	if tbl == nil {
-		tbl = core.NewTable()
-	}
-	s.mu.Lock()
-	s.tables[tableKey(sw, pos)] = tbl
-	s.mu.Unlock()
-	return tbl
-}
-
-func tableKey(sw string, pos Position) string { return sw + "/" + pos.String() }
-
-// lookup resolves a registered pipeline table, nil if absent.
-func (s *Server) lookup(sw string, pos Position) *core.Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[tableKey(sw, pos)]
-}
-
-// Serve accepts connections on ln until the listener closes. It blocks;
-// run it in a goroutine and call Close to stop.
-func (s *Server) Serve(ln net.Listener) error { return s.ws.Serve(ln) }
-
-// Close stops the listener; in-flight connections finish their current
-// request.
-func (s *Server) Close() error { return s.ws.Close() }
-
-func (s *Server) dispatch(req WireRequest) WireResponse {
-	if resp, handled := DispatchController(s.ctrl, s.lookup, req); handled {
-		return resp
-	}
-	return Errf(CodeUnknownOp, "unknown op %q", req.Op)
-}
-
-// DispatchController executes one controller verb — the v1 surface plus
-// the v2 reconfiguration verbs — against ctrl, resolving pipeline tables
-// through lookup. It reports handled=false for ops outside that set, so a
-// larger server (internal/service) can layer its own verbs around the
-// same controller dispatch instead of re-implementing it.
+// DispatchController executes one controller verb — grant, release,
+// set_active, list and the reconfiguration verbs — against ctrl, resolving
+// pipeline tables through lookup. It reports handled=false for ops outside
+// that set, so a larger server (internal/service) can layer its own verbs
+// around the same controller dispatch instead of re-implementing it.
 func DispatchController(ctrl *Controller, lookup func(sw string, pos Position) *core.Table, req WireRequest) (WireResponse, bool) {
 	switch req.Op {
 	case "hello":
-		// Version discovery: data lists every protocol version the server
-		// accepts. v1 clients that never send "hello" lose nothing.
-		data, err := json.Marshal(struct {
-			Versions []int `json:"versions"`
-		}{Versions: []int{ProtoV1, ProtoV2}})
-		if err != nil {
-			return Errf(CodeInternal, "encoding hello: %v", err), true
-		}
-		return WireResponse{OK: true, V: ProtoMax, Data: data}, true
+		return WireResponse{OK: true, Data: helloData}, true
 	case "grant":
 		r, err := parseRequest(req)
 		if err != nil {
@@ -258,8 +188,7 @@ func DispatchController(ctrl *Controller, lookup func(sw string, pos Position) *
 		}
 		return WireResponse{OK: true, ID: uint32(g.ID), Rate: float64(g.Rate)}, true
 	case "release":
-		if !ctrl.Release(packet.AQID(req.ID)) && req.V >= ProtoV2 {
-			// v1 kept release idempotent-silent; v2 reports the miss.
+		if !ctrl.Release(packet.AQID(req.ID)) {
 			return Errf(CodeUnknownID, "no grant with id %d", req.ID), true
 		}
 		return WireResponse{OK: true}, true
@@ -267,19 +196,19 @@ func DispatchController(ctrl *Controller, lookup func(sw string, pos Position) *
 		if req.Active == nil {
 			return Errf(CodeBadRequest, "set_active needs \"active\""), true
 		}
-		if !ctrl.SetActive(packet.AQID(req.ID), *req.Active) && req.V >= ProtoV2 {
+		if !ctrl.SetActive(packet.AQID(req.ID), *req.Active) {
 			return Errf(CodeUnknownID, "no grant with id %d", req.ID), true
 		}
 		return WireResponse{OK: true, ID: req.ID, Rate: float64(ctrl.Rate(packet.AQID(req.ID)))}, true
 	case "set_rate":
-		// v2: reconfigure an absolute guarantee in place.
+		// Reconfigure an absolute guarantee in place.
 		rate, err := ctrl.SetGuarantee(packet.AQID(req.ID), units.BitRate(req.Bandwidth), 0)
 		if err != nil {
 			return ErrToResponse(err), true
 		}
 		return WireResponse{OK: true, ID: req.ID, Rate: float64(rate)}, true
 	case "set_weight":
-		// v2: reconfigure a weighted share in place.
+		// Reconfigure a weighted share in place.
 		rate, err := ctrl.SetGuarantee(packet.AQID(req.ID), 0, req.Weight)
 		if err != nil {
 			return ErrToResponse(err), true

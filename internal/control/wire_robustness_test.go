@@ -7,27 +7,55 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"aqueue/internal/core"
 	"aqueue/internal/units"
 )
 
-// dialTestServer spins up a server with one registered switch and returns
-// a raw connection plus cleanup.
-func dialTestServer(t *testing.T) (net.Conn, func()) {
+// serveController starts a wire server answering the controller verbs
+// against a fresh controller of the given capacity, with switch S1's
+// ingress and egress tables, and an unknown_op fallback for every other
+// op. It returns the controller, S1's ingress table and the listen
+// address; the server stops when the test ends.
+func serveController(t *testing.T, capacity units.BitRate) (*Controller, *core.Table, string) {
 	t.Helper()
-	ctrl := NewController(10 * units.Gbps)
-	srv := NewServer(ctrl)
-	srv.RegisterTable("S1", Ingress, nil)
+	ctrl := NewController(capacity)
+	tables := map[Position]*core.Table{Ingress: core.NewTable(), Egress: core.NewTable()}
+	lookup := func(sw string, pos Position) *core.Table {
+		if sw != "S1" {
+			return nil
+		}
+		return tables[pos]
+	}
+	ws := NewWireServer(func(req WireRequest, emit func(WireResponse) bool) {
+		resp, handled := DispatchController(ctrl, lookup, req)
+		if !handled {
+			resp = Errf(CodeUnknownOp, "unknown op %q", req.Op)
+		}
+		emit(resp)
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	served := make(chan struct{})
+	go func() { defer close(served); ws.Serve(ln) }()
+	t.Cleanup(func() { ws.Close(); <-served })
+	return ctrl, tables[Ingress], ln.Addr().String()
+}
+
+// dialTestServer starts a controller server and returns a raw connection
+// to it, closed when the test ends.
+func dialTestServer(t *testing.T) net.Conn {
+	t.Helper()
+	_, _, addr := serveController(t, 10*units.Gbps)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conn, func() { conn.Close(); srv.Close() }
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 func roundTrip(t *testing.T, conn net.Conn, line string) WireResponse {
@@ -47,8 +75,7 @@ func roundTrip(t *testing.T, conn net.Conn, line string) WireResponse {
 }
 
 func TestWireMalformedJSONKeepsConnectionAlive(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	resp := roundTrip(t, conn, "{this is not json")
 	if resp.OK || resp.Error == "" {
 		t.Fatalf("malformed line accepted: %+v", resp)
@@ -61,8 +88,7 @@ func TestWireMalformedJSONKeepsConnectionAlive(t *testing.T) {
 }
 
 func TestWireUnknownFieldsIgnored(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	resp := roundTrip(t, conn,
 		`{"op":"grant","mode":"weighted","weight":2,"switch":"S1","future_field":123}`)
 	if !resp.OK {
@@ -71,8 +97,7 @@ func TestWireUnknownFieldsIgnored(t *testing.T) {
 }
 
 func TestWireRejections(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	cases := []string{
 		`{"op":"grant","mode":"sideways","switch":"S1"}`,
 		`{"op":"grant","mode":"absolute","bandwidth_bps":1e9,"cc":"quantum","switch":"S1"}`,
@@ -91,8 +116,7 @@ func TestWireRejections(t *testing.T) {
 }
 
 func TestWireEmptyLinesSkipped(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	if _, err := conn.Write([]byte("\n\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -103,21 +127,13 @@ func TestWireEmptyLinesSkipped(t *testing.T) {
 }
 
 func TestWireConcurrentClients(t *testing.T) {
-	ctrl := NewController(100 * units.Gbps)
-	srv := NewServer(ctrl)
-	srv.RegisterTable("S1", Ingress, nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
+	ctrl, _, addr := serveController(t, 100*units.Gbps)
 
 	const clients = 8
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		go func() {
-			cli, err := Dial(ln.Addr().String())
+			cli, err := Dial(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -143,55 +159,60 @@ func TestWireConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestWireVersionNegotiation pins the one-protocol contract: "v" absent or
+// 2 is the protocol, any other value is refused with unsupported_version,
+// every response carries "v":2, and hello lists [2].
 func TestWireVersionNegotiation(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 
-	// hello reports every accepted version and the server's ceiling.
-	resp := roundTrip(t, conn, `{"op":"hello","v":2}`)
-	if !resp.OK || resp.V != ProtoMax {
-		t.Fatalf("hello: %+v", resp)
-	}
-	var info struct {
-		Versions []int `json:"versions"`
-	}
-	if err := json.Unmarshal(resp.Data, &info); err != nil || len(info.Versions) != 2 {
-		t.Fatalf("hello data %s (err %v)", resp.Data, err)
-	}
-
-	// A version beyond the ceiling is refused with a machine-readable code
-	// and the ceiling echoed, so the client can downgrade.
-	resp = roundTrip(t, conn, `{"op":"list","v":99}`)
-	if resp.OK || resp.Code != CodeUnsupportedVersion || resp.V != ProtoMax {
-		t.Fatalf("v99 accepted or mis-coded: %+v", resp)
+	for _, line := range []string{`{"op":"hello"}`, `{"op":"hello","v":2}`} {
+		resp := roundTrip(t, conn, line)
+		if !resp.OK || resp.V != ProtoV2 {
+			t.Fatalf("%s: %+v", line, resp)
+		}
+		var info struct {
+			Versions []int `json:"versions"`
+		}
+		if err := json.Unmarshal(resp.Data, &info); err != nil || len(info.Versions) != 1 || info.Versions[0] != ProtoV2 {
+			t.Fatalf("%s: data %s (err %v), want versions [2]", line, resp.Data, err)
+		}
 	}
 
-	// v1 (absent field) still works and gets no version echo — the
-	// response bytes are what a pre-versioning server produced.
-	resp = roundTrip(t, conn, `{"op":"list"}`)
-	if !resp.OK || resp.V != 0 {
-		t.Fatalf("v1 list: %+v", resp)
+	for _, line := range []string{`{"op":"list"}`, `{"op":"list","v":2}`} {
+		if resp := roundTrip(t, conn, line); !resp.OK || resp.V != ProtoV2 {
+			t.Fatalf("%s: %+v, want ok with v 2", line, resp)
+		}
 	}
 
-	// v2 errors carry codes.
-	resp = roundTrip(t, conn, `{"op":"transmogrify","v":2}`)
-	if resp.OK || resp.Code != CodeUnknownOp || resp.V != ProtoV2 {
-		t.Fatalf("unknown op under v2: %+v", resp)
+	// Every other version is refused, with the one the server speaks.
+	for _, v := range []int{1, 3, 99, -1} {
+		resp := roundTrip(t, conn, fmt.Sprintf(`{"op":"list","v":%d}`, v))
+		if resp.OK || resp.Code != CodeUnsupportedVersion || resp.V != ProtoV2 {
+			t.Fatalf("v %d: %+v, want %s with v 2", v, resp, CodeUnsupportedVersion)
+		}
 	}
-	resp = roundTrip(t, conn, `{"op":"release","id":999,"v":2}`)
-	if resp.OK || resp.Code != CodeUnknownID {
-		t.Fatalf("v2 release of unknown id: %+v", resp)
+
+	// Errors carry codes and the version, whatever the request's "v".
+	for _, v := range []string{``, `,"v":2`} {
+		cases := []struct{ line, code string }{
+			{`{"op":"transmogrify"` + v + `}`, CodeUnknownOp},
+			{`{"op":"release","id":999` + v + `}`, CodeUnknownID},
+			{`{"op":"set_active","id":999,"active":false` + v + `}`, CodeUnknownID},
+		}
+		for _, c := range cases {
+			resp := roundTrip(t, conn, c.line)
+			if resp.OK || resp.Code != c.code || resp.V != ProtoV2 {
+				t.Fatalf("%s: %+v, want %s with v 2", c.line, resp, c.code)
+			}
+		}
 	}
-	// ... while v1 keeps the idempotent-silent release semantics.
-	resp = roundTrip(t, conn, `{"op":"release","id":999}`)
-	if !resp.OK {
-		t.Fatalf("v1 release of unknown id must stay silent: %+v", resp)
+	if resp := roundTrip(t, conn, "{not json"); resp.Code != CodeMalformed || resp.V != ProtoV2 {
+		t.Fatalf("malformed: %+v, want %s with v 2", resp, CodeMalformed)
 	}
 }
 
 func TestWireErrorCodes(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	cases := []struct {
 		line string
 		code string
@@ -211,8 +232,7 @@ func TestWireErrorCodes(t *testing.T) {
 }
 
 func TestWireSetRateSetWeight(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 
 	g1 := roundTrip(t, conn, `{"op":"grant","mode":"absolute","bandwidth_bps":4e9,"switch":"S1","v":2}`)
 	g2 := roundTrip(t, conn, `{"op":"grant","mode":"weighted","weight":1,"switch":"S1","v":2}`)
@@ -246,8 +266,7 @@ func TestWireSetRateSetWeight(t *testing.T) {
 }
 
 func TestWireOversizedLine(t *testing.T) {
-	conn, done := dialTestServer(t)
-	defer done()
+	conn := dialTestServer(t)
 	// A huge (but under the scanner cap) request with a long tenant name
 	// still parses.
 	long := strings.Repeat("x", 100_000)
@@ -255,5 +274,35 @@ func TestWireOversizedLine(t *testing.T) {
 		`{"op":"grant","mode":"absolute","bandwidth_bps":1e9,"switch":"S1","tenant":"`+long+`"}`)
 	if !resp.OK {
 		t.Fatalf("large request rejected: %+v", resp)
+	}
+}
+
+// TestWireServerCloseBeforeServe: a Close that runs before Serve must not
+// be lost. Serve on a closed server closes its listener and returns; it
+// used to block forever, so a daemon signalled between installing its
+// handler and serving never exited.
+func TestWireServerCloseBeforeServe(t *testing.T) {
+	ws := NewWireServer(func(WireRequest, func(WireResponse) bool) {})
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- ws.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("Serve on a closed server returned nil, want the accept error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still blocked 5 s after Close")
+	}
+	if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		conn.Close()
+		t.Fatal("listener still accepting after Serve on a closed server returned")
 	}
 }

@@ -195,7 +195,7 @@ func (d *DRL) tick() {
 		demands = append(demands, pairDemand{k, est})
 	}
 	if len(demands) == 0 {
-		d.tickT.RearmAfter(d.interval)
+		d.tickT.ArmAfter(d.interval)
 		return
 	}
 	sort.Slice(demands, func(i, j int) bool { // deterministic iteration
@@ -256,7 +256,7 @@ func (d *DRL) tick() {
 		p.rate = rate
 		p.tb.SetRate(rate)
 	}
-	d.tickT.RearmAfter(d.interval)
+	d.tickT.ArmAfter(d.interval)
 }
 
 // pairDemand is one pair's estimated demand in bits per second.

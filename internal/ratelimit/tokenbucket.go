@@ -132,7 +132,7 @@ func (tb *TokenBucket) schedule() {
 			wait = 1
 		}
 	}
-	tb.drainT.RearmAfter(wait)
+	tb.drainT.ArmAfter(wait)
 }
 
 // AttachPRL installs a static outbound shaper on the host (the HTB-style

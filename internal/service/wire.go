@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the fabric service's wire front end: a control.Handler
-// implementing the v2 service verbs on top of the shared NDJSON loop
+// implementing the service verbs on top of the shared NDJSON loop
 // (control.WireServer). Controller verbs are delegated to
 // control.DispatchController; everything that mutates the fabric goes
 // through the Service mailbox, so wire clients can never land a change

@@ -61,7 +61,7 @@ func TestServiceWireSession(t *testing.T) {
 	cli, s := td.cli, td.s
 
 	hello, err := cli.Do(control.WireRequest{Op: "hello", V: 2})
-	if err != nil || hello.V != control.ProtoMax {
+	if err != nil || hello.V != control.ProtoV2 {
 		t.Fatalf("hello: %+v err %v", hello, err)
 	}
 

@@ -40,7 +40,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 			for i := 0; i < n; i++ {
 				period := Time(1000 + 7*i)
 				var tm *Timer
-				tm = e.NewTimer(func() { tm.RearmAfter(period) })
+				tm = e.NewTimer(func() { tm.ArmAfter(period) })
 				tm.ArmAfter(period)
 			}
 			b.ReportAllocs()

@@ -30,7 +30,7 @@ package sim
 // flat-slice scheduler over seeded and fuzzed scripts.
 
 // Timer is a cancellable, re-armable timer handle on the engine's timer
-// lane. Create one with Engine.NewTimer, then Arm/Rearm and Disarm it
+// lane. Create one with Engine.NewTimer, then Arm and Disarm it
 // freely: each is O(log n) in armed timers, none allocates once the lane
 // has grown to its working size, and a disarmed timer leaves nothing
 // behind in any queue. A Timer is owned by one component (the transport's
@@ -83,12 +83,8 @@ func (t *Timer) ArmAfter(d Time) {
 	t.Arm(t.eng.now + d)
 }
 
-// Rearm is Arm under the name re-arming call sites read naturally: a
-// pending timer moves to the new deadline, a fired or disarmed one is
-// armed afresh. Both draw a fresh ordering word.
-func (t *Timer) Rearm(at Time) { t.Arm(at) }
-
-// RearmAfter re-arms the timer to fire d nanoseconds from now; see Rearm.
+// RearmAfter is ArmAfter under the name the bench module's timer feeder
+// still calls; the repository itself calls ArmAfter.
 func (t *Timer) RearmAfter(d Time) { t.ArmAfter(d) }
 
 // Disarm stops the timer. Disarming an unarmed timer is a no-op. The timer

@@ -23,7 +23,7 @@ func TestTimerFiresAtArmedInstant(t *testing.T) {
 		t.Fatal("timer still pending after firing")
 	}
 	// Re-arm after firing: the same handle goes around again.
-	tm.RearmAfter(50)
+	tm.ArmAfter(50)
 	e.Run()
 	if len(fired) != 2 || fired[1] != 150 {
 		t.Fatalf("fired = %v, want [100 150]", fired)
@@ -58,7 +58,7 @@ func TestTimerRearmDrawsFreshOrderingWord(t *testing.T) {
 	tm := e.NewTimer(func() { order = append(order, "timer") })
 	tm.Arm(10)
 	e.At(20, func() { order = append(order, "a") })
-	tm.Rearm(20) // after "a": must fire after it
+	tm.Arm(20) // after "a": must fire after it
 	e.At(20, func() { order = append(order, "b") })
 	e.Run()
 	want := []string{"a", "timer", "b"}
@@ -78,7 +78,7 @@ func TestTimerPullInAcrossSlotBoundary(t *testing.T) {
 	var at Time
 	tm := e.NewTimer(func() { fired++; at = e.Now() })
 	tm.Arm(500_000)
-	tm.Rearm(37) // a move of the armed timer, not a second entry
+	tm.Arm(37) // a move of the armed timer, not a second entry
 	e.Run()
 	if fired != 1 || at != 37 {
 		t.Fatalf("fired %d times at %v, want once at 37", fired, at)
@@ -95,7 +95,7 @@ func TestTimerPushOutAcrossSlotBoundary(t *testing.T) {
 	var order []Time
 	tm := e.NewTimer(func() { order = append(order, e.Now()) })
 	tm.Arm(10)
-	tm.Rearm(1_000_000)
+	tm.Arm(1_000_000)
 	e.At(5000, func() { order = append(order, e.Now()) })
 	e.Run()
 	if len(order) != 2 || order[0] != 5000 || order[1] != 1_000_000 {
@@ -115,7 +115,7 @@ func TestTimerDisarmThenRearmSameTick(t *testing.T) {
 	if tm.Pending() {
 		t.Fatal("timer pending after disarm")
 	}
-	tm.Rearm(40)
+	tm.Arm(40)
 	if !tm.Pending() || tm.Time() != 40 {
 		t.Fatalf("pending=%v time=%v after rearm, want true/40", tm.Pending(), tm.Time())
 	}
@@ -132,7 +132,7 @@ func TestTimerDisarmThenRearmSameTick(t *testing.T) {
 	e2.At(10, func() {
 		tm2.Arm(10) // arm at the instant being dispatched
 		tm2.Disarm()
-		tm2.Rearm(10)
+		tm2.Arm(10)
 	})
 	e2.Run()
 	if fired != 1 {
@@ -190,7 +190,7 @@ func TestPendingCountsLiveWheelTimers(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending() = %d after heap fire, want 1 (the timer)", e.Pending())
 	}
-	tm.Rearm(70)
+	tm.Arm(70)
 	if e.Pending() != 1 {
 		t.Fatalf("Pending() = %d after rearm, want 1", e.Pending())
 	}
@@ -217,7 +217,7 @@ func TestTimerRearmOnClusterWindowBoundary(t *testing.T) {
 		clusterNowAtFire = c.Now()
 	})
 	tm.Arm(500)
-	e.At(500, func() { tm.Rearm(2 * Microsecond) }) // re-arm onto the boundary
+	e.At(500, func() { tm.Arm(2 * Microsecond) }) // re-arm onto the boundary
 	c.RunUntil(5 * Microsecond)
 	if firedAt != 2*Microsecond {
 		t.Fatalf("timer fired at %v, want exactly the 2us window boundary", firedAt)
@@ -271,7 +271,7 @@ func TestTimerRearmAllocationFree(t *testing.T) {
 	tm.ArmAfter(100)
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
-		tm.RearmAfter(100)
+		tm.ArmAfter(100)
 		e.Run()
 	})
 	if allocs != 0 {
@@ -459,7 +459,7 @@ func (r *engineSched) arm(id int, d Time) {
 	if id%2 == 0 {
 		r.timers[id].ArmAfter(d)
 	} else {
-		r.timers[id].Rearm(r.Now() + d)
+		r.timers[id].Arm(r.Now() + d)
 	}
 }
 
@@ -652,7 +652,7 @@ func TestWheelOrderingProperty(t *testing.T) {
 		}
 		for i, tm := range timers {
 			if i%5 == 2 && tm.Pending() {
-				tm.Rearm(tm.Time() + Time(i%9))
+				tm.Arm(tm.Time() + Time(i%9))
 			}
 		}
 		e.Run()

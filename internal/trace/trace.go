@@ -1,15 +1,12 @@
 // Package trace provides lightweight observability for simulation runs:
 // a bounded in-memory event ring the harness can attach to hosts, switches
-// and AQs, plus per-flow record export. It is the debugging substrate the
-// repository's own development used; experiments keep it detached unless
-// asked, so the hot path stays allocation-free.
+// and AQs, and whose tail the daemon's "trace" verb serves. It is the
+// debugging substrate the repository's own development used; experiments
+// keep it detached unless asked, so the hot path stays allocation-free.
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -66,14 +63,6 @@ type Sink interface {
 	Record(Event)
 }
 
-// Nop is a Sink that discards every event. Use it to keep trace wiring in
-// place (e.g. in a table-driven test) while recording nothing.
-var Nop Sink = nopSink{}
-
-type nopSink struct{}
-
-func (nopSink) Record(Event) {}
-
 // Ring is a bounded event buffer: when full, the oldest events are
 // overwritten, so attaching it to a long run keeps the tail.
 type Ring struct {
@@ -126,42 +115,6 @@ func (r *Ring) Events() []Event {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Filter returns the retained events of one flow, oldest-first.
-func (r *Ring) Filter(flow packet.FlowID) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Flow == flow {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// WriteCSV dumps the retained events as CSV.
-func (r *Ring) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t_ns", "kind", "flow", "src", "dst", "seq", "size", "where"}); err != nil {
-		return err
-	}
-	for _, e := range r.Events() {
-		rec := []string{
-			strconv.FormatInt(int64(e.At), 10),
-			e.Kind.String(),
-			strconv.FormatUint(uint64(e.Flow), 10),
-			strconv.Itoa(int(e.Src)),
-			strconv.Itoa(int(e.Dst)),
-			strconv.FormatInt(e.Seq, 10),
-			strconv.Itoa(e.Size),
-			e.Where,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String summarizes the ring.

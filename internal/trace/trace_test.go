@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"aqueue/internal/packet"
 )
 
 func TestRingRetention(t *testing.T) {
@@ -37,40 +35,6 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 		if got[i].Seq != want[i] {
 			t.Fatalf("wrapped order = %v", got)
 		}
-	}
-}
-
-func TestRingFilter(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 12; i++ {
-		r.Add(Event{Flow: packet.FlowID(i % 3), Seq: int64(i)})
-	}
-	f1 := r.Filter(1)
-	if len(f1) != 4 {
-		t.Fatalf("flow 1 events = %d", len(f1))
-	}
-	for _, e := range f1 {
-		if e.Flow != 1 {
-			t.Fatal("filter leaked other flows")
-		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	r := NewRing(8)
-	p := packet.NewData(1, 2, 9, 3000, 1000)
-	r.Add(FromPacket(12345, AQDrop, p, "S1/ingress"))
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "aq-drop") || !strings.Contains(out, "S1/ingress") {
-		t.Fatalf("csv = %q", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 2 { // header + one event
-		t.Fatalf("csv has %d lines", lines)
 	}
 }
 

@@ -223,7 +223,7 @@ func (s *Sender) trySend() {
 				// timer can only be early: let it fire and re-check rather
 				// than paying a re-arm on every gated attempt.
 				if !s.pacedT.Pending() {
-					s.pacedT.Rearm(s.nextPaced)
+					s.pacedT.Arm(s.nextPaced)
 				}
 				return
 			}
@@ -252,7 +252,7 @@ func (s *Sender) trySend() {
 	now := s.eng.Now()
 	if now < s.nextPaced {
 		if !s.pacedT.Pending() {
-			s.pacedT.Rearm(s.nextPaced)
+			s.pacedT.Arm(s.nextPaced)
 		}
 		return
 	}
@@ -460,7 +460,7 @@ func (s *Sender) armRTO() {
 		return
 	}
 	s.rtoPending = true
-	s.rtoT.Rearm(s.rtoDeadline)
+	s.rtoT.Arm(s.rtoDeadline)
 }
 
 // cancelRTO stops the pending timer.
@@ -475,7 +475,7 @@ func (s *Sender) cancelRTO() {
 // advanced deadline is not a timeout — it re-arms and goes back to sleep.
 func (s *Sender) onTimeout() {
 	if !s.done && s.eng.Now() < s.rtoDeadline {
-		s.rtoT.Rearm(s.rtoDeadline)
+		s.rtoT.Arm(s.rtoDeadline)
 		return
 	}
 	s.rtoPending = false

@@ -102,5 +102,5 @@ func (u *UDPSender) tick() {
 	u.SentPackets++
 	u.src.Send(p)
 	// One persistent timer carries every tick for the life of the sender.
-	u.tickT.RearmAfter(u.interval)
+	u.tickT.ArmAfter(u.interval)
 }

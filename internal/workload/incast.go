@@ -63,7 +63,7 @@ func (in *Incast) Start() {
 			tr.FlowStarted(in.ResponseBytes)
 			s.OnComplete = func(now sim.Time) { tr.FlowDone(start, now) }
 			s.Start(0)
-			roundT.RearmAfter(in.Period)
+			roundT.ArmAfter(in.Period)
 		})
 		roundT.ArmAfter(0)
 	}

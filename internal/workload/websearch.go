@@ -1,7 +1,7 @@
 // Package workload regenerates the paper's traffic: the web-search flow
-// size distribution (the DCTCP trace used by §5.1), Poisson flow arrivals,
-// and the "arbitrary traffic pattern" in which any VM of an entity sends to
-// any destination VM with arbitrary volume at arbitrary times.
+// size distribution (the DCTCP trace used by §5.1), its data-mining
+// companion, and an incast driver. The Poisson arrival process that draws
+// flows from these sizers is internal/service's load driver.
 package workload
 
 import (

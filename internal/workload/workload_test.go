@@ -3,10 +3,7 @@ package workload
 import (
 	"testing"
 
-	"aqueue/internal/cc"
 	"aqueue/internal/sim"
-	"aqueue/internal/topo"
-	"aqueue/internal/units"
 )
 
 func TestWebSearchSampleRange(t *testing.T) {
@@ -59,61 +56,5 @@ func TestWebSearchQuantiles(t *testing.T) {
 func TestFixedSizer(t *testing.T) {
 	if Fixed(1234).Sample(sim.NewRand(1)) != 1234 {
 		t.Fatal("Fixed sizer broken")
-	}
-}
-
-func TestGenerateRunsBatchToCompletion(t *testing.T) {
-	eng := sim.NewEngine()
-	d := topo.NewDumbbell(eng, 2, 2, topo.DefaultSim(), topo.DefaultSim())
-	e := &Entity{
-		Name:    "app",
-		Sources: d.Left,
-		Dests:   d.Right,
-		CC:      func() cc.Algorithm { return cc.NewDCTCP() },
-	}
-	e.Opt.EcnCapable = true
-	senders := Generate(eng, e, Batch{
-		Flows: 50,
-		Sizes: Fixed(50_000),
-		Load:  0.5,
-		Ref:   10 * units.Gbps,
-		Seed:  7,
-	})
-	if len(senders) != 50 {
-		t.Fatalf("generated %d senders", len(senders))
-	}
-	eng.RunUntil(2 * sim.Second)
-	if !e.Tracker.AllDone() {
-		t.Fatalf("completed %d/%d flows", e.Tracker.Completed, e.Tracker.Started)
-	}
-	if e.Tracker.Bytes != 50*50_000 {
-		t.Fatalf("tracked bytes = %d", e.Tracker.Bytes)
-	}
-	if e.Tracker.CompletionTime() <= 0 {
-		t.Fatal("no completion time recorded")
-	}
-}
-
-func TestGenerateArrivalSpacingMatchesLoad(t *testing.T) {
-	// At load 0.8 of 10 Gbps with 1 MB flows, the mean inter-arrival is
-	// 1 ms; the 200th flow should start around 200 ms.
-	eng := sim.NewEngine()
-	d := topo.NewDumbbell(eng, 1, 1, topo.DefaultSim(), topo.DefaultSim())
-	e := &Entity{
-		Name:    "x",
-		Sources: d.Left,
-		Dests:   d.Right,
-		CC:      func() cc.Algorithm { return cc.NewCubic() },
-	}
-	Generate(eng, e, Batch{Flows: 200, Sizes: Fixed(1_000_000), Load: 0.8, Ref: 10 * units.Gbps, Seed: 9})
-	// Mean gap = 1e6 bytes / (0.8 * 1.25e9 B/s) = 1 ms; 200 flows ≈ 200 ms
-	// of arrivals. Run long enough and check everything completed.
-	eng.RunUntil(3 * sim.Second)
-	if !e.Tracker.AllDone() {
-		t.Fatalf("completed %d/%d", e.Tracker.Completed, e.Tracker.Started)
-	}
-	ct := e.Tracker.CompletionTime()
-	if ct < 150*sim.Millisecond || ct > 800*sim.Millisecond {
-		t.Fatalf("completion time %v, want a few hundred ms", ct)
 	}
 }
