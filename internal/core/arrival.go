@@ -202,7 +202,7 @@ func (t *Table) ProcessFluid(now sim.Time, id packet.AQID, bytes float64, dt sim
 		return FluidFeedback{Accepted: bytes}
 	}
 	t.fluidEpochs.Add(1)
-	aq := t.lookup(id)
+	aq := t.aqs.Get(id)
 	if aq == nil {
 		t.fluidMisses.Add(1)
 		return FluidFeedback{Accepted: bytes}

@@ -160,7 +160,7 @@ func TestProcessFluidUnmatched(t *testing.T) {
 }
 
 // TestDeployBatchMatchesDeploy: the bulk path must land the same table as
-// per-config Deploy, including the dense mirror.
+// per-config Deploy.
 func TestDeployBatchMatchesDeploy(t *testing.T) {
 	cfgs := make([]Config, 100)
 	for i := range cfgs {

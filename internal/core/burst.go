@@ -66,7 +66,7 @@ func (c *BurstCursor) Process(now sim.Time, id packet.AQID, p *packet.Packet) Ve
 	if c.haveLast && c.lastID == id {
 		aq = c.lastAQ
 	} else {
-		aq = t.lookup(id)
+		aq = t.aqs.Get(id)
 		c.lastID, c.lastAQ, c.haveLast = id, aq, true
 	}
 	if aq == nil {

@@ -58,7 +58,7 @@ func (c *StreamCursor) ResolveRun(id packet.AQID, n int) *AQ {
 	if c.haveLast && c.lastID == id {
 		aq = c.lastAQ
 	} else {
-		aq = t.lookup(id)
+		aq = t.aqs.Get(id)
 		c.lastID, c.lastAQ, c.haveLast = id, aq, true
 	}
 	if aq == nil {

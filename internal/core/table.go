@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"aqueue/internal/ident"
@@ -23,24 +22,17 @@ import (
 // Concurrency: a table has a single owner, the goroutine of the engine its
 // switch runs on. Only the owner — or a caller it is parked behind, as the
 // service run loop is at a window boundary — may call Process,
-// ProcessFluid, the cursors, Deploy, DeployBatch and Remove: they run or
-// replace AQs, whose registers are plain fields (see AQ). What other
+// ProcessFluid, Lookup, the cursors, Deploy, DeployBatch and Remove: they
+// run or replace AQs, whose registers are plain fields (see AQ), and a
+// lookup may build the ID index's slice. What other
 // goroutines may do while the owner works is observe: Stats reads atomic
 // counters, which is what the control-plane server and the harness rely on.
 type Table struct {
-	aqs map[packet.AQID]*AQ
-
-	// dense, when non-nil, is a direct-indexed mirror of aqs covering
-	// [0, maxID]: the hot path indexes it with the packet's tag instead of
-	// hashing. It is rebuilt on every Deploy/Remove and only kept while
-	// ident.Dense approves the ID range; a sparse deploy — one far-away ID
-	// is enough — falls back to the map until a Remove makes the range
-	// dense again. Both layouts hold the same *AQ pointers, so which one
-	// serves a lookup is unobservable in results.
-	dense []*AQ
+	aqs ident.Index[packet.AQID, *AQ]
 
 	// gen counts membership changes (Deploy/Remove). BurstCursor snapshots
-	// it so a memoized lookup can never survive a table rebuild.
+	// it so a memoized lookup can never survive a change of the AQ an ID
+	// resolves to.
 	gen uint64
 
 	// Bypass, when non-nil, is consulted per packet; a true return skips
@@ -92,77 +84,38 @@ func (t *Table) Stats() TableStats {
 }
 
 // NewTable returns an empty AQ table.
-func NewTable() *Table { return &Table{aqs: make(map[packet.AQID]*AQ)} }
+func NewTable() *Table { return &Table{} }
 
 // Deploy installs (or replaces) an AQ built from cfg and returns it.
 func (t *Table) Deploy(cfg Config) *AQ {
 	aq := New(cfg)
-	t.aqs[cfg.ID] = aq
-	t.rebuild()
+	t.aqs.Set(cfg.ID, aq)
+	t.gen++
 	return aq
 }
 
 // DeployBatch installs (or replaces) an AQ per config as one membership
-// change (Deploy rebuilds per call, quadratic for bulk deploys). One slab
-// holds the batch's AQs, so a lane sweeping the table in ID order walks
-// contiguous memory. An empty table's map is sized for the batch; a dense or
-// empty table extends its mirror from the batch, not by walking the map twice
-// in rebuild (fluid_scale set-up 1.2x faster); a sparse one is rebuilt.
+// change. One slab holds the batch's AQs, so a lane sweeping the table in ID
+// order walks contiguous memory, and an empty table is reserved for the
+// batch, so its index fills map and mirror in one pass.
 func (t *Table) DeployBatch(cfgs []Config) {
-	mirrored := t.dense != nil || len(t.aqs) == 0
-	if len(t.aqs) == 0 {
-		t.aqs = make(map[packet.AQID]*AQ, len(cfgs))
-	}
-	maxID := len(t.dense) - 1
+	t.aqs.Reserve(len(cfgs))
 	slab := make([]AQ, len(cfgs))
 	for i, cfg := range cfgs {
 		slab[i].init(cfg)
-		t.aqs[cfg.ID] = &slab[i]
-		maxID = max(maxID, int(cfg.ID))
-	}
-	if !mirrored {
-		t.rebuild()
-		return
+		t.aqs.Set(cfg.ID, &slab[i])
 	}
 	t.gen++
-	if !ident.Dense(maxID, len(t.aqs)) {
-		t.dense = nil
-		return
-	}
-	t.dense = append(t.dense, make([]*AQ, maxID+1-len(t.dense))...)
-	for i, cfg := range cfgs {
-		t.dense[cfg.ID] = &slab[i]
-	}
 }
 
 // Remove undeploys the AQ with the given ID.
 func (t *Table) Remove(id packet.AQID) {
-	delete(t.aqs, id)
-	t.rebuild()
-}
-
-// rebuild refreshes the dense mirror after a membership change.
-func (t *Table) rebuild() {
+	t.aqs.Delete(id)
 	t.gen++
-	t.dense = nil
-	maxID := -1
-	for id := range t.aqs {
-		if int(id) > maxID {
-			maxID = int(id)
-		}
-	}
-	if !ident.Dense(maxID, len(t.aqs)) {
-		return
-	}
-	d := make([]*AQ, maxID+1)
-	for id, aq := range t.aqs {
-		d[id] = aq
-	}
-	t.dense = d
 }
 
 // Lookup returns the AQ deployed under id, or nil.
-func (t *Table) Lookup(id packet.AQID) *AQ { return t.aqs[id] }
+func (t *Table) Lookup(id packet.AQID) *AQ { return t.aqs.Get(id) }
 
 // Generation returns the membership generation counter — it ticks on every
 // Deploy/Remove. Cursors and lanes snapshot it to decide whether memoized
@@ -170,17 +123,10 @@ func (t *Table) Lookup(id packet.AQID) *AQ { return t.aqs[id] }
 func (t *Table) Generation() uint64 { return t.gen }
 
 // Len returns the number of deployed AQs.
-func (t *Table) Len() int { return len(t.aqs) }
+func (t *Table) Len() int { return t.aqs.Len() }
 
 // IDs returns the deployed AQ IDs in ascending order (for reports/tests).
-func (t *Table) IDs() []packet.AQID {
-	ids := make([]packet.AQID, 0, len(t.aqs))
-	for id := range t.aqs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (t *Table) IDs() []packet.AQID { return t.aqs.Keys() }
 
 // Process matches the packet's tag for this pipeline position and, when an
 // AQ is deployed under it, runs the per-packet framework. It returns Drop
@@ -195,23 +141,12 @@ func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict 
 		return Pass
 	}
 	t.lookups.Add(1)
-	aq := t.lookup(id)
+	aq := t.aqs.Get(id)
 	if aq == nil {
 		t.misses.Add(1)
 		return Pass
 	}
 	return t.run(now, aq, p)
-}
-
-// lookup resolves id through whichever layout the table currently holds.
-func (t *Table) lookup(id packet.AQID) *AQ {
-	if t.dense != nil {
-		if int(id) < len(t.dense) {
-			return t.dense[id]
-		}
-		return nil
-	}
-	return t.aqs[id]
 }
 
 // run executes the matched AQ's per-packet framework, recording trace
@@ -241,7 +176,7 @@ func (t *Table) SetTrace(s trace.Sink, where string) {
 // MemoryBytes models the SRAM footprint of the deployed AQs using the
 // paper's layout (§5.5, Figure 12): 4 B AQ ID, 3 B rate, 3 B limit, 3 B gap
 // and 2 B last_time = 15 B per AQ.
-func (t *Table) MemoryBytes() int { return len(t.aqs) * BytesPerAQ }
+func (t *Table) MemoryBytes() int { return t.aqs.Len() * BytesPerAQ }
 
 // BytesPerAQ is the paper's per-AQ switch memory cost (Figure 12).
 const BytesPerAQ = 15
@@ -249,5 +184,5 @@ const BytesPerAQ = 15
 // String summarises the table.
 func (t *Table) String() string {
 	s := t.Stats()
-	return fmt.Sprintf("aq.Table{%d AQs, %d lookups, %d misses}", len(t.aqs), s.Lookups, s.Misses)
+	return fmt.Sprintf("aq.Table{%d AQs, %d lookups, %d misses}", t.aqs.Len(), s.Lookups, s.Misses)
 }

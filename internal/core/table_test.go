@@ -124,12 +124,11 @@ func TestTableCountersConcurrent(t *testing.T) {
 }
 
 // TestTableLayoutFlipsDenseMapDense walks one table through the layouts the
-// way production reaches them — a deploy at a far-away ID makes ident.Dense
-// decline, removing it restores the mirror — and checks at every stage
-// which layout served, that lookups through it agree with the map for hits,
-// misses and out-of-range IDs, that Generation ticks on each change, and
-// that a BurstCursor and a StreamCursor bound before a flip drop their
-// memo instead of serving an AQ pointer from the previous layout.
+// way production reaches them — a deploy at a far-away ID leaves the dense
+// range, removing it restores it — and checks at every stage that lookups
+// resolve hits, misses and out-of-range IDs, that Generation ticks on each
+// change, and that a BurstCursor and a StreamCursor bound before a flip drop
+// their memo instead of serving an AQ pointer from before it.
 func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	const far = packet.AQID(1 << 20)
 	tbl := NewTable()
@@ -144,20 +143,18 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	bc.Bind(tbl)
 	sc.Bind(tbl)
 
-	// check asserts the layout and lookup parity, then drives one packet and
-	// one fluid run for AQ 3 through the cursors bound at the start: the
-	// counters must land on whichever *AQ the table holds now.
-	check := func(stage string, wantDense bool, wantGen uint64) {
+	// check asserts the generation and which IDs resolve, then drives one
+	// packet and one fluid run for AQ 3 through the cursors bound at the
+	// start: the counters must land on whichever *AQ the table holds now.
+	check := func(stage string, farDeployed bool, wantGen uint64) {
 		t.Helper()
-		if got := tbl.dense != nil; got != wantDense {
-			t.Fatalf("%s: dense layout = %v, want %v", stage, got, wantDense)
-		}
 		if tbl.Generation() != wantGen {
 			t.Fatalf("%s: Generation() = %d, want %d", stage, tbl.Generation(), wantGen)
 		}
 		for _, id := range []packet.AQID{0, 1, 3, 8, 9, 500, far, far + 1} {
-			if got, want := tbl.lookup(id), tbl.aqs[id]; got != want {
-				t.Fatalf("%s: lookup(%d) = %p, map holds %p", stage, id, got, want)
+			want := (id >= 1 && id <= 8) || (id == far && farDeployed)
+			if got := tbl.Lookup(id); (got != nil) != want || (got != nil && got.ID() != id) {
+				t.Fatalf("%s: Lookup(%d) = %v, want deployed %v", stage, id, got, want)
 			}
 		}
 		aq := tbl.Lookup(3)
@@ -174,18 +171,18 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 		}
 	}
 
-	check("dense", true, 8)
+	check("dense", false, 8)
 
 	tbl.Deploy(Config{ID: far, Rate: units.Gbps}) // sparse: the map serves
-	check("map after far deploy", false, 9)
+	check("map after far deploy", true, 9)
 
 	// Replace AQ 3 while on the map layout: the memoized pointer is now
 	// stale in both cursors, and only the generation check can tell.
 	tbl.Deploy(Config{ID: 3, Rate: units.Gbps, Limit: 1 << 30})
-	check("map after redeploy", false, 10)
+	check("map after redeploy", true, 10)
 
 	tbl.Remove(far) // dense again
-	check("dense after far remove", true, 11)
+	check("dense after far remove", false, 11)
 
 	tbl.Remove(3)
 	if got := sc.ResolveRun(3, 1); got != nil {
@@ -201,13 +198,12 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	}
 }
 
-// TestTableDeployBatchLayouts deploys one batch onto each starting layout
-// DeployBatch distinguishes — empty, dense, sparse — and the batches that
-// move a table between them. After each: the layout is the one ident.Dense
-// picks for the final ID range, lookup agrees with the map for every
-// deployed ID and for absent IDs in range and past it, each deployed ID holds
-// the last config the batch gave it, the generation ticked exactly once, and
-// a StreamCursor that memoized a batch ID beforehand resolves the new AQ.
+// TestTableDeployBatchLayouts deploys one batch onto each starting layout —
+// empty, dense, sparse — and the batches that move a table between them.
+// After each: every deployed ID holds the last config the batch gave it,
+// absent IDs in range and past it resolve to nil, the generation ticked
+// exactly once, and a StreamCursor that memoized a batch ID beforehand
+// resolves the new AQ.
 func TestTableDeployBatchLayouts(t *testing.T) {
 	const far = packet.AQID(1 << 20)
 	ids := func(lo, hi packet.AQID) []packet.AQID {
@@ -218,18 +214,17 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name      string
-		before    []packet.AQID // deployed one at a time first
-		batch     []packet.AQID
-		wantDense bool
+		name   string
+		before []packet.AQID // deployed one at a time first
+		batch  []packet.AQID
 	}{
-		{"into an empty table", nil, ids(1, 100), true},
-		{"onto a dense table", ids(1, 8), ids(5, 20), true},
-		{"onto a sparse table", []packet.AQID{1, 2, far}, ids(10, 20), false},
-		{"far ID makes it sparse", ids(1, 8), []packet.AQID{9, far}, false},
-		{"far ID into an empty table", nil, []packet.AQID{3, far}, false},
-		{"replaces existing IDs", ids(1, 8), []packet.AQID{2, 7, 2}, true},
-		{"ID 0", nil, []packet.AQID{0, 1, 2}, true},
+		{"into an empty table", nil, ids(1, 100)},
+		{"onto a dense table", ids(1, 8), ids(5, 20)},
+		{"onto a sparse table", []packet.AQID{1, 2, far}, ids(10, 20)},
+		{"far ID makes it sparse", ids(1, 8), []packet.AQID{9, far}},
+		{"far ID into an empty table", nil, []packet.AQID{3, far}},
+		{"replaces existing IDs", ids(1, 8), []packet.AQID{2, 7, 2}},
+		{"ID 0", nil, []packet.AQID{0, 1, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := NewTable()
@@ -251,19 +246,18 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 			if got := tbl.Generation(); got != gen+1 {
 				t.Errorf("Generation %d -> %d, want one tick", gen, got)
 			}
-			if got := tbl.dense != nil; got != tc.wantDense {
-				t.Errorf("dense layout = %v, want %v", got, tc.wantDense)
-			}
 			for id, rate := range last {
 				if aq := tbl.Lookup(id); aq == nil || aq.ID() != id || aq.Rate() != rate {
 					t.Errorf("Lookup(%d) = %v, want the batch's last config for it (%v)", id, aq, rate)
 				}
 			}
-			probe := append(ids(0, 130), far-1, far, far+1)
-			probe = append(probe, tc.before...)
-			for _, id := range probe {
-				if got, want := tbl.lookup(id), tbl.Lookup(id); got != want {
-					t.Errorf("lookup(%d) = %p, Lookup %p", id, got, want)
+			deployed := map[packet.AQID]bool{}
+			for _, id := range append(tc.before, tc.batch...) {
+				deployed[id] = true
+			}
+			for _, id := range append(ids(0, 130), far-1, far, far+1) {
+				if got := tbl.Lookup(id); (got != nil) != deployed[id] {
+					t.Errorf("Lookup(%d) = %v, want deployed %v", id, got, deployed[id])
 				}
 			}
 			if got, want := sc.ResolveRun(tc.batch[0], 1), tbl.Lookup(tc.batch[0]); got != want || got == old {
@@ -280,8 +274,8 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 }
 
 // TestTableDeployBatchAllocs bounds what a bulk deploy into a fresh table
-// allocates: the slab, the map sized for the batch at once, and the dense
-// mirror. Grown entry by entry and walked twice, 2000 AQs took 31.
+// allocates: the slab, and the index's map and mirror sized for the batch at
+// once. Grown entry by entry and walked twice, 2000 AQs took 31.
 func TestTableDeployBatchAllocs(t *testing.T) {
 	cfgs := make([]Config, 2000)
 	for i := range cfgs {

@@ -5,6 +5,7 @@ import (
 
 	"aqueue/internal/harness"
 	"aqueue/internal/sim"
+	"aqueue/internal/stats"
 )
 
 // Fig6 reproduces Figure 6: one distributed application (entity) runs the
@@ -61,22 +62,14 @@ func Fig7(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *h
 	return t
 }
 
-// fairness is the paper's entity-fairness metric: shorter completion over
-// longer completion.
+// fairness is the paper's entity-fairness metric (stats.MinMaxRatio) over
+// the entities' completion times.
 func fairness(ct []sim.Time) float64 {
-	lo, hi := ct[0], ct[0]
-	for _, c := range ct {
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
+	xs := make([]float64, len(ct))
+	for i, c := range ct {
+		xs[i] = float64(c)
 	}
-	if hi <= 0 {
-		return 0
-	}
-	return float64(lo) / float64(hi)
+	return stats.MinMaxRatio(xs)
 }
 
 // Fig10CCSettings are the CC pairings of Figure 10 (two entities, four VMs

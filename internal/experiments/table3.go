@@ -69,19 +69,17 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 	var drl *ratelimit.DRL
 	switch approach {
 	case AQ:
-		for _, h := range st.Hosts {
-			gOut, err := ctrl.Grant(control.Request{Tenant: "out", Mode: control.Absolute,
-				Bandwidth: profile, Limit: aqLimitFor(spec), Position: control.Ingress}, st.SW.Ingress)
-			if err != nil {
-				panic(err)
-			}
-			gIn, err := ctrl.Grant(control.Request{Tenant: "in", Mode: control.Absolute,
-				Bandwidth: profile, Limit: aqLimitFor(spec), Position: control.Egress}, st.SW.Egress)
-			if err != nil {
-				panic(err)
-			}
-			outAQ[h.ID()] = gOut.ID
-			inAQ[h.ID()] = gIn.ID
+		profiles := make([]control.HoseProfile, len(st.Hosts))
+		for i, h := range st.Hosts {
+			profiles[i] = control.HoseProfile{VM: h.ID(), Out: profile, In: profile}
+		}
+		grants, err := ctrl.GrantHose(profiles, spec.Rate, st.SW.Ingress, st.SW.Egress, aqLimitFor(spec))
+		if err != nil {
+			panic(err)
+		}
+		for _, g := range grants {
+			outAQ[g.VM] = g.Out.ID
+			inAQ[g.VM] = g.In.ID
 		}
 	case PRL:
 		for _, h := range st.Hosts {

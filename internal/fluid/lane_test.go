@@ -311,7 +311,7 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 		}
 	}
 	for i, m := range meters[0] {
-		if got, want := m.TotalBytes(), meters[1][i].TotalBytes(); got != want || got == 0 {
+		if got, want := m.Stats().TotalBytes, meters[1][i].Stats().TotalBytes; got != want || got == 0 {
 			t.Fatalf("meter %d: %d bytes, reference %d (want equal and non-zero)", i, got, want)
 		}
 	}

@@ -194,7 +194,7 @@ func runLayoutScript(t *testing.T, script []byte) {
 		}
 	}
 	for i, m := range meters[0] {
-		if got, want := m.TotalBytes(), meters[1][i].TotalBytes(); got != want {
+		if got, want := m.Stats().TotalBytes, meters[1][i].Stats().TotalBytes; got != want {
 			t.Fatalf("meter %d: %d bytes, reference %d", i, got, want)
 		}
 	}

@@ -46,11 +46,13 @@ import (
 // Construction is always single-threaded. RunUntil advances the domains
 // of each round sequentially by default ("cooperative" mode, always
 // safe); SetParallel runs them on one persistent worker goroutine per
-// domain, parked on a channel barrier between rounds. That is only sound
-// when nothing crosses domains outside the mailboxes at runtime — no shared
-// meters, no cross-domain flow registration — as in a fat tree of
-// setup-only flows and the fabric service (whose runtime mutations all go
-// through its boundary-only mailbox). Long-lived embedders must Close a
+// domain, parked on a channel barrier between rounds. That is sound when
+// whatever crosses domains outside the mailboxes at runtime locks itself:
+// a stats.Meter, Percentiles or FCT shared by several domains takes its
+// mutex, and a multi-domain topo.Host takes one so a sender built in
+// another domain can register its receiver there (the golden parallel-*
+// sweeps run both under -race). The fabric service's runtime mutations all
+// go through its boundary-only mailbox. Long-lived embedders must Close a
 // parallel cluster to release the workers.
 type Cluster struct {
 	engines []*Engine

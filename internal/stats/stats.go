@@ -97,27 +97,13 @@ func (m *Meter) mark(now sim.Time) {
 	}
 }
 
-// TotalBytes returns the bytes accounted so far.
-func (m *Meter) TotalBytes() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
-
-// End returns the end of the metered range: the close of the last bucket
-// that received bytes (zero before any Add).
-func (m *Meter) End() sim.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.end()
-}
-
-// end is End without the lock, for locked callers.
+// end is the end of the metered range: the close of the last bucket that
+// received bytes (zero before any Add). Callers hold mu.
 func (m *Meter) end() sim.Time { return sim.Time(len(m.counts)) * m.bucket }
 
 // Gbps returns the average rate in Gbit/s over [from, to]. The window is
 // clamped to the metered range: a `to` past the end of the last recorded
-// bucket is pulled back to End(), so a run that stopped early reports the
+// bucket is pulled back to that end, so a run that stopped early reports the
 // rate over the interval it actually covered instead of a rate deflated
 // by empty tail buckets. A window entirely past the metered range is 0.
 func (m *Meter) Gbps(from, to sim.Time) float64 {
@@ -140,23 +126,6 @@ func (m *Meter) gbps(from, to sim.Time) float64 {
 		sum += m.counts[i]
 	}
 	return float64(sum) * 8 / (to - from).Seconds() / 1e9
-}
-
-// Series returns the per-bucket rates in Gbit/s for buckets [0, n),
-// clamped to the metered range: at most len-of-metered-buckets entries are
-// returned, so a short run yields a short series rather than one padded
-// with zero-rate buckets that were never metered.
-func (m *Meter) Series(n int) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n > len(m.counts) {
-		n = len(m.counts)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = float64(m.counts[i]) * 8 / m.bucket.Seconds() / 1e9
-	}
-	return out
 }
 
 // MeterStats is the JSON-friendly summary of a Meter, used by the harness
@@ -216,22 +185,10 @@ func (p *Percentiles) Add(v float64) {
 	p.mu.Unlock()
 }
 
-// Count returns the number of samples.
-func (p *Percentiles) Count() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.samples)
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1), or 0 with no samples.
 func (p *Percentiles) Quantile(q float64) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.quantile(q)
-}
-
-// quantile is Quantile without the lock, for locked callers.
-func (p *Percentiles) quantile(q float64) float64 {
 	if len(p.samples) == 0 {
 		return 0
 	}
@@ -262,11 +219,6 @@ func (p *Percentiles) quantile(q float64) float64 {
 func (p *Percentiles) Mean() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.mean()
-}
-
-// mean is Mean without the lock, for locked callers.
-func (p *Percentiles) mean() float64 {
 	if len(p.samples) == 0 {
 		return 0
 	}
@@ -279,31 +231,6 @@ func (p *Percentiles) mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(p.samples))
-}
-
-// PercentileStats is the JSON-friendly summary of a Percentiles
-// distribution.
-type PercentileStats struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// Stats summarises the distribution.
-func (p *Percentiles) Stats() PercentileStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PercentileStats{
-		Count: len(p.samples),
-		Mean:  p.mean(),
-		P50:   p.quantile(0.5),
-		P95:   p.quantile(0.95),
-		P99:   p.quantile(0.99),
-		Max:   p.quantile(1),
-	}
 }
 
 // JainIndex computes Jain's fairness index over the given allocations:
@@ -397,30 +324,3 @@ func (f *FCT) CompletionTime() sim.Time {
 
 // MeanFCT returns the mean flow completion time.
 func (f *FCT) MeanFCT() sim.Time { return sim.Time(f.fcts.Mean()) }
-
-// P99FCT returns the 99th-percentile flow completion time.
-func (f *FCT) P99FCT() sim.Time { return sim.Time(f.fcts.Quantile(0.99)) }
-
-// FCTStats is the JSON-friendly summary of an entity's flow completions.
-type FCTStats struct {
-	Started      int   `json:"started"`
-	Completed    int   `json:"completed"`
-	Bytes        int64 `json:"bytes"`
-	CompletionNS int64 `json:"completion_ns"`
-	MeanFCTNS    int64 `json:"mean_fct_ns"`
-	P99FCTNS     int64 `json:"p99_fct_ns"`
-}
-
-// Stats summarises the tracker.
-func (f *FCT) Stats() FCTStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return FCTStats{
-		Started:      f.Started,
-		Completed:    f.Completed,
-		Bytes:        f.Bytes,
-		CompletionNS: int64(f.LastDone),
-		MeanFCTNS:    int64(f.MeanFCT()),
-		P99FCTNS:     int64(f.P99FCT()),
-	}
-}

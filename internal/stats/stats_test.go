@@ -14,21 +14,13 @@ func TestMeterBuckets(t *testing.T) {
 	m.Add(100, 1000)
 	m.Add(500_000, 1000)
 	m.Add(1_500_000, 4000)
-	if m.TotalBytes() != 6000 {
-		t.Fatalf("total = %d", m.TotalBytes())
+	if s := m.Stats(); s.TotalBytes != 6000 {
+		t.Fatalf("total = %d", s.TotalBytes)
 	}
-	s := m.Series(3)
-	// Bucket 0: 2000 bytes over 1ms = 16 Mbps = 0.016 Gbps.
-	if math.Abs(s[0]-0.016) > 1e-9 {
-		t.Fatalf("bucket 0 = %v", s[0])
-	}
-	if math.Abs(s[1]-0.032) > 1e-9 {
-		t.Fatalf("bucket 1 = %v", s[1])
-	}
-	// Bucket 2 was never metered: Series clamps to the metered range
-	// instead of padding with zero-rate buckets.
-	if len(s) != 2 {
-		t.Fatalf("len(Series(3)) = %d, want 2 (clamped to metered range)", len(s))
+	// Bucket 0 holds the first two adds, bucket 1 the third; bucket 2 was
+	// never metered, so the meter holds no bucket for it.
+	if len(m.counts) != 2 || m.counts[0] != 2000 || m.counts[1] != 4000 {
+		t.Fatalf("buckets = %v, want [2000 4000]", m.counts)
 	}
 }
 
@@ -42,8 +34,8 @@ func TestMeterGbpsClampsToMeteredRange(t *testing.T) {
 	if got := m.Gbps(0, 10*sim.Millisecond); math.Abs(got-10) > 0.01 {
 		t.Fatalf("Gbps over-long window = %v, want 10 (clamped)", got)
 	}
-	if m.End() != 5*sim.Millisecond {
-		t.Fatalf("End = %v, want 5ms", m.End())
+	if m.end() != 5*sim.Millisecond {
+		t.Fatalf("end = %v, want 5ms", m.end())
 	}
 	// A window entirely past the metered range has no data at all.
 	if got := m.Gbps(6*sim.Millisecond, 10*sim.Millisecond); got != 0 {
@@ -54,7 +46,7 @@ func TestMeterGbpsClampsToMeteredRange(t *testing.T) {
 // TestMeterAddFloatFractional is the regression test for the fluid lane's
 // fractional-byte contributions: sub-byte adds must carry over until they
 // accumulate to whole bytes (conservation within one byte), and must still
-// extend the metered range so the Gbps/Series clamp covers fluid-only
+// extend the metered range so the Gbps clamp covers fluid-only
 // buckets even when an add rounds to zero.
 func TestMeterAddFloatFractional(t *testing.T) {
 	m := NewMeter(sim.Millisecond)
@@ -65,13 +57,13 @@ func TestMeterAddFloatFractional(t *testing.T) {
 		m.AddFloat(sim.Time(i)*250*sim.Microsecond, 0.3)
 		want += 0.3
 	}
-	if got := float64(m.TotalBytes()); math.Abs(got-want) >= 1 {
+	if got := float64(m.Stats().TotalBytes); math.Abs(got-want) >= 1 {
 		t.Fatalf("TotalBytes = %v, want within 1 byte of %v", got, want)
 	}
 	// The last add was at 999.75 ms: the metered range must cover bucket
 	// 999 even though that particular add deposited no whole byte.
-	if m.End() != 1000*sim.Millisecond {
-		t.Fatalf("End = %v, want 1000ms", m.End())
+	if m.end() != 1000*sim.Millisecond {
+		t.Fatalf("end = %v, want 1000ms", m.end())
 	}
 	if s := m.Stats(); s.FirstNS != 0 || s.LastNS != int64(999750*sim.Microsecond) {
 		t.Fatalf("range = [%d, %d], want [0, 999.75ms]", s.FirstNS, s.LastNS)
@@ -88,23 +80,23 @@ func TestMeterAddFloatFractional(t *testing.T) {
 }
 
 // TestMeterAddFloatZeroDeposit: a metered range opened by adds that all
-// round to zero bytes still clamps Series to the touched buckets.
+// round to zero bytes still covers the touched buckets.
 func TestMeterAddFloatZeroDeposit(t *testing.T) {
 	m := NewMeter(sim.Millisecond)
 	m.AddFloat(500_000, 0.25)
-	if m.TotalBytes() != 0 {
-		t.Fatalf("TotalBytes = %d, want 0 (carry held)", m.TotalBytes())
+	if s := m.Stats(); s.TotalBytes != 0 {
+		t.Fatalf("TotalBytes = %d, want 0 (carry held)", s.TotalBytes)
 	}
-	if m.End() != sim.Millisecond {
-		t.Fatalf("End = %v, want 1ms (bucket touched)", m.End())
+	if m.end() != sim.Millisecond {
+		t.Fatalf("end = %v, want 1ms (bucket touched)", m.end())
 	}
-	if s := m.Series(5); len(s) != 1 || s[0] != 0 {
-		t.Fatalf("Series = %v, want one zero-rate bucket", s)
+	if len(m.counts) != 1 || m.counts[0] != 0 {
+		t.Fatalf("buckets = %v, want one empty bucket", m.counts)
 	}
 	// The carry materializes once later adds top it up.
 	m.AddFloat(600_000, 0.75)
-	if m.TotalBytes() != 1 {
-		t.Fatalf("TotalBytes = %d, want 1 after carry", m.TotalBytes())
+	if s := m.Stats(); s.TotalBytes != 1 {
+		t.Fatalf("TotalBytes = %d, want 1 after carry", s.TotalBytes)
 	}
 }
 
@@ -119,7 +111,7 @@ func TestMeterStatsJSONFriendly(t *testing.T) {
 	if s.FirstNS != 100 || s.LastNS != 1_500_000 {
 		t.Fatalf("Stats range = %+v", s)
 	}
-	if math.Abs(s.AvgGbps-m.Gbps(0, m.End())) > 1e-12 {
+	if math.Abs(s.AvgGbps-m.Gbps(0, m.end())) > 1e-12 {
 		t.Fatalf("AvgGbps = %v", s.AvgGbps)
 	}
 }
@@ -160,9 +152,6 @@ func TestPercentiles(t *testing.T) {
 	}
 	if got := p.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("mean = %v", got)
-	}
-	if p.Count() != 100 {
-		t.Fatalf("count = %d", p.Count())
 	}
 }
 
@@ -269,34 +258,5 @@ func TestFCTTracking(t *testing.T) {
 	// FCTs are 10ms and 25ms; mean 17.5ms.
 	if got := f.MeanFCT(); got != sim.Time(17_500_000) {
 		t.Fatalf("mean FCT = %v", got)
-	}
-}
-
-func TestPercentileStats(t *testing.T) {
-	var p Percentiles
-	for i := 1; i <= 100; i++ {
-		p.Add(float64(i))
-	}
-	s := p.Stats()
-	if s.Count != 100 || s.Max != 100 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if math.Abs(s.Mean-50.5) > 1e-9 || math.Abs(s.P50-50.5) > 1e-9 {
-		t.Fatalf("Stats = %+v", s)
-	}
-}
-
-func TestFCTStats(t *testing.T) {
-	var f FCT
-	f.FlowStarted(1000)
-	f.FlowStarted(2000)
-	f.FlowDone(0, 10*sim.Millisecond)
-	f.FlowDone(0, 30*sim.Millisecond)
-	s := f.Stats()
-	if s.Started != 2 || s.Completed != 2 || s.Bytes != 3000 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if s.CompletionNS != int64(30*sim.Millisecond) || s.MeanFCTNS != int64(20*sim.Millisecond) {
-		t.Fatalf("Stats = %+v", s)
 	}
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 
 	"aqueue/internal/packet"
@@ -32,79 +33,62 @@ func TestFlowHashSpreadsConsecutiveFlows(t *testing.T) {
 	}
 }
 
-// farHost is a destination ID far outside any built topology: one route to
-// it is how production ends up on the map layout (ident.Dense declines the
-// range), so it is how the tests force that layout too.
-const farHost = packet.HostID(1 << 20)
-
-// TestDenseECMPMatchesMapPath pins the dense forwarding table to the map
-// path it mirrors: for every (dst, flow), the slice-indexed lookup must
-// resolve the identical port — exact-route precedence included. The layout
-// is chosen from the routes themselves, so the test builds two switches
-// with identical routes, gives one a far-away destination on top, asserts
-// which layout served each, and compares the chosen port indices.
-func TestDenseECMPMatchesMapPath(t *testing.T) {
-	build := func(sparse bool) *Switch {
-		eng := sim.NewEngine()
-		sw := NewSwitch(eng, "ecmp")
-		sink := &collector{eng: eng}
-		for i := 0; i < 4; i++ {
-			sw.AddPort(NewPipe(eng, units.Gbps, 0, 0, 0, sink))
-		}
-		sw.AddECMPRoute(1, 0, 1, 2, 3)
-		sw.AddECMPRoute(2, 2, 3)
-		sw.AddRoute(2, 0) // exact route shadows dst 2's group on both paths
-		sw.AddRoute(3, 1)
-		if sparse {
-			sw.AddRoute(farHost, 3)
-		}
-		return sw
+// TestForwardingPrecedenceAndHash pins the forwarding table's resolution
+// for every (dst, flow): an exact route wins over an ECMP group whichever was
+// added first, a group picks its member by flowHash, and a destination with
+// no route — unrouted inside the table, or past its end — misses.
+func TestForwardingPrecedenceAndHash(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, "ecmp")
+	sink := &collector{eng: eng}
+	for i := 0; i < 4; i++ {
+		sw.AddPort(NewPipe(eng, units.Gbps, 0, 0, 0, sink))
 	}
-	portIndex := func(sw *Switch, p *Pipe) int {
-		if p == nil {
-			return -1
-		}
-		for i, q := range sw.ports {
-			if q == p {
-				return i
-			}
-		}
-		t.Fatal("outPipe returned a pipe that is not a port")
-		return -2
-	}
+	sw.AddECMPRoute(1, 0, 1, 2, 3)
+	sw.AddECMPRoute(2, 2, 3)
+	sw.AddRoute(2, 0) // added after the group: shadows it
+	sw.AddRoute(3, 1)
+	sw.AddRoute(5, 2)
+	sw.AddECMPRoute(5, 0, 1) // added after the exact route: still shadowed
+	groups := map[packet.HostID][]int{1: {0, 1, 2, 3}}
+	exact := map[packet.HostID]int{2: 0, 3: 1, 5: 2}
 
-	dsw := build(false)
-	msw := build(true)
-	for dst := packet.HostID(1); dst <= 4; dst++ {
+	const farHost = packet.HostID(1 << 20)
+	for _, dst := range []packet.HostID{0, 1, 2, 3, 4, 5, 6, farHost} {
 		for f := 0; f < 512; f++ {
-			p := &packet.Packet{Dst: dst, Flow: packet.FlowID(f)}
-
-			dense := portIndex(dsw, dsw.outPipe(p))
-			if dsw.fwd == nil {
-				t.Fatal("dense forwarding table not built for a dense topology")
+			want := (*Pipe)(nil)
+			if port, ok := exact[dst]; ok {
+				want = sw.Port(port)
+			} else if g := groups[dst]; g != nil {
+				want = sw.Port(g[flowHash(packet.FlowID(f))%uint64(len(g))])
 			}
-
-			mapped := portIndex(msw, msw.outPipe(p))
-			if msw.fwd != nil {
-				t.Fatal("dense table built over a sparse destination range")
-			}
-
-			if dense != mapped {
-				t.Fatalf("dst %d flow %d: dense picked port %d, map picked port %d", dst, f, dense, mapped)
-			}
-			if dst == 4 && dense != -1 {
-				t.Fatalf("dst 4 has no route but resolved a pipe")
-			}
-			if dst == 2 && dense != 0 {
-				t.Fatalf("exact route for dst 2 did not shadow its ECMP group")
+			if got := sw.outPipe(&packet.Packet{Dst: dst, Flow: packet.FlowID(f)}); got != want {
+				t.Fatalf("dst %d flow %d: resolved %v, want %v", dst, f, got, want)
 			}
 		}
 	}
-	far := &packet.Packet{Dst: farHost}
-	if got := portIndex(msw, msw.outPipe(far)); got != 3 {
-		t.Fatalf("far destination resolved port %d on the map path, want 3", got)
-	}
-	if got := portIndex(dsw, dsw.outPipe(far)); got != -1 {
-		t.Fatalf("far destination resolved port %d past the dense table's end, want a miss", got)
+}
+
+// TestRouteValidation: a route through a port that is not attached, or to a
+// negative destination, panics with the switch's own error when it is added.
+func TestRouteValidation(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, "v")
+	sw.AddPort(NewPipe(eng, units.Gbps, 0, 0, 0, &collector{eng: eng}))
+	for name, add := range map[string]func(){
+		"port past the end":      func() { sw.AddRoute(1, 1) },
+		"negative port":          func() { sw.AddRoute(1, -1) },
+		"ECMP member invalid":    func() { sw.AddECMPRoute(1, 0, 3) },
+		"negative destination":   func() { sw.AddRoute(-1, 0) },
+		"negative ECMP, no port": func() { sw.AddECMPRoute(-2) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "switch v: route to") {
+					t.Errorf("%s: panicked with %q, want the switch's route error", name, msg)
+				}
+			}()
+			add()
+		}()
 	}
 }

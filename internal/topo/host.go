@@ -26,11 +26,16 @@ type SendFilter func(p *packet.Packet) bool
 // to its switch, dispatches received packets to per-flow handlers, and runs
 // outbound packets through an optional SendFilter.
 type Host struct {
-	eng      *sim.Engine
-	pool     *packet.Pool
-	id       packet.HostID
-	out      *Pipe
-	handlers map[packet.FlowID]FlowHandler
+	eng  *sim.Engine
+	pool *packet.Pool
+	id   packet.HostID
+	out  *Pipe
+
+	// handlers dispatches flow ID → handler. Flow IDs come from the
+	// engine's "transport.flow" sequence or the host's stride, so per host
+	// they stay dense enough for the index's slice until flows churn far
+	// past the live set, and its map serves after that.
+	handlers ident.Index[packet.FlowID, FlowHandler]
 
 	// flowSeq is the host engine's pre-registered "transport.flow" handle
 	// (the sequence transport draws flow IDs from): registering once at
@@ -46,15 +51,6 @@ type Host struct {
 	// from the engine sequence (dense, but shared across the engine).
 	flowNext   uint64
 	flowStride uint64
-
-	// dense, when non-nil, direct-indexes handlers by flow ID. Flow IDs
-	// come from the engine's "transport.flow" sequence, so they are dense
-	// per engine; per host the range stays tight enough for a flat slice
-	// until flows churn far past the live set, at which point ident.Dense
-	// rejects the layout and lookups fall back to the map. Rebuilt lazily
-	// (dirty) so registration bursts at setup cost one rebuild.
-	dense []FlowHandler
-	dirty bool
 
 	// shared is set when the engine belongs to a multi-domain cluster: a
 	// sender constructed at runtime in another domain registers its
@@ -90,12 +86,11 @@ type Host struct {
 // NewHost returns a host with the given ID; attach its uplink with SetUplink.
 func NewHost(eng *sim.Engine, id packet.HostID) *Host {
 	return &Host{
-		eng:      eng,
-		pool:     packet.PoolFor(eng),
-		id:       id,
-		flowSeq:  eng.SeqDomain("transport.flow"),
-		handlers: make(map[packet.FlowID]FlowHandler),
-		shared:   eng.MultiDomain(),
+		eng:     eng,
+		pool:    packet.PoolFor(eng),
+		id:      id,
+		flowSeq: eng.SeqDomain("transport.flow"),
+		shared:  eng.MultiDomain(),
 	}
 }
 
@@ -161,8 +156,7 @@ func (h *Host) Register(id packet.FlowID, fh FlowHandler) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 	}
-	h.handlers[id] = fh
-	h.dirty = true
+	h.handlers.Set(id, fh)
 }
 
 // Unregister removes a flow handler.
@@ -171,50 +165,19 @@ func (h *Host) Unregister(id packet.FlowID) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 	}
-	delete(h.handlers, id)
-	h.dirty = true
+	h.handlers.Delete(id)
 }
 
-// rebuildDispatch refreshes the dense dispatch slice after handler churn.
-func (h *Host) rebuildDispatch() {
-	h.dirty = false
-	h.dense = nil
-	maxID := -1
-	for id := range h.handlers {
-		if int(id) > maxID {
-			maxID = int(id)
-		}
-	}
-	if !ident.Dense(maxID, len(h.handlers)) {
-		return
-	}
-	d := make([]FlowHandler, maxID+1)
-	for id, fh := range h.handlers {
-		d[id] = fh
-	}
-	h.dense = d
-}
-
-// handler resolves the flow's handler via the dense slice when present,
-// else the map. Both layouts hold the same values, so which one serves a
-// lookup is unobservable in results — as is the rebuild's timing relative
-// to a foreign registration, which only ever adds flows whose packets
-// haven't crossed the boundary yet.
-func (h *Host) handler(id packet.FlowID) (fh FlowHandler) {
+// handler resolves the flow's handler. A lookup may build the index's
+// slice, so it takes the lock too; when that build happens relative to a
+// foreign registration is unobservable, since a registration only ever adds
+// flows whose packets haven't crossed the boundary yet.
+func (h *Host) handler(id packet.FlowID) FlowHandler {
 	if h.shared {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 	}
-	if h.dirty {
-		h.rebuildDispatch()
-	}
-	if h.dense != nil {
-		if i := uint64(id); i < uint64(len(h.dense)) {
-			fh = h.dense[i]
-		}
-		return fh
-	}
-	return h.handlers[id]
+	return h.handlers.Get(id)
 }
 
 // Receive implements Receiver: account the packet, dispatch by flow ID,

@@ -10,11 +10,10 @@ import (
 	"aqueue/internal/units"
 )
 
-// The dense layouts — forwarding tables, host flow dispatch, AQ tables —
-// have no switch: each is built whenever ident.Dense approves the ID range
-// and the map serves otherwise. These tests keep the fallback covered by
-// forcing it the way production reaches it, one far-away ID per structure,
-// and holding it to the dense build.
+// Every lookup layout is chosen by ident.Index from the IDs it holds, and
+// FuzzIndex holds its slice to its map. The run-level test below forces the
+// map the way production reaches it — one far-away ID per AQ table and per
+// host — and holds the whole run to the dense build.
 
 const (
 	farFlow = packet.FlowID(1 << 40)
@@ -26,55 +25,12 @@ type countingHandler struct{ n int }
 
 func (c *countingHandler) Handle(*packet.Packet) { c.n++ }
 
-// TestHostDispatchMapMatchesDense registers the same flows on two hosts,
-// one of which also holds a far-away flow ID, and requires identical
-// handler resolution from the slice and from the map — hits, misses and
-// IDs past the slice's end — then removes the far flow and checks the host
-// flips back to the dense slice.
-func TestHostDispatchMapMatchesDense(t *testing.T) {
-	eng := sim.NewEngine()
-	dense, sparse := NewHost(eng, 0), NewHost(eng, 1)
-	handlers := make(map[packet.FlowID]*countingHandler)
-	for id := packet.FlowID(1); id <= 64; id += 2 { // odd IDs only: misses in between
-		handlers[id] = &countingHandler{}
-		dense.Register(id, handlers[id])
-		sparse.Register(id, handlers[id])
-	}
-	sparse.Register(farFlow, &countingHandler{})
-
-	for id := packet.FlowID(0); id <= 70; id++ {
-		d, m := dense.handler(id), sparse.handler(id)
-		if dense.dense == nil {
-			t.Fatal("dense dispatch slice not built for a dense flow range")
-		}
-		if sparse.dense != nil {
-			t.Fatal("dense dispatch slice built over a sparse flow range")
-		}
-		if d != m {
-			t.Fatalf("flow %d: dense resolved %v, map resolved %v", id, d, m)
-		}
-		if want, ok := handlers[id]; ok && d != FlowHandler(want) {
-			t.Fatalf("flow %d resolved the wrong handler", id)
-		} else if !ok && d != nil {
-			t.Fatalf("flow %d has no handler but resolved one", id)
-		}
-	}
-	if sparse.handler(farFlow) == nil || dense.handler(farFlow) != nil {
-		t.Fatal("far flow must resolve on the host that registered it, and only there")
-	}
-
-	sparse.Unregister(farFlow)
-	if sparse.handler(1) != FlowHandler(handlers[1]) || sparse.dense == nil {
-		t.Fatal("host did not return to the dense slice once the far flow was gone")
-	}
-}
-
 // layoutRun drives a fixed packet script through a dumbbell — three AQs at
 // S1's ingress (one dropping, one ECN-marking, one stamping delay), one at
 // S2's egress, an untagged stream and a table miss — and returns every
-// counter the run produced. With sparse set, each switch also routes a
-// far-away host, each table holds a far-away AQ and each host a far-away
-// flow, so every lookup of the run is served by a map.
+// counter the run produced. With sparse set, each table also holds a
+// far-away AQ and each host a far-away flow, so every AQ lookup and flow
+// dispatch of the run is served by a map.
 func layoutRun(t *testing.T, sparse bool) string {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -98,7 +54,6 @@ func layoutRun(t *testing.T, sparse bool) string {
 	}
 	if sparse {
 		for _, sw := range []*Switch{d.S1, d.S2} {
-			sw.AddRoute(farHost, 0)
 			sw.Ingress.Deploy(core.Config{ID: farAQ, Rate: units.Gbps})
 			sw.Egress.Deploy(core.Config{ID: farAQ, Rate: units.Gbps})
 		}
@@ -120,11 +75,6 @@ func layoutRun(t *testing.T, sparse bool) string {
 		})
 	}
 	eng.Run()
-
-	if got := d.S1.fwd == nil && d.S2.fwd == nil && hosts[0].dense == nil && hosts[3].dense == nil; got != sparse {
-		t.Fatalf("sparse=%v: forwarding tables dense=%v/%v, host dispatch dense=%v/%v",
-			sparse, d.S1.fwd != nil, d.S2.fwd != nil, hosts[0].dense != nil, hosts[3].dense != nil)
-	}
 
 	out := fmt.Sprintf("events %d delay %d\n", eng.Processed, delaySum)
 	for _, sw := range []*Switch{d.S1, d.S2} {

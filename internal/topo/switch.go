@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"aqueue/internal/core"
-	"aqueue/internal/ident"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/trace"
@@ -16,24 +15,17 @@ import (
 // (matched on the EgressAQ tag before the packet is enqueued on its output
 // port).
 type Switch struct {
-	eng    *sim.Engine
-	pool   *packet.Pool
-	name   string
-	ports  []*Pipe
-	routes map[packet.HostID]int
-	// ecmp holds multi-path routes: the output port is chosen by a hash of
-	// the flow ID, so one flow always follows one path (no reordering)
-	// while flows spread across the group.
-	ecmp map[packet.HostID][]int
+	eng   *sim.Engine
+	pool  *packet.Pool
+	name  string
+	ports []*Pipe
 
-	// fwd, when non-nil, is the dense forwarding table: indexed by
-	// destination host ID, each entry caches the resolved egress pipe (or
-	// the resolved ECMP pipe group), so the common hop touches no map and
-	// no s.ports indirection. Rebuilt lazily (fwdDirty) after route
-	// changes; ident.Dense decides whether the host-ID range justifies it,
-	// and the routes/ecmp maps serve when it does not.
-	fwd      []fwdEntry
-	fwdDirty bool
+	// fwd is the forwarding table, indexed by destination host ID: each
+	// entry holds the routed egress pipe, or the ECMP pipe group hashed per
+	// flow ID (one flow always follows one path, so no reordering, while
+	// flows spread across the group). Builders number hosts 0..n-1 and
+	// route every one, so the slice is as long as the host count.
+	fwd []fwdEntry
 
 	// Ingress and Egress are the AQ tables for the two pipeline positions.
 	Ingress *core.Table
@@ -61,8 +53,6 @@ func NewSwitch(eng *sim.Engine, name string) *Switch {
 		eng:     eng,
 		pool:    packet.PoolFor(eng),
 		name:    name,
-		routes:  make(map[packet.HostID]int),
-		ecmp:    make(map[packet.HostID][]int),
 		Ingress: core.NewTable(),
 		Egress:  core.NewTable(),
 	}
@@ -92,119 +82,60 @@ func (s *Switch) AddPort(p *Pipe) int {
 // Port returns the pipe of the given port number.
 func (s *Switch) Port(n int) *Pipe { return s.ports[n] }
 
-// AddRoute directs traffic for dst out of the given port.
+// AddRoute directs traffic for dst out of the given port. An exact route
+// shadows any ECMP group for dst.
 func (s *Switch) AddRoute(dst packet.HostID, port int) {
-	if port < 0 || port >= len(s.ports) {
-		panic(fmt.Sprintf("switch %s: route to %d via invalid port %d", s.name, dst, port))
-	}
-	s.routes[dst] = port
-	s.fwdDirty = true
+	s.entry(dst, port).pipe = s.ports[port]
 }
 
 // AddECMPRoute directs traffic for dst over the given port group, hashed
 // by flow ID.
 func (s *Switch) AddECMPRoute(dst packet.HostID, ports ...int) {
-	for _, port := range ports {
-		if port < 0 || port >= len(s.ports) {
-			panic(fmt.Sprintf("switch %s: ECMP route to %d via invalid port %d", s.name, dst, port))
-		}
+	e := s.entry(dst, ports...)
+	e.group = make([]*Pipe, len(ports))
+	for i, port := range ports {
+		e.group[i] = s.ports[port]
 	}
-	s.ecmp[dst] = append([]int(nil), ports...)
-	s.fwdDirty = true
 }
 
-// fwdEntry is one dense forwarding slot: an exact route caches its pipe, an
-// ECMP route caches the resolved pipe group (hashed per flow at lookup).
-// Exact routes win, matching outPort's precedence.
+// fwdEntry is one forwarding slot: an exact route's pipe, or an ECMP group.
+// The exact route wins when both are set.
 type fwdEntry struct {
 	pipe  *Pipe
 	group []*Pipe
 }
 
-// rebuildFwd refreshes the dense forwarding table after a route change. The
-// table is dropped (map fallback) when any destination ID is negative or
-// the ID range is too sparse.
-func (s *Switch) rebuildFwd() {
-	s.fwdDirty = false
-	s.fwd = nil
-	maxDst, count := -1, 0
-	seen := func(dst packet.HostID) bool {
-		if dst < 0 {
-			return false
-		}
-		if int(dst) > maxDst {
-			maxDst = int(dst)
-		}
-		count++
-		return true
+// entry validates a route to dst via ports and returns dst's forwarding
+// slot, growing the table to cover it. A negative destination panics like
+// an invalid port.
+func (s *Switch) entry(dst packet.HostID, ports ...int) *fwdEntry {
+	if dst < 0 {
+		panic(fmt.Sprintf("switch %s: route to invalid destination %d", s.name, dst))
 	}
-	for dst := range s.routes {
-		if !seen(dst) {
-			return
+	for _, port := range ports {
+		if port < 0 || port >= len(s.ports) {
+			panic(fmt.Sprintf("switch %s: route to %d via invalid port %d", s.name, dst, port))
 		}
 	}
-	for dst := range s.ecmp {
-		if _, dup := s.routes[dst]; dup {
-			continue // exact route shadows the group; count once
-		}
-		if !seen(dst) {
-			return
-		}
+	if n := int(dst) + 1; n > len(s.fwd) {
+		s.fwd = append(s.fwd, make([]fwdEntry, n-len(s.fwd))...)
 	}
-	if !ident.Dense(maxDst, count) {
-		return
-	}
-	fwd := make([]fwdEntry, maxDst+1)
-	for dst, port := range s.routes {
-		fwd[dst].pipe = s.ports[port]
-	}
-	for dst, group := range s.ecmp {
-		pipes := make([]*Pipe, len(group))
-		for i, port := range group {
-			pipes[i] = s.ports[port]
-		}
-		fwd[dst].group = pipes
-	}
-	s.fwd = fwd
+	return &s.fwd[dst]
 }
 
-// outPipe resolves the egress pipe for a packet via the dense table when
-// present, else the route maps. Both paths implement the same precedence
-// (exact route, then ECMP by flow hash), so the choice of layout is
-// unobservable in results.
+// outPipe resolves the egress pipe for a packet: its destination's exact
+// route, else its ECMP group by flow hash, else nil.
 func (s *Switch) outPipe(p *packet.Packet) *Pipe {
-	if s.fwdDirty {
-		s.rebuildFwd()
-	}
-	if s.fwd != nil {
-		if d := uint(p.Dst); d < uint(len(s.fwd)) {
-			e := &s.fwd[d]
-			if e.pipe != nil {
-				return e.pipe
-			}
-			if n := uint64(len(e.group)); n > 0 {
-				return e.group[flowHash(p.Flow)%n]
-			}
+	if d := uint(p.Dst); d < uint(len(s.fwd)) {
+		e := &s.fwd[d]
+		if e.pipe != nil {
+			return e.pipe
 		}
-		return nil
+		if n := uint64(len(e.group)); n > 0 {
+			return e.group[flowHash(p.Flow)%n]
+		}
 	}
-	port, ok := s.outPort(p)
-	if !ok {
-		return nil
-	}
-	return s.ports[port]
-}
-
-// outPort resolves the output port for a packet: exact routes win, then
-// ECMP groups.
-func (s *Switch) outPort(p *packet.Packet) (int, bool) {
-	if port, ok := s.routes[p.Dst]; ok {
-		return port, true
-	}
-	if group, ok := s.ecmp[p.Dst]; ok && len(group) > 0 {
-		return group[flowHash(p.Flow)%uint64(len(group))], true
-	}
-	return 0, false
+	return nil
 }
 
 // flowHash mixes the flow ID (splitmix64 finalizer) so consecutive IDs

@@ -30,14 +30,12 @@ type Options struct {
 	// (§4.1: the hypervisor tags packets with granted AQ IDs).
 	IngressAQ packet.AQID
 	EgressAQ  packet.AQID
-	// RTOMin floors the retransmission timeout; zero selects 1 ms.
-	RTOMin sim.Time
 }
 
 const (
-	defaultRTOMin = sim.Millisecond
-	rtoMax        = 100 * sim.Millisecond
-	dupAckThresh  = 3
+	rtoMin       = sim.Millisecond
+	rtoMax       = 100 * sim.Millisecond
+	dupAckThresh = 3
 	// rwndBytes models the receive window: the sender never runs more than
 	// this many bytes past the cumulative ACK, exactly as flow control
 	// bounds a real TCP sender.
@@ -128,9 +126,6 @@ type Sender struct {
 func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *Sender {
 	if opt.MSS == 0 {
 		opt.MSS = packet.DefaultMSS
-	}
-	if opt.RTOMin == 0 {
-		opt.RTOMin = defaultRTOMin
 	}
 	s := &Sender{
 		eng:  src.Engine(),
@@ -614,8 +609,8 @@ func (s *Sender) updateRTT(now sim.Time, p *packet.Packet) sim.Time {
 		s.srtt = (7*s.srtt + sample) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.opt.RTOMin {
-		s.rto = s.opt.RTOMin
+	if s.rto < rtoMin {
+		s.rto = rtoMin
 	}
 	return sample
 }
