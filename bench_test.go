@@ -1,12 +1,12 @@
-// Package aqueue_test is the benchmark harness: one benchmark per table
-// and figure of the paper's evaluation (run with `go test -bench=.`), plus
+// Package aqueue_test is the benchmark harness: one sub-benchmark per
+// registered experiment (run with `go test -bench=.`), plus
 // microbenchmarks of the per-packet A-Gap hot path and ablation benches
 // for the design choices DESIGN.md calls out.
 //
-// The figure/table benches run reduced-size versions of the experiments
-// (the full-size runs are `cmd/aqsim -experiment all`) and report the
-// headline quantities via b.ReportMetric so `-benchmem` output doubles as
-// a regression record.
+// The experiment benches run the quick versions of the experiments (the
+// full-size runs are `cmd/aqsim -experiment all`) and report their
+// metrics via b.ReportMetric so `-benchmem` output doubles as a
+// regression record.
 package aqueue_test
 
 import (
@@ -15,6 +15,7 @@ import (
 
 	"aqueue/internal/core"
 	"aqueue/internal/experiments"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/units"
@@ -73,145 +74,30 @@ func BenchmarkTableMillionAQs(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// One benchmark per paper figure/table.
+// Every registered experiment, at quick parameters.
 
-func BenchmarkFig1CCInterference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig1(60*sim.Millisecond, 1, false)
-		if len(t.Rows) != len(experiments.Fig1Pairs) {
-			b.Fatal("missing rows")
-		}
+// BenchmarkExperiments runs each registered experiment — every figure and
+// table of the paper's evaluation plus the extensions — once per
+// iteration at DefaultParams(true), and reports each of its metrics.
+// Select some with a second-level pattern, e.g.
+// -bench 'Experiments/^(fig3|fig11|fig12)$'.
+func BenchmarkExperiments(b *testing.B) {
+	p := experiments.DefaultParams(true)
+	for _, name := range harness.Names() {
+		run, _ := harness.Get(name)
+		b.Run(name, func(b *testing.B) {
+			var res *harness.Result
+			for i := 0; i < b.N; i++ {
+				res = run(p)
+				if len(res.Tables) == 0 {
+					b.Fatal("no tables")
+				}
+			}
+			for k, v := range res.Metrics {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
-}
-
-func BenchmarkFig3StrawmanVsAGap(b *testing.B) {
-	var lastD, lastA float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(8)
-		lastD, lastA = r.PeaksD[7], r.PeaksA[7]
-	}
-	b.ReportMetric(lastD, "Dpeak-gbps")
-	b.ReportMetric(lastA, "Apeak-gbps")
-}
-
-func BenchmarkFig6CompletionVsVMs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig6([]int{1, 4}, 40, 1, 1, false)
-		if len(t.Rows) != 2 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig7EntityFairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig7([]int{4}, 40, 1, 1, false)
-		if len(t.Rows) != 1 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig8FlowCountIsolation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig8([]int{1, 16}, 60*sim.Millisecond, 1, false)
-		if len(t.Rows) != 2 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig9UDPvsTCP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pq, aq := experiments.Fig9(40*sim.Millisecond, 1, false)
-		if len(pq.Rows) != 5 || len(aq.Rows) != 5 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig10CCWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fair, total := experiments.Fig10(30, 1, 1, false)
-		if len(fair.Rows) == 0 || len(total.Rows) == 0 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig11SwitchResources(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.Fig11().Rows) != 4 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkFig12MemoryScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.Fig12().Rows) != len(experiments.Fig12Counts) {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkTable2CCSharing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table2(60*sim.Millisecond, 1, false)
-		if len(t.Rows) != len(experiments.Table2Settings) {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkTable3VMGuarantee(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table3(1, false)
-		if len(t.Rows) != 6 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-func BenchmarkTable4AQvsPQBehaviour(b *testing.B) {
-	var rel float64
-	for i := 0; i < b.N; i++ {
-		_, rows := experiments.Table4(1, false)
-		rel = rows[0].RelP95DeltaPct
-	}
-	b.ReportMetric(rel, "cubic-p95-rel%")
-}
-
-// BenchmarkExtFabric runs the leaf-spine extension (isolation across ECMP
-// and the incast inbound guarantee).
-func BenchmarkExtFabric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(experiments.ExtFabric(50*sim.Millisecond, 1, false).Rows) != 3 {
-			b.Fatal("missing rows")
-		}
-	}
-}
-
-// BenchmarkExtPerEntityQueues runs the DRR-vs-AQ scaling comparison.
-func BenchmarkExtPerEntityQueues(b *testing.B) {
-	var drr, aq float64
-	for i := 0; i < b.N; i++ {
-		drr, aq = experiments.ExtPerEntityQueues(32, 8, 50*sim.Millisecond, 1, false)
-	}
-	b.ReportMetric(drr, "drr-jain")
-	b.ReportMetric(aq, "aq-jain")
-}
-
-// BenchmarkFluidBG runs the fluid-background fidelity experiment (fig6 and
-// fig9 with their backgrounds as fluid rate ODEs) and reports the worst
-// foreground deviation from the all-packet baseline.
-func BenchmarkFluidBG(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.FluidBG(60*sim.Millisecond, 12, 1, 1, false)
-		worst = r.MaxDeltaPct()
-	}
-	b.ReportMetric(worst, "maxdelta-pct")
 }
 
 // ---------------------------------------------------------------------------

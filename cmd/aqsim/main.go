@@ -81,7 +81,7 @@ func run(args []string) int {
 
 	if *list {
 		for _, name := range harness.Names() {
-			fmt.Printf("%-10s %s\n", name, experiments.Description(name))
+			fmt.Printf("%-10s %s\n", name, harness.Description(name))
 		}
 		return 0
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"compress/gzip"
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,9 +11,9 @@ import (
 )
 
 func init() {
-	harness.Register(harness.NewFunc("test-always-fails", func(harness.Params) (*harness.Result, error) {
-		return nil, errors.New("failing on purpose")
-	}))
+	harness.Register("test-always-fails", "a run that always fails", func(harness.Params) *harness.Result {
+		panic("failing on purpose")
+	})
 }
 
 // TestFailingRunKeepsItsProfile is the exit-path contract: a run that ends

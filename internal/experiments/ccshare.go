@@ -27,19 +27,19 @@ type CCShareResult struct {
 
 // runCCShare shares a 10 Gbps dumbbell among the entities under the given
 // approach (PQ or AQ; the rate-limiting baselines are not part of these
-// experiments) and returns per-entity goodput measured after warmup.
-// domains selects how many conservative time-synced engines carry the run.
-func runCCShare(approach Approach, entities []ccEntity, horizon sim.Time, seed uint64, domains int, parallel bool) []CCShareResult {
-	c := newClusterN(domains, parallel)
+// experiments) for p.Horizon and returns per-entity goodput measured after
+// warmup.
+func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCShareResult {
+	c := p.Cluster()
 	defer c.Close()
 	spec := simSpec()
 	m := len(entities)
 	hostsPer := 2
 	d := topo.NewDumbbellIn(c, m*hostsPer, m*hostsPer, spec, spec)
 
-	classify := func(p *packet.Packet) int {
+	classify := func(pkt *packet.Packet) int {
 		// Destination hosts are allocated per entity in blocks.
-		idx := int(p.Dst) - m*hostsPer
+		idx := int(pkt.Dst) - m*hostsPer
 		if idx < 0 {
 			return -1
 		}
@@ -74,17 +74,16 @@ func runCCShare(approach Approach, entities []ccEntity, horizon sim.Time, seed u
 		opt.EcnCapable = ecnCapable(e.cc)
 		longFlows(srcs, dsts, e.flows, ccFactory(e.cc), opt)
 	}
-	_ = seed
-	c.RunUntil(horizon)
+	c.RunUntil(p.Horizon)
 
-	warmup := horizon / 4
+	warmup := p.Horizon / 4
 	out := make([]CCShareResult, m)
 	for i, e := range entities {
 		label := fmt.Sprintf("%d %s", e.flows, e.cc)
 		if e.udp {
 			label = "1 udp"
 		}
-		out[i] = CCShareResult{Label: label, Gbps: rc.Gbps(i, warmup, horizon)}
+		out[i] = CCShareResult{Label: label, Gbps: rc.Gbps(i, warmup, p.Horizon)}
 	}
 	return out
 }
@@ -102,19 +101,19 @@ var Fig1Pairs = [][2]string{
 
 // Fig1 reproduces Figure 1: traffic interference between CC algorithm
 // pairs sharing a physical queue (no AQ).
-func Fig1(horizon sim.Time, domains int, parallel bool) *harness.Table {
+func Fig1(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Figure 1: CC interference in a shared physical queue (10 flows each)",
 		Header: []string{"pair", "thpt A (Gbps)", "thpt B (Gbps)"},
 	}
 	for _, pair := range Fig1Pairs {
-		res := runCCShare(PQ, []ccEntity{
+		res := runCCShare(p, PQ, []ccEntity{
 			{cc: pair[0], flows: 10},
 			{cc: pair[1], flows: 10},
-		}, horizon, 1, domains, parallel)
+		})
 		t.AddRow(pair[0]+" + "+pair[1], res[0].Gbps, res[1].Gbps)
 	}
-	return t
+	return tables(t)
 }
 
 // Table2Settings are the paper's Table 2 rows.
@@ -137,14 +136,14 @@ var Table2Settings = [][]ccEntity{
 
 // Table2 reproduces Table 2: entity throughput under the CC settings, for
 // PQ and AQ.
-func Table2(horizon sim.Time, domains int, parallel bool) *harness.Table {
+func Table2(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Table 2: Throughput of entities with different CC settings (Gbps)",
 		Header: []string{"congestion control", "PQ", "AQ"},
 	}
 	for _, setting := range Table2Settings {
-		pq := runCCShare(PQ, setting, horizon, 1, domains, parallel)
-		aq := runCCShare(AQ, setting, horizon, 1, domains, parallel)
+		pq := runCCShare(p, PQ, setting)
+		aq := runCCShare(p, AQ, setting)
 		label, pqS, aqS := "", "", ""
 		for i := range setting {
 			if i > 0 {
@@ -158,5 +157,5 @@ func Table2(horizon sim.Time, domains int, parallel bool) *harness.Table {
 		}
 		t.AddRow(label, pqS, aqS)
 	}
-	return t
+	return tables(t)
 }

@@ -9,12 +9,12 @@ import (
 	"aqueue/internal/sim"
 )
 
-// churnFabric builds Churn's 4-host dumbbell.
-func churnFabric(window sim.Time, domains int, parallel bool) *service.Fabric {
+// churnFabric builds Churn's 4-host dumbbell, partitioned as p asks.
+func churnFabric(p harness.Params, window sim.Time) *service.Fabric {
 	f, err := service.NewFabric(service.Config{
 		Hosts:    4,
-		Domains:  domains,
-		Parallel: parallel,
+		Domains:  p.Domains,
+		Parallel: p.Parallel,
 		Window:   window,
 		TraceLen: 0, // traces are for the daemon; experiments stay lean
 	})
@@ -38,9 +38,9 @@ func churnFabric(window sim.Time, domains int, parallel bool) *service.Fabric {
 //	w5:  tenant B — weighted 2, fixed 50 KB flows at 0.3 load
 //	w10: A's weight raised to 3 (live reconfiguration)
 //	w15: B detached and marked idle (A absorbs the link)
-func Churn(horizon sim.Time, domains int, parallel bool) (*harness.Table, *harness.Table) {
+func Churn(p harness.Params) *harness.Result {
 	const windows = 20
-	f := churnFabric(horizon/windows, domains, parallel)
+	f := churnFabric(p, p.Horizon/windows)
 	defer f.Close()
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
 		g, err := f.Ctrl().Grant(control.Request{
@@ -84,9 +84,9 @@ func Churn(horizon sim.Time, domains int, parallel bool) (*harness.Table, *harne
 	var snap service.Snapshot
 	for w := 0; w < windows; w++ {
 		snap = f.AdvanceWindow()
-		for _, p := range snap.Pipes {
-			if p.Name == "S1->S2" {
-				phaseGbps[w/perPhase] += p.Gbps / perPhase
+		for _, pipe := range snap.Pipes {
+			if pipe.Name == "S1->S2" {
+				phaseGbps[w/perPhase] += pipe.Gbps / perPhase
 			}
 		}
 	}
@@ -113,5 +113,5 @@ func Churn(horizon sim.Time, domains int, parallel bool) (*harness.Table, *harne
 		d := drivers[g.Tenant]
 		final.AddRow(g.Tenant, g.Mode, g.Weight, g.Active, g.AQ.Arrived, d.Started, d.Completed)
 	}
-	return phases, final
+	return tables(phases, final)
 }

@@ -3,15 +3,17 @@ package experiments
 import (
 	"testing"
 
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
 
 // TestChurnHonoursParallelDomains: the harness asks for worker-driven
-// domains through the parallel flag every experiment takes; Churn's fabric
-// must actually put its cluster on workers, not silently run cooperatively.
+// domains through Params.Parallel; Churn's fabric builds its own cluster
+// rather than through Params.Cluster, so it must still put that cluster on
+// workers, not silently run cooperatively.
 func TestChurnHonoursParallelDomains(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		f := churnFabric(sim.Millisecond, 2, parallel)
+		f := churnFabric(harness.Params{Domains: 2, Parallel: parallel}, sim.Millisecond)
 		if got := f.SyncStats().Parallel; got != parallel {
 			t.Errorf("parallel = %v: cluster parallel = %v", parallel, got)
 		}

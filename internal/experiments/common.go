@@ -2,8 +2,10 @@
 // evaluation (§5) plus the motivating Figure 1 and the conceptual Figure 3.
 // Each experiment builds its topology, wires the entities under one of the
 // four approaches (PQ, AQ, PRL, DRL), runs the simulation, and returns the
-// same rows or series the paper reports. cmd/aqsim prints them;
-// bench_test.go regenerates them under `go test -bench`.
+// same rows or series the paper reports. Every registered experiment is a
+// harness.Run: it takes the harness.Params the CLI built and builds its
+// cluster with Params.Cluster. cmd/aqsim prints them; bench_test.go runs
+// every one under `go test -bench`.
 package experiments
 
 import (
@@ -110,9 +112,6 @@ func (rc *rxClassifier) Gbps(i int, from, to sim.Time) float64 {
 	return rc.meters[i].Gbps(from, to)
 }
 
-// Meter returns entity i's meter.
-func (rc *rxClassifier) Meter(i int) *stats.Meter { return rc.meters[i] }
-
 // longFlows starts n long-lived flows for an entity, spreading them across
 // the given source and destination host lists round-robin.
 func longFlows(srcs, dsts []*topo.Host, n int, alg cc.Factory, opt transport.Options) []*transport.Sender {
@@ -141,21 +140,6 @@ func sumAcked(ss []*transport.Sender) uint64 {
 // gbpsOf converts bytes over a horizon into Gbit/s.
 func gbpsOf(bytes uint64, horizon sim.Time) float64 {
 	return stats.RateGbps(bytes, horizon)
-}
-
-// newClusterN builds the simulation cluster for one run: domains engines
-// synchronized by one conservative window (see sim.Cluster), advanced on
-// workers when parallel is set. Values below 1 mean a single engine. Every
-// experiment routes its topology construction through the cluster builders
-// so that the same scenario produces byte-identical results for any domain
-// count (and either execution strategy).
-func newClusterN(domains int, parallel bool) *sim.Cluster {
-	if domains < 1 {
-		domains = 1
-	}
-	c := sim.NewCluster(domains)
-	c.SetParallel(parallel)
-	return c
 }
 
 // simSpec is the default §5.1 simulation link spec.

@@ -3,11 +3,12 @@ package experiments
 import (
 	"testing"
 
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
 
 func TestFabricIsolationAcrossECMP(t *testing.T) {
-	pqA, pqB, aqA, aqB := ExtFabricIsolation(80*sim.Millisecond, 1, false)
+	pqA, pqB, aqA, aqB := ExtFabricIsolation(harness.Params{Horizon: 80 * sim.Millisecond})
 	if pqB < 1.5*pqA {
 		t.Fatalf("PQ fabric split %.2f/%.2f, expected flow-count bias", pqA, pqB)
 	}
@@ -20,7 +21,7 @@ func TestFabricIsolationAcrossECMP(t *testing.T) {
 }
 
 func TestFabricIncastGuarantee(t *testing.T) {
-	pqIn, aqIn := ExtFabricIncast(80*sim.Millisecond, 1, false)
+	pqIn, aqIn := ExtFabricIncast(harness.Params{Horizon: 80 * sim.Millisecond})
 	if pqIn < 4 {
 		t.Fatalf("PQ incast inbound %.2f Gbps, expected the burst to land", pqIn)
 	}

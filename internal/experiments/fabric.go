@@ -31,18 +31,18 @@ func fabricSpecs() (edge, fab topo.LinkSpec) {
 // ExtFabricIsolation shares a 2-leaf/2-spine fabric between two entities
 // whose VMs are split across both leaves; entity B opens 4x the flows.
 // Under PQ the split follows flow counts; with weighted AQs deployed on
-// both leaf ingress pipelines it follows the weights. Returns per-entity
-// Gbps for (PQ A, PQ B, AQ A, AQ B).
-func ExtFabricIsolation(horizon sim.Time, domains int, parallel bool) (pqA, pqB, aqA, aqB float64) {
+// both leaf ingress pipelines it follows the weights. Each run lasts
+// p.Horizon. Returns per-entity Gbps for (PQ A, PQ B, AQ A, AQ B).
+func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 	run := func(useAQ bool) (float64, float64) {
-		c := newClusterN(domains, parallel)
+		c := p.Cluster()
 		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 2, 2, 4, edge, fab)
 		// Entity A: hosts 0,1 (leaf 0) -> hosts 4,5 (leaf 1).
 		// Entity B: hosts 2,3 (leaf 0) -> hosts 6,7 (leaf 1).
-		rc := newRxClassifier(f.Hosts[4:], 2, sim.Millisecond, func(p *packet.Packet) int {
-			switch p.Dst {
+		rc := newRxClassifier(f.Hosts[4:], 2, sim.Millisecond, func(pkt *packet.Packet) int {
+			switch pkt.Dst {
 			case 4, 5:
 				return 0
 			case 6, 7:
@@ -72,9 +72,9 @@ func ExtFabricIsolation(horizon sim.Time, domains int, parallel bool) (pqA, pqB,
 			[]*topo.Host{f.Hosts[4], f.Hosts[5]}, 8, ccFactory("cubic"), optA)
 		longFlows([]*topo.Host{f.Hosts[2], f.Hosts[3]},
 			[]*topo.Host{f.Hosts[6], f.Hosts[7]}, 16, ccFactory("cubic"), optB)
-		c.RunUntil(horizon)
-		warm := horizon / 4
-		return rc.Gbps(0, warm, horizon), rc.Gbps(1, warm, horizon)
+		c.RunUntil(p.Horizon)
+		warm := p.Horizon / 4
+		return rc.Gbps(0, warm, p.Horizon), rc.Gbps(1, warm, p.Horizon)
 	}
 	pqA, pqB = run(false)
 	aqA, aqB = run(true)
@@ -83,19 +83,19 @@ func ExtFabricIsolation(horizon sim.Time, domains int, parallel bool) (pqA, pqB,
 
 // ExtFabricIncast fires an 8:1 incast across the fabric at a receiver with
 // a 2 Gbps inbound guarantee enforced by an egress-pipeline AQ on its
-// leaf. It returns the receiver's measured inbound rate and the fraction
-// of incast rounds completed, with and without the AQ.
-func ExtFabricIncast(horizon sim.Time, domains int, parallel bool) (pqGbps, aqGbps float64) {
+// leaf. Each run lasts p.Horizon. It returns the receiver's measured
+// inbound rate without and with the AQ.
+func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 	run := func(useAQ bool) float64 {
-		c := newClusterN(domains, parallel)
+		c := p.Cluster()
 		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 3, 2, 3, edge, fab)
 		victim := f.Hosts[0]
 		meter := stats.NewMeter(sim.Millisecond)
-		victim.RxHook = func(p *packet.Packet) {
-			if p.Kind == packet.Data {
-				meter.Add(victim.Engine().Now(), p.Size)
+		victim.RxHook = func(pkt *packet.Packet) {
+			if pkt.Kind == packet.Data {
+				meter.Add(victim.Engine().Now(), pkt.Size)
 			}
 		}
 		var opt transport.Options
@@ -119,22 +119,22 @@ func ExtFabricIncast(horizon sim.Time, domains int, parallel bool) (pqGbps, aqGb
 			Opt:           opt,
 		}
 		in.Start()
-		c.RunUntil(horizon)
-		return meter.Gbps(horizon/4, horizon)
+		c.RunUntil(p.Horizon)
+		return meter.Gbps(p.Horizon/4, p.Horizon)
 	}
 	return run(false), run(true)
 }
 
 // ExtFabric renders both fabric extension results.
-func ExtFabric(horizon sim.Time, domains int, parallel bool) *harness.Table {
+func ExtFabric(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Extension: AQ on a 2-tier ECMP leaf-spine fabric",
 		Header: []string{"scenario", "PQ", "AQ"},
 	}
-	pqA, pqB, aqA, aqB := ExtFabricIsolation(horizon, domains, parallel)
+	pqA, pqB, aqA, aqB := ExtFabricIsolation(p)
 	t.AddRow("isolation: entity A (8 flows) Gbps", pqA, aqA)
 	t.AddRow("isolation: entity B (32 flows) Gbps", pqB, aqB)
-	pqIn, aqIn := ExtFabricIncast(horizon, domains, parallel)
+	pqIn, aqIn := ExtFabricIncast(p)
 	t.AddRow("8:1 incast victim inbound Gbps (guarantee 2)", pqIn, aqIn)
-	return t
+	return tables(t)
 }

@@ -13,7 +13,7 @@ import (
 // Fig11 reproduces Figure 11: the AQ program's usage of each switch
 // data-plane resource class (see internal/control's resource model and the
 // DESIGN.md substitution note for the Tofino toolchain).
-func Fig11() *harness.Table {
+func Fig11(harness.Params) *harness.Result {
 	m := control.NewResourceModel()
 	t := &harness.Table{
 		Title:  "Figure 11: usage of data-plane resources on the modelled Tofino switch",
@@ -22,7 +22,7 @@ func Fig11() *harness.Table {
 	for _, u := range m.StaticUsage() {
 		t.AddRow(u.Resource, u.Percent)
 	}
-	return t
+	return tables(t)
 }
 
 // Fig12Counts are the AQ population sizes of Figure 12's x-axis.
@@ -32,7 +32,7 @@ var Fig12Counts = []int{1000, 10_000, 100_000, 1_000_000, 2_000_000, 4_000_000}
 // (15 bytes each) against the SRAM budget. It also deploys a live
 // core.Table at the smaller sizes to confirm the model matches the
 // implementation's own accounting.
-func Fig12() *harness.Table {
+func Fig12(harness.Params) *harness.Result {
 	m := control.NewResourceModel()
 	t := &harness.Table{
 		Title:  "Figure 12: memory consumption vs number of traffic constituents",
@@ -54,5 +54,5 @@ func Fig12() *harness.Table {
 	if tbl.MemoryBytes() != m.MemoryBytes(1000) {
 		panic("experiments: resource model disagrees with core.Table accounting")
 	}
-	return t
+	return tables(t)
 }

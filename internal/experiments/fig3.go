@@ -66,9 +66,10 @@ func Fig3(cycles int) Fig3Result {
 	return Fig3Result{PeaksD: run(true), PeaksA: run(false)}
 }
 
-// Fig3Table renders the peak sequences side by side.
-func Fig3Table(cycles int) *harness.Table {
-	r := Fig3(cycles)
+// Fig3Experiment runs Fig3 for eight control cycles and renders the peak
+// sequences side by side, with the last peak of each as a metric.
+func Fig3Experiment(harness.Params) *harness.Result {
+	r := Fig3(8)
 	t := &harness.Table{
 		Title:  "Figure 3: arrival-rate peaks under strawman D(t) vs A-Gap (allocated R = 5 Gbps)",
 		Header: []string{"cycle", "peak with D(t) (Gbps)", "peak with A-Gap (Gbps)"},
@@ -76,5 +77,10 @@ func Fig3Table(cycles int) *harness.Table {
 	for i := range r.PeaksD {
 		t.AddRow(fmt.Sprint(i+1), r.PeaksD[i], r.PeaksA[i])
 	}
-	return t
+	res := tables(t)
+	res.Metrics = map[string]float64{
+		"strawman_peak_gbps": r.PeaksD[len(r.PeaksD)-1],
+		"agap_peak_gbps":     r.PeaksA[len(r.PeaksA)-1],
+	}
+	return res
 }

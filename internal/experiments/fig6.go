@@ -8,30 +8,31 @@ import (
 	"aqueue/internal/stats"
 )
 
+// VMCounts is the x-axis of Figures 6 and 7: the number of VMs of the
+// entity whose VM count grows.
+var VMCounts = []int{1, 2, 4, 8}
+
 // Fig6 reproduces Figure 6: one distributed application (entity) runs the
 // web-search trace over 1..8 VMs; its workload completion time under each
 // approach is normalized to PQ, which fully utilizes the network. AQ
 // should track PQ; PRL and DRL should degrade as the VM count grows
 // because their per-VM allocations mismatch the trace's bursty demand.
-func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *harness.Table {
-	if len(vmCounts) == 0 {
-		vmCounts = []int{1, 2, 4, 8}
-	}
+func Fig6(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Figure 6: normalized workload completion time vs number of VMs",
 		Header: []string{"#VMs", "PQ", "AQ", "PRL", "DRL"},
 	}
-	for _, k := range vmCounts {
-		spec := []wlSpec{{name: "app", cc: "dctcp", vms: k, weight: 1, flows: flows}}
-		base := wlRun(PQ, spec, seed, domains, parallel)[0]
+	for _, k := range VMCounts {
+		spec := []wlSpec{{name: "app", cc: "dctcp", vms: k, weight: 1, flows: p.Flows}}
+		base := wlRun(p, PQ, spec)[0]
 		row := []any{fmt.Sprint(k), 1.0}
 		for _, ap := range []Approach{AQ, PRL, DRL} {
-			ct := wlRun(ap, spec, seed, domains, parallel)[0]
+			ct := wlRun(p, ap, spec)[0]
 			row = append(row, float64(ct)/float64(base))
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return tables(t)
 }
 
 // Fig7 reproduces Figure 7: entity A (1 VM) and entity B (1..8 VMs) run
@@ -39,27 +40,24 @@ func Fig6(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *h
 // ratio of the shorter workload completion time to the longer. AQ holds it
 // near 1; PQ favours B (flow-level fairness rewards its concurrency); PRL
 // and DRL penalize B (fixed/laggy per-VM splits).
-func Fig7(vmCounts []int, flows int, seed uint64, domains int, parallel bool) *harness.Table {
-	if len(vmCounts) == 0 {
-		vmCounts = []int{1, 2, 4, 8}
-	}
+func Fig7(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Figure 7: entity fairness vs number of VMs in entity B",
 		Header: []string{"#VMs in B", "PQ", "AQ", "PRL", "DRL"},
 	}
-	for _, k := range vmCounts {
+	for _, k := range VMCounts {
 		specs := []wlSpec{
-			{name: "A", cc: "dctcp", vms: 1, weight: 1, flows: flows},
-			{name: "B", cc: "dctcp", vms: k, weight: 1, flows: flows},
+			{name: "A", cc: "dctcp", vms: 1, weight: 1, flows: p.Flows},
+			{name: "B", cc: "dctcp", vms: k, weight: 1, flows: p.Flows},
 		}
 		row := []any{fmt.Sprint(k)}
 		for _, ap := range Approaches {
-			ct := wlRun(ap, specs, seed, domains, parallel)
+			ct := wlRun(p, ap, specs)
 			row = append(row, fairness(ct))
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return tables(t)
 }
 
 // fairness is the paper's entity-fairness metric (stats.MinMaxRatio) over
@@ -84,7 +82,7 @@ var Fig10CCSettings = [][2]string{
 // Fig10 reproduces Figure 10: entity fairness (a) and total workload
 // completion time (b) for two 4-VM entities under different CC mixes and
 // all four approaches. Completion is reported normalized to PQ.
-func Fig10(flows int, seed uint64, domains int, parallel bool) (*harness.Table, *harness.Table) {
+func Fig10(p harness.Params) *harness.Result {
 	fair := &harness.Table{
 		Title:  "Figure 10(a): entity fairness under different CC settings",
 		Header: []string{"CC setting", "PQ", "AQ", "PRL", "DRL"},
@@ -95,14 +93,14 @@ func Fig10(flows int, seed uint64, domains int, parallel bool) (*harness.Table, 
 	}
 	for _, pair := range Fig10CCSettings {
 		specs := []wlSpec{
-			{name: "A", cc: pair[0], vms: 4, weight: 1, flows: flows},
-			{name: "B", cc: pair[1], vms: 4, weight: 1, flows: flows},
+			{name: "A", cc: pair[0], vms: 4, weight: 1, flows: p.Flows},
+			{name: "B", cc: pair[1], vms: 4, weight: 1, flows: p.Flows},
 		}
 		frow := []any{pair[0] + "+" + pair[1]}
 		trow := []any{pair[0] + "+" + pair[1]}
 		var base sim.Time
 		for _, ap := range Approaches {
-			ct := wlRun(ap, specs, seed, domains, parallel)
+			ct := wlRun(p, ap, specs)
 			frow = append(frow, fairness(ct))
 			tot := ct[0]
 			if ct[1] > tot {
@@ -116,5 +114,5 @@ func Fig10(flows int, seed uint64, domains int, parallel bool) (*harness.Table, 
 		fair.AddRow(frow...)
 		total.AddRow(trow...)
 	}
-	return fair, total
+	return tables(fair, total)
 }

@@ -31,18 +31,19 @@ type Fig9Result struct {
 	Series [][]float64
 }
 
-// fig9Run runs the staggered-start experiment under PQ or AQ. Entity i
-// starts at i*phase; the run ends after len(entities)+1 phases. Under AQ
-// the controller re-divides the link among the active entities at every
-// join (weighted mode, §4.1).
-func fig9Run(approach Approach, phase sim.Time, domains int, parallel bool) Fig9Result {
-	c := newClusterN(domains, parallel)
+// fig9Run runs the staggered-start experiment under PQ or AQ with phases
+// of p.Horizon/4. Entity i starts at i*phase; the run ends after
+// len(entities)+1 phases. Under AQ the controller re-divides the link
+// among the active entities at every join (weighted mode, §4.1).
+func fig9Run(p harness.Params, approach Approach) Fig9Result {
+	phase := p.Horizon / 4
+	c := p.Cluster()
 	defer c.Close()
 	spec := simSpec()
 	n := len(Fig9Entities)
 	d := topo.NewDumbbellIn(c, n, n, spec, spec)
-	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(p *packet.Packet) int {
-		return int(p.Dst) - n
+	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
+		return int(pkt.Dst) - n
 	})
 	ctrl := control.NewController(spec.Rate)
 	for i, e := range Fig9Entities {
@@ -90,12 +91,9 @@ func fig9Run(approach Approach, phase sim.Time, domains int, parallel bool) Fig9
 
 // Fig9 reproduces Figure 9: per-phase throughput of TCP and UDP entities
 // under PQ (a) and AQ (b).
-func Fig9(phase sim.Time, domains int, parallel bool) (*harness.Table, *harness.Table) {
-	if phase <= 0 {
-		phase = 100 * sim.Millisecond
-	}
+func Fig9(p harness.Params) *harness.Result {
 	mk := func(ap Approach, title string) *harness.Table {
-		r := fig9Run(ap, phase, domains, parallel)
+		r := fig9Run(p, ap)
 		t := &harness.Table{Title: title, Header: []string{"entity"}}
 		for ph := 0; ph < len(Fig9Entities)+1; ph++ {
 			t.Header = append(t.Header, fmt.Sprintf("phase %d (n=%d)", ph+1, min(ph+1, len(Fig9Entities))))
@@ -109,13 +107,6 @@ func Fig9(phase sim.Time, domains int, parallel bool) (*harness.Table, *harness.
 		}
 		return t
 	}
-	return mk(PQ, "Figure 9(a): throughput with PQ (Gbps per phase)"),
-		mk(AQ, "Figure 9(b): throughput with AQ (Gbps per phase)")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return tables(mk(PQ, "Figure 9(a): throughput with PQ (Gbps per phase)"),
+		mk(AQ, "Figure 9(b): throughput with AQ (Gbps per phase)"))
 }

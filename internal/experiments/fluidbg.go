@@ -53,11 +53,6 @@ type FluidBGResult struct {
 	CompletionDeltaPct float64
 }
 
-// MaxDeltaPct returns the worst gated delta.
-func (r FluidBGResult) MaxDeltaPct() float64 {
-	return math.Max(r.GuaranteeDeltaPct, math.Max(r.JainDeltaPct, r.CompletionDeltaPct))
-}
-
 // relDeltaPct is |b-a|/a in percent (0 when a is 0).
 func relDeltaPct(a, b float64) float64 {
 	if a == 0 {
@@ -69,17 +64,19 @@ func relDeltaPct(a, b float64) float64 {
 // fluidGuaranteeRun is the fig9-style scenario: three foreground CUBIC
 // entities and one line-rate background blaster share the bottleneck
 // under AQ weighted mode (2.5 Gbps each). The background is a UDP packet
-// sender or a fluid Fixed entity depending on fluidBG. Returns the
-// foreground goodputs over the steady window and the background goodput.
-func fluidGuaranteeRun(fluidBG bool, horizon sim.Time, domains int, parallel bool) (fg []float64, bg float64) {
+// sender or a fluid Fixed entity depending on fluidBG. The run lasts
+// p.Horizon. Returns the foreground goodputs over the steady window and
+// the background goodput.
+func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64) {
 	const nFG = 3
 	n := nFG + 1
-	c := newClusterN(domains, parallel)
+	horizon := p.Horizon
+	c := p.Cluster()
 	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, n, n, spec, spec)
-	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(p *packet.Packet) int {
-		return int(p.Dst) - n
+	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
+		return int(pkt.Dst) - n
 	})
 	ctrl := control.NewController(spec.Rate)
 
@@ -130,13 +127,13 @@ func fluidGuaranteeRun(fluidBG bool, horizon sim.Time, domains int, parallel boo
 }
 
 // fluidCompletionRun is the fig6-style scenario: a four-VM tenant replays
-// a closed-loop web-search trace against a line-rate background blaster,
-// both holding weight-1 AQ grants. Returns the tenant's workload
-// completion time. The background stops when the tenant finishes, so the
-// run ends promptly in both variants.
-func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, parallel bool) sim.Time {
+// a closed-loop web-search trace of p.Flows flows drawn from p.Seed against
+// a line-rate background blaster, both holding weight-1 AQ grants. Returns
+// the tenant's workload completion time. The background stops when the
+// tenant finishes, so the run ends promptly in both variants.
+func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	const vms = 4
-	c := newClusterN(domains, parallel)
+	c := p.Cluster()
 	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, vms+1, vms+1, spec, spec)
@@ -153,9 +150,9 @@ func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, paral
 		panic(err)
 	}
 
-	r := sim.NewRand(seed)
+	r := sim.NewRand(p.Seed)
 	var ws workload.WebSearch
-	sizes := make([]int64, flows)
+	sizes := make([]int64, p.Flows)
 	var traceBytes int64
 	for i := range sizes {
 		sizes[i] = ws.Sample(r)
@@ -197,10 +194,10 @@ func fluidCompletionRun(fluidBG bool, flows int, seed uint64, domains int, paral
 }
 
 // FluidBG runs both fidelity scenarios and computes the gated deltas.
-func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, parallel bool) FluidBGResult {
+func FluidBG(p harness.Params) FluidBGResult {
 	var r FluidBGResult
-	r.GoodputPkt, r.BGPkt = fluidGuaranteeRun(false, horizon, domains, parallel)
-	r.GoodputFluid, r.BGFluid = fluidGuaranteeRun(true, horizon, domains, parallel)
+	r.GoodputPkt, r.BGPkt = fluidGuaranteeRun(p, false)
+	r.GoodputFluid, r.BGFluid = fluidGuaranteeRun(p, true)
 	r.JainPkt = stats.JainIndex(r.GoodputPkt)
 	r.JainFluid = stats.JainIndex(r.GoodputFluid)
 	for i := range r.GoodputPkt {
@@ -210,14 +207,16 @@ func FluidBG(horizon sim.Time, flows int, seed uint64, domains int, parallel boo
 	}
 	r.JainDeltaPct = relDeltaPct(r.JainPkt, r.JainFluid)
 
-	r.CompletionPkt = fluidCompletionRun(false, flows, seed, domains, parallel)
-	r.CompletionFluid = fluidCompletionRun(true, flows, seed, domains, parallel)
+	r.CompletionPkt = fluidCompletionRun(p, false)
+	r.CompletionFluid = fluidCompletionRun(p, true)
 	r.CompletionDeltaPct = relDeltaPct(float64(r.CompletionPkt), float64(r.CompletionFluid))
 	return r
 }
 
-// FluidBGTable renders the paired runs side by side.
-func FluidBGTable(r FluidBGResult) *harness.Table {
+// FluidBGExperiment runs FluidBG and renders the paired runs side by side,
+// with the three gated deltas as metrics.
+func FluidBGExperiment(p harness.Params) *harness.Result {
+	r := FluidBG(p)
 	t := &harness.Table{
 		Title:  "Fluid background fidelity: foreground results, packet vs fluid background",
 		Header: []string{"metric", "packet bg", "fluid bg", "delta %"},
@@ -232,5 +231,11 @@ func FluidBGTable(r FluidBGResult) *harness.Table {
 		float64(r.CompletionPkt)/float64(sim.Millisecond),
 		float64(r.CompletionFluid)/float64(sim.Millisecond),
 		r.CompletionDeltaPct)
-	return t
+	res := tables(t)
+	res.Metrics = map[string]float64{
+		"guarantee_delta_pct":  r.GuaranteeDeltaPct,
+		"jain_delta_pct":       r.JainDeltaPct,
+		"completion_delta_pct": r.CompletionDeltaPct,
+	}
+	return res
 }

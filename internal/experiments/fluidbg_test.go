@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
 
@@ -11,7 +12,7 @@ import (
 // completion under a fluid background must sit within FluidBGTolerancePct
 // of the all-packet baseline. CI runs this by name under -race.
 func TestFluidBGFidelityGate(t *testing.T) {
-	r := FluidBG(60*sim.Millisecond, 12, 1, 1, false)
+	r := FluidBG(harness.Params{Horizon: 60 * sim.Millisecond, Flows: 12, Seed: 1})
 	if r.GuaranteeDeltaPct > FluidBGTolerancePct {
 		t.Errorf("guarantee delta %.2f%% exceeds %.1f%% (pkt %v vs fluid %v)",
 			r.GuaranteeDeltaPct, FluidBGTolerancePct, r.GoodputPkt, r.GoodputFluid)
@@ -36,9 +37,11 @@ func TestFluidBGFidelityGate(t *testing.T) {
 // TestFluidBGDomainParity: the fluid lane is domain-local, so the paired
 // scenarios must produce identical results for any partitioning.
 func TestFluidBGDomainParity(t *testing.T) {
-	base := FluidBG(30*sim.Millisecond, 6, 1, 1, false)
+	p := harness.Params{Horizon: 30 * sim.Millisecond, Flows: 6, Seed: 1}
+	base := FluidBG(p)
 	for _, domains := range []int{2, 4} {
-		got := FluidBG(30*sim.Millisecond, 6, 1, domains, false)
+		p.Domains = domains
+		got := FluidBG(p)
 		if len(got.GoodputPkt) != len(base.GoodputPkt) || len(got.GoodputFluid) != len(base.GoodputFluid) {
 			t.Fatalf("domains=%d: result shape changed", domains)
 		}

@@ -7,7 +7,6 @@ import (
 	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/queue"
-	"aqueue/internal/sim"
 	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/transport"
@@ -23,11 +22,11 @@ import (
 // CUBIC flows, so colliding entities also differ in aggressiveness. The
 // bottleneck port runs a DRR scheduler with hwQueues hardware queues
 // (classified by entity tag); the same setup is run with one weighted AQ
-// per entity instead. Returns Jain's fairness index across the entities'
-// goodputs for DRR and AQ.
-func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, parallel bool) (drrJain, aqJain float64) {
+// per entity instead. Each run lasts p.Horizon. Returns Jain's fairness
+// index across the entities' goodputs for DRR and AQ.
+func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJain float64) {
 	run := func(useAQ bool) float64 {
-		c := newClusterN(domains, parallel)
+		c := p.Cluster()
 		defer c.Close()
 		spec := simSpec()
 		d := topo.NewDumbbellIn(c, entities, entities, spec, spec)
@@ -36,7 +35,7 @@ func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, p
 			// queues, classified by the entity tag in the header.
 			d.Bottleneck.SetScheduler(queue.NewDRR(hwQueues, packet.MaxDataBytes,
 				spec.QueueLimit/hwQueues,
-				func(p *packet.Packet) uint64 { return uint64(p.IngressAQ) }))
+				func(pkt *packet.Packet) uint64 { return uint64(pkt.IngressAQ) }))
 		}
 		ctrl := control.NewController(spec.Rate)
 		for i := 0; i < entities; i++ {
@@ -56,28 +55,26 @@ func ExtPerEntityQueues(entities, hwQueues int, horizon sim.Time, domains int, p
 			}
 			longFlows(d.Left[i:i+1], d.Right[i:i+1], 1+(3*i)%5, ccFactory("cubic"), opt)
 		}
-		c.RunUntil(horizon)
-		warm := horizon / 4
+		c.RunUntil(p.Horizon)
 		shares := make([]float64, entities)
 		for i := 0; i < entities; i++ {
 			shares[i] = float64(d.Right[i].RxBytes)
 		}
-		_ = warm
 		return stats.JainIndex(shares)
 	}
 	return run(false), run(true)
 }
 
-// ExtPerQueueTable sweeps the entity count against a fixed 8-queue DRR
-// port and renders the fairness comparison.
-func ExtPerQueueTable(horizon sim.Time, domains int, parallel bool) *harness.Table {
+// ExtQueues sweeps the entity count against a fixed 8-queue DRR port and
+// renders the fairness comparison.
+func ExtQueues(p harness.Params) *harness.Result {
 	t := &harness.Table{
 		Title:  "Extension: per-entity hardware queues (DRR, 8 queues) vs AQ — Jain fairness",
 		Header: []string{"#entities", "DRR(8 queues)", "AQ"},
 	}
 	for _, n := range []int{4, 8, 16, 32} {
-		dj, aj := ExtPerEntityQueues(n, 8, horizon, domains, parallel)
+		dj, aj := ExtPerEntityQueues(p, n, 8)
 		t.AddRow(fmt.Sprint(n), dj, aj)
 	}
-	return t
+	return tables(t)
 }

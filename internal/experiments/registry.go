@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
@@ -35,121 +33,37 @@ func withDefaults(p harness.Params) harness.Params {
 	return p
 }
 
-var (
-	descMu sync.RWMutex
-	descs  = map[string]string{}
-)
-
-// Description returns the one-line summary of a registered experiment.
-func Description(name string) string {
-	descMu.RLock()
-	defer descMu.RUnlock()
-	return descs[name]
-}
-
-// register wires one experiment into the harness registry with its
-// description, normalizing params before the runner sees them.
-func register(name, desc string, fn func(harness.Params) (*harness.Result, error)) {
-	descMu.Lock()
-	descs[name] = desc
-	descMu.Unlock()
-	harness.Register(harness.NewFunc(name, func(p harness.Params) (*harness.Result, error) {
-		return fn(withDefaults(p))
-	}))
-}
-
 // tables is shorthand for a Result that is purely rendered tables.
 func tables(ts ...*harness.Table) *harness.Result { return &harness.Result{Tables: ts} }
 
 // init registers every figure and table of the paper's evaluation plus the
-// repo's extensions, in the paper's presentation order. cmd/aqsim lists
-// and dispatches from this registry.
+// repo's extensions, in the paper's presentation order, each seeing its
+// params with the zero-valued knobs filled. cmd/aqsim lists and dispatches
+// from this registry.
 func init() {
-	register("fig1", "CC interference in one shared physical queue (motivation)",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig1(p.Horizon, p.Domains, p.Parallel)), nil
+	for _, e := range []struct {
+		name, desc string
+		run        harness.Run
+	}{
+		{"fig1", "CC interference in one shared physical queue (motivation)", Fig1},
+		{"fig3", "strawman D(t) vs A-Gap under an aggressive rate controller", Fig3Experiment},
+		{"fig6", "workload completion time vs number of VMs per entity", Fig6},
+		{"fig7", "entity fairness vs number of VMs per entity", Fig7},
+		{"fig8", "isolation vs per-entity flow count", Fig8},
+		{"fig9", "staggered TCP and UDP entities joining the bottleneck", Fig9},
+		{"fig10", "mixed-CC workloads: fairness and total throughput", Fig10},
+		{"fig11", "switch resource usage of the AQ pipelines", Fig11},
+		{"fig12", "switch memory vs number of deployed AQs", Fig12},
+		{"table2", "cross-CC sharing under PQ/AQ/PRL/DRL", Table2},
+		{"table3", "VM bandwidth guarantees on the testbed star", Table3},
+		{"table4", "AQ vs PQ behaviour preservation per CC", Table4},
+		{"extfabric", "leaf-spine extension: ECMP isolation and incast", ExtFabric},
+		{"extqueues", "per-entity DRR queues vs AQ at scale", ExtQueues},
+		{"fluidbg", "fluid-background fidelity: foreground guarantees vs all-packet baseline", FluidBGExperiment},
+		{"churn", "runtime tenant churn through the fabric service (aqsimd path)", Churn},
+	} {
+		harness.Register(e.name, e.desc, func(p harness.Params) *harness.Result {
+			return e.run(withDefaults(p))
 		})
-	register("fig3", "strawman D(t) vs A-Gap under an aggressive rate controller",
-		func(p harness.Params) (*harness.Result, error) {
-			r := Fig3(8)
-			res := tables(Fig3Table(8))
-			res.Metrics = map[string]float64{
-				"strawman_peak_gbps": r.PeaksD[len(r.PeaksD)-1],
-				"agap_peak_gbps":     r.PeaksA[len(r.PeaksA)-1],
-			}
-			return res, nil
-		})
-	register("fig6", "workload completion time vs number of VMs per entity",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig6(nil, p.Flows, p.Seed, p.Domains, p.Parallel)), nil
-		})
-	register("fig7", "entity fairness vs number of VMs per entity",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig7(nil, p.Flows, p.Seed, p.Domains, p.Parallel)), nil
-		})
-	register("fig8", "isolation vs per-entity flow count",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig8(nil, p.Horizon, p.Domains, p.Parallel)), nil
-		})
-	register("fig9", "staggered TCP and UDP entities joining the bottleneck",
-		func(p harness.Params) (*harness.Result, error) {
-			a, b := Fig9(p.Horizon/4, p.Domains, p.Parallel)
-			return tables(a, b), nil
-		})
-	register("fig10", "mixed-CC workloads: fairness and total throughput",
-		func(p harness.Params) (*harness.Result, error) {
-			fair, total := Fig10(p.Flows, p.Seed, p.Domains, p.Parallel)
-			return tables(fair, total), nil
-		})
-	register("fig11", "switch resource usage of the AQ pipelines",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig11()), nil
-		})
-	register("fig12", "switch memory vs number of deployed AQs",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Fig12()), nil
-		})
-	register("table2", "cross-CC sharing under PQ/AQ/PRL/DRL",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Table2(p.Horizon, p.Domains, p.Parallel)), nil
-		})
-	register("table3", "VM bandwidth guarantees on the testbed star",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(Table3(p.Domains, p.Parallel)), nil
-		})
-	register("table4", "AQ vs PQ behaviour preservation per CC",
-		func(p harness.Params) (*harness.Result, error) {
-			t, rows := Table4(p.Domains, p.Parallel)
-			res := tables(t)
-			res.Metrics = map[string]float64{}
-			for _, r := range rows {
-				res.Metrics["p95_rel_pct."+r.CC] = r.RelP95DeltaPct
-				res.Metrics["thpt_delta_pct."+r.CC] = r.ThroughputDelta
-			}
-			return res, nil
-		})
-	register("extfabric", "leaf-spine extension: ECMP isolation and incast",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(ExtFabric(p.Horizon, p.Domains, p.Parallel)), nil
-		})
-	register("extqueues", "per-entity DRR queues vs AQ at scale",
-		func(p harness.Params) (*harness.Result, error) {
-			return tables(ExtPerQueueTable(p.Horizon, p.Domains, p.Parallel)), nil
-		})
-	register("fluidbg", "fluid-background fidelity: foreground guarantees vs all-packet baseline",
-		func(p harness.Params) (*harness.Result, error) {
-			r := FluidBG(p.Horizon, p.Flows, p.Seed, p.Domains, p.Parallel)
-			res := tables(FluidBGTable(r))
-			res.Metrics = map[string]float64{
-				"guarantee_delta_pct":  r.GuaranteeDeltaPct,
-				"jain_delta_pct":       r.JainDeltaPct,
-				"completion_delta_pct": r.CompletionDeltaPct,
-			}
-			return res, nil
-		})
-	register("churn", "runtime tenant churn through the fabric service (aqsimd path)",
-		func(p harness.Params) (*harness.Result, error) {
-			phases, final := Churn(p.Horizon, p.Domains, p.Parallel)
-			return tables(phases, final), nil
-		})
+	}
 }

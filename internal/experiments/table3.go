@@ -17,27 +17,21 @@ import (
 
 // Table3Row is VM A's measured rate ranges under one approach.
 type Table3Row struct {
-	Approach        string
-	OutLo, OutHi    float64
-	InLo, InHi      float64
-	HasMeasurements bool
+	OutLo, OutHi float64
+	InLo, InHi   float64
 }
 
 // table3Run builds the Figure 2 star (four VMs, 25 Gbps): VM A sends the
 // web-search trace to B, C and D while B, C and D send to A, everyone
-// saturating. VM A's traffic profile is 5 Gbps outbound and 5 Gbps
-// inbound. The function returns the windowed min~max of A's outbound and
-// inbound rates.
-func table3Run(approach Approach, seed uint64, domains int, parallel bool) Table3Row {
-	return table3RunFor(approach, seed, 400*sim.Millisecond, domains, parallel)
-}
-
-// table3RunFor is table3Run with an explicit horizon (tests shorten it).
-func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int, parallel bool) Table3Row {
-	c := newClusterN(domains, parallel)
+// saturating, for p.Horizon with the workload drawn from p.Seed. VM A's
+// traffic profile is 5 Gbps outbound and 5 Gbps inbound. The function
+// returns the windowed min~max of A's outbound and inbound rates.
+func table3Run(p harness.Params, approach Approach) Table3Row {
+	c := p.Cluster()
 	defer c.Close()
 	spec := testbedSpec()
 	st := topo.NewStarIn(c, 4, spec)
+	horizon := p.Horizon
 	warmup := horizon / 4
 	window := horizon / 12
 	const profile = 5 * units.Gbps
@@ -50,15 +44,15 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 	inMeter := stats.NewMeter(sim.Millisecond)
 	for _, h := range st.Hosts {
 		h := h
-		h.RxHook = func(p *packet.Packet) {
-			if p.Kind != packet.Data {
+		h.RxHook = func(pkt *packet.Packet) {
+			if pkt.Kind != packet.Data {
 				return
 			}
-			if p.Src == a.ID() {
-				outMeter.Add(h.Engine().Now(), p.Size)
+			if pkt.Src == a.ID() {
+				outMeter.Add(h.Engine().Now(), pkt.Size)
 			}
-			if p.Dst == a.ID() {
-				inMeter.Add(h.Engine().Now(), p.Size)
+			if pkt.Dst == a.ID() {
+				inMeter.Add(h.Engine().Now(), pkt.Size)
 			}
 		}
 	}
@@ -95,7 +89,7 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 		drl.Start()
 	}
 
-	r := sim.NewRand(seed)
+	r := sim.NewRand(p.Seed)
 	var ws workload.WebSearch
 	// Continuous closed-loop workers: A sends to the others; the others
 	// send to A. Eight workers each keep every direction saturated.
@@ -135,7 +129,7 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 		}
 		return lo, hi
 	}
-	row := Table3Row{Approach: approach.String(), HasMeasurements: true}
+	var row Table3Row
 	row.OutLo, row.OutHi = rangeOf(outMeter)
 	row.InLo, row.InHi = rangeOf(inMeter)
 	return row
@@ -144,18 +138,21 @@ func table3RunFor(approach Approach, seed uint64, horizon sim.Time, domains int,
 // Table3 reproduces Table 3: VM A's outbound and inbound rate ranges under
 // the four approaches, plus a second AQ run standing in for the paper's
 // independent simulator measurement (different seed; documented
-// substitution).
-func Table3(domains int, parallel bool) *harness.Table {
+// substitution). Every run lasts 400 ms on seed 1 (424242 for the
+// stand-in) whatever p asks for.
+func Table3(p harness.Params) *harness.Result {
+	p.Horizon = 400 * sim.Millisecond
 	t := &harness.Table{
 		Title:  "Table 3: outbound and inbound rates of VM A (profile 5 Gbps each way)",
 		Header: []string{"approach", "outbound (Gbps)", "inbound (Gbps)"},
 	}
 	t.AddRow("Ideal", "5.00", "5.00")
+	p.Seed = 1
 	rows := []Table3Row{
-		table3Run(PQ, 1, domains, parallel),
-		table3Run(PRL, 1, domains, parallel),
-		table3Run(DRL, 1, domains, parallel),
-		table3Run(AQ, 1, domains, parallel),
+		table3Run(p, PQ),
+		table3Run(p, PRL),
+		table3Run(p, DRL),
+		table3Run(p, AQ),
 	}
 	labels := []string{"PQ", "PRL", "DRL", "AQ-testbed"}
 	for i, r := range rows {
@@ -163,9 +160,10 @@ func Table3(domains int, parallel bool) *harness.Table {
 			fmt.Sprintf("%.1f ~ %.1f", r.OutLo, r.OutHi),
 			fmt.Sprintf("%.1f ~ %.1f", r.InLo, r.InHi))
 	}
-	sim2 := table3Run(AQ, 424242, domains, parallel)
+	p.Seed = 424242
+	sim2 := table3Run(p, AQ)
 	t.AddRow("AQ-simulator",
 		fmt.Sprintf("%.1f ~ %.1f", sim2.OutLo, sim2.OutHi),
 		fmt.Sprintf("%.1f ~ %.1f", sim2.InLo, sim2.InHi))
-	return t
+	return tables(t)
 }

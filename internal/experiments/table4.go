@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"aqueue/internal/control"
-	"aqueue/internal/core"
 	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
@@ -14,28 +14,12 @@ import (
 	"aqueue/internal/units"
 )
 
-// Table4Row compares one CC algorithm's behaviour under a 25 Gbps physical
-// network (PQ) and under a 25 Gbps AQ allocation on a 100 Gbps network.
-type Table4Row struct {
-	CC              string
-	PQGbps, AQGbps  float64
-	PQP95d, AQP95d  sim.Time
-	RelP95DeltaPct  float64
-	PQP50d, AQP50d  sim.Time
-	ThroughputDelta float64
-}
-
-// table4Run measures one side of the comparison. Under PQ the trunk runs
-// at 25 Gbps and the physical queuing delay at the trunk is recorded;
-// under AQ the trunk runs at 100 Gbps with a 25 Gbps AQ, and the virtual
-// queuing delay carried in the packets is recorded (§5.5).
-func table4Run(ccName string, useAQ bool, domains int, parallel bool) (float64, *stats.Percentiles) {
-	return table4RunFor(ccName, useAQ, 300*sim.Millisecond, domains, parallel)
-}
-
-// table4RunFor is table4Run with an explicit horizon (tests shorten it).
-func table4RunFor(ccName string, useAQ bool, horizon sim.Time, domains int, parallel bool) (float64, *stats.Percentiles) {
-	c := newClusterN(domains, parallel)
+// table4Run measures one side of the comparison over p.Horizon. Under PQ
+// the trunk runs at 25 Gbps and the physical queuing delay at the trunk is
+// recorded; under AQ the trunk runs at 100 Gbps with a 25 Gbps AQ, and the
+// virtual queuing delay carried in the packets is recorded (§5.5).
+func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Percentiles) {
+	c := p.Cluster()
 	defer c.Close()
 	const (
 		qLimit = 1000 * 1000
@@ -69,24 +53,22 @@ func table4RunFor(ccName string, useAQ bool, horizon sim.Time, domains int, para
 		}
 		opt.IngressAQ = g.ID
 		for _, h := range d.Right {
-			h.RxHook = func(p *packet.Packet) {
-				if p.Kind == packet.Data {
-					delays.AddDuration(p.VirtualDelay)
+			h.RxHook = func(pkt *packet.Packet) {
+				if pkt.Kind == packet.Data {
+					delays.AddDuration(pkt.VirtualDelay)
 				}
 			}
 		}
 	} else {
-		d.Bottleneck.DelayHook = func(dl sim.Time, p *packet.Packet) {
-			if p.Kind == packet.Data {
+		d.Bottleneck.DelayHook = func(dl sim.Time, pkt *packet.Packet) {
+			if pkt.Kind == packet.Data {
 				delays.AddDuration(dl)
 			}
 		}
 	}
 	flows := longFlows(d.Left, d.Right, 5, ccFactory(ccName), opt)
-	c.RunUntil(horizon)
-	gbps := gbpsOf(sumAcked(flows), horizon)
-	_ = core.BytesPerAQ
-	return gbps, delays
+	c.RunUntil(p.Horizon)
+	return gbpsOf(sumAcked(flows), p.Horizon), delays
 }
 
 // Table4CCs are the algorithms the paper reports in Table 4.
@@ -94,36 +76,33 @@ var Table4CCs = []string{"cubic", "newreno", "dctcp"}
 
 // Table4 reproduces Table 4: throughput and 95th-percentile queuing delay
 // of an entity under PQ (25 Gbps link) and AQ (25 Gbps allocation on a
-// 100 Gbps link).
-func Table4(domains int, parallel bool) (*harness.Table, []Table4Row) {
+// 100 Gbps link), every run 300 ms whatever the horizon asked for. The
+// metrics are each CC's relative p95 delay difference and throughput
+// difference, in percent.
+func Table4(p harness.Params) *harness.Result {
+	p.Horizon = 300 * sim.Millisecond
 	t := &harness.Table{
 		Title:  "Table 4: AQ vs PQ behaviour preservation (25 Gbps entity)",
 		Header: []string{"CC", "PQ thpt (Gbps)", "PQ p95 delay", "AQ thpt (Gbps)", "AQ p95 delay", "p95 rel diff"},
 	}
-	var rows []Table4Row
+	res := tables(t)
+	res.Metrics = map[string]float64{}
 	for _, ccName := range Table4CCs {
-		pqG, pqD := table4Run(ccName, false, domains, parallel)
-		aqG, aqD := table4Run(ccName, true, domains, parallel)
-		row := Table4Row{
-			CC:     ccName,
-			PQGbps: pqG, AQGbps: aqG,
-			PQP95d: sim.Time(pqD.Quantile(0.95)),
-			AQP95d: sim.Time(aqD.Quantile(0.95)),
-			PQP50d: sim.Time(pqD.Quantile(0.50)),
-			AQP50d: sim.Time(aqD.Quantile(0.50)),
-		}
-		if row.PQP95d > 0 {
-			row.RelP95DeltaPct = 100 * float64(row.AQP95d-row.PQP95d) / float64(row.PQP95d)
-			if row.RelP95DeltaPct < 0 {
-				row.RelP95DeltaPct = -row.RelP95DeltaPct
-			}
+		pqG, pqD := table4Run(p, ccName, false)
+		aqG, aqD := table4Run(p, ccName, true)
+		pqP95 := sim.Time(pqD.Quantile(0.95))
+		aqP95 := sim.Time(aqD.Quantile(0.95))
+		var relP95, thptDelta float64
+		if pqP95 > 0 {
+			relP95 = math.Abs(100 * float64(aqP95-pqP95) / float64(pqP95))
 		}
 		if pqG > 0 {
-			row.ThroughputDelta = 100 * (aqG - pqG) / pqG
+			thptDelta = 100 * (aqG - pqG) / pqG
 		}
-		rows = append(rows, row)
-		t.AddRow(ccName, pqG, row.PQP95d.String(), aqG, row.AQP95d.String(),
-			fmt.Sprintf("%.1f%%", row.RelP95DeltaPct))
+		res.Metrics["p95_rel_pct."+ccName] = relP95
+		res.Metrics["thpt_delta_pct."+ccName] = thptDelta
+		t.AddRow(ccName, pqG, pqP95.String(), aqG, aqP95.String(),
+			fmt.Sprintf("%.1f%%", relP95))
 	}
-	return t, rows
+	return res
 }

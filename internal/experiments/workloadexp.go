@@ -3,6 +3,7 @@ package experiments
 import (
 	"aqueue/internal/cc"
 	"aqueue/internal/control"
+	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/ratelimit"
 	"aqueue/internal/sim"
@@ -28,9 +29,9 @@ type wlSpec struct {
 // completion time. Each VM of an entity replays flows from the entity's
 // shared trace queue one after another ("runs the web search trace",
 // §5.2): concurrency equals the VM count, which is exactly what makes the
-// four approaches differ.
-func wlRun(approach Approach, specs []wlSpec, seed uint64, domains int, parallel bool) []sim.Time {
-	c := newClusterN(domains, parallel)
+// four approaches differ. The trace is drawn from p.Seed.
+func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
+	c := p.Cluster()
 	defer c.Close()
 	spec := simSpec()
 	totalVMs := 0
@@ -53,7 +54,7 @@ func wlRun(approach Approach, specs []wlSpec, seed uint64, domains int, parallel
 		drl = ratelimit.NewDRL(d.Eng, spec.Rate, ratelimit.DefaultInterval)
 	}
 
-	r := sim.NewRand(seed)
+	r := sim.NewRand(p.Seed)
 	// All entities replay the same drawn trace ("they both run the web
 	// search trace", §5.2), so completion-time ratios compare bandwidth
 	// shares, not sampling luck.

@@ -1,7 +1,7 @@
-// Package harness orchestrates experiment runs: a uniform Experiment
-// interface, a package-level registry the CLI dispatches from, a worker
-// pool that executes independent runs in parallel, and machine-readable
-// JSON results.
+// Package harness orchestrates experiment runs: one experiment shape (Run,
+// a function of Params), a package-level registry the CLI dispatches from,
+// a worker pool that executes independent runs in parallel, and
+// machine-readable JSON results.
 //
 // Every run owns its own sim.Engine, topology, and random streams (drawn
 // through sim.Engine.SeqDomain handles with NextIn), so a run's outcome is
@@ -44,58 +44,64 @@ type Params struct {
 	Parallel bool `json:"parallel,omitempty"`
 }
 
-// Experiment is a registered, named experiment. Run must be safe to call
-// concurrently with other experiments' Run (but not with itself): it must
-// build all mutable state — engine, topology, flows — per call.
-type Experiment interface {
-	Name() string
-	Run(Params) (*Result, error)
+// Cluster builds the simulation cluster a run places its topology on:
+// Domains engines synchronized by one conservative window (see
+// sim.Cluster), advanced on workers when Parallel is set. Values of
+// Domains below 1 mean a single engine. Every experiment builds its
+// topology through the cluster builders, so the same scenario produces
+// byte-identical results for any domain count and either strategy.
+func (p Params) Cluster() *sim.Cluster {
+	c := sim.NewCluster(max(p.Domains, 1))
+	c.SetParallel(p.Parallel)
+	return c
 }
 
-// Func adapts a function to the Experiment interface.
-type Func struct {
-	name string
-	fn   func(Params) (*Result, error)
-}
-
-// NewFunc wraps fn as a named Experiment.
-func NewFunc(name string, fn func(Params) (*Result, error)) Func {
-	return Func{name: name, fn: fn}
-}
-
-// Name implements Experiment.
-func (f Func) Name() string { return f.name }
-
-// Run implements Experiment.
-func (f Func) Run(p Params) (*Result, error) { return f.fn(p) }
+// Run is a registered experiment: it builds all mutable state — engine,
+// topology, flows — per call, so it is safe to call concurrently with any
+// other Run, itself included. A run that cannot complete panics; the pool
+// recovers the panic into the Result's Error.
+type Run func(Params) *Result
 
 // The package-level registry. Experiments register themselves (typically
 // from init functions); the CLI lists and dispatches by name.
 var registry = struct {
 	mu    sync.RWMutex
-	byKey map[string]Experiment
+	byKey map[string]entry
 	order []string
-}{byKey: make(map[string]Experiment)}
+}{byKey: make(map[string]entry)}
 
-// Register adds an experiment to the registry. It panics on a duplicate
-// name: registration is static, so a collision is a programming error.
-func Register(e Experiment) {
-	name := e.Name()
+type entry struct {
+	desc string
+	run  Run
+}
+
+// Register adds an experiment and its one-line description to the
+// registry. It panics on a duplicate name: registration is static, so a
+// collision is a programming error.
+func Register(name, desc string, run Run) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if _, dup := registry.byKey[name]; dup {
 		panic(fmt.Sprintf("harness: experiment %q registered twice", name))
 	}
-	registry.byKey[name] = e
+	registry.byKey[name] = entry{desc: desc, run: run}
 	registry.order = append(registry.order, name)
 }
 
 // Get returns the experiment registered under name.
-func Get(name string) (Experiment, bool) {
+func Get(name string) (Run, bool) {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	e, ok := registry.byKey[name]
-	return e, ok
+	return e.run, ok
+}
+
+// Description returns the one-line summary name was registered with, or
+// "" for an unknown name.
+func Description(name string) string {
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	return registry.byKey[name].desc
 }
 
 // Names returns the registered names in registration order (the canonical

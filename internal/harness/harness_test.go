@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -16,24 +15,33 @@ func tableOf(title string, rows ...[]string) *Table {
 	return t
 }
 
-func okExperiment(name string) Experiment {
-	return NewFunc(name, func(p Params) (*Result, error) {
-		return &Result{
-			Tables:  []*Table{tableOf(name, []string{"seed", fmt.Sprint(p.Seed)})},
-			Metrics: map[string]float64{"seed": float64(p.Seed)},
-		}, nil
-	})
+// okRun is a healthy experiment that echoes its seed into one table and
+// one metric.
+func okRun(p Params) *Result {
+	return &Result{
+		Tables:  []*Table{tableOf("ok", []string{"seed", fmt.Sprint(p.Seed)})},
+		Metrics: map[string]float64{"seed": float64(p.Seed)},
+	}
 }
 
 func TestRegistryRegisterGetNames(t *testing.T) {
-	a, b := okExperiment("test-reg-a"), okExperiment("test-reg-b")
-	Register(a)
-	Register(b)
-	if _, ok := Get("test-reg-a"); !ok {
+	Register("test-reg-a", "first test experiment", okRun)
+	Register("test-reg-b", "second test experiment", okRun)
+	run, ok := Get("test-reg-a")
+	if !ok {
 		t.Fatal("registered experiment not found")
+	}
+	if r := run(Params{Seed: 6}); r.Metrics["seed"] != 6 {
+		t.Fatalf("registered run not returned: %+v", r)
 	}
 	if _, ok := Get("test-reg-nope"); ok {
 		t.Fatal("unknown name resolved")
+	}
+	if got := Description("test-reg-b"); got != "second test experiment" {
+		t.Fatalf("Description = %q", got)
+	}
+	if got := Description("test-reg-nope"); got != "" {
+		t.Fatalf("Description of an unknown name = %q", got)
 	}
 	names := Names()
 	ia, ib := -1, -1
@@ -51,18 +59,18 @@ func TestRegistryRegisterGetNames(t *testing.T) {
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
-	Register(okExperiment("test-dup"))
+	Register("test-dup", "", okRun)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register(okExperiment("test-dup"))
+	Register("test-dup", "", okRun)
 }
 
 func TestJobsCrossProductAndUnknown(t *testing.T) {
-	Register(okExperiment("test-jobs-x"))
-	Register(okExperiment("test-jobs-y"))
+	Register("test-jobs-x", "", okRun)
+	Register("test-jobs-y", "", okRun)
 	jobs, err := Jobs([]string{"test-jobs-x", "test-jobs-y"}, []uint64{3, 4}, Params{Flows: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +79,11 @@ func TestJobsCrossProductAndUnknown(t *testing.T) {
 		t.Fatalf("len(jobs) = %d, want 4", len(jobs))
 	}
 	// Name-major order, base params preserved, seed overridden.
-	if jobs[1].Experiment.Name() != "test-jobs-x" || jobs[1].Params.Seed != 4 || jobs[1].Params.Flows != 7 {
-		t.Fatalf("jobs[1] = %v %+v", jobs[1].Experiment.Name(), jobs[1].Params)
+	if jobs[1].Name != "test-jobs-x" || jobs[1].Params.Seed != 4 || jobs[1].Params.Flows != 7 {
+		t.Fatalf("jobs[1] = %v %+v", jobs[1].Name, jobs[1].Params)
 	}
-	if jobs[2].Experiment.Name() != "test-jobs-y" || jobs[2].Params.Seed != 3 {
-		t.Fatalf("jobs[2] = %v %+v", jobs[2].Experiment.Name(), jobs[2].Params)
+	if jobs[2].Name != "test-jobs-y" || jobs[2].Params.Seed != 3 {
+		t.Fatalf("jobs[2] = %v %+v", jobs[2].Name, jobs[2].Params)
 	}
 	if _, err := Jobs([]string{"test-jobs-missing"}, nil, Params{}); err == nil {
 		t.Fatal("unknown name accepted")
@@ -83,7 +91,7 @@ func TestJobsCrossProductAndUnknown(t *testing.T) {
 }
 
 func TestJobsDefaultSeed(t *testing.T) {
-	Register(okExperiment("test-jobs-def"))
+	Register("test-jobs-def", "", okRun)
 	jobs, err := Jobs([]string{"test-jobs-def"}, nil, Params{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +102,9 @@ func TestJobsDefaultSeed(t *testing.T) {
 }
 
 func TestPoolRunsAllInOrder(t *testing.T) {
-	e := okExperiment("test-pool-order")
 	var jobs []Job
 	for seed := uint64(1); seed <= 16; seed++ {
-		jobs = append(jobs, Job{Experiment: e, Params: Params{Seed: seed}})
+		jobs = append(jobs, Job{Name: "test-pool-order", Run: okRun, Params: Params{Seed: seed}})
 	}
 	results := (&Pool{Workers: 4}).Run(jobs)
 	if len(results) != len(jobs) {
@@ -116,21 +123,14 @@ func TestPoolRunsAllInOrder(t *testing.T) {
 	}
 }
 
+// TestPoolRecoversPanicsAndErrors: a run fails only by panicking or by
+// returning nil; either becomes its own Result's Error and leaves the rest
+// of the batch alone.
 func TestPoolRecoversPanicsAndErrors(t *testing.T) {
-	boom := NewFunc("test-pool-boom", func(Params) (*Result, error) {
-		panic("kaboom")
-	})
-	fail := NewFunc("test-pool-fail", func(Params) (*Result, error) {
-		return nil, errors.New("deliberate failure")
-	})
-	nilres := NewFunc("test-pool-nil", func(Params) (*Result, error) {
-		return nil, nil
-	})
 	jobs := []Job{
-		{Experiment: boom, Params: Params{Seed: 1}},
-		{Experiment: okExperiment("test-pool-ok"), Params: Params{Seed: 2}},
-		{Experiment: fail, Params: Params{Seed: 3}},
-		{Experiment: nilres, Params: Params{Seed: 4}},
+		{Name: "test-pool-boom", Run: func(Params) *Result { panic("kaboom") }, Params: Params{Seed: 1}},
+		{Name: "test-pool-ok", Run: okRun, Params: Params{Seed: 2}},
+		{Name: "test-pool-nil", Run: func(Params) *Result { return nil }, Params: Params{Seed: 3}},
 	}
 	results := (&Pool{Workers: 2}).Run(jobs)
 	if !strings.Contains(results[0].Error, "kaboom") {
@@ -139,11 +139,29 @@ func TestPoolRecoversPanicsAndErrors(t *testing.T) {
 	if results[1].Error != "" || results[1].Metrics["seed"] != 2 {
 		t.Fatalf("healthy run corrupted by neighbour's panic: %+v", results[1])
 	}
-	if results[2].Error != "deliberate failure" {
-		t.Fatalf("error not captured: %q", results[2].Error)
-	}
-	if results[3].Error == "" {
+	if results[2].Error == "" {
 		t.Fatal("nil result not flagged")
+	}
+	for i, r := range results {
+		if r.Name != jobs[i].Name || r.Params.Seed != jobs[i].Params.Seed {
+			t.Errorf("result %d not labelled with its job: %q %+v", i, r.Name, r.Params)
+		}
+	}
+}
+
+func TestParamsCluster(t *testing.T) {
+	for _, c := range []struct {
+		domains, want int
+		parallel      bool
+	}{{0, 1, false}, {1, 1, false}, {3, 3, false}, {3, 3, true}} {
+		cl := Params{Domains: c.domains, Parallel: c.parallel}.Cluster()
+		if got := cl.N(); got != c.want {
+			t.Errorf("Domains %d: cluster has %d domains, want %d", c.domains, got, c.want)
+		}
+		if got := cl.Parallel(); got != c.parallel {
+			t.Errorf("Domains %d, Parallel %v: cluster parallel = %v", c.domains, c.parallel, got)
+		}
+		cl.Close()
 	}
 }
 
@@ -152,11 +170,11 @@ func TestPoolDefaultWorkersAndEmpty(t *testing.T) {
 		t.Fatalf("empty batch produced %d results", len(got))
 	}
 	var calls atomic.Int64
-	e := NewFunc("test-pool-default", func(p Params) (*Result, error) {
+	run := func(Params) *Result {
 		calls.Add(1)
-		return &Result{}, nil
-	})
-	results := (&Pool{}).Run([]Job{{Experiment: e}, {Experiment: e}})
+		return &Result{}
+	}
+	results := (&Pool{}).Run([]Job{{Run: run}, {Run: run}})
 	if calls.Load() != 2 || len(results) != 2 {
 		t.Fatalf("calls = %d, results = %d", calls.Load(), len(results))
 	}

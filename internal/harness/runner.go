@@ -10,8 +10,9 @@ import (
 
 // Job pairs an experiment with the parameters of one run.
 type Job struct {
-	Experiment Experiment
-	Params     Params
+	Name   string
+	Run    Run
+	Params Params
 }
 
 // Jobs builds the cross product names × seeds against the registry: one
@@ -23,14 +24,14 @@ func Jobs(names []string, seeds []uint64, base Params) ([]Job, error) {
 	}
 	jobs := make([]Job, 0, len(names)*len(seeds))
 	for _, name := range names {
-		e, ok := Get(name)
+		run, ok := Get(name)
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, Names())
 		}
 		for _, seed := range seeds {
 			p := base
 			p.Seed = seed
-			jobs = append(jobs, Job{Experiment: e, Params: p})
+			jobs = append(jobs, Job{Name: name, Run: run, Params: p})
 		}
 	}
 	return jobs, nil
@@ -44,8 +45,8 @@ type Pool struct {
 }
 
 // Run executes the jobs and returns one Result per job, in job order.
-// A run that returns an error or panics yields a Result with Error set;
-// the rest of the batch is unaffected.
+// A run that panics or returns nil yields a Result with Error set; the
+// rest of the batch is unaffected.
 func (pl *Pool) Run(jobs []Job) []*Result {
 	workers := pl.Workers
 	if workers < 1 {
@@ -84,13 +85,9 @@ func runOne(j Job) (res *Result) {
 		if res == nil {
 			res = &Result{Error: "experiment returned nil result"}
 		}
-		res.Name = j.Experiment.Name()
+		res.Name = j.Name
 		res.Params = j.Params
 		res.WallNS = time.Since(start).Nanoseconds()
 	}()
-	r, err := j.Experiment.Run(j.Params)
-	if err != nil {
-		return &Result{Error: err.Error()}
-	}
-	return r
+	return j.Run(j.Params)
 }

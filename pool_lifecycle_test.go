@@ -53,13 +53,12 @@ func TestPooledParallelDeterministic(t *testing.T) {
 // then drains the pool: if any component had released a packet it still
 // holds (double release), the pool would hand the same pointer out twice.
 func TestReleasedPacketNotHeldBySimulation(t *testing.T) {
-	exp, ok := harness.Get("fig3")
+	run, ok := harness.Get("fig3")
 	if !ok {
 		t.Fatal("fig3 not registered")
 	}
-	res, err := exp.Run(harness.Params{Quick: true, Seed: 1})
-	if err != nil || res == nil {
-		t.Fatalf("fig3 run failed: %v", err)
+	if res := run(harness.Params{Quick: true, Seed: 1}); res == nil {
+		t.Fatal("fig3 returned no result")
 	}
 	seen := make(map[*packet.Packet]bool)
 	var got []*packet.Packet
