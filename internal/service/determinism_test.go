@@ -1,6 +1,9 @@
 package service
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"aqueue/internal/control"
@@ -57,6 +60,29 @@ func runScripted(t *testing.T, cfg Config, windows int) string {
 		f.AdvanceWindow()
 	}
 	return f.Fingerprint()
+}
+
+// TestFingerprintFoldsMarshaledSnapshots pins what the fingerprint hashes:
+// FNV-64a over json.Marshal of every window's snapshot, each followed by a
+// newline, recomputed here window by window on a scripted fabric.
+func TestFingerprintFoldsMarshaledSnapshots(t *testing.T) {
+	f, err := NewFabric(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	scriptChurn(f)
+	h := fnv.New64a()
+	for w := 1; w <= 16; w++ {
+		b, err := json.Marshal(f.AdvanceWindow())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(b, '\n'))
+		if got, want := f.Fingerprint(), fmt.Sprintf("%016x/%d", h.Sum64(), w); got != want {
+			t.Fatalf("window %d: Fingerprint() = %s, recomputed %s", w, got, want)
+		}
+	}
 }
 
 // TestScriptedRunFingerprintIdentical is the acceptance gate: a run with

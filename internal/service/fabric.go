@@ -161,8 +161,11 @@ type Fabric struct {
 
 	// fp folds every boundary snapshot into a running FNV-64a hash; two
 	// runs with identical configs and identically-scheduled mutations
-	// produce identical fingerprints.
-	fp hash.Hash64
+	// produce identical fingerprints. fpEnc writes each snapshot into it:
+	// Encode writes exactly json.Marshal's bytes and a newline, without
+	// a fresh byte slice per window.
+	fp    hash.Hash64
+	fpEnc *json.Encoder
 }
 
 // NewFabric builds the fabric described by cfg.
@@ -177,6 +180,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		fp:      fnv.New64a(),
 		nextID:  1,
 	}
+	f.fpEnc = json.NewEncoder(f.fp)
 	f.cluster.SetParallel(cfg.Parallel)
 	if cfg.TraceLen > 0 {
 		f.ring = trace.NewRing(cfg.TraceLen)
@@ -305,12 +309,9 @@ func (f *Fabric) AdvanceWindow() Snapshot {
 }
 
 func (f *Fabric) foldFingerprint(snap Snapshot) {
-	b, err := json.Marshal(snap)
-	if err != nil {
+	if err := f.fpEnc.Encode(snap); err != nil {
 		panic(fmt.Sprintf("service: snapshot not marshalable: %v", err))
 	}
-	f.fp.Write(b)
-	f.fp.Write([]byte{'\n'})
 }
 
 // Fingerprint returns the run's accumulated window-snapshot hash together

@@ -51,30 +51,33 @@ const maxSeriesPoints = 64
 // the expensive part, so only the explicit "stats" verb asks for it.
 func (f *Fabric) Snapshot(series bool) Snapshot {
 	s := Snapshot{
-		Window:  f.window,
-		NowNS:   int64(f.Now()),
-		Tenants: f.ctrl.Info(),
+		Window:   f.window,
+		NowNS:    int64(f.Now()),
+		Tenants:  f.ctrl.Info(),
+		Pipes:    make([]PipeSnap, len(f.pipes)),
+		Switches: make([]SwitchSnap, len(f.switches)),
+		Drivers:  make([]DriverSnap, len(f.order)),
 	}
 	for i := range f.pipes {
 		fp := &f.pipes[i]
-		ps := PipeSnap{Name: fp.name, PipeStats: fp.pipe.Stats(), Gbps: fp.lastGbps}
+		ps := &s.Pipes[i]
+		*ps = PipeSnap{Name: fp.name, PipeStats: fp.pipe.Stats(), Gbps: fp.lastGbps}
 		if series {
 			ps.Series = append([]float64(nil), fp.recent...)
 			ms := fp.meter.Stats()
 			ps.Meter = &ms
 		}
-		s.Pipes = append(s.Pipes, ps)
 	}
-	for _, fs := range f.switches {
-		s.Switches = append(s.Switches, SwitchSnap{
+	for i, fs := range f.switches {
+		s.Switches[i] = SwitchSnap{
 			Name:        fs.name,
 			SwitchStats: fs.sw.Stats(),
 			Ingress:     fs.sw.Ingress.Stats(),
 			Egress:      fs.sw.Egress.Stats(),
-		})
+		}
 	}
-	for _, id := range f.order {
-		s.Drivers = append(s.Drivers, f.drivers[id].Snap())
+	for i, id := range f.order {
+		s.Drivers[i] = f.drivers[id].Snap()
 	}
 	return s
 }
@@ -97,10 +100,7 @@ func (f *Fabric) TraceTail(n int) []TraceEvent {
 	if f.ring == nil || n <= 0 {
 		return nil
 	}
-	evs := f.ring.Events()
-	if len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
+	evs := f.ring.Tail(n)
 	out := make([]TraceEvent, len(evs))
 	for i, e := range evs {
 		out[i] = wireEvent(e)

@@ -105,15 +105,24 @@ func (r *Ring) Len() int {
 }
 
 // Events returns the retained events oldest-first.
-func (r *Ring) Events() []Event {
-	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-		return out
+func (r *Ring) Events() []Event { return r.Tail(r.Len()) }
+
+// Tail returns the newest min(n, Len()) events oldest-first, copying only
+// those; it returns nil when n <= 0 or the ring is empty.
+func (r *Ring) Tail(n int) []Event {
+	n = min(n, r.Len())
+	if n <= 0 {
+		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]Event, n)
+	// The newest event sits just before next, so the tail starts n slots
+	// back, wrapping to the end of buf when that is before its start.
+	if start := r.next - n; start >= 0 {
+		copy(out, r.buf[start:r.next])
+	} else {
+		k := copy(out, r.buf[len(r.buf)+start:])
+		copy(out[k:], r.buf[:r.next])
+	}
 	return out
 }
 

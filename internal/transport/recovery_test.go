@@ -37,8 +37,8 @@ func TestRecoveryUnderRandomLoss(t *testing.T) {
 	if !s.Done() {
 		t.Fatalf("flow did not complete under 10%% loss (acked %d)", s.AckedBytes())
 	}
-	if s.Receiver().Delivered != 500_000 {
-		t.Fatalf("delivered %d bytes, want 500000", s.Receiver().Delivered)
+	if s.Receiver().Delivered() != 500_000 {
+		t.Fatalf("delivered %d bytes, want 500000", s.Receiver().Delivered())
 	}
 	if *dropped == 0 {
 		t.Fatal("loss injector never fired")
@@ -59,7 +59,7 @@ func TestRecoveryPropertyAnyLossRate(t *testing.T) {
 		s := NewSender(d.Left[0], d.Right[0], 60_000, cc.NewNewReno(), Options{})
 		s.Start(0)
 		eng.RunUntil(20 * sim.Second)
-		return s.Done() && s.Receiver().Delivered == 60_000
+		return s.Done() && s.Receiver().Delivered() == 60_000
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

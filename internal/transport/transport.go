@@ -71,15 +71,10 @@ type Sender struct {
 	inRecovery bool
 	recoverSeq int64
 
-	// SACK scoreboard: per-segment states for [sbBase, sbBase+len(sb)*MSS),
-	// kept in a power-of-two ring indexed by segment offset. Every ACK
-	// touches the scoreboard two or three times even on a clean path, so
-	// this is a ring of bytes rather than a map — no hashing, no buckets.
-	// sbBase advances by whole segments as cumAck moves (sbGet treats
-	// anything below it as absent, which matches the deleted map entries).
-	sb       []uint8
-	sbBase   int64
-	sbHead   int
+	// sb is the SACK scoreboard: one state per segment from cumAck on.
+	// Every ACK touches it two or three times even on a clean path, so it
+	// is a segRing rather than a map; its base advances with cumAck.
+	sb       segRing
 	rtxQ     []int64
 	pipe     int   // segments believed to be in the network
 	lossScan int64 // sequences below this are classified
@@ -137,6 +132,7 @@ func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *
 		opt:  opt,
 		size: size,
 		rto:  10 * sim.Millisecond,
+		sb:   segRing{mss: int64(opt.MSS)},
 	}
 	s.trySendFn = s.trySend
 	// All three flow timers live on the engine's timer lane: re-arming on
@@ -145,7 +141,7 @@ func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *
 	s.rtoT = s.eng.NewTimer(s.onTimeout)
 	s.pacedT = s.eng.NewTimer(s.trySendFn)
 	s.startT = s.eng.NewTimer(s.trySendFn)
-	s.receiver = newReceiver(s)
+	s.receiver = newReceiver(dst, src.ID(), size, opt.MSS)
 	src.Register(s.flow, s)
 	dst.Register(s.flow, s.receiver)
 	return s
@@ -192,16 +188,7 @@ func (s *Sender) remaining() bool {
 }
 
 // segPayload returns the payload length of the segment starting at seq.
-func (s *Sender) segPayload(seq int64) int {
-	if s.size == 0 {
-		return s.opt.MSS
-	}
-	left := s.size - seq
-	if left > int64(s.opt.MSS) {
-		return s.opt.MSS
-	}
-	return int(left)
-}
+func (s *Sender) segPayload(seq int64) int { return segPayload(seq, s.size, int64(s.opt.MSS)) }
 
 // trySend transmits retransmissions first, then new segments, while the
 // pipe estimate stays under the congestion window.
@@ -279,71 +266,13 @@ func (s *Sender) paceDelay(sizeBytes int, w float64) sim.Time {
 	return sim.Time(float64(sizeBytes) / rate)
 }
 
-// sbGet returns the scoreboard state for seq, or 0 ("in flight / absent")
-// when seq lies outside the tracked window. Callers only ever ask about
-// seq >= cumAck >= sbBase, so a below-window seq reads as absent exactly
-// like a deleted map entry would.
-func (s *Sender) sbGet(seq int64) uint8 {
-	off := (seq - s.sbBase) / int64(s.opt.MSS)
-	if off < 0 || off >= int64(len(s.sb)) {
-		return 0
-	}
-	return s.sb[(s.sbHead+int(off))&(len(s.sb)-1)]
-}
-
-// sbSet records the scoreboard state for seq, growing the ring to cover it.
-func (s *Sender) sbSet(seq int64, v uint8) {
-	off := (seq - s.sbBase) / int64(s.opt.MSS)
-	for off >= int64(len(s.sb)) {
-		s.sbGrow()
-	}
-	s.sb[(s.sbHead+int(off))&(len(s.sb)-1)] = v
-}
-
-func (s *Sender) sbGrow() {
-	n := len(s.sb) * 2
-	if n == 0 {
-		n = 64
-	}
-	buf := make([]uint8, n)
-	for i := 0; i < len(s.sb); i++ {
-		buf[i] = s.sb[(s.sbHead+i)&(len(s.sb)-1)]
-	}
-	s.sb = buf
-	s.sbHead = 0
-}
-
-// sbAdvance slides the window start up to newBase, clearing vacated slots.
-// The base only moves by whole segments (rounding the last, possibly
-// partial, segment up) so segment offsets stay grid-aligned.
-func (s *Sender) sbAdvance(newBase int64) {
-	if newBase <= s.sbBase {
-		return
-	}
-	mss := int64(s.opt.MSS)
-	n := (newBase - s.sbBase + mss - 1) / mss
-	if n >= int64(len(s.sb)) {
-		for i := range s.sb {
-			s.sb[i] = 0
-		}
-		s.sbHead = 0
-	} else {
-		mask := len(s.sb) - 1
-		for i := int64(0); i < n; i++ {
-			s.sb[s.sbHead] = 0
-			s.sbHead = (s.sbHead + 1) & mask
-		}
-	}
-	s.sbBase += n * mss
-}
-
 // popRtx returns the next scoreboard-lost segment, skipping entries that
 // have since been SACKed or cumulatively acknowledged.
 func (s *Sender) popRtx() (int64, bool) {
 	for len(s.rtxQ) > 0 {
 		seq := s.rtxQ[0]
 		s.rtxQ = s.rtxQ[1:]
-		if seq >= s.cumAck && s.sbGet(seq) == stLost {
+		if seq >= s.cumAck && s.sb.get(seq) == stLost {
 			return seq, true
 		}
 	}
@@ -362,7 +291,7 @@ func (s *Sender) sendSegment(seq int64, retx bool) {
 	s.pipe++
 	if retx {
 		s.Retransmits++
-		s.sbSet(seq, stRetx)
+		s.sb.set(seq, stRetx)
 		if seq == s.cumAck {
 			s.frontRetxAt = s.eng.Now()
 		}
@@ -379,12 +308,12 @@ func (s *Sender) sendSegment(seq int64, retx bool) {
 // markLost transitions an in-flight segment to lost and queues it for
 // retransmission. Idempotent.
 func (s *Sender) markLost(seq int64) {
-	st := s.sbGet(seq)
+	st := s.sb.get(seq)
 	if st == stSacked || st == stLost {
 		return
 	}
 	// In-flight (absent) and retransmitted segments both leave the pipe.
-	s.sbSet(seq, stLost)
+	s.sb.set(seq, stLost)
 	s.pipe--
 	if s.pipe < 0 {
 		s.pipe = 0
@@ -396,13 +325,13 @@ func (s *Sender) markLost(seq int64) {
 func (s *Sender) noteSack(p *packet.Packet) {
 	seq := p.EchoSeq
 	if seq >= s.cumAck {
-		switch s.sbGet(seq) {
+		switch s.sb.get(seq) {
 		case stSacked:
 			// already accounted
 		case stLost:
-			s.sbSet(seq, stSacked) // pipe already decremented
+			s.sb.set(seq, stSacked) // pipe already decremented
 		default: // in flight or retransmitted
-			s.sbSet(seq, stSacked)
+			s.sb.set(seq, stSacked)
 			s.pipe--
 			if s.pipe < 0 {
 				s.pipe = 0
@@ -486,8 +415,8 @@ func (s *Sender) onTimeout() {
 	s.rtxQ = s.rtxQ[:0]
 	s.pipe = 0
 	for seq := s.cumAck; seq < s.nextSeq; seq += mss {
-		if s.sbGet(seq) != stSacked {
-			s.sbSet(seq, stLost)
+		if s.sb.get(seq) != stSacked {
+			s.sb.set(seq, stLost)
 			s.rtxQ = append(s.rtxQ, seq)
 		}
 	}
@@ -523,7 +452,7 @@ func (s *Sender) Handle(p *packet.Packet) {
 			s.FastRecovers++
 			s.alg.OnLoss(now)
 		}
-	} else if s.dupacks > dupAckThresh && s.sbGet(s.cumAck) == stRetx {
+	} else if s.dupacks > dupAckThresh && s.sb.get(s.cumAck) == stRetx {
 		// Rescue retransmission: the front retransmission itself appears
 		// lost (duplicate ACKs keep arriving well past an RTT since it was
 		// sent). Re-mark it so recovery does not stall until the RTO.
@@ -532,7 +461,7 @@ func (s *Sender) Handle(p *packet.Packet) {
 			wait = 100 * sim.Microsecond
 		}
 		if now-s.frontRetxAt > wait {
-			s.sbSet(s.cumAck, 0) // force the lost transition
+			s.sb.set(s.cumAck, 0) // force the lost transition
 			s.markLost(s.cumAck)
 		}
 	}
@@ -546,11 +475,11 @@ func (s *Sender) onNewAck(now sim.Time, p *packet.Packet) {
 	for seq := s.cumAck; seq < p.Ack; seq += mss {
 		// In-flight and retransmitted segments leave the pipe; sacked and
 		// lost ones were already removed when they changed state.
-		if st := s.sbGet(seq); st != stSacked && st != stLost {
+		if st := s.sb.get(seq); st != stSacked && st != stLost {
 			s.pipe--
 		}
 	}
-	s.sbAdvance(p.Ack)
+	s.sb.advance(p.Ack)
 	if s.pipe < 0 {
 		s.pipe = 0
 	}
@@ -639,7 +568,8 @@ func (s *Sender) complete(now sim.Time) {
 // mark, the send timestamp, the segment sequence (one-block SACK) and the
 // accumulated virtual delay.
 type Receiver struct {
-	s *Sender
+	host *topo.Host    // the receiving host, which sends the ACKs
+	peer packet.HostID // the sending host
 	// pool is the RECEIVING host's engine pool, not the sender's: in a
 	// partitioned run the two ends of a flow can live in different
 	// simulation domains, and under parallel domain workers an ACK
@@ -647,18 +577,32 @@ type Receiver struct {
 	// sender domain's own pool traffic. Which pool served an allocation is
 	// unobservable in results (packets are zeroed on reuse).
 	pool *packet.Pool
+	size int64 // flow size in bytes; 0 means long-lived
 	cum  int64
-	ooo  map[int64]int // out-of-order segments: seq -> payload
+	// held flags the segments past cum that arrived out of order. A data
+	// segment always starts on the MSS grid and carries segPayload of its
+	// sequence, so a flag per segment is the whole reassembly state; the
+	// ring's base follows cum.
+	held segRing
 
-	// Delivered counts in-order delivered payload bytes.
-	Delivered int64
 	// RxData counts all data segments seen (including duplicates).
 	RxData uint64
 }
 
-func newReceiver(s *Sender) *Receiver {
-	return &Receiver{s: s, pool: packet.PoolFor(s.dst.Engine()), ooo: make(map[int64]int)}
+// newReceiver returns the receiving half of a flow of size bytes (0 =
+// long lived) cut into mss-byte segments, sent from peer to host.
+func newReceiver(host *topo.Host, peer packet.HostID, size int64, mss int) *Receiver {
+	return &Receiver{
+		host: host,
+		peer: peer,
+		pool: packet.PoolFor(host.Engine()),
+		size: size,
+		held: segRing{mss: int64(mss)},
+	}
 }
+
+// Delivered returns the payload bytes delivered in order so far.
+func (r *Receiver) Delivered() int64 { return r.cum }
 
 // Handle processes an incoming data segment.
 func (r *Receiver) Handle(p *packet.Packet) {
@@ -675,23 +619,19 @@ func (r *Receiver) Handle(p *packet.Packet) {
 	switch {
 	case p.Seq == r.cum:
 		r.cum += int64(p.Payload)
-		for {
-			pl, ok := r.ooo[r.cum]
-			if !ok {
-				break
-			}
-			delete(r.ooo, r.cum)
-			r.cum += int64(pl)
+		r.held.advance(r.cum)
+		for r.held.get(r.cum) != 0 {
+			r.cum += int64(segPayload(r.cum, r.size, r.held.mss))
+			r.held.advance(r.cum)
 		}
 	case p.Seq > r.cum:
-		r.ooo[p.Seq] = p.Payload
+		r.held.set(p.Seq, 1)
 	}
-	r.Delivered = r.cum
-	ack := r.pool.NewAck(r.s.dst.ID(), r.s.src.ID(), p.Flow, r.cum)
+	ack := r.pool.NewAck(r.host.ID(), r.peer, p.Flow, r.cum)
 	ack.EcnEcho = p.CE
 	ack.EchoSentAt = p.SentAt
 	ack.EchoVirtualDelay = p.VirtualDelay
 	ack.EchoQueueDelay = p.QueueDelay
 	ack.EchoSeq = p.Seq
-	r.s.dst.Send(ack)
+	r.host.Send(ack)
 }

@@ -31,8 +31,8 @@ func TestFlowCompletes(t *testing.T) {
 	if fct == 0 {
 		t.Fatal("OnComplete not called")
 	}
-	if s.Receiver().Delivered != 100*1000 {
-		t.Fatalf("delivered %d, want 100000", s.Receiver().Delivered)
+	if s.Receiver().Delivered() != 100*1000 {
+		t.Fatalf("delivered %d, want 100000", s.Receiver().Delivered())
 	}
 	// 100 KB at 10 Gbps is 80 us of wire time; with slow start from 10
 	// packets it should finish within a few ms.
