@@ -44,7 +44,6 @@ func run(args []string) int {
 	format := fs.String("format", "text", "output format: text|csv|none")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	domains := fs.Int("domains", 1, "partition each run's topology into this many time-synced simulation domains (results are byte-identical for any value)")
-	parallelDomains := fs.Bool("parallel-domains", false, "advance each run's domains on worker goroutines (needs -domains >= 2; results are byte-identical either way)")
 	seeds := fs.String("seeds", "", "comma-separated seeds for a multi-seed sweep (overrides -seed)")
 	parallel := fs.Int("parallel", 1, "concurrent runs (0 = GOMAXPROCS)")
 	jsonOut := fs.String("json", "", "write a JSON results report to this path")
@@ -94,7 +93,6 @@ func run(args []string) int {
 	base := experiments.DefaultParams(*quick)
 	base.Seed = *seed
 	base.Domains = *domains
-	base.Parallel = *parallelDomains
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
 		return failf("bad -seeds: %v", err)

@@ -37,18 +37,17 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7171", "listen address")
-		topoN    = flag.String("topo", "dumbbell", "topology: dumbbell|star")
-		hosts    = flag.Int("hosts", 8, "hosts per dumbbell side, or total star size")
-		domains  = flag.Int("domains", 1, "simulation domains (results identical for any value)")
-		parallel = flag.Bool("parallel", false, "advance domains on worker goroutines (needs -domains >= 2; results identical either way)")
-		window   = flag.Duration("window", time.Millisecond, "mutation window (simulated time)")
-		pace     = flag.Float64("pace", 0, "simulated seconds per wall second; 0 = as fast as possible")
-		paused   = flag.Bool("paused", false, "start paused, waiting for run-control commands")
-		traceN   = flag.Int("trace", 4096, "trace ring size in events; 0 disables tracing")
-		ccName   = flag.String("cc", "cubic", "default congestion control for attached drivers")
-		rate     = flag.Float64("rate", 0, "link rate in bits/s (0 = paper default 10 Gbps)")
-		fluidEp  = flag.Duration("fluidepoch", 0, "integration epoch for kind \"fluid\" drivers (simulated time; 0 = default 100µs)")
+		listen  = flag.String("listen", "127.0.0.1:7171", "listen address")
+		topoN   = flag.String("topo", "dumbbell", "topology: dumbbell|star")
+		hosts   = flag.Int("hosts", 8, "hosts per dumbbell side, or total star size")
+		domains = flag.Int("domains", 1, "simulation domains (results identical for any value)")
+		window  = flag.Duration("window", time.Millisecond, "mutation window (simulated time)")
+		pace    = flag.Float64("pace", 0, "simulated seconds per wall second; 0 = as fast as possible")
+		paused  = flag.Bool("paused", false, "start paused, waiting for run-control commands")
+		traceN  = flag.Int("trace", 4096, "trace ring size in events; 0 disables tracing")
+		ccName  = flag.String("cc", "cubic", "default congestion control for attached drivers")
+		rate    = flag.Float64("rate", 0, "link rate in bits/s (0 = paper default 10 Gbps)")
+		fluidEp = flag.Duration("fluidepoch", 0, "integration epoch for kind \"fluid\" drivers (simulated time; 0 = default 100µs)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 		Topo:       *topoN,
 		Hosts:      *hosts,
 		Domains:    *domains,
-		Parallel:   *parallel,
 		Window:     sim.Time(window.Nanoseconds()),
 		TraceLen:   *traceN,
 		CC:         *ccName,

@@ -31,7 +31,6 @@ type CCShareResult struct {
 // warmup.
 func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCShareResult {
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	m := len(entities)
 	hostsPer := 2

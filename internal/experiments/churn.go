@@ -14,7 +14,6 @@ func churnFabric(p harness.Params, window sim.Time) *service.Fabric {
 	f, err := service.NewFabric(service.Config{
 		Hosts:    4,
 		Domains:  p.Domains,
-		Parallel: p.Parallel,
 		Window:   window,
 		TraceLen: 0, // traces are for the daemon; experiments stay lean
 	})
@@ -41,7 +40,6 @@ func churnFabric(p harness.Params, window sim.Time) *service.Fabric {
 func Churn(p harness.Params) *harness.Result {
 	const windows = 20
 	f := churnFabric(p, p.Horizon/windows)
-	defer f.Close()
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
 		g, err := f.Ctrl().Grant(control.Request{
 			Tenant: tenant, Mode: control.Weighted, Weight: weight,

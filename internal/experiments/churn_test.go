@@ -7,16 +7,12 @@ import (
 	"aqueue/internal/sim"
 )
 
-// TestChurnHonoursParallelDomains: the harness asks for worker-driven
-// domains through Params.Parallel; Churn's fabric builds its own cluster
-// rather than through Params.Cluster, so it must still put that cluster on
-// workers, not silently run cooperatively.
-func TestChurnHonoursParallelDomains(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		f := churnFabric(harness.Params{Domains: 2, Parallel: parallel}, sim.Millisecond)
-		if got := f.SyncStats().Parallel; got != parallel {
-			t.Errorf("parallel = %v: cluster parallel = %v", parallel, got)
-		}
-		f.Close()
+// TestChurnHonoursDomains: Churn's fabric builds its own cluster rather
+// than through Params.Cluster, so it must still partition it into the
+// domains the harness asks for, not silently run on one engine.
+func TestChurnHonoursDomains(t *testing.T) {
+	f := churnFabric(harness.Params{Domains: 2}, sim.Millisecond)
+	if got := len(f.SyncStats().Domains); got != 2 {
+		t.Errorf("churn fabric has %d domains, want 2", got)
 	}
 }

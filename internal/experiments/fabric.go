@@ -36,7 +36,6 @@ func fabricSpecs() (edge, fab topo.LinkSpec) {
 func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 	run := func(useAQ bool) (float64, float64) {
 		c := p.Cluster()
-		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 2, 2, 4, edge, fab)
 		// Entity A: hosts 0,1 (leaf 0) -> hosts 4,5 (leaf 1).
@@ -88,7 +87,6 @@ func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 	run := func(useAQ bool) float64 {
 		c := p.Cluster()
-		defer c.Close()
 		edge, fab := fabricSpecs()
 		f := topo.NewLeafSpineIn(c, 3, 2, 3, edge, fab)
 		victim := f.Hosts[0]

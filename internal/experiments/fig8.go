@@ -16,7 +16,6 @@ import (
 // goodput in Gbps. weights sets the A:B share when AQ is used.
 func fig8Run(p harness.Params, approach Approach, nB int, wA, wB float64) (float64, float64) {
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, 2, 2, spec, spec)
 	rc := newRxClassifier(d.Right, 2, sim.Millisecond, func(pkt *packet.Packet) int {

@@ -38,7 +38,6 @@ type Fig9Result struct {
 func fig9Run(p harness.Params, approach Approach) Fig9Result {
 	phase := p.Horizon / 4
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	n := len(Fig9Entities)
 	d := topo.NewDumbbellIn(c, n, n, spec, spec)

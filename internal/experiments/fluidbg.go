@@ -72,7 +72,6 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 	n := nFG + 1
 	horizon := p.Horizon
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, n, n, spec, spec)
 	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
@@ -134,7 +133,6 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	const vms = 4
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	d := topo.NewDumbbellIn(c, vms+1, vms+1, spec, spec)
 	ctrl := control.NewController(spec.Rate)

@@ -27,7 +27,6 @@ import (
 func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJain float64) {
 	run := func(useAQ bool) float64 {
 		c := p.Cluster()
-		defer c.Close()
 		spec := simSpec()
 		d := topo.NewDumbbellIn(c, entities, entities, spec, spec)
 		if !useAQ {

@@ -28,7 +28,6 @@ type Table3Row struct {
 // returns the windowed min~max of A's outbound and inbound rates.
 func table3Run(p harness.Params, approach Approach) Table3Row {
 	c := p.Cluster()
-	defer c.Close()
 	spec := testbedSpec()
 	st := topo.NewStarIn(c, 4, spec)
 	horizon := p.Horizon
@@ -93,7 +92,7 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 	var ws workload.WebSearch
 	// Continuous closed-loop workers: A sends to the others; the others
 	// send to A. Eight workers each keep every direction saturated.
-	startWorkers := func(src *topo.Host, dsts []*topo.Host, workers int) {
+	startSenders := func(src *topo.Host, dsts []*topo.Host, workers int) {
 		for w := 0; w < workers; w++ {
 			var loop func()
 			loop = func() {
@@ -110,9 +109,9 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 		}
 	}
 	others := []*topo.Host{st.Hosts[1], st.Hosts[2], st.Hosts[3]}
-	startWorkers(a, others, 8)
+	startSenders(a, others, 8)
 	for _, h := range others {
-		startWorkers(h, []*topo.Host{a}, 8)
+		startSenders(h, []*topo.Host{a}, 8)
 	}
 	c.RunUntil(horizon)
 

@@ -20,7 +20,6 @@ import (
 // virtual queuing delay carried in the packets is recorded (§5.5).
 func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Percentiles) {
 	c := p.Cluster()
-	defer c.Close()
 	const (
 		qLimit = 1000 * 1000
 		ecnK   = 160 * 1000

@@ -32,7 +32,6 @@ type wlSpec struct {
 // four approaches differ. The trace is drawn from p.Seed.
 func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 	c := p.Cluster()
-	defer c.Close()
 	spec := simSpec()
 	totalVMs := 0
 	for _, s := range specs {

@@ -46,9 +46,8 @@ type scaleFabric struct {
 // source-host uplink for residual accounting, and opens the foreground
 // flows cross-pod. Of the tagged groups three in four are fixed-rate
 // blasters and every fourth is a loss-model AIMD flow.
-func buildScale(s scaleSpec, domains int, parallel bool) *scaleFabric {
+func buildScale(s scaleSpec, domains int) *scaleFabric {
 	c := sim.NewCluster(domains)
-	c.SetParallel(parallel)
 	tspec := topo.DefaultSim()
 	f := topo.NewFatTreeIn(c, s.k, tspec, tspec)
 	sf := &scaleFabric{c: c, hosts: f.Hosts}
@@ -134,9 +133,8 @@ type scaleTotals struct {
 	fgPackets                     uint64
 }
 
-func runScale(s scaleSpec, domains int, parallel bool) scaleTotals {
-	sf := buildScale(s, domains, parallel)
-	defer sf.c.Close()
+func runScale(s scaleSpec, domains int) scaleTotals {
+	sf := buildScale(s, domains)
 	sf.c.RunUntil(s.horizon)
 	tot := scaleTotals{aqs: sf.aqs, model: sf.model}
 	for _, l := range sf.lanes {
@@ -156,9 +154,7 @@ func runScale(s scaleSpec, domains int, parallel bool) scaleTotals {
 // TestFatTreeLanesPartitionInvariant runs the scenario at k=4 in both
 // shapes: every entity must advance every epoch, the AQ admission path must
 // shed bytes, the foreground must move, and the run split over 2 and 4
-// domains — cooperative and on worker goroutines — must reproduce the
-// single-engine run to the last byte. Under -race the parallel arms are the
-// proof that epoch integration never leaves its domain.
+// domains must reproduce the single-engine run to the last byte.
 func TestFatTreeLanesPartitionInvariant(t *testing.T) {
 	for _, shape := range []struct {
 		name     string
@@ -175,7 +171,7 @@ func TestFatTreeLanesPartitionInvariant(t *testing.T) {
 				epoch: 200 * sim.Microsecond, horizon: 2 * sim.Millisecond,
 				perAQ: shape.perAQ, fillFrac: shape.fillFrac,
 			}
-			single := runScale(s, 1, false)
+			single := runScale(s, 1)
 			if want := uint64(8 * 10); single.epochs != want {
 				t.Errorf("epochs = %d, want %d (8 lanes x 10)", single.epochs, want)
 			}
@@ -195,10 +191,8 @@ func TestFatTreeLanesPartitionInvariant(t *testing.T) {
 				t.Errorf("%d AQs modelled at %d B, want %d at 15 B/AQ", single.aqs, single.model, shape.aqs)
 			}
 			for _, domains := range []int{2, 4} {
-				for _, parallel := range []bool{false, true} {
-					if got := runScale(s, domains, parallel); got != single {
-						t.Errorf("domains=%d parallel=%v diverged:\n got %+v\nwant %+v", domains, parallel, got, single)
-					}
+				if got := runScale(s, domains); got != single {
+					t.Errorf("domains=%d diverged:\n got %+v\nwant %+v", domains, got, single)
 				}
 			}
 		})
@@ -225,8 +219,7 @@ func TestLaneHeapPerEntity(t *testing.T) {
 		k: 4, entities: entities, fgFlows: 8,
 		epoch: 500 * sim.Microsecond, horizon: 5 * sim.Millisecond,
 		perAQ: 16, fillFrac: 0.25,
-	}, 1, false)
-	defer sf.c.Close()
+	}, 1)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(sf)

@@ -35,26 +35,14 @@ type Params struct {
 	// value — the knob trades nothing but execution strategy — which is
 	// why Fingerprint excludes it.
 	Domains int `json:"domains,omitempty"`
-	// Parallel advances a partitioned run's domains on the cluster's
-	// persistent worker goroutines instead of cooperatively (see
-	// sim.Cluster.SetParallel). Like Domains it trades only execution
-	// strategy — results stay byte-identical, which the parallel parity
-	// gate enforces under the race detector — so Fingerprint excludes it
-	// too.
-	Parallel bool `json:"parallel,omitempty"`
 }
 
 // Cluster builds the simulation cluster a run places its topology on:
 // Domains engines synchronized by one conservative window (see
-// sim.Cluster), advanced on workers when Parallel is set. Values of
-// Domains below 1 mean a single engine. Every experiment builds its
-// topology through the cluster builders, so the same scenario produces
-// byte-identical results for any domain count and either strategy.
-func (p Params) Cluster() *sim.Cluster {
-	c := sim.NewCluster(max(p.Domains, 1))
-	c.SetParallel(p.Parallel)
-	return c
-}
+// sim.Cluster). Values of Domains below 1 mean a single engine. Every
+// experiment builds its topology through the cluster builders, so the same
+// scenario produces byte-identical results for any domain count.
+func (p Params) Cluster() *sim.Cluster { return sim.NewCluster(max(p.Domains, 1)) }
 
 // Run is a registered experiment: it builds all mutable state — engine,
 // topology, flows — per call, so it is safe to call concurrently with any

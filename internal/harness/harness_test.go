@@ -150,18 +150,10 @@ func TestPoolRecoversPanicsAndErrors(t *testing.T) {
 }
 
 func TestParamsCluster(t *testing.T) {
-	for _, c := range []struct {
-		domains, want int
-		parallel      bool
-	}{{0, 1, false}, {1, 1, false}, {3, 3, false}, {3, 3, true}} {
-		cl := Params{Domains: c.domains, Parallel: c.parallel}.Cluster()
-		if got := cl.N(); got != c.want {
+	for _, c := range []struct{ domains, want int }{{0, 1}, {1, 1}, {3, 3}} {
+		if got := (Params{Domains: c.domains}).Cluster().N(); got != c.want {
 			t.Errorf("Domains %d: cluster has %d domains, want %d", c.domains, got, c.want)
 		}
-		if got := cl.Parallel(); got != c.parallel {
-			t.Errorf("Domains %d, Parallel %v: cluster parallel = %v", c.domains, c.parallel, got)
-		}
-		cl.Close()
 	}
 }
 

@@ -49,7 +49,6 @@ func Fingerprint(r *Result) string {
 	c := *r
 	c.WallNS = 0
 	c.Params.Domains = 0
-	c.Params.Parallel = false
 	buf, err := json.Marshal(&c)
 	if err != nil {
 		return "unmarshalable: " + err.Error()

@@ -54,7 +54,6 @@ func runScripted(t *testing.T, cfg Config, windows int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	scriptChurn(f)
 	for i := 0; i < windows; i++ {
 		f.AdvanceWindow()
@@ -70,7 +69,6 @@ func TestFingerprintFoldsMarshaledSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	scriptChurn(f)
 	h := fnv.New64a()
 	for w := 1; w <= 16; w++ {
@@ -128,24 +126,6 @@ func TestFingerprintInvariantAcrossDomains(t *testing.T) {
 	two := runScripted(t, cfg, windows)
 	if one != two {
 		t.Fatalf("domain split changed the run:\n  1 domain:  %s\n  2 domains: %s", one, two)
-	}
-}
-
-// TestFingerprintInvariantUnderParallel pins that advancing a partitioned
-// fabric's domains on the cluster's worker goroutines (Config.Parallel)
-// does not change the run: same script, same windows, byte-identical
-// fingerprint. The mailbox/boundary argument for why this holds is on the
-// Service type; this test is the check. Runs with tracing enabled, so the
-// locking trace sink is exercised too.
-func TestFingerprintInvariantUnderParallel(t *testing.T) {
-	cfg := testConfig()
-	cfg.Domains = 2
-	const windows = 12
-	coop := runScripted(t, cfg, windows)
-	cfg.Parallel = true
-	par := runScripted(t, cfg, windows)
-	if coop != par {
-		t.Fatalf("parallel workers changed the run:\n  cooperative: %s\n  parallel:    %s", coop, par)
 	}
 }
 

@@ -42,17 +42,6 @@ type Config struct {
 	// Domains partitions the fabric into conservative time-synced
 	// simulation domains; results are byte-identical for any value.
 	Domains int
-	// Parallel advances the partitioned domains on the cluster's
-	// persistent worker goroutines instead of cooperatively. Results stay
-	// byte-identical — the window snapshots and the run fingerprint are
-	// unchanged. This is sound for the service because every mutation goes
-	// through the Service mailbox and lands only at window boundaries,
-	// when the workers are parked: nothing ever writes across a domain
-	// while a window is in flight. The one shared structure outside the
-	// simulation proper, the trace ring, is wrapped in a locking sink
-	// under this flag; its cross-domain interleaving (and only that) may
-	// vary run to run. Ignored when Domains < 2.
-	Parallel bool
 	// Window is the mutation quantum: the fabric advances in steps of
 	// this size and applies mutations only on its boundaries.
 	Window sim.Time
@@ -140,10 +129,10 @@ type Fabric struct {
 	pipes    []fabricPipe
 	switches []fabricSwitch
 	capacity units.BitRate
-	ring     *trace.Ring
-	// sink is what components emit into: the ring itself, or a locking
-	// wrapper when parallel domain workers could append concurrently.
-	sink trace.Sink
+	// ring is nil when tracing is off; components are handed it only
+	// behind a nil check, because a nil *Ring in a trace.Sink is a non-nil
+	// interface.
+	ring *trace.Ring
 
 	// fluidSw/fluidPipe anchor fluid load drivers: the ingress table the
 	// entities' epochs run through and the shared link they account. Only
@@ -181,13 +170,8 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		nextID:  1,
 	}
 	f.fpEnc = json.NewEncoder(f.fp)
-	f.cluster.SetParallel(cfg.Parallel)
 	if cfg.TraceLen > 0 {
 		f.ring = trace.NewRing(cfg.TraceLen)
-		f.sink = f.ring
-		if cfg.Parallel && cfg.Domains > 1 {
-			f.sink = trace.NewLockedSink(f.ring)
-		}
 	}
 	switch cfg.Topo {
 	case "dumbbell":
@@ -201,7 +185,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		f.fluidSw, f.fluidPipe = d.S1, d.Bottleneck
 		if f.ring != nil {
 			for _, h := range append(append([]*topo.Host{}, d.Left...), d.Right...) {
-				h.SetTrace(f.sink)
+				h.SetTrace(f.ring)
 			}
 		}
 	case "star":
@@ -218,7 +202,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		}
 		if f.ring != nil {
 			for _, h := range s.Hosts {
-				h.SetTrace(f.sink)
+				h.SetTrace(f.ring)
 			}
 		}
 	default:
@@ -233,7 +217,7 @@ func (f *Fabric) addSwitch(name string, sw *topo.Switch) {
 	f.tables[name+"/"+control.Ingress.String()] = sw.Ingress
 	f.tables[name+"/"+control.Egress.String()] = sw.Egress
 	if f.ring != nil {
-		sw.SetTrace(f.sink)
+		sw.SetTrace(f.ring)
 	}
 }
 
@@ -327,7 +311,6 @@ func (f *Fabric) Fingerprint() string {
 // kept out of Snapshot, whose byte stream is the determinism fingerprint.
 func (f *Fabric) SyncStats() sim.SyncStats { return f.cluster.SyncStats() }
 
-// Close stops the cluster's domain worker goroutines (if any were
-// started). The fabric must not be advanced afterwards; Service calls
-// this when its run loop exits.
-func (f *Fabric) Close() { f.cluster.Close() }
+// Close does nothing. It is kept so existing callers still compile: a
+// fabric holds no goroutines or other resources beyond its memory.
+func (f *Fabric) Close() {}

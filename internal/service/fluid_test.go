@@ -83,7 +83,6 @@ func TestFabricFluidDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
 		id := grantWeighted(t, f, "bg", 1)
 		f.ScriptAt(2, func(f *Fabric) {
 			if _, err := f.Attach(LoadSpec{Tenant: "bg", AQ: id, Kind: "fluid",

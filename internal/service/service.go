@@ -41,15 +41,6 @@ type command struct {
 // window — the invariant the determinism gates rely on. Telemetry readers
 // never touch the fabric either; they read the immutable Snapshot values
 // the loop publishes at each boundary.
-//
-// The same boundary-only mailbox is what makes Config.Parallel sound:
-// while a window is in flight the only goroutines touching simulation
-// state are the cluster's domain workers, each confined to its own
-// domain, exchanging packets exclusively through boundary mailboxes at
-// round barriers. Mutations, snapshots and trace reads all happen on the
-// loop goroutine between windows, when every worker is parked at its
-// channel — there is no instant at which a command and a domain can see
-// the same state.
 type Service struct {
 	f   *Fabric
 	cfg RunConfig
@@ -132,9 +123,8 @@ func (s *Service) loop() {
 		}
 		s.cond.Broadcast()
 	}
-	// Shutdown: stop the cluster's domain workers, answer whatever is
-	// still queued, wake every waiter, end every stream.
-	s.f.Close()
+	// Shutdown: answer whatever is still queued, wake every waiter, end
+	// every stream.
 	for _, c := range s.cmds {
 		c.resp <- control.Errf(control.CodeShuttingDown, "service shutting down")
 	}

@@ -38,39 +38,32 @@ import (
 // always precede deliveries, and within one pipe delivery times are
 // strictly increasing, so no tie ever falls through to the push order.
 // With identities and seeds drawn from the cluster's own sequences during
-// (single-threaded) construction, a scenario's results are a pure function
-// of the topology and workload — byte-identical for any N, and identical
-// whether the domains of a round run cooperatively or on workers (the
-// bound is computed from parked engine state either way).
+// construction, a scenario's results are a pure function of the topology
+// and workload — byte-identical for any N.
 //
-// Construction is always single-threaded. RunUntil advances the domains
-// of each round sequentially by default ("cooperative" mode, always
-// safe); SetParallel runs them on one persistent worker goroutine per
-// domain, parked on a channel barrier between rounds. That is sound when
-// whatever crosses domains outside the mailboxes at runtime locks itself:
-// a stats.Meter, Percentiles or FCT shared by several domains takes its
-// mutex, and a multi-domain topo.Host takes one so a sender built in
-// another domain can register its receiver there (the golden parallel-*
-// sweeps run both under -race). The fabric service's runtime mutations all
-// go through its boundary-only mailbox. Long-lived embedders must Close a
-// parallel cluster to release the workers.
+// The domains of a round run one after another on the calling goroutine:
+// the cluster partitions a simulation, it does not spread one over cores.
+// A runtime write that crosses domains outside the mailboxes — a sender
+// built in one domain registering its receiver on a host in another, a
+// stats.Meter fed by hosts in several — is therefore plain memory, and it
+// cannot be observed early: a cross-domain flow's first packet reaches the
+// receiving host only after the registering round's mailboxes have
+// flushed. A worker goroutine per domain did not pay for its hand-off at
+// the sizes measured (DESIGN.md §3b).
 type Cluster struct {
 	engines []*Engine
 	seqs    seqTable
 	index   map[*Engine]int
 
-	lanes    uint32
-	window   Time // W: the least boundary channel delay; 0 while there is no channel
-	parallel bool
-	now      Time
+	lanes  uint32
+	window Time // W: the least boundary channel delay; 0 while there is no channel
+	now    Time
 
 	outboxes []*Outbox
 
 	// Per-round scratch, sized N at construction.
 	next []Time // earliest local pending event per domain (maxTime = none)
 	work []int  // domains with events due inside the round's bound
-
-	workers []*domainWorker
 
 	// Windows counts synchronization rounds executed, for tests and
 	// SyncStats.
@@ -84,8 +77,7 @@ type Cluster struct {
 	epoch       time.Time // origin of hostNS
 }
 
-// NewCluster returns a cluster of n fresh engines (n >= 1) that advances
-// cooperatively until SetParallel says otherwise.
+// NewCluster returns a cluster of n fresh engines (n >= 1).
 func NewCluster(n int) *Cluster {
 	if n < 1 {
 		panic("sim: cluster needs at least one domain")
@@ -100,7 +92,6 @@ func NewCluster(n int) *Cluster {
 	}
 	for i := range c.engines {
 		c.engines[i] = NewEngine()
-		c.engines[i].multiDomain = n > 1
 		c.index[c.engines[i]] = i
 		c.loads[i].Domain = i
 	}
@@ -138,15 +129,6 @@ func (c *Cluster) NextLane() uint32 {
 	c.lanes++
 	return c.lanes
 }
-
-// SetParallel switches RunUntil between advancing a round's domains
-// sequentially (false, the default, always safe) and on the persistent
-// domain workers (true; sound only for scenarios with no cross-domain
-// state outside the mailboxes).
-func (c *Cluster) SetParallel(on bool) { c.parallel = on }
-
-// Parallel reports whether the cluster advances domains on workers.
-func (c *Cluster) Parallel() bool { return c.parallel }
 
 // Outbox creates the mailbox for one boundary channel from src's domain
 // into dst's domain, delivering on the given ordering lane, and registers
@@ -237,16 +219,14 @@ func (c *Cluster) roundBound(deadline Time) Time {
 func (c *Cluster) hostNS() int64 { return time.Since(c.epoch).Nanoseconds() }
 
 // advanceRound takes every domain to the bound b and returns the host time
-// it finished at. Domains with no event due inside the bound get a
-// coordinator-side clock hop; the rest are dispatched — to the persistent
-// workers in parallel mode, inline otherwise — and their busy time is
-// folded into the load stats. mark is when the previous dispatch finished:
-// the wall time since then, flush and bound included, is the round's
-// advance time, and what of it was not useful engine work is barrier cost.
-// The reads of the host clock are chained — a domain's end is the next
-// one's start — so an inline round costs one per dispatched domain plus
-// one, a round on workers one, and a round that only hops clocks none: its
-// time falls to the next.
+// it finished at. Domains with no event due inside the bound get a clock
+// hop; the rest run one after another, and their busy time is folded into
+// the load stats. mark is when the previous round finished: the wall time
+// since then, flush and bound included, is the round's advance time, and
+// what of it was not engine work is barrier cost. The reads of the host
+// clock are chained — a domain's end is the next one's start — so a round
+// costs one read per dispatched domain plus one, and a round that only
+// hops clocks none: its time falls to the next.
 func (c *Cluster) advanceRound(b Time, mark int64) int64 {
 	c.work = c.work[:0]
 	for d, e := range c.engines {
@@ -259,33 +239,16 @@ func (c *Cluster) advanceRound(b Time, mark int64) int64 {
 	if len(c.work) == 0 {
 		return mark
 	}
-	var useful int64 // the sum of busy times inline, the longest on workers
-	var end int64
-	if c.parallel && len(c.work) > 1 {
-		if c.workers == nil {
-			c.startWorkers()
-		}
-		for _, d := range c.work {
-			c.workers[d].work <- b
-		}
-		for _, d := range c.work {
-			busy := <-c.workers[d].done
-			c.loads[d].BusyNS += busy
-			c.loads[d].Runs++
-			useful = max(useful, busy)
-		}
+	var useful int64
+	end := c.hostNS()
+	for _, d := range c.work {
+		start := end
+		c.engines[d].runTo(b)
 		end = c.hostNS()
-	} else {
-		end = c.hostNS()
-		for _, d := range c.work {
-			start := end
-			c.engines[d].runTo(b)
-			end = c.hostNS()
-			busy := end - start
-			c.loads[d].BusyNS += busy
-			c.loads[d].Runs++
-			useful += busy
-		}
+		busy := end - start
+		c.loads[d].BusyNS += busy
+		c.loads[d].Runs++
+		useful += busy
 	}
 	wall := end - mark
 	c.advanceNS += wall
@@ -293,48 +256,9 @@ func (c *Cluster) advanceRound(b Time, mark int64) int64 {
 	return end
 }
 
-// domainWorker is one domain's persistent executor: a goroutine parked on
-// the work channel between rounds. The channel send/receive pair is the
-// round barrier — it publishes the coordinator's pre-round state to the
-// worker and the worker's post-round engine state back, so the coordinator
-// may freely read engine and pipe state between rounds even in parallel
-// mode.
-type domainWorker struct {
-	eng  *Engine
-	work chan Time
-	done chan int64
-}
-
-func (w *domainWorker) loop() {
-	for target := range w.work {
-		start := time.Now()
-		w.eng.runTo(target)
-		w.done <- time.Since(start).Nanoseconds()
-	}
-}
-
-// startWorkers spawns the persistent domain workers; called lazily on the
-// first parallel round so cooperative clusters never pay for goroutines.
-func (c *Cluster) startWorkers() {
-	c.workers = make([]*domainWorker, len(c.engines))
-	for i, e := range c.engines {
-		w := &domainWorker{eng: e, work: make(chan Time), done: make(chan int64)}
-		c.workers[i] = w
-		go w.loop()
-	}
-}
-
-// Close releases the persistent domain workers, if parallel execution ever
-// started them. It is idempotent, and the cluster stays usable — a later
-// parallel round simply starts fresh workers. Long-lived embedders (the
-// fabric service, benchmark loops constructing many clusters) must call it
-// so parked goroutines don't accumulate.
-func (c *Cluster) Close() {
-	for _, w := range c.workers {
-		close(w.work)
-	}
-	c.workers = nil
-}
+// Close does nothing. It is kept so existing callers still compile: a
+// cluster holds no goroutines or other resources beyond its memory.
+func (c *Cluster) Close() {}
 
 // DomainLoad is one domain's execution accounting: how many rounds
 // dispatched real work to it and how many nanoseconds that work ran.
@@ -348,10 +272,10 @@ type DomainLoad struct {
 // SyncStats is the cluster's synchronization cost report. All durations
 // are host wall-clock — they never feed back into simulation results.
 // AdvanceNS is the wall time of the rounds, mailbox flush and bound
-// included; BarrierNS is the part of it not covered by useful engine work
-// (sum of busy times cooperatively, the longest domain's busy time in
-// parallel mode): the cost of the flush, the barrier, the dispatch
-// bookkeeping, and — in parallel mode — load imbalance.
+// included; BarrierNS is the part of it not covered by the domains' busy
+// times: the cost of the flush, the bound and the dispatch bookkeeping.
+// Parallel is always false: domains run on one goroutine, and the field
+// stays only to keep the JSON shape.
 type SyncStats struct {
 	Windows     uint64       `json:"windows"`
 	Flushes     uint64       `json:"flushes"`
@@ -362,9 +286,7 @@ type SyncStats struct {
 	Domains     []DomainLoad `json:"domains"`
 }
 
-// SyncStats returns a snapshot of the synchronization counters. Call it
-// between runs (or after Close); in parallel mode the workers are parked
-// then, so the per-domain numbers are stable.
+// SyncStats returns a snapshot of the synchronization counters.
 func (c *Cluster) SyncStats() SyncStats {
 	return SyncStats{
 		Windows:     c.Windows,
@@ -372,7 +294,6 @@ func (c *Cluster) SyncStats() SyncStats {
 		FlushedMsgs: c.flushedMsgs,
 		AdvanceNS:   c.advanceNS,
 		BarrierNS:   c.barrierNS,
-		Parallel:    c.parallel,
 		Domains:     append([]DomainLoad(nil), c.loads...),
 	}
 }
@@ -383,10 +304,7 @@ func (c *Cluster) SyncStats() SyncStats {
 // channel's ordering lane — once the round ends. Entries are posted in
 // strictly increasing delivery time (the pipe's no-reorder rule), so a
 // flush preserves the channel's FIFO order, and cross-channel ordering at
-// equal instants is fixed by the lanes. Exactly one goroutine (the source
-// domain's) posts to an outbox and flushes happen between rounds on the
-// coordinator, so the mailbox is SPSC by protocol and needs no locks even
-// in parallel mode.
+// equal instants is fixed by the lanes.
 type Outbox struct {
 	dst  *Engine
 	lane uint32

@@ -152,9 +152,9 @@ func (s schedScript) maxWindows() uint64 {
 
 // FuzzClusterSchedule holds the cluster's round schedule to the single
 // engine: for any script and any placement, every node must receive the
-// same (time, payload) sequence whether the system runs on one engine, on
-// N domains cooperatively, or on N domains with workers — and the cluster
-// must not take more rounds than windows fit in the horizon. The committed
+// same (time, payload) sequence whether the system runs on one engine or on
+// N domains — and the cluster must not take more rounds than windows fit in
+// the horizon. The committed
 // corpus under testdata/fuzz adds the shapes random bytes rarely draw: two
 // channels from different domains landing on one node at one instant, and a
 // chain whose delays differ by 100×.
@@ -167,20 +167,16 @@ func FuzzClusterSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := parseSchedScript(data)
 		want := s.run(nil, []*Engine{NewEngine()})
-		for _, parallel := range []bool{false, true} {
-			c := NewCluster(s.domains)
-			c.SetParallel(parallel)
-			got := s.run(c, c.Engines())
-			c.Close()
-			for n := range want {
-				if fmt.Sprint(got[n]) != fmt.Sprint(want[n]) {
-					t.Fatalf("parallel=%v: node %d (domain %d of %d) received\n  %v\nsingle engine\n  %v\nscript %+v",
-						parallel, n, s.place[n], s.domains, got[n], want[n], s)
-				}
+		c := NewCluster(s.domains)
+		got := s.run(c, c.Engines())
+		for n := range want {
+			if fmt.Sprint(got[n]) != fmt.Sprint(want[n]) {
+				t.Fatalf("node %d (domain %d of %d) received\n  %v\nsingle engine\n  %v\nscript %+v",
+					n, s.place[n], s.domains, got[n], want[n], s)
 			}
-			if limit := s.maxWindows(); c.Windows > limit {
-				t.Fatalf("parallel=%v: %d rounds, static bound %d; script %+v", parallel, c.Windows, limit, s)
-			}
+		}
+		if limit := s.maxWindows(); c.Windows > limit {
+			t.Fatalf("%d rounds, static bound %d; script %+v", c.Windows, limit, s)
 		}
 	})
 }

@@ -118,22 +118,7 @@ type Engine struct {
 	// its engine-local free list (sim cannot import packet). See
 	// PacketPoolSlot.
 	packetPool any
-
-	// multiDomain is set by NewCluster on every engine of a 2+ domain
-	// cluster. Components built on the engine consult it (MultiDomain) to
-	// decide whether state reachable from another domain — a host's flow
-	// dispatch table, a shared stats sink — must be guarded for the
-	// parallel window mode, where a sender created at runtime in one
-	// domain registers its receiving half on a host whose own worker is
-	// mid-window. Single-engine construction leaves it false and those
-	// guards compile down to an untaken branch.
-	multiDomain bool
 }
-
-// MultiDomain reports whether the engine is one domain of a 2+ domain
-// cluster, i.e. whether objects built on it can be reached from other
-// domains at runtime.
-func (e *Engine) MultiDomain() bool { return e.multiDomain }
 
 // PacketPoolSlot returns a pointer to the engine's opaque packet-pool slot.
 // The packet package stores the engine-local free list here so parallel

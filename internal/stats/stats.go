@@ -6,7 +6,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"aqueue/internal/sim"
 )
@@ -14,13 +13,11 @@ import (
 // Meter accumulates bytes into fixed-width time buckets so experiments can
 // report throughput time series (Figure 9) as well as averages.
 //
-// A meter may be fed from several domains of a partitioned run at once —
-// hooks on hosts that landed in different domains, advanced in parallel —
-// so Add and the readers take mu. Every reduction is order-independent
-// (integer bucket sums, min/max range), so the nondeterministic arrival
-// order under parallel execution is unobservable in results.
+// A meter may be fed by hosts in several domains of a partitioned run,
+// which reach it grouped by domain rather than in time order. Every
+// reduction is order-independent (integer bucket sums, min/max range), so
+// the partitioning is unobservable in results.
 type Meter struct {
-	mu     sync.Mutex
 	bucket sim.Time
 	counts []uint64
 	total  uint64
@@ -46,8 +43,6 @@ func NewMeter(bucket sim.Time) *Meter {
 
 // Add accounts n bytes observed at time now.
 func (m *Meter) Add(now sim.Time, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	idx := int(now / m.bucket)
 	for len(m.counts) <= idx {
 		m.counts = append(m.counts, 0)
@@ -68,8 +63,6 @@ func (m *Meter) AddFloat(now sim.Time, b float64) {
 	if b < 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	idx := int(now / m.bucket)
 	for len(m.counts) <= idx {
 		m.counts = append(m.counts, 0)
@@ -98,7 +91,7 @@ func (m *Meter) mark(now sim.Time) {
 }
 
 // end is the end of the metered range: the close of the last bucket that
-// received bytes (zero before any Add). Callers hold mu.
+// received bytes (zero before any Add).
 func (m *Meter) end() sim.Time { return sim.Time(len(m.counts)) * m.bucket }
 
 // Gbps returns the average rate in Gbit/s over [from, to]. The window is
@@ -107,13 +100,6 @@ func (m *Meter) end() sim.Time { return sim.Time(len(m.counts)) * m.bucket }
 // rate over the interval it actually covered instead of a rate deflated
 // by empty tail buckets. A window entirely past the metered range is 0.
 func (m *Meter) Gbps(from, to sim.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gbps(from, to)
-}
-
-// gbps is Gbps without the lock, for locked callers.
-func (m *Meter) gbps(from, to sim.Time) float64 {
 	if end := m.end(); to > end {
 		to = end
 	}
@@ -141,15 +127,13 @@ type MeterStats struct {
 
 // Stats summarises the meter over its metered range.
 func (m *Meter) Stats() MeterStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return MeterStats{
 		TotalBytes: m.total,
 		BucketNS:   int64(m.bucket),
 		Buckets:    len(m.counts),
 		FirstNS:    int64(m.first),
 		LastNS:     int64(m.last),
-		AvgGbps:    m.gbps(0, m.end()),
+		AvgGbps:    m.Gbps(0, m.end()),
 	}
 }
 
@@ -165,11 +149,10 @@ func RateGbps(bytes uint64, d sim.Time) float64 {
 // kept exactly (the experiments generate at most a few million).
 //
 // Like Meter, a distribution may be fed from several domains of a
-// partitioned run concurrently, so every method takes mu. The append
-// order is nondeterministic under parallel execution, but every reduction
-// runs over the sorted samples, so results depend only on the multiset.
+// partitioned run, so its append order depends on the partitioning; every
+// reduction runs over the sorted samples, so results depend only on the
+// multiset.
 type Percentiles struct {
-	mu      sync.Mutex
 	samples []float64
 	sorted  bool
 }
@@ -179,16 +162,12 @@ func (p *Percentiles) AddDuration(d sim.Time) { p.Add(float64(d)) }
 
 // Add records a sample.
 func (p *Percentiles) Add(v float64) {
-	p.mu.Lock()
 	p.samples = append(p.samples, v)
 	p.sorted = false
-	p.mu.Unlock()
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1), or 0 with no samples.
 func (p *Percentiles) Quantile(q float64) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.samples) == 0 {
 		return 0
 	}
@@ -217,8 +196,6 @@ func (p *Percentiles) Quantile(q float64) float64 {
 // summing in add order would make the last bit of the mean depend on the
 // partitioning.
 func (p *Percentiles) Mean() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.samples) == 0 {
 		return 0
 	}
@@ -272,15 +249,10 @@ func MinMaxRatio(xs []float64) float64 {
 // workload completion time (when the last flow finishes) and FCT
 // statistics.
 //
-// One entity's flows may start and complete in several domains at once
-// (the incast pattern: 32 senders, one tracker), so the mutating methods
-// take mu and every reduction is order-independent (counts, sums, max,
-// sorted percentiles). The exported fields exist for post-run reporting;
-// read them directly only after the run, or from a domain that is the
-// tracker's sole writer — mid-run cross-domain reads must go through the
-// method API.
+// One entity's flows may start and complete in several domains (the
+// incast pattern: 32 senders, one tracker), so every reduction is
+// order-independent (counts, sums, max, sorted percentiles).
 type FCT struct {
-	mu        sync.Mutex
 	Started   int
 	Completed int
 	LastDone  sim.Time
@@ -290,35 +262,27 @@ type FCT struct {
 
 // FlowStarted accounts a new flow of the given size.
 func (f *FCT) FlowStarted(size int64) {
-	f.mu.Lock()
 	f.Started++
 	f.Bytes += size
-	f.mu.Unlock()
 }
 
 // FlowDone accounts a completion at time now for a flow started at start.
 func (f *FCT) FlowDone(start, now sim.Time) {
-	f.mu.Lock()
 	f.Completed++
 	if now > f.LastDone {
 		f.LastDone = now
 	}
-	f.mu.Unlock()
 	f.fcts.AddDuration(now - start)
 }
 
 // AllDone reports whether every started flow completed.
 func (f *FCT) AllDone() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.Completed == f.Started && f.Started > 0
 }
 
 // CompletionTime returns when the last flow finished (the paper's workload
 // completion time).
 func (f *FCT) CompletionTime() sim.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.LastDone
 }
 

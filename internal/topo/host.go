@@ -2,7 +2,6 @@ package topo
 
 import (
 	"strconv"
-	"sync"
 
 	"aqueue/internal/ident"
 	"aqueue/internal/packet"
@@ -52,17 +51,6 @@ type Host struct {
 	flowNext   uint64
 	flowStride uint64
 
-	// shared is set when the engine belongs to a multi-domain cluster: a
-	// sender constructed at runtime in another domain registers its
-	// receiving half here (transport.NewSender), possibly while this
-	// domain's worker is mid-window, so dispatch-table access must take
-	// mu. Determinism is unaffected — a flow's packets cannot reach this
-	// host before the registration's window has flushed, so no lookup
-	// ever observes a flow "early" — the lock only makes the table's
-	// memory safe. Single-engine hosts skip it entirely.
-	shared bool
-	mu     sync.Mutex
-
 	// Filter, when non-nil, intercepts outbound packets (see SendFilter).
 	Filter SendFilter
 
@@ -90,7 +78,6 @@ func NewHost(eng *sim.Engine, id packet.HostID) *Host {
 		pool:    packet.PoolFor(eng),
 		id:      id,
 		flowSeq: eng.SeqDomain("transport.flow"),
-		shared:  eng.MultiDomain(),
 	}
 }
 
@@ -149,36 +136,14 @@ func (h *Host) SetUplink(p *Pipe) { h.out = p }
 // Uplink returns the host's outbound pipe.
 func (h *Host) Uplink() *Pipe { return h.out }
 
-// Register installs the handler for a flow ID. On a multi-domain host the
-// caller may be another domain's worker (see the shared field).
-func (h *Host) Register(id packet.FlowID, fh FlowHandler) {
-	if h.shared {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	h.handlers.Set(id, fh)
-}
+// Register installs the handler for a flow ID. The caller may be a sender
+// built in another domain of a partitioned run; the flow's packets reach
+// this host only after that round's mailboxes flush, so no lookup observes
+// the registration early.
+func (h *Host) Register(id packet.FlowID, fh FlowHandler) { h.handlers.Set(id, fh) }
 
 // Unregister removes a flow handler.
-func (h *Host) Unregister(id packet.FlowID) {
-	if h.shared {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	h.handlers.Delete(id)
-}
-
-// handler resolves the flow's handler. A lookup may build the index's
-// slice, so it takes the lock too; when that build happens relative to a
-// foreign registration is unobservable, since a registration only ever adds
-// flows whose packets haven't crossed the boundary yet.
-func (h *Host) handler(id packet.FlowID) FlowHandler {
-	if h.shared {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-	}
-	return h.handlers.Get(id)
-}
+func (h *Host) Unregister(id packet.FlowID) { h.handlers.Delete(id) }
 
 // Receive implements Receiver: account the packet, dispatch by flow ID,
 // and release it — delivery ends the packet's ownership chain. Handlers
@@ -192,7 +157,7 @@ func (h *Host) Receive(p *packet.Packet) {
 	if h.RxHook != nil {
 		h.RxHook(p)
 	}
-	if fh := h.handler(p.Flow); fh != nil {
+	if fh := h.handlers.Get(p.Flow); fh != nil {
 		fh.Handle(p)
 	} else {
 		h.Orphans++

@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
@@ -131,30 +130,6 @@ func (r *Ring) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace.Ring{%d retained, %d recorded}", r.Len(), r.Recorded)
 	return b.String()
-}
-
-// LockedSink serializes Record calls into a Ring with a mutex. Attach it
-// in place of the Ring when emitters live on multiple goroutines — hosts
-// in different simulation domains under parallel cluster execution —
-// where bare Ring appends would race. Per-emitter event order is
-// preserved, but the cross-goroutine interleaving in the ring is whatever
-// the scheduler produced: the ring is a debugging aid, never part of a
-// fingerprint. Reads still go through the wrapped Ring directly and are
-// safe only while the emitting goroutines are parked (between cluster
-// rounds), which is when the service reads it.
-type LockedSink struct {
-	mu   sync.Mutex
-	ring *Ring
-}
-
-// NewLockedSink wraps r.
-func NewLockedSink(r *Ring) *LockedSink { return &LockedSink{ring: r} }
-
-// Record implements Sink.
-func (l *LockedSink) Record(e Event) {
-	l.mu.Lock()
-	l.ring.Add(e)
-	l.mu.Unlock()
 }
 
 // FromPacket builds an event from a packet at a location.

@@ -572,10 +572,9 @@ type Receiver struct {
 	peer packet.HostID // the sending host
 	// pool is the RECEIVING host's engine pool, not the sender's: in a
 	// partitioned run the two ends of a flow can live in different
-	// simulation domains, and under parallel domain workers an ACK
-	// allocation here would otherwise contend unsynchronized with the
-	// sender domain's own pool traffic. Which pool served an allocation is
-	// unobservable in results (packets are zeroed on reuse).
+	// simulation domains, and an ACK starts its life in the domain that
+	// sends it. Which pool served an allocation is unobservable in results
+	// (packets are zeroed on reuse).
 	pool *packet.Pool
 	size int64 // flow size in bytes; 0 means long-lived
 	cum  int64

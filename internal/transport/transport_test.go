@@ -260,8 +260,8 @@ func TestFlowIDsUnique(t *testing.T) {
 	}
 }
 
-// TestFlowIDsEngineScoped pins the determinism contract the parallel
-// harness relies on: two engines allocate the same IDs independently.
+// TestFlowIDsEngineScoped pins the determinism contract the harness's run
+// pool relies on: two engines allocate the same IDs independently.
 func TestFlowIDsEngineScoped(t *testing.T) {
 	h1, h2 := topo.NewHost(sim.NewEngine(), 0), topo.NewHost(sim.NewEngine(), 0)
 	if h1.NextFlowID() != h2.NextFlowID() {

@@ -1,10 +1,9 @@
 // The quick-sweep determinism gate at simulator scope. The engine has one
-// configuration; what remains selectable is execution strategy — how many
-// domains a topology is split across, and whether those domains advance
-// cooperatively or on worker goroutines. Neither may move a result: the
-// reference sweep must equal the fingerprints committed under
-// testdata/golden (path == recorded truth), and every other strategy must
-// equal the reference (path == path).
+// configuration; what remains selectable is how many domains a topology is
+// split across, and that may not move a result: the reference sweep must
+// equal the fingerprints committed under testdata/golden (path == recorded
+// truth), and every partitioned sweep must equal the reference (path ==
+// path).
 package aqueue_test
 
 import (
@@ -13,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,13 +39,12 @@ func goldenPath() string {
 // runs, not converged ones — partitioned into the given number of domains,
 // and returns scenario name → hex sha256 of its harness.Fingerprint. One
 // worker: the domains themselves advance inside each run.
-func runSweep(t *testing.T, domains int, parallel bool) map[string]string {
+func runSweep(t *testing.T, domains int) map[string]string {
 	t.Helper()
 	base := experiments.DefaultParams(true)
 	base.Horizon = 20 * sim.Millisecond
 	base.Flows = 4
 	base.Domains = domains
-	base.Parallel = parallel
 	jobs, err := harness.Jobs(harness.Names(), nil, base)
 	if err != nil {
 		t.Fatal(err)
@@ -78,18 +77,16 @@ func requireEqual(t *testing.T, got, want map[string]string, wantLabel string) {
 	}
 }
 
-// TestQuickSweepGolden runs the quick sweep five times. The reference
-// (default options, one engine) is held to the committed golden; each
-// remaining execution strategy is held to the reference: cooperative and
-// parallel partitioning at 2 and 4 domains — a divergence there means an
-// event ordering, sequence draw or measurement leaked the partitioning into
-// the model, and under -race the parallel arms also prove that only the
-// boundary mailboxes cross a domain while workers run.
+// TestQuickSweepGolden runs the quick sweep three times. The reference
+// (default options, one engine) is held to the committed golden; the
+// partitioned runs at 2 and 4 domains are held to the reference — a
+// divergence there means an event ordering, sequence draw or measurement
+// leaked the partitioning into the model.
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick sweep five times")
+		t.Skip("runs the full quick sweep three times")
 	}
-	ref := runSweep(t, 1, false)
+	ref := runSweep(t, 1)
 
 	t.Run("golden", func(t *testing.T) {
 		path := goldenPath()
@@ -111,18 +108,9 @@ func TestQuickSweepGolden(t *testing.T) {
 		requireEqual(t, ref, golden, path)
 	})
 
-	for _, c := range []struct {
-		name     string
-		domains  int
-		parallel bool
-	}{
-		{name: "cooperative-2", domains: 2},
-		{name: "cooperative-4", domains: 4},
-		{name: "parallel-2", domains: 2, parallel: true},
-		{name: "parallel-4", domains: 4, parallel: true},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			requireEqual(t, runSweep(t, c.domains, c.parallel), ref, "the reference sweep")
+	for _, domains := range []int{2, 4} {
+		t.Run(fmt.Sprintf("cooperative-%d", domains), func(t *testing.T) {
+			requireEqual(t, runSweep(t, domains), ref, "the reference sweep")
 		})
 	}
 }
