@@ -13,7 +13,6 @@
 //	aqsim -experiment all -parallel 8         # saturate 8 workers
 //	aqsim -experiment all -json out.json      # machine-readable results
 //	aqsim -experiment fig6 -seeds 1,2,3       # multi-seed sweep
-//	aqsim -experiment table2 -domains 4       # partitioned engines, same bytes
 //	aqsim -experiment fig6 -cpuprofile cpu.pprof  # profile a run
 package main
 
@@ -43,7 +42,6 @@ func run(args []string) int {
 	quick := fs.Bool("quick", false, "use reduced horizons/workloads")
 	format := fs.String("format", "text", "output format: text|csv|none")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	domains := fs.Int("domains", 1, "partition each run's topology into this many time-synced simulation domains (results are byte-identical for any value)")
 	seeds := fs.String("seeds", "", "comma-separated seeds for a multi-seed sweep (overrides -seed)")
 	parallel := fs.Int("parallel", 1, "concurrent runs (0 = GOMAXPROCS)")
 	jsonOut := fs.String("json", "", "write a JSON results report to this path")
@@ -92,7 +90,6 @@ func run(args []string) int {
 
 	base := experiments.DefaultParams(*quick)
 	base.Seed = *seed
-	base.Domains = *domains
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
 		return failf("bad -seeds: %v", err)

@@ -40,7 +40,6 @@ func main() {
 		listen  = flag.String("listen", "127.0.0.1:7171", "listen address")
 		topoN   = flag.String("topo", "dumbbell", "topology: dumbbell|star")
 		hosts   = flag.Int("hosts", 8, "hosts per dumbbell side, or total star size")
-		domains = flag.Int("domains", 1, "simulation domains (results identical for any value)")
 		window  = flag.Duration("window", time.Millisecond, "mutation window (simulated time)")
 		pace    = flag.Float64("pace", 0, "simulated seconds per wall second; 0 = as fast as possible")
 		paused  = flag.Bool("paused", false, "start paused, waiting for run-control commands")
@@ -54,7 +53,6 @@ func main() {
 	cfg := service.Config{
 		Topo:       *topoN,
 		Hosts:      *hosts,
-		Domains:    *domains,
 		Window:     sim.Time(window.Nanoseconds()),
 		TraceLen:   *traceN,
 		CC:         *ccName,
@@ -77,8 +75,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("aqsimd: %s fabric (%d hosts, %d domain(s)), window %v, capacity %v, listening on %s",
-		cfg.Topo, *hosts, *domains, *window, f.Capacity(), ln.Addr())
+	log.Printf("aqsimd: %s fabric (%d hosts), window %v, capacity %v, listening on %s",
+		cfg.Topo, *hosts, *window, f.Capacity(), ln.Addr())
 
 	// SIGINT/SIGTERM shut down like a wire "quit": stop at the next
 	// boundary, then close the listener.

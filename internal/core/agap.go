@@ -87,7 +87,6 @@ const (
 // registers and counters as plain fields — exactly one register transaction
 // per packet, as on the switch — so two goroutines must never drive one AQ,
 // and Stats is only safe from the owner or after the run has quiesced.
-// Partitioned runs keep this by construction: an AQ lives in one domain.
 type AQ struct {
 	id           packet.AQID
 	rate         float64 // bytes per nanosecond

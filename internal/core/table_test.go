@@ -80,8 +80,8 @@ func TestTableBypass(t *testing.T) {
 // both watch tables while traffic flows). Under -race the readers must not
 // race the writer, every snapshot they take must be monotone, and the
 // final counts are exact. Concurrent Process on one table is NOT part of
-// the contract: the A-Gap registers are plain fields, and a partitioned run
-// puts each AQ on exactly one engine.
+// the contract: the A-Gap registers are plain fields, and each AQ lives on
+// exactly one engine.
 func TestTableCountersConcurrent(t *testing.T) {
 	tbl := NewTable()
 	tbl.Deploy(Config{ID: 1, Rate: units.Gbps, Limit: 1 << 30})

@@ -6,22 +6,7 @@ import (
 	"aqueue/internal/control"
 	"aqueue/internal/harness"
 	"aqueue/internal/service"
-	"aqueue/internal/sim"
 )
-
-// churnFabric builds Churn's 4-host dumbbell, partitioned as p asks.
-func churnFabric(p harness.Params, window sim.Time) *service.Fabric {
-	f, err := service.NewFabric(service.Config{
-		Hosts:    4,
-		Domains:  p.Domains,
-		Window:   window,
-		TraceLen: 0, // traces are for the daemon; experiments stay lean
-	})
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
 
 // Churn exercises the fabric-service mutation path as an experiment: a
 // dumbbell run where tenants are granted, loaded, reconfigured, and torn
@@ -39,7 +24,14 @@ func churnFabric(p harness.Params, window sim.Time) *service.Fabric {
 //	w15: B detached and marked idle (A absorbs the link)
 func Churn(p harness.Params) *harness.Result {
 	const windows = 20
-	f := churnFabric(p, p.Horizon/windows)
+	f, err := service.NewFabric(service.Config{
+		Hosts:    4,
+		Window:   p.Horizon / windows,
+		TraceLen: 0, // traces are for the daemon; experiments stay lean
+	})
+	if err != nil {
+		panic(err)
+	}
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
 		g, err := f.Ctrl().Grant(control.Request{
 			Tenant: tenant, Mode: control.Weighted, Weight: weight,

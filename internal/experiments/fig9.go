@@ -53,10 +53,8 @@ func fig9Run(p harness.Params, approach Approach) Fig9Result {
 			if err != nil {
 				panic(err)
 			}
-			// Granted but idle until the entity starts sending. The
-			// activation mutates S1's AQ table, so it must run on S1's
-			// engine — under partitioning that is the domain whose events
-			// actually read the table.
+			// Granted but idle until the entity starts sending; the
+			// activation is an event on S1's engine.
 			ctrl.SetActive(g.ID, false)
 			opt.IngressAQ = g.ID
 			id := g.ID

@@ -96,8 +96,8 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 
 	var bgEntity fluid.Entity
 	if fluidBG {
-		// The lane lives on S1's engine: its table, the bottleneck pipe
-		// and the epoch timer are all domain-local there.
+		// The lane lives on S1's engine, with its table, the bottleneck
+		// pipe and the epoch timer.
 		lane := fluid.NewLane(d.S1.Engine(), d.S1.Ingress, 0)
 		pi := lane.AddPipe(d.Bottleneck)
 		bgEntity = lane.Add(fluid.EntityConfig{

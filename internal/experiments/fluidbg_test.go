@@ -33,29 +33,3 @@ func TestFluidBGFidelityGate(t *testing.T) {
 		}
 	}
 }
-
-// TestFluidBGDomainParity: the fluid lane is domain-local, so the paired
-// scenarios must produce identical results for any partitioning.
-func TestFluidBGDomainParity(t *testing.T) {
-	p := harness.Params{Horizon: 30 * sim.Millisecond, Flows: 6, Seed: 1}
-	base := FluidBG(p)
-	for _, domains := range []int{2, 4} {
-		p.Domains = domains
-		got := FluidBG(p)
-		if len(got.GoodputPkt) != len(base.GoodputPkt) || len(got.GoodputFluid) != len(base.GoodputFluid) {
-			t.Fatalf("domains=%d: result shape changed", domains)
-		}
-		for i := range base.GoodputPkt {
-			if got.GoodputPkt[i] != base.GoodputPkt[i] || got.GoodputFluid[i] != base.GoodputFluid[i] {
-				t.Errorf("domains=%d: fg-%d goodput diverged: %v vs %v / %v vs %v",
-					domains, i, got.GoodputPkt[i], base.GoodputPkt[i],
-					got.GoodputFluid[i], base.GoodputFluid[i])
-			}
-		}
-		if got.CompletionPkt != base.CompletionPkt || got.CompletionFluid != base.CompletionFluid {
-			t.Errorf("domains=%d: completion diverged: %v/%v vs %v/%v",
-				domains, got.CompletionPkt, got.CompletionFluid,
-				base.CompletionPkt, base.CompletionFluid)
-		}
-	}
-}

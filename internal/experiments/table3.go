@@ -37,8 +37,7 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 	a := st.Hosts[0]
 
 	// Outbound = data from A delivered anywhere; inbound = data delivered
-	// to A. The hooks read the receiving host's own clock: under
-	// partitioning the run has no single "the" engine to ask for the time.
+	// to A, timed by the receiving host's clock.
 	outMeter := stats.NewMeter(sim.Millisecond)
 	inMeter := stats.NewMeter(sim.Millisecond)
 	for _, h := range st.Hosts {
@@ -79,8 +78,7 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 			ratelimit.AttachPRL(h, profile)
 		}
 	case DRL:
-		// All VMs live in domain 0 (NewStarIn keeps the hosts together for
-		// exactly this reason), so the DRL control loop runs there.
+		// One DRL control loop re-programs every VM's token buckets.
 		drl = ratelimit.NewDRL(st.Eng, spec.Rate, ratelimit.DefaultInterval)
 		for _, h := range st.Hosts {
 			drl.AddVM(h, ratelimit.Profile{OutMin: profile, OutMax: profile, InMax: profile})

@@ -48,8 +48,7 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 	var drl *ratelimit.DRL
 	if approach == DRL {
 		// The DRL control loop re-programs every sender VM's token buckets
-		// each interval; all sender VMs live in domain 0 by construction
-		// (NewDumbbellIn keeps the left side whole), so the loop runs there.
+		// each interval.
 		drl = ratelimit.NewDRL(d.Eng, spec.Rate, ratelimit.DefaultInterval)
 	}
 
@@ -143,10 +142,7 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 // random destination VM of the entity, until the trace is exhausted.
 //
 // The shared cursor and random stream are drawn from completion callbacks
-// at runtime, which is only deterministic across domain counts because
-// every source VM lives in domain 0 (NewDumbbellIn keeps the sender side
-// whole) and the conservative sync protocol preserves each engine's event
-// order exactly as in the single-engine run.
+// at runtime, in the engine's deterministic event order.
 func runClosedLoop(srcs, dsts []*topo.Host, sizes []int64,
 	fac cc.Factory, opt transport.Options, tr *stats.FCT,
 	r *sim.Rand, onAllDone func()) {

@@ -94,7 +94,7 @@ func TestResidualCoupling(t *testing.T) {
 	}
 }
 
-// TestLaneRejectsForeignPipe: lanes are domain-local by construction.
+// TestLaneRejectsForeignPipe: a lane accounts only pipes on its own engine.
 func TestLaneRejectsForeignPipe(t *testing.T) {
 	eng := sim.NewEngine()
 	other := sim.NewEngine()

@@ -39,10 +39,8 @@ type pipeAccount struct {
 
 // Lane advances a set of fluid entities at a fixed epoch on its engine's
 // timer lane. Everything a Lane touches — its table, its pipes, its
-// entities — lives on one engine: epochs are ordinary domain-local timer
-// events, so in a partitioned run they never widen a sync window (timers
-// only shrink a domain's earliest-arrival bound, which is always honest),
-// and the cluster's fingerprint gates bind exactly as before.
+// entities — lives on one engine, and epochs are ordinary timer events on
+// it.
 //
 // Entity state is held in structure-of-arrays cohorts (see cohort.go):
 // a run table for what registration fixed, per-entity arrays for what the
@@ -91,11 +89,10 @@ func (l *Lane) Epoch() sim.Time { return l.epoch }
 
 // AddPipe registers a link for residual-rate accounting and returns its
 // index for EntityConfig.Pipe. The pipe must belong to the lane's engine:
-// fluid epochs are domain-local by construction, and accounting a remote
-// pipe would race its domain.
+// an epoch reads and sets the pipe's rate at the lane's clock.
 func (l *Lane) AddPipe(p *topo.Pipe) int {
 	if p.Engine() != l.eng {
-		panic("fluid: pipe belongs to another engine; a lane is domain-local")
+		panic("fluid: pipe belongs to another engine; a lane and its pipes share one")
 	}
 	l.pipes = append(l.pipes, pipeAccount{
 		pipe:   p,
@@ -233,8 +230,7 @@ func (l *Lane) settle() {
 // table, and push the accepted fluid rate back onto the pipes. Cohorts
 // iterate in creation order and entities in index order — exactly the
 // global registration order — so a run is deterministic for a given
-// build-up sequence regardless of domain count, and byte-identical to
-// stepping one object per entity.
+// build-up sequence, and byte-identical to stepping one object per entity.
 func (l *Lane) fire() {
 	now := l.eng.Now()
 	dt := now - l.lastFire

@@ -19,8 +19,7 @@ import (
 // share by half and buffer limits hold two epochs of allocation, so the AQ
 // admission path — not just the link clip — sheds bytes every epoch, and
 // the residual coupling squeezes the foreground as a packet background
-// would. Lanes are per-edge and therefore domain-local: any partitioning of
-// the fabric must yield the identical simulation.
+// would.
 
 // scaleSpec sizes the scenario. The two shapes the tests run are one entity
 // per AQ with no fill, and the benchmark's fluid_scale shape: 16 entities
@@ -42,12 +41,12 @@ type scaleFabric struct {
 }
 
 // buildScale spreads the entities evenly over the edge-switch ingress tables
-// of a fat tree split into the given domains, points each tagged entity at a
+// of a fat tree, points each tagged entity at a
 // source-host uplink for residual accounting, and opens the foreground
 // flows cross-pod. Of the tagged groups three in four are fixed-rate
 // blasters and every fourth is a loss-model AIMD flow.
-func buildScale(s scaleSpec, domains int) *scaleFabric {
-	c := sim.NewCluster(domains)
+func buildScale(s scaleSpec) *scaleFabric {
+	c := sim.NewCluster(1)
 	tspec := topo.DefaultSim()
 	f := topo.NewFatTreeIn(c, s.k, tspec, tspec)
 	sf := &scaleFabric{c: c, hosts: f.Hosts}
@@ -133,8 +132,8 @@ type scaleTotals struct {
 	fgPackets                     uint64
 }
 
-func runScale(s scaleSpec, domains int) scaleTotals {
-	sf := buildScale(s, domains)
+func runScale(s scaleSpec) scaleTotals {
+	sf := buildScale(s)
 	sf.c.RunUntil(s.horizon)
 	tot := scaleTotals{aqs: sf.aqs, model: sf.model}
 	for _, l := range sf.lanes {
@@ -151,11 +150,11 @@ func runScale(s scaleSpec, domains int) scaleTotals {
 	return tot
 }
 
-// TestFatTreeLanesPartitionInvariant runs the scenario at k=4 in both
-// shapes: every entity must advance every epoch, the AQ admission path must
-// shed bytes, the foreground must move, and the run split over 2 and 4
-// domains must reproduce the single-engine run to the last byte.
-func TestFatTreeLanesPartitionInvariant(t *testing.T) {
+// TestFatTreeLanesAdvanceAndShed runs the scenario at k=4 in both shapes:
+// every entity must advance every epoch, the AQ admission path must shed
+// bytes, the foreground must move, and the AQs must be modelled at 15 B
+// each.
+func TestFatTreeLanesAdvanceAndShed(t *testing.T) {
 	for _, shape := range []struct {
 		name     string
 		perAQ    int
@@ -171,29 +170,24 @@ func TestFatTreeLanesPartitionInvariant(t *testing.T) {
 				epoch: 200 * sim.Microsecond, horizon: 2 * sim.Millisecond,
 				perAQ: shape.perAQ, fillFrac: shape.fillFrac,
 			}
-			single := runScale(s, 1)
-			if want := uint64(8 * 10); single.epochs != want {
-				t.Errorf("epochs = %d, want %d (8 lanes x 10)", single.epochs, want)
+			tot := runScale(s)
+			if want := uint64(8 * 10); tot.epochs != want {
+				t.Errorf("epochs = %d, want %d (8 lanes x 10)", tot.epochs, want)
 			}
-			if want := uint64(3200 * 10); single.entityEpochs != want {
-				t.Errorf("entity-epochs = %d, want %d", single.entityEpochs, want)
+			if want := uint64(3200 * 10); tot.entityEpochs != want {
+				t.Errorf("entity-epochs = %d, want %d", tot.entityEpochs, want)
 			}
-			if single.delivered <= 0 {
+			if tot.delivered <= 0 {
 				t.Errorf("no fluid bytes delivered")
 			}
-			if single.dropped <= 0 {
+			if tot.dropped <= 0 {
 				t.Errorf("no fluid bytes shed: the AQ admission path was not exercised")
 			}
-			if single.fgPackets == 0 {
+			if tot.fgPackets == 0 {
 				t.Errorf("foreground moved no packets")
 			}
-			if single.aqs != shape.aqs || single.model != shape.aqs*15 {
-				t.Errorf("%d AQs modelled at %d B, want %d at 15 B/AQ", single.aqs, single.model, shape.aqs)
-			}
-			for _, domains := range []int{2, 4} {
-				if got := runScale(s, domains); got != single {
-					t.Errorf("domains=%d diverged:\n got %+v\nwant %+v", domains, got, single)
-				}
+			if tot.aqs != shape.aqs || tot.model != shape.aqs*15 {
+				t.Errorf("%d AQs modelled at %d B, want %d at 15 B/AQ", tot.aqs, tot.model, shape.aqs)
 			}
 		})
 	}
@@ -219,7 +213,7 @@ func TestLaneHeapPerEntity(t *testing.T) {
 		k: 4, entities: entities, fgFlows: 8,
 		epoch: 500 * sim.Microsecond, horizon: 5 * sim.Millisecond,
 		perAQ: 16, fillFrac: 0.25,
-	}, 1)
+	})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(sf)

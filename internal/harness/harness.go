@@ -29,20 +29,12 @@ type Params struct {
 	Seed uint64 `json:"seed"`
 	// Quick requests a reduced workload for a fast look.
 	Quick bool `json:"quick,omitempty"`
-	// Domains partitions the scenario's topology into this many
-	// conservative time-synced simulation domains (see sim.Cluster); 0 and
-	// 1 both mean a single engine. Results are byte-identical for any
-	// value — the knob trades nothing but execution strategy — which is
-	// why Fingerprint excludes it.
-	Domains int `json:"domains,omitempty"`
 }
 
-// Cluster builds the simulation cluster a run places its topology on:
-// Domains engines synchronized by one conservative window (see
-// sim.Cluster). Values of Domains below 1 mean a single engine. Every
-// experiment builds its topology through the cluster builders, so the same
-// scenario produces byte-identical results for any domain count.
-func (p Params) Cluster() *sim.Cluster { return sim.NewCluster(max(p.Domains, 1)) }
+// Cluster builds the simulation cluster a run places its topology on: one
+// engine and the construction identities the cluster builders draw (see
+// sim.Cluster).
+func (p Params) Cluster() *sim.Cluster { return sim.NewCluster(1) }
 
 // Run is a registered experiment: it builds all mutable state — engine,
 // topology, flows — per call, so it is safe to call concurrently with any

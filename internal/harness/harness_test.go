@@ -149,14 +149,6 @@ func TestPoolRecoversPanicsAndErrors(t *testing.T) {
 	}
 }
 
-func TestParamsCluster(t *testing.T) {
-	for _, c := range []struct{ domains, want int }{{0, 1}, {1, 1}, {3, 3}} {
-		if got := (Params{Domains: c.domains}).Cluster().N(); got != c.want {
-			t.Errorf("Domains %d: cluster has %d domains, want %d", c.domains, got, c.want)
-		}
-	}
-}
-
 func TestPoolDefaultWorkersAndEmpty(t *testing.T) {
 	if got := (&Pool{}).Run(nil); len(got) != 0 {
 		t.Fatalf("empty batch produced %d results", len(got))

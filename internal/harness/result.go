@@ -40,15 +40,12 @@ func (r *Result) Rendered() string {
 }
 
 // Fingerprint digests everything deterministic about a result — name,
-// params, tables, metrics, error — and excludes wall time and the domain
-// count. Two runs of the same (experiment, seed) must fingerprint
-// identically regardless of what else runs in the process, and a
-// partitioned run (Params.Domains > 1) must fingerprint identically to the
-// single-engine run it is an execution strategy for.
+// params, tables, metrics, error — and excludes wall time. Two runs of the
+// same (experiment, seed) must fingerprint identically regardless of what
+// else runs in the process.
 func Fingerprint(r *Result) string {
 	c := *r
 	c.WallNS = 0
-	c.Params.Domains = 0
 	buf, err := json.Marshal(&c)
 	if err != nil {
 		return "unmarshalable: " + err.Error()

@@ -115,17 +115,22 @@ func TestScriptedRunFingerprintIdentical(t *testing.T) {
 	}
 }
 
-// TestFingerprintInvariantAcrossDomains pins partition-independence
-// through the service layer: the same scripted run is byte-identical with
-// 1 and 2 conservative time-synced domains.
-func TestFingerprintInvariantAcrossDomains(t *testing.T) {
+// TestConfigDomainsIsInert pins what Config.Domains means now that a
+// fabric has one engine: a config that sets it builds one engine and
+// replays the default config's scripted run byte for byte.
+func TestConfigDomainsIsInert(t *testing.T) {
 	cfg := testConfig()
-	const windows = 12
-	one := runScripted(t, cfg, windows)
 	cfg.Domains = 2
-	two := runScripted(t, cfg, windows)
-	if one != two {
-		t.Fatalf("domain split changed the run:\n  1 domain:  %s\n  2 domains: %s", one, two)
+	f, err := NewFabric(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(f.SyncStats().Domains); got != 1 {
+		t.Fatalf("Domains: 2 built %d engines, want 1", got)
+	}
+	const windows = 12
+	if got, want := runScripted(t, cfg, windows), runScripted(t, testConfig(), windows); got != want {
+		t.Fatalf("Domains: 2 changed the run:\n  got  %s\n  want %s", got, want)
 	}
 }
 

@@ -39,8 +39,9 @@ type Config struct {
 	// Hosts is the host count per dumbbell side, or the total star size
 	// (even, ≥2).
 	Hosts int
-	// Domains partitions the fabric into conservative time-synced
-	// simulation domains; results are byte-identical for any value.
+	// Domains is ignored: a fabric runs on one engine. The field is kept
+	// only so existing callers that set it still compile; no flag or wire
+	// verb sets it.
 	Domains int
 	// Window is the mutation quantum: the fabric advances in steps of
 	// this size and applies mutations only on its boundaries.
@@ -59,13 +60,12 @@ type Config struct {
 	FluidEpoch sim.Time
 }
 
-// DefaultConfig is an 8x8 single-domain dumbbell advancing in 1 ms
-// windows with the paper's §5.1 link parameters.
+// DefaultConfig is an 8x8 dumbbell advancing in 1 ms windows with the
+// paper's §5.1 link parameters.
 func DefaultConfig() Config {
 	return Config{
 		Topo:     "dumbbell",
 		Hosts:    8,
-		Domains:  1,
 		Window:   sim.Millisecond,
 		TraceLen: 4096,
 		CC:       "cubic",
@@ -79,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hosts <= 0 {
 		c.Hosts = d.Hosts
-	}
-	if c.Domains <= 0 {
-		c.Domains = d.Domains
 	}
 	if c.Window <= 0 {
 		c.Window = d.Window
@@ -162,7 +159,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
 		cfg:     cfg,
-		cluster: sim.NewCluster(cfg.Domains),
+		cluster: sim.NewCluster(1),
 		tables:  make(map[string]*core.Table),
 		drivers: make(map[uint32]*Driver),
 		script:  make(map[uint64][]func(*Fabric)),
@@ -305,10 +302,10 @@ func (f *Fabric) Fingerprint() string {
 	return fmt.Sprintf("%016x/%d", f.fp.Sum64(), f.window)
 }
 
-// SyncStats reports the cluster's synchronization accounting: rounds run,
-// boundary flushes, barrier cost and per-domain busy time. The NS fields
-// are host wall-clock — they never feed the simulation and are therefore
-// kept out of Snapshot, whose byte stream is the determinism fingerprint.
+// SyncStats reports the cluster's run accounting: windows run and the
+// engine's busy time. The NS fields are host wall-clock — they never feed
+// the simulation and are therefore kept out of Snapshot, whose byte stream
+// is the determinism fingerprint.
 func (f *Fabric) SyncStats() sim.SyncStats { return f.cluster.SyncStats() }
 
 // Close does nothing. It is kept so existing callers still compile: a

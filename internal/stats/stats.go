@@ -13,10 +13,8 @@ import (
 // Meter accumulates bytes into fixed-width time buckets so experiments can
 // report throughput time series (Figure 9) as well as averages.
 //
-// A meter may be fed by hosts in several domains of a partitioned run,
-// which reach it grouped by domain rather than in time order. Every
-// reduction is order-independent (integer bucket sums, min/max range), so
-// the partitioning is unobservable in results.
+// Every reduction is order-independent (integer bucket sums, min/max
+// range), so results do not depend on the order adds arrive in.
 type Meter struct {
 	bucket sim.Time
 	counts []uint64
@@ -76,10 +74,8 @@ func (m *Meter) AddFloat(now sim.Time, b float64) {
 }
 
 // mark folds one add time into the metered range. first/last are min/max,
-// not first/latest-add-wins: a meter shared by hosts in different domains
-// of a partitioned run sees adds grouped by domain, not globally
-// time-sorted, and min/max are the only summaries of the range that are
-// order-independent.
+// not first/latest-add-wins, the summaries of the range that do not depend
+// on the order adds arrive in.
 func (m *Meter) mark(now sim.Time) {
 	if !m.seen || now < m.first {
 		m.first = now
@@ -148,10 +144,8 @@ func RateGbps(bytes uint64, d sim.Time) float64 {
 // Percentiles collects samples and reports order statistics. Samples are
 // kept exactly (the experiments generate at most a few million).
 //
-// Like Meter, a distribution may be fed from several domains of a
-// partitioned run, so its append order depends on the partitioning; every
-// reduction runs over the sorted samples, so results depend only on the
-// multiset.
+// Like Meter's, every reduction is order-independent: it runs over the
+// sorted samples, so results depend only on the multiset.
 type Percentiles struct {
 	samples []float64
 	sorted  bool
@@ -191,10 +185,8 @@ func (p *Percentiles) Quantile(q float64) float64 {
 }
 
 // Mean returns the sample mean. The sum runs over the sorted samples:
-// float addition is not associative, and a distribution filled by several
-// domains of a partitioned run receives its samples grouped by domain, so
-// summing in add order would make the last bit of the mean depend on the
-// partitioning.
+// float addition is not associative, so summing in add order would make
+// the last bit of the mean depend on the order samples arrive in.
 func (p *Percentiles) Mean() float64 {
 	if len(p.samples) == 0 {
 		return 0
@@ -249,9 +241,9 @@ func MinMaxRatio(xs []float64) float64 {
 // workload completion time (when the last flow finishes) and FCT
 // statistics.
 //
-// One entity's flows may start and complete in several domains (the
-// incast pattern: 32 senders, one tracker), so every reduction is
-// order-independent (counts, sums, max, sorted percentiles).
+// Every reduction is order-independent (counts, sums, max, sorted
+// percentiles), so one tracker may be fed by many senders in any order
+// (the incast pattern: 32 senders, one tracker).
 type FCT struct {
 	Started   int
 	Completed int

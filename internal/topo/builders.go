@@ -49,15 +49,15 @@ func DefaultTestbed() LinkSpec {
 }
 
 // build is one topology construction. A topology's wiring is one method
-// on it; build decides only which engine each node lands on and where its
-// identities are drawn (DESIGN.md §3b). onEngine draws AQM and jitter
-// seeds from the engine's sequences, as NewPipe does. onCluster draws them
-// from the cluster's, so an identity depends on construction order alone,
-// and adds a lane per pipe, a mailbox per boundary pipe and a flow-ID
-// stride per host. pipe and host are the only methods that tell them apart.
+// on it; build decides only where its identities are drawn (DESIGN.md
+// §3b). onEngine draws AQM and jitter seeds from the engine's sequences,
+// as NewPipe does. onCluster draws them from the cluster's, so an identity
+// depends on construction order alone, and adds a lane per pipe and a
+// flow-ID stride per host. pipe and host are the only methods that tell
+// them apart.
 type build struct {
-	engines         []*sim.Engine
-	c               *sim.Cluster // nil on one engine
+	eng             *sim.Engine
+	c               *sim.Cluster // nil on a bare engine
 	ids             sequences
 	aqmSeq, pipeSeq sim.SeqDomain
 }
@@ -69,25 +69,19 @@ type sequences interface {
 	NextIn(d sim.SeqDomain) uint64
 }
 
-func newBuild(engines []*sim.Engine, c *sim.Cluster, ids sequences) *build {
-	return &build{engines: engines, c: c, ids: ids,
+func newBuild(eng *sim.Engine, c *sim.Cluster, ids sequences) *build {
+	return &build{eng: eng, c: c, ids: ids,
 		aqmSeq: ids.SeqDomain("queue.aqm"), pipeSeq: ids.SeqDomain("topo.pipe")}
 }
 
-func onEngine(eng *sim.Engine) *build { return newBuild([]*sim.Engine{eng}, nil, eng) }
+func onEngine(eng *sim.Engine) *build { return newBuild(eng, nil, eng) }
 
-func onCluster(c *sim.Cluster) *build { return newBuild(c.Engines(), c, c) }
+func onCluster(c *sim.Cluster) *build { return newBuild(c.Engine(), c, c) }
 
-// engine returns domain i mod N, or the one engine.
-func (b *build) engine(i int) *sim.Engine { return b.engines[i%len(b.engines)] }
-
-// pipe builds one link direction owned by srcEng delivering into dst
-// (which runs on dstEng). On a cluster it also assigns the pipe's ordering
-// lane and — when the two ends live in different domains — binds the
-// boundary mailbox that carries deliveries across engines at round
-// flushes, its delay folded into the cluster's window.
-func (b *build) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *Pipe {
-	p := newPipeWithAQMSeq(srcEng, spec.Rate, spec.Delay, spec.QueueLimit,
+// pipe builds one link direction delivering into dst. On a cluster it
+// also assigns the pipe's ordering lane.
+func (b *build) pipe(spec LinkSpec, dst Receiver) *Pipe {
+	p := newPipeWithAQMSeq(b.eng, spec.Rate, spec.Delay, spec.QueueLimit,
 		spec.ECNThreshold, dst, b.ids.NextIn(b.aqmSeq))
 	p.Queue().AQMDropNonECT = spec.AQMDrop
 	if spec.Jitter > 0 {
@@ -95,18 +89,14 @@ func (b *build) pipe(srcEng, dstEng *sim.Engine, spec LinkSpec, dst Receiver) *P
 	}
 	if b.c != nil {
 		p.SetLane(b.c.NextLane())
-		if srcEng != dstEng {
-			p.BindOutbox(b.c.Outbox(srcEng, dstEng, p.Lane(), spec.Delay, p.DeliverFunc()))
-		}
 	}
 	return p
 }
 
-// host builds a host on eng. On a cluster its flow IDs follow a
-// partition-invariant stride: host id of total hosts draws IDs id+1,
-// id+1+total, id+1+2·total, ...
-func (b *build) host(eng *sim.Engine, id packet.HostID, total int) *Host {
-	h := NewHost(eng, id)
+// host builds a host. On a cluster its flow IDs follow a stride: host id
+// of total hosts draws IDs id+1, id+1+total, id+1+2·total, ...
+func (b *build) host(id packet.HostID, total int) *Host {
+	h := NewHost(b.eng, id)
 	if b.c != nil {
 		h.SetFlowIDStride(uint64(id)+1, uint64(total))
 	}
@@ -130,36 +120,29 @@ func NewDumbbell(eng *sim.Engine, nLeft, nRight int, edge, trunk LinkSpec) *Dumb
 	return onEngine(eng).dumbbell(nLeft, nRight, edge, trunk)
 }
 
-// NewDumbbellIn builds the dumbbell across a cluster's domains with a
-// side-based split: S1 and the left (sender) hosts live in domain 0, S2
-// and the right hosts in domain 1 mod N, so the only boundary links are
-// the two trunk directions. Keeping each side whole matters beyond
-// minimizing mailboxes: controllers, rate limiters and samplers that touch
-// the senders and S1 together stay within one domain, so their runtime
-// state never crosses engines. The result is byte-identical for any
-// number of domains.
+// NewDumbbellIn builds the dumbbell on a cluster, drawing its identities
+// from the cluster (see build).
 func NewDumbbellIn(c *sim.Cluster, nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
 	return onCluster(c).dumbbell(nLeft, nRight, edge, trunk)
 }
 
 func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
-	left, right := b.engine(0), b.engine(1)
 	d := &Dumbbell{
-		Eng: left,
-		S1:  NewSwitch(left, "S1"),
-		S2:  NewSwitch(right, "S2"),
+		Eng: b.eng,
+		S1:  NewSwitch(b.eng, "S1"),
+		S2:  NewSwitch(b.eng, "S2"),
 	}
-	d.Bottleneck = b.pipe(left, right, trunk, d.S2)
-	d.ReverseTrunk = b.pipe(right, left, trunk, d.S1)
+	d.Bottleneck = b.pipe(trunk, d.S2)
+	d.ReverseTrunk = b.pipe(trunk, d.S1)
 	trunkPort1 := d.S1.AddPort(d.Bottleneck)
 	trunkPort2 := d.S2.AddPort(d.ReverseTrunk)
 
 	total := nLeft + nRight
 	id := packet.HostID(0)
 	for i := 0; i < nLeft; i++ {
-		h := b.host(left, id, total)
-		h.SetUplink(b.pipe(left, left, edge, d.S1))
-		down := b.pipe(left, left, edge, h)
+		h := b.host(id, total)
+		h.SetUplink(b.pipe(edge, d.S1))
+		down := b.pipe(edge, h)
 		port := d.S1.AddPort(down)
 		d.S1.AddRoute(id, port)
 		d.S2.AddRoute(id, trunkPort2)
@@ -167,9 +150,9 @@ func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
 		id++
 	}
 	for i := 0; i < nRight; i++ {
-		h := b.host(right, id, total)
-		h.SetUplink(b.pipe(right, right, edge, d.S2))
-		down := b.pipe(right, right, edge, h)
+		h := b.host(id, total)
+		h.SetUplink(b.pipe(edge, d.S2))
+		down := b.pipe(edge, h)
 		port := d.S2.AddPort(down)
 		d.S2.AddRoute(id, port)
 		d.S1.AddRoute(id, trunkPort1)
@@ -204,23 +187,19 @@ func NewStar(eng *sim.Engine, n int, edge LinkSpec) *Star {
 	return onEngine(eng).star(n, edge)
 }
 
-// NewStarIn builds the star across a cluster's domains: all hosts in
-// domain 0, the switch in domain 1 mod N, so every edge link is a
-// boundary. The hosts stay together because the testbed experiments run
-// host-spanning control loops (the DRL baseline re-programs every VM's
-// token buckets each interval) whose state must live in one domain.
+// NewStarIn builds the star on a cluster, drawing its identities from the
+// cluster (see build).
 func NewStarIn(c *sim.Cluster, n int, edge LinkSpec) *Star {
 	return onCluster(c).star(n, edge)
 }
 
 func (b *build) star(n int, edge LinkSpec) *Star {
-	hostEng, swEng := b.engine(0), b.engine(1)
-	s := &Star{Eng: hostEng, SW: NewSwitch(swEng, "SW")}
+	s := &Star{Eng: b.eng, SW: NewSwitch(b.eng, "SW")}
 	for i := 0; i < n; i++ {
 		id := packet.HostID(i)
-		h := b.host(hostEng, id, n)
-		h.SetUplink(b.pipe(hostEng, swEng, edge, s.SW))
-		down := b.pipe(swEng, hostEng, edge, h)
+		h := b.host(id, n)
+		h.SetUplink(b.pipe(edge, s.SW))
+		down := b.pipe(edge, h)
 		port := s.SW.AddPort(down)
 		s.SW.AddRoute(id, port)
 		s.Hosts = append(s.Hosts, h)

@@ -34,11 +34,8 @@ func NewLeafSpine(eng *sim.Engine, leaves, spines, hostsPerLeaf int, edge, fabri
 	return onEngine(eng).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
 }
 
-// NewLeafSpineIn builds the leaf-spine fabric across a cluster's domains
-// with a per-pod split: leaf l and its hosts live in domain l mod N, spine
-// s in domain s mod N. Boundary links are the leaf<->spine hops whose ends
-// land in different domains; host edges are always domain-internal, so
-// transports, their timers and per-host hooks stay with their leaf.
+// NewLeafSpineIn builds the leaf-spine fabric on a cluster, drawing its
+// identities from the cluster (see build).
 func NewLeafSpineIn(c *sim.Cluster, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
 	return onCluster(c).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
 }
@@ -48,17 +45,17 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 		panic("topo: leaf-spine needs at least one of everything")
 	}
 	f := &LeafSpine{
-		Eng:          b.engine(0),
+		Eng:          b.eng,
 		HostsPerLeaf: hostsPerLeaf,
 		LeafUp:       make([][]*Pipe, leaves),
 		SpineDown:    make([][]*Pipe, spines),
 	}
 	for s := 0; s < spines; s++ {
-		f.Spines = append(f.Spines, NewSwitch(b.engine(s), fmt.Sprintf("spine%d", s)))
+		f.Spines = append(f.Spines, NewSwitch(b.eng, fmt.Sprintf("spine%d", s)))
 		f.SpineDown[s] = make([]*Pipe, leaves)
 	}
 	for l := 0; l < leaves; l++ {
-		f.Leaves = append(f.Leaves, NewSwitch(b.engine(l), fmt.Sprintf("leaf%d", l)))
+		f.Leaves = append(f.Leaves, NewSwitch(b.eng, fmt.Sprintf("leaf%d", l)))
 		f.LeafUp[l] = make([]*Pipe, spines)
 	}
 
@@ -67,10 +64,10 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 	for l := 0; l < leaves; l++ {
 		upPorts[l] = make([]int, spines)
 		for s := 0; s < spines; s++ {
-			up := b.pipe(b.engine(l), b.engine(s), fabricLink, f.Spines[s])
+			up := b.pipe(fabricLink, f.Spines[s])
 			f.LeafUp[l][s] = up
 			upPorts[l][s] = f.Leaves[l].AddPort(up)
-			down := b.pipe(b.engine(s), b.engine(l), fabricLink, f.Leaves[l])
+			down := b.pipe(fabricLink, f.Leaves[l])
 			f.SpineDown[s][l] = down
 			// Spine ports are added in leaf order, so spine port l is
 			// toward leaf l (the routes below rely on it).
@@ -82,11 +79,10 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 	total := leaves * hostsPerLeaf
 	id := packet.HostID(0)
 	for l := 0; l < leaves; l++ {
-		eng := b.engine(l)
 		for i := 0; i < hostsPerLeaf; i++ {
-			h := b.host(eng, id, total)
-			h.SetUplink(b.pipe(eng, eng, edge, f.Leaves[l]))
-			down := b.pipe(eng, eng, edge, h)
+			h := b.host(id, total)
+			h.SetUplink(b.pipe(edge, f.Leaves[l]))
+			down := b.pipe(edge, h)
 			port := f.Leaves[l].AddPort(down)
 			f.Leaves[l].AddRoute(id, port)
 			f.Hosts = append(f.Hosts, h)

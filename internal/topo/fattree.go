@@ -11,9 +11,8 @@ import (
 // aggregation switches, (k/2)² core switches, and k/2 hosts per edge
 // switch — k³/4 hosts in all. Traffic climbs with ECMP (edge → any of the
 // pod's aggs, agg → any of its k/2 cores) and descends on exact routes, so
-// one flow follows one path. This is the large-fabric shape partitioned
-// runs scale on: pods are natural domains with all
-// boundary links in the agg<->core tier.
+// one flow follows one path. This is the large-fabric shape the fluid
+// scale scenarios run on.
 type FatTree struct {
 	Eng   *sim.Engine
 	K     int
@@ -33,31 +32,29 @@ func (f *FatTree) HostsPerPod() int { return (f.K / 2) * (f.K / 2) }
 // Host returns the host with the given ID.
 func (f *FatTree) Host(id packet.HostID) *Host { return f.Hosts[id] }
 
-// NewFatTreeIn builds a k-ary fat tree across a cluster's domains: pod p
-// lives in domain p mod N and core switch c in domain c mod N, so host
-// edges and the intra-pod mesh are always domain-internal and only
-// agg<->core hops (and nothing else) cross domains. edge configures the
-// host links, fabricLink every switch<->switch link.
+// NewFatTreeIn builds a k-ary fat tree on a cluster, drawing its
+// identities from the cluster (see build). edge configures the host links,
+// fabricLink every switch<->switch link.
 func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 	if k < 2 || k%2 != 0 {
 		panic("topo: fat tree needs an even k >= 2")
 	}
 	b := onCluster(c)
 	half := k / 2
-	f := &FatTree{Eng: b.engine(0), K: k}
+	f := &FatTree{Eng: b.eng, K: k}
 
 	// Cores first, then pods, in fixed construction order.
 	for i := 0; i < half*half; i++ {
-		f.Cores = append(f.Cores, NewSwitch(b.engine(i), fmt.Sprintf("core%d", i)))
+		f.Cores = append(f.Cores, NewSwitch(b.eng, fmt.Sprintf("core%d", i)))
 	}
 	f.Aggs = make([][]*Switch, k)
 	f.Edges = make([][]*Switch, k)
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
-			f.Aggs[p] = append(f.Aggs[p], NewSwitch(b.engine(p), fmt.Sprintf("agg%d.%d", p, j)))
+			f.Aggs[p] = append(f.Aggs[p], NewSwitch(b.eng, fmt.Sprintf("agg%d.%d", p, j)))
 		}
 		for e := 0; e < half; e++ {
-			f.Edges[p] = append(f.Edges[p], NewSwitch(b.engine(p), fmt.Sprintf("edge%d.%d", p, e)))
+			f.Edges[p] = append(f.Edges[p], NewSwitch(b.eng, fmt.Sprintf("edge%d.%d", p, e)))
 		}
 	}
 
@@ -81,14 +78,14 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			aggEdgePorts[p][j] = make([]int, half)
 			edgeUpPorts[p][j] = make([]int, half)
 		}
-		// Agg <-> core tier (the only possible boundary links).
+		// Agg <-> core tier.
 		for j := 0; j < half; j++ {
 			agg := f.Aggs[p][j]
 			for m := 0; m < half; m++ {
 				core := f.Cores[j*half+m]
-				up := b.pipe(b.engine(p), b.engine(j*half+m), fabricLink, core)
+				up := b.pipe(fabricLink, core)
 				aggCorePorts[p][j][m] = agg.AddPort(up)
-				down := b.pipe(b.engine(j*half+m), b.engine(p), fabricLink, agg)
+				down := b.pipe(fabricLink, agg)
 				corePodPorts[j*half+m][p] = core.AddPort(down)
 			}
 		}
@@ -97,9 +94,9 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			es := f.Edges[p][e]
 			for j := 0; j < half; j++ {
 				agg := f.Aggs[p][j]
-				up := b.pipe(b.engine(p), b.engine(p), fabricLink, agg)
+				up := b.pipe(fabricLink, agg)
 				edgeUpPorts[p][e][j] = es.AddPort(up)
-				down := b.pipe(b.engine(p), b.engine(p), fabricLink, es)
+				down := b.pipe(fabricLink, es)
 				aggEdgePorts[p][j][e] = agg.AddPort(down)
 			}
 		}
@@ -115,9 +112,9 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			hostPorts[p][e] = make([]int, half)
 			es := f.Edges[p][e]
 			for i := 0; i < half; i++ {
-				h := b.host(b.engine(p), id, total)
-				h.SetUplink(b.pipe(b.engine(p), b.engine(p), edge, es))
-				down := b.pipe(b.engine(p), b.engine(p), edge, h)
+				h := b.host(id, total)
+				h.SetUplink(b.pipe(edge, es))
+				down := b.pipe(edge, h)
 				hostPorts[p][e][i] = es.AddPort(down)
 				f.Hosts = append(f.Hosts, h)
 				f.HostDown = append(f.HostDown, down)

@@ -40,14 +40,13 @@ type Host struct {
 	// (the sequence transport draws flow IDs from): registering once at
 	// construction keeps per-flow allocation off the string-keyed map.
 	flowSeq sim.SeqDomain
-	// flowNext/flowStride, when stride > 0, switch the host to
-	// partition-invariant flow IDs: host h of H draws base+h, base+h+H,
-	// base+h+2H, ... Each host owns a residue class, so the IDs a flow gets
-	// — and everything derived from them, ECMP path hashes above all —
-	// depend only on which host started it and how many flows that host
-	// started before, never on how the topology is partitioned across
-	// engines. Cluster builders configure this; without it flow IDs come
-	// from the engine sequence (dense, but shared across the engine).
+	// flowNext/flowStride, when stride > 0, switch the host to strided
+	// flow IDs: host h of H draws base+h, base+h+H, base+h+2H, ... Each
+	// host owns a residue class, so the IDs a flow gets — and everything
+	// derived from them, ECMP path hashes above all — depend only on which
+	// host started it and how many flows that host started before. Cluster
+	// builders configure this; without it flow IDs come from the engine
+	// sequence (dense, but shared across the engine).
 	flowNext   uint64
 	flowStride uint64
 
@@ -94,11 +93,11 @@ func (h *Host) Stats() HostStats {
 	return HostStats{RxPackets: h.RxPackets, RxBytes: h.RxBytes, Orphans: h.Orphans}
 }
 
-// SetFlowIDStride switches the host to partition-invariant flow-ID
-// allocation: successive NextFlowID calls return first, first+stride,
-// first+2·stride, ... Cluster builders give host h of H hosts first=h+1
-// and stride=H, so every host owns a residue class and IDs are independent
-// of domain placement.
+// SetFlowIDStride switches the host to strided flow-ID allocation:
+// successive NextFlowID calls return first, first+stride, first+2·stride,
+// ... Cluster builders give host h of H hosts first=h+1 and stride=H, so
+// every host owns a residue class and its IDs do not depend on how many
+// flows other hosts opened before it.
 func (h *Host) SetFlowIDStride(first, stride uint64) {
 	h.flowNext = first
 	h.flowStride = stride
@@ -136,10 +135,7 @@ func (h *Host) SetUplink(p *Pipe) { h.out = p }
 // Uplink returns the host's outbound pipe.
 func (h *Host) Uplink() *Pipe { return h.out }
 
-// Register installs the handler for a flow ID. The caller may be a sender
-// built in another domain of a partitioned run; the flow's packets reach
-// this host only after that round's mailboxes flush, so no lookup observes
-// the registration early.
+// Register installs the handler for a flow ID.
 func (h *Host) Register(id packet.FlowID, fh FlowHandler) { h.handlers.Set(id, fh) }
 
 // Unregister removes a flow handler.

@@ -47,14 +47,10 @@ type Pipe struct {
 	started startRing
 
 	// lane is the pipe's ordering lane (0 for pipes built outside a
-	// cluster): deliveries are scheduled with it so that same-instant
-	// events fire in a partition-invariant order. See sim.Engine.AtOrdered.
+	// cluster): deliveries are scheduled with it, so same-instant
+	// deliveries fire in the order the pipes were built. See
+	// sim.Engine.AtOrdered.
 	lane uint32
-	// outbox, when non-nil, makes this a boundary pipe of a partitioned
-	// run: its destination lives on another engine, so deliveries are
-	// posted to the cluster mailbox instead of scheduled locally, and the
-	// cluster flushes them across at the end of each round.
-	outbox *sim.Outbox
 
 	// jitter, when positive, adds a uniform random component in
 	// [0, jitter) to each packet's propagation delay. Continuous streams
@@ -116,8 +112,7 @@ func NewPipe(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ec
 
 // newPipeWithAQMSeq is NewPipe with the AQM sequence draw supplied by the
 // caller: a topology build draws it through its own handle — from the
-// cluster, not the engine, when it spans domains, so a queue's RED stream
-// does not depend on which domain its pipe landed in.
+// cluster's sequences, not the engine's, when built on a cluster.
 func newPipeWithAQMSeq(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ecnThreshold int, dst Receiver, aqmSeq uint64) *Pipe {
 	q := queue.New(queueLimit, ecnThreshold)
 	q.SetAQMSeed(0xA11CE + aqmSeq*0x5bd1e995)
@@ -150,25 +145,12 @@ func (p *Pipe) Stats() PipeStats {
 
 // SetLane assigns the pipe's ordering lane. Cluster builders give every
 // pipe a unique lane drawn in construction order, so the lane — and with
-// it the relative order of same-instant deliveries — is independent of how
-// the topology is partitioned.
+// it the relative order of same-instant deliveries — depends on
+// construction order alone.
 func (p *Pipe) SetLane(lane uint32) { p.lane = lane }
 
 // Lane returns the pipe's ordering lane.
 func (p *Pipe) Lane() uint32 { return p.lane }
-
-// BindOutbox turns the pipe into a boundary pipe: deliveries are posted to
-// the mailbox (created by the cluster for this pipe's lane and destination
-// engine) instead of being scheduled on the local engine. Must be called
-// before any packet is sent.
-func (p *Pipe) BindOutbox(o *sim.Outbox) { p.outbox = o }
-
-// DeliverFunc returns the callback an outbox must invoke to hand a posted
-// packet to this pipe's destination; it runs on the destination engine, so
-// it bypasses the local delivery chain entirely.
-func (p *Pipe) DeliverFunc() func(any) {
-	return func(x any) { p.dst.Receive(x.(*packet.Packet)) }
-}
 
 // SetScheduler replaces the egress queue (e.g. with a queue.DRR). Only
 // valid before any packet has been sent. A non-FIFO scheduler disables the
@@ -255,7 +237,7 @@ func (p *Pipe) SetFluidRate(r units.BitRate) {
 func (p *Pipe) FluidRate() units.BitRate { return p.fluidRate }
 
 // Engine returns the engine this pipe schedules on; the fluid lane uses it
-// to enforce that every pipe it accounts is domain-local.
+// to refuse a pipe built on another engine.
 func (p *Pipe) Engine() *sim.Engine { return p.eng }
 
 // Send enqueues the packet for transmission. The packet is tail-dropped —
@@ -371,13 +353,6 @@ func (p *Pipe) planDelivery(end sim.Time, pkt *packet.Packet) {
 		at = p.lastPlan + 1 // never reorder within a pipe
 	}
 	p.lastPlan = at
-	if p.outbox != nil {
-		// Boundary pipe: the destination is on another engine. Post to the
-		// mailbox; the cluster flushes it at the round's end, which is never
-		// after `at` because at ≥ departure + delay ≥ earliest event + window.
-		p.outbox.Post(at, pkt)
-		return
-	}
 	if p.deliveryArmed {
 		p.inflight.push(at, pkt)
 	} else {

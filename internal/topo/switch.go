@@ -58,9 +58,7 @@ func NewSwitch(eng *sim.Engine, name string) *Switch {
 	}
 }
 
-// Engine returns the simulation engine (domain) the switch runs on.
-// Experiments that mutate a switch's AQ tables from timed events must
-// schedule them here, not on an arbitrary domain's engine.
+// Engine returns the simulation engine the switch runs on.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
 
 // SetTrace attaches a sink to both AQ pipelines, labelled

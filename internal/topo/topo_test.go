@@ -64,8 +64,9 @@ func TestPipeBackToBackSpacing(t *testing.T) {
 // packets sent at t=0 on an idle 10 Gbps, 5 us pipe serialize back to back
 // at 832 ns each, so packet k arrives at exactly (k+1)*832 + 5000 ns. Only
 // the head delivery holds an engine event — the other 39 wait in the
-// inflight ring — and each delivery is one event. On domain 0 of a 2-domain
-// cluster, 1 us lookahead windows cut the chain without moving an instant.
+// inflight ring — and each delivery is one event. Stepped through a cluster
+// in 1 us RunUntil calls, as the service steps its windows, the chain
+// crosses every deadline without moving an instant.
 func TestPipeDeliveryChain(t *testing.T) {
 	const pkts = 40
 	train := func(t *testing.T, eng *sim.Engine, lane uint32, run func()) {
@@ -102,23 +103,15 @@ func TestPipeDeliveryChain(t *testing.T) {
 	})
 
 	t.Run("cluster-windows", func(t *testing.T) {
-		cl := sim.NewCluster(2)
-		// Mutual boundary mailboxes plus a live tick on engine 1 hold engine
-		// 0 to ~1-2 us per round; uncoupled, the EAT fixpoint would prove one
-		// side inert and run the other to the deadline in a single round.
-		cl.Outbox(cl.Engine(1), cl.Engine(0), cl.NextLane(), sim.Microsecond, func(any) {})
-		cl.Outbox(cl.Engine(0), cl.Engine(1), cl.NextLane(), sim.Microsecond, func(any) {})
-		ticker := cl.Engine(1)
-		var tick func()
-		tick = func() {
-			if ticker.Now() < 100*sim.Microsecond {
-				ticker.After(sim.Microsecond, tick)
+		cl := sim.NewCluster(1)
+		const steps = 100
+		train(t, cl.Engine(), cl.NextLane(), func() {
+			for w := sim.Time(1); w <= steps; w++ {
+				cl.RunUntil(w * sim.Microsecond)
 			}
-		}
-		ticker.At(0, tick)
-		train(t, cl.Engine(0), cl.NextLane(), func() { cl.RunUntil(100 * sim.Microsecond) })
-		if cl.Windows < 10 {
-			t.Fatalf("cluster ran %d windows — the train never crossed window boundaries", cl.Windows)
+		})
+		if got := cl.SyncStats().Windows; got != steps {
+			t.Fatalf("cluster ran %d windows, want %d", got, steps)
 		}
 	})
 }

@@ -570,11 +570,7 @@ func (s *Sender) complete(now sim.Time) {
 type Receiver struct {
 	host *topo.Host    // the receiving host, which sends the ACKs
 	peer packet.HostID // the sending host
-	// pool is the RECEIVING host's engine pool, not the sender's: in a
-	// partitioned run the two ends of a flow can live in different
-	// simulation domains, and an ACK starts its life in the domain that
-	// sends it. Which pool served an allocation is unobservable in results
-	// (packets are zeroed on reuse).
+	// pool is the receiving host's engine pool, which serves the ACKs.
 	pool *packet.Pool
 	size int64 // flow size in bytes; 0 means long-lived
 	cum  int64

@@ -32,11 +32,8 @@ type Incast struct {
 }
 
 // Start schedules the incast rounds. Each sender drives its own rounds on
-// its own engine at the fixed times 0, Period, 2·Period, …: round starts
-// are construction data, not runtime coordination, so the pattern is
-// identical however the fabric is partitioned into domains (a single
-// scheduling engine would have to create senders on other domains'
-// engines mid-window, which the conservative sync protocol forbids).
+// a timer of its own at the fixed times 0, Period, 2·Period, …: round
+// starts are construction data, not runtime coordination.
 func (in *Incast) Start() {
 	if in.Tracker == nil {
 		in.Tracker = &stats.FCT{}

@@ -1,9 +1,7 @@
 // The quick-sweep determinism gate at simulator scope. The engine has one
-// configuration; what remains selectable is how many domains a topology is
-// split across, and that may not move a result: the reference sweep must
-// equal the fingerprints committed under testdata/golden (path == recorded
-// truth), and every partitioned sweep must equal the reference (path ==
-// path).
+// configuration and a run has one engine, so there is one path to check:
+// the sweep must equal the fingerprints committed under testdata/golden
+// (path == recorded truth).
 package aqueue_test
 
 import (
@@ -12,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,15 +33,14 @@ func goldenPath() string {
 
 // runSweep executes the full quick sweep — every registered experiment at
 // quick parameters with the horizon cut further: the gate needs identical
-// runs, not converged ones — partitioned into the given number of domains,
-// and returns scenario name → hex sha256 of its harness.Fingerprint. One
-// worker: the domains themselves advance inside each run.
-func runSweep(t *testing.T, domains int) map[string]string {
+// runs, not converged ones — and returns scenario name → hex sha256 of its
+// harness.Fingerprint. One worker: TestPooledParallelDeterministic holds
+// a parallel pool to the sequential one.
+func runSweep(t *testing.T) map[string]string {
 	t.Helper()
 	base := experiments.DefaultParams(true)
 	base.Horizon = 20 * sim.Millisecond
 	base.Flows = 4
-	base.Domains = domains
 	jobs, err := harness.Jobs(harness.Names(), nil, base)
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +73,13 @@ func requireEqual(t *testing.T, got, want map[string]string, wantLabel string) {
 	}
 }
 
-// TestQuickSweepGolden runs the quick sweep three times. The reference
-// (default options, one engine) is held to the committed golden; the
-// partitioned runs at 2 and 4 domains are held to the reference — a
-// divergence there means an event ordering, sequence draw or measurement
-// leaked the partitioning into the model.
+// TestQuickSweepGolden runs the quick sweep once and holds it to the
+// committed golden.
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick sweep three times")
+		t.Skip("runs the full quick sweep")
 	}
-	ref := runSweep(t, 1)
+	ref := runSweep(t)
 
 	t.Run("golden", func(t *testing.T) {
 		path := goldenPath()
@@ -96,7 +89,7 @@ func TestQuickSweepGolden(t *testing.T) {
 		}
 		raw, err := os.ReadFile(path)
 		if errors.Is(err, fs.ErrNotExist) {
-			t.Skipf("no golden recorded for GOARCH=%s (%s); the relative comparisons still run", runtime.GOARCH, path)
+			t.Skipf("no golden recorded for GOARCH=%s (%s)", runtime.GOARCH, path)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -107,12 +100,6 @@ func TestQuickSweepGolden(t *testing.T) {
 		}
 		requireEqual(t, ref, golden, path)
 	})
-
-	for _, domains := range []int{2, 4} {
-		t.Run(fmt.Sprintf("cooperative-%d", domains), func(t *testing.T) {
-			requireEqual(t, runSweep(t, domains), ref, "the reference sweep")
-		})
-	}
 }
 
 func writeGolden(t *testing.T, path string, hashes map[string]string) {
