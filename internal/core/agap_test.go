@@ -218,3 +218,32 @@ func TestCCTypeString(t *testing.T) {
 		t.Fatal("unknown CCType String mismatch")
 	}
 }
+
+// TestZeroRateAQProcess states what an AQ of rate 0 does to packets today
+// (ROADMAP 1(d)): nothing drains its gap, so the gap is the sum of the
+// bytes it passed, however long the AQ idles; it stamps no virtual delay,
+// because gap/R is skipped for R = 0; and once the gap reaches the limit
+// every later packet is dropped, with the drop restoring the gap, for good.
+func TestZeroRateAQProcess(t *testing.T) {
+	const size, limit = 1000, 5 * 1000
+	aq := New(Config{ID: 1, Rate: 0, Limit: limit})
+	for i := 0; i < 8; i++ {
+		now := sim.Time(i) * sim.Second // idle a second between packets
+		p := packet.NewData(1, 2, 1, 0, size-packet.HeaderBytes)
+		v := aq.Process(now, p)
+		passed := min(i+1, limit/size)
+		want := Pass
+		if i >= limit/size {
+			want = Drop
+		}
+		if v != want || aq.Gap() != float64(passed*size) {
+			t.Fatalf("packet %d at %v: verdict %v gap %v, want %v and %d", i, now, v, aq.Gap(), want, passed*size)
+		}
+		if p.VirtualDelay != 0 || aq.VirtualDelay() != 0 {
+			t.Fatalf("packet %d: stamped %v, AQ reports %v; want no virtual delay", i, p.VirtualDelay, aq.VirtualDelay())
+		}
+	}
+	if s := aq.Stats(); s.Arrived != 8 || s.Drops != 3 {
+		t.Fatalf("stats %+v, want 8 arrived and 3 dropped", s)
+	}
+}

@@ -383,3 +383,33 @@ func FuzzFluidRunVsEpoch(f *testing.F) {
 		}
 	})
 }
+
+// TestZeroRateAQFluidRun states what an AQ of rate 0 does to a fluid run
+// today (ROADMAP 1(d)): every delay output is 0, although the gap only
+// grows, and the limit sheds what would take the gap past it. Three
+// entities offer 1000 B each over a 1000 ns epoch into a 2500 B limit: the
+// first ramps the gap to 1000 (slope 1 B/ns, nothing drains), the next two
+// land as point deposits, and the third keeps 500 B. In the next epoch the
+// gap sits at the limit and everything is dropped.
+func TestZeroRateAQFluidRun(t *testing.T) {
+	const dt = 1000
+	aq := New(Config{ID: 1, Rate: 0, Limit: 2500})
+	bytes := []float64{1000, 1000, 1000}
+	for epoch, want := range []struct{ accepted, dropped []float64 }{
+		{[]float64{1000, 1000, 500}, []float64{0, 0, 500}},
+		{[]float64{0, 0, 0}, []float64{1000, 1000, 1000}},
+	} {
+		acc, drp := make([]float64, 3), make([]float64, 3)
+		delay := []sim.Time{-1, -1, -1}
+		aq.OnFluidRun(sim.Time(epoch+1)*dt, dt, bytes, acc, drp, nil, delay)
+		for i := range bytes {
+			if acc[i] != want.accepted[i] || drp[i] != want.dropped[i] || delay[i] != 0 {
+				t.Fatalf("epoch %d entity %d: accepted %v dropped %v delay %v, want %v %v 0",
+					epoch, i, acc[i], drp[i], delay[i], want.accepted[i], want.dropped[i])
+			}
+		}
+		if aq.Gap() != 2500 {
+			t.Fatalf("epoch %d: gap %v, want the 2500 B limit", epoch, aq.Gap())
+		}
+	}
+}

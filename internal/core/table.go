@@ -97,7 +97,7 @@ func (t *Table) Deploy(cfg Config) *AQ {
 // DeployBatch installs (or replaces) an AQ per config as one membership
 // change. One slab holds the batch's AQs, so a lane sweeping the table in ID
 // order walks contiguous memory, and an empty table is reserved for the
-// batch, so its index fills map and mirror in one pass.
+// batch, so its index fills its mirror in one pass and builds no map.
 func (t *Table) DeployBatch(cfgs []Config) {
 	t.aqs.Reserve(len(cfgs))
 	slab := make([]AQ, len(cfgs))

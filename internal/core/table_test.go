@@ -274,8 +274,9 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 }
 
 // TestTableDeployBatchAllocs bounds what a bulk deploy into a fresh table
-// allocates: the slab, and the index's map and mirror sized for the batch at
-// once. Grown entry by entry and walked twice, 2000 AQs took 31.
+// allocates: the slab, and the index's mirror sized for the batch at once,
+// with no map beside it. Grown entry by entry and walked twice, 2000 AQs
+// took 31.
 func TestTableDeployBatchAllocs(t *testing.T) {
 	cfgs := make([]Config, 2000)
 	for i := range cfgs {

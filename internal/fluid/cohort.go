@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"slices"
 	"sort"
 
 	"aqueue/internal/core"
@@ -36,12 +37,22 @@ func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
 
 // cohort is a maximal run of consecutively-registered entities sharing one
 // (pipe, Params) class. What registration fixed lives in the run table;
-// what the model evolves lives in parallel per-entity slices — structure of
-// arrays — so the epoch loop streams through contiguous float64 lanes
-// instead of pointer-chasing one heap object per entity, and the model and
-// its constants are a property of the cohort, not of each entity. A Fixed
-// entity is delivered + dropped, 16 B; the reactive models add rate, and
-// ECN alpha, all laid out at exact size when the lane first starts.
+// what the model evolves lives in parallel slices — structure of arrays —
+// so the epoch loop streams through contiguous float64 lanes instead of
+// pointer-chasing one heap object per entity, and the model and its
+// constants are a property of the cohort, not of each entity. State is
+// stored where it varies, at exact size when the lane first starts:
+//
+//   - A Fixed cohort whose runs are all untagged holds delivered and
+//     dropped once per run, 16 B a run. Every entity of such a run is
+//     offered the same bytes, passes no AQ and is clipped alike, so one
+//     slot update per epoch is bit for bit each entity's own.
+//   - Any other Fixed cohort holds delivered and dropped per entity, 16 B
+//     an entity; the reactive models add rate, and ECN alpha.
+//
+// The one layout change is from the first to the second: a tagged run
+// joining a per-run cohort (AddN) copies every run slot out to its
+// entities, after settling any quiescent streak.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -63,20 +74,22 @@ type cohort struct {
 	// cohort key: the lane integrates each run as one AQ transaction.
 	runs []tagRun
 
-	// Parallel per-entity state, nil until a Start lays the cohort out.
+	// Parallel state, nil until a Start lays the cohort out: one slot per
+	// entity, or per run for delivered and dropped while perRun holds.
 	rate      []float64      // current sending rate, bytes/ns; reactive models only
 	alpha     []float64      // DCTCP mark-fraction EWMA; allocated for ECN only
 	delivered []float64      // cumulative accepted bytes
 	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
-	meters    []*stats.Meter // allocated only once some entity has a meter
+	meters    []*stats.Meter // per entity, allocated only once some entity has a meter
+	perRun    bool           // delivered and dropped hold one slot per run (Fixed, all untagged)
 
 	// Quiescence state. A Fixed-model cohort whose tags all missed the
 	// table (or are untagged), with no meters attached, is inert: given the
 	// same clip and epoch width, every per-entity number of the next epoch
 	// is exactly the previous one's. One full pass primes the aggregates
 	// below; subsequent epochs fold them in O(1) per cohort and count the
-	// streak, and materialize() replays the streak into the per-entity
-	// slices when anything changes (or on Stop/read).
+	// streak, and materialize() replays the streak into the delivered and
+	// dropped slots when anything changes (or on Stop/read).
 	primed    bool
 	aqGen     uint64  // table generation the all-miss observation was made at
 	wantSum   float64 // Σ want, the cohort's phase-A demand contribution
@@ -95,12 +108,19 @@ func (c *cohort) matches(pipe int32, par Params) bool {
 // size returns the cohort's entity count: the end of its last run.
 func (c *cohort) size() int { return int(c.runs[len(c.runs)-1].end) }
 
-// layout extends the per-entity arrays over the entities registered since
-// the last call, a reactive entity's rate from its run's registered (floored)
-// rate, walking the run table back from its end. The first call allocates
-// each array at exactly the cohort's size; a later one appends the tail.
+// layout extends the cohort's arrays over the entities (or runs) registered
+// since the last call, a reactive entity's rate from its run's registered
+// (floored) rate, walking the run table back from its end. The first call
+// picks the layout and allocates each array at exactly its size; a later
+// one appends the tail.
 func (c *cohort) layout() {
+	if c.delivered == nil && c.par.Model == Fixed {
+		c.perRun = !slices.ContainsFunc(c.runs, func(r tagRun) bool { return r.aqid != packet.NoAQ })
+	}
 	n, from := c.size(), len(c.delivered)
+	if c.perRun {
+		n = len(c.runs)
+	}
 	c.delivered, c.dropped = extend(c.delivered, n), extend(c.dropped, n)
 	if c.par.Model == ECN {
 		c.alpha = extend(c.alpha, n)
@@ -124,9 +144,40 @@ func extend(s []float64, n int) []float64 {
 	return append(s, make([]float64, n-len(s))...)
 }
 
+// expand lays a per-run cohort out per entity, every entity's slots an
+// exact copy of its run's. AddN calls it, after settling the streak, when a
+// tagged run joins the cohort: from then on its entities no longer all see
+// the same operands.
+func (c *cohort) expand() {
+	n := c.size()
+	delivered, dropped := make([]float64, n), make([]float64, n)
+	lo := int32(0)
+	for ri, r := range c.runs {
+		d, p := delivered[lo:r.end], dropped[lo:r.end]
+		for i := range d {
+			d[i], p[i] = c.delivered[ri], c.dropped[ri]
+		}
+		lo = r.end
+	}
+	c.delivered, c.dropped, c.perRun = delivered, dropped, false
+}
+
+// runIndex returns the index of the run holding entity i.
+func (c *cohort) runIndex(i int32) int {
+	return sort.Search(len(c.runs), func(k int) bool { return c.runs[k].end > i })
+}
+
 // runOf returns the run holding entity i.
-func (c *cohort) runOf(i int32) *tagRun {
-	return &c.runs[sort.Search(len(c.runs), func(k int) bool { return c.runs[k].end > i })]
+func (c *cohort) runOf(i int32) *tagRun { return &c.runs[c.runIndex(i)] }
+
+// slots returns the delivered and dropped slots of run ri from its entity
+// lo on: one per entity, or the run's one in a per-run cohort.
+func (c *cohort) slots(ri int, lo int32) (delivered, dropped []float64) {
+	from, to := int(lo), int(c.runs[ri].end)
+	if c.perRun {
+		from, to = ri, ri+1
+	}
+	return c.delivered[from:to], c.dropped[from:to]
 }
 
 // rateAt returns entity i's current sending rate in bytes/ns: its own once a
@@ -142,59 +193,46 @@ func (c *cohort) rateAt(i int32) float64 {
 // of a run wanting w: w·clip·fdt bytes accepted and the link-clip remainder
 // dropped, with no AQ involved (a quiescent cohort is Fixed and all-miss).
 func (c *cohort) streakEpoch(w float64) (delivered, dropped float64) {
-	x := w * c.lastClip * c.lastFdt
-	cl := w*c.lastFdt - x
-	if cl < 0 {
-		cl = 0
-	}
-	return x, cl
+	x := offered(w, c.lastClip, c.lastFdt)
+	return x, shed(w, x, 0, c.lastFdt)
 }
 
-// materialize replays a quiescent streak into the per-entity slices. Called
-// before any state-changing step and on Stop.
+// materialize replays a quiescent streak into the delivered and dropped
+// slots. Called before any state-changing step and on Stop.
 func (c *cohort) materialize() {
 	if c.streak == 0 {
 		return
 	}
 	k := float64(c.streak)
-	lo := 0
-	for _, r := range c.runs {
+	lo := int32(0)
+	for ri, r := range c.runs {
 		x, cl := c.streakEpoch(r.want())
-		delivered, dropped := c.delivered[lo:r.end], c.dropped[lo:r.end]
+		delivered, dropped := c.slots(ri, lo)
 		for i := range delivered {
 			delivered[i] += k * x
 			dropped[i] += k * cl
 		}
-		lo = int(r.end)
+		lo = r.end
 	}
 	c.streak = 0
 }
 
-// deliveredAt returns entity i's cumulative accepted bytes with any active
-// streak folded in read-only — accessors must not mutate lane state.
-func (c *cohort) deliveredAt(i int32) float64 {
+// outcomeAt returns entity i's cumulative accepted and dropped bytes with
+// any active streak folded in read-only — accessors must not mutate lane
+// state.
+func (c *cohort) outcomeAt(i int32) (delivered, dropped float64) {
 	if c.delivered == nil {
-		return 0
+		return 0, 0
 	}
-	d := c.delivered[i]
+	ri := c.runIndex(i)
+	d, p := c.slots(ri, i)
+	delivered, dropped = d[0], p[0]
 	if c.streak > 0 {
-		x, _ := c.streakEpoch(c.runOf(i).want())
-		d += float64(c.streak) * x
+		x, cl := c.streakEpoch(c.runs[ri].want())
+		delivered += float64(c.streak) * x
+		dropped += float64(c.streak) * cl
 	}
-	return d
-}
-
-// droppedAt returns entity i's cumulative dropped bytes, streak folded in.
-func (c *cohort) droppedAt(i int32) float64 {
-	if c.dropped == nil {
-		return 0
-	}
-	d := c.dropped[i]
-	if c.streak > 0 {
-		_, cl := c.streakEpoch(c.runOf(i).want())
-		d += float64(c.streak) * cl
-	}
-	return d
+	return delivered, dropped
 }
 
 // prime records the quiescence aggregates after a full pass found the
@@ -208,7 +246,7 @@ func (c *cohort) prime(gen uint64, clip, fdt float64) {
 	lo := int32(0)
 	for _, r := range c.runs {
 		w := r.want()
-		a := float64(w * clip * fdt) // rounded before the sum, never fused into it
+		a := offered(w, clip, fdt)
 		for ; lo < r.end; lo++ {
 			wantSum += w
 			acceptSum += a

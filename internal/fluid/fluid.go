@@ -19,8 +19,10 @@
 // paper's Table 1 does for an AQ, configuration apart from state: a run
 // table holds what registration fixed — tag, demand cap, registered rate,
 // once per run of identical entities — and parallel float64 slices hold
-// only what a model evolves (delivered and dropped for every entity, rate
-// for the reactive models, alpha for ECN). A cohort is stepped run by run,
+// only what a model evolves, where it varies: delivered and dropped once
+// per run in a Fixed cohort with no tagged run, whose entities all see the
+// same numbers, and per entity otherwise; rate for the reactive models,
+// alpha for ECN. A cohort is stepped run by run,
 // each resolved once through a core.StreamCursor and integrated as one
 // core.AQ.OnFluidRun transaction — bit-identical to one
 // Table.ProcessFluid call per entity — and quiescent cohorts are skipped
@@ -161,8 +163,14 @@ func (e Entity) Rate() units.BitRate {
 
 // Delivered returns the cumulative bytes the network accepted from the
 // entity, including any epochs currently folded into a quiescent streak.
-func (e Entity) Delivered() float64 { return e.lane.cohorts[e.c].deliveredAt(e.i) }
+func (e Entity) Delivered() float64 {
+	d, _ := e.lane.cohorts[e.c].outcomeAt(e.i)
+	return d
+}
 
 // Dropped returns the cumulative bytes shed by link sharing and the AQ,
 // including any epochs currently folded into a quiescent streak.
-func (e Entity) Dropped() float64 { return e.lane.cohorts[e.c].droppedAt(e.i) }
+func (e Entity) Dropped() float64 {
+	_, d := e.lane.cohorts[e.c].outcomeAt(e.i)
+	return d
+}

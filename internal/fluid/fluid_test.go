@@ -121,3 +121,22 @@ func TestParamsForFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroRatePipeClipsFluid states what a pipe of rate 0 does to the fluid
+// lane today (ROADMAP 1(d)): its residual is 0, so an entity on it is
+// clipped to nothing — 0 bytes delivered, all it wanted dropped (1 Gbps is
+// 12 500 B per 100 µs epoch) — and the lane claims none of the pipe.
+func TestZeroRatePipeClipsFluid(t *testing.T) {
+	const epochs = 10
+	eng := sim.NewEngine()
+	pipe := topo.NewPipe(eng, 0, sim.Microsecond, 0, 0, sink{})
+	lane := NewLane(eng, core.NewTable(), 100*sim.Microsecond)
+	e := lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: lane.AddPipe(pipe)})
+	lane.Start(0)
+	eng.RunUntil(epochs*lane.Epoch() + lane.Epoch()/2)
+	if e.Delivered() != 0 || e.Dropped() != epochs*12_500 || pipe.FluidRate() != 0 {
+		t.Fatalf("after %d epochs: delivered %v dropped %v, pipe claim %v; want 0, %d, 0",
+			epochs, e.Delivered(), e.Dropped(), pipe.FluidRate(), epochs*12_500)
+	}
+	lane.Stop()
+}

@@ -43,10 +43,11 @@ type pipeAccount struct {
 // it.
 //
 // Entity state is held in structure-of-arrays cohorts (see cohort.go):
-// a run table for what registration fixed, per-entity arrays for what the
-// model evolves. The lane steps cohorts directly, integrating each run of
-// the table as one AQ.OnFluidRun transaction resolved once through a
-// core.StreamCursor, and skips quiescent cohorts outright. The steady
+// a run table for what registration fixed, arrays for what the model
+// evolves, per run where every entity of a run holds the same numbers and
+// per entity otherwise. The lane steps cohorts directly, integrating each
+// run of the table as one AQ.OnFluidRun transaction resolved once through
+// a core.StreamCursor, and skips quiescent cohorts outright. The steady
 // state of fire allocates nothing.
 type Lane struct {
 	eng   *sim.Engine
@@ -155,13 +156,18 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	// A population change invalidates any primed quiescence aggregates.
 	c.materialize()
 	c.primed = false
+	if c.perRun && cfg.AQ != packet.NoAQ {
+		c.expand()
+	}
 	rate := cfg.Rate.BytesPerNano()
 	if par.Model != Fixed && rate < c.floorRate {
 		rate = c.floorRate
 	}
 	demand := cfg.Demand.BytesPerNano()
 	end := int32(first + n)
-	if last := len(c.runs) - 1; last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
+	// A run of a per-run cohort holds its entities' running totals, which
+	// new entities do not share: they open a run of their own.
+	if last := len(c.runs) - 1; !c.perRun && last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
 		c.runs[last].end = end
 	} else {
 		c.runs = append(c.runs, tagRun{end: end, aqid: cfg.AQ, demand: demand, rate: rate})
@@ -206,9 +212,9 @@ func (l *Lane) Start(now sim.Time) {
 // a far horizon and rely on event exhaustion to finish early.
 func (l *Lane) SetDeadline(t sim.Time) { l.deadline = t }
 
-// Stop disarms the lane, settles any quiescent streaks into the per-entity
-// state, and releases its pipes back to the packet lane. A stopped lane
-// may be Started again.
+// Stop disarms the lane, settles any quiescent streaks into the delivered
+// and dropped slots, and releases its pipes back to the packet lane. A
+// stopped lane may be Started again.
 func (l *Lane) Stop() {
 	l.running = false
 	l.timer.Disarm()
@@ -349,10 +355,11 @@ const runCap = 64
 // mass (once per run for a Fixed cohort, whose rate is the run's), integrate
 // every run through its AQ in one OnFluidRun transaction (untagged and
 // unmatched runs pass with everything accepted), account the outcome per
-// entity, then apply the cohort's model reaction. Per entity the operands
-// and their order are those of Table.ProcessFluid followed by the model
-// update, and every accumulator — AQ registers, lane totals, pipe account,
-// meters — still sees the entities in registration order, so the result is
+// entity — per run, once the chunks are done, in a per-run cohort — then
+// apply the cohort's model reaction. Per entity the operands and their
+// order are those of Table.ProcessFluid followed by the model update, and
+// every accumulator — AQ registers, lane totals, pipe account, meters —
+// still sees the entities in registration order, so the result is
 // bit-identical to stepping them one call at a time.
 func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
 	var want, demand, bytes, acc, drp, markBuf [runCap]float64
@@ -376,14 +383,14 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 			}
 			if c.rate == nil {
 				w := run.want()
-				b := w * clip * fdt
+				b := offered(w, clip, fdt)
 				for j := s; j < e; j++ {
 					want[j], bytes[j] = w, b
 				}
 			} else {
 				for j, r := range c.rate[lo+s : lo+e] {
 					w := capped(r, run.demand)
-					want[s+j], demand[s+j], bytes[s+j] = w, run.demand, w*clip*fdt
+					want[s+j], demand[s+j], bytes[s+j] = w, run.demand, offered(w, clip, fdt)
 				}
 			}
 			var mark []float64
@@ -409,24 +416,15 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 			}
 			s = e
 		}
-		delivered, dropped := c.delivered[lo:hi], c.dropped[lo:hi]
-		laneDelivered, laneDropped, pipeAccepted := l.delivered, l.dropped, 0.0
+		var delivered, dropped []float64
+		if !c.perRun {
+			delivered, dropped = c.delivered[lo:hi], c.dropped[lo:hi]
+		}
+		pipeAccepted := 0.0
 		if pa != nil {
 			pipeAccepted = pa.accepted
 		}
-		for j, w := range want[:k] {
-			a, d := acc[j], drp[j]
-			delivered[j] += a
-			clipped := w*fdt - (a + d)
-			if clipped < 0 {
-				clipped = 0
-			}
-			dropped[j] += d + clipped
-			laneDelivered += a
-			laneDropped += d
-			pipeAccepted += a / fdt
-		}
-		l.delivered, l.dropped = laneDelivered, laneDropped
+		l.delivered, l.dropped, pipeAccepted = account(want[:k], acc[:k], drp[:k], delivered, dropped, fdt, l.delivered, l.dropped, pipeAccepted)
 		if pa != nil {
 			pa.accepted = pipeAccepted
 		}
@@ -439,9 +437,55 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 		}
 		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
+	if c.perRun {
+		// Every entity of an untagged Fixed run was offered the run's bytes,
+		// all accepted: one update per run slot is each entity's own.
+		for ri, r := range c.runs {
+			w := r.want()
+			a := offered(w, clip, fdt)
+			c.delivered[ri] += a
+			c.dropped[ri] += shed(w, a, 0, fdt)
+		}
+	}
 	if aqFree && c.par.Model == Fixed && c.meters == nil {
 		c.prime(gen, clip, fdt)
 	}
+}
+
+// account adds one chunk's outcomes, entity by entity in registration
+// order, to the running lane and pipe sums it returns and, when delivered
+// is non-nil, to the entities' own sums.
+func account(want, acc, drp, delivered, dropped []float64, fdt, laneDelivered, laneDropped, pipeAccepted float64) (float64, float64, float64) {
+	acc, drp = acc[:len(want)], drp[:len(want)]
+	for j, w := range want {
+		a, d := acc[j], drp[j]
+		laneDelivered += a
+		laneDropped += d
+		pipeAccepted += a / fdt
+		if delivered != nil {
+			delivered[j] += a
+			dropped[j] += shed(w, a, d, fdt)
+		}
+	}
+	return laneDelivered, laneDropped, pipeAccepted
+}
+
+// offered returns the bytes an entity wanting w bytes/ns is offered in an
+// epoch of fdt ns under the pipe clip, rounded to a float64 before any sum
+// takes it, never fused into one. The chunk fill, prime and the per-run
+// slot update and the quiescent streak all take it from here: bit identity
+// needs the one rounding.
+func offered(w, clip, fdt float64) float64 { return float64(w * clip * fdt) }
+
+// shed returns what an epoch adds to an entity's dropped bytes: the d its AQ
+// dropped plus what the link clipped of the w·fdt it wanted beyond the a
+// accepted.
+func shed(w, a, d, fdt float64) float64 {
+	clipped := w*fdt - (a + d)
+	if clipped < 0 {
+		clipped = 0
+	}
+	return d + clipped
 }
 
 // rearm schedules the next epoch unless the deadline passed.

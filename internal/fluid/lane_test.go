@@ -17,7 +17,8 @@ import (
 // TestFireSteadyStateAllocFree pins the structure-of-arrays payoff: once a
 // lane is warm, an epoch allocates nothing — no per-entity objects, no
 // cursor churn, no timer garbage — across all four model loops, tagged and
-// untagged entities, and a live pipe account.
+// untagged entities, a Fixed cohort laid out per run, and a live pipe
+// account.
 func TestFireSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	table := core.NewTable()
@@ -30,7 +31,11 @@ func TestFireSteadyStateAllocFree(t *testing.T) {
 	lane.AddN(EntityConfig{AQ: 2, CC: "dctcp", Rate: units.Gbps, Pipe: pi}, 8)
 	lane.AddN(EntityConfig{CC: "swift", Rate: units.Gbps, Pipe: pi}, 8)
 	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: pi}, 8)
+	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps / 2, Pipe: pi}, 8)
 	lane.Start(0)
+	if c := &lane.cohorts[3]; !c.perRun || len(c.delivered) != 2 {
+		t.Fatalf("the untagged Fixed cohort: per run %v, %d delivered slots; want per run, 2", c.perRun, len(c.delivered))
+	}
 
 	// Warm up: first epochs grow the engine's heaps and touch every code
 	// path.
@@ -495,17 +500,23 @@ func laneBytes(l *Lane) uint64 {
 }
 
 // TestLaneBuildLaysOutOnce pins what building a large population costs:
-// registering 200 k entities sixteen per AddN and starting the lane
+// registering 200 k entities sixteen per AddN, plus an untagged Fixed
+// cohort of 16 k in runs of 16 at alternating rates, and starting the lane
 // allocates at most twice what the lane then holds — the run tables'
-// regrowth is the slack — and every per-entity array is exactly its
-// cohort's size. Grown per AddN call, the arrays allocated about five times
-// what they kept.
+// regrowth is the slack — every per-entity array is exactly its cohort's
+// size, and the untagged cohort holds delivered and dropped once per run.
+// Grown per AddN call, the arrays allocated about five times what they
+// kept.
 func TestLaneBuildLaysOutOnce(t *testing.T) {
-	const entities = 200_000
+	const entities, fill = 200_000, 16_000
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	lane := buildLane(entities)
+	fillPar := Params{Model: Fixed} // a class of its own: buildLane's Fixed cohort is tagged
+	for g := 0; g < fill/16; g++ {
+		lane.AddN(EntityConfig{Params: &fillPar, Rate: units.Gbps / units.BitRate(1+g%2), Pipe: -1}, 16)
+	}
 	lane.Start(0)
 	runtime.ReadMemStats(&after)
 	allocated, held := after.TotalAlloc-before.TotalAlloc, laneBytes(lane)
@@ -513,8 +524,17 @@ func TestLaneBuildLaysOutOnce(t *testing.T) {
 	if allocated > 2*held {
 		t.Errorf("building allocated %d B for %d B held: more than 2x", allocated, held)
 	}
-	for ci := range lane.cohorts {
+	perRun := &lane.cohorts[len(lane.cohorts)-1]
+	if !perRun.perRun || len(perRun.runs) != fill/16 || len(perRun.delivered) != fill/16 || cap(perRun.delivered) != fill/16 ||
+		len(perRun.dropped) != fill/16 || cap(perRun.dropped) != fill/16 {
+		t.Fatalf("untagged Fixed cohort: per run %v, %d runs, delivered len %d cap %d, dropped len %d cap %d; want per run, all %d",
+			perRun.perRun, len(perRun.runs), len(perRun.delivered), cap(perRun.delivered), len(perRun.dropped), cap(perRun.dropped), fill/16)
+	}
+	for ci := range lane.cohorts[:len(lane.cohorts)-1] {
 		c := &lane.cohorts[ci]
+		if c.perRun {
+			t.Fatalf("cohort %d (%v) laid out per run", ci, c.par.Model)
+		}
 		arrays := [][]float64{c.delivered, c.dropped}
 		if c.par.Model != Fixed {
 			arrays = append(arrays, c.rate)
@@ -556,24 +576,24 @@ func TestLaneLayoutLifecycle(t *testing.T) {
 		pars[i] = ParamsFor(name)
 		pars[i].MinRate = 20 * units.Mbps.BytesPerNano()
 	}
-	laidOut := 0 // cohorts that have storage: all while running, those a Start saw otherwise
+	var laid []int // see layOut
 	add := func(p, n int, aq packet.AQID, rate units.BitRate) Entity {
 		cfg := EntityConfig{AQ: aq, Params: &pars[p], Rate: rate, Pipe: pi}
 		e := lane.AddN(cfg, n)
 		ref.add(cfg, n)
 		if lane.running {
-			laidOut = len(lane.cohorts)
+			laid = layOut(laid, lane)
 		}
-		checkLayout(t, lane, ref, tables, laidOut)
+		checkLayout(t, lane, ref, tables, laid)
 		return e
 	}
 	next := epoch // when the lane's next epoch fires
 	run := func(k int) {
-		laidOut = len(lane.cohorts)
+		laid = layOut(laid, lane)
 		for ; k > 0; k-- {
 			eng.RunUntil(next + epoch/2)
 			ref.step(next, epoch)
-			checkLayout(t, lane, ref, tables, laidOut)
+			checkLayout(t, lane, ref, tables, laid)
 			next += epoch
 		}
 	}
@@ -606,7 +626,7 @@ func TestLaneLayoutLifecycle(t *testing.T) {
 	next = eng.Now() + epoch
 	run(3)
 	lane.Stop()
-	checkLayout(t, lane, ref, tables, laidOut)
+	checkLayout(t, lane, ref, tables, laid)
 }
 
 // BenchmarkLaneBuild: one million entities registered sixteen per AddN,

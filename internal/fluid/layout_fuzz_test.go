@@ -1,7 +1,9 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"aqueue/internal/core"
@@ -20,14 +22,17 @@ import (
 // script can reach: runs that merge across AddN calls and runs that must
 // not (equal tag, different demand cap or rate), runs ending exactly on,
 // one short of and one past a 64-entity chunk, a run spanning four chunks,
-// Fixed cohorts with no rate array beside reactive ones with it, a meter
-// first attached to a late entity, a cohort grown while it is running and
-// while a quiescent streak is pending, and the read-only accessors, which
-// find an entity's run by binary search. The lane starts at the script's
-// first epoch op, so the leading adds register on a lane with no per-entity
-// storage yet: each is compared through the accessors as it lands, the
-// first Start lays the whole population out, and every add after it lays
-// out its own tail.
+// Fixed cohorts with no rate array beside reactive ones with it, untagged
+// Fixed cohorts with one delivered and dropped slot per run, which an add
+// to a laid-out one extends by a run of its own and a tagged add expands
+// per entity, a meter first attached to a late entity, a cohort grown while
+// it is running, while a quiescent streak is pending and while the lane is
+// stopped, and the read-only accessors, which find an entity's run by
+// binary search. The lane starts at the script's first epoch op, so the
+// leading adds register on a lane with no per-entity storage yet: each is
+// compared through the accessors as it lands, the first Start lays the
+// whole population out, and every add after it lays out its own tail, or,
+// on a stopped lane, only a laid-out cohort's.
 //
 // Script encoding, one op byte at a time:
 //
@@ -35,9 +40,10 @@ import (
 //	              menu entry op>>6; then a shape byte sh: tag menu entry
 //	              sh&7 (mod 6), model sh>>3&3, demand cap sh>>5&3 (none,
 //	              rate/2, rate·2, rate), metered = sh>>7; compared at once
-//	              while the lane has not started
-//	op&3 == 2     Start(0) if not yet started, then 1 + op>>2&7 epochs,
-//	              each followed by a full comparison
+//	              while the lane is not running
+//	op&3 == 2     op>>5 == 7: Stop, then a full comparison; otherwise
+//	              Start at the last epoch if not running, then 1 + op>>2&7
+//	              epochs, each followed by a full comparison
 //	op&3 == 3     table edit op>>2 mod 6: deploy 9, remove 9, remove 2,
 //	              redeploy 2, a packet on AQ 1 now, a packet on AQ 3 whose
 //	              last_time lands past the next epoch
@@ -102,6 +108,7 @@ func runLayoutScript(t *testing.T, script []byte) {
 	var meters [2][]*stats.Meter
 
 	epochs := 0
+	var laid []int // see layOut
 	for len(script) > 0 && epochs < maxEpochs {
 		op := script[0]
 		script = script[1:]
@@ -148,17 +155,27 @@ func runLayoutScript(t *testing.T, script []byte) {
 				lane.AddN(cfgs[0], n)
 			}
 			ref.add(cfgs[1], n)
-			if !lane.running { // the lane stops only after the script
-				checkLayout(t, lane, ref, tables, 0)
+			if lane.running {
+				laid = layOut(laid, lane)
+			} else {
+				checkLayout(t, lane, ref, tables, laid)
 			}
 		case 2:
-			lane.Start(0) // a no-op once running; the engine is still at 0 before the first epoch
+			if op>>5 == 7 {
+				lane.Stop()
+				checkLayout(t, lane, ref, tables, laid)
+				break
+			}
+			// A no-op while running. The engine is half an epoch past the
+			// last one, so the next fires on the reference's grid.
+			lane.Start(sim.Time(epochs) * epoch)
+			laid = layOut(laid, lane)
 			for k := 1 + int(op>>2&7); k > 0 && epochs < maxEpochs; k-- {
 				epochs++
 				now := sim.Time(epochs) * epoch
 				eng.RunUntil(now + epoch/2) // the epoch fires at now
 				ref.step(now, epoch)
-				checkLayout(t, lane, ref, tables, len(lane.cohorts))
+				checkLayout(t, lane, ref, tables, laid)
 			}
 		case 3:
 			switch op >> 2 % 6 {
@@ -177,12 +194,8 @@ func runLayoutScript(t *testing.T, script []byte) {
 			}
 		}
 	}
-	laidOut := 0
-	if lane.running {
-		laidOut = len(lane.cohorts)
-	}
 	lane.Stop()
-	checkLayout(t, lane, ref, tables, laidOut)
+	checkLayout(t, lane, ref, tables, laid)
 
 	bits := math.Float64bits
 	for _, id := range tables[1].IDs() {
@@ -200,17 +213,32 @@ func runLayoutScript(t *testing.T, script []byte) {
 	}
 }
 
+// layOut extends laid, which holds for each cohort with storage how many
+// runs it had when it got it, by the cohorts laid out since: all of them
+// while the lane is running, those a Start saw otherwise. Call it at once
+// after the Start or running add that laid them out.
+func layOut(laid []int, lane *Lane) []int {
+	for ci := len(laid); ci < len(lane.cohorts); ci++ {
+		laid = append(laid, len(lane.cohorts[ci].runs))
+	}
+	return laid
+}
+
 // checkLayout compares the lane with the reference entity by entity in
 // registration order, checks the run table's own invariants on the way —
-// runs ordered, non-empty, maximal — and the storage: the first laidOut
-// cohorts hold delivered and dropped spanning the cohort, rate too for a
-// reactive model and alpha for ECN, and the rest, registered since the last
-// Start on a lane that is not running, hold none. It reads the first and last
-// entity of every run through the public handle, whose AQID and Rate go
-// through runOf and whose Delivered and Dropped fold a pending streak
-// without settling it.
-func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table, laidOut int) {
+// runs ordered, non-empty, maximal but where an add to a laid-out per-run
+// cohort opened a run of its own (a run past the laid[ci] cohort ci had
+// when it got storage, untagged like every run before it) — and the
+// storage: the first len(laid) cohorts hold delivered and dropped spanning the cohort, one slot per run
+// for a Fixed cohort with no tagged run and per entity otherwise, rate too
+// for a reactive model and alpha for ECN, and the rest, registered since
+// the last Start on a lane that is not running, hold none. It reads the
+// first and last entity of every run through the public handle, whose AQID
+// and Rate go through runOf and whose Delivered and Dropped fold a pending
+// streak without settling it.
+func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, laid []int) {
 	t.Helper()
+	laidOut := len(laid)
 	bits := math.Float64bits
 	if lane.total != len(ref.ents) {
 		t.Fatalf("%d entities, reference %d", lane.total, len(ref.ents))
@@ -218,23 +246,33 @@ func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table, 
 	base := 0 // registration index of the cohort's first entity
 	for ci := range lane.cohorts {
 		c := &lane.cohorts[ci]
+		// untaggedTo[ri]: a Fixed cohort with no tagged run among 0..ri.
+		untaggedTo := make([]bool, len(c.runs))
+		for ri, run := range c.runs {
+			untaggedTo[ri] = c.par.Model == Fixed && run.aqid == packet.NoAQ && (ri == 0 || untaggedTo[ri-1])
+		}
 		slots := func(has bool) int {
 			if ci < laidOut && has {
 				return c.size()
 			}
 			return 0
 		}
-		if len(c.delivered) != slots(true) || len(c.dropped) != slots(true) ||
+		perRun := ci < laidOut && untaggedTo[len(c.runs)-1]
+		outcomes := slots(true)
+		if perRun {
+			outcomes = len(c.runs)
+		}
+		if len(c.delivered) != outcomes || len(c.dropped) != outcomes || c.perRun != perRun ||
 			len(c.rate) != slots(c.par.Model != Fixed) || len(c.alpha) != slots(c.par.Model == ECN) {
-			t.Fatalf("cohort %d (%v, %d entities, %d of %d laid out): %d delivered, %d dropped, %d rate, %d alpha slots",
-				ci, c.par.Model, c.size(), laidOut, len(lane.cohorts), len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
+			t.Fatalf("cohort %d (%v, %d entities in %d runs, %d of %d laid out, per run %v): %d delivered, %d dropped, %d rate, %d alpha slots",
+				ci, c.par.Model, c.size(), len(c.runs), laidOut, len(lane.cohorts), c.perRun, len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
 		}
 		lo := int32(0)
 		for ri, run := range c.runs {
 			if run.end <= lo {
 				t.Fatalf("cohort %d run %d ends at %d, previous at %d", ci, ri, run.end, lo)
 			}
-			if ri > 0 {
+			if ri > 0 && !(ci < laidOut && ri >= laid[ci] && untaggedTo[ri]) {
 				if p := c.runs[ri-1]; p.aqid == run.aqid && p.demand == run.demand && p.rate == run.rate {
 					t.Fatalf("cohort %d runs %d and %d are one run split in two: %+v", ci, ri-1, ri, run)
 				}
@@ -251,9 +289,9 @@ func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table, 
 		}
 		for i := int32(0); i < lo; i++ {
 			r := &ref.ents[base+int(i)]
-			if bits(c.rateAt(i)) != bits(r.rate) || bits(c.deliveredAt(i)) != bits(r.delivered) || bits(c.droppedAt(i)) != bits(r.dropped) {
+			if delivered, dropped := c.outcomeAt(i); bits(c.rateAt(i)) != bits(r.rate) || bits(delivered) != bits(r.delivered) || bits(dropped) != bits(r.dropped) {
 				t.Fatalf("entity (%d,%d) (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v", ci, i, r.id, r.par.Model,
-					c.rateAt(i), c.deliveredAt(i), c.droppedAt(i), r.rate, r.delivered, r.dropped)
+					c.rateAt(i), delivered, dropped, r.rate, r.delivered, r.dropped)
 			}
 			if c.alpha != nil && bits(c.alpha[i]) != bits(r.alpha) {
 				t.Fatalf("entity (%d,%d): alpha %v, reference %v", ci, i, c.alpha[i], r.alpha)
@@ -280,4 +318,75 @@ func checkLayout(t *testing.T, lane *Lane, ref *refLane, tables [2]*core.Table, 
 	if got != want {
 		t.Fatalf("table stats %+v, reference %+v", got, want)
 	}
+}
+
+// TestCheckLayoutCatchesSplitRun keeps checkLayout's maximality check
+// honest where the per-run layout exempts runs from it: two equal untagged
+// Fixed AddN calls on a cohort with no storage yet merge into one run, and
+// the check must reject that run split in two, both before the Start that
+// lays the cohort out and after it.
+func TestCheckLayoutCatchesSplitRun(t *testing.T) {
+	const epoch = 100 * sim.Microsecond
+	eng := sim.NewEngine()
+	tables := [2]*core.Table{core.NewTable(), core.NewTable()}
+	pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 0, 0, sink{})
+	lane := NewLane(eng, tables[0], epoch)
+	lane.AddPipe(pipe)
+	ref := &refLane{table: tables[1], pipeCap: []float64{pipe.Rate().BytesPerNano()}, accepted: make([]float64, 1)}
+	par := ParamsFor("udp")
+	cfg := EntityConfig{AQ: packet.NoAQ, Params: &par, Rate: 62.5 * units.Mbps, Pipe: -1}
+	for range 2 {
+		lane.AddN(cfg, 16)
+		ref.add(cfg, 16)
+	}
+	if len(lane.cohorts) != 1 || len(lane.cohorts[0].runs) != 1 {
+		t.Fatalf("two equal untagged AddN calls: %d cohorts, first with runs %+v", len(lane.cohorts), lane.cohorts[0].runs)
+	}
+	checkLayout(t, lane, ref, tables, nil)
+
+	c := &lane.cohorts[0]
+	first := c.runs[0]
+	first.end = 16
+	c.runs = []tagRun{first, c.runs[0]}
+	rec := &fatalRecorder{TB: t}
+	if msg := rec.run(func() { checkLayout(rec, lane, ref, tables, nil) }); !strings.Contains(msg, "split in two") {
+		t.Fatalf("run split before Start: checkLayout reported %q", msg)
+	}
+	lane.Start(0)
+	defer lane.Stop()
+	if !c.perRun || len(c.delivered) != 2 {
+		t.Fatalf("after Start: per run %v, %d delivered slots", c.perRun, len(c.delivered))
+	}
+	if msg := rec.run(func() { checkLayout(rec, lane, ref, tables, []int{2}) }); !strings.Contains(msg, "split in two") {
+		t.Fatalf("run split before the layout, checked after it: checkLayout reported %q", msg)
+	}
+}
+
+// fatalRecorder is a testing.TB whose Fatalf records its message and
+// unwinds the call run made, so a test can assert that a check fails.
+type fatalRecorder struct {
+	testing.TB
+	msg string
+}
+
+func (r *fatalRecorder) Helper() {}
+
+func (r *fatalRecorder) Fatalf(format string, args ...any) {
+	r.msg = fmt.Sprintf(format, args...)
+	panic(r)
+}
+
+// run calls f and returns the message of the Fatalf that ended it, or ""
+// if none did.
+func (r *fatalRecorder) run(f func()) string {
+	r.msg = ""
+	func() {
+		defer func() {
+			if p := recover(); p != nil && p != any(r) {
+				panic(p)
+			}
+		}()
+		f()
+	}()
+	return r.msg
 }

@@ -194,18 +194,20 @@ func TestFatTreeLanesAdvanceAndShed(t *testing.T) {
 }
 
 // TestLaneHeapPerEntity is the absolute bound on per-entity host memory in
-// the benchmark's shape: the cohorts' run tables and per-entity arrays plus
-// the shared-AQ state, fabric and foreground included, must fit in 36 live
-// bytes per entity once built (30.7 measured: 16 B for a Fixed entity, 24 B
-// for a loss one, the rest AQs and append slack). The bound pins both halves
-// of the layout: a Fixed cohort that kept a rate array read 38 when the
-// layout was prototyped, and one more per-entity float64 column of any kind
-// reads 40. Both readings follow a collection, so dead append backing
-// arrays are not priced. The benchmark's built_heap_mb holds the relative
-// 5 % line from PR to PR; this is the line a run of small regressions
-// cannot walk past.
+// the benchmark's shape: the cohorts' run tables and arrays plus the
+// shared-AQ state, fabric and foreground included, must fit in 24 live
+// bytes per entity once built (23.1 measured with go1.24 on linux/amd64:
+// 16 B for a tagged Fixed entity, 24 B for a loss one, nothing per entity
+// for the untagged fill, which holds one delivered/dropped pair per run,
+// and the rest AQs, their one ID-index layout each, and append slack). The
+// bound pins the layout: the fill laid out per entity read 27.7, a map
+// kept beside every table's dense mirror 24.6, and one more float64 column
+// per tagged entity would add 6. Both readings follow a collection, so dead
+// append backing arrays are not priced. The benchmark's built_heap_mb holds
+// the relative 5 % line from PR to PR; this is the line a run of small
+// regressions cannot walk past.
 func TestLaneHeapPerEntity(t *testing.T) {
-	const entities, budget = 200_000, 36.0
+	const entities, budget = 200_000, 24.0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

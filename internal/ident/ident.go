@@ -1,6 +1,6 @@
 // Package ident holds the one ID index the data plane uses for every
-// per-packet lookup keyed by a small integer ID: a map that is the record,
-// mirrored into a direct-indexed slice while the IDs it holds are dense.
+// per-packet lookup keyed by a small integer ID: a direct-indexed slice
+// while the IDs it holds are dense, a map otherwise — one layout at a time.
 //
 // The paper's hardware design (§4.2) matches AQ tags against
 // direct-indexed register arrays; the simulator gets the same effect only
@@ -32,21 +32,27 @@ func Dense(maxID int, count int) bool {
 // to a non-negative int and no key set can ask for a multi-gigabyte slice.
 const mirrorLimit = 1 << 31
 
-// Index maps IDs to values. The map is the record; mirror, while non-nil,
-// holds the same entries direct-indexed by ID (absent IDs hold the zero
-// value), so a lookup is a bounds check and a load. Which layout serves a
-// Get is unobservable in its result.
+// Index maps IDs to values and holds them in one layout at a time. While
+// mirror is non-nil it is the record: a slice direct-indexed by ID, absent
+// IDs holding the zero value, so a lookup is a bounds check and a load; n
+// counts its entries, and the map is nil. Otherwise the map is the record.
+// A zero value is absent in both: Set(id, zero) deletes id. Which layout
+// serves a Get is unobservable in its result.
 //
-// The mirror is built from the map by the first Get after the index lost
-// it, and kept up to date in place by Set and Delete while Dense approves
-// the range it covers; a change that leaves that range drops it. Reserve
-// starts one for a bulk fill. The zero Index is empty and ready to use.
-// An Index is not safe for concurrent use, Get included: it may build the
-// mirror.
+// Layout changes are lazy. A Set on the map only marks it stale; the next
+// Get builds the mirror from it, and drops it, if Dense approves the IDs it
+// holds. The mirror takes Sets and Deletes in place while Dense approves
+// the range it covers — it never ends in an absent slot, and a Delete
+// leaves it at most twice the storage Dense approves for the entries left —
+// and
+// a Set past that range moves its entries into a map. Reserve starts an empty mirror
+// for a bulk fill. The zero Index is empty and ready to use. An Index is
+// not safe for concurrent use, Get included: it may build the mirror.
 type Index[K ~uint32 | ~uint64, V comparable] struct {
 	m      map[K]V
 	mirror []V
-	// stale is set when the index has no mirror and a change since the last
+	n      int // entries in the mirror, while it is the record
+	// stale is set when the map is the record and a change since the last
 	// build attempt may have made its IDs dense again: the next Get tries.
 	stale bool
 }
@@ -65,20 +71,17 @@ func (ix *Index[K, V]) Get(id K) V {
 }
 
 // miss serves a Get the mirror does not cover: past its end (an absent
-// ID), or from the map when there is no mirror, after trying to build one.
+// ID; the map is nil then), or from the map after trying to build a mirror.
 func (ix *Index[K, V]) miss(id K) V {
 	if ix.stale {
 		ix.build()
 		return ix.Get(id)
 	}
-	if ix.mirror != nil {
-		var zero V
-		return zero
-	}
 	return ix.m[id]
 }
 
-// build makes the mirror from the map when Dense approves the IDs it holds.
+// build makes the mirror the record when Dense approves the IDs the map
+// holds.
 func (ix *Index[K, V]) build() {
 	ix.stale = false
 	var hi K
@@ -92,59 +95,108 @@ func (ix *Index[K, V]) build() {
 	for id, v := range ix.m {
 		ix.mirror[id] = v
 	}
+	ix.n, ix.m = len(ix.m), nil
 }
 
-// Set stores v under id.
-func (ix *Index[K, V]) Set(id K, v V) {
-	if ix.m == nil {
-		ix.m = make(map[K]V)
+// toMap makes the map the record, from the mirror's entries.
+func (ix *Index[K, V]) toMap() {
+	var zero V
+	ix.m = make(map[K]V, ix.n+1)
+	for id, v := range ix.mirror {
+		if v != zero {
+			ix.m[K(id)] = v
+		}
 	}
-	ix.m[id] = v
+	ix.mirror, ix.n = nil, 0
+}
+
+// Set stores v under id; a zero v deletes id.
+func (ix *Index[K, V]) Set(id K, v V) {
+	var zero V
 	switch {
+	case v == zero:
+		ix.Delete(id)
 	case ix.mirror == nil:
+		if ix.m == nil {
+			ix.m = make(map[K]V)
+		}
+		ix.m[id] = v
 		ix.stale = true
 	case uint64(id) < uint64(len(ix.mirror)):
+		if ix.mirror[id] == zero {
+			ix.n++
+		}
 		ix.mirror[id] = v
-	case fits(id, len(ix.m)):
-		var zero V
+	case fits(id, ix.n+1):
 		for K(len(ix.mirror)) < id {
 			ix.mirror = append(ix.mirror, zero)
 		}
 		ix.mirror = append(ix.mirror, v)
+		ix.n++
 	default:
 		// id alone makes the range sparse, and only a Delete can change
 		// that: the map serves, with no rebuild to attempt until then.
-		ix.mirror = nil
+		ix.toMap()
+		ix.m[id] = v
 	}
 }
 
 // Delete removes id, if present.
 func (ix *Index[K, V]) Delete(id K) {
-	n := len(ix.m)
-	delete(ix.m, id)
-	if len(ix.m) == n {
+	if ix.mirror == nil {
+		n := len(ix.m)
+		delete(ix.m, id)
+		if len(ix.m) != n {
+			ix.stale = true
+		}
+		return
+	}
+	var zero V
+	if uint64(id) >= uint64(len(ix.mirror)) || ix.mirror[id] == zero {
 		return // absent: nothing changed
 	}
+	ix.mirror[id] = zero
+	ix.n--
+	hi := len(ix.mirror) - 1
+	for hi >= 0 && ix.mirror[hi] == zero {
+		hi--
+	}
+	live := ix.mirror[:hi+1]
 	switch {
-	case ix.mirror == nil:
-		ix.stale = true
-	case fits(K(len(ix.mirror)-1), len(ix.m)):
-		var zero V
-		ix.mirror[id] = zero
+	case ix.n > 0 && !fits(K(hi), ix.n):
+		// Too few entries for the span the mirror covers: no shorter one
+		// holds them, so the map serves.
+		ix.toMap()
+	case !Dense(cap(live)/2, max(ix.n, 1)):
+		// Over twice the slots Dense allows the entries left: give them
+		// back. Twice, because append may grow a mirror that far, and a
+		// Delete must not undo each growth of a churning index.
+		ix.mirror = append(make([]V, 0, len(live)), live...)
 	default:
-		// Too few entries for the span the mirror covers; the highest
-		// remaining ID may allow a shorter one, so the next Get rebuilds.
-		ix.mirror = nil
-		ix.stale = true
+		ix.mirror = live
 	}
 }
 
 // Len returns the number of entries.
-func (ix *Index[K, V]) Len() int { return len(ix.m) }
+func (ix *Index[K, V]) Len() int {
+	if ix.mirror != nil {
+		return ix.n
+	}
+	return len(ix.m)
+}
 
 // Keys returns the IDs present, in ascending order.
 func (ix *Index[K, V]) Keys() []K {
-	keys := make([]K, 0, len(ix.m))
+	keys := make([]K, 0, ix.Len())
+	if ix.mirror != nil {
+		var zero V
+		for id, v := range ix.mirror {
+			if v != zero {
+				keys = append(keys, K(id))
+			}
+		}
+		return keys
+	}
 	for id := range ix.m {
 		keys = append(keys, id)
 	}
@@ -152,15 +204,12 @@ func (ix *Index[K, V]) Keys() []K {
 	return keys
 }
 
-// Reserve readies an empty index for n entries: the map is sized for them
-// and an empty mirror is started with room for IDs 0..n, so a fill of
-// dense IDs lands in the mirror as it goes and leaves nothing to rebuild.
-// On a non-empty index it does nothing.
+// Reserve readies an empty index for n entries: an empty mirror with room
+// for IDs 0..n and no map, so a fill of dense IDs lands in the mirror as it
+// goes and leaves nothing to rebuild. On a non-empty index it does nothing.
 func (ix *Index[K, V]) Reserve(n int) {
-	if len(ix.m) > 0 {
+	if ix.Len() > 0 {
 		return
 	}
-	ix.m = make(map[K]V, n)
-	ix.mirror = make([]V, 0, n+1)
-	ix.stale = false
+	ix.m, ix.mirror, ix.n, ix.stale = nil, make([]V, 0, n+1), 0, false
 }

@@ -293,3 +293,29 @@ func TestPipeDelayHook(t *testing.T) {
 		t.Fatalf("second packet queued %v, want 832ns", delays[1])
 	}
 }
+
+// TestZeroRatePipeIsInstant states what a pipe of rate 0 does to packets
+// today (ROADMAP 1(d)): a zero rate's serialization time is 0
+// (TransmitNanos returns 0 for it), so the link behaves as infinitely
+// fast: a packet arrives exactly one propagation delay after it is sent,
+// unqueued. A burst sent at once is not queued either; its packets follow
+// the first 1 ns apart, because a pipe never plans two deliveries for the
+// same instant.
+func TestZeroRatePipeIsInstant(t *testing.T) {
+	const delay = 7 * sim.Microsecond
+	eng := sim.NewEngine()
+	c := &collector{eng: eng}
+	p := NewPipe(eng, 0, delay, 0, 0, c)
+	for i := 0; i < 5; i++ {
+		p.Send(packet.NewData(0, 1, 1, int64(i), 1460))
+	}
+	eng.Run()
+	if len(c.pkts) != 5 {
+		t.Fatalf("%d packets arrived, want 5", len(c.pkts))
+	}
+	for i, at := range c.times {
+		if want := delay + sim.Time(i); at != want || c.pkts[i].QueueDelay != 0 {
+			t.Fatalf("packet %d arrived at %v after %v queued, want at %v, unqueued", i, at, c.pkts[i].QueueDelay, want)
+		}
+	}
+}
