@@ -26,7 +26,8 @@ import (
 // run or replace AQs, whose registers are plain fields (see AQ), and a
 // lookup may build the ID index's slice. What other
 // goroutines may do while the owner works is observe: Stats reads atomic
-// counters, which is what the control-plane server and the harness rely on.
+// counters. Its readers are the service loop, which snapshots them into
+// telemetry at window boundaries, and bench, after a run.
 type Table struct {
 	aqs ident.Index[packet.AQID, *AQ]
 
@@ -44,10 +45,8 @@ type Table struct {
 	trace      trace.Sink
 	traceWhere string
 
-	// Counters. Atomic for the one writer / many readers contract above:
-	// the control-plane server reports tables over TCP while traffic flows,
-	// and the parallel experiment harness snapshots them after concurrent
-	// runs.
+	// Counters. Atomic for the one writer / many readers contract above,
+	// so a Stats call from another goroutine never races the owner.
 	lookups  atomic.Uint64
 	misses   atomic.Uint64
 	bypassed atomic.Uint64

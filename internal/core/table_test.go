@@ -76,8 +76,9 @@ func TestTableBypass(t *testing.T) {
 
 // TestTableCountersConcurrent pins the table's concurrency contract: one
 // owner — the engine goroutine — runs Process, and any number of observers
-// read Table.Stats while it does (the control-plane server and the harness
-// both watch tables while traffic flows). Under -race the readers must not
+// read Table.Stats while it does (today the service loop at window
+// boundaries and bench after a run; the contract admits a reader while
+// traffic flows). Under -race the readers must not
 // race the writer, every snapshot they take must be monotone, and the
 // final counts are exact. Concurrent Process on one table is NOT part of
 // the contract: the A-Gap registers are plain fields, and each AQ lives on

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"aqueue/internal/packet"
+	"aqueue/internal/ring"
 	"aqueue/internal/sim"
 )
 
@@ -50,7 +51,7 @@ type DRR struct {
 }
 
 type drrQueue struct {
-	fifo    ring
+	fifo    ring.Buffer[*packet.Packet]
 	bytes   int
 	deficit int
 }
@@ -84,7 +85,7 @@ func (d *DRR) Push(now sim.Time, p *packet.Packet) bool {
 		return false
 	}
 	p.EnqueuedAt = now
-	q.fifo.push(p)
+	q.fifo.Push(p)
 	q.bytes += p.Size
 	d.bytes += p.Size
 	d.count++
@@ -107,8 +108,8 @@ func (d *DRR) Pop() *packet.Packet {
 	// bound below is a defensive cap far above that.
 	for scanned := 0; scanned < 64*n+64; scanned++ {
 		q := &d.queues[d.next]
-		head := q.fifo.peek()
-		if head == nil {
+		head, ok := q.fifo.Peek()
+		if !ok {
 			q.deficit = 0
 			advance()
 			continue
@@ -120,7 +121,7 @@ func (d *DRR) Pop() *packet.Packet {
 		}
 		if q.deficit >= head.Size {
 			q.deficit -= head.Size
-			q.fifo.pop()
+			q.fifo.Pop()
 			q.bytes -= head.Size
 			d.bytes -= head.Size
 			d.count--
@@ -140,7 +141,7 @@ func (d *DRR) Peek() *packet.Packet {
 	// non-empty queue in round-robin order.
 	n := len(d.queues)
 	for i := 0; i < n; i++ {
-		if head := d.queues[(d.next+i)%n].fifo.peek(); head != nil {
+		if head, ok := d.queues[(d.next+i)%n].fifo.Peek(); ok {
 			return head
 		}
 	}

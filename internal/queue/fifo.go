@@ -9,6 +9,7 @@ package queue
 
 import (
 	"aqueue/internal/packet"
+	"aqueue/internal/ring"
 	"aqueue/internal/sim"
 )
 
@@ -18,7 +19,7 @@ type FIFO struct {
 	limit   int // bytes; <=0 means unlimited
 	ecnKB   int // ECN marking threshold in bytes; <=0 disables marking
 	bytes   int
-	packets ring
+	packets ring.Buffer[*packet.Packet]
 
 	// AQMDropNonECT selects NS3/RED-style AQM semantics: above the ECN
 	// threshold, ECN-capable packets are marked while everything else is
@@ -37,7 +38,6 @@ type FIFO struct {
 	Dropped  uint64
 	Marked   uint64
 	MaxBytes int
-	DropHook func(*packet.Packet) // optional, observes drops
 }
 
 // FIFOStats is a snapshot of the queue's counters and occupancy, following
@@ -59,7 +59,7 @@ func (q *FIFO) Stats() FIFOStats {
 		Marked:   q.Marked,
 		MaxBytes: q.MaxBytes,
 		Bytes:    q.bytes,
-		Packets:  q.packets.len(),
+		Packets:  q.packets.Len(),
 	}
 }
 
@@ -84,7 +84,7 @@ func (q *FIFO) Limit() int { return q.limit }
 func (q *FIFO) ECNThreshold() int { return q.ecnKB }
 
 // Len returns the number of queued packets.
-func (q *FIFO) Len() int { return q.packets.len() }
+func (q *FIFO) Len() int { return q.packets.Len() }
 
 // Bytes returns the queued bytes.
 func (q *FIFO) Bytes() int { return q.bytes }
@@ -96,9 +96,6 @@ func (q *FIFO) Bytes() int { return q.bytes }
 func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
 	if q.limit > 0 && q.bytes+p.Size > q.limit {
 		q.Dropped++
-		if q.DropHook != nil {
-			q.DropHook(p)
-		}
 		return false
 	}
 	if q.AQMDropNonECT && q.ecnKB > 0 && !p.EcnCapable && q.bytes+p.Size > q.ecnKB {
@@ -108,15 +105,12 @@ func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
 		prob := float64(q.bytes+p.Size-q.ecnKB) / float64(q.ecnKB)
 		if prob >= 1 || q.rng.Float64() < prob {
 			q.Dropped++
-			if q.DropHook != nil {
-				q.DropHook(p)
-			}
 			return false
 		}
 	}
 	p.EnqueuedAt = now
 	q.bytes += p.Size
-	q.packets.push(p)
+	q.packets.Push(p)
 	q.Enqueued++
 	if q.bytes > q.MaxBytes {
 		q.MaxBytes = q.bytes
@@ -139,92 +133,27 @@ func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
 	return true
 }
 
-// PopDrained removes the head entry without touching the packet it holds.
-// A pipe running the virtual-transmitter fast path delivers packets
-// downstream at enqueue time and drains the queue's accounting lazily; by
-// then the head packet may already have been recycled, so the caller —
-// which recorded the size at enqueue — supplies it instead of Pop reading
-// a possibly-reused object.
-func (q *FIFO) PopDrained(size int) {
-	q.packets.pop()
-	q.bytes -= size
-}
-
-// PopDrainedN is PopDrained for a whole burst: it removes the n head
-// entries in one ring operation and subtracts their total size, which the
-// caller accumulated while walking its started-transmission record.
+// PopDrainedN removes the n head entries without touching the packets they
+// hold and subtracts totalSize from the queued bytes. A pipe running the
+// virtual-transmitter fast path retires entries as their serialization
+// starts, from its own record of their sizes, so the queue never reads a
+// packet the pipe has handed on.
 func (q *FIFO) PopDrainedN(n, totalSize int) {
-	q.packets.popN(n)
+	q.packets.PopN(n)
 	q.bytes -= totalSize
 }
 
 // Pop dequeues the head packet, or returns nil when empty.
 func (q *FIFO) Pop() *packet.Packet {
-	p := q.packets.pop()
-	if p != nil {
+	p, ok := q.packets.Pop()
+	if ok {
 		q.bytes -= p.Size
 	}
 	return p
 }
 
 // Peek returns the head packet without removing it.
-func (q *FIFO) Peek() *packet.Packet { return q.packets.peek() }
-
-// ring is a growable circular buffer of packets; it avoids the per-element
-// allocation and pointer-chasing of container/list on the hot path. The
-// buffer length is always a power of two (16, doubled), so index wrap is a
-// mask, not a divide.
-type ring struct {
-	buf        []*packet.Packet
-	head, size int
-}
-
-func (r *ring) len() int { return r.size }
-
-func (r *ring) push(p *packet.Packet) {
-	if r.size == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.size)&(len(r.buf)-1)] = p
-	r.size++
-}
-
-// popN discards the n head entries (n <= size) without reading them.
-func (r *ring) popN(n int) {
-	for i := 0; i < n; i++ {
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-	}
-	r.size -= n
-}
-
-func (r *ring) pop() *packet.Packet {
-	if r.size == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.size--
+func (q *FIFO) Peek() *packet.Packet {
+	p, _ := q.packets.Peek()
 	return p
-}
-
-func (r *ring) peek() *packet.Packet {
-	if r.size == 0 {
-		return nil
-	}
-	return r.buf[r.head]
-}
-
-func (r *ring) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	buf := make([]*packet.Packet, n)
-	for i := 0; i < r.size; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
 }

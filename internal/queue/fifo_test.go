@@ -149,17 +149,17 @@ func TestFIFOPopDrainedIgnoresRecycledHead(t *testing.T) {
 	q.Push(0, a)
 	q.Push(0, b)
 	// The drain contract: the caller recorded the size at enqueue time, and
-	// the head object may have been recycled since. PopDrained must account
+	// the head object may have been recycled since. PopDrainedN must account
 	// with the supplied size, never by reading the (possibly reused) packet.
 	a.Size = 9999
-	q.PopDrained(100)
+	q.PopDrainedN(1, 100)
 	if q.Len() != 1 || q.Bytes() != 200 {
 		t.Fatalf("after drain: len=%d bytes=%d, want 1/200", q.Len(), q.Bytes())
 	}
 	if q.Peek() != b {
 		t.Fatal("drain removed the wrong entry")
 	}
-	q.PopDrained(200)
+	q.PopDrainedN(1, 200)
 	if q.Len() != 0 || q.Bytes() != 0 {
 		t.Fatalf("after full drain: len=%d bytes=%d, want 0/0", q.Len(), q.Bytes())
 	}
@@ -176,11 +176,11 @@ func TestFIFOPopDrainedInterleavesWithPop(t *testing.T) {
 	for _, s := range sizes {
 		q.Push(0, data(s))
 	}
-	q.PopDrained(100)
+	q.PopDrainedN(1, 100)
 	if got := q.Pop(); got == nil || got.Size != 200 {
 		t.Fatalf("pop after drain returned size %v, want 200", got)
 	}
-	q.PopDrained(300)
+	q.PopDrainedN(1, 300)
 	if q.Len() != 1 || q.Bytes() != 400 {
 		t.Fatalf("len=%d bytes=%d, want 1/400", q.Len(), q.Bytes())
 	}

@@ -410,3 +410,69 @@ func TestServiceWireConcurrentMutators(t *testing.T) {
 		t.Fatalf("grant table corrupted: %+v err %v", list, err)
 	}
 }
+
+// TestWireZeroRateRequestsMidRun pins what a zero or negative rate sent
+// over the wire to a live fabric does today: nothing. A paused fabric with
+// an absolute and a weighted grant, each carrying load, steps a few
+// windows; then set_rate with bandwidth_bps 0 and -1e9 on the absolute
+// grant and set_weight with weight 0 on the weighted one each answer
+// bad_request. Both grants keep their rates, their AQs' Rate() agrees, and
+// the next window fingerprints exactly like a run that never sent the
+// requests. The test states the behaviour; it does not endorse it.
+func TestWireZeroRateRequestsMidRun(t *testing.T) {
+	type outcome struct {
+		rates, aqRates [2]float64
+		fingerprint    string
+	}
+	session := func(refuse bool) outcome {
+		td := dialService(t, testConfig(), RunConfig{StartPaused: true})
+		defer td.done()
+		do := func(req control.WireRequest) control.WireResponse {
+			t.Helper()
+			req.V = 2
+			r, err := td.cli.Do(req)
+			if err != nil || !r.OK {
+				t.Fatalf("%s: %+v err %v", req.Op, r, err)
+			}
+			return r
+		}
+		abs := do(control.WireRequest{Op: "grant", Tenant: "abs", Mode: "absolute", Bandwidth: 2e9, Switch: "S1"})
+		wtd := do(control.WireRequest{Op: "grant", Tenant: "wtd", Mode: "weighted", Weight: 1, Switch: "S1"})
+		for _, g := range []control.WireResponse{abs, wtd} {
+			do(control.WireRequest{Op: "attach", ID: g.ID, Kind: "fixed", Size: 30_000, Load: 0.4})
+		}
+		do(control.WireRequest{Op: "step", Count: 5})
+		if refuse {
+			for _, req := range []control.WireRequest{
+				{Op: "set_rate", ID: abs.ID, Bandwidth: 0},
+				{Op: "set_rate", ID: abs.ID, Bandwidth: -1e9},
+				{Op: "set_weight", ID: wtd.ID, Weight: 0},
+			} {
+				req.V = 2
+				r, err := td.cli.Do(req)
+				if r.OK || r.Code != control.CodeBadRequest {
+					t.Fatalf("%s bandwidth %g weight %g: %+v err %v, want code %q", req.Op, req.Bandwidth, req.Weight, r, err, control.CodeBadRequest)
+				}
+			}
+		}
+		var o outcome
+		td.s.Do(func(f *Fabric) control.WireResponse {
+			tbl := f.LookupTable("S1", control.Ingress)
+			for i, g := range []control.WireResponse{abs, wtd} {
+				id := packet.AQID(g.ID)
+				o.rates[i], o.aqRates[i] = float64(f.Ctrl().Rate(id)), float64(tbl.Lookup(id).Rate())
+			}
+			return control.WireResponse{OK: true}
+		})
+		do(control.WireRequest{Op: "step", Count: 1})
+		o.fingerprint = string(do(control.WireRequest{Op: "fingerprint"}).Data)
+		return o
+	}
+	quiet, refused := session(false), session(true)
+	if refused != quiet {
+		t.Fatalf("after the refused requests: %+v; a run that never sent them: %+v", refused, quiet)
+	}
+	if quiet.rates != quiet.aqRates || quiet.rates[0] != 2e9 || quiet.rates[1] <= 0 {
+		t.Fatalf("grant rates %v, AQ rates %v; want 2e9 and a positive share, equal", quiet.rates, quiet.aqRates)
+	}
+}

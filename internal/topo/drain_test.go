@@ -1,4 +1,4 @@
-// Edge cases of the virtual-transmitter lazy drain (FIFO.PopDrained via
+// Edge cases of the virtual-transmitter lazy drain (FIFO.PopDrainedN via
 // Pipe.drainStarted): deadline ties, interaction with ECN marking and tail
 // drops, and coexistence with the event-driven transmitter that a DRR
 // scheduler forces — all on the occupancy the queue reports, since that is
@@ -106,7 +106,7 @@ func TestPipeDrainAfterECNMarkedTailDrop(t *testing.T) {
 
 // TestPipeDrainInterleavedWithDRROnSameSwitch runs both transmitter
 // implementations side by side on one switch: a plain-FIFO port on the
-// virtual-transmitter fast path (lazy PopDrained accounting) and a DRR port
+// virtual-transmitter fast path (lazy drain accounting) and a DRR port
 // on the event-driven txDone path. The DRR port's events fire between the
 // FIFO port's sends and drains on the same engine; both must keep exact,
 // independent accounting and identical delivery pacing.

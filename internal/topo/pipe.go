@@ -10,6 +10,7 @@ import (
 
 	"aqueue/internal/packet"
 	"aqueue/internal/queue"
+	"aqueue/internal/ring"
 	"aqueue/internal/sim"
 	"aqueue/internal/units"
 )
@@ -28,7 +29,11 @@ type Pipe struct {
 	delay sim.Time
 	q     queue.Interface
 	dst   Receiver
-	busy  bool
+
+	// busy is set while the event-driven transmitter serializes a packet,
+	// which began at txStart.
+	busy    bool
+	txStart sim.Time
 
 	// fq is the plain FIFO behind q, enabling the virtual-transmitter
 	// fast path: a FIFO drains deterministically, so each packet's
@@ -40,11 +45,22 @@ type Pipe struct {
 	// txFreeAt is when the transmitter finishes its current backlog; a
 	// packet enqueued now starts serializing at max(now, txFreeAt).
 	txFreeAt sim.Time
-	// started holds the (start-time, size) of packets counted in fq but
-	// whose serialization hasn't begun; entries are drained lazily so
-	// fq's occupancy — which drives tail drop, ECN marking and Backlog —
-	// matches what the event-driven transmitter would report.
-	started startRing
+
+	// flights holds one record per packet whose delivery is planned but
+	// not yet made, in delivery order — on the FIFO path that is also
+	// arrival and start order. Its head is the one delivery armed in the
+	// engine: deliveries within a pipe are strictly ordered (lastPlan), so
+	// the rest wait here and chain as each delivery fires. A long fat pipe
+	// carries delay/txTime packets in flight; keeping them out of the event
+	// heap keeps every sift shallow.
+	flights ring.Buffer[flight]
+	// waiting counts the last entries of flights that fq still holds:
+	// accepted on the FIFO path, not yet serializing. drainStarted retires
+	// them lazily as their start times pass, so fq's occupancy — which
+	// drives tail drop, ECN marking and Backlog — matches what the
+	// event-driven transmitter would report; deliver retires one whose
+	// start passed unobserved, so fq never holds a delivered packet.
+	waiting int
 
 	// lane is the pipe's ordering lane (0 for pipes built outside a
 	// cluster): deliveries are scheduled with it, so same-instant
@@ -75,15 +91,6 @@ type Pipe struct {
 	// before, so fingerprints are unperturbed. SetFluidRate invalidates
 	// the memo like SetRate.
 	fluidRate units.BitRate
-
-	// inflight holds packets whose delivery time is planned but not yet
-	// armed in the engine: deliveries within a pipe are strictly ordered
-	// (lastPlan), so only the head needs a heap event — the rest wait in
-	// this ring and chain as each delivery fires. A long fat pipe carries
-	// delay/txTime packets in flight; keeping them out of the event heap
-	// keeps every sift shallow.
-	inflight      deliveryRing
-	deliveryArmed bool
 
 	// DelayHook, when set, observes the physical queuing delay of every
 	// packet at dequeue time (excludes serialization and propagation).
@@ -126,7 +133,7 @@ func newPipeWithAQMSeq(eng *sim.Engine, rate units.BitRate, delay sim.Time, queu
 		dst:   dst,
 	}
 	p.txDoneFn = func(x any) { p.txDone(x.(*packet.Packet)) }
-	p.deliverFn = func(x any) { p.deliver(x.(*packet.Packet)) }
+	p.deliverFn = func(any) { p.deliver() }
 	return p
 }
 
@@ -266,14 +273,12 @@ func (p *Pipe) Send(pkt *packet.Packet) {
 		p.pool.Release(pkt)
 		return
 	}
-	start := p.txFreeAt
+	start, queued := p.txFreeAt, true
 	if start <= now {
 		// Transmitter idle: serialization starts immediately, so the
 		// packet never counts as queued.
-		start = now
-		p.fq.PopDrained(pkt.Size)
-	} else {
-		p.started.push(start, pkt.Size)
+		start, queued = now, false
+		p.fq.PopDrainedN(1, pkt.Size)
 	}
 	waited := start - now
 	pkt.QueueDelay += waited
@@ -283,7 +288,10 @@ func (p *Pipe) Send(pkt *packet.Packet) {
 	p.txFreeAt = start + p.txTime(pkt.Size)
 	p.TxBytes += uint64(pkt.Size)
 	p.TxPackets++
-	p.planDelivery(p.txFreeAt, pkt)
+	p.planDelivery(start, p.txFreeAt, pkt)
+	if queued {
+		p.waiting++
+	}
 }
 
 // drainStarted retires queue entries whose serialization has begun, so the
@@ -292,17 +300,16 @@ func (p *Pipe) Send(pkt *packet.Packet) {
 // is retired in one FIFO transaction (PopDrainedN), so a burst's worth of
 // departures costs one accounting update instead of one per packet.
 func (p *Pipe) drainStarted(now sim.Time) {
-	n, bytes := 0, 0
-	for {
-		at, size, ok := p.started.peek()
-		if !ok || at > now {
+	first, n, bytes := p.flights.Len()-p.waiting, 0, 0
+	for ; n < p.waiting; n++ {
+		f := p.flights.At(first + n)
+		if f.start > now {
 			break
 		}
-		p.started.pop()
-		n++
-		bytes += size
+		bytes += f.size
 	}
 	if n > 0 {
+		p.waiting -= n
 		p.fq.PopDrainedN(n, bytes)
 	}
 }
@@ -322,6 +329,7 @@ func (p *Pipe) kick() {
 		p.DelayHook(waited, pkt)
 	}
 	p.busy = true
+	p.txStart = p.eng.Now()
 	p.TxBytes += uint64(pkt.Size)
 	p.TxPackets++
 	p.eng.AfterDetached(p.txTime(pkt.Size), p.txDoneFn, pkt)
@@ -331,15 +339,14 @@ func (p *Pipe) kick() {
 // path only): plan delivery, then start on the next queued packet.
 func (p *Pipe) txDone(pkt *packet.Packet) {
 	p.busy = false
-	p.planDelivery(p.eng.Now(), pkt)
+	p.planDelivery(p.txStart, p.eng.Now(), pkt)
 	p.kick()
 }
 
-// planDelivery schedules pkt to arrive at end (when its last bit leaves
-// the port) plus propagation and jitter. Only the earliest planned
-// delivery holds an engine event; later ones queue in the inflight ring
-// and are armed as each delivery fires.
-func (p *Pipe) planDelivery(end sim.Time, pkt *packet.Packet) {
+// planDelivery schedules pkt, whose serialization ran from start to end,
+// to arrive at end plus propagation and jitter. Only the head of flights
+// holds an engine event; later deliveries are armed as each one fires.
+func (p *Pipe) planDelivery(start, end sim.Time, pkt *packet.Packet) {
 	d := p.delay
 	if p.jitter > 0 {
 		// Multiply-shift range reduction (one draw, no divide): the high
@@ -353,114 +360,35 @@ func (p *Pipe) planDelivery(end sim.Time, pkt *packet.Packet) {
 		at = p.lastPlan + 1 // never reorder within a pipe
 	}
 	p.lastPlan = at
-	if p.deliveryArmed {
-		p.inflight.push(at, pkt)
-	} else {
-		p.deliveryArmed = true
-		p.eng.AtOrdered(p.lane, at, p.deliverFn, pkt)
+	p.flights.Push(flight{start: start, at: at, size: pkt.Size, pkt: pkt})
+	if p.flights.Len() == 1 {
+		p.eng.AtOrdered(p.lane, at, p.deliverFn, nil)
 	}
 }
 
 // deliver hands the head packet to the destination and continues the
 // delivery chain: the next planned delivery is armed before Receive runs,
 // so it takes the engine's root hole and the chain's event schedule is
-// independent of whatever the receiver does.
-func (p *Pipe) deliver(pkt *packet.Packet) {
-	if next, at, ok := p.inflight.pop(); ok {
-		p.eng.AtOrdered(p.lane, at, p.deliverFn, next)
-	} else {
-		p.deliveryArmed = false
+// independent of whatever the receiver does. A head fq still counts —
+// its start passed with no Send or Backlog to drain it — is retired from
+// fq first.
+func (p *Pipe) deliver() {
+	f, _ := p.flights.Pop()
+	if p.waiting > p.flights.Len() {
+		p.waiting--
+		p.fq.PopDrainedN(1, f.size)
 	}
-	p.dst.Receive(pkt)
-}
-
-// deliveryRing is a growable circular buffer of (deliver-at, packet) pairs.
-type deliveryRing struct {
-	buf        []delivery
-	head, size int
-}
-
-type delivery struct {
-	at  sim.Time
-	pkt *packet.Packet
-}
-
-func (r *deliveryRing) push(at sim.Time, pkt *packet.Packet) {
-	if r.size == len(r.buf) {
-		r.grow()
+	if next, ok := p.flights.Peek(); ok {
+		p.eng.AtOrdered(p.lane, next.at, p.deliverFn, nil)
 	}
-	r.buf[(r.head+r.size)&(len(r.buf)-1)] = delivery{at, pkt}
-	r.size++
+	p.dst.Receive(f.pkt)
 }
 
-func (r *deliveryRing) pop() (*packet.Packet, sim.Time, bool) {
-	if r.size == 0 {
-		return nil, 0, false
-	}
-	d := r.buf[r.head]
-	r.buf[r.head] = delivery{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.size--
-	return d.pkt, d.at, true
-}
-
-// startRing is a growable circular buffer of (serialization-start, size)
-// pairs for packets accepted by the virtual transmitter but not yet in
-// service.
-type startRing struct {
-	buf        []pendingStart
-	head, size int
-}
-
-type pendingStart struct {
-	at   sim.Time
-	size int
-}
-
-func (r *startRing) push(at sim.Time, size int) {
-	if r.size == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.size)&(len(r.buf)-1)] = pendingStart{at, size}
-	r.size++
-}
-
-func (r *startRing) peek() (sim.Time, int, bool) {
-	if r.size == 0 {
-		return 0, 0, false
-	}
-	e := r.buf[r.head]
-	return e.at, e.size, true
-}
-
-func (r *startRing) pop() {
-	r.buf[r.head] = pendingStart{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.size--
-}
-
-func (r *startRing) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	buf := make([]pendingStart, n)
-	for i := 0; i < r.size; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
-}
-
-func (r *deliveryRing) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 16
-	}
-	buf := make([]delivery, n)
-	for i := 0; i < r.size; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
+// flight is one packet between acceptance and delivery: when its
+// serialization starts, when it arrives at the destination, and its size
+// as accepted, which the FIFO's accounting reads instead of the packet.
+type flight struct {
+	start, at sim.Time
+	size      int
+	pkt       *packet.Packet
 }

@@ -63,8 +63,9 @@ func TestPipeBackToBackSpacing(t *testing.T) {
 // TestPipeDeliveryChain pins the delivery chain against arithmetic: 40 MSS
 // packets sent at t=0 on an idle 10 Gbps, 5 us pipe serialize back to back
 // at 832 ns each, so packet k arrives at exactly (k+1)*832 + 5000 ns. Only
-// the head delivery holds an engine event — the other 39 wait in the
-// inflight ring — and each delivery is one event. Stepped through a cluster
+// the head delivery holds an engine event — all 40 have their record in
+// the pipe's flights, the head's being the armed one — and each delivery
+// is one event. Stepped through a cluster
 // in 1 us RunUntil calls, as the service steps its windows, the chain
 // crosses every deadline without moving an instant.
 func TestPipeDeliveryChain(t *testing.T) {
@@ -79,8 +80,8 @@ func TestPipeDeliveryChain(t *testing.T) {
 		if got := eng.Pending(); got != 1 {
 			t.Fatalf("Pending() = %d after %d sends, want 1 (the armed head)", got, pkts)
 		}
-		if got := p.inflight.size; got != pkts-1 {
-			t.Fatalf("inflight ring holds %d, want %d", got, pkts-1)
+		if got := p.flights.Len(); got != pkts {
+			t.Fatalf("flights holds %d, want %d", got, pkts)
 		}
 		run()
 		if len(c.pkts) != pkts {

@@ -183,7 +183,7 @@ func TestReceiverAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("in-order arrival: %v allocs per segment, want 0", n)
 	}
-	if g.r.cum != seq || len(g.r.held.buf) != 0 {
-		t.Fatalf("cum %d after %d in-order bytes, ring %d slots; want %d and 0", g.r.cum, seq, len(g.r.held.buf), seq)
+	if g.r.cum != seq || g.r.held.slots.Cap() != 0 {
+		t.Fatalf("cum %d after %d in-order bytes, ring capacity %d slots; want %d and 0", g.r.cum, seq, g.r.held.slots.Cap(), seq)
 	}
 }

@@ -1,64 +1,48 @@
 package transport
 
+import "aqueue/internal/ring"
+
 // segRing holds one byte of state per MSS-grid segment for the sequences
-// [base, base+len(buf)*mss), in a power-of-two ring indexed by segment
-// offset from base. Both halves of a flow keep one: the sender's SACK
-// scoreboard and the receiver's held-out-of-order flags. Every data
-// segment starts on the MSS grid and carries a payload fixed by its
-// sequence (segPayload), so one byte per grid slot says everything a
-// seq-keyed map would — with no hashing and no buckets.
+// [base, base+slots.Len()*mss), on a ring.Buffer indexed by segment offset
+// from base. Both halves of a flow keep one: the sender's SACK scoreboard
+// and the receiver's held-out-of-order flags. Every data segment starts on
+// the MSS grid and carries a payload fixed by its sequence (segPayload), so
+// one byte per grid slot says everything a seq-keyed map would — with no
+// hashing and no buckets.
 //
 // base only moves forward, by whole segments, and the slots it slides past
-// are cleared, so a sequence below base reads as absent exactly like a
-// deleted map entry. The ring grows to cover the highest sequence set and
-// never shrinks; the receive window (rwndBytes) bounds it at
-// rwndBytes/mss slots rounded up to a power of two — 2 048 bytes at the
-// default MSS.
+// are popped, so a sequence below base — or at or past the last slot —
+// reads as absent exactly like a deleted map entry. The buffer extends to
+// the highest sequence set and never shrinks its storage; the receive
+// window (rwndBytes) bounds it at rwndBytes/mss slots rounded up to a power
+// of two — 2 048 bytes at the default MSS.
 type segRing struct {
-	buf  []uint8
-	base int64
-	head int
-	mss  int64
+	slots ring.Buffer[uint8]
+	base  int64
+	mss   int64
 }
 
 // get returns the state for the segment starting at seq, or 0 ("absent")
 // when seq lies outside the tracked window.
 func (r *segRing) get(seq int64) uint8 {
 	d := seq - r.base
-	if d < 0 {
+	if d < 0 || d/r.mss >= int64(r.slots.Len()) {
 		return 0
 	}
-	off := d / r.mss
-	if off >= int64(len(r.buf)) {
-		return 0
-	}
-	return r.buf[(r.head+int(off))&(len(r.buf)-1)]
+	return r.slots.At(int(d / r.mss))
 }
 
-// set records the state for the segment starting at seq >= base, growing
-// the ring to cover it.
+// set records the state for the segment starting at seq >= base, extending
+// the window with absent slots to cover it.
 func (r *segRing) set(seq int64, v uint8) {
-	off := (seq - r.base) / r.mss
-	for off >= int64(len(r.buf)) {
-		r.grow()
+	off := int((seq - r.base) / r.mss)
+	for off >= r.slots.Len() {
+		r.slots.Push(0)
 	}
-	r.buf[(r.head+int(off))&(len(r.buf)-1)] = v
+	r.slots.Set(off, v)
 }
 
-func (r *segRing) grow() {
-	n := len(r.buf) * 2
-	if n == 0 {
-		n = 64
-	}
-	buf := make([]uint8, n)
-	for i := 0; i < len(r.buf); i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
-}
-
-// advance slides base up to newBase, clearing the vacated slots. The base
+// advance slides base up to newBase, dropping the vacated slots. The base
 // only moves by whole segments (rounding the last, possibly partial,
 // segment up) so segment offsets stay grid-aligned.
 func (r *segRing) advance(newBase int64) {
@@ -66,16 +50,7 @@ func (r *segRing) advance(newBase int64) {
 		return
 	}
 	n := (newBase - r.base + r.mss - 1) / r.mss
-	if n >= int64(len(r.buf)) {
-		clear(r.buf)
-		r.head = 0
-	} else {
-		mask := len(r.buf) - 1
-		for i := int64(0); i < n; i++ {
-			r.buf[r.head] = 0
-			r.head = (r.head + 1) & mask
-		}
-	}
+	r.slots.PopN(int(min(n, int64(r.slots.Len()))))
 	r.base += n * r.mss
 }
 
