@@ -1,5 +1,5 @@
 // Command aqsimd hosts a long-running simulated fabric as a daemon: a
-// cluster-built topology with an AQ controller that free-runs (optionally
+// topology on one engine with an AQ controller that free-runs (optionally
 // paced against the wall clock) and accepts runtime mutations over the
 // wire protocol — tenant grants and guarantee reconfigurations,
 // open-loop workload attach/detach, telemetry snapshots and trace tails,

@@ -30,11 +30,11 @@ type CCShareResult struct {
 // experiments) for p.Horizon and returns per-entity goodput measured after
 // warmup.
 func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCShareResult {
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
 	m := len(entities)
 	hostsPer := 2
-	d := topo.NewDumbbellIn(c, m*hostsPer, m*hostsPer, spec, spec)
+	d := topo.NewDumbbell(eng, m*hostsPer, m*hostsPer, spec, spec)
 
 	classify := func(pkt *packet.Packet) int {
 		// Destination hosts are allocated per entity in blocks.
@@ -73,7 +73,7 @@ func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCSh
 		opt.EcnCapable = ecnCapable(e.cc)
 		longFlows(srcs, dsts, e.flows, ccFactory(e.cc), opt)
 	}
-	c.RunUntil(p.Horizon)
+	eng.RunUntil(p.Horizon)
 
 	warmup := p.Horizon / 4
 	out := make([]CCShareResult, m)

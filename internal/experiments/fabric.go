@@ -35,9 +35,9 @@ func fabricSpecs() (edge, fab topo.LinkSpec) {
 // p.Horizon. Returns per-entity Gbps for (PQ A, PQ B, AQ A, AQ B).
 func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 	run := func(useAQ bool) (float64, float64) {
-		c := p.Cluster()
+		eng := sim.NewEngine()
 		edge, fab := fabricSpecs()
-		f := topo.NewLeafSpineIn(c, 2, 2, 4, edge, fab)
+		f := topo.NewLeafSpine(eng, 2, 2, 4, edge, fab)
 		// Entity A: hosts 0,1 (leaf 0) -> hosts 4,5 (leaf 1).
 		// Entity B: hosts 2,3 (leaf 0) -> hosts 6,7 (leaf 1).
 		rc := newRxClassifier(f.Hosts[4:], 2, sim.Millisecond, func(pkt *packet.Packet) int {
@@ -71,7 +71,7 @@ func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 			[]*topo.Host{f.Hosts[4], f.Hosts[5]}, 8, ccFactory("cubic"), optA)
 		longFlows([]*topo.Host{f.Hosts[2], f.Hosts[3]},
 			[]*topo.Host{f.Hosts[6], f.Hosts[7]}, 16, ccFactory("cubic"), optB)
-		c.RunUntil(p.Horizon)
+		eng.RunUntil(p.Horizon)
 		warm := p.Horizon / 4
 		return rc.Gbps(0, warm, p.Horizon), rc.Gbps(1, warm, p.Horizon)
 	}
@@ -86,9 +86,9 @@ func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 // inbound rate without and with the AQ.
 func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 	run := func(useAQ bool) float64 {
-		c := p.Cluster()
+		eng := sim.NewEngine()
 		edge, fab := fabricSpecs()
-		f := topo.NewLeafSpineIn(c, 3, 2, 3, edge, fab)
+		f := topo.NewLeafSpine(eng, 3, 2, 3, edge, fab)
 		victim := f.Hosts[0]
 		meter := stats.NewMeter(sim.Millisecond)
 		victim.RxHook = func(pkt *packet.Packet) {
@@ -117,7 +117,7 @@ func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 			Opt:           opt,
 		}
 		in.Start()
-		c.RunUntil(p.Horizon)
+		eng.RunUntil(p.Horizon)
 		return meter.Gbps(p.Horizon/4, p.Horizon)
 	}
 	return run(false), run(true)

@@ -15,9 +15,9 @@ import (
 // B (n long flows), each on its own VM, for p.Horizon and returns (A, B)
 // goodput in Gbps. weights sets the A:B share when AQ is used.
 func fig8Run(p harness.Params, approach Approach, nB int, wA, wB float64) (float64, float64) {
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
-	d := topo.NewDumbbellIn(c, 2, 2, spec, spec)
+	d := topo.NewDumbbell(eng, 2, 2, spec, spec)
 	rc := newRxClassifier(d.Right, 2, sim.Millisecond, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - 2 // dst 2 -> entity A, dst 3 -> entity B
 	})
@@ -39,7 +39,7 @@ func fig8Run(p harness.Params, approach Approach, nB int, wA, wB float64) (float
 	}
 	longFlows(d.Left[:1], d.Right[:1], 1, ccFactory("cubic"), optA)
 	longFlows(d.Left[1:2], d.Right[1:2], nB, ccFactory("cubic"), optB)
-	c.RunUntil(p.Horizon)
+	eng.RunUntil(p.Horizon)
 	warm := p.Horizon / 4
 	return rc.Gbps(0, warm, p.Horizon), rc.Gbps(1, warm, p.Horizon)
 }

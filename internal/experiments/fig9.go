@@ -37,10 +37,10 @@ type Fig9Result struct {
 // among the active entities at every join (weighted mode, §4.1).
 func fig9Run(p harness.Params, approach Approach) Fig9Result {
 	phase := p.Horizon / 4
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
 	n := len(Fig9Entities)
-	d := topo.NewDumbbellIn(c, n, n, spec, spec)
+	d := topo.NewDumbbell(eng, n, n, spec, spec)
 	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - n
 	})
@@ -71,7 +71,7 @@ func fig9Run(p harness.Params, approach Approach) Fig9Result {
 		}
 	}
 	horizon := sim.Time(n+1) * phase
-	c.RunUntil(horizon)
+	eng.RunUntil(horizon)
 
 	res := Fig9Result{Phase: phase, Series: make([][]float64, n)}
 	for i := 0; i < n; i++ {

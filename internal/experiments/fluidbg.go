@@ -71,9 +71,9 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 	const nFG = 3
 	n := nFG + 1
 	horizon := p.Horizon
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
-	d := topo.NewDumbbellIn(c, n, n, spec, spec)
+	d := topo.NewDumbbell(eng, n, n, spec, spec)
 	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - n
 	})
@@ -110,7 +110,7 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 			transport.Options{IngressAQ: bgID})
 		u.Start(0)
 	}
-	c.RunUntil(horizon)
+	eng.RunUntil(horizon)
 
 	from, to := horizon/4, horizon // skip the slow-start transient
 	fg = make([]float64, nFG)
@@ -132,9 +132,9 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 // tenant finishes, so the run ends promptly in both variants.
 func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	const vms = 4
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
-	d := topo.NewDumbbellIn(c, vms+1, vms+1, spec, spec)
+	d := topo.NewDumbbell(eng, vms+1, vms+1, spec, spec)
 	ctrl := control.NewController(spec.Rate)
 
 	g, err := ctrl.Grant(control.Request{Tenant: "tenant", Mode: control.Weighted,
@@ -184,7 +184,7 @@ func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 		ctrl.SetActive(id, false)
 		stopBG()
 	})
-	c.RunUntil(runCap)
+	eng.RunUntil(runCap)
 	if !tr.AllDone() {
 		return runCap
 	}

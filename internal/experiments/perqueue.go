@@ -7,6 +7,7 @@ import (
 	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/queue"
+	"aqueue/internal/sim"
 	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/transport"
@@ -26,9 +27,9 @@ import (
 // index across the entities' goodputs for DRR and AQ.
 func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJain float64) {
 	run := func(useAQ bool) float64 {
-		c := p.Cluster()
+		eng := sim.NewEngine()
 		spec := simSpec()
-		d := topo.NewDumbbellIn(c, entities, entities, spec, spec)
+		d := topo.NewDumbbell(eng, entities, entities, spec, spec)
 		if !useAQ {
 			// Replace the bottleneck's FIFO with a DRR over the hardware
 			// queues, classified by the entity tag in the header.
@@ -54,7 +55,7 @@ func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJa
 			}
 			longFlows(d.Left[i:i+1], d.Right[i:i+1], 1+(3*i)%5, ccFactory("cubic"), opt)
 		}
-		c.RunUntil(p.Horizon)
+		eng.RunUntil(p.Horizon)
 		shares := make([]float64, entities)
 		for i := 0; i < entities; i++ {
 			shares[i] = float64(d.Right[i].RxBytes)

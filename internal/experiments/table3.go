@@ -27,9 +27,9 @@ type Table3Row struct {
 // traffic profile is 5 Gbps outbound and 5 Gbps inbound. The function
 // returns the windowed min~max of A's outbound and inbound rates.
 func table3Run(p harness.Params, approach Approach) Table3Row {
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := testbedSpec()
-	st := topo.NewStarIn(c, 4, spec)
+	st := topo.NewStar(eng, 4, spec)
 	horizon := p.Horizon
 	warmup := horizon / 4
 	window := horizon / 12
@@ -111,7 +111,7 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 	for _, h := range others {
 		startSenders(h, []*topo.Host{a}, 8)
 	}
-	c.RunUntil(horizon)
+	eng.RunUntil(horizon)
 
 	rangeOf := func(m *stats.Meter) (float64, float64) {
 		lo, hi := -1.0, -1.0

@@ -19,7 +19,7 @@ import (
 // recorded; under AQ the trunk runs at 100 Gbps with a 25 Gbps AQ, and the
 // virtual queuing delay carried in the packets is recorded (§5.5).
 func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Percentiles) {
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	const (
 		qLimit = 1000 * 1000
 		ecnK   = 160 * 1000
@@ -37,7 +37,7 @@ func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Per
 		trunk.QueueLimit = qLimit
 		trunk.ECNThreshold = ecnK
 	}
-	d := topo.NewDumbbellIn(c, 2, 2, edge, trunk)
+	d := topo.NewDumbbell(eng, 2, 2, edge, trunk)
 
 	delays := &stats.Percentiles{}
 	var opt transport.Options
@@ -66,7 +66,7 @@ func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Per
 		}
 	}
 	flows := longFlows(d.Left, d.Right, 5, ccFactory(ccName), opt)
-	c.RunUntil(p.Horizon)
+	eng.RunUntil(p.Horizon)
 	return gbpsOf(sumAcked(flows), p.Horizon), delays
 }
 

@@ -31,13 +31,13 @@ type wlSpec struct {
 // §5.2): concurrency equals the VM count, which is exactly what makes the
 // four approaches differ. The trace is drawn from p.Seed.
 func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
-	c := p.Cluster()
+	eng := sim.NewEngine()
 	spec := simSpec()
 	totalVMs := 0
 	for _, s := range specs {
 		totalVMs += s.vms
 	}
-	d := topo.NewDumbbellIn(c, totalVMs, totalVMs, spec, spec)
+	d := topo.NewDumbbell(eng, totalVMs, totalVMs, spec, spec)
 
 	var totalWeight float64
 	for _, s := range specs {
@@ -124,7 +124,7 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 	if drl != nil {
 		drl.Start()
 	}
-	c.RunUntil(60 * sim.Second) // generous; closed loops finish well before
+	eng.RunUntil(60 * sim.Second) // generous; closed loops finish well before
 	out := make([]sim.Time, len(specs))
 	for i, tr := range trackers {
 		if !tr.AllDone() {

@@ -31,11 +31,6 @@ type Params struct {
 	Quick bool `json:"quick,omitempty"`
 }
 
-// Cluster builds the simulation cluster a run places its topology on: one
-// engine and the construction identities the cluster builders draw (see
-// sim.Cluster).
-func (p Params) Cluster() *sim.Cluster { return sim.NewCluster(1) }
-
 // Run is a registered experiment: it builds all mutable state — engine,
 // topology, flows — per call, so it is safe to call concurrently with any
 // other Run, itself included. A run that cannot complete panics; the pool

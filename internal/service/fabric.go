@@ -1,5 +1,5 @@
-// Package service hosts a long-running simulated fabric: a cluster-built
-// topology with an AQ controller that advances in fixed windows and
+// Package service hosts a long-running simulated fabric: a topology on
+// one engine with an AQ controller that advances in fixed windows and
 // accepts runtime mutations — tenant grants, guarantee reconfigurations,
 // open-loop load attach/detach — only at window boundaries. That single
 // rule is what keeps the daemon deterministic: a mutation script keyed by
@@ -23,7 +23,6 @@ import (
 	"aqueue/internal/control"
 	"aqueue/internal/core"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/trace"
 	"aqueue/internal/units"
@@ -95,12 +94,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fabricPipe is one telemetered link: its per-window byte meter and the
-// TX counter high-water mark from the previous boundary.
+// fabricPipe is one telemetered link: the TX counter high-water mark from
+// the previous boundary and the throughput of recent windows.
 type fabricPipe struct {
 	name   string
 	pipe   *topo.Pipe
-	meter  *stats.Meter
 	lastTx uint64
 	// lastGbps is the throughput of the most recent completed window;
 	// recent keeps the last maxSeriesPoints of them for full snapshots.
@@ -172,7 +170,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	}
 	switch cfg.Topo {
 	case "dumbbell":
-		d := topo.NewDumbbellIn(f.cluster, cfg.Hosts, cfg.Hosts, cfg.Edge, cfg.Trunk)
+		d := topo.NewDumbbell(f.cluster.Engine(), cfg.Hosts, cfg.Hosts, cfg.Edge, cfg.Trunk)
 		f.srcs, f.dsts = d.Left, d.Right
 		f.capacity = cfg.Trunk.Rate
 		f.addSwitch("S1", d.S1)
@@ -189,7 +187,7 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		if cfg.Hosts < 2 || cfg.Hosts%2 != 0 {
 			return nil, fmt.Errorf("service: star needs an even host count >= 2, got %d", cfg.Hosts)
 		}
-		s := topo.NewStarIn(f.cluster, cfg.Hosts, cfg.Edge)
+		s := topo.NewStar(f.cluster.Engine(), cfg.Hosts, cfg.Edge)
 		half := cfg.Hosts / 2
 		f.srcs, f.dsts = s.Hosts[:half], s.Hosts[half:]
 		f.capacity = cfg.Edge.Rate
@@ -219,7 +217,7 @@ func (f *Fabric) addSwitch(name string, sw *topo.Switch) {
 }
 
 func (f *Fabric) addPipe(name string, p *topo.Pipe) {
-	f.pipes = append(f.pipes, fabricPipe{name: name, pipe: p, meter: stats.NewMeter(f.cfg.Window)})
+	f.pipes = append(f.pipes, fabricPipe{name: name, pipe: p})
 }
 
 // Config returns the normalized configuration.
@@ -257,7 +255,7 @@ func (f *Fabric) ScriptAt(w uint64, fn func(*Fabric)) {
 }
 
 // AdvanceWindow applies the mutations scripted for the current boundary,
-// simulates one window, rolls the telemetry meters and returns the
+// simulates one window, rolls the per-pipe telemetry and returns the
 // boundary snapshot (folded into the run fingerprint).
 func (f *Fabric) AdvanceWindow() Snapshot {
 	if fns := f.script[f.window]; len(fns) > 0 {
@@ -274,8 +272,6 @@ func (f *Fabric) AdvanceWindow() Snapshot {
 		tx := fp.pipe.Stats().TxBytes
 		delta := tx - fp.lastTx
 		fp.lastTx = tx
-		// boundary-1 files window w's bytes under bucket index w-1.
-		fp.meter.Add(boundary-1, int(delta))
 		// bits per nanosecond is Gbps exactly.
 		fp.lastGbps = float64(delta*8) / float64(f.cfg.Window)
 		if len(fp.recent) == maxSeriesPoints {

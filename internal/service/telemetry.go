@@ -3,6 +3,7 @@ package service
 import (
 	"aqueue/internal/control"
 	"aqueue/internal/core"
+	"aqueue/internal/sim"
 	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/trace"
@@ -25,7 +26,8 @@ type Snapshot struct {
 
 // PipeSnap is one telemetered link: cumulative wire counters plus the
 // throughput of the last completed window, and — when a full snapshot is
-// requested — the per-window Gbps series since the run started.
+// requested — the Gbps of the last maxSeriesPoints windows and the meter
+// summary over the whole run.
 type PipeSnap struct {
 	Name string `json:"name"`
 	topo.PipeStats
@@ -47,8 +49,9 @@ type SwitchSnap struct {
 const maxSeriesPoints = 64
 
 // Snapshot builds the boundary snapshot. series additionally includes the
-// per-pipe throughput history (downsampled to maxSeriesPoints buckets) —
-// the expensive part, so only the explicit "stats" verb asks for it.
+// per-pipe throughput of the last maxSeriesPoints windows and the pipe's
+// meter summary — the expensive part, so only the explicit "stats" verb
+// asks for it.
 func (f *Fabric) Snapshot(series bool) Snapshot {
 	s := Snapshot{
 		Window:   f.window,
@@ -64,8 +67,7 @@ func (f *Fabric) Snapshot(series bool) Snapshot {
 		*ps = PipeSnap{Name: fp.name, PipeStats: fp.pipe.Stats(), Gbps: fp.lastGbps}
 		if series {
 			ps.Series = append([]float64(nil), fp.recent...)
-			ms := fp.meter.Stats()
-			ps.Meter = &ms
+			ps.Meter = f.pipeMeter(fp)
 		}
 	}
 	for i, fs := range f.switches {
@@ -80,6 +82,23 @@ func (f *Fabric) Snapshot(series bool) Snapshot {
 		s.Drivers[i] = f.drivers[id].Snap()
 	}
 	return s
+}
+
+// pipeMeter is the summary a stats.Meter of bucket width Window would
+// report had it been fed each window's TX bytes at the window's last
+// nanosecond: window w (1-based) fills bucket w−1, so the range runs from
+// Window−1 to w·Window−1 and the total is the TX count at the last
+// boundary. It is computed from that count and the window count alone, so
+// the daemon keeps no per-window buckets.
+func (f *Fabric) pipeMeter(fp *fabricPipe) *stats.MeterStats {
+	w := f.cfg.Window
+	ms := &stats.MeterStats{TotalBytes: fp.lastTx, BucketNS: int64(w), Buckets: int(f.window)}
+	if f.window > 0 {
+		end := sim.Time(f.window) * w
+		ms.FirstNS, ms.LastNS = int64(w-1), int64(end-1)
+		ms.AvgGbps = stats.RateGbps(fp.lastTx, end)
+	}
+	return ms
 }
 
 // TraceEvent is the wire form of one trace-ring entry.

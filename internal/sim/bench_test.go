@@ -53,10 +53,9 @@ func BenchmarkTimerRearm(b *testing.B) {
 }
 
 // BenchmarkEngineHold measures the engine under the delivery pattern: k
-// streams, each on its own ordering lane with strictly increasing deadlines
-// a serialization time apart, every handler re-arming its stream before it
-// returns — so every fire refills the root hole and costs exactly one
-// sift-down at depth k. Stream l's gap is the serialization time plus l ns:
+// streams, each with strictly increasing deadlines a serialization time
+// apart, every handler re-arming its stream before it returns — so every
+// fire refills the root hole and costs exactly one sift-down at depth k. Stream l's gap is the serialization time plus l ns:
 // with one gap for all, the streams fire in a fixed rotation a branch
 // predictor learns at small k, which no workload's interleaving is. The
 // depths are the pending-event counts the bench workloads hold (udp_fanin
@@ -66,15 +65,15 @@ func BenchmarkEngineHold(b *testing.B) {
 	for _, pending := range []int{17, 48, 106, 1024} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			e := NewEngine()
-			lanes := make([]any, pending) // pre-boxed: the handler must not allocate
+			streams := make([]any, pending) // pre-boxed: the handler must not allocate
 			var fire func(any)
-			fire = func(lane any) {
-				l := lane.(uint32)
-				e.AtOrdered(l, e.Now()+serialization+Time(l), fire, lane)
+			fire = func(stream any) {
+				l := stream.(uint32)
+				e.AtDetached(e.Now()+serialization+Time(l), fire, stream)
 			}
-			for i := range lanes {
-				lanes[i] = uint32(i + 1)
-				e.AtOrdered(uint32(i+1), offset+serialization, fire, lanes[i])
+			for i := range streams {
+				streams[i] = uint32(i + 1)
+				e.AtDetached(offset+serialization, fire, streams[i])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -5,17 +5,12 @@ import (
 	"time"
 )
 
-// Cluster is the engine a topology build places a whole run on, together
-// with the construction identities that build draws from it: cluster-scoped
-// sequences for component identities and RNG seeds, one ordering lane per
-// pipe (NextLane, delivered through Engine.AtOrdered), and — assigned by
-// the topo builders — per-host flow-ID strides. A run's results are a pure
-// function of the topology, the workload and these draws, which is what
-// the recorded golden fingerprints hold it to (DESIGN.md §3b).
+// Cluster is one engine plus run accounting: RunUntil counts the calls
+// that moved the clock and times the ones that fired events, and
+// SyncStats reports both. The service runs its fabric through one; a
+// topology builds on its engine like on any other (DESIGN.md §3b).
 type Cluster struct {
-	eng   *Engine
-	seqs  seqTable
-	lanes uint32
+	eng *Engine
 
 	// Run accounting for SyncStats: RunUntil calls that moved the clock,
 	// and the calls that fired events with their host wall time.
@@ -42,25 +37,6 @@ func (c *Cluster) Engines() []*Engine { return []*Engine{c.eng} }
 
 // Now returns the cluster clock.
 func (c *Cluster) Now() Time { return c.eng.Now() }
-
-// SeqDomain registers the named cluster-scoped sequence and returns its
-// handle; see Engine.SeqDomain. Topology builders draw component
-// identities and RNG seeds from these sequences rather than the engine's,
-// so a component's identity depends only on construction order.
-func (c *Cluster) SeqDomain(name string) SeqDomain { return c.seqs.domain(name) }
-
-// NextIn draws from a cluster sequence registered with SeqDomain.
-func (c *Cluster) NextIn(d SeqDomain) uint64 { return c.seqs.next(d) }
-
-// NextLane hands out the next ordering lane (1, 2, ...); lane 0 is the
-// anonymous lane of ordinary events. Builders assign one per pipe.
-func (c *Cluster) NextLane() uint32 {
-	if c.lanes >= MaxLane {
-		panic("sim: out of ordering lanes")
-	}
-	c.lanes++
-	return c.lanes
-}
 
 // RunUntil runs the engine to deadline (see Engine.RunUntil) and folds the
 // call into the run accounting SyncStats reports.

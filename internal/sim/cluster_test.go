@@ -1,44 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
-
-// TestAtOrderedLaneOrdering: at one instant, events fire by lane first and
-// scheduling order only within a lane — regardless of push order.
-func TestAtOrderedLaneOrdering(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	rec := func(x any) { got = append(got, x.(string)) }
-	e.AtOrdered(2, 10, rec, "lane2-a")
-	e.AtOrdered(1, 10, rec, "lane1-a")
-	e.At(10, func() { got = append(got, "lane0-handle") })
-	e.AtDetached(10, rec, "lane0-detached")
-	e.AtOrdered(1, 10, rec, "lane1-b")
-	e.AtOrdered(2, 10, rec, "lane2-b")
-	e.Run()
-	want := []string{"lane0-handle", "lane0-detached", "lane1-a", "lane1-b", "lane2-a", "lane2-b"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("fire order %v, want %v", got, want)
-	}
-}
-
-// TestAtOrderedLaneBeatsLateAnonymous: an anonymous event scheduled after
-// billions of sequence draws still precedes any lane>0 event at the same
-// instant (the lane occupies strictly higher bits than any realistic seq).
-func TestAtOrderedLaneBeatsLateAnonymous(t *testing.T) {
-	e := NewEngine()
-	e.seq = 1 << 39 // deep into a long run, still below the lane bits
-	var got []string
-	rec := func(x any) { got = append(got, x.(string)) }
-	e.AtOrdered(1, 5, rec, "lane1")
-	e.AtDetached(5, rec, "anon")
-	e.Run()
-	if fmt.Sprint(got) != "[anon lane1]" {
-		t.Fatalf("fire order %v, want [anon lane1]", got)
-	}
-}
+import "testing"
 
 // TestSeqDomainMatchesNextSeq: looking a name up again finds the same
 // sequence — a handle taken once and one taken at every draw give the same

@@ -17,8 +17,8 @@
 //     4-ary heap of armed timers (timer.go): each timer knows its heap
 //     index, so arm, disarm and re-arm are exact O(log n) sifts in armed
 //     timers with no tombstones; the dispatch loop merges the two lane
-//     roots by (time, ordering word), so lane choice never changes event
-//     order.
+//     roots by (time, scheduling sequence), so lane choice never changes
+//     event order.
 package sim
 
 import (
@@ -63,13 +63,9 @@ func (t Time) String() string {
 // else, and a heap event can be neither cancelled nor moved — that is what
 // Timer is for.
 //
-// The seq field actually holds an *ordering word*: lane<<laneOrdShift | seq.
-// Ordinary events run on lane 0, so their word is the raw scheduling
-// sequence and same-instant events fire in scheduling order, as ever.
-// Cluster-built pipes schedule their deliveries through AtOrdered with a
-// construction-assigned lane: at equal times the lane decides, and the
-// push-order-dependent seq only breaks ties within one lane, where
-// producers are strictly ordered by construction.
+// seq is the engine's scheduling sequence number at the time the event was
+// scheduled: at equal times it decides, so same-instant events fire in
+// scheduling order, as ns-3's scheduler fires them.
 type heapKey struct {
 	at  Time
 	seq uint64
@@ -83,16 +79,16 @@ type heapVal struct {
 // Engine owns the simulated clock and the two scheduling lanes: the
 // pending-event heap for packet and delivery events, and the timer heap
 // (see timer.go) for cancellable, re-armable timers. The dispatch loop
-// merges the lanes by (time, ordering word), so which lane an event rode
-// is invisible to the model.
+// merges the lanes by (time, scheduling sequence), so which lane an event
+// rode is invisible to the model.
 type Engine struct {
 	now  Time
 	seq  uint64
-	keys []heapKey // 4-ary min-heap on (at, ord)
+	keys []heapKey // 4-ary min-heap on (at, seq)
 	vals []heapVal // payloads, parallel to keys
 
 	// tkeys and tptrs are the timer lane: a 4-ary min-heap of armed
-	// timers on (at, ord), keys and timers parallel, each timer holding
+	// timers on (at, seq), keys and timers parallel, each timer holding
 	// its own index.
 	tkeys []heapKey
 	tptrs []*Timer
@@ -177,7 +173,7 @@ func callFunc(fn any) { fn.(func())() }
 // firing per-packet callbacks (transmit-done, delivery) allocates nothing.
 func (e *Engine) AtDetached(t Time, fn func(any), arg any) {
 	e.checkTime(t)
-	e.place(heapKey{at: t, seq: e.nextOrd(0)}, heapVal{fnArg: fn, arg: arg})
+	e.place(heapKey{at: t, seq: e.nextSeq()}, heapVal{fnArg: fn, arg: arg})
 }
 
 // AfterDetached schedules fn(arg) to run d nanoseconds from now; see
@@ -189,34 +185,14 @@ func (e *Engine) AfterDetached(d Time, fn func(any), arg any) {
 	e.AtDetached(e.now+d, fn, arg)
 }
 
-// laneOrdShift positions the lane in the high bits of the ordering word:
-// 2^24 lanes per cluster, and 2^40 scheduling sequence numbers before the
-// low field wraps (~34 h of a free-running engine at 9 M events/s).
-const laneOrdShift = 40
-
-// MaxLane is the largest lane AtOrdered accepts.
-const MaxLane = 1<<24 - 1
-
-// nextOrd draws the next ordering word on a lane. Every scheduling call —
-// AtDetached, AtOrdered, Timer.Arm — builds its word here, with the
-// sequence masked to its field so that a long-lived engine's counter never
-// bleeds into the lane. What a wrap can still misorder is a same-instant
-// tie within one lane between two schedules 2^40 draws apart.
-func (e *Engine) nextOrd(lane uint32) uint64 {
-	w := uint64(lane)<<laneOrdShift | e.seq&(1<<laneOrdShift-1)
+// nextSeq draws the next scheduling sequence number. Every scheduling call
+// — AtDetached and Timer.Arm — keys its event with one, so at equal times
+// events fire in the order they were scheduled. The counter is the full
+// 64 bits and does not wrap in any run.
+func (e *Engine) nextSeq() uint64 {
+	s := e.seq
 	e.seq++
-	return w
-}
-
-// AtOrdered is AtDetached on an explicit ordering lane: among events
-// scheduled for the same instant, a lower lane fires first, and only ties
-// within one lane fall back to scheduling order. Lane 0 is the anonymous
-// lane every other scheduling call uses. Cluster-built pipes deliver on
-// per-pipe lanes, so same-instant deliveries fire in the order of their
-// pipes' construction; the recorded golden fingerprints depend on it.
-func (e *Engine) AtOrdered(lane uint32, t Time, fn func(any), arg any) {
-	e.checkTime(t)
-	e.place(heapKey{at: t, seq: e.nextOrd(lane)}, heapVal{fnArg: fn, arg: arg})
+	return s
 }
 
 func (e *Engine) checkTime(t Time) {
@@ -269,7 +245,7 @@ func peek(k []heapKey, hole bool) (heapKey, bool) {
 }
 
 // step fires the earliest pending event — merging the event and timer
-// lanes by (time, ordering word) — if it is due by the deadline, and
+// lanes by (time, scheduling sequence) — if it is due by the deadline, and
 // reports whether one fired. Keys never compare equal across lanes: both
 // draw from the one scheduling sequence, so the merge is a strict total
 // order. No hole is open on entry: every fire closes its own.
@@ -340,13 +316,13 @@ func (e *Engine) drainPool() {
 }
 
 // ---------------------------------------------------------------------------
-// 4-ary heap on (at, ord). Child c of node i is 4i+1 … 4i+4; the parent of
+// 4-ary heap on (at, seq). Child c of node i is 4i+1 … 4i+4; the parent of
 // i is (i-1)/4. Shallower than a binary heap: a million pending events sit
 // 10 levels deep instead of 20. Keys live in their own array, so every
 // comparison during a sift is a sequential read of 16-byte keys.
 
 // ltMask is the one statement of the order: all ones when a fires before b,
-// zero otherwise — (at, ord) compared as one 128-bit unsigned value through
+// zero otherwise — (at, seq) compared as one 128-bit unsigned value through
 // a borrow chain (at is never negative, see checkTime, so the cast preserves
 // order). less is that mask tested; down selects with it.
 func ltMask(a, b heapKey) uint64 {

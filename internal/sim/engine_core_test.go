@@ -124,13 +124,13 @@ func leastChild(c [4]heapKey) (heapKey, int) {
 
 // TestOrdCompareMatchesReference holds ltMask, selKey and the child index
 // Engine.down selects to the two-branch reference: over the corners of both
-// fields — the top lane sets bit 63 of the ordering word, so the borrow
-// chain must be unsigned — and over random quadruples in every permutation.
+// fields — the sequence is the full 64 bits, so the borrow chain must be
+// unsigned — and over random quadruples in every permutation.
 func TestOrdCompareMatchesReference(t *testing.T) {
 	var table []heapKey
 	for _, at := range []Time{0, 1, maxTime} {
-		for _, ord := range []uint64{0, 1<<laneOrdShift - 1, 1 << laneOrdShift, MaxLane<<laneOrdShift | (1<<laneOrdShift - 1)} {
-			table = append(table, heapKey{at, ord})
+		for _, seq := range []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+			table = append(table, heapKey{at, seq})
 		}
 	}
 	for _, a := range table {
@@ -205,55 +205,50 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// TestSameInstantLanesFireInLaneOrder crowds one instant: ≥ 64 events on
-// lanes 0, 1 and MaxLane, from AtOrdered and AtDetached, a third of them
-// scheduled before the instant (the first into the root hole, the rest
-// sifting up) and the others from inside handlers firing at that very
-// instant. They must all fire, by (lane, scheduling order).
-func TestSameInstantLanesFireInLaneOrder(t *testing.T) {
+// TestSameInstantCrowdFiresInSchedulingOrder crowds one instant: ≥ 64
+// events from AtDetached, At and Timer.Arm, a third of them scheduled
+// before the instant (the first into a root hole, the rest sifting up) and
+// the others from inside handlers firing at that very instant. They must
+// all fire, in scheduling order.
+func TestSameInstantCrowdFiresInSchedulingOrder(t *testing.T) {
 	f := func(script []uint8) bool {
 		for len(script) < 64 {
 			script = append(script, uint8(len(script)*7))
 		}
 		const instant = 1000
-		lanes := [3]uint32{0, 1, MaxLane}
 		e := NewEngine()
-		type stamp struct{ lane, ord int }
-		var fired []stamp
+		var fired []int
 		next := 0
 		var fire func(any)
-		// schedule files script[next] on its lane, or on floor if that is
-		// higher: a firing handler's word is the least pending, so what it
-		// adds at its own instant can only sort after it.
-		schedule := func(floor int) {
-			b := script[next]
-			me := &stamp{max(int(b%3), floor), next}
+		schedule := func() {
+			b, me := script[next], next
 			next++
-			if me.lane == 0 && b&4 != 0 {
+			switch b % 3 {
+			case 0:
 				e.AtDetached(instant, fire, me)
-			} else {
-				e.AtOrdered(lanes[me.lane], instant, fire, me)
+			case 1:
+				e.At(instant, func() { fire(me) })
+			default:
+				e.NewTimer(func() { fire(me) }).Arm(instant)
 			}
 		}
 		fire = func(x any) {
-			me := *x.(*stamp)
-			fired = append(fired, me)
+			fired = append(fired, x.(int))
 			for k := 0; k < 2 && next < len(script); k++ {
-				schedule(me.lane)
+				schedule()
 			}
 		}
 		e.At(instant-1, func() {
 			for next < len(script)/3 {
-				schedule(0)
+				schedule()
 			}
 		})
 		e.Run()
 		if len(fired) != len(script) || e.Now() != instant || e.Pending() != 0 {
 			return false
 		}
-		for i := 1; i < len(fired); i++ {
-			a, b := fired[i-1], fired[i]
-			if a.lane > b.lane || (a.lane == b.lane && a.ord > b.ord) {
+		for i, me := range fired {
+			if me != i {
 				return false
 			}
 		}
@@ -264,23 +259,20 @@ func TestSameInstantLanesFireInLaneOrder(t *testing.T) {
 	}
 }
 
-// TestOrderingWordMasksSeqAtWrap: once an engine has drawn 2^40 sequence
-// numbers the counter's next bit must not bleed into the lane field — all
-// three scheduling calls build their word through nextOrd, which masks it.
-// Unmasked, bit 40 ors into the lane: lane 2 reads as lane 3 and fires
-// behind the real lane 3 drawn before it.
-func TestOrderingWordMasksSeqAtWrap(t *testing.T) {
+// TestSameInstantOrderAcross2to40: the scheduling sequence is the full
+// 64-bit counter, so same-instant events scheduled across its 2^40-th
+// draw still fire in scheduling order — two detached events and a timer,
+// from both scheduling lanes.
+func TestSameInstantOrderAcross2to40(t *testing.T) {
 	e := NewEngine()
-	e.seq = 1 << laneOrdShift
-	var got []uint32
-	rec := func(x any) { got = append(got, x.(uint32)) }
-	e.AtOrdered(3, 5, rec, uint32(3))
-	e.AtOrdered(2, 5, rec, uint32(2))
-	e.AtDetached(5, rec, uint32(0))
-	tm := e.NewTimer(func() { got = append(got, 99) })
-	tm.Arm(5) // lane 0, drawn last: after the detached event, before lane 2
+	e.seq = 1<<40 - 1
+	var got []string
+	rec := func(x any) { got = append(got, x.(string)) }
+	e.AtDetached(5, rec, "first")
+	e.AtDetached(5, rec, "second")
+	e.NewTimer(func() { got = append(got, "timer") }).Arm(5)
 	e.Run()
-	if fmt.Sprint(got) != "[0 99 2 3]" {
-		t.Fatalf("fire order %v, want [0 99 2 3]", got)
+	if fmt.Sprint(got) != "[first second timer]" {
+		t.Fatalf("fire order %v, want [first second timer]", got)
 	}
 }

@@ -1,14 +1,14 @@
 package sim
 
 // SeqDomain is a pre-registered handle for a named ID/seed sequence (see
-// Engine.SeqDomain and Cluster.SeqDomain). It is a plain index into the
-// owner's sequence table: drawing through it is a bounds check and an
-// increment, with no string hashing on the hot path.
+// Engine.SeqDomain). It is a plain index into the engine's sequence
+// table: drawing through it is a bounds check and an increment, with no
+// string hashing on the hot path.
 type SeqDomain int
 
-// seqTable is the storage behind the named sequences of an Engine or a
-// Cluster: a registration map consulted only when a name is registered,
-// and a flat counter array indexed by the SeqDomain handles it hands out.
+// seqTable is the storage behind the named sequences of an Engine: a
+// registration map consulted only when a name is registered, and a flat
+// counter array indexed by the SeqDomain handles it hands out.
 // A value depends only on its name and the draws made from that name
 // before it, never on the order in which names were registered.
 type seqTable struct {

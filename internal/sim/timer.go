@@ -3,7 +3,7 @@ package sim
 // The timer lane. Timer-class events — RTO and pacing wake-ups, CBR and
 // token-bucket ticks, periodic controller loops — are the engine's only
 // cancellable, re-armable primitive. They live on a second 4-ary min-heap
-// beside the event heap, on the same (time, ordering word) keys, stored
+// beside the event heap, on the same (time, scheduling sequence) keys, stored
 // the same way: keys in one array (what sifts compare), the *Timer
 // payloads in a parallel one. The lane is built for the traffic it
 // carries: few armed timers per engine (at most 48 in any bench workload,
@@ -21,10 +21,10 @@ package sim
 //     timer, and everything its callback captures, is never kept alive by
 //     the lane.
 //
-// Determinism is preserved exactly. Every arm draws its ordering word from
-// the engine's one scheduling-sequence counter — the counter heap events
-// draw from — and the dispatch loop merges the two lane roots by (time,
-// ordering word). A timer armed between two heap schedules therefore fires
+// Determinism is preserved exactly. Every arm draws its sequence number
+// from the engine's one scheduling-sequence counter — the counter heap
+// events draw from — and the dispatch loop merges the two lane roots by
+// (time, scheduling sequence). A timer armed between two heap schedules therefore fires
 // between them at equal instants, exactly where a single priority queue
 // would fire it; timer_test.go holds the engine to a deliberately naive
 // flat-slice scheduler over seeded and fuzzed scripts.
@@ -40,7 +40,7 @@ type Timer struct {
 	eng *Engine
 	fn  func()
 	at  Time
-	ord uint64 // ordering word: the engine scheduling sequence at arm time
+	ord uint64 // the engine's scheduling sequence at arm time
 	idx int    // position in the engine's timer heap; -1 while unarmed
 }
 
@@ -51,14 +51,14 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 }
 
 // Arm schedules the timer to fire at absolute time t, moving it if it is
-// already armed. Arming draws a fresh ordering word, so the timer orders
+// already armed. Arming draws a fresh sequence number, so the timer orders
 // among same-instant events exactly as a newly scheduled heap event would.
 // Arming in the past panics, as for every scheduling call.
 func (t *Timer) Arm(at Time) {
 	e := t.eng
 	e.checkTime(at)
 	t.at = at
-	t.ord = e.nextOrd(0)
+	t.ord = e.nextSeq()
 	key := heapKey{at: at, seq: t.ord}
 	switch {
 	case t.idx >= 0: // a move: the fresh key may sort either way

@@ -32,8 +32,8 @@ func TestTimerFiresAtArmedInstant(t *testing.T) {
 
 func TestTimerSameInstantOrdersWithHeapEvents(t *testing.T) {
 	// A timer armed between two heap schedules for the same instant fires
-	// between them: the merge runs on the shared ordering sequence, so lane
-	// choice is invisible — the order a single priority queue produces.
+	// between them: the merge runs on the shared scheduling sequence, so
+	// lane choice is invisible — the order a single priority queue produces.
 	e := NewEngine()
 	var order []string
 	e.At(20, func() { order = append(order, "a") })
@@ -106,7 +106,7 @@ func TestTimerPushOutAcrossSlotBoundary(t *testing.T) {
 func TestTimerDisarmThenRearmSameTick(t *testing.T) {
 	// Disarm immediately followed by re-arm at the very same tick: the
 	// removed entry must not resurrect, and the re-armed instance fires
-	// once with a fresh ordering word.
+	// once with a fresh sequence number.
 	e := NewEngine()
 	fired := 0
 	tm := e.NewTimer(func() { fired++ })
@@ -335,14 +335,13 @@ func armCapturing(e *Engine, n int, disarm bool, freed *atomic.Int32) {
 }
 
 // The reference the engine is held to: a deliberately naive scheduler — one
-// flat slice, popped by linear minimum scan over (time, lane, scheduling
-// order) — with none of the engine's structure to share a bug with: no
+// flat slice, popped by linear minimum scan over (time, scheduling order)
+// — with none of the engine's structure to share a bug with: no
 // heaps, no root holes, no timer indices.
 type naiveEntry struct {
-	at   Time
-	lane uint32
-	seq  uint64
-	id   int
+	at  Time
+	seq uint64
+	id  int
 }
 
 type naive struct {
@@ -355,12 +354,12 @@ type naive struct {
 func (n *naive) Now() Time    { return n.now }
 func (n *naive) Pending() int { return len(n.q) }
 
-func (n *naive) after(d Time, lane uint32, id int) {
-	n.q = append(n.q, naiveEntry{n.now + d, lane, n.seq, id})
+func (n *naive) after(d Time, id int) {
+	n.q = append(n.q, naiveEntry{n.now + d, n.seq, id})
 	n.seq++
 }
 
-func (n *naive) arm(id int, d Time) { n.disarm(id); n.after(d, 0, id) }
+func (n *naive) arm(id int, d Time) { n.disarm(id); n.after(d, id) }
 
 func (n *naive) disarm(id int) {
 	for i := range n.q {
@@ -374,9 +373,6 @@ func (n *naive) disarm(id int) {
 func (x naiveEntry) before(y naiveEntry) bool {
 	if x.at != y.at {
 		return x.at < y.at
-	}
-	if x.lane != y.lane {
-		return x.lane < y.lane
 	}
 	return x.seq < y.seq
 }
@@ -433,13 +429,10 @@ type engineSched struct {
 	fire   func(id int)
 }
 
-func (r *engineSched) after(d Time, lane uint32, id int) {
-	switch {
-	case lane != 0:
-		r.AtOrdered(lane, r.Now()+d, func(any) { r.fire(id) }, nil)
-	case id%2 == 0:
+func (r *engineSched) after(d Time, id int) {
+	if id%2 == 0 {
 		r.After(d, func() { r.fire(id) })
-	default:
+	} else {
 		r.AfterDetached(d, func(x any) { r.fire(x.(int)) }, id)
 	}
 }
@@ -461,7 +454,7 @@ type scheduler interface {
 	Now() Time
 	Pending() int
 	NextEventTime() (Time, bool)
-	after(d Time, lane uint32, id int)
+	after(d Time, id int)
 	arm(id int, d Time)
 	disarm(id int)
 	stepOnce() bool
@@ -489,8 +482,8 @@ func record(sc scheduler, id int) fired {
 }
 
 // runScript interprets a byte script against a scheduler and returns the
-// trace. Top-level steps schedule one-shots (anonymous and ordered lanes),
-// arm, re-arm and disarm timers, pile runs of timers and one-shots onto one
+// trace. Top-level steps schedule one-shots (singly or up to three on one
+// instant), arm, re-arm and disarm timers, pile runs of timers and one-shots onto one
 // instant, park timers 2^42 ns out, and advance the clock by
 // window-bounded RunUntil calls or single Steps. Firing handlers read the
 // script too — they re-arm themselves, schedule same-instant follow-ups
@@ -516,8 +509,8 @@ func runScript(script []byte, mk func(fire func(id int)) scheduler) []fired {
 	var trace []fired
 	var sc scheduler
 	oneShot := scriptTimers
-	after := func(d Time, lane uint32) {
-		sc.after(d, lane, oneShot)
+	after := func(d Time) {
+		sc.after(d, oneShot)
 		oneShot++
 	}
 	sc = mk(func(id int) {
@@ -527,26 +520,29 @@ func runScript(script []byte, mk func(fire func(id int)) scheduler) []fired {
 			if id < scriptTimers {
 				sc.arm(id, delay())
 			} else {
-				after(delay(), 0)
+				after(delay())
 			}
 		case 2:
-			after(0, 0)
+			after(0)
 		case 3:
 			sc.disarm(timer())
 		case 4:
 			sc.arm(timer(), delay())
 		case 5:
-			after(delay(), 0)
-			after(delay(), 0)
+			after(delay())
+			after(delay())
 		}
 		trace = append(trace, record(sc, -2))
 	})
 	for pos < len(script) {
 		switch next() % 8 {
 		case 0:
-			after(delay(), 0)
+			after(delay())
 		case 1:
-			after(delay(), 1+uint32(next()%3))
+			d := delay()
+			for n := 1 + next()%3; n > 0; n-- {
+				after(d)
+			}
 		case 2:
 			sc.arm(timer(), delay())
 		case 3:
@@ -555,7 +551,7 @@ func runScript(script []byte, mk func(fire func(id int)) scheduler) []fired {
 			first, d, n := timer(), delay(), int(next()%48)
 			for j := 0; j < n; j++ {
 				if j%4 == 3 {
-					after(d, 0)
+					after(d)
 				} else {
 					sc.arm((first+j)%scriptTimers, d)
 				}

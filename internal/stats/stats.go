@@ -241,15 +241,16 @@ func MinMaxRatio(xs []float64) float64 {
 // workload completion time (when the last flow finishes) and FCT
 // statistics.
 //
-// Every reduction is order-independent (counts, sums, max, sorted
-// percentiles), so one tracker may be fed by many senders in any order
-// (the incast pattern: 32 senders, one tracker).
+// Every reduction is order-independent (counts, integer sums, max), so
+// one tracker may be fed by many senders in any order (the incast pattern:
+// 32 senders, one tracker), and its state is constant-size however many
+// flows complete.
 type FCT struct {
 	Started   int
 	Completed int
 	LastDone  sim.Time
 	Bytes     int64
-	fcts      Percentiles
+	fctSum    sim.Time // Σ (done − start) over completed flows, ns
 }
 
 // FlowStarted accounts a new flow of the given size.
@@ -264,7 +265,7 @@ func (f *FCT) FlowDone(start, now sim.Time) {
 	if now > f.LastDone {
 		f.LastDone = now
 	}
-	f.fcts.AddDuration(now - start)
+	f.fctSum += now - start
 }
 
 // AllDone reports whether every started flow completed.
@@ -278,5 +279,12 @@ func (f *FCT) CompletionTime() sim.Time {
 	return f.LastDone
 }
 
-// MeanFCT returns the mean flow completion time.
-func (f *FCT) MeanFCT() sim.Time { return sim.Time(f.fcts.Mean()) }
+// MeanFCT returns the mean flow completion time, or 0 before any flow
+// completes. The quotient is taken in float64, so it is exactly the mean
+// of the float samples while the summed FCT stays below 2^53 ns (104 days).
+func (f *FCT) MeanFCT() sim.Time {
+	if f.Completed == 0 {
+		return 0
+	}
+	return sim.Time(float64(f.fctSum) / float64(f.Completed))
+}

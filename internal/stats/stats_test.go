@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -258,5 +260,37 @@ func TestFCTTracking(t *testing.T) {
 	// FCTs are 10ms and 25ms; mean 17.5ms.
 	if got := f.MeanFCT(); got != sim.Time(17_500_000) {
 		t.Fatalf("mean FCT = %v", got)
+	}
+}
+
+// TestFCTMeanMatchesSortedSamples: the running integer sum gives the mean
+// the tracker used to compute from every sample — float64 samples, sorted,
+// summed, divided by the count — bit for bit, for completions fed out of
+// order and with FCTs from 1 ns to a second.
+func TestFCTMeanMatchesSortedSamples(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 40))
+	var f FCT
+	var samples []float64
+	for i := 0; i < 5000; i++ {
+		start := sim.Time(rng.Int64N(int64(sim.Second)))
+		fct := sim.Time(1 + rng.Int64N(int64(sim.Second)>>uint(rng.IntN(30))))
+		f.FlowStarted(1)
+		f.FlowDone(start, start+fct)
+		samples = append(samples, float64(fct))
+		if i%97 != 0 {
+			continue
+		}
+		sorted := slices.Clone(samples)
+		sort.Float64s(sorted)
+		sum := 0.0
+		for _, v := range sorted {
+			sum += v
+		}
+		if want := sim.Time(sum / float64(len(sorted))); f.MeanFCT() != want {
+			t.Fatalf("after %d completions: MeanFCT = %d, sorted-sum mean %d", i+1, f.MeanFCT(), want)
+		}
+	}
+	if (&FCT{}).MeanFCT() != 0 {
+		t.Fatal("an empty tracker's mean FCT is not 0")
 	}
 }

@@ -48,59 +48,28 @@ func DefaultTestbed() LinkSpec {
 	}
 }
 
-// build is one topology construction. A topology's wiring is one method
-// on it; build decides only where its identities are drawn (DESIGN.md
-// §3b). onEngine draws AQM and jitter seeds from the engine's sequences,
-// as NewPipe does. onCluster draws them from the cluster's, so an identity
-// depends on construction order alone, and adds a lane per pipe and a
-// flow-ID stride per host. pipe and host are the only methods that tell
-// them apart.
+// build is one topology construction on one engine. A topology's wiring
+// is one method on it; every pipe draws its AQM and jitter seeds from the
+// engine's "queue.aqm" and "topo.pipe" sequences and every host its flow
+// IDs from the engine's "transport.flow" sequence, so a run's identities
+// follow construction order (DESIGN.md §3b).
 type build struct {
-	eng             *sim.Engine
-	c               *sim.Cluster // nil on a bare engine
-	ids             sequences
-	aqmSeq, pipeSeq sim.SeqDomain
+	eng     *sim.Engine
+	pipeSeq sim.SeqDomain
 }
 
-// sequences is where a build draws identities: a *sim.Engine or a
-// *sim.Cluster.
-type sequences interface {
-	SeqDomain(name string) sim.SeqDomain
-	NextIn(d sim.SeqDomain) uint64
+func newBuild(eng *sim.Engine) *build {
+	return &build{eng: eng, pipeSeq: eng.SeqDomain("topo.pipe")}
 }
 
-func newBuild(eng *sim.Engine, c *sim.Cluster, ids sequences) *build {
-	return &build{eng: eng, c: c, ids: ids,
-		aqmSeq: ids.SeqDomain("queue.aqm"), pipeSeq: ids.SeqDomain("topo.pipe")}
-}
-
-func onEngine(eng *sim.Engine) *build { return newBuild(eng, nil, eng) }
-
-func onCluster(c *sim.Cluster) *build { return newBuild(c.Engine(), c, c) }
-
-// pipe builds one link direction delivering into dst. On a cluster it
-// also assigns the pipe's ordering lane.
+// pipe builds one link direction delivering into dst.
 func (b *build) pipe(spec LinkSpec, dst Receiver) *Pipe {
-	p := newPipeWithAQMSeq(b.eng, spec.Rate, spec.Delay, spec.QueueLimit,
-		spec.ECNThreshold, dst, b.ids.NextIn(b.aqmSeq))
+	p := NewPipe(b.eng, spec.Rate, spec.Delay, spec.QueueLimit, spec.ECNThreshold, dst)
 	p.Queue().AQMDropNonECT = spec.AQMDrop
 	if spec.Jitter > 0 {
-		p.SetJitter(spec.Jitter, 0x9e3779b9+b.ids.NextIn(b.pipeSeq)*0x1234567)
-	}
-	if b.c != nil {
-		p.SetLane(b.c.NextLane())
+		p.SetJitter(spec.Jitter, 0x9e3779b9+b.eng.NextIn(b.pipeSeq)*0x1234567)
 	}
 	return p
-}
-
-// host builds a host. On a cluster its flow IDs follow a stride: host id
-// of total hosts draws IDs id+1, id+1+total, id+1+2·total, ...
-func (b *build) host(id packet.HostID, total int) *Host {
-	h := NewHost(b.eng, id)
-	if b.c != nil {
-		h.SetFlowIDStride(uint64(id)+1, uint64(total))
-	}
-	return h
 }
 
 // Dumbbell is the simulation topology of Fig. 5a: nLeft senders attach to
@@ -117,13 +86,7 @@ type Dumbbell struct {
 // the left and nLeft..nLeft+nRight-1 on the right. edge configures
 // host<->switch links, trunk the S1<->S2 bottleneck.
 func NewDumbbell(eng *sim.Engine, nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
-	return onEngine(eng).dumbbell(nLeft, nRight, edge, trunk)
-}
-
-// NewDumbbellIn builds the dumbbell on a cluster, drawing its identities
-// from the cluster (see build).
-func NewDumbbellIn(c *sim.Cluster, nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
-	return onCluster(c).dumbbell(nLeft, nRight, edge, trunk)
+	return newBuild(eng).dumbbell(nLeft, nRight, edge, trunk)
 }
 
 func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
@@ -137,10 +100,9 @@ func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
 	trunkPort1 := d.S1.AddPort(d.Bottleneck)
 	trunkPort2 := d.S2.AddPort(d.ReverseTrunk)
 
-	total := nLeft + nRight
 	id := packet.HostID(0)
 	for i := 0; i < nLeft; i++ {
-		h := b.host(id, total)
+		h := NewHost(b.eng, id)
 		h.SetUplink(b.pipe(edge, d.S1))
 		down := b.pipe(edge, h)
 		port := d.S1.AddPort(down)
@@ -150,7 +112,7 @@ func (b *build) dumbbell(nLeft, nRight int, edge, trunk LinkSpec) *Dumbbell {
 		id++
 	}
 	for i := 0; i < nRight; i++ {
-		h := b.host(id, total)
+		h := NewHost(b.eng, id)
 		h.SetUplink(b.pipe(edge, d.S2))
 		down := b.pipe(edge, h)
 		port := d.S2.AddPort(down)
@@ -184,20 +146,14 @@ type Star struct {
 // NewStar builds a star with n hosts on one engine using the given link
 // spec.
 func NewStar(eng *sim.Engine, n int, edge LinkSpec) *Star {
-	return onEngine(eng).star(n, edge)
-}
-
-// NewStarIn builds the star on a cluster, drawing its identities from the
-// cluster (see build).
-func NewStarIn(c *sim.Cluster, n int, edge LinkSpec) *Star {
-	return onCluster(c).star(n, edge)
+	return newBuild(eng).star(n, edge)
 }
 
 func (b *build) star(n int, edge LinkSpec) *Star {
 	s := &Star{Eng: b.eng, SW: NewSwitch(b.eng, "SW")}
 	for i := 0; i < n; i++ {
 		id := packet.HostID(i)
-		h := b.host(id, n)
+		h := NewHost(b.eng, id)
 		h.SetUplink(b.pipe(edge, s.SW))
 		down := b.pipe(edge, h)
 		port := s.SW.AddPort(down)

@@ -31,13 +31,7 @@ type LeafSpine struct {
 // and per-leaf host counts. edge configures host links, fabricLink the
 // leaf<->spine links.
 func NewLeafSpine(eng *sim.Engine, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
-	return onEngine(eng).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
-}
-
-// NewLeafSpineIn builds the leaf-spine fabric on a cluster, drawing its
-// identities from the cluster (see build).
-func NewLeafSpineIn(c *sim.Cluster, leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
-	return onCluster(c).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
+	return newBuild(eng).leafSpine(leaves, spines, hostsPerLeaf, edge, fabricLink)
 }
 
 func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink LinkSpec) *LeafSpine {
@@ -80,7 +74,7 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 	id := packet.HostID(0)
 	for l := 0; l < leaves; l++ {
 		for i := 0; i < hostsPerLeaf; i++ {
-			h := b.host(id, total)
+			h := NewHost(b.eng, id)
 			h.SetUplink(b.pipe(edge, f.Leaves[l]))
 			down := b.pipe(edge, h)
 			port := f.Leaves[l].AddPort(down)

@@ -32,14 +32,14 @@ func (f *FatTree) HostsPerPod() int { return (f.K / 2) * (f.K / 2) }
 // Host returns the host with the given ID.
 func (f *FatTree) Host(id packet.HostID) *Host { return f.Hosts[id] }
 
-// NewFatTreeIn builds a k-ary fat tree on a cluster, drawing its
-// identities from the cluster (see build). edge configures the host links,
-// fabricLink every switch<->switch link.
+// NewFatTreeIn builds a k-ary fat tree on the cluster's engine (see
+// build). edge configures the host links, fabricLink every switch<->switch
+// link.
 func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 	if k < 2 || k%2 != 0 {
 		panic("topo: fat tree needs an even k >= 2")
 	}
-	b := onCluster(c)
+	b := newBuild(c.Engine())
 	half := k / 2
 	f := &FatTree{Eng: b.eng, K: k}
 
@@ -112,7 +112,7 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			hostPorts[p][e] = make([]int, half)
 			es := f.Edges[p][e]
 			for i := 0; i < half; i++ {
-				h := b.host(id, total)
+				h := NewHost(b.eng, id)
 				h.SetUplink(b.pipe(edge, es))
 				down := b.pipe(edge, h)
 				hostPorts[p][e][i] = es.AddPort(down)

@@ -31,24 +31,15 @@ type Host struct {
 	out  *Pipe
 
 	// handlers dispatches flow ID → handler. Flow IDs come from the
-	// engine's "transport.flow" sequence or the host's stride, so per host
-	// they stay dense enough for the index's slice until flows churn far
-	// past the live set, and its map serves after that.
+	// engine's "transport.flow" sequence, so per host they stay dense
+	// enough for the index's slice until flows churn far past the live
+	// set, and its map serves after that.
 	handlers ident.Index[packet.FlowID, FlowHandler]
 
 	// flowSeq is the host engine's pre-registered "transport.flow" handle
 	// (the sequence transport draws flow IDs from): registering once at
 	// construction keeps per-flow allocation off the string-keyed map.
 	flowSeq sim.SeqDomain
-	// flowNext/flowStride, when stride > 0, switch the host to strided
-	// flow IDs: host h of H draws base+h, base+h+H, base+h+2H, ... Each
-	// host owns a residue class, so the IDs a flow gets — and everything
-	// derived from them, ECMP path hashes above all — depend only on which
-	// host started it and how many flows that host started before. Cluster
-	// builders configure this; without it flow IDs come from the engine
-	// sequence (dense, but shared across the engine).
-	flowNext   uint64
-	flowStride uint64
 
 	// Filter, when non-nil, intercepts outbound packets (see SendFilter).
 	Filter SendFilter
@@ -93,25 +84,9 @@ func (h *Host) Stats() HostStats {
 	return HostStats{RxPackets: h.RxPackets, RxBytes: h.RxBytes, Orphans: h.Orphans}
 }
 
-// SetFlowIDStride switches the host to strided flow-ID allocation:
-// successive NextFlowID calls return first, first+stride, first+2·stride,
-// ... Cluster builders give host h of H hosts first=h+1 and stride=H, so
-// every host owns a residue class and its IDs do not depend on how many
-// flows other hosts opened before it.
-func (h *Host) SetFlowIDStride(first, stride uint64) {
-	h.flowNext = first
-	h.flowStride = stride
-}
-
-// NextFlowID allocates the ID for a flow originating at this host: from
-// the host's stride when configured (see SetFlowIDStride), else from the
+// NextFlowID allocates the ID for a flow originating at this host from the
 // engine's shared "transport.flow" sequence via the pre-registered handle.
 func (h *Host) NextFlowID() packet.FlowID {
-	if h.flowStride > 0 {
-		id := h.flowNext
-		h.flowNext += h.flowStride
-		return packet.FlowID(id)
-	}
 	return packet.FlowID(h.eng.NextIn(h.flowSeq))
 }
 

@@ -62,12 +62,6 @@ type Pipe struct {
 	// start passed unobserved, so fq never holds a delivered packet.
 	waiting int
 
-	// lane is the pipe's ordering lane (0 for pipes built outside a
-	// cluster): deliveries are scheduled with it, so same-instant
-	// deliveries fire in the order the pipes were built. See
-	// sim.Engine.AtOrdered.
-	lane uint32
-
 	// jitter, when positive, adds a uniform random component in
 	// [0, jitter) to each packet's propagation delay. Continuous streams
 	// from equal-rate links otherwise phase-lock at a downstream
@@ -114,15 +108,8 @@ func NewPipe(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ec
 	// Derive the AQM stream from the engine so concurrent runs never share
 	// (or race on) a process-global sequence and a run's randomness is a
 	// pure function of its own construction order.
-	return newPipeWithAQMSeq(eng, rate, delay, queueLimit, ecnThreshold, dst, eng.NextIn(eng.SeqDomain("queue.aqm")))
-}
-
-// newPipeWithAQMSeq is NewPipe with the AQM sequence draw supplied by the
-// caller: a topology build draws it through its own handle — from the
-// cluster's sequences, not the engine's, when built on a cluster.
-func newPipeWithAQMSeq(eng *sim.Engine, rate units.BitRate, delay sim.Time, queueLimit, ecnThreshold int, dst Receiver, aqmSeq uint64) *Pipe {
 	q := queue.New(queueLimit, ecnThreshold)
-	q.SetAQMSeed(0xA11CE + aqmSeq*0x5bd1e995)
+	q.SetAQMSeed(0xA11CE + eng.NextIn(eng.SeqDomain("queue.aqm"))*0x5bd1e995)
 	p := &Pipe{
 		eng:   eng,
 		pool:  packet.PoolFor(eng),
@@ -149,15 +136,6 @@ type PipeStats struct {
 func (p *Pipe) Stats() PipeStats {
 	return PipeStats{TxPackets: p.TxPackets, TxBytes: p.TxBytes, Backlog: p.Backlog()}
 }
-
-// SetLane assigns the pipe's ordering lane. Cluster builders give every
-// pipe a unique lane drawn in construction order, so the lane — and with
-// it the relative order of same-instant deliveries — depends on
-// construction order alone.
-func (p *Pipe) SetLane(lane uint32) { p.lane = lane }
-
-// Lane returns the pipe's ordering lane.
-func (p *Pipe) Lane() uint32 { return p.lane }
 
 // SetScheduler replaces the egress queue (e.g. with a queue.DRR). Only
 // valid before any packet has been sent. A non-FIFO scheduler disables the
@@ -362,7 +340,7 @@ func (p *Pipe) planDelivery(start, end sim.Time, pkt *packet.Packet) {
 	p.lastPlan = at
 	p.flights.Push(flight{start: start, at: at, size: pkt.Size, pkt: pkt})
 	if p.flights.Len() == 1 {
-		p.eng.AtOrdered(p.lane, at, p.deliverFn, nil)
+		p.eng.AtDetached(at, p.deliverFn, nil)
 	}
 }
 
@@ -379,7 +357,7 @@ func (p *Pipe) deliver() {
 		p.fq.PopDrainedN(1, f.size)
 	}
 	if next, ok := p.flights.Peek(); ok {
-		p.eng.AtOrdered(p.lane, next.at, p.deliverFn, nil)
+		p.eng.AtDetached(next.at, p.deliverFn, nil)
 	}
 	p.dst.Receive(f.pkt)
 }

@@ -36,10 +36,6 @@ type Switch struct {
 	// entities may exceed their allocations when the network is idle.
 	WorkConserving bool
 
-	// AQDropHook, when set, observes every packet an AQ pipeline drops at
-	// this switch (for tracing and per-entity loss accounting).
-	AQDropHook func(p *packet.Packet)
-
 	// Counters.
 	RxPackets  uint64
 	AQDrops    uint64
@@ -197,9 +193,6 @@ func (s *Switch) Stats() SwitchStats {
 // is the packet's last owner on this path.
 func (s *Switch) aqDrop(p *packet.Packet) {
 	s.AQDrops++
-	if s.AQDropHook != nil {
-		s.AQDropHook(p)
-	}
 	s.pool.Release(p)
 }
 

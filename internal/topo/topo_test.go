@@ -65,15 +65,14 @@ func TestPipeBackToBackSpacing(t *testing.T) {
 // at 832 ns each, so packet k arrives at exactly (k+1)*832 + 5000 ns. Only
 // the head delivery holds an engine event — all 40 have their record in
 // the pipe's flights, the head's being the armed one — and each delivery
-// is one event. Stepped through a cluster
-// in 1 us RunUntil calls, as the service steps its windows, the chain
-// crosses every deadline without moving an instant.
+// is one event. Stepped through a cluster in 1 us RunUntil calls, as the
+// service steps its windows, the chain crosses every deadline without
+// moving an instant.
 func TestPipeDeliveryChain(t *testing.T) {
 	const pkts = 40
-	train := func(t *testing.T, eng *sim.Engine, lane uint32, run func()) {
+	train := func(t *testing.T, eng *sim.Engine, run func()) {
 		c := &collector{eng: eng}
 		p := NewPipe(eng, 10*units.Gbps, 5*sim.Microsecond, 0, 0, c)
-		p.SetLane(lane)
 		for i := 0; i < pkts; i++ {
 			p.Send(packet.NewData(0, 1, 1, int64(i)*packet.DefaultMSS, packet.DefaultMSS))
 		}
@@ -100,13 +99,13 @@ func TestPipeDeliveryChain(t *testing.T) {
 
 	t.Run("engine", func(t *testing.T) {
 		eng := sim.NewEngine()
-		train(t, eng, 0, eng.Run)
+		train(t, eng, eng.Run)
 	})
 
 	t.Run("cluster-windows", func(t *testing.T) {
 		cl := sim.NewCluster(1)
 		const steps = 100
-		train(t, cl.Engine(), cl.NextLane(), func() {
+		train(t, cl.Engine(), func() {
 			for w := sim.Time(1); w <= steps; w++ {
 				cl.RunUntil(w * sim.Microsecond)
 			}

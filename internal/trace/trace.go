@@ -22,7 +22,6 @@ const (
 	Recv
 	AQDrop
 	AQMark
-	QueueDrop
 )
 
 // String implements fmt.Stringer.
@@ -36,8 +35,6 @@ func (k Kind) String() string {
 		return "aq-drop"
 	case AQMark:
 		return "aq-mark"
-	case QueueDrop:
-		return "q-drop"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

@@ -75,7 +75,7 @@ func TestRingTail(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		Send: "send", Recv: "recv", AQDrop: "aq-drop", AQMark: "aq-mark", QueueDrop: "q-drop",
+		Send: "send", Recv: "recv", AQDrop: "aq-drop", AQMark: "aq-mark",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d = %q", k, k.String())
