@@ -194,9 +194,9 @@ func markFraction(g0, slope, width, k float64) float64 {
 // ProcessFluid is the fluid counterpart of Table.Process: it matches the
 // tag and integrates the epoch through the deployed AQ. Unmatched or
 // untagged streams pass with everything accepted, mirroring the packet
-// path's pass-through. The work-conservation bypass is packet-only (it
-// consults a physical queue the fluid lane never enters), and fluid
-// epochs are not traced.
+// path's pass-through. The switch's work-conservation bypass is
+// packet-only (it consults a physical queue the fluid lane never enters),
+// and fluid epochs are not traced.
 func (t *Table) ProcessFluid(now sim.Time, id packet.AQID, bytes float64, dt sim.Time) FluidFeedback {
 	if id == packet.NoAQ {
 		return FluidFeedback{Accepted: bytes}

@@ -13,7 +13,7 @@ import (
 //     the same tag (a back-to-back departure run is usually one flow), so
 //     the cursor memoizes the last (id → aq) resolution and skips the
 //     table walk — the "one register transaction" for same-entity packets;
-//   - the counters: lookups/misses/bypassed accumulate in plain locals and
+//   - the counters: lookups and misses accumulate in plain locals and
 //     flush to the table's atomics once per burst instead of once per
 //     packet.
 //
@@ -32,9 +32,8 @@ type BurstCursor struct {
 	lastAQ   *AQ // may be nil: a memoized miss is still a memo hit
 	haveLast bool
 
-	lookups  uint64
-	misses   uint64
-	bypassed uint64
+	lookups uint64
+	misses  uint64
 }
 
 // Bind points the cursor at a table and clears any stale memo or counts.
@@ -43,7 +42,7 @@ func (c *BurstCursor) Bind(t *Table) {
 	c.t = t
 	c.gen = t.gen
 	c.haveLast = false
-	c.lookups, c.misses, c.bypassed = 0, 0, 0
+	c.lookups, c.misses = 0, 0
 }
 
 // Process is Table.Process through the burst memo. Same verdicts, same
@@ -51,10 +50,6 @@ func (c *BurstCursor) Bind(t *Table) {
 func (c *BurstCursor) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict {
 	t := c.t
 	if id == packet.NoAQ {
-		return Pass
-	}
-	if t.Bypass != nil && t.Bypass(p) {
-		c.bypassed++
 		return Pass
 	}
 	c.lookups++
@@ -89,9 +84,6 @@ func (c *BurstCursor) Flush() {
 	if c.misses > 0 {
 		c.t.misses.Add(c.misses)
 	}
-	if c.bypassed > 0 {
-		c.t.bypassed.Add(c.bypassed)
-	}
-	c.lookups, c.misses, c.bypassed = 0, 0, 0
+	c.lookups, c.misses = 0, 0
 	c.haveLast = false
 }

@@ -13,11 +13,9 @@ import (
 // Table is the per-pipeline AQ lookup table of a switch (§4.2): a map from
 // the AQ ID carried in the packet header to the deployed AQ state. A switch
 // has one table for its ingress pipeline and one for its egress pipeline.
-//
-// The table also implements the §6 work-conservation extension: when a
-// Bypass predicate is installed and reports true (e.g. "the physical queue
-// of the output port is empty"), AQ processing is skipped so entities may
-// exceed their allocations while the network is idle.
+// The §6 work-conservation extension lives in the switch
+// (topo.Switch.WorkConserving), which skips the table while the output
+// port's physical queue is empty.
 //
 // Concurrency: a table has a single owner, the goroutine of the engine its
 // switch runs on. Only the owner — or a caller it is parked behind, as the
@@ -31,14 +29,10 @@ import (
 type Table struct {
 	aqs ident.Index[packet.AQID, *AQ]
 
-	// gen counts membership changes (Deploy/Remove). BurstCursor snapshots
+	// gen counts membership changes (Deploy/Remove). The cursors snapshot
 	// it so a memoized lookup can never survive a change of the AQ an ID
 	// resolves to.
 	gen uint64
-
-	// Bypass, when non-nil, is consulted per packet; a true return skips
-	// AQ processing entirely (work-conserving mode, §6).
-	Bypass func(p *packet.Packet) bool
 
 	// trace, when non-nil, receives AQDrop and AQMark events — the two
 	// outcomes only the AQ layer can observe. traceWhere labels them.
@@ -47,9 +41,8 @@ type Table struct {
 
 	// Counters. Atomic for the one writer / many readers contract above,
 	// so a Stats call from another goroutine never races the owner.
-	lookups  atomic.Uint64
-	misses   atomic.Uint64
-	bypassed atomic.Uint64
+	lookups atomic.Uint64
+	misses  atomic.Uint64
 
 	// Fluid-lane counters, separate so the packet counters (and any
 	// fingerprint folded over them) are untouched when the fluid lane is
@@ -62,21 +55,19 @@ type Table struct {
 // (each counter is read atomically; the set is not fenced as a group,
 // which is fine for reporting).
 type TableStats struct {
-	Lookups  uint64 `json:"lookups"`
-	Misses   uint64 `json:"misses"`
-	Bypassed uint64 `json:"bypassed"`
+	Lookups uint64 `json:"lookups"`
+	Misses  uint64 `json:"misses"`
 	// Fluid-lane counters; omitted while zero so snapshots taken with the
 	// fluid lane disabled serialize exactly as before it existed.
 	FluidEpochs uint64 `json:"fluid_epochs,omitempty"`
 	FluidMisses uint64 `json:"fluid_misses,omitempty"`
 }
 
-// Stats returns a snapshot of the lookup/miss/bypass counters.
+// Stats returns a snapshot of the lookup and miss counters.
 func (t *Table) Stats() TableStats {
 	return TableStats{
 		Lookups:     t.lookups.Load(),
 		Misses:      t.misses.Load(),
-		Bypassed:    t.bypassed.Load(),
 		FluidEpochs: t.fluidEpochs.Load(),
 		FluidMisses: t.fluidMisses.Load(),
 	}
@@ -116,11 +107,6 @@ func (t *Table) Remove(id packet.AQID) {
 // Lookup returns the AQ deployed under id, or nil.
 func (t *Table) Lookup(id packet.AQID) *AQ { return t.aqs.Get(id) }
 
-// Generation returns the membership generation counter — it ticks on every
-// Deploy/Remove. Cursors and lanes snapshot it to decide whether memoized
-// lookups (or lookup-free fast paths) are still valid.
-func (t *Table) Generation() uint64 { return t.gen }
-
 // Len returns the number of deployed AQs.
 func (t *Table) Len() int { return t.aqs.Len() }
 
@@ -130,13 +116,9 @@ func (t *Table) IDs() []packet.AQID { return t.aqs.Keys() }
 // Process matches the packet's tag for this pipeline position and, when an
 // AQ is deployed under it, runs the per-packet framework. It returns Drop
 // only when a matched AQ drops the packet; unmatched or untagged packets
-// pass through, as do all packets while the bypass predicate holds.
+// pass through.
 func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict {
 	if id == packet.NoAQ {
-		return Pass
-	}
-	if t.Bypass != nil && t.Bypass(p) {
-		t.bypassed.Add(1)
 		return Pass
 	}
 	t.lookups.Add(1)

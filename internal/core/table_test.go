@@ -56,24 +56,6 @@ func TestTableProcessMatchDrops(t *testing.T) {
 	}
 }
 
-func TestTableBypass(t *testing.T) {
-	tbl := NewTable()
-	tbl.Deploy(Config{ID: 9, Rate: units.Kbps, Limit: 100})
-	bypass := true
-	tbl.Bypass = func(*packet.Packet) bool { return bypass }
-	p := packet.NewData(1, 2, 1, 0, 960)
-	if tbl.Process(0, 9, p) != Pass {
-		t.Fatal("bypass did not skip AQ processing")
-	}
-	if got := tbl.Stats().Bypassed; got != 1 {
-		t.Fatalf("Bypassed = %d, want 1", got)
-	}
-	bypass = false
-	if tbl.Process(0, 9, p) != Drop {
-		t.Fatal("AQ not enforced once bypass lifted")
-	}
-}
-
 // TestTableCountersConcurrent pins the table's concurrency contract: one
 // owner — the engine goroutine — runs Process, and any number of observers
 // read Table.Stats while it does (today the service loop at window
@@ -127,7 +109,7 @@ func TestTableCountersConcurrent(t *testing.T) {
 // TestTableLayoutFlipsDenseMapDense walks one table through the layouts the
 // way production reaches them — a deploy at a far-away ID leaves the dense
 // range, removing it restores it — and checks at every stage that lookups
-// resolve hits, misses and out-of-range IDs, that Generation ticks on each
+// resolve hits, misses and out-of-range IDs, that the generation ticks on each
 // change, and that a BurstCursor and a StreamCursor bound before a flip drop
 // their memo instead of serving an AQ pointer from before it.
 func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
@@ -149,8 +131,8 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	// start: the counters must land on whichever *AQ the table holds now.
 	check := func(stage string, farDeployed bool, wantGen uint64) {
 		t.Helper()
-		if tbl.Generation() != wantGen {
-			t.Fatalf("%s: Generation() = %d, want %d", stage, tbl.Generation(), wantGen)
+		if tbl.gen != wantGen {
+			t.Fatalf("%s: generation %d, want %d", stage, tbl.gen, wantGen)
 		}
 		for _, id := range []packet.AQID{0, 1, 3, 8, 9, 500, far, far + 1} {
 			want := (id >= 1 && id <= 8) || (id == far && farDeployed)
@@ -235,7 +217,7 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 			var sc StreamCursor
 			sc.Bind(tbl)
 			old := sc.ResolveRun(tc.batch[0], 1)
-			gen := tbl.Generation()
+			gen := tbl.gen
 			cfgs := make([]Config, len(tc.batch))
 			last := map[packet.AQID]units.BitRate{}
 			for i, id := range tc.batch {
@@ -244,8 +226,8 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 			}
 			tbl.DeployBatch(cfgs)
 
-			if got := tbl.Generation(); got != gen+1 {
-				t.Errorf("Generation %d -> %d, want one tick", gen, got)
+			if got := tbl.gen; got != gen+1 {
+				t.Errorf("generation %d -> %d, want one tick", gen, got)
 			}
 			for id, rate := range last {
 				if aq := tbl.Lookup(id); aq == nil || aq.ID() != id || aq.Rate() != rate {

@@ -4,8 +4,8 @@
 // four approaches (PQ, AQ, PRL, DRL), runs the simulation, and returns the
 // same rows or series the paper reports. Every registered experiment is a
 // harness.Run: it takes the harness.Params the CLI built and builds its
-// cluster with Params.Cluster. cmd/aqsim prints them; bench_test.go runs
-// every one under `go test -bench`.
+// topology on an engine of its own (sim.NewEngine). cmd/aqsim prints them;
+// bench_test.go runs every one under `go test -bench`.
 package experiments
 
 import (

@@ -46,13 +46,14 @@ func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
 //   - A Fixed cohort whose runs are all untagged holds delivered and
 //     dropped once per run, 16 B a run. Every entity of such a run is
 //     offered the same bytes, passes no AQ and is clipped alike, so one
-//     slot update per epoch is bit for bit each entity's own.
+//     slot update per epoch is bit for bit each entity's own; the lane
+//     steps such a cohort run by run (Lane.stepPerRun).
 //   - Any other Fixed cohort holds delivered and dropped per entity, 16 B
 //     an entity; the reactive models add rate, and ECN alpha.
 //
 // The one layout change is from the first to the second: a tagged run
 // joining a per-run cohort (AddN) copies every run slot out to its
-// entities, after settling any quiescent streak.
+// entities.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -82,21 +83,6 @@ type cohort struct {
 	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
 	meters    []*stats.Meter // per entity, allocated only once some entity has a meter
 	perRun    bool           // delivered and dropped hold one slot per run (Fixed, all untagged)
-
-	// Quiescence state. A Fixed-model cohort whose tags all missed the
-	// table (or are untagged), with no meters attached, is inert: given the
-	// same clip and epoch width, every per-entity number of the next epoch
-	// is exactly the previous one's. One full pass primes the aggregates
-	// below; subsequent epochs fold them in O(1) per cohort and count the
-	// streak, and materialize() replays the streak into the delivered and
-	// dropped slots when anything changes (or on Stop/read).
-	primed    bool
-	aqGen     uint64  // table generation the all-miss observation was made at
-	wantSum   float64 // Σ want, the cohort's phase-A demand contribution
-	acceptSum float64 // Σ accepted bytes per epoch at (lastClip, lastFdt)
-	lastClip  float64
-	lastFdt   float64
-	streak    uint64 // epochs skipped since the last full pass
 }
 
 // matches reports whether an entity with the given placement extends this
@@ -145,9 +131,8 @@ func extend(s []float64, n int) []float64 {
 }
 
 // expand lays a per-run cohort out per entity, every entity's slots an
-// exact copy of its run's. AddN calls it, after settling the streak, when a
-// tagged run joins the cohort: from then on its entities no longer all see
-// the same operands.
+// exact copy of its run's. AddN calls it when a tagged run joins the
+// cohort: from then on its entities no longer all see the same operands.
 func (c *cohort) expand() {
 	n := c.size()
 	delivered, dropped := make([]float64, n), make([]float64, n)
@@ -170,16 +155,6 @@ func (c *cohort) runIndex(i int32) int {
 // runOf returns the run holding entity i.
 func (c *cohort) runOf(i int32) *tagRun { return &c.runs[c.runIndex(i)] }
 
-// slots returns the delivered and dropped slots of run ri from its entity
-// lo on: one per entity, or the run's one in a per-run cohort.
-func (c *cohort) slots(ri int, lo int32) (delivered, dropped []float64) {
-	from, to := int(lo), int(c.runs[ri].end)
-	if c.perRun {
-		from, to = ri, ri+1
-	}
-	return c.delivered[from:to], c.dropped[from:to]
-}
-
 // rateAt returns entity i's current sending rate in bytes/ns: its own once a
 // reactive model is laid out, its run's registered rate otherwise.
 func (c *cohort) rateAt(i int32) float64 {
@@ -189,73 +164,18 @@ func (c *cohort) rateAt(i int32) float64 {
 	return c.runOf(i).rate
 }
 
-// streakEpoch returns what one skipped epoch delivered and shed per entity
-// of a run wanting w: w·clip·fdt bytes accepted and the link-clip remainder
-// dropped, with no AQ involved (a quiescent cohort is Fixed and all-miss).
-func (c *cohort) streakEpoch(w float64) (delivered, dropped float64) {
-	x := offered(w, c.lastClip, c.lastFdt)
-	return x, shed(w, x, 0, c.lastFdt)
-}
-
-// materialize replays a quiescent streak into the delivered and dropped
-// slots. Called before any state-changing step and on Stop.
-func (c *cohort) materialize() {
-	if c.streak == 0 {
-		return
-	}
-	k := float64(c.streak)
-	lo := int32(0)
-	for ri, r := range c.runs {
-		x, cl := c.streakEpoch(r.want())
-		delivered, dropped := c.slots(ri, lo)
-		for i := range delivered {
-			delivered[i] += k * x
-			dropped[i] += k * cl
-		}
-		lo = r.end
-	}
-	c.streak = 0
-}
-
-// outcomeAt returns entity i's cumulative accepted and dropped bytes with
-// any active streak folded in read-only — accessors must not mutate lane
-// state.
+// outcomeAt returns entity i's cumulative accepted and dropped bytes, from
+// its own slots or, in a per-run cohort, its run's: 0 before its cohort is
+// laid out.
 func (c *cohort) outcomeAt(i int32) (delivered, dropped float64) {
-	if c.delivered == nil {
+	switch {
+	case c.delivered == nil:
 		return 0, 0
+	case c.perRun:
+		ri := c.runIndex(i)
+		return c.delivered[ri], c.dropped[ri]
 	}
-	ri := c.runIndex(i)
-	d, p := c.slots(ri, i)
-	delivered, dropped = d[0], p[0]
-	if c.streak > 0 {
-		x, cl := c.streakEpoch(c.runs[ri].want())
-		delivered += float64(c.streak) * x
-		dropped += float64(c.streak) * cl
-	}
-	return delivered, dropped
-}
-
-// prime records the quiescence aggregates after a full pass found the
-// cohort inert (Fixed, every tag missed or absent, no meters): every entity
-// was accepted in full, so the sums are folded from the run table one
-// entity at a time, exactly as the pass accumulated them. Nothing about the
-// cohort can change until the clip, the epoch width, the table membership
-// or the population does.
-func (c *cohort) prime(gen uint64, clip, fdt float64) {
-	var wantSum, acceptSum float64
-	lo := int32(0)
-	for _, r := range c.runs {
-		w := r.want()
-		a := offered(w, clip, fdt)
-		for ; lo < r.end; lo++ {
-			wantSum += w
-			acceptSum += a
-		}
-	}
-	c.primed = true
-	c.aqGen = gen
-	c.wantSum, c.acceptSum = wantSum, acceptSum
-	c.lastClip, c.lastFdt = clip, fdt
+	return c.delivered[i], c.dropped[i]
 }
 
 // react folds one epoch's feedback into the rate ODEs of the entities from

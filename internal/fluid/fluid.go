@@ -22,11 +22,11 @@
 // only what a model evolves, where it varies: delivered and dropped once
 // per run in a Fixed cohort with no tagged run, whose entities all see the
 // same numbers, and per entity otherwise; rate for the reactive models,
-// alpha for ECN. A cohort is stepped run by run,
-// each resolved once through a core.StreamCursor and integrated as one
-// core.AQ.OnFluidRun transaction — bit-identical to one
-// Table.ProcessFluid call per entity — and quiescent cohorts are skipped
-// in O(1). An Entity is a stable (cohort, index) handle.
+// alpha for ECN. A cohort is stepped run by run: each run is resolved once
+// through a core.StreamCursor and integrated as one core.AQ.OnFluidRun
+// transaction, and a per-run cohort's run takes one offer and one slot
+// update. Either way the result is bit-identical to one Table.ProcessFluid
+// call per entity. An Entity is a stable (cohort, index) handle.
 package fluid
 
 import (
@@ -162,14 +162,13 @@ func (e Entity) Rate() units.BitRate {
 }
 
 // Delivered returns the cumulative bytes the network accepted from the
-// entity, including any epochs currently folded into a quiescent streak.
+// entity.
 func (e Entity) Delivered() float64 {
 	d, _ := e.lane.cohorts[e.c].outcomeAt(e.i)
 	return d
 }
 
-// Dropped returns the cumulative bytes shed by link sharing and the AQ,
-// including any epochs currently folded into a quiescent streak.
+// Dropped returns the cumulative bytes shed by link sharing and the AQ.
 func (e Entity) Dropped() float64 {
 	_, d := e.lane.cohorts[e.c].outcomeAt(e.i)
 	return d

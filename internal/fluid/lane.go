@@ -47,8 +47,8 @@ type pipeAccount struct {
 // evolves, per run where every entity of a run holds the same numbers and
 // per entity otherwise. The lane steps cohorts directly, integrating each
 // run of the table as one AQ.OnFluidRun transaction resolved once through
-// a core.StreamCursor, and skips quiescent cohorts outright. The steady
-// state of fire allocates nothing.
+// a core.StreamCursor, and a per-run cohort one slot update per run. The
+// steady state of fire allocates nothing.
 type Lane struct {
 	eng   *sim.Engine
 	table *core.Table
@@ -67,11 +67,10 @@ type Lane struct {
 	deadline sim.Time // no epochs fire after this (0 = unbounded)
 	running  bool
 
-	epochs              uint64
-	entityEpochs        uint64
-	skippedEntityEpochs uint64
-	delivered           float64
-	dropped             float64
+	epochs       uint64
+	entityEpochs uint64
+	delivered    float64
+	dropped      float64
 }
 
 // NewLane builds a fluid lane stepping the given table's AQs on eng every
@@ -153,9 +152,6 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 		ci++
 	}
 	c := &l.cohorts[ci]
-	// A population change invalidates any primed quiescence aggregates.
-	c.materialize()
-	c.primed = false
 	if c.perRun && cfg.AQ != packet.NoAQ {
 		c.expand()
 	}
@@ -212,22 +208,18 @@ func (l *Lane) Start(now sim.Time) {
 // a far horizon and rely on event exhaustion to finish early.
 func (l *Lane) SetDeadline(t sim.Time) { l.deadline = t }
 
-// Stop disarms the lane, settles any quiescent streaks into the delivered
-// and dropped slots, and releases its pipes back to the packet lane. A
+// Stop disarms the lane and releases its pipes back to the packet lane. A
 // stopped lane may be Started again.
 func (l *Lane) Stop() {
 	l.running = false
 	l.timer.Disarm()
-	l.settle()
-	for i := range l.pipes {
-		l.pipes[i].pipe.SetFluidRate(0)
-	}
+	l.release()
 }
 
-// settle materializes every cohort's pending streak.
-func (l *Lane) settle() {
-	for ci := range l.cohorts {
-		l.cohorts[ci].materialize()
+// release hands every pipe back to the packet lane at its full rate.
+func (l *Lane) release() {
+	for i := range l.pipes {
+		l.pipes[i].pipe.SetFluidRate(0)
 	}
 }
 
@@ -264,23 +256,17 @@ func (l *Lane) fire() {
 		pa.accepted = 0
 		pa.clip = res // reuse: holds residual until demand is known
 	}
-	gen := l.table.Generation()
-	// Accumulate demand, then convert residuals into clip fractions. A
-	// primed cohort's wants are unchanged by construction, so its
-	// precomputed sum replaces the pass; the rest add their wants run by
-	// run, still one entity at a time in registration order (n·w is not n
-	// additions of w), with the pipe's sum in a register. An unpiped
-	// cohort demands of no pipe and is passed over.
+	// Accumulate demand, then convert residuals into clip fractions. Each
+	// cohort adds its wants run by run, still one entity at a time in
+	// registration order (n·w is not n additions of w), with the pipe's sum
+	// in a register. An unpiped cohort demands of no pipe and is passed
+	// over.
 	for ci := range l.cohorts {
 		c := &l.cohorts[ci]
 		if c.pipe < 0 {
 			continue
 		}
 		pd := &l.pipes[c.pipe].demand
-		if c.primed && c.aqGen == gen {
-			*pd += c.wantSum
-			continue
-		}
 		sum, lo := *pd, int32(0)
 		for _, r := range c.runs {
 			if c.rate == nil {
@@ -315,21 +301,11 @@ func (l *Lane) fire() {
 			pa = &l.pipes[c.pipe]
 			clip = pa.clip
 		}
-		if c.primed && c.aqGen == gen && clip == c.lastClip && fdt == c.lastFdt {
-			// Quiescent: a Fixed all-miss meterless cohort under the same
-			// clip and epoch width reproduces last epoch's numbers
-			// exactly — fold the aggregates, extend the streak, done.
-			c.streak++
-			l.delivered += c.acceptSum
-			if pa != nil {
-				pa.accepted += c.acceptSum / fdt
-			}
-			l.skippedEntityEpochs += uint64(c.size())
-			continue
+		if c.perRun {
+			l.stepPerRun(c, now, fdt, clip, pa)
+		} else {
+			l.stepCohort(c, now, dt, fdt, clip, pa)
 		}
-		c.materialize()
-		c.primed = false
-		l.stepCohort(c, gen, now, dt, fdt, clip, pa)
 	}
 	l.entityEpochs += uint64(l.total)
 	l.epochs++
@@ -355,18 +331,17 @@ const runCap = 64
 // mass (once per run for a Fixed cohort, whose rate is the run's), integrate
 // every run through its AQ in one OnFluidRun transaction (untagged and
 // unmatched runs pass with everything accepted), account the outcome per
-// entity — per run, once the chunks are done, in a per-run cohort — then
-// apply the cohort's model reaction. Per entity the operands and their
+// entity, then apply the cohort's model reaction. A per-run cohort is
+// stepped by stepPerRun instead. Per entity the operands and their
 // order are those of Table.ProcessFluid followed by the model update, and
 // every accumulator — AQ registers, lane totals, pipe account, meters —
 // still sees the entities in registration order, so the result is
 // bit-identical to stepping them one call at a time.
-func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
+func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
 	var want, demand, bytes, acc, drp, markBuf [runCap]float64
 	var delayBuf [runCap]sim.Time
 	// Only the model that reacts to a signal pays for computing it.
 	needMark, needDelay := c.par.Model == ECN, c.par.Model == Delay
-	aqFree := true
 	ri := 0 // the run holding the next entity to step
 	for lo, n := 0, c.size(); lo < n; lo += runCap {
 		hi := lo + runCap
@@ -406,7 +381,6 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 				aq = l.cursor.ResolveRun(run.aqid, e-s)
 			}
 			if aq != nil {
-				aqFree = false
 				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay)
 			} else {
 				copy(acc[s:e], bytes[s:e])
@@ -416,15 +390,11 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 			}
 			s = e
 		}
-		var delivered, dropped []float64
-		if !c.perRun {
-			delivered, dropped = c.delivered[lo:hi], c.dropped[lo:hi]
-		}
 		pipeAccepted := 0.0
 		if pa != nil {
 			pipeAccepted = pa.accepted
 		}
-		l.delivered, l.dropped, pipeAccepted = account(want[:k], acc[:k], drp[:k], delivered, dropped, fdt, l.delivered, l.dropped, pipeAccepted)
+		l.delivered, l.dropped, pipeAccepted = account(want[:k], acc[:k], drp[:k], c.delivered[lo:hi], c.dropped[lo:hi], fdt, l.delivered, l.dropped, pipeAccepted)
 		if pa != nil {
 			pa.accepted = pipeAccepted
 		}
@@ -437,44 +407,68 @@ func (l *Lane) stepCohort(c *cohort, gen uint64, now, dt sim.Time, fdt, clip flo
 		}
 		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
-	if c.perRun {
-		// Every entity of an untagged Fixed run was offered the run's bytes,
-		// all accepted: one update per run slot is each entity's own.
-		for ri, r := range c.runs {
-			w := r.want()
-			a := offered(w, clip, fdt)
-			c.delivered[ri] += a
-			c.dropped[ri] += shed(w, a, 0, fdt)
-		}
-	}
-	if aqFree && c.par.Model == Fixed && c.meters == nil {
-		c.prime(gen, clip, fdt)
-	}
 }
 
 // account adds one chunk's outcomes, entity by entity in registration
-// order, to the running lane and pipe sums it returns and, when delivered
-// is non-nil, to the entities' own sums.
+// order, to the entities' own sums and to the running lane and pipe sums it
+// returns.
 func account(want, acc, drp, delivered, dropped []float64, fdt, laneDelivered, laneDropped, pipeAccepted float64) (float64, float64, float64) {
 	acc, drp = acc[:len(want)], drp[:len(want)]
+	delivered, dropped = delivered[:len(want)], dropped[:len(want)]
 	for j, w := range want {
 		a, d := acc[j], drp[j]
 		laneDelivered += a
 		laneDropped += d
 		pipeAccepted += a / fdt
-		if delivered != nil {
-			delivered[j] += a
-			dropped[j] += shed(w, a, d, fdt)
-		}
+		delivered[j] += a
+		dropped[j] += shed(w, a, d, fdt)
 	}
 	return laneDelivered, laneDropped, pipeAccepted
 }
 
+// stepPerRun advances a per-run cohort by one epoch. Every entity of one of
+// its runs is Fixed and untagged, so it is offered the run's bytes and
+// accepts them all: the offer is computed once per run, and the run's one
+// slot update is bit for bit each entity's own. The lane and pipe sums and
+// the meters still take the run's entities one at a time in registration
+// order, as account does, so every accumulator sees the per-entity operand
+// sequence. No AQ drops anything, and adding a 0 drop moves no sum, so the
+// lane's dropped total is left as it is.
+func (l *Lane) stepPerRun(c *cohort, now sim.Time, fdt, clip float64, pa *pipeAccount) {
+	laneDelivered, pipeAccepted := l.delivered, 0.0
+	if pa != nil {
+		pipeAccepted = pa.accepted
+	}
+	lo := int32(0)
+	for ri, r := range c.runs {
+		w := r.want()
+		a := offered(w, clip, fdt)
+		rate := a / fdt
+		for i := lo; i < r.end; i++ {
+			laneDelivered += a
+			pipeAccepted += rate
+		}
+		if c.meters != nil {
+			for _, m := range c.meters[lo:r.end] {
+				if m != nil {
+					m.AddFloat(now, a)
+				}
+			}
+		}
+		c.delivered[ri] += a
+		c.dropped[ri] += shed(w, a, 0, fdt)
+		lo = r.end
+	}
+	l.delivered = laneDelivered
+	if pa != nil {
+		pa.accepted = pipeAccepted
+	}
+}
+
 // offered returns the bytes an entity wanting w bytes/ns is offered in an
 // epoch of fdt ns under the pipe clip, rounded to a float64 before any sum
-// takes it, never fused into one. The chunk fill, prime and the per-run
-// slot update and the quiescent streak all take it from here: bit identity
-// needs the one rounding.
+// takes it, never fused into one. The chunk fill and stepPerRun both take
+// it from here: bit identity needs the one rounding.
 func offered(w, clip, fdt float64) float64 { return float64(w * clip * fdt) }
 
 // shed returns what an epoch adds to an entity's dropped bytes: the d its AQ
@@ -496,19 +490,15 @@ func (l *Lane) rearm(now sim.Time) {
 	next := now + l.epoch
 	if l.deadline > 0 && next > l.deadline {
 		l.running = false
-		l.settle()
-		// Release the pipes back to the packet lane.
-		for i := range l.pipes {
-			l.pipes[i].pipe.SetFluidRate(0)
-		}
+		l.release()
 		return
 	}
 	l.timer.Arm(next)
 }
 
-// LaneStats summarises a lane for telemetry and benchmarks. The skipped
-// counter is a subset of EntityEpochs: every entity is accounted every
-// epoch, whether it was stepped or skipped as quiescent.
+// LaneStats summarises a lane for telemetry and benchmarks. Every entity
+// is stepped every epoch, so SkippedEntityEpochs always reads 0; it stays
+// in the record for the readers that fold it.
 type LaneStats struct {
 	Entities            int     `json:"entities"`
 	Epochs              uint64  `json:"epochs"`
@@ -524,13 +514,12 @@ type LaneStats struct {
 // fold into fingerprints.
 func (l *Lane) Stats() LaneStats {
 	return LaneStats{
-		Entities:            l.total,
-		Epochs:              l.epochs,
-		EntityEpochs:        l.entityEpochs,
-		SkippedEntityEpochs: l.skippedEntityEpochs,
-		DeliveredBytes:      l.delivered,
-		DroppedBytes:        l.dropped,
-		EpochNS:             int64(l.epoch),
+		Entities:       l.total,
+		Epochs:         l.epochs,
+		EntityEpochs:   l.entityEpochs,
+		DeliveredBytes: l.delivered,
+		DroppedBytes:   l.dropped,
+		EpochNS:        int64(l.epoch),
 	}
 }
 

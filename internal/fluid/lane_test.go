@@ -295,9 +295,6 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	if bits(st.DeliveredBytes) != bits(ref.delivered) || bits(st.DroppedBytes) != bits(ref.dropped) {
 		t.Fatalf("lane delivered %v dropped %v, reference %v %v", st.DeliveredBytes, st.DroppedBytes, ref.delivered, ref.dropped)
 	}
-	if st.SkippedEntityEpochs != 0 {
-		t.Fatalf("%d entity-epochs skipped as quiescent; the reference has no such path to compare", st.SkippedEntityEpochs)
-	}
 	if got, want := bits(lane.pipes[0].accepted), bits(ref.accepted[0]); got != want {
 		t.Fatalf("pipe accepted rate %v, reference %v", lane.pipes[0].accepted, ref.accepted[0])
 	}
@@ -387,13 +384,13 @@ func TestPipeRateChangeMidRun(t *testing.T) {
 	lane.Stop()
 }
 
-// TestQuiescenceSkipping: an untagged Fixed cohort settles after one full
-// epoch and is skipped from then on — with the counters recording the
-// skips, the accessors folding the pending streak read-only, and any
-// population change forcing a materialize + full pass. The skipped path
-// must be numerically exact, not approximate: the totals after Stop equal
-// the closed-form value.
-func TestQuiescenceSkipping(t *testing.T) {
+// TestPerRunCohortIsExact: an untagged Fixed cohort holds one delivered
+// slot per run and is stepped run by run, and its numbers are exact, not
+// approximate: an entity's Delivered and the lane's total equal the
+// closed-form value after ten epochs, after the cohort grows by a run of
+// its own while running, and after Stop. Every entity is stepped every
+// epoch.
+func TestPerRunCohortIsExact(t *testing.T) {
 	eng := sim.NewEngine()
 	table := core.NewTable()
 	lane := NewLane(eng, table, 0)
@@ -403,33 +400,39 @@ func TestQuiescenceSkipping(t *testing.T) {
 	ep := lane.Epoch()
 
 	eng.RunUntil(10*ep + ep/2) // 10 epochs fired
+	c := &lane.cohorts[0]
+	if !c.perRun || len(c.runs) != 1 || len(c.delivered) != 1 {
+		t.Fatalf("per run %v with %d runs and %d delivered slots, want one run of 4 and its slot", c.perRun, len(c.runs), len(c.delivered))
+	}
 	st := lane.Stats()
-	if st.EntityEpochs != 40 {
-		t.Fatalf("entity-epochs = %d, want 40 (4 entities x 10 epochs, skipped included)", st.EntityEpochs)
+	if st.EntityEpochs != 40 || st.SkippedEntityEpochs != 0 {
+		t.Fatalf("entity-epochs = %d, %d skipped, want 40 (4 entities x 10 epochs), none skipped", st.EntityEpochs, st.SkippedEntityEpochs)
 	}
-	if st.SkippedEntityEpochs != 36 {
-		t.Fatalf("skipped = %d, want 36 (epoch 1 primes, epochs 2-10 skip)", st.SkippedEntityEpochs)
-	}
-	// Mid-streak accessor: 1 Gbps over 10 epochs, folded without mutating.
+	// 1 Gbps over 10 epochs: 12.5 kB an epoch, exact in binary.
 	perEpoch := float64(units.Gbps) / 8e9 * float64(ep)
 	if got, want := e0.Delivered(), 10*perEpoch; got != want {
-		t.Fatalf("mid-streak Delivered = %v, want exactly %v", got, want)
+		t.Fatalf("Delivered = %v, want exactly %v", got, want)
 	}
-	if got := lane.Stats().DeliveredBytes; got != 40*perEpoch {
+	if got := st.DeliveredBytes; got != 40*perEpoch {
 		t.Fatalf("lane delivered = %v, want exactly %v", got, 40*perEpoch)
 	}
 
-	// Growing the cohort invalidates the primed aggregates: the next epoch
-	// is a full pass, then skipping resumes for the larger population.
-	lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1})
+	// Grown while running, the cohort opens a run of its own: the new
+	// entity starts from 0 and the old ones keep their totals.
+	e4 := lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1})
 	eng.RunUntil(12*ep + ep/2)
-	st2 := lane.Stats()
-	if st2.SkippedEntityEpochs != 36+5 {
-		t.Fatalf("skipped after growth = %d, want 41 (full pass on epoch 11, skip 5 on epoch 12)", st2.SkippedEntityEpochs)
+	if len(c.runs) != 2 || len(c.delivered) != 2 {
+		t.Fatalf("after growth: %d runs, %d delivered slots, want 2 each", len(c.runs), len(c.delivered))
+	}
+	if got, want := lane.Stats().DeliveredBytes, 50*perEpoch; got != want {
+		t.Fatalf("lane delivered after growth = %v, want exactly %v", got, want)
 	}
 	lane.Stop()
 	if got, want := e0.Delivered(), 12*perEpoch; got != want {
 		t.Fatalf("post-Stop Delivered = %v, want exactly %v", got, want)
+	}
+	if got, want := e4.Delivered(), 2*perEpoch; got != want || e4.Dropped() != 0 {
+		t.Fatalf("post-Stop grown entity Delivered = %v dropped %v, want exactly %v and 0", got, e4.Dropped(), want)
 	}
 }
 

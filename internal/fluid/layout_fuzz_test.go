@@ -26,9 +26,8 @@ import (
 // Fixed cohorts with one delivered and dropped slot per run, which an add
 // to a laid-out one extends by a run of its own and a tagged add expands
 // per entity, a meter first attached to a late entity, a cohort grown while
-// it is running, while a quiescent streak is pending and while the lane is
-// stopped, and the read-only accessors, which find an entity's run by
-// binary search. The lane starts at the script's first epoch op, so the
+// it is running and while the lane is stopped, and the read-only accessors,
+// which find an entity's run by binary search. The lane starts at the script's first epoch op, so the
 // leading adds register on a lane with no per-entity storage yet: each is
 // compared through the accessors as it lands, the first Start lays the
 // whole population out, and every add after it lays out its own tail, or,
@@ -48,17 +47,9 @@ import (
 //	              redeploy 2, a packet on AQ 1 now, a packet on AQ 3 whose
 //	              last_time lands past the next epoch
 //
-// The quiescent fold is exact only where k·x equals k additions of x, so an
-// add that could ever sit in a quiescent cohort (Fixed, unmetered, untagged
-// or tagged 9) is registered unpiped at a dyadic rate, Fixed entities never
-// carry the removable tag 2, and AQ 9 admits everything: every number such
-// an entity accumulates is then exact and stays bitwise comparable. The one
-// thing that is not is the lane's byte totals, which take a skipped
-// cohort's epoch as one addition where the reference makes one per entity:
-// they are compared bitwise until the first skip and to 1e-12 after it. A
-// skipped entity-epoch never reaches the table either, so the table's
-// epoch and miss counts are compared until the first skip and its hits
-// always.
+// Every number is compared bitwise: the entities' own, the lane's byte
+// totals, the pipe account, the table's counters, the AQs' registers and
+// the meters.
 func FuzzLaneLayout(f *testing.F) {
 	f.Add([]byte{0x08, 0x09, 0x02})
 	f.Fuzz(runLayoutScript)
@@ -66,12 +57,10 @@ func FuzzLaneLayout(f *testing.F) {
 
 var (
 	layoutSizes = [8]int{1, 15, 16, 17, 63, 64, 65, 200}
-	// Tag menus: 9 is deployed only by a table edit, 2 can be removed.
-	layoutTags      = [6]packet.AQID{packet.NoAQ, 1, 2, 3, 5, 9}
-	layoutFixedTags = [6]packet.AQID{packet.NoAQ, 1, 1, 3, 5, 9}
-	layoutRates     = [4]units.BitRate{10 * units.Mbps, 30 * units.Mbps, 200 * units.Mbps, 7 * units.Mbps}
-	layoutDyadic    = [4]units.BitRate{31.25 * units.Mbps, 62.5 * units.Mbps, 125 * units.Mbps, 500 * units.Mbps}
-	layoutModels    = [4]string{"udp", "cubic", "dctcp", "swift"}
+	// Tag menu: 9 is deployed only by a table edit, 2 can be removed.
+	layoutTags   = [6]packet.AQID{packet.NoAQ, 1, 2, 3, 5, 9}
+	layoutRates  = [4]units.BitRate{10 * units.Mbps, 30 * units.Mbps, 200 * units.Mbps, 7 * units.Mbps}
+	layoutModels = [4]string{"udp", "cubic", "dctcp", "swift"}
 )
 
 func runLayoutScript(t *testing.T, script []byte) {
@@ -125,14 +114,8 @@ func runLayoutScript(t *testing.T, script []byte) {
 			}
 			model, metered := Model(sh>>3&3), sh>>7 == 1
 			cfg := EntityConfig{AQ: layoutTags[sh&7%6], Params: &pars[model], Rate: layoutRates[op>>6], Pipe: pi}
-			if model == Fixed {
-				cfg.AQ = layoutFixedTags[sh&7%6]
-			}
 			if op>>5&1 == 1 {
 				cfg.Pipe = -1
-			}
-			if model == Fixed && !metered && (cfg.AQ == packet.NoAQ || cfg.AQ == 9) {
-				cfg.Rate, cfg.Pipe = layoutDyadic[op>>6], -1
 			}
 			switch sh >> 5 & 3 {
 			case 1:
@@ -233,9 +216,8 @@ func layOut(laid []int, lane *Lane) []int {
 // for a Fixed cohort with no tagged run and per entity otherwise, rate too
 // for a reactive model and alpha for ECN, and the rest, registered since
 // the last Start on a lane that is not running, hold none. It reads the
-// first and last entity of every run through the public handle, whose AQID
-// and Rate go through runOf and whose Delivered and Dropped fold a pending
-// streak without settling it.
+// first and last entity of every run through the public handle, whose AQID,
+// Rate, Delivered and Dropped find the run by binary search (runIndex).
 func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, laid []int) {
 	t.Helper()
 	laidOut := len(laid)
@@ -281,7 +263,7 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 				e, r := Entity{lane: lane, c: int32(ci), i: i}, &ref.ents[base+int(i)]
 				if e.AQID() != r.id || e.Rate() != units.BitRate(r.rate*8e9) ||
 					bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
-					t.Fatalf("handle (%d,%d) with streak %d: tag %d rate %v delivered %v dropped %v, reference %d %v %v %v", ci, i, c.streak,
+					t.Fatalf("handle (%d,%d): tag %d rate %v delivered %v dropped %v, reference %d %v %v %v", ci, i,
 						e.AQID(), e.Rate(), e.Delivered(), e.Dropped(), r.id, units.BitRate(r.rate*8e9), r.delivered, r.dropped)
 				}
 			}
@@ -303,14 +285,8 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 		base += c.size()
 	}
 	st, got, want := lane.Stats(), tables[0].Stats(), tables[1].Stats()
-	near := func(a, b float64) bool { return bits(a) == bits(b) }
-	if st.SkippedEntityEpochs > 0 {
-		near = func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
-		got.FluidEpochs, want.FluidEpochs = got.FluidEpochs-got.FluidMisses, want.FluidEpochs-want.FluidMisses
-		got.FluidMisses, want.FluidMisses = 0, 0
-	}
-	if !near(st.DeliveredBytes, ref.delivered) || !near(st.DroppedBytes, ref.dropped) {
-		t.Fatalf("lane delivered %v dropped %v, reference %v %v (%d skipped)", st.DeliveredBytes, st.DroppedBytes, ref.delivered, ref.dropped, st.SkippedEntityEpochs)
+	if bits(st.DeliveredBytes) != bits(ref.delivered) || bits(st.DroppedBytes) != bits(ref.dropped) || st.SkippedEntityEpochs != 0 {
+		t.Fatalf("lane delivered %v dropped %v (%d skipped), reference %v %v", st.DeliveredBytes, st.DroppedBytes, st.SkippedEntityEpochs, ref.delivered, ref.dropped)
 	}
 	if bits(lane.pipes[0].accepted) != bits(ref.accepted[0]) {
 		t.Fatalf("pipe accepted rate %v, reference %v", lane.pipes[0].accepted, ref.accepted[0])

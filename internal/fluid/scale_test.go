@@ -107,8 +107,8 @@ func buildScale(s scaleSpec) *scaleFabric {
 				lane.AddN(cfg, groupSize(g))
 			}
 			if fill > 0 {
-				// The quiescent tail: after one priming epoch the lane folds
-				// the whole cohort per epoch without touching its entities.
+				// The untagged fill: one per-run cohort, one slot update per
+				// run and epoch.
 				lane.AddN(EntityConfig{Rate: share / 2, Pipe: -1}, fill)
 			}
 			lane.SetDeadline(s.horizon)
@@ -126,10 +126,10 @@ func buildScale(s scaleSpec) *scaleFabric {
 
 // scaleTotals is everything a run of the scenario is compared on.
 type scaleTotals struct {
-	aqs, model                    int
-	epochs, entityEpochs, skipped uint64
-	delivered, dropped            float64
-	fgPackets                     uint64
+	aqs, model           int
+	epochs, entityEpochs uint64
+	delivered, dropped   float64
+	fgPackets            uint64
 }
 
 func runScale(s scaleSpec) scaleTotals {
@@ -140,7 +140,6 @@ func runScale(s scaleSpec) scaleTotals {
 		st := l.Stats()
 		tot.epochs += st.Epochs
 		tot.entityEpochs += st.EntityEpochs
-		tot.skipped += st.SkippedEntityEpochs
 		tot.delivered += st.DeliveredBytes
 		tot.dropped += st.DroppedBytes
 	}

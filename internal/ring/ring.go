@@ -1,6 +1,7 @@
 // Package ring provides Buffer, the one growable circular buffer of the
-// packet path. It holds the physical queue's packets, each DRR class, a
-// pipe's in-flight records and a flow's per-segment state.
+// tree. It holds the physical queue's packets, each DRR class, a pipe's
+// in-flight records, a flow's per-segment state and the service's
+// per-pipe throughput history.
 package ring
 
 // Buffer is a growable FIFO of T in a circular slice. The zero value is an

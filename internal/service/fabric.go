@@ -22,6 +22,7 @@ import (
 
 	"aqueue/internal/control"
 	"aqueue/internal/core"
+	"aqueue/internal/ring"
 	"aqueue/internal/sim"
 	"aqueue/internal/topo"
 	"aqueue/internal/trace"
@@ -103,7 +104,7 @@ type fabricPipe struct {
 	// lastGbps is the throughput of the most recent completed window;
 	// recent keeps the last maxSeriesPoints of them for full snapshots.
 	lastGbps float64
-	recent   []float64
+	recent   ring.Buffer[float64]
 }
 
 type fabricSwitch struct {
@@ -274,11 +275,10 @@ func (f *Fabric) AdvanceWindow() Snapshot {
 		fp.lastTx = tx
 		// bits per nanosecond is Gbps exactly.
 		fp.lastGbps = float64(delta*8) / float64(f.cfg.Window)
-		if len(fp.recent) == maxSeriesPoints {
-			copy(fp.recent, fp.recent[1:])
-			fp.recent = fp.recent[:maxSeriesPoints-1]
+		if fp.recent.Len() == maxSeriesPoints {
+			fp.recent.Pop()
 		}
-		fp.recent = append(fp.recent, fp.lastGbps)
+		fp.recent.Push(fp.lastGbps)
 	}
 	snap := f.Snapshot(false)
 	f.foldFingerprint(snap)

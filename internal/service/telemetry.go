@@ -66,7 +66,12 @@ func (f *Fabric) Snapshot(series bool) Snapshot {
 		ps := &s.Pipes[i]
 		*ps = PipeSnap{Name: fp.name, PipeStats: fp.pipe.Stats(), Gbps: fp.lastGbps}
 		if series {
-			ps.Series = append([]float64(nil), fp.recent...)
+			if n := fp.recent.Len(); n > 0 {
+				ps.Series = make([]float64, n)
+				for j := range ps.Series {
+					ps.Series[j] = fp.recent.At(j)
+				}
+			}
 			ps.Meter = f.pipeMeter(fp)
 		}
 	}

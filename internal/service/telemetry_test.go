@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"aqueue/internal/sim"
@@ -65,5 +66,43 @@ func TestPipeMeterMatchesMeter(t *testing.T) {
 	t.Logf("%d busy pipe-windows", busy)
 	if busy == 0 {
 		t.Fatal("no window carried traffic: the busy arm checked nothing")
+	}
+}
+
+// TestPipeSeriesKeepsLastWindows: a full snapshot's per-pipe series is the
+// Gbps of the last maxSeriesPoints windows, oldest first, each the Gbps the
+// boundary snapshot of its window reported; before the first window it is
+// absent.
+func TestPipeSeriesKeepsLastWindows(t *testing.T) {
+	f, err := NewFabric(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range f.Snapshot(true).Pipes {
+		if ps.Series != nil {
+			t.Fatalf("window 0, pipe %s: series %v, want none", ps.Name, ps.Series)
+		}
+	}
+	if _, err := f.Attach(LoadSpec{Kind: "fixed", Size: 20_000, Load: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	gbps := make([][]float64, len(f.pipes))
+	busy := false
+	for w := 0; w < maxSeriesPoints+10; w++ {
+		for i, ps := range f.AdvanceWindow().Pipes {
+			gbps[i] = append(gbps[i], ps.Gbps)
+			busy = busy || ps.Gbps > 0
+		}
+		if w == 2 || w == maxSeriesPoints+9 {
+			for i, ps := range f.Snapshot(true).Pipes {
+				want := gbps[i][max(0, len(gbps[i])-maxSeriesPoints):]
+				if !slices.Equal(ps.Series, want) {
+					t.Fatalf("window %d, pipe %s: series %v, want %v", f.Window(), ps.Name, ps.Series, want)
+				}
+			}
+		}
+	}
+	if !busy {
+		t.Fatal("no window carried traffic: the series compared only zeros")
 	}
 }

@@ -90,3 +90,36 @@ func TestIncastUnboundedStopsAtHorizon(t *testing.T) {
 		t.Fatalf("started %d responses over 10 rounds", in.Tracker.Started)
 	}
 }
+
+// TestIncastRoundsOverlap: rounds start every Period whatever the previous
+// round's progress. Two 2 MB responses share a 25 Gbps receiver link, so a
+// round takes at least 1.28 ms, and with a 500 µs period the third round
+// has started before the first has finished. Every response still
+// completes, and the receiver takes at least every byte sent.
+func TestIncastRoundsOverlap(t *testing.T) {
+	eng := sim.NewEngine()
+	st := topo.NewStar(eng, 3, topo.DefaultTestbed())
+	in := Incast{
+		Senders:       st.Hosts[1:],
+		Receiver:      st.Hosts[0],
+		ResponseBytes: 2_000_000,
+		Period:        500 * sim.Microsecond,
+		Rounds:        3,
+	}
+	in.Start()
+	eng.RunUntil(2*in.Period - 1)
+	if in.Tracker.Started != 2*2 {
+		t.Fatalf("before the third round: started %d responses, want 4", in.Tracker.Started)
+	}
+	eng.RunUntil(2 * in.Period)
+	if in.Tracker.Started != 3*2 || in.Tracker.Completed != 0 {
+		t.Fatalf("at the third round: started %d, completed %d, want 6 started and none completed", in.Tracker.Started, in.Tracker.Completed)
+	}
+	eng.RunUntil(sim.Second)
+	if !in.Tracker.AllDone() || in.Tracker.Bytes != 6*in.ResponseBytes {
+		t.Fatalf("completed %d/%d responses of %d bytes in all, want 6 of %d", in.Tracker.Completed, in.Tracker.Started, in.Tracker.Bytes, 6*in.ResponseBytes)
+	}
+	if rx := st.Hosts[0].RxBytes; rx < uint64(6*in.ResponseBytes) {
+		t.Fatalf("receiver took %d bytes, fewer than the %d sent", rx, 6*in.ResponseBytes)
+	}
+}

@@ -18,8 +18,10 @@ type Incast struct {
 	Receiver *topo.Host
 	// ResponseBytes per sender per round.
 	ResponseBytes int64
-	// Period between round starts; a round that outlives the period delays
-	// the next one (rounds never overlap per sender).
+	// Period between round starts. Rounds start at 0, Period, 2·Period, …
+	// whether or not the previous one has finished: a response that
+	// outlives the period overlaps the next round's, which each sender
+	// sends on a flow of its own.
 	Period sim.Time
 	// Rounds to run; 0 means until the horizon.
 	Rounds int
