@@ -22,6 +22,15 @@ import (
 // equivalence is exercised by TestFluidPacketEquivalence: a constant-rate
 // stream produces the same clamped trajectory through either entry point,
 // to within one epoch of quantization.
+//
+// OnFluidRun is the one arithmetic body: a run of entities offered to one
+// AQ in one epoch is one pass. Its first entity takes the slope step over
+// what is left of the epoch, before the loop; every later entity lands as a
+// point deposit, the only form the loop holds. The caller's running sums
+// (FluidTotals) fold inside that loop, beside the gap and the fluid
+// counters: the gap register costs two dependent adds per entity, and the
+// sums' independent chains overlap it, where a second walk over the run
+// would pay for them again.
 
 // FluidFeedback is the outcome of integrating one fluid epoch through an
 // AQ — the fluid analogue of Verdict, with the binary drop/mark decisions
@@ -64,7 +73,8 @@ func (fb FluidFeedback) LossFrac() float64 {
 func (a *AQ) OnFluidEpoch(now sim.Time, bytes float64, dt sim.Time) FluidFeedback {
 	var accepted, dropped, mark [1]float64
 	var delay [1]sim.Time
-	a.OnFluidRun(now, dt, []float64{bytes}, accepted[:], dropped[:], mark[:], delay[:])
+	var sums FluidTotals
+	a.OnFluidRun(now, dt, []float64{bytes}, accepted[:], dropped[:], mark[:], delay[:], &sums)
 	return FluidFeedback{
 		Accepted: accepted[0],
 		Dropped:  dropped[0],
@@ -74,27 +84,47 @@ func (a *AQ) OnFluidEpoch(now sim.Time, bytes float64, dt sim.Time) FluidFeedbac
 	}
 }
 
+// FluidTotals are a caller's running sums over the outcomes of fluid runs:
+// OnFluidRun adds each entity's accepted bytes, its dropped bytes and its
+// accepted rate accepted/float64(dt), one entity at a time in run order, to
+// whatever the sums already hold. Folding them inside the kernel is nearly
+// free: each is one add per entity whose chain overlaps the gap
+// register's.
+type FluidTotals struct {
+	Accepted     float64 // accepted bytes
+	Dropped      float64 // bytes shed by the AQ-limit rule
+	AcceptedRate float64 // accepted bytes per ns of dt
+}
+
 // OnFluidRun integrates a run of consecutive entity epochs through the AQ
 // as one register transaction: entity i offered bytes[i] at a constant rate
 // over (now-dt, now], and the entities arrive in slice order, exactly as
 // len(bytes) successive OnFluidEpoch calls would deliver them. gap,
-// last_time and the fluid counters live in locals for the whole run and are
-// written back once; every per-entity operand and operation order is that
-// of the single-epoch form, so the registers, the counters and every output
-// are bit-identical to the call sequence.
+// last_time, the fluid counters and the caller's sums live in locals for
+// the whole run and are written back once; every per-entity operand and
+// operation order is that of the single-epoch form, so the registers, the
+// counters, the sums and every output are bit-identical to the call
+// sequence.
 //
-// If packet arrivals already advanced last_time into this epoch, only the
-// remaining sub-interval is integrated and the first entity's full mass is
-// spread over it; the displacement is at most one epoch, within the
-// fidelity contract of the fluid lane. The first entity leaves last_time at
-// now, so nothing of the epoch is left for the rest of the run: their mass
-// lands as point deposits, exactly the packet form.
+// Only the run's first entity integrates over an interval: the slope form,
+// over what is left of the epoch. If packet arrivals already advanced
+// last_time into this epoch, that is the remaining sub-interval, and the
+// first entity's full mass is spread over it; the displacement is at most
+// one epoch, within the fidelity contract of the fluid lane. The first
+// entity leaves last_time at now, so nothing of the epoch is left for the
+// rest of the run: their mass lands as point deposits, exactly the packet
+// form. The first entity is stepped whole before the loop, so the loop over
+// the rest holds the point-deposit form alone; the limit rule both share is
+// limitShed.
 //
 // accepted and dropped (each at least len(bytes) long) receive the
-// per-entity split. mark and delay are optional: when non-nil they receive
-// the mark fraction and the virtual delay gap/R at the entity's boundary —
-// the Delay cohorts are the only caller that pays for the divide.
-func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float64, delay []sim.Time) {
+// per-entity split, and sums takes the run's running totals in the same
+// loop: their chains of adds overlap the gap register's, so a caller needs
+// no second walk over the outcomes to sum them (see FluidTotals).
+// mark and delay are optional: when non-nil they receive the mark fraction
+// and the virtual delay gap/R at the entity's boundary — the Delay cohorts
+// are the only caller that pays for the divide.
+func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float64, delay []sim.Time, sums *FluidTotals) {
 	if len(bytes) == 0 {
 		return
 	}
@@ -102,48 +132,66 @@ func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float
 	if dt <= 0 || a.lastTime > start {
 		start = a.lastTime
 	}
-	width := float64(now - start)
+	width, fdt := float64(now-start), float64(dt)
 	gap, rate, limit, k := a.gap, a.rate, a.limit, a.ecnThreshold
 	ecn := a.cc == ECNType
 	fluidBytes, fluidDropped, fluidMarked := a.fluidBytes, a.fluidDropped, a.fluidMarked
+	sumAcc, sumDrp, sumRate := sums.Accepted, sums.Dropped, sums.AcceptedRate
 	accepted, dropped = accepted[:len(bytes)], dropped[:len(bytes)]
-	for i, b := range bytes {
+
+	// The first entity: the slope form over what is left of the epoch, or a
+	// point deposit when nothing is left.
+	b := bytes[0]
+	if b < 0 {
+		b = 0
+	}
+	var g1, markFrac float64
+	if width > 0 {
+		slope := b/width - rate
+		g1 = gap + slope*width
+		if g1 < 0 {
+			g1 = 0
+		}
+		if ecn {
+			markFrac = markFraction(gap, slope, width, k)
+		}
+	} else if g1 = gap + b; ecn && g1 > k {
+		markFrac = 1
+	}
+	gap, acc, d := limitShed(g1, b, limit)
+	fluidBytes += b
+	fluidDropped += d
+	fluidMarked += acc * markFrac
+	sumAcc += acc
+	sumDrp += d
+	sumRate += acc / fdt
+	accepted[0], dropped[0] = acc, d
+	if mark != nil {
+		mark[0] = markFrac
+	}
+	if delay != nil {
+		delay[0] = 0
+		if rate > 0 {
+			delay[0] = sim.Time(gap / rate)
+		}
+	}
+	// Every later entity: a point deposit, exactly the packet form.
+	for i := 1; i < len(bytes); i++ {
+		b := bytes[i]
 		if b < 0 {
 			b = 0
 		}
-		var g1, markFrac float64
-		if width <= 0 {
-			// Nothing left of the epoch to integrate: the mass lands as a
-			// point deposit, exactly the packet form.
-			g1 = gap + b
-			if ecn && g1 > k {
-				markFrac = 1
-			}
-		} else {
-			slope := b/width - rate
-			g1 = gap + slope*width
-			if g1 < 0 {
-				g1 = 0
-			}
-			if ecn {
-				markFrac = markFraction(gap, slope, width, k)
-			}
+		g1, markFrac := gap+b, 0.0
+		if ecn && g1 > k {
+			markFrac = 1
 		}
-		// The fluid form of the AQ-limit rule: the gap may not end the
-		// epoch beyond the limit; the excess is shed and (as in Algorithm
-		// 2) does not count against the allocation.
-		d := g1 - limit
-		if d < 0 {
-			d = 0
-		}
-		if d > b {
-			d = b
-		}
-		gap = g1 - d
-		acc := b - d
+		gap, acc, d = limitShed(g1, b, limit)
 		fluidBytes += b
 		fluidDropped += d
 		fluidMarked += acc * markFrac
+		sumAcc += acc
+		sumDrp += d
+		sumRate += acc / fdt
 		accepted[i], dropped[i] = acc, d
 		if mark != nil {
 			mark[i] = markFrac
@@ -154,11 +202,27 @@ func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float
 				delay[i] = sim.Time(gap / rate)
 			}
 		}
-		width = 0 // last_time is now at the boundary
 	}
 	a.gap = gap
 	a.lastTime = now
 	a.fluidBytes, a.fluidDropped, a.fluidMarked = fluidBytes, fluidDropped, fluidMarked
+	sums.Accepted, sums.Dropped, sums.AcceptedRate = sumAcc, sumDrp, sumRate
+}
+
+// limitShed is the fluid form of the AQ-limit rule for an entity of mass b
+// that took the gap to g1: the gap may not end the epoch beyond the limit,
+// and the excess d is shed and (as in Algorithm 2) does not count against
+// the allocation. It returns the gap after the shed, the accepted bytes and
+// d.
+func limitShed(g1, b, limit float64) (gap, acc, d float64) {
+	d = g1 - limit
+	if d < 0 {
+		d = 0
+	}
+	if d > b {
+		d = b
+	}
+	return g1 - d, b - d, d
 }
 
 // markFraction returns the fraction of [0, width] during which the linear

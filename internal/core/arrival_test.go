@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -289,8 +290,11 @@ func (t *fuzzTape) mass() float64 {
 // tape of packet Updates and fluid runs — one through OnFluidRun (chunked
 // at a fuzzed cap, with and without the optional outputs), one through the
 // reference single-epoch call per entity — and requires the registers, the
-// counters and every per-entity output to stay bitwise equal. The exported
-// OnFluidEpoch rides along as a third AQ.
+// counters and every per-entity output to stay bitwise equal. The running
+// totals OnFluidRun folds (one FluidTotals carried across the whole tape)
+// must equal, bitwise, a sequential fold written here over the reference's
+// per-entity outcomes: accepted, dropped and accepted/float64(dt), entity by
+// entity. The exported OnFluidEpoch rides along as a third AQ.
 //
 // The tape is a sequence of ops. An op byte divisible by four is a packet:
 // two bytes of time offset, two of size. Any other op is a run: one byte of
@@ -320,6 +324,7 @@ func FuzzFluidRunVsEpoch(f *testing.F) {
 		}
 		tape := &fuzzTape{b: data}
 		var now sim.Time
+		var sums, wantSums FluidTotals
 		for len(tape.b) > 0 {
 			op := tape.uint(1)
 			if op%4 == 0 {
@@ -350,7 +355,7 @@ func FuzzFluidRunVsEpoch(f *testing.F) {
 				delay = make([]sim.Time, n)
 			}
 			if n == 0 {
-				run.OnFluidRun(now, dt, nil, nil, nil, nil, nil) // an empty run is no call at all
+				run.OnFluidRun(now, dt, nil, nil, nil, nil, nil, &sums) // an empty run is no call at all
 			}
 			for lo := 0; lo < n; lo += chunk {
 				hi := min(lo+chunk, n)
@@ -362,7 +367,7 @@ func FuzzFluidRunVsEpoch(f *testing.F) {
 				if delay != nil {
 					d = delay[lo:hi]
 				}
-				run.OnFluidRun(now, dt, bytes[lo:hi], accepted[lo:hi], dropped[lo:hi], m, d)
+				run.OnFluidRun(now, dt, bytes[lo:hi], accepted[lo:hi], dropped[lo:hi], m, d, &sums)
 			}
 			for i, b := range bytes {
 				want := refOnFluidEpoch(ref, now, b, dt)
@@ -377,6 +382,14 @@ func FuzzFluidRunVsEpoch(f *testing.F) {
 					t.Fatalf("OnFluidRun entity %d of %d (chunk %d): accepted %v dropped %v mark %v delay %v, reference %+v",
 						i, n, chunk, accepted[i], dropped[i], mark, delay, want)
 				}
+				wantSums.Accepted += want.Accepted
+				wantSums.Dropped += want.Dropped
+				wantSums.AcceptedRate += want.Accepted / float64(dt)
+			}
+			if !sameBits(sums.Accepted, wantSums.Accepted) || !sameBits(sums.Dropped, wantSums.Dropped) ||
+				!sameBits(sums.AcceptedRate, wantSums.AcceptedRate) {
+				t.Fatalf("OnFluidRun totals after %d entities (chunk %d, dt %d): %+v, sequential fold of the reference %+v",
+					n, chunk, dt, sums, wantSums)
 			}
 			check("after OnFluidRun", run)
 			check("after OnFluidEpoch", epoch)
@@ -401,7 +414,7 @@ func TestZeroRateAQFluidRun(t *testing.T) {
 	} {
 		acc, drp := make([]float64, 3), make([]float64, 3)
 		delay := []sim.Time{-1, -1, -1}
-		aq.OnFluidRun(sim.Time(epoch+1)*dt, dt, bytes, acc, drp, nil, delay)
+		aq.OnFluidRun(sim.Time(epoch+1)*dt, dt, bytes, acc, drp, nil, delay, &FluidTotals{})
 		for i := range bytes {
 			if acc[i] != want.accepted[i] || drp[i] != want.dropped[i] || delay[i] != 0 {
 				t.Fatalf("epoch %d entity %d: accepted %v dropped %v delay %v, want %v %v 0",
@@ -411,5 +424,81 @@ func TestZeroRateAQFluidRun(t *testing.T) {
 		if aq.Gap() != 2500 {
 			t.Fatalf("epoch %d: gap %v, want the 2500 B limit", epoch, aq.Gap())
 		}
+	}
+}
+
+// TestFluidRunNonFiniteMass states what a NaN and a +Inf offered mass do to
+// a fluid run today (ROADMAP item 1's open question): nothing refuses them.
+// An ECN AQ of 1 Gbps (0.125 B/ns), a 10 000 B limit and a 5 000 B
+// threshold takes one run of two entities over a 1000 ns epoch; the first
+// entity takes the slope step, the second lands as a point deposit.
+//
+//   - A NaN mass makes the slope NaN: the gap, both splits and every fluid
+//     counter are NaN, and the run's later entities inherit the NaN gap.
+//   - A +Inf mass ends the epoch at an infinite gap, sheds all of it (d =
+//     Inf - limit = Inf, not more than the mass) and leaves Inf - Inf = NaN
+//     as both the gap and the accepted bytes; the offered and dropped
+//     counters read +Inf until a NaN drop joins them, and the marked
+//     counter is NaN (NaN accepted times the mark fraction).
+//   - Every delay from a NaN gap is the conversion of a NaN to sim.Time,
+//     which Go leaves to the implementation: math.MinInt64 on amd64.
+//
+// The next packet then drains and deposits onto a NaN gap, which no
+// comparison admits: it passes unmarked and undropped and is stamped the
+// NaN delay. The test states the behaviour; it does not endorse it. NaN is
+// compared as sameBits does: which NaN payload survives is not part of it.
+func TestFluidRunNonFiniteMass(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	nanTime := sim.Time(nan)
+	if runtime.GOARCH == "amd64" && nanTime != math.MinInt64 {
+		t.Fatalf("a NaN converts to sim.Time %d on amd64, want math.MinInt64", nanTime)
+	}
+	for _, tc := range []struct {
+		name                                  string
+		bytes                                 []float64
+		accepted, dropped, mark               [2]float64
+		delay                                 [2]sim.Time
+		fluidBytes, fluidDropped, fluidMarked float64
+	}{
+		{"NaN then 1000", []float64{nan, 1000},
+			[2]float64{nan, nan}, [2]float64{nan, nan}, [2]float64{0, 0},
+			[2]sim.Time{nanTime, nanTime}, nan, nan, nan},
+		{"+Inf then 1000", []float64{inf, 1000},
+			[2]float64{nan, nan}, [2]float64{inf, nan}, [2]float64{1, 0},
+			[2]sim.Time{nanTime, nanTime}, inf, nan, nan},
+		// The first entity ramps the gap to 1000 - 125 = 875 B, below the
+		// threshold for the whole epoch; the +Inf point deposit then marks.
+		{"1000 then +Inf", []float64{1000, inf},
+			[2]float64{1000, nan}, [2]float64{0, inf}, [2]float64{0, 1},
+			[2]sim.Time{7000, nanTime}, inf, inf, nan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			aq := New(Config{ID: 1, Rate: units.Gbps, Limit: 10_000, CC: ECNType, ECNThreshold: 5_000})
+			var acc, drp, mark [2]float64
+			var delay [2]sim.Time
+			var sums FluidTotals
+			aq.OnFluidRun(1000, 1000, tc.bytes, acc[:], drp[:], mark[:], delay[:], &sums)
+			for i := range acc {
+				if !sameBits(acc[i], tc.accepted[i]) || !sameBits(drp[i], tc.dropped[i]) ||
+					!sameBits(mark[i], tc.mark[i]) || delay[i] != tc.delay[i] {
+					t.Fatalf("entity %d: accepted %v dropped %v mark %v delay %v, want %v %v %v %v",
+						i, acc[i], drp[i], mark[i], delay[i], tc.accepted[i], tc.dropped[i], tc.mark[i], tc.delay[i])
+				}
+			}
+			if s := aq.Stats(); !math.IsNaN(aq.Gap()) || !sameBits(s.FluidBytes, tc.fluidBytes) ||
+				!sameBits(s.FluidDropped, tc.fluidDropped) || !sameBits(s.FluidMarked, tc.fluidMarked) {
+				t.Fatalf("gap %v, counters %+v; want a NaN gap and fluid bytes %v dropped %v marked %v",
+					aq.Gap(), s, tc.fluidBytes, tc.fluidDropped, tc.fluidMarked)
+			}
+			p := packet.NewData(1, 2, 1, 0, 1500-packet.HeaderBytes)
+			p.EcnCapable = true
+			if v := aq.Process(2000, p); v != Pass || p.CE || p.VirtualDelay != nanTime || !math.IsNaN(aq.Gap()) {
+				t.Fatalf("next packet: verdict %v CE %v delay %v gap %v; want Pass, unmarked, %v, NaN",
+					v, p.CE, p.VirtualDelay, aq.Gap(), nanTime)
+			}
+			if s := aq.Stats(); s.Arrived != 1 || s.Drops != 0 || s.Marks != 0 {
+				t.Fatalf("packet counters %+v, want 1 arrived, none dropped or marked", s)
+			}
+		})
 	}
 }

@@ -48,7 +48,10 @@ type pipeAccount struct {
 // per entity otherwise. The lane steps cohorts directly, integrating each
 // run of the table as one AQ.OnFluidRun transaction resolved once through
 // a core.StreamCursor, and a per-run cohort one slot update per run. The
-// steady state of fire allocates nothing.
+// lane's delivered and dropped totals and each pipe's accepted rate fold
+// in that same pass, inside the kernel's loop, whose gap chain their add
+// chains overlap (see stepCohort). The steady state of fire allocates
+// nothing.
 type Lane struct {
 	eng   *sim.Engine
 	table *core.Table
@@ -330,18 +333,30 @@ const runCap = 64
 // walk the run table with a cursor, derive each entity's want and offered
 // mass (once per run for a Fixed cohort, whose rate is the run's), integrate
 // every run through its AQ in one OnFluidRun transaction (untagged and
-// unmatched runs pass with everything accepted), account the outcome per
-// entity, then apply the cohort's model reaction. A per-run cohort is
-// stepped by stepPerRun instead. Per entity the operands and their
-// order are those of Table.ProcessFluid followed by the model update, and
-// every accumulator — AQ registers, lane totals, pipe account, meters —
-// still sees the entities in registration order, so the result is
+// unmatched runs pass with everything accepted), update each entity's own
+// slots (account), then apply the cohort's model reaction. A per-run
+// cohort is stepped by stepPerRun instead. Per entity the operands and
+// their order are those of Table.ProcessFluid followed by the model
+// update, and every accumulator — AQ registers, lane totals, pipe account,
+// meters — still sees the entities in registration order, so the result is
 // bit-identical to stepping them one call at a time.
+//
+// The lane's delivered and dropped totals and the pipe's accepted rate are
+// one core.FluidTotals held for the whole cohort: OnFluidRun folds each
+// entity of a matched run into them in the loop that carries the gap, whose
+// chain of dependent adds their chains overlap, and a pass-through run is
+// folded here, in the same entity order. Adding a pass-through run's 0 drop
+// would move no sum, so the dropped total is left as it is. An unpiped
+// cohort's accepted-rate sum is computed all the same and dropped.
 func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
 	var want, demand, bytes, acc, drp, markBuf [runCap]float64
 	var delayBuf [runCap]sim.Time
 	// Only the model that reacts to a signal pays for computing it.
 	needMark, needDelay := c.par.Model == ECN, c.par.Model == Delay
+	sums := core.FluidTotals{Accepted: l.delivered, Dropped: l.dropped}
+	if pa != nil {
+		sums.AcceptedRate = pa.accepted
+	}
 	ri := 0 // the run holding the next entity to step
 	for lo, n := 0, c.size(); lo < n; lo += runCap {
 		hi := lo + runCap
@@ -381,8 +396,14 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 				aq = l.cursor.ResolveRun(run.aqid, e-s)
 			}
 			if aq != nil {
-				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay)
+				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay, &sums)
 			} else {
+				accepted, rate := sums.Accepted, sums.AcceptedRate
+				for _, b := range bytes[s:e] {
+					accepted += b
+					rate += b / fdt
+				}
+				sums.Accepted, sums.AcceptedRate = accepted, rate
 				copy(acc[s:e], bytes[s:e])
 				clear(drp[s:e])
 				clear(mark)
@@ -390,14 +411,7 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 			}
 			s = e
 		}
-		pipeAccepted := 0.0
-		if pa != nil {
-			pipeAccepted = pa.accepted
-		}
-		l.delivered, l.dropped, pipeAccepted = account(want[:k], acc[:k], drp[:k], c.delivered[lo:hi], c.dropped[lo:hi], fdt, l.delivered, l.dropped, pipeAccepted)
-		if pa != nil {
-			pa.accepted = pipeAccepted
-		}
+		account(want[:k], acc[:k], drp[:k], c.delivered[lo:hi], c.dropped[lo:hi], fdt)
 		if c.meters != nil {
 			for j, m := range c.meters[lo:hi] {
 				if m != nil {
@@ -407,23 +421,23 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 		}
 		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
+	l.delivered, l.dropped = sums.Accepted, sums.Dropped
+	if pa != nil {
+		pa.accepted = sums.AcceptedRate
+	}
 }
 
-// account adds one chunk's outcomes, entity by entity in registration
-// order, to the entities' own sums and to the running lane and pipe sums it
-// returns.
-func account(want, acc, drp, delivered, dropped []float64, fdt, laneDelivered, laneDropped, pipeAccepted float64) (float64, float64, float64) {
+// account adds one chunk's outcomes, entity by entity, to the entities' own
+// delivered and dropped slots. The lane and pipe sums are not taken here:
+// stepCohort's run loop already folded them.
+func account(want, acc, drp, delivered, dropped []float64, fdt float64) {
 	acc, drp = acc[:len(want)], drp[:len(want)]
 	delivered, dropped = delivered[:len(want)], dropped[:len(want)]
 	for j, w := range want {
-		a, d := acc[j], drp[j]
-		laneDelivered += a
-		laneDropped += d
-		pipeAccepted += a / fdt
+		a := acc[j]
 		delivered[j] += a
-		dropped[j] += shed(w, a, d, fdt)
+		dropped[j] += shed(w, a, drp[j], fdt)
 	}
-	return laneDelivered, laneDropped, pipeAccepted
 }
 
 // stepPerRun advances a per-run cohort by one epoch. Every entity of one of

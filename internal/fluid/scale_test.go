@@ -224,3 +224,30 @@ func TestLaneHeapPerEntity(t *testing.T) {
 		t.Errorf("live heap %.1f B/entity exceeds the %.0f B/entity budget", perEntity, budget)
 	}
 }
+
+// BenchmarkLaneFire: what one epoch of the benchmark's fluid_scale shape
+// costs, at k = 4 — sixteen tagged entities per AQ grant, a quarter of every
+// edge registered as untagged fill, 25 000 entities on each of the eight
+// edge lanes — reported per entity-epoch. There is no foreground, so the
+// engine runs nothing but the lanes' epochs; one op is one epoch of every
+// lane.
+func BenchmarkLaneFire(b *testing.B) {
+	const epoch = 100 * sim.Microsecond
+	sf := buildScale(scaleSpec{k: 4, entities: 200_000, epoch: epoch, perAQ: 16, fillFrac: 0.25})
+	next := epoch
+	sf.c.RunUntil(next) // the first epoch, outside the timer
+	var entityEpochs uint64
+	for _, l := range sf.lanes {
+		entityEpochs -= l.Stats().EntityEpochs
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next += epoch
+		sf.c.RunUntil(next)
+	}
+	b.StopTimer()
+	for _, l := range sf.lanes {
+		entityEpochs += l.Stats().EntityEpochs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entityEpochs), "ns/entity-epoch")
+}
