@@ -20,7 +20,7 @@ import (
 // Concurrency: a table has a single owner, the goroutine of the engine its
 // switch runs on. Only the owner — or a caller it is parked behind, as the
 // service run loop is at a window boundary — may call Process,
-// ProcessFluid, Lookup, the cursors, Deploy, DeployBatch and Remove: they
+// ProcessFluid, Lookup, CountFluid, Deploy, DeployBatch and Remove: they
 // run or replace AQs, whose registers are plain fields (see AQ), and a
 // lookup may build the ID index's slice. What other
 // goroutines may do while the owner works is observe: Stats reads atomic
@@ -28,11 +28,6 @@ import (
 // telemetry at window boundaries, and bench, after a run.
 type Table struct {
 	aqs ident.Index[packet.AQID, *AQ]
-
-	// gen counts membership changes (Deploy/Remove). The cursors snapshot
-	// it so a memoized lookup can never survive a change of the AQ an ID
-	// resolves to.
-	gen uint64
 
 	// trace, when non-nil, receives AQDrop and AQMark events — the two
 	// outcomes only the AQ layer can observe. traceWhere labels them.
@@ -80,7 +75,6 @@ func NewTable() *Table { return &Table{} }
 func (t *Table) Deploy(cfg Config) *AQ {
 	aq := New(cfg)
 	t.aqs.Set(cfg.ID, aq)
-	t.gen++
 	return aq
 }
 
@@ -95,13 +89,11 @@ func (t *Table) DeployBatch(cfgs []Config) {
 		slab[i].init(cfg)
 		t.aqs.Set(cfg.ID, &slab[i])
 	}
-	t.gen++
 }
 
 // Remove undeploys the AQ with the given ID.
 func (t *Table) Remove(id packet.AQID) {
 	t.aqs.Delete(id)
-	t.gen++
 }
 
 // Lookup returns the AQ deployed under id, or nil.
@@ -127,12 +119,6 @@ func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict 
 		t.misses.Add(1)
 		return Pass
 	}
-	return t.run(now, aq, p)
-}
-
-// run executes the matched AQ's per-packet framework, recording trace
-// events when a sink is attached. Shared by Process and BurstCursor.
-func (t *Table) run(now sim.Time, aq *AQ, p *packet.Packet) Verdict {
 	if t.trace == nil {
 		return aq.Process(now, p)
 	}

@@ -57,8 +57,9 @@ func TestTableProcessMatchDrops(t *testing.T) {
 }
 
 // TestTableCountersConcurrent pins the table's concurrency contract: one
-// owner — the engine goroutine — runs Process, and any number of observers
-// read Table.Stats while it does (today the service loop at window
+// owner — the engine goroutine — runs Process and reports a fluid lane's
+// epoch counts through CountFluid, and any number of observers read
+// Table.Stats while it does (today the service loop at window
 // boundaries and bench after a run; the contract admits a reader while
 // traffic flows). Under -race the readers must not
 // race the writer, every snapshot they take must be monotone, and the
@@ -78,7 +79,8 @@ func TestTableCountersConcurrent(t *testing.T) {
 			var last TableStats
 			for {
 				s := tbl.Stats()
-				if s.Lookups < last.Lookups || s.Misses < last.Misses {
+				if s.Lookups < last.Lookups || s.Misses < last.Misses ||
+					s.FluidEpochs < last.FluidEpochs || s.FluidMisses < last.FluidMisses {
 					t.Errorf("Stats went backwards: %+v after %+v", s, last)
 					return
 				}
@@ -95,11 +97,12 @@ func TestTableCountersConcurrent(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		tbl.Process(sim.Time(i), 1, p)
 		tbl.Process(sim.Time(i), 42, p) // miss
+		tbl.CountFluid(3, 1)
 	}
 	close(stop)
 	wg.Wait()
-	if s := tbl.Stats(); s.Lookups != 2*rounds || s.Misses != rounds {
-		t.Fatalf("Stats = %+v, want %d lookups, %d misses", s, 2*rounds, rounds)
+	if s := tbl.Stats(); s.Lookups != 2*rounds || s.Misses != rounds || s.FluidEpochs != 3*rounds || s.FluidMisses != rounds {
+		t.Fatalf("Stats = %+v, want %d lookups, %d misses, %d fluid epochs, %d fluid misses", s, 2*rounds, rounds, 3*rounds, rounds)
 	}
 	if a := tbl.Lookup(1).Stats(); a.Arrived != rounds {
 		t.Fatalf("AQ arrived = %d, want %d", a.Arrived, rounds)
@@ -109,9 +112,8 @@ func TestTableCountersConcurrent(t *testing.T) {
 // TestTableLayoutFlipsDenseMapDense walks one table through the layouts the
 // way production reaches them — a deploy at a far-away ID leaves the dense
 // range, removing it restores it — and checks at every stage that lookups
-// resolve hits, misses and out-of-range IDs, that the generation ticks on each
-// change, and that a BurstCursor and a StreamCursor bound before a flip drop
-// their memo instead of serving an AQ pointer from before it.
+// resolve hits, misses and out-of-range IDs, and that a BurstCursor bound
+// before a flip and ProcessFluid run whichever AQ the table holds after it.
 func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	const far = packet.AQID(1 << 20)
 	tbl := NewTable()
@@ -122,18 +124,14 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 	now := sim.Time(0)
 
 	var bc BurstCursor
-	var sc StreamCursor
 	bc.Bind(tbl)
-	sc.Bind(tbl)
 
-	// check asserts the generation and which IDs resolve, then drives one
-	// packet and one fluid run for AQ 3 through the cursors bound at the
-	// start: the counters must land on whichever *AQ the table holds now.
-	check := func(stage string, farDeployed bool, wantGen uint64) {
+	// check asserts which IDs resolve, then drives one packet for AQ 3
+	// through the cursor bound at the start and one fluid epoch through
+	// ProcessFluid: the counters must land on whichever *AQ the table holds
+	// now.
+	check := func(stage string, farDeployed bool) {
 		t.Helper()
-		if tbl.gen != wantGen {
-			t.Fatalf("%s: generation %d, want %d", stage, tbl.gen, wantGen)
-		}
 		for _, id := range []packet.AQID{0, 1, 3, 8, 9, 500, far, far + 1} {
 			want := (id >= 1 && id <= 8) || (id == far && farDeployed)
 			if got := tbl.Lookup(id); (got != nil) != want || (got != nil && got.ID() != id) {
@@ -141,7 +139,7 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 			}
 		}
 		aq := tbl.Lookup(3)
-		before := aq.Stats().Arrived
+		before, fluidBefore := aq.Stats().Arrived, aq.Stats().FluidBytes
 		now += 1000
 		if v := bc.Process(now, 3, p); v != Pass {
 			t.Fatalf("%s: cursor verdict = %v, want Pass", stage, v)
@@ -149,33 +147,35 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 		if got := aq.Stats().Arrived; got != before+1 {
 			t.Fatalf("%s: BurstCursor ran a stale AQ: arrived %d → %d on the deployed one", stage, before, got)
 		}
-		if got := sc.ResolveRun(3, 1); got != aq {
-			t.Fatalf("%s: StreamCursor resolved %p, table holds %p", stage, got, aq)
+		if f := tbl.ProcessFluid(now, 3, 960, 1000); f.Accepted != 960 {
+			t.Fatalf("%s: fluid epoch accepted %v of 960 B", stage, f.Accepted)
+		}
+		if got := aq.Stats().FluidBytes; got != fluidBefore+960 {
+			t.Fatalf("%s: ProcessFluid ran a stale AQ: fluid bytes %v → %v on the deployed one", stage, fluidBefore, got)
 		}
 	}
 
-	check("dense", false, 8)
+	check("dense", false)
 
 	tbl.Deploy(Config{ID: far, Rate: units.Gbps}) // sparse: the map serves
-	check("map after far deploy", true, 9)
+	check("map after far deploy", true)
 
-	// Replace AQ 3 while on the map layout: the memoized pointer is now
-	// stale in both cursors, and only the generation check can tell.
+	// Replace AQ 3 while on the map layout: the AQ the cursor ran before is
+	// no longer deployed.
 	tbl.Deploy(Config{ID: 3, Rate: units.Gbps, Limit: 1 << 30})
-	check("map after redeploy", true, 10)
+	check("map after redeploy", true)
 
 	tbl.Remove(far) // dense again
-	check("dense after far remove", false, 11)
+	check("dense after far remove", false)
 
 	tbl.Remove(3)
-	if got := sc.ResolveRun(3, 1); got != nil {
-		t.Fatalf("StreamCursor resolved removed AQ 3 to %p", got)
+	if f := tbl.ProcessFluid(now, 3, 960, 1000); f.Accepted != 960 || f.Dropped != 0 {
+		t.Fatalf("removed AQ 3 still enforced on the fluid lane: %+v", f)
 	}
 	if v := bc.Process(now, 3, p); v != Pass {
 		t.Fatalf("removed AQ 3 still enforced through the cursor: %v", v)
 	}
 	bc.Flush()
-	sc.Flush()
 	if s := tbl.Stats(); s.Lookups != 5 || s.Misses != 1 || s.FluidEpochs != 5 || s.FluidMisses != 1 {
 		t.Fatalf("flushed counters = %+v, want 5 lookups / 1 miss on each lane", s)
 	}
@@ -184,9 +184,8 @@ func TestTableLayoutFlipsDenseMapDense(t *testing.T) {
 // TestTableDeployBatchLayouts deploys one batch onto each starting layout —
 // empty, dense, sparse — and the batches that move a table between them.
 // After each: every deployed ID holds the last config the batch gave it,
-// absent IDs in range and past it resolve to nil, the generation ticked
-// exactly once, and a StreamCursor that memoized a batch ID beforehand
-// resolves the new AQ.
+// absent IDs in range and past it resolve to nil, and the table holds the
+// distinct IDs deployed.
 func TestTableDeployBatchLayouts(t *testing.T) {
 	const far = packet.AQID(1 << 20)
 	ids := func(lo, hi packet.AQID) []packet.AQID {
@@ -214,10 +213,6 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 			for _, id := range tc.before {
 				tbl.Deploy(Config{ID: id, Rate: units.Kbps})
 			}
-			var sc StreamCursor
-			sc.Bind(tbl)
-			old := sc.ResolveRun(tc.batch[0], 1)
-			gen := tbl.gen
 			cfgs := make([]Config, len(tc.batch))
 			last := map[packet.AQID]units.BitRate{}
 			for i, id := range tc.batch {
@@ -226,9 +221,6 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 			}
 			tbl.DeployBatch(cfgs)
 
-			if got := tbl.gen; got != gen+1 {
-				t.Errorf("generation %d -> %d, want one tick", gen, got)
-			}
 			for id, rate := range last {
 				if aq := tbl.Lookup(id); aq == nil || aq.ID() != id || aq.Rate() != rate {
 					t.Errorf("Lookup(%d) = %v, want the batch's last config for it (%v)", id, aq, rate)
@@ -242,9 +234,6 @@ func TestTableDeployBatchLayouts(t *testing.T) {
 				if got := tbl.Lookup(id); (got != nil) != deployed[id] {
 					t.Errorf("Lookup(%d) = %v, want deployed %v", id, got, deployed[id])
 				}
-			}
-			if got, want := sc.ResolveRun(tc.batch[0], 1), tbl.Lookup(tc.batch[0]); got != want || got == old {
-				t.Errorf("cursor bound before the batch resolved %p (before it %p), table holds %p", got, old, want)
 			}
 			for _, id := range tc.before {
 				last[id] = 0

@@ -22,8 +22,8 @@
 // only what a model evolves, where it varies: delivered and dropped once
 // per run in a Fixed cohort with no tagged run, whose entities all see the
 // same numbers, and per entity otherwise; rate for the reactive models,
-// alpha for ECN. A cohort is stepped run by run: each run is resolved once
-// through a core.StreamCursor and integrated as one core.AQ.OnFluidRun
+// alpha for ECN. A cohort is stepped run by run: each run is resolved by
+// one core.Table.Lookup and integrated as one core.AQ.OnFluidRun
 // transaction, and a per-run cohort's run takes one offer and one slot
 // update. Either way the result is bit-identical to one Table.ProcessFluid
 // call per entity. An Entity is a stable (cohort, index) handle.

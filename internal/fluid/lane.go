@@ -46,12 +46,13 @@ type pipeAccount struct {
 // a run table for what registration fixed, arrays for what the model
 // evolves, per run where every entity of a run holds the same numbers and
 // per entity otherwise. The lane steps cohorts directly, integrating each
-// run of the table as one AQ.OnFluidRun transaction resolved once through
-// a core.StreamCursor, and a per-run cohort one slot update per run. The
-// lane's delivered and dropped totals and each pipe's accepted rate fold
-// in that same pass, inside the kernel's loop, whose gap chain their add
-// chains overlap (see stepCohort). The steady state of fire allocates
-// nothing.
+// run of the table as one AQ.OnFluidRun transaction resolved by one
+// Table.Lookup, and a per-run cohort one slot update per run. The table's
+// fluid counters take an epoch's lookups and misses in one
+// Table.CountFluid call. The lane's delivered and dropped totals and each
+// pipe's accepted rate fold in that same pass, inside the kernel's loop,
+// whose gap chain their add chains overlap (see stepCohort). The steady
+// state of fire allocates nothing.
 type Lane struct {
 	eng   *sim.Engine
 	table *core.Table
@@ -62,7 +63,9 @@ type Lane struct {
 	pipes   []pipeAccount
 	total   int // entity count across cohorts
 
-	cursor core.StreamCursor
+	// lookups and misses count this epoch's tagged entity epochs and those
+	// of them whose AQ ID resolved to nothing, for Table.CountFluid.
+	lookups, misses uint64
 
 	// now/lastFire bracket the epoch being integrated while fire runs.
 	now      sim.Time
@@ -295,7 +298,6 @@ func (l *Lane) fire() {
 		}
 	}
 	// Per-cohort AQ step and model update.
-	l.cursor.Bind(l.table)
 	for ci := range l.cohorts {
 		c := &l.cohorts[ci]
 		clip := 1.0
@@ -312,7 +314,8 @@ func (l *Lane) fire() {
 	}
 	l.entityEpochs += uint64(l.total)
 	l.epochs++
-	l.cursor.Flush()
+	l.table.CountFluid(l.lookups, l.misses)
+	l.lookups, l.misses = 0, 0
 	// Couple back: the packet lane serializes at the residual of the
 	// accepted fluid rate until the next epoch.
 	for i := range l.pipes {
@@ -330,16 +333,19 @@ func (l *Lane) fire() {
 const runCap = 64
 
 // stepCohort advances one cohort by one epoch, runCap entities at a time:
-// walk the run table with a cursor, derive each entity's want and offered
-// mass (once per run for a Fixed cohort, whose rate is the run's), integrate
-// every run through its AQ in one OnFluidRun transaction (untagged and
-// unmatched runs pass with everything accepted), update each entity's own
-// slots (account), then apply the cohort's model reaction. A per-run
-// cohort is stepped by stepPerRun instead. Per entity the operands and
-// their order are those of Table.ProcessFluid followed by the model
-// update, and every accumulator — AQ registers, lane totals, pipe account,
-// meters — still sees the entities in registration order, so the result is
-// bit-identical to stepping them one call at a time.
+// walk the run table, derive each entity's want and offered mass (once per
+// run for a Fixed cohort, whose rate is the run's), integrate every run
+// through its AQ in one OnFluidRun transaction (untagged and unmatched runs
+// pass with everything accepted), update each entity's own slots
+// (account), then apply the cohort's model reaction. A per-run cohort is
+// stepped by stepPerRun instead. Each run segment resolves its AQ with one
+// Table.Lookup and counts its entities as lookups, and as misses when
+// nothing is deployed under its ID; an untagged run counts nothing. Per
+// entity the operands and their order are those of Table.ProcessFluid
+// followed by the model update, and every accumulator — AQ registers, lane
+// totals, pipe account, meters — still sees the entities in registration
+// order, so the result is bit-identical to stepping them one call at a
+// time.
 //
 // The lane's delivered and dropped totals and the pipe's accepted rate are
 // one core.FluidTotals held for the whole cohort: OnFluidRun folds each
@@ -393,7 +399,11 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 			}
 			var aq *core.AQ
 			if run.aqid != packet.NoAQ {
-				aq = l.cursor.ResolveRun(run.aqid, e-s)
+				aq = l.table.Lookup(run.aqid)
+				l.lookups += uint64(e - s)
+				if aq == nil {
+					l.misses += uint64(e - s)
+				}
 			}
 			if aq != nil {
 				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay, &sums)

@@ -16,7 +16,7 @@ import (
 
 // TestFireSteadyStateAllocFree pins the structure-of-arrays payoff: once a
 // lane is warm, an epoch allocates nothing — no per-entity objects, no
-// cursor churn, no timer garbage — across all four model loops, tagged and
+// timer garbage — across all four model loops, tagged and
 // untagged entities, a Fixed cohort laid out per run, and a live pipe
 // account.
 func TestFireSteadyStateAllocFree(t *testing.T) {
@@ -195,7 +195,7 @@ func (r *refLane) step(now, dt sim.Time) {
 // runs longer than the scratch cap and runs that straddle a chunk
 // boundary, all four models, all three AQ feedback types, metered
 // entities, a clipping pipe — and the script deploys and removes AQs
-// between epochs (bumping the table generation under the cursor) and
+// between epochs (changing what an AQ ID resolves to) and
 // interleaves packet Updates that leave last_time mid-epoch.
 func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	const epoch = 100 * sim.Microsecond

@@ -129,7 +129,7 @@ type EngineStats struct {
 	Now       Time   `json:"now_ns"`
 	Processed uint64 `json:"processed"`
 	// Inlined is never set and always 0; it stays only because bench's
-	// counter folds still name the field (ROADMAP 1(a)).
+	// counter folds still name the field (ROADMAP item 5).
 	Inlined uint64 `json:"inlined"`
 	Pending int    `json:"pending"`
 }

@@ -40,8 +40,7 @@ type Timer struct {
 	eng *Engine
 	fn  func()
 	at  Time
-	ord uint64 // the engine's scheduling sequence at arm time
-	idx int    // position in the engine's timer heap; -1 while unarmed
+	idx int // position in the engine's timer heap; -1 while unarmed
 }
 
 // NewTimer returns an unarmed timer firing fn. The callback is fixed at
@@ -58,8 +57,7 @@ func (t *Timer) Arm(at Time) {
 	e := t.eng
 	e.checkTime(at)
 	t.at = at
-	t.ord = e.nextSeq()
-	key := heapKey{at: at, seq: t.ord}
+	key := heapKey{at: at, seq: e.nextSeq()}
 	switch {
 	case t.idx >= 0: // a move: the fresh key may sort either way
 		e.tkeys[t.idx] = key

@@ -272,10 +272,15 @@ var engineSink *Engine
 
 // TestEngineConstructionDoesNotPreallocateSlots bounds what NewEngine
 // allocates: the engine itself, one object of at most 256 B. Both lanes
-// start as nil slices and grow with use; nothing is carved up front.
+// start as nil slices and grow with use; nothing is carved up front. A
+// Timer, allocated one per NewTimer, stays in the 32 B size class: its key
+// lives in the heap's key array, not in the handle.
 func TestEngineConstructionDoesNotPreallocateSlots(t *testing.T) {
 	if size := unsafe.Sizeof(Engine{}); size > 256 {
 		t.Fatalf("Engine is %d B, want ≤ 256", size)
+	}
+	if size := unsafe.Sizeof(Timer{}); size > 32 {
+		t.Fatalf("Timer is %d B, want ≤ 32", size)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { engineSink = NewEngine() }); allocs != 1 {
 		t.Fatalf("NewEngine allocated %.1f objects, want exactly 1", allocs)
