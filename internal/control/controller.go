@@ -7,10 +7,11 @@
 package control
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"aqueue/internal/core"
@@ -95,10 +96,15 @@ type Controller struct {
 	mu       sync.Mutex
 	capacity units.BitRate
 	nextID   packet.AQID
-	grants   map[packet.AQID]*grantState
+	// grants holds the live grants in ascending ID order. IDs are handed
+	// out increasing, so a grant appends, a lookup binary-searches and a
+	// release deletes; every sum over grants runs in this one order, so a
+	// replayed script rounds its float sums identically.
+	grants []*grantState
 }
 
 type grantState struct {
+	id     packet.AQID
 	req    Request
 	table  *core.Table
 	aq     *core.AQ
@@ -108,7 +114,22 @@ type grantState struct {
 
 // NewController returns a controller for a link of the given capacity.
 func NewController(capacity units.BitRate) *Controller {
-	return &Controller{capacity: capacity, nextID: 1, grants: make(map[packet.AQID]*grantState)}
+	return &Controller{capacity: capacity, nextID: 1}
+}
+
+// findLocked returns the index of grant id in c.grants, or ok=false.
+func (c *Controller) findLocked(id packet.AQID) (int, bool) {
+	return slices.BinarySearchFunc(c.grants, id, func(gs *grantState, id packet.AQID) int {
+		return cmp.Compare(gs.id, id)
+	})
+}
+
+// lookupLocked returns grant id, or nil when it is not live.
+func (c *Controller) lookupLocked(id packet.AQID) *grantState {
+	if i, ok := c.findLocked(id); ok {
+		return c.grants[i]
+	}
+	return nil
 }
 
 // Capacity returns the managed link capacity.
@@ -143,8 +164,8 @@ func (c *Controller) Grant(req Request, tbl *core.Table) (Grant, error) {
 	}
 	id := c.nextID
 	c.nextID++
-	gs := &grantState{req: req, table: tbl, active: true}
-	c.grants[id] = gs
+	gs := &grantState{id: id, req: req, table: tbl, active: true}
+	c.grants = append(c.grants, gs)
 	gs.aq = tbl.Deploy(core.Config{
 		ID:           id,
 		Rate:         req.Bandwidth, // weighted rate fixed by rebalance below
@@ -165,11 +186,12 @@ func (c *Controller) Grant(req Request, tbl *core.Table) (Grant, error) {
 func (c *Controller) Release(id packet.AQID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gs, ok := c.grants[id]
+	i, ok := c.findLocked(id)
 	if !ok {
 		return false
 	}
-	delete(c.grants, id)
+	gs := c.grants[i]
+	c.grants = slices.Delete(c.grants, i, i+1)
 	gs.table.Remove(id)
 	c.rebalanceLocked(gs.table)
 	return true
@@ -182,8 +204,8 @@ func (c *Controller) Release(id packet.AQID) bool {
 func (c *Controller) SetActive(id packet.AQID, active bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gs, ok := c.grants[id]
-	if !ok {
+	gs := c.lookupLocked(id)
+	if gs == nil {
 		return false
 	}
 	if gs.active != active {
@@ -202,8 +224,8 @@ func (c *Controller) SetActive(id packet.AQID, active bool) bool {
 func (c *Controller) SetGuarantee(id packet.AQID, bw units.BitRate, weight float64) (units.BitRate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gs, ok := c.grants[id]
-	if !ok {
+	gs := c.lookupLocked(id)
+	if gs == nil {
 		return 0, fmt.Errorf("%w: no grant with id %d", ErrUnknownID, id)
 	}
 	switch {
@@ -250,9 +272,9 @@ func (c *Controller) Info() []GrantInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]GrantInfo, 0, len(c.grants))
-	for id, gs := range c.grants {
+	for _, gs := range c.grants {
 		out = append(out, GrantInfo{
-			ID:     id,
+			ID:     gs.id,
 			Tenant: gs.req.Tenant,
 			Mode:   gs.req.Mode.String(),
 			Rate:   float64(gs.rate),
@@ -261,7 +283,6 @@ func (c *Controller) Info() []GrantInfo {
 			AQ:     gs.aq.Stats(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -269,7 +290,7 @@ func (c *Controller) Info() []GrantInfo {
 func (c *Controller) Rate(id packet.AQID) units.BitRate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gs, ok := c.grants[id]; ok {
+	if gs := c.lookupLocked(id); gs != nil {
 		return gs.rate
 	}
 	return 0
@@ -280,10 +301,9 @@ func (c *Controller) Grants() []packet.AQID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := make([]packet.AQID, 0, len(c.grants))
-	for id := range c.grants {
-		ids = append(ids, id)
+	for _, gs := range c.grants {
+		ids = append(ids, gs.id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

@@ -98,7 +98,7 @@ func (r *Reallocator) tick() {
 	}
 	// Weighted max-min: satisfy small demands, then split the remainder by
 	// weight among the unsatisfied.
-	alloc := weightedWaterfill(capacity, demands, r.weights(totalW))
+	alloc := Waterfill(capacity, demands, r.weights(totalW))
 	for i := range r.entries {
 		e := &r.entries[i]
 		rate := units.BitRate(alloc[i])
@@ -119,19 +119,29 @@ func (r *Reallocator) weights(total float64) []float64 {
 	return w
 }
 
-// weightedWaterfill allocates capacity c over demands with weighted fair
-// shares: repeatedly give each unsatisfied entity its weighted share of the
-// remaining capacity, capping at demand, until fixpoint.
-func weightedWaterfill(c float64, demands, weights []float64) []float64 {
+// Waterfill allocates capacity c over demands with weighted max-min fair
+// shares: visiting entities in increasing demand per weight, it gives each
+// its weighted share of the remaining capacity, capped at its demand. Nil
+// weights mean equal shares. A capacity c <= 0 allocates nothing.
+func Waterfill(c float64, demands, weights []float64) []float64 {
 	n := len(demands)
 	out := make([]float64, n)
+	if n == 0 || c <= 0 {
+		return out
+	}
+	weight := func(i int) float64 {
+		if weights == nil {
+			return 1
+		}
+		return weights[i]
+	}
 	type item struct {
 		idx   int
 		dPerW float64
 	}
 	items := make([]item, n)
 	for i := range demands {
-		w := weights[i]
+		w := weight(i)
 		if w <= 0 {
 			w = 1e-12
 		}
@@ -141,18 +151,18 @@ func weightedWaterfill(c float64, demands, weights []float64) []float64 {
 	remaining := c
 	remW := 0.0
 	for _, it := range items {
-		remW += weights[it.idx]
+		remW += weight(it.idx)
 	}
 	for _, it := range items {
 		i := it.idx
-		share := remaining * weights[i] / remW
+		share := remaining * weight(i) / remW
 		a := demands[i]
 		if a > share {
 			a = share
 		}
 		out[i] = a
 		remaining -= a
-		remW -= weights[i]
+		remW -= weight(i)
 		if remW <= 0 {
 			break
 		}

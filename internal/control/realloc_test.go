@@ -96,12 +96,12 @@ func TestReallocatorRestoresFairShareOnDemand(t *testing.T) {
 
 func TestWeightedWaterfill(t *testing.T) {
 	// Equal weights, one small demand: [1, 100, 100] over 10 -> [1, 4.5, 4.5].
-	got := weightedWaterfill(10, []float64{1, 100, 100}, []float64{1. / 3, 1. / 3, 1. / 3})
+	got := Waterfill(10, []float64{1, 100, 100}, []float64{1. / 3, 1. / 3, 1. / 3})
 	if math.Abs(got[0]-1) > 1e-9 || math.Abs(got[1]-4.5) > 1e-9 || math.Abs(got[2]-4.5) > 1e-9 {
 		t.Fatalf("waterfill = %v", got)
 	}
 	// Weighted 1:3 with ample demands splits 2.5:7.5.
-	got = weightedWaterfill(10, []float64{100, 100}, []float64{0.25, 0.75})
+	got = Waterfill(10, []float64{100, 100}, []float64{0.25, 0.75})
 	if math.Abs(got[0]-2.5) > 1e-9 || math.Abs(got[1]-7.5) > 1e-9 {
 		t.Fatalf("weighted waterfill = %v", got)
 	}

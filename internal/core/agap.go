@@ -194,10 +194,10 @@ func (a *AQ) SetRate(r units.BitRate) {
 	a.rateBits = r
 }
 
-// advance is the rate-integration kernel shared by the packet path (Update)
-// and the fluid path (OnFluidEpoch): it drains the A-Gap at the allocated
-// rate R for the time elapsed since the previous arrival, clamped at zero,
-// and moves last_time forward:
+// advance is the packet path's drain step (Update): it drains the A-Gap at
+// the allocated rate R for the time elapsed since the previous arrival,
+// clamped at zero, and moves last_time forward. The fluid path drains the
+// same registers inside OnFluidRun's locals instead of calling it:
 //
 //	Δ = now - aq.last_time
 //	aq.gap = max(0, aq.gap - Δ·aq.rate)
@@ -223,7 +223,7 @@ func (a *AQ) advance(now sim.Time) {
 // A packet is the degenerate arrival stream: all its bytes land at one
 // instant, so the drain (advance) and the deposit commute trivially. The
 // fluid path integrates the same recurrence over an interval instead
-// (OnFluidEpoch in arrival.go).
+// (OnFluidRun in arrival.go).
 func (a *AQ) Update(now sim.Time, size int) float64 {
 	a.advance(now)
 	a.gap += float64(size)

@@ -3,6 +3,7 @@ package ratelimit
 import (
 	"sort"
 
+	"aqueue/internal/control"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/topo"
@@ -246,7 +247,7 @@ func (d *DRL) tick() {
 		}
 	}
 	leftover := float64(d.capacity)*0.98 - gSum
-	extra := waterfill(leftover, resid)
+	extra := control.Waterfill(leftover, resid, nil)
 	for i, dm := range demands {
 		rate := units.BitRate(guaranteed[i] + extra[i])
 		if rate < d.floor {
@@ -288,41 +289,10 @@ func (d *DRL) waterfillBy(demands []pairDemand, caps []float64, group func(pairK
 		for j, i := range b.idx {
 			sub[j] = caps[i]
 		}
-		alloc := waterfill(b.cap, sub)
+		alloc := control.Waterfill(b.cap, sub, nil)
 		for j, i := range b.idx {
 			out[i] = alloc[j]
 		}
-	}
-	return out
-}
-
-// waterfill computes the max-min fair allocation of capacity c over demands
-// (each allocation is capped at its demand; spare capacity is reassigned to
-// unsatisfied demands).
-func waterfill(c float64, demands []float64) []float64 {
-	n := len(demands)
-	out := make([]float64, n)
-	if n == 0 || c <= 0 {
-		return out
-	}
-	type item struct {
-		d   float64
-		idx int
-	}
-	items := make([]item, n)
-	for i, d := range demands {
-		items[i] = item{d, i}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].d < items[j].d })
-	remaining := c
-	for i, it := range items {
-		share := remaining / float64(n-i)
-		a := it.d
-		if a > share {
-			a = share
-		}
-		out[it.idx] = a
-		remaining -= a
 	}
 	return out
 }

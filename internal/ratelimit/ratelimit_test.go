@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aqueue/internal/cc"
+	"aqueue/internal/control"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -99,21 +100,21 @@ func TestPRLDoesNotShapeAcks(t *testing.T) {
 }
 
 func TestWaterfill(t *testing.T) {
-	got := waterfill(10, []float64{2, 4, 100})
+	got := control.Waterfill(10, []float64{2, 4, 100}, nil)
 	if got[0] != 2 || got[1] != 4 || got[2] != 4 {
 		t.Fatalf("waterfill = %v, want [2 4 4]", got)
 	}
-	got = waterfill(9, []float64{100, 100, 100})
+	got = control.Waterfill(9, []float64{100, 100, 100}, nil)
 	for _, v := range got {
 		if v != 3 {
 			t.Fatalf("equal demands: %v", got)
 		}
 	}
-	if got := waterfill(10, nil); len(got) != 0 {
+	if got := control.Waterfill(10, nil, nil); len(got) != 0 {
 		t.Fatal("empty demands")
 	}
 	// Total never exceeds capacity.
-	got = waterfill(5, []float64{10, 1, 3})
+	got = control.Waterfill(5, []float64{10, 1, 3}, nil)
 	var sum float64
 	for _, v := range got {
 		sum += v

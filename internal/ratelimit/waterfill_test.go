@@ -3,6 +3,8 @@ package ratelimit
 import (
 	"testing"
 	"testing/quick"
+
+	"aqueue/internal/control"
 )
 
 func TestWaterfillProperties(t *testing.T) {
@@ -19,7 +21,7 @@ func TestWaterfillProperties(t *testing.T) {
 			demands[i] = float64(v)
 			sum += demands[i]
 		}
-		out := waterfill(c, demands)
+		out := control.Waterfill(c, demands, nil)
 		var total float64
 		level := -1.0
 		for i, a := range out {

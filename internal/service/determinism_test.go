@@ -173,3 +173,56 @@ func TestScriptPastWindowPanics(t *testing.T) {
 	}()
 	f.ScriptAt(1, func(*Fabric) {})
 }
+
+// TestFractionalWeightReplayIdentical: weights whose float sums depend on
+// the order they are added in must still replay to one fingerprint — the
+// controller sums its grants in one order on every run.
+func TestFractionalWeightReplayIdentical(t *testing.T) {
+	run := func() string {
+		f, err := NewFabric(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range []float64{0.1, 0.2, 0.3, 0.7, 1.1} {
+			grantWeighted(t, f, fmt.Sprintf("t%d", i), w)
+		}
+		for i := 0; i < 3; i++ {
+			f.AdvanceWindow()
+		}
+		return f.Fingerprint()
+	}
+	want := run()
+	for i := 1; i < 40; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d fingerprinted %s, run 0 %s", i, got, want)
+		}
+	}
+}
+
+// TestFabricRunAccounting: SyncStats counts every completed window, counts
+// a run only for a window that fired events, and reads zero in the retired
+// partition fields.
+func TestFabricRunAccounting(t *testing.T) {
+	f, err := NewFabric(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := f.eng.Pending(); n != 0 {
+		t.Fatalf("fresh fabric has %d pending events, want 0", n)
+	}
+	fired := 0
+	f.eng.At(f.cfg.Window+1, func() { fired++ }) // inside the second window
+	for i := 0; i < 3; i++ {
+		f.AdvanceWindow()
+	}
+	st := f.SyncStats()
+	if fired != 1 || st.Windows != 3 {
+		t.Fatalf("fired %d over %d windows; want 1 and 3", fired, st.Windows)
+	}
+	if len(st.Domains) != 1 || st.Domains[0].Runs != 1 || st.AdvanceNS != st.Domains[0].BusyNS {
+		t.Fatalf("sync stats %+v: want one domain with 1 run whose busy time is AdvanceNS", st)
+	}
+	if st.Flushes != 0 || st.FlushedMsgs != 0 || st.BarrierNS != 0 || st.Parallel {
+		t.Fatalf("sync stats %+v: retired fields must read zero", st)
+	}
+}

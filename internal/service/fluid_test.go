@@ -76,6 +76,32 @@ func TestFabricFluidNeedsDumbbell(t *testing.T) {
 	}
 }
 
+// TestSecondFluidDriverRefused: a second live fluid driver would run its
+// own lane on the trunk, blind to the first one's fluid, and deliver past
+// the trunk's capacity; the wire refuses it with a coded bad_request. A
+// detach frees the trunk for the next fluid attach.
+func TestSecondFluidDriverRefused(t *testing.T) {
+	td := dialService(t, testConfig(), RunConfig{StartPaused: true})
+	defer td.done()
+	attach := func() control.WireResponse {
+		resp, _ := td.cli.Do(control.WireRequest{Op: "attach", V: 2, Kind: "fluid", CC: "fixed", Load: 0.8, Entities: 4})
+		return resp
+	}
+	first := attach()
+	if !first.OK {
+		t.Fatalf("first fluid attach: %+v", first)
+	}
+	if resp := attach(); resp.OK || resp.Code != control.CodeBadRequest {
+		t.Fatalf("second live fluid attach: %+v, want code %q", resp, control.CodeBadRequest)
+	}
+	if resp, err := td.cli.Do(control.WireRequest{Op: "detach", V: 2, ID: first.ID}); err != nil || !resp.OK {
+		t.Fatalf("detach: %+v err %v", resp, err)
+	}
+	if resp := attach(); !resp.OK {
+		t.Fatalf("fluid attach after the detach: %+v", resp)
+	}
+}
+
 // TestFabricFluidDeterminism: two runs with the same scripted fluid
 // attach/detach must fingerprint identically, and a packet-only run's
 // fingerprint must not change because the fluid lane is compiled in.

@@ -156,9 +156,19 @@ const MaxFluidEntities = 1 << 20
 // through the bottleneck switch's ingress table, sharing the trunk with
 // the packet lane via residual accounting. Attach happens at a window
 // boundary, so the first epoch lands cleanly inside the next window.
+//
+// One fluid driver at a time may be live: each driver's lane accounts the
+// trunk on its own, blind to the other's fluid, and the pipe keeps only
+// the last lane's claim, so two live lanes would over-subscribe the trunk
+// and a detach would zero the survivor's claim. Detach frees the trunk.
 func (f *Fabric) attachFluid(spec LoadSpec) (*Driver, error) {
 	if f.fluidSw == nil {
 		return nil, fmt.Errorf("service: kind \"fluid\" needs the dumbbell topology (got %q)", f.cfg.Topo)
+	}
+	for _, d := range f.drivers {
+		if d.lane != nil && !d.stopped {
+			return nil, fmt.Errorf("service: fluid driver %d already holds the trunk; detach it first", d.ID)
+		}
 	}
 	entities := spec.Entities
 	if entities <= 0 {

@@ -144,11 +144,14 @@ func TestAttachValidation(t *testing.T) {
 		t.Fatalf("websearch attach at load 1e-9: %v", err)
 	}
 	// Every name a fluid driver may carry: the fixed-rate spellings and
-	// the packet algorithms.
+	// the packet algorithms. One fluid driver is live at a time, so each is
+	// detached before the next attach.
 	for _, name := range append([]string{"", "udp", "fixed"}, cc.Names()...) {
-		if _, err := f.Attach(LoadSpec{Kind: "fluid", Load: 0.01, CC: name, Entities: 2}); err != nil {
+		d, err := f.Attach(LoadSpec{Kind: "fluid", Load: 0.01, CC: name, Entities: 2})
+		if err != nil {
 			t.Fatalf("fluid attach with cc %q: %v", name, err)
 		}
+		f.Detach(d.ID)
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 const maxWatch = 100_000
 
 // StatsReply is the "stats" verb payload: the full boundary snapshot plus
-// the cluster's sync/load accounting. The sync section lives here — next
+// the fabric's run accounting. The sync section lives here — next
 // to the snapshot, never inside it — because its fields are host
 // wall-clock measurements, and Snapshot's byte stream doubles as the run's
 // determinism fingerprint.
 type StatsReply struct {
 	Snapshot
-	Sync sim.SyncStats `json:"sync"`
+	Sync SyncStats `json:"sync"`
 }
 
 // Handler returns the wire dispatcher to plug into control.NewWireServer.

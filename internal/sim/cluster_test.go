@@ -36,25 +36,3 @@ func TestNewClusterNeedsOneEngine(t *testing.T) {
 		t.Fatalf("NewCluster(1) has %d engines, want 1", got)
 	}
 }
-
-// TestClusterRunAccounting: Windows counts the RunUntil calls that moved
-// the clock, the one DomainLoad counts the calls that fired events, and
-// the retired partition fields read zero.
-func TestClusterRunAccounting(t *testing.T) {
-	c := NewCluster(1)
-	fired := 0
-	c.Engine().At(5, func() { fired++ })
-	c.RunUntil(10) // fires
-	c.RunUntil(10) // does not move the clock
-	c.RunUntil(20) // clock hop
-	st := c.SyncStats()
-	if fired != 1 || c.Now() != 20 {
-		t.Fatalf("fired %d, clock %v; want 1 and 20", fired, c.Now())
-	}
-	if st.Windows != 2 || len(st.Domains) != 1 || st.Domains[0].Runs != 1 {
-		t.Fatalf("sync stats %+v: want 2 windows and one domain with 1 run", st)
-	}
-	if st.Flushes != 0 || st.FlushedMsgs != 0 || st.BarrierNS != 0 || st.Parallel {
-		t.Fatalf("sync stats %+v: partition fields must read zero", st)
-	}
-}

@@ -98,7 +98,7 @@ type Engine struct {
 	// the handler schedules can drop straight into the root with one
 	// sift-down, fusing the pop's down + push's up of the ubiquitous
 	// fire-then-reschedule pattern into a single down. While the hole is
-	// open the root key is stale; peek and Pending compensate. thole is
+	// open the root key is stale; Pending compensates. thole is
 	// the same for the timer lane, refilled by the first timer armed.
 	hole, thole bool
 
@@ -213,35 +213,6 @@ func (e *Engine) Pending() int {
 		n--
 	}
 	return n
-}
-
-// NextEventTime reports the earliest pending instant across the event and
-// timer lanes, or ok=false when the engine has nothing scheduled. A
-// cluster reads it to tell a RunUntil that fires events from a clock hop.
-func (e *Engine) NextEventTime() (Time, bool) {
-	hk, ok := peek(e.keys, e.hole)
-	if tk, tok := peek(e.tkeys, e.thole); tok && (!ok || tk.at < hk.at) {
-		return tk.at, true
-	}
-	return hk.at, ok
-}
-
-// peek reports the least key of one lane's heap, or ok=false when the lane
-// has none. While the lane's root hole is open the root key is stale, and
-// by the heap property the least live key is the least of the root's (at
-// most four) children.
-func peek(k []heapKey, hole bool) (heapKey, bool) {
-	if !hole {
-		if len(k) == 0 {
-			return heapKey{}, false
-		}
-		return k[0], true
-	}
-	if len(k) <= 1 {
-		return heapKey{}, false
-	}
-	_, best := minChild(k, 1)
-	return best, true
 }
 
 // step fires the earliest pending event — merging the event and timer

@@ -204,14 +204,13 @@ func TestTimerOnRunUntilDeadlineFiresInThatCall(t *testing.T) {
 	// A timer re-armed for exactly a RunUntil deadline T must fire inside
 	// the call that runs to T — never be left pending for the next one.
 	// The service steps its fabric this way, one window per call.
-	c := NewCluster(1)
-	e := c.Engine()
+	e := NewEngine()
 	var firedAt Time
 	tm := e.NewTimer(func() { firedAt = e.Now() })
 	tm.Arm(500)
 	e.At(500, func() { tm.Arm(2 * Microsecond) }) // re-arm onto the deadline
 	for _, deadline := range []Time{Microsecond, 2 * Microsecond} {
-		c.RunUntil(deadline)
+		e.RunUntil(deadline)
 	}
 	if firedAt != 2*Microsecond {
 		t.Fatalf("timer fired at %v, want exactly the 2us deadline", firedAt)
@@ -393,13 +392,6 @@ func (n *naive) least() int {
 	return m
 }
 
-func (n *naive) NextEventTime() (Time, bool) {
-	if m := n.least(); m >= 0 {
-		return n.q[m].at, true
-	}
-	return 0, false
-}
-
 func (n *naive) step(deadline Time) bool {
 	m := n.least()
 	if m < 0 || n.q[m].at > deadline {
@@ -458,7 +450,6 @@ func (r *engineSched) runUntil(deadline Time) { r.RunUntil(deadline) }
 type scheduler interface {
 	Now() Time
 	Pending() int
-	NextEventTime() (Time, bool)
 	after(d Time, id int)
 	arm(id int, d Time)
 	disarm(id int)
@@ -470,20 +461,17 @@ type scheduler interface {
 const scriptTimers = 32
 
 // fired is one trace entry: which event fired (-1 after a script step, -2
-// as a handler returns), when, and what Pending and NextEventTime read at
-// that moment. Read from inside a firing handler, both must see past the
-// firing lane's open root hole.
+// as a handler returns), when, and what Pending read at that moment. Read
+// from inside a firing handler, it must see past the firing lane's open
+// root hole.
 type fired struct {
 	id      int
 	at      Time
 	pending int
-	next    Time
-	nextOK  bool
 }
 
 func record(sc scheduler, id int) fired {
-	next, ok := sc.NextEventTime()
-	return fired{id, sc.Now(), sc.Pending(), next, ok}
+	return fired{id, sc.Now(), sc.Pending()}
 }
 
 // runScript interprets a byte script against a scheduler and returns the
@@ -575,8 +563,8 @@ func runScript(script []byte, mk func(fire func(id int)) scheduler) []fired {
 }
 
 // FuzzEngineVsNaive holds the two-lane engine to the naive reference:
-// identical (id, time) firing traces and identical Pending and
-// NextEventTime at every fire and after every step, for any script. The
+// identical (id, time) firing traces and identical Pending at every fire
+// and after every step, for any script. The
 // seed corpus is twenty random scripts plus two committed shapes under
 // testdata/fuzz — an incast (many timers on one instant) and a
 // back-to-back burst — and runs under plain `go test`.

@@ -83,7 +83,6 @@ type Sender struct {
 	srtt, rttvar, minRTT sim.Time
 	rto                  sim.Time
 	rtoT                 *sim.Timer
-	rtoPending           bool
 	rtoDeadline          sim.Time // the time the RTO actually expires
 	backoff              uint
 	frontRetxAt          sim.Time // when the front hole was last retransmitted
@@ -100,11 +99,6 @@ type Sender struct {
 	// OnComplete, when set, fires once when the last byte is acked.
 	OnComplete func(now sim.Time)
 
-	// trySendFn is the method value the start timer fires; cached once so
-	// arming allocates no closure. The RTO and pacing timers carry their
-	// callbacks in the Timer handle itself.
-	trySendFn func()
-
 	// Counters for tests and reports.
 	SentPackets  uint64
 	Retransmits  uint64
@@ -112,7 +106,6 @@ type Sender struct {
 	FastRecovers uint64
 
 	receiver *Receiver
-	startT   *sim.Timer
 }
 
 // NewSender wires a flow from src to dst carrying size bytes (0 = long
@@ -134,13 +127,11 @@ func NewSender(src, dst *topo.Host, size int64, alg cc.Algorithm, opt Options) *
 		rto:  10 * sim.Millisecond,
 		sb:   segRing{mss: int64(opt.MSS)},
 	}
-	s.trySendFn = s.trySend
-	// All three flow timers live on the engine's timer lane: re-arming on
-	// every ACK or pacing gate is one sift among the engine's few armed
-	// timers, and a fired or disarmed timer leaves nothing behind.
+	// Both flow timers live on the engine's timer lane: re-arming on every
+	// ACK or pacing gate is one sift among the engine's few armed timers,
+	// and a fired or disarmed timer leaves nothing behind.
 	s.rtoT = s.eng.NewTimer(s.onTimeout)
-	s.pacedT = s.eng.NewTimer(s.trySendFn)
-	s.startT = s.eng.NewTimer(s.trySendFn)
+	s.pacedT = s.eng.NewTimer(s.trySend)
 	s.receiver = newReceiver(dst, src.ID(), size, opt.MSS)
 	src.Register(s.flow, s)
 	dst.Register(s.flow, s.receiver)
@@ -162,9 +153,11 @@ func (s *Sender) AckedBytes() int64 { return s.cumAck }
 // Receiver returns the receiving half (for delivered-byte accounting).
 func (s *Sender) Receiver() *Receiver { return s.receiver }
 
-// Start schedules the first transmission after the given delay.
+// Start schedules the first transmission after the given delay, on the
+// pacing timer: both fire trySend, and nothing arms it before the first
+// send.
 func (s *Sender) Start(after sim.Time) {
-	s.startT.ArmAfter(after)
+	s.pacedT.ArmAfter(after)
 }
 
 // Stop halts a long-lived flow: timers are disarmed and the handlers
@@ -173,7 +166,6 @@ func (s *Sender) Stop() {
 	s.done = true
 	s.rtoT.Disarm()
 	s.pacedT.Disarm()
-	s.startT.Disarm()
 	s.src.Unregister(s.flow)
 	s.dst.Unregister(s.flow)
 }
@@ -300,7 +292,7 @@ func (s *Sender) sendSegment(seq int64, retx bool) {
 	// The RTO is anchored at the oldest outstanding segment: arm it only
 	// when no timer is pending, so a steady stream of new sends cannot
 	// push it out forever.
-	if !s.rtoPending {
+	if !s.rtoT.Pending() {
 		s.armRTO()
 	}
 }
@@ -380,17 +372,10 @@ func (s *Sender) armRTO() {
 	// re-arms itself (onTimeout), so it can be left alone. One that fires
 	// after the deadline cannot — the RTO estimate shrinks when the first
 	// RTT sample replaces the conservative initial value — so pull it in.
-	if s.rtoPending && s.rtoT.Pending() && s.rtoT.Time() <= s.rtoDeadline {
+	if s.rtoT.Pending() && s.rtoT.Time() <= s.rtoDeadline {
 		return
 	}
-	s.rtoPending = true
 	s.rtoT.Arm(s.rtoDeadline)
-}
-
-// cancelRTO stops the pending timer.
-func (s *Sender) cancelRTO() {
-	s.rtoT.Disarm()
-	s.rtoPending = false
 }
 
 // onTimeout handles a retransmission timeout: every unsacked outstanding
@@ -402,7 +387,6 @@ func (s *Sender) onTimeout() {
 		s.rtoT.Arm(s.rtoDeadline)
 		return
 	}
-	s.rtoPending = false
 	if s.done || s.nextSeq == s.cumAck {
 		return
 	}
@@ -508,7 +492,7 @@ func (s *Sender) onNewAck(now sim.Time, p *packet.Packet) {
 	if s.nextSeq > s.cumAck {
 		s.armRTO() // restart: the timer tracks the oldest outstanding data
 	} else {
-		s.cancelRTO()
+		s.rtoT.Disarm()
 	}
 	s.trySend()
 }
