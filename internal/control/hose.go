@@ -56,17 +56,23 @@ func AdmitHose(profiles []HoseProfile, access units.BitRate, linkOf func(packet.
 		n       int
 		firstVM packet.HostID
 	}
-	links := make(map[int]*sums)
+	// links holds the access links in first-appearance order, so the error
+	// names the earliest over-subscribed link in profile order; slot only
+	// finds a link's place in it.
+	var links []sums
+	slot := make(map[int]int)
 	for _, p := range profiles {
 		if p.Out < 0 || p.In < 0 {
 			return fmt.Errorf("control: negative reservation for VM %d", p.VM)
 		}
 		l := linkOf(p.VM)
-		s, ok := links[l]
+		i, ok := slot[l]
 		if !ok {
-			s = &sums{firstVM: p.VM}
-			links[l] = s
+			i = len(links)
+			slot[l] = i
+			links = append(links, sums{firstVM: p.VM})
 		}
+		s := &links[i]
 		s.out += p.Out
 		s.in += p.In
 		s.n++

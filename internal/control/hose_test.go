@@ -48,6 +48,25 @@ func TestAdmitHoseSharedLinks(t *testing.T) {
 	}
 }
 
+// TestAdmitHoseNamesEarliestLink over-subscribes three dedicated links and
+// requires every call to name the same one — the first in profile order —
+// rather than whichever a map iteration happens to reach first.
+func TestAdmitHoseNamesEarliestLink(t *testing.T) {
+	profiles := []HoseProfile{
+		{VM: 0, Out: 5 * units.Gbps, In: 5 * units.Gbps},
+		{VM: 1, Out: 30 * units.Gbps},
+		{VM: 2, In: 30 * units.Gbps},
+		{VM: 3, Out: 30 * units.Gbps, In: 30 * units.Gbps},
+	}
+	want := (&HoseError{VM: 1, Dir: "outbound", Need: 30 * units.Gbps, Have: 25 * units.Gbps, Shared: 1}).Error()
+	for i := 0; i < 200; i++ {
+		err := AdmitHose(profiles, 25*units.Gbps, nil)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestAdmitHoseRejectsBadInput(t *testing.T) {
 	if err := AdmitHose(nil, 0, nil); err == nil {
 		t.Fatal("zero capacity accepted")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"aqueue/internal/core"
 	"aqueue/internal/harness"
@@ -35,7 +36,7 @@ func Fig3(cycles int) Fig3Result {
 
 	run := func(useStrawman bool) []float64 {
 		s := core.NewStrawman(R)
-		aq := core.New(core.Config{ID: 1, Rate: R, Limit: 1 << 40})
+		aq := core.New(core.Config{ID: 1, Rate: R, Limit: math.MaxInt32})
 		rate := float64(R)
 		now := sim.Time(0)
 		var peaks []float64

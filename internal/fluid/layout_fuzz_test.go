@@ -75,7 +75,7 @@ func runLayoutScript(t *testing.T, script []byte) {
 		{ID: 3, Rate: 500 * units.Mbps, CC: core.DelayType, Limit: 20_000},
 		{ID: 5, Rate: 100 * units.Mbps, Limit: 1},
 	}
-	late := core.Config{ID: 9, Rate: 100 * units.Gbps, Limit: 1 << 40}
+	late := core.Config{ID: 9, Rate: 100 * units.Gbps, Limit: math.MaxInt32}
 	eng := sim.NewEngine()
 	var tables [2]*core.Table
 	for i := range tables {

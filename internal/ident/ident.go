@@ -25,7 +25,7 @@ func Dense(maxID int, count int) bool {
 	if count <= 0 || maxID < 0 {
 		return false
 	}
-	return maxID+1 <= 4*count+DenseSlack
+	return maxID < 4*count+DenseSlack
 }
 
 // mirrorLimit bounds the IDs a mirror may cover, so an ID always converts

@@ -103,10 +103,11 @@ type Packet struct {
 	Retransmit bool
 }
 
-// NewData builds an MSS-or-smaller data segment. The packet comes from the
-// pool; whoever ends its ownership chain must call Release.
+// NewData builds an MSS-or-smaller data segment in fresh memory, outside
+// any pool. Engine-bound components use their engine's Pool.NewData
+// instead; this constructor is for callers with no engine, such as tests.
 func NewData(src, dst HostID, flow FlowID, seq int64, payload int) *Packet {
-	p := Get()
+	p := new(Packet)
 	fillData(p, src, dst, flow, seq, payload)
 	return p
 }
@@ -121,11 +122,10 @@ func fillData(p *Packet, src, dst HostID, flow FlowID, seq int64, payload int) {
 	p.Payload = payload
 }
 
-// NewAck builds a header-only acknowledgement for the given flow. The
-// packet comes from the pool; whoever ends its ownership chain must call
-// Release.
+// NewAck builds a header-only acknowledgement for the given flow in fresh
+// memory, outside any pool; engine-bound components use Pool.NewAck.
 func NewAck(src, dst HostID, flow FlowID, ack int64) *Packet {
-	p := Get()
+	p := new(Packet)
 	fillAck(p, src, dst, flow, ack)
 	return p
 }

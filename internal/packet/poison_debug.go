@@ -21,9 +21,9 @@ const (
 	PoisonSeq  = -0x5EADBEEF
 )
 
-// released tracks packets currently sitting in the pool, to catch double
-// releases. A sync.Map because engines on different goroutines share the
-// pool.
+// released tracks packets currently sitting in a free list, to catch
+// double releases. A sync.Map because harness workers release packets on
+// several goroutines, each into its own engine's pool.
 var released sync.Map
 
 func debugAcquire(p *Packet) {

@@ -2,14 +2,19 @@
 
 package packet
 
-import "testing"
+import (
+	"testing"
+
+	"aqueue/internal/sim"
+)
 
 // TestReleasePoisons asserts the debug mode's core property: a released
 // packet is unreadable — its fields carry the poison pattern until the
 // pool hands it out again (zeroed).
 func TestReleasePoisons(t *testing.T) {
-	p := NewData(1, 2, 3, 4096, 1000)
-	Release(p)
+	pl := PoolFor(sim.NewEngine())
+	p := pl.NewData(1, 2, 3, 4096, 1000)
+	pl.Release(p)
 	if !Poisoned(p) {
 		t.Fatalf("released packet not poisoned: %+v", *p)
 	}
@@ -21,15 +26,13 @@ func TestReleasePoisons(t *testing.T) {
 // TestDoubleReleasePanics asserts the second Release of the same packet is
 // caught rather than silently corrupting the pool.
 func TestDoubleReleasePanics(t *testing.T) {
-	p := NewAck(1, 2, 3, 100)
-	Release(p)
+	pl := PoolFor(sim.NewEngine())
+	p := pl.NewAck(1, 2, 3, 100)
+	pl.Release(p)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double release did not panic")
 		}
-		// Drain the poisoned packet so later tests get a clean pool entry.
-		q := Get()
-		Release(q)
 	}()
-	Release(p)
+	pl.Release(p)
 }

@@ -138,9 +138,9 @@ type Fabric struct {
 	fluidSw   *topo.Switch
 	fluidPipe *topo.Pipe
 
-	drivers map[uint32]*Driver
-	order   []uint32 // attach order, for deterministic snapshots
-	nextID  uint32
+	// drivers in attach order, which is also snapshot order: IDs are
+	// handed out from 1 with no gaps, so drivers[id-1] is driver id.
+	drivers []*Driver
 
 	window uint64
 	script map[uint64][]func(*Fabric)
@@ -161,13 +161,11 @@ type Fabric struct {
 func NewFabric(cfg Config) (*Fabric, error) {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
-		cfg:     cfg,
-		eng:     sim.NewEngine(),
-		tables:  make(map[string]*core.Table),
-		drivers: make(map[uint32]*Driver),
-		script:  make(map[uint64][]func(*Fabric)),
-		fp:      fnv.New64a(),
-		nextID:  1,
+		cfg:    cfg,
+		eng:    sim.NewEngine(),
+		tables: make(map[string]*core.Table),
+		script: make(map[uint64][]func(*Fabric)),
+		fp:     fnv.New64a(),
 	}
 	f.fpEnc = json.NewEncoder(f.fp)
 	if cfg.TraceLen > 0 {

@@ -120,8 +120,7 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	if meanGap < 1 {
 		meanGap = 1
 	}
-	id := f.nextID
-	f.nextID++
+	id := uint32(len(f.drivers) + 1)
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 0x5eed<<32 | uint64(id)
@@ -138,8 +137,7 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 		meanGap: meanGap,
 	}
 	d.next = d.eng.NewTimer(d.fire)
-	f.drivers[id] = d
-	f.order = append(f.order, id)
+	f.drivers = append(f.drivers, d)
 	d.arm()
 	return d, nil
 }
@@ -191,16 +189,14 @@ func (f *Fabric) attachFluid(spec LoadSpec) (*Driver, error) {
 			return nil, fmt.Errorf("service: unknown cc algorithm %q", ccName)
 		}
 	}
-	id := f.nextID
-	f.nextID++
+	id := uint32(len(f.drivers) + 1)
 	lane := fluid.NewLane(f.fluidSw.Engine(), f.fluidSw.Ingress, f.cfg.FluidEpoch)
 	pi := lane.AddPipe(f.fluidPipe)
 	per := units.BitRate(spec.Load * float64(f.capacity) / float64(entities))
 	lane.AddN(fluid.EntityConfig{AQ: spec.AQ, CC: ccName, Rate: per, Pipe: pi}, entities)
 	lane.Start(f.Now())
 	d := &Driver{ID: id, spec: spec, f: f, lane: lane}
-	f.drivers[id] = d
-	f.order = append(f.order, id)
+	f.drivers = append(f.drivers, d)
 	return d, nil
 }
 
@@ -209,8 +205,8 @@ func (f *Fabric) attachFluid(spec LoadSpec) (*Driver, error) {
 // live (not yet detached) driver. The driver's statistics stay visible in
 // snapshots.
 func (f *Fabric) Detach(id uint32) bool {
-	d, ok := f.drivers[id]
-	if !ok || d.stopped {
+	d := f.Driver(id)
+	if d == nil || d.stopped {
 		return false
 	}
 	d.stopped = true
@@ -224,7 +220,12 @@ func (f *Fabric) Detach(id uint32) bool {
 }
 
 // Driver returns an attached driver by id, nil if unknown.
-func (f *Fabric) Driver(id uint32) *Driver { return f.drivers[id] }
+func (f *Fabric) Driver(id uint32) *Driver {
+	if id == 0 || int64(id) > int64(len(f.drivers)) {
+		return nil
+	}
+	return f.drivers[id-1]
+}
 
 func (d *Driver) arm() {
 	d.next.ArmAfter(d.rand.ExpTime(d.meanGap))

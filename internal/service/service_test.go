@@ -139,19 +139,31 @@ func TestAttachValidation(t *testing.T) {
 			t.Fatalf("spec %+v accepted", spec)
 		}
 	}
-	// A tiny load whose mean inter-arrival fits is still admitted.
-	if _, err := f.Attach(LoadSpec{Kind: "websearch", Load: 1e-9}); err != nil {
+	// A tiny load whose mean inter-arrival fits is still admitted. The
+	// refused attaches took no ID, so it is driver 1.
+	if d, err := f.Attach(LoadSpec{Kind: "websearch", Load: 1e-9}); err != nil {
 		t.Fatalf("websearch attach at load 1e-9: %v", err)
+	} else if d.ID != 1 {
+		t.Fatalf("first admitted driver has ID %d, want 1", d.ID)
 	}
 	// Every name a fluid driver may carry: the fixed-rate spellings and
 	// the packet algorithms. One fluid driver is live at a time, so each is
 	// detached before the next attach.
-	for _, name := range append([]string{"", "udp", "fixed"}, cc.Names()...) {
+	names := append([]string{"", "udp", "fixed"}, cc.Names()...)
+	for i, name := range names {
 		d, err := f.Attach(LoadSpec{Kind: "fluid", Load: 0.01, CC: name, Entities: 2})
 		if err != nil {
 			t.Fatalf("fluid attach with cc %q: %v", name, err)
 		}
+		if want := uint32(i + 2); d.ID != want || f.Driver(want) != d {
+			t.Fatalf("fluid attach with cc %q: ID %d, want %d with no gaps", name, d.ID, want)
+		}
 		f.Detach(d.ID)
+	}
+	// Lookups past either end of the ID range miss.
+	last := uint32(len(names) + 1)
+	if f.Driver(0) != nil || f.Driver(last+1) != nil || f.Detach(0) || f.Detach(last+1) {
+		t.Fatal("a driver ID outside 1..n resolved")
 	}
 }
 

@@ -59,7 +59,7 @@ func (f *Fabric) Snapshot(series bool) Snapshot {
 		Tenants:  f.ctrl.Info(),
 		Pipes:    make([]PipeSnap, len(f.pipes)),
 		Switches: make([]SwitchSnap, len(f.switches)),
-		Drivers:  make([]DriverSnap, len(f.order)),
+		Drivers:  make([]DriverSnap, len(f.drivers)),
 	}
 	for i := range f.pipes {
 		fp := &f.pipes[i]
@@ -83,8 +83,8 @@ func (f *Fabric) Snapshot(series bool) Snapshot {
 			Egress:      fs.sw.Egress.Stats(),
 		}
 	}
-	for i, id := range f.order {
-		s.Drivers[i] = f.drivers[id].Snap()
+	for i, d := range f.drivers {
+		s.Drivers[i] = d.Snap()
 	}
 	return s
 }

@@ -109,15 +109,14 @@ type Engine struct {
 	seqs seqTable
 
 	// packetPool is an opaque per-engine slot the packet package uses for
-	// its engine-local free list (sim cannot import packet). See
+	// the engine's packet free list (sim cannot import packet). See
 	// PacketPoolSlot.
 	packetPool any
 }
 
 // PacketPoolSlot returns a pointer to the engine's opaque packet-pool slot.
-// The packet package stores the engine-local free list here so parallel
-// engines never contend on the process-wide pool; nothing in sim touches
-// the value.
+// The packet package stores the engine's one packet free list here, so the
+// list lives and dies with the engine; nothing in sim touches the value.
 func (e *Engine) PacketPoolSlot() *any { return &e.packetPool }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -271,18 +270,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-	e.drainPool()
-}
-
-// drainPool spills the engine-local packet free list back to the shared
-// pool so a finished run's packets are not stranded with the dying engine:
-// the next engine in the process (another benchmark iteration, the next
-// sweep job) refills from the shared tier instead of the allocator. Called
-// once per RunUntil, not per event, so the assertion cost is noise.
-func (e *Engine) drainPool() {
-	if d, ok := e.packetPool.(interface{ Drain() }); ok {
-		d.Drain()
 	}
 }
 

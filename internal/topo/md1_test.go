@@ -90,8 +90,8 @@ func TestPipeQueueingIsMD1(t *testing.T) {
 		pool := packet.PoolFor(eng)
 		sink := &waitSink{pool: pool, service: service,
 			waits: make([]float64, 0, total), virtual: make([]float64, 0, total)}
-		pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, 1<<40, 0, sink)
-		aq := core.New(core.Config{ID: 1, Rate: 10 * units.Gbps, Limit: 1 << 40})
+		pipe := topo.NewPipe(eng, 10*units.Gbps, sim.Microsecond, math.MaxInt32, 0, sink)
+		aq := core.New(core.Config{ID: 1, Rate: 10 * units.Gbps, Limit: math.MaxInt32})
 
 		rng := rand.New(rand.NewPCG(1, uint64(rho*10)))
 		meanGap := service / rho
