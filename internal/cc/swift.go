@@ -52,9 +52,6 @@ func (s *Swift) Name() string { return "swift" }
 // Cwnd implements Algorithm.
 func (s *Swift) Cwnd() float64 { return s.cwnd }
 
-// Target returns the configured fabric-delay target.
-func (s *Swift) Target() sim.Time { return s.target }
-
 // OnAck implements Algorithm.
 func (s *Swift) OnAck(a Ack) {
 	if a.RTT > 0 {

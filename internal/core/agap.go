@@ -180,9 +180,6 @@ func (a *AQ) Rate() units.BitRate { return a.rateBits }
 // Limit returns the maximum A-Gap in bytes.
 func (a *AQ) Limit() int { return int(a.limit) }
 
-// CC returns the configured feedback type.
-func (a *AQ) CC() CCType { return a.cc }
-
 // Gap returns the current A-Gap in bytes.
 func (a *AQ) Gap() float64 { return a.gap }
 
@@ -264,7 +261,7 @@ func (a *AQ) Process(now sim.Time, p *packet.Packet) Verdict {
 	// for every CC type — delay-based CC consumes it as feedback, and §5.5
 	// reports its distribution as the AQ analogue of queuing delay.
 	if a.rate > 0 {
-		p.VirtualDelay += sim.Time(gap / a.rate)
+		p.VirtualDelay += sim.FromFloat(gap / a.rate)
 	}
 	return Pass
 }
@@ -275,7 +272,7 @@ func (a *AQ) VirtualDelay() sim.Time {
 	if a.rate <= 0 {
 		return 0
 	}
-	return sim.Time(a.gap / a.rate)
+	return sim.FromFloat(a.gap / a.rate)
 }
 
 // Reset clears the runtime registers; used when an AQ is redeployed.

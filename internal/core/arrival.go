@@ -172,7 +172,7 @@ func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float
 	if delay != nil {
 		delay[0] = 0
 		if rate > 0 {
-			delay[0] = sim.Time(gap / rate)
+			delay[0] = sim.FromFloat(gap / rate)
 		}
 	}
 	// Every later entity: a point deposit, exactly the packet form.
@@ -199,7 +199,7 @@ func (a *AQ) OnFluidRun(now, dt sim.Time, bytes, accepted, dropped, mark []float
 		if delay != nil {
 			delay[i] = 0
 			if rate > 0 {
-				delay[i] = sim.Time(gap / rate)
+				delay[i] = sim.FromFloat(gap / rate)
 			}
 		}
 	}

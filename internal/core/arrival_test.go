@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -237,7 +236,7 @@ func refOnFluidEpoch(a *AQ, now sim.Time, bytes float64, dt sim.Time) FluidFeedb
 		Gap:      a.gap,
 	}
 	if a.rate > 0 {
-		fb.Delay = sim.Time(a.gap / a.rate)
+		fb.Delay = sim.FromFloat(a.gap / a.rate)
 	}
 	return fb
 }
@@ -440,8 +439,8 @@ func TestZeroRateAQFluidRun(t *testing.T) {
 //     as both the gap and the accepted bytes; the offered and dropped
 //     counters read +Inf until a NaN drop joins them, and the marked
 //     counter is NaN (NaN accepted times the mark fraction).
-//   - Every delay from a NaN gap is the conversion of a NaN to sim.Time,
-//     which Go leaves to the implementation: math.MinInt64 on amd64.
+//   - Every delay from a NaN gap is sim.FromFloat of a NaN: 0, on every
+//     architecture.
 //
 // The next packet then drains and deposits onto a NaN gap, which no
 // comparison admits: it passes unmarked and undropped and is stamped the
@@ -449,10 +448,7 @@ func TestZeroRateAQFluidRun(t *testing.T) {
 // compared as sameBits does: which NaN payload survives is not part of it.
 func TestFluidRunNonFiniteMass(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	nanTime := sim.Time(nan)
-	if runtime.GOARCH == "amd64" && nanTime != math.MinInt64 {
-		t.Fatalf("a NaN converts to sim.Time %d on amd64, want math.MinInt64", nanTime)
-	}
+	nanTime := sim.FromFloat(nan) // 0 on every architecture
 	for _, tc := range []struct {
 		name                                  string
 		bytes                                 []float64

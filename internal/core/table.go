@@ -31,7 +31,7 @@ type Table struct {
 
 	// trace, when non-nil, receives AQDrop and AQMark events — the two
 	// outcomes only the AQ layer can observe. traceWhere labels them.
-	trace      trace.Sink
+	trace      *trace.Ring
 	traceWhere string
 
 	// Counters. Atomic for the one writer / many readers contract above,
@@ -132,11 +132,11 @@ func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict 
 	return v
 }
 
-// SetTrace attaches a sink that receives an AQDrop or AQMark event for
+// SetTrace attaches a ring that receives an AQDrop or AQMark event for
 // every packet the table's AQs drop or ECN-mark, labelled with where.
-// A nil sink detaches tracing; the hot path then pays one branch.
-func (t *Table) SetTrace(s trace.Sink, where string) {
-	t.trace = s
+// A nil ring detaches tracing; the hot path then pays one branch.
+func (t *Table) SetTrace(r *trace.Ring, where string) {
+	t.trace = r
 	t.traceWhere = where
 }
 

@@ -159,7 +159,7 @@ func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	// The tenant's share is half the link; cap the run at several times
 	// the ideal completion so a stuck run is visible, not endless.
 	share := units.BitRate(float64(spec.Rate) / 2)
-	ideal := sim.Time(float64(traceBytes*8) / float64(share) * 1e9)
+	ideal := sim.FromFloat(float64(traceBytes*8) / float64(share) * 1e9)
 	runCap := 6*ideal + 200*sim.Millisecond
 
 	var stopBG func()

@@ -89,8 +89,8 @@ func Table4(p harness.Params) *harness.Result {
 	for _, ccName := range Table4CCs {
 		pqG, pqD := table4Run(p, ccName, false)
 		aqG, aqD := table4Run(p, ccName, true)
-		pqP95 := sim.Time(pqD.Quantile(0.95))
-		aqP95 := sim.Time(aqD.Quantile(0.95))
+		pqP95 := sim.FromFloat(pqD.Quantile(0.95))
+		aqP95 := sim.FromFloat(aqD.Quantile(0.95))
 		var relP95, thptDelta float64
 		if pqP95 > 0 {
 			relP95 = math.Abs(100 * float64(aqP95-pqP95) / float64(pqP95))

@@ -1,7 +1,6 @@
 package fluid
 
 import (
-	"slices"
 	"sort"
 
 	"aqueue/internal/core"
@@ -36,24 +35,24 @@ func capped(rate, demand float64) float64 {
 func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
 
 // cohort is a maximal run of consecutively-registered entities sharing one
-// (pipe, Params) class. What registration fixed lives in the run table;
-// what the model evolves lives in parallel slices — structure of arrays —
-// so the epoch loop streams through contiguous float64 lanes instead of
-// pointer-chasing one heap object per entity, and the model and its
-// constants are a property of the cohort, not of each entity. State is
+// (pipe, Params, per-run) class. What registration fixed lives in the run
+// table; what the model evolves lives in parallel slices — structure of
+// arrays — so the epoch loop streams through contiguous float64 lanes
+// instead of pointer-chasing one heap object per entity, and the model and
+// its constants are a property of the cohort, not of each entity. State is
 // stored where it varies, at exact size when the lane first starts:
 //
-//   - A Fixed cohort whose runs are all untagged holds delivered and
-//     dropped once per run, 16 B a run. Every entity of such a run is
-//     offered the same bytes, passes no AQ and is clipped alike, so one
-//     slot update per epoch is bit for bit each entity's own; the lane
-//     steps such a cohort run by run (Lane.stepPerRun).
-//   - Any other Fixed cohort holds delivered and dropped per entity, 16 B
-//     an entity; the reactive models add rate, and ECN alpha.
+//   - A per-run cohort, one of Fixed entities registered untagged, holds
+//     delivered and dropped once per run, 16 B a run. Every entity of such
+//     a run is offered the same bytes, passes no AQ and is clipped alike,
+//     so one slot update per epoch is bit for bit each entity's own; the
+//     lane steps such a cohort run by run (Lane.stepPerRun).
+//   - Any other cohort holds delivered and dropped per entity, 16 B an
+//     entity; the reactive models add rate, and ECN alpha.
 //
-// The one layout change is from the first to the second: a tagged run
-// joining a per-run cohort (AddN) copies every run slot out to its
-// entities.
+// Which of the two a cohort is follows from registration alone and is
+// fixed when AddN creates it: a tagged Fixed add after untagged ones opens
+// a cohort of its own, so a cohort never changes layout.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -82,13 +81,14 @@ type cohort struct {
 	delivered []float64      // cumulative accepted bytes
 	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
 	meters    []*stats.Meter // per entity, allocated only once some entity has a meter
-	perRun    bool           // delivered and dropped hold one slot per run (Fixed, all untagged)
+	perRun    bool           // delivered and dropped hold one slot per run (Fixed, untagged); set by AddN
 }
 
-// matches reports whether an entity with the given placement extends this
-// cohort's run. Params is all-scalar, so == is exact class identity.
-func (c *cohort) matches(pipe int32, par Params) bool {
-	return c.pipe == pipe && c.par == par
+// matches reports whether an entity with the given placement and storage
+// class extends this cohort's run. Params is all-scalar, so == is exact
+// class identity.
+func (c *cohort) matches(pipe int32, par Params, perRun bool) bool {
+	return c.pipe == pipe && c.par == par && c.perRun == perRun
 }
 
 // size returns the cohort's entity count: the end of its last run.
@@ -97,12 +97,8 @@ func (c *cohort) size() int { return int(c.runs[len(c.runs)-1].end) }
 // layout extends the cohort's arrays over the entities (or runs) registered
 // since the last call, a reactive entity's rate from its run's registered
 // (floored) rate, walking the run table back from its end. The first call
-// picks the layout and allocates each array at exactly its size; a later
-// one appends the tail.
+// allocates each array at exactly its size; a later one appends the tail.
 func (c *cohort) layout() {
-	if c.delivered == nil && c.par.Model == Fixed {
-		c.perRun = !slices.ContainsFunc(c.runs, func(r tagRun) bool { return r.aqid != packet.NoAQ })
-	}
 	n, from := c.size(), len(c.delivered)
 	if c.perRun {
 		n = len(c.runs)
@@ -128,23 +124,6 @@ func extend(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return append(s, make([]float64, n-len(s))...)
-}
-
-// expand lays a per-run cohort out per entity, every entity's slots an
-// exact copy of its run's. AddN calls it when a tagged run joins the
-// cohort: from then on its entities no longer all see the same operands.
-func (c *cohort) expand() {
-	n := c.size()
-	delivered, dropped := make([]float64, n), make([]float64, n)
-	lo := int32(0)
-	for ri, r := range c.runs {
-		d, p := delivered[lo:r.end], dropped[lo:r.end]
-		for i := range d {
-			d[i], p[i] = c.delivered[ri], c.dropped[ri]
-		}
-		lo = r.end
-	}
-	c.delivered, c.dropped, c.perRun = delivered, dropped, false
 }
 
 // runIndex returns the index of the run holding entity i.

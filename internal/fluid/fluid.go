@@ -14,19 +14,21 @@
 // standard Level-3/Level-4 modelling technique, and it is what takes the
 // simulator from thousands of concurrent flows to millions of entities.
 //
-// Entity state is structure-of-arrays: consecutively-registered entities
-// of one (pipe, params) class form a cohort (cohort.go) that keeps, as the
-// paper's Table 1 does for an AQ, configuration apart from state: a run
-// table holds what registration fixed — tag, demand cap, registered rate,
-// once per run of identical entities — and parallel float64 slices hold
-// only what a model evolves, where it varies: delivered and dropped once
-// per run in a Fixed cohort with no tagged run, whose entities all see the
-// same numbers, and per entity otherwise; rate for the reactive models,
-// alpha for ECN. A cohort is stepped run by run: each run is resolved by
-// one core.Table.Lookup and integrated as one core.AQ.OnFluidRun
-// transaction, and a per-run cohort's run takes one offer and one slot
-// update. Either way the result is bit-identical to one Table.ProcessFluid
-// call per entity. An Entity is a stable (cohort, index) handle.
+// Entity state is structure-of-arrays: consecutively-registered entities of
+// one (pipe, params, per-run) class form a cohort (cohort.go) that keeps,
+// as the paper's Table 1 does for an AQ, configuration apart from state: a
+// run table holds what registration fixed — tag, demand cap, registered
+// rate, once per run of identical entities — and parallel float64 slices
+// hold only what a model evolves, where it varies: delivered and dropped
+// once per run in a per-run cohort, one of Fixed entities registered
+// untagged, whose entities all see the same numbers, and per entity
+// otherwise; rate for the reactive models, alpha for ECN. Whether a cohort
+// is per run is fixed when AddN creates it. A cohort is stepped run by run:
+// each run is resolved by one core.Table.Lookup and integrated as one
+// core.AQ.OnFluidRun transaction, and a per-run cohort's run takes one
+// offer and one slot update. Either way the result is bit-identical to one
+// Table.ProcessFluid call per entity. An Entity is a stable (cohort, index)
+// handle.
 package fluid
 
 import (

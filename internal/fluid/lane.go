@@ -109,19 +109,20 @@ func (l *Lane) AddPipe(p *topo.Pipe) int {
 }
 
 // Add builds an entity from cfg and registers it with the lane, returning
-// a stable handle. Consecutive Adds with the same (pipe, params) class
-// extend one cohort.
+// a stable handle. Consecutive Adds with the same (pipe, params, per-run)
+// class extend one cohort.
 func (l *Lane) Add(cfg EntityConfig) Entity { return l.AddN(cfg, 1) }
 
 // AddN registers n identical entities from cfg — one cohort extension, one
 // run of its table extended or appended — and returns the handle of the
-// first; the rest follow in registration order via Entities(). Their state
-// is laid out at the next Start, or at once while the lane runs or when
-// their cohort already has storage; until then they read 0 delivered and
-// dropped at their registered rate. It panics on
-// n < 1, a pipe index AddPipe did not return, a Rate or Demand that is NaN,
-// infinite or negative (no such rate is ever stored), and a cohort that
-// would outgrow the int32 entity index.
+// first; the rest follow in registration order via Entities(). A Fixed
+// model with no AQ tag is the per-run class: its cohort stores delivered
+// and dropped once per run, for good. Their state is laid out at the next
+// Start, or at once while the lane runs or when their cohort already has
+// storage; until then they read 0 delivered and dropped at their registered
+// rate. It panics on n < 1, a pipe index AddPipe did not return, a Rate or
+// Demand that is NaN, infinite or negative (no such rate is ever stored),
+// and a cohort that would outgrow the int32 entity index.
 func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	if n <= 0 {
 		panic("fluid: AddN needs n >= 1")
@@ -140,8 +141,9 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 		}
 		pipe = int32(cfg.Pipe)
 	}
+	perRun := par.Model == Fixed && cfg.AQ == packet.NoAQ
 	ci, first := len(l.cohorts)-1, 0
-	extends := ci >= 0 && l.cohorts[ci].matches(pipe, par)
+	extends := ci >= 0 && l.cohorts[ci].matches(pipe, par, perRun)
 	if extends {
 		first = l.cohorts[ci].size()
 	}
@@ -154,22 +156,20 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 			pipe:      pipe,
 			aiSlope:   par.ai(),
 			floorRate: par.floor(),
+			perRun:    perRun,
 		})
 		ci++
 	}
 	c := &l.cohorts[ci]
-	if c.perRun && cfg.AQ != packet.NoAQ {
-		c.expand()
-	}
 	rate := cfg.Rate.BytesPerNano()
 	if par.Model != Fixed && rate < c.floorRate {
 		rate = c.floorRate
 	}
 	demand := cfg.Demand.BytesPerNano()
 	end := int32(first + n)
-	// A run of a per-run cohort holds its entities' running totals, which
-	// new entities do not share: they open a run of their own.
-	if last := len(c.runs) - 1; !c.perRun && last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
+	// A run of a laid-out per-run cohort holds its entities' running totals,
+	// which new entities do not share: they open a run of their own.
+	if last := len(c.runs) - 1; !(c.perRun && c.delivered != nil) && last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
 		c.runs[last].end = end
 	} else {
 		c.runs = append(c.runs, tagRun{end: end, aqid: cfg.AQ, demand: demand, rate: rate})

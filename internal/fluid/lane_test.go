@@ -3,6 +3,7 @@ package fluid
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -389,13 +390,19 @@ func TestPipeRateChangeMidRun(t *testing.T) {
 // approximate: an entity's Delivered and the lane's total equal the
 // closed-form value after ten epochs, after the cohort grows by a run of
 // its own while running, and after Stop. Every entity is stepped every
-// epoch.
+// epoch. A tagged Fixed add after the untagged ones, before Start or while
+// running, opens a second cohort stored per entity and leaves the first
+// one's runs and slots as they were.
 func TestPerRunCohortIsExact(t *testing.T) {
 	eng := sim.NewEngine()
 	table := core.NewTable()
+	table.Deploy(core.Config{ID: 1, Rate: 100 * units.Gbps, Limit: math.MaxInt32})
 	lane := NewLane(eng, table, 0)
-	e0 := lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1})
-	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1}, 3)
+	udp := EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1}
+	tagged := udp
+	tagged.AQ = 1
+	e0 := lane.Add(udp)
+	lane.AddN(udp, 3)
 	lane.Start(0)
 	ep := lane.Epoch()
 
@@ -419,7 +426,7 @@ func TestPerRunCohortIsExact(t *testing.T) {
 
 	// Grown while running, the cohort opens a run of its own: the new
 	// entity starts from 0 and the old ones keep their totals.
-	e4 := lane.Add(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: -1})
+	e4 := lane.Add(udp)
 	eng.RunUntil(12*ep + ep/2)
 	if len(c.runs) != 2 || len(c.delivered) != 2 {
 		t.Fatalf("after growth: %d runs, %d delivered slots, want 2 each", len(c.runs), len(c.delivered))
@@ -427,12 +434,60 @@ func TestPerRunCohortIsExact(t *testing.T) {
 	if got, want := lane.Stats().DeliveredBytes, 50*perEpoch; got != want {
 		t.Fatalf("lane delivered after growth = %v, want exactly %v", got, want)
 	}
+
+	// A tagged add while running opens a second cohort; the first keeps its
+	// runs and its two slots, untouched.
+	runs, delivered, dropped := slices.Clone(c.runs), slices.Clone(c.delivered), slices.Clone(c.dropped)
+	e5 := lane.Add(tagged)
+	checkTaggedCohort(t, lane)
+	c = &lane.cohorts[0]
+	if !slices.Equal(c.runs, runs) || !slices.Equal(c.delivered, delivered) || !slices.Equal(c.dropped, dropped) {
+		t.Fatalf("the tagged add moved the per-run cohort: runs %+v delivered %v dropped %v, were %+v %v %v",
+			c.runs, c.delivered, c.dropped, runs, delivered, dropped)
+	}
+	eng.RunUntil(14*ep + ep/2)
+	if got, want := lane.Stats().DeliveredBytes, 62*perEpoch; got != want {
+		t.Fatalf("lane delivered after the tagged add = %v, want exactly %v", got, want)
+	}
 	lane.Stop()
-	if got, want := e0.Delivered(), 12*perEpoch; got != want {
+	if got, want := e0.Delivered(), 14*perEpoch; got != want {
 		t.Fatalf("post-Stop Delivered = %v, want exactly %v", got, want)
 	}
-	if got, want := e4.Delivered(), 2*perEpoch; got != want || e4.Dropped() != 0 {
+	if got, want := e4.Delivered(), 4*perEpoch; got != want || e4.Dropped() != 0 {
 		t.Fatalf("post-Stop grown entity Delivered = %v dropped %v, want exactly %v and 0", got, e4.Dropped(), want)
+	}
+	if got, want := e5.Delivered(), 2*perEpoch; got != want || e5.Dropped() != 0 {
+		t.Fatalf("post-Stop tagged entity Delivered = %v dropped %v, want exactly %v and 0", got, e5.Dropped(), want)
+	}
+
+	// Before Start, too, the tagged add opens a cohort of its own.
+	eng = sim.NewEngine()
+	lane = NewLane(eng, table, 0)
+	lane.AddN(udp, 4)
+	lane.Add(tagged)
+	lane.Start(0)
+	eng.RunUntil(10*ep + ep/2)
+	checkTaggedCohort(t, lane)
+	if c := &lane.cohorts[0]; !c.perRun || len(c.runs) != 1 || len(c.delivered) != 1 || c.delivered[0] != 10*perEpoch {
+		t.Fatalf("tagged add before Start: first cohort per run %v, runs %+v, delivered %v; want one run, one slot of %v",
+			c.perRun, c.runs, c.delivered, 10*perEpoch)
+	}
+	if got, want := lane.Stats().DeliveredBytes, 50*perEpoch; got != want {
+		t.Fatalf("tagged add before Start: lane delivered = %v, want exactly %v", got, want)
+	}
+	lane.Stop()
+}
+
+// checkTaggedCohort fails t unless the lane has a second cohort, not per
+// run, holding one entity on AQ 1 with a slot of its own.
+func checkTaggedCohort(t *testing.T, lane *Lane) {
+	t.Helper()
+	if len(lane.cohorts) != 2 {
+		t.Fatalf("%d cohorts, want the per-run one and a tagged one", len(lane.cohorts))
+	}
+	if c := &lane.cohorts[1]; c.perRun || c.size() != 1 || len(c.delivered) != 1 || c.runs[0].aqid != 1 {
+		t.Fatalf("tagged cohort: per run %v, %d entities, %d delivered slots, runs %+v; want one per entity on AQ 1",
+			c.perRun, c.size(), len(c.delivered), c.runs)
 	}
 }
 

@@ -24,14 +24,15 @@ import (
 // one short of and one past a 64-entity chunk, a run spanning four chunks,
 // Fixed cohorts with no rate array beside reactive ones with it, untagged
 // Fixed cohorts with one delivered and dropped slot per run, which an add
-// to a laid-out one extends by a run of its own and a tagged add expands
-// per entity, a meter first attached to a late entity, a cohort grown while
-// it is running and while the lane is stopped, and the read-only accessors,
-// which find an entity's run by binary search. The lane starts at the script's first epoch op, so the
-// leading adds register on a lane with no per-entity storage yet: each is
-// compared through the accessors as it lands, the first Start lays the
-// whole population out, and every add after it lays out its own tail, or,
-// on a stopped lane, only a laid-out cohort's.
+// to a laid-out one extends by a run of its own and beside which a tagged
+// add opens a cohort of its own, a meter first attached to a late entity, a
+// cohort grown while it is running and while the lane is stopped, and the
+// read-only accessors, which find an entity's run by binary search. The
+// lane starts at the script's first epoch op, so the leading adds register
+// on a lane with no per-entity storage yet: each is compared through the
+// accessors as it lands, the first Start lays the whole population out, and
+// every add after it lays out its own tail, or, on a stopped lane, only a
+// laid-out cohort's.
 //
 // Script encoding, one op byte at a time:
 //
@@ -211,13 +212,15 @@ func layOut(laid []int, lane *Lane) []int {
 // registration order, checks the run table's own invariants on the way —
 // runs ordered, non-empty, maximal but where an add to a laid-out per-run
 // cohort opened a run of its own (a run past the laid[ci] cohort ci had
-// when it got storage, untagged like every run before it) — and the
-// storage: the first len(laid) cohorts hold delivered and dropped spanning the cohort, one slot per run
-// for a Fixed cohort with no tagged run and per entity otherwise, rate too
-// for a reactive model and alpha for ECN, and the rest, registered since
-// the last Start on a lane that is not running, hold none. It reads the
-// first and last entity of every run through the public handle, whose AQID,
-// Rate, Delivered and Dropped find the run by binary search (runIndex).
+// when it got storage) — each cohort's storage class, per run exactly when
+// it is Fixed and its first run untagged, and then with no tagged run, and
+// the storage: the first len(laid) cohorts hold delivered and dropped
+// spanning the cohort, one slot per run for a per-run cohort and per entity
+// otherwise, rate too for a reactive model and alpha for ECN, and the rest,
+// registered since the last Start on a lane that is not running, hold none.
+// It reads the first and last entity of every run through the public
+// handle, whose AQID, Rate, Delivered and Dropped find the run by binary
+// search (runIndex).
 func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, laid []int) {
 	t.Helper()
 	laidOut := len(laid)
@@ -228,10 +231,8 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 	base := 0 // registration index of the cohort's first entity
 	for ci := range lane.cohorts {
 		c := &lane.cohorts[ci]
-		// untaggedTo[ri]: a Fixed cohort with no tagged run among 0..ri.
-		untaggedTo := make([]bool, len(c.runs))
-		for ri, run := range c.runs {
-			untaggedTo[ri] = c.par.Model == Fixed && run.aqid == packet.NoAQ && (ri == 0 || untaggedTo[ri-1])
+		if perRun := c.par.Model == Fixed && c.runs[0].aqid == packet.NoAQ; c.perRun != perRun {
+			t.Fatalf("cohort %d (%v, first run tagged %d): per run %v", ci, c.par.Model, c.runs[0].aqid, c.perRun)
 		}
 		slots := func(has bool) int {
 			if ci < laidOut && has {
@@ -239,12 +240,11 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 			}
 			return 0
 		}
-		perRun := ci < laidOut && untaggedTo[len(c.runs)-1]
 		outcomes := slots(true)
-		if perRun {
+		if c.perRun && ci < laidOut {
 			outcomes = len(c.runs)
 		}
-		if len(c.delivered) != outcomes || len(c.dropped) != outcomes || c.perRun != perRun ||
+		if len(c.delivered) != outcomes || len(c.dropped) != outcomes ||
 			len(c.rate) != slots(c.par.Model != Fixed) || len(c.alpha) != slots(c.par.Model == ECN) {
 			t.Fatalf("cohort %d (%v, %d entities in %d runs, %d of %d laid out, per run %v): %d delivered, %d dropped, %d rate, %d alpha slots",
 				ci, c.par.Model, c.size(), len(c.runs), laidOut, len(lane.cohorts), c.perRun, len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
@@ -254,7 +254,10 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 			if run.end <= lo {
 				t.Fatalf("cohort %d run %d ends at %d, previous at %d", ci, ri, run.end, lo)
 			}
-			if ri > 0 && !(ci < laidOut && ri >= laid[ci] && untaggedTo[ri]) {
+			if c.perRun && run.aqid != packet.NoAQ {
+				t.Fatalf("per-run cohort %d run %d is tagged %d", ci, ri, run.aqid)
+			}
+			if ri > 0 && !(c.perRun && ci < laidOut && ri >= laid[ci]) {
 				if p := c.runs[ri-1]; p.aqid == run.aqid && p.demand == run.demand && p.rate == run.rate {
 					t.Fatalf("cohort %d runs %d and %d are one run split in two: %+v", ci, ri-1, ri, run)
 				}

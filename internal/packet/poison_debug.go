@@ -9,10 +9,6 @@ import (
 	"aqueue/internal/sim"
 )
 
-// DebugPool reports whether the aqdebug lifecycle instrumentation is
-// compiled in. Build with `go test -tags aqdebug` to enable it.
-const DebugPool = true
-
 // Poison values written into a released packet. Any component that reads a
 // packet after releasing it sees these instead of plausible data, so the
 // bug surfaces as an absurd size/sequence rather than a silent corruption.

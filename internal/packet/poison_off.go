@@ -2,10 +2,6 @@
 
 package packet
 
-// DebugPool reports whether the aqdebug lifecycle instrumentation is
-// compiled in.
-const DebugPool = false
-
 // In release builds the lifecycle hooks compile to nothing.
 func debugAcquire(*Packet) {}
 func debugRelease(*Packet) {}

@@ -77,12 +77,6 @@ func New(limit, ecnThreshold int) *FIFO {
 // traffic flows through the queue.
 func (q *FIFO) SetAQMSeed(seed uint64) { q.rng = sim.NewRand(seed) }
 
-// Limit returns the configured byte limit (<=0 when unlimited).
-func (q *FIFO) Limit() int { return q.limit }
-
-// ECNThreshold returns the marking threshold in bytes (<=0 when disabled).
-func (q *FIFO) ECNThreshold() int { return q.ecnKB }
-
 // Len returns the number of queued packets.
 func (q *FIFO) Len() int { return q.packets.Len() }
 

@@ -127,7 +127,7 @@ func (tb *TokenBucket) schedule() {
 	need := float64(head.Size) - tb.tokens
 	var wait sim.Time = 1
 	if need > 0 && tb.rate > 0 {
-		wait = sim.Time(need / tb.rate)
+		wait = sim.FromFloat(need / tb.rate)
 		if wait < 1 {
 			wait = 1
 		}

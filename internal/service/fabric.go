@@ -126,10 +126,7 @@ type Fabric struct {
 	pipes    []fabricPipe
 	switches []fabricSwitch
 	capacity units.BitRate
-	// ring is nil when tracing is off; components are handed it only
-	// behind a nil check, because a nil *Ring in a trace.Sink is a non-nil
-	// interface.
-	ring *trace.Ring
+	ring     *trace.Ring // nil when tracing is off
 
 	// fluidSw/fluidPipe anchor fluid load drivers: the ingress table the
 	// entities' epochs run through and the shared link they account. Only
@@ -181,10 +178,8 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		f.addPipe("S1->S2", d.Bottleneck)
 		f.addPipe("S2->S1", d.ReverseTrunk)
 		f.fluidSw, f.fluidPipe = d.S1, d.Bottleneck
-		if f.ring != nil {
-			for _, h := range append(append([]*topo.Host{}, d.Left...), d.Right...) {
-				h.SetTrace(f.ring)
-			}
+		for _, h := range append(append([]*topo.Host{}, d.Left...), d.Right...) {
+			h.SetTrace(f.ring)
 		}
 	case "star":
 		if cfg.Hosts < 2 || cfg.Hosts%2 != 0 {
@@ -198,10 +193,8 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		for i := half; i < cfg.Hosts; i++ {
 			f.addPipe(fmt.Sprintf("SW->h%d", i), s.Down[i])
 		}
-		if f.ring != nil {
-			for _, h := range s.Hosts {
-				h.SetTrace(f.ring)
-			}
+		for _, h := range s.Hosts {
+			h.SetTrace(f.ring)
 		}
 	default:
 		return nil, fmt.Errorf("service: unknown topology %q", cfg.Topo)
@@ -214,9 +207,7 @@ func (f *Fabric) addSwitch(name string, sw *topo.Switch) {
 	f.switches = append(f.switches, fabricSwitch{name: name, sw: sw})
 	f.tables[name+"/"+control.Ingress.String()] = sw.Ingress
 	f.tables[name+"/"+control.Egress.String()] = sw.Egress
-	if f.ring != nil {
-		sw.SetTrace(f.ring)
-	}
+	sw.SetTrace(f.ring)
 }
 
 func (f *Fabric) addPipe(name string, p *topo.Pipe) {

@@ -109,14 +109,16 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 		mean = float64(spec.Size)
 	}
 	loadRate := spec.Load * float64(f.capacity) / 8 // bytes per second offered
-	// The mean inter-arrival must convert to sim.Time: past int64 it would
-	// wrap negative and the clamp below would make it 1 ns, a flow per
-	// nanosecond. Under 2^56 ns, Rand.ExpTime's tail (−ln u ≤ 37) still fits.
+	// The mean inter-arrival must convert to sim.Time with room for
+	// Rand.ExpTime's tail (−ln u ≤ 37) below the point where sim.FromFloat
+	// saturates: under 2^56 ns it has. A NaN or infinite gap fails the test
+	// too, rather than reading 0 and, by the clamp below, a flow a
+	// nanosecond.
 	gap := mean / loadRate * 1e9
 	if !(gap < 1<<56) {
 		return nil, fmt.Errorf("service: load %g is too small: mean flow inter-arrival %g ns exceeds %d", spec.Load, gap, int64(1)<<56)
 	}
-	meanGap := sim.Time(gap)
+	meanGap := sim.FromFloat(gap)
 	if meanGap < 1 {
 		meanGap = 1
 	}

@@ -41,6 +41,26 @@ const (
 // report formatting.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
+// FromFloat converts a float64 count of nanoseconds to a Time as a
+// conversion does, truncating toward zero, but the same on every
+// architecture: NaN reads 0, and a value at or past ±(1<<62 − 1), ±Inf
+// included, saturates there, at the deadline of an unbounded dispatch, so
+// adding it to any schedulable time cannot wrap. Go leaves an out-of-range
+// float-to-integer conversion to the implementation (NaN converts to
+// math.MinInt64 on amd64 and to 0 on 386 and arm64), so every float-valued
+// duration the program computes becomes a Time here.
+func FromFloat(ns float64) Time {
+	switch {
+	case ns != ns:
+		return 0
+	case ns >= float64(maxTime): // the constant rounds to 2^62
+		return maxTime
+	case ns <= -float64(maxTime):
+		return -maxTime
+	}
+	return Time(ns)
+}
+
 // String renders the time with an adaptive unit.
 func (t Time) String() string {
 	switch {

@@ -1,9 +1,46 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// TestFromFloat pins the one float-to-Time conversion on every
+// architecture: it truncates toward zero as a conversion does, reads NaN as
+// 0 and saturates at ±(1<<62 − 1), where a plain conversion is
+// implementation-specific (NaN is math.MinInt64 on amd64, 0 on 386). Two
+// saturated times still add without wrapping.
+func TestFromFloat(t *testing.T) {
+	const two62 = 1 << 62
+	for _, tc := range []struct {
+		ns   float64
+		want Time
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), maxTime},
+		{math.Inf(-1), -maxTime},
+		{1e300, maxTime},
+		{-1e300, -maxTime},
+		{two62, maxTime},
+		{-two62, -maxTime},
+		{math.Nextafter(two62, 0), two62 - 512}, // the largest float below 2^62 converts exactly
+		{1 << 53, 1 << 53},
+		{0.5, 0},
+		{-0.5, 0},
+		{math.Copysign(0, -1), 0},
+		{1.9, 1},
+		{-1.9, -1},
+		{12_500, 12_500},
+	} {
+		if got := FromFloat(tc.ns); got != tc.want {
+			t.Errorf("FromFloat(%v) = %d, want %d", tc.ns, got, tc.want)
+		}
+	}
+	if sum := FromFloat(math.Inf(1)) + FromFloat(math.Inf(1)); sum <= 0 {
+		t.Errorf("two saturated times sum to %d: wrapped", sum)
+	}
+}
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()

@@ -52,7 +52,7 @@ func (r *Rand) ExpTime(mean Time) Time {
 	for u == 0 {
 		u = r.Float64()
 	}
-	d := Time(-math.Log(u) * float64(mean))
+	d := FromFloat(-math.Log(u) * float64(mean))
 	if d < 1 {
 		d = 1
 	}

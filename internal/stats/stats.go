@@ -286,5 +286,5 @@ func (f *FCT) MeanFCT() sim.Time {
 	if f.Completed == 0 {
 		return 0
 	}
-	return sim.Time(float64(f.fctSum) / float64(f.Completed))
+	return sim.FromFloat(float64(f.fctSum) / float64(f.Completed))
 }

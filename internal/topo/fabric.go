@@ -107,6 +107,3 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 func (f *LeafSpine) Leaf(h packet.HostID) *Switch {
 	return f.Leaves[int(h)/f.HostsPerLeaf]
 }
-
-// Host returns the host with the given ID.
-func (f *LeafSpine) Host(h packet.HostID) *Host { return f.Hosts[h] }

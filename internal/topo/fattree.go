@@ -29,9 +29,6 @@ type FatTree struct {
 // HostsPerPod returns (k/2)².
 func (f *FatTree) HostsPerPod() int { return (f.K / 2) * (f.K / 2) }
 
-// Host returns the host with the given ID.
-func (f *FatTree) Host(id packet.HostID) *Host { return f.Hosts[id] }
-
 // NewFatTreeIn builds a k-ary fat tree on the cluster's engine (see
 // build). edge configures the host links, fabricLink every switch<->switch
 // link.

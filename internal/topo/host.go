@@ -57,7 +57,7 @@ type Host struct {
 	// trace, when non-nil, receives a Send event per outbound packet and a
 	// Recv event per delivery. traceWhere is precomputed at SetTrace time so
 	// the hot path never formats strings.
-	trace      trace.Sink
+	trace      *trace.Ring
 	traceWhere string
 }
 
@@ -96,11 +96,11 @@ func (h *Host) ID() packet.HostID { return h.id }
 // Engine returns the simulation engine the host runs on.
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
-// SetTrace attaches a sink that receives a Send event for every packet
+// SetTrace attaches a ring that receives a Send event for every packet
 // this host emits and a Recv event for every packet delivered to it,
-// labelled "host:<id>". A nil sink detaches tracing.
-func (h *Host) SetTrace(s trace.Sink) {
-	h.trace = s
+// labelled "host:<id>". A nil ring detaches tracing.
+func (h *Host) SetTrace(r *trace.Ring) {
+	h.trace = r
 	h.traceWhere = "host:" + strconv.Itoa(int(h.id))
 }
 

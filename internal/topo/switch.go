@@ -57,14 +57,14 @@ func NewSwitch(eng *sim.Engine, name string) *Switch {
 // Engine returns the simulation engine the switch runs on.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
 
-// SetTrace attaches a sink to both AQ pipelines, labelled
+// SetTrace attaches a ring to both AQ pipelines, labelled
 // "<name>:ingress" and "<name>:egress". The switch itself emits nothing —
 // the tables record the AQ drop/mark events, and hosts record the
-// send/receive endpoints — so one sink attached at every component sees
-// each occurrence exactly once. A nil sink detaches.
-func (s *Switch) SetTrace(sk trace.Sink) {
-	s.Ingress.SetTrace(sk, s.name+":ingress")
-	s.Egress.SetTrace(sk, s.name+":egress")
+// send/receive endpoints — so one ring attached at every component sees
+// each occurrence exactly once. A nil ring detaches.
+func (s *Switch) SetTrace(r *trace.Ring) {
+	s.Ingress.SetTrace(r, s.name+":ingress")
+	s.Egress.SetTrace(r, s.name+":egress")
 }
 
 // AddPort attaches an egress pipe and returns its port number.

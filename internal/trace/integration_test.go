@@ -36,7 +36,7 @@ func TestTraceAQDropsEndToEnd(t *testing.T) {
 	ring := trace.NewRing(4096)
 	d.Right[0].RxHook = func(p *packet.Packet) {
 		if p.Kind == packet.Data {
-			ring.Add(trace.FromPacket(eng.Now(), trace.Recv, p, "host"))
+			ring.Record(trace.FromPacket(eng.Now(), trace.Recv, p, "host"))
 		}
 	}
 

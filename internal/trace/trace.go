@@ -52,15 +52,11 @@ type Event struct {
 	Where string
 }
 
-// Sink consumes trace events. Hosts, switches and AQ tables accept a Sink
-// via their SetTrace methods and emit into it on the hot path behind a nil
-// check, so detached components pay one branch per packet and nothing else.
-type Sink interface {
-	Record(Event)
-}
-
 // Ring is a bounded event buffer: when full, the oldest events are
-// overwritten, so attaching it to a long run keeps the tail.
+// overwritten, so attaching it to a long run keeps the tail. Hosts,
+// switches and AQ tables accept a Ring via their SetTrace methods and
+// record into it on the hot path behind a nil check, so detached
+// components pay one branch per packet and nothing else.
 type Ring struct {
 	buf     []Event
 	next    int
@@ -78,11 +74,8 @@ func NewRing(n int) *Ring {
 	return &Ring{buf: make([]Event, n)}
 }
 
-// Record implements Sink.
-func (r *Ring) Record(e Event) { r.Add(e) }
-
-// Add records an event.
-func (r *Ring) Add(e Event) {
+// Record records an event.
+func (r *Ring) Record(e Event) {
 	r.buf[r.next] = e
 	r.next++
 	r.Recorded++

@@ -9,7 +9,7 @@ import (
 func TestRingRetention(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 3; i++ {
-		r.Add(Event{Seq: int64(i)})
+		r.Record(Event{Seq: int64(i)})
 	}
 	if r.Len() != 3 || r.Recorded != 3 {
 		t.Fatalf("len=%d recorded=%d", r.Len(), r.Recorded)
@@ -25,7 +25,7 @@ func TestRingRetention(t *testing.T) {
 func TestRingWrapsOldestFirst(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Add(Event{Seq: int64(i)})
+		r.Record(Event{Seq: int64(i)})
 	}
 	if r.Len() != 4 || r.Recorded != 10 {
 		t.Fatalf("len=%d recorded=%d", r.Len(), r.Recorded)
@@ -64,7 +64,7 @@ func TestRingTail(t *testing.T) {
 	} {
 		r := NewRing(4)
 		for i := 0; i < tc.added; i++ {
-			r.Add(Event{Seq: int64(i)})
+			r.Record(Event{Seq: int64(i)})
 		}
 		got := r.Tail(tc.n)
 		if !slices.Equal(seqs(got), tc.want) || (tc.want == nil && got != nil) {
@@ -88,7 +88,7 @@ func TestKindStrings(t *testing.T) {
 
 func TestRingString(t *testing.T) {
 	r := NewRing(2)
-	r.Add(Event{})
+	r.Record(Event{})
 	if !strings.Contains(r.String(), "1 retained") {
 		t.Fatalf("String() = %q", r.String())
 	}

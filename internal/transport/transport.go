@@ -183,79 +183,58 @@ func (s *Sender) remaining() bool {
 func (s *Sender) segPayload(seq int64) int { return segPayload(seq, s.size, int64(s.opt.MSS)) }
 
 // trySend transmits retransmissions first, then new segments, while the
-// pipe estimate stays under the congestion window.
+// pipe estimate stays under the congestion window, each send gated by the
+// pacing deadline. A fractional window allows one segment in flight.
 func (s *Sender) trySend() {
 	if s.done {
 		return
 	}
 	w := s.alg.Cwnd()
-	if w >= 1 {
-		now := s.eng.Now()
-		for float64(s.pipe) < w {
-			if now < s.nextPaced {
-				// nextPaced only moves forward, so an already-armed pacing
-				// timer can only be early: let it fire and re-check rather
-				// than paying a re-arm on every gated attempt.
-				if !s.pacedT.Pending() {
-					s.pacedT.Arm(s.nextPaced)
-				}
-				return
-			}
-			var sent int
-			if seq, ok := s.popRtx(); ok {
-				s.sendSegment(seq, true)
-				sent = s.segPayload(seq) + packet.HeaderBytes
-			} else if s.remaining() {
-				sent = s.segPayload(s.nextSeq) + packet.HeaderBytes
-				s.sendSegment(s.nextSeq, false)
-				s.nextSeq += int64(s.segPayload(s.nextSeq))
-			} else {
-				return
-			}
-			if d := s.paceDelay(sent, w); d > 0 {
-				s.nextPaced = now + d
-			}
-		}
-		return
-	}
-	// Fractional window: at most one segment in flight, paced at one
-	// segment every RTT/cwnd.
-	if s.pipe > 0 {
-		return
-	}
 	now := s.eng.Now()
-	if now < s.nextPaced {
-		if !s.pacedT.Pending() {
-			s.pacedT.Arm(s.nextPaced)
+	for float64(s.pipe) < max(w, 1) {
+		if now < s.nextPaced {
+			// nextPaced only moves forward, so an already-armed pacing
+			// timer can only be early: let it fire and re-check rather
+			// than paying a re-arm on every gated attempt.
+			if !s.pacedT.Pending() {
+				s.pacedT.Arm(s.nextPaced)
+			}
+			return
 		}
-		return
+		var sent int
+		if seq, ok := s.popRtx(); ok {
+			s.sendSegment(seq, true)
+			sent = s.segPayload(seq) + packet.HeaderBytes
+		} else if s.remaining() {
+			sent = s.segPayload(s.nextSeq) + packet.HeaderBytes
+			s.sendSegment(s.nextSeq, false)
+			s.nextSeq += int64(s.segPayload(s.nextSeq))
+		} else {
+			return
+		}
+		if d := s.paceDelay(sent, w); d > 0 {
+			s.nextPaced = now + d
+		}
 	}
-	if seq, ok := s.popRtx(); ok {
-		s.sendSegment(seq, true)
-	} else if s.remaining() {
-		s.sendSegment(s.nextSeq, false)
-		s.nextSeq += int64(s.segPayload(s.nextSeq))
-	} else {
-		return
-	}
-	rtt := s.srtt
-	if rtt <= 0 {
-		rtt = 100 * sim.Microsecond
-	}
-	s.nextPaced = now + sim.Time(float64(rtt)/w)
 }
 
-// paceDelay returns the inter-segment spacing at 1.25x the cwnd/srtt rate,
-// or 0 before an RTT estimate exists.
+// paceDelay returns the spacing after a segment of sizeBytes sent under
+// window w. A fractional window sends one segment every RTT/w, taking an
+// RTT of 100 µs before the first sample; a whole one paces at 1.25x the
+// cwnd/srtt rate, and not at all before an RTT estimate exists.
 func (s *Sender) paceDelay(sizeBytes int, w float64) sim.Time {
+	if w < 1 {
+		rtt := s.srtt
+		if rtt <= 0 {
+			rtt = 100 * sim.Microsecond
+		}
+		return sim.FromFloat(float64(rtt) / w)
+	}
 	if s.srtt <= 0 {
 		return 0
 	}
 	rate := 1.25 * w * float64(s.opt.MSS+packet.HeaderBytes) / float64(s.srtt)
-	if rate <= 0 {
-		return 0
-	}
-	return sim.Time(float64(sizeBytes) / rate)
+	return sim.FromFloat(float64(sizeBytes) / rate)
 }
 
 // popRtx returns the next scoreboard-lost segment, skipping entries that

@@ -72,9 +72,6 @@ func NewUDPSender(src, dst *topo.Host, rate units.BitRate, opt Options) *UDPSend
 	return u
 }
 
-// Flow returns the flow identifier.
-func (u *UDPSender) Flow() packet.FlowID { return u.flow }
-
 // Sink returns the receive-side counters.
 func (u *UDPSender) Sink() *UDPSink { return u.sink }
 

@@ -18,14 +18,6 @@ const (
 	Tbps                 = 1e3 * Gbps
 )
 
-// Byte size constants (powers of ten, as used for network quantities).
-const (
-	Byte = 1
-	KB   = 1e3 * Byte
-	MB   = 1e6 * Byte
-	GB   = 1e9 * Byte
-)
-
 // BytesPerNano returns the rate expressed in bytes per nanosecond. This is
 // the unit the A-Gap recurrence and transmission-time computations use,
 // because simulated time is integer nanoseconds.
