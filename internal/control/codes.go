@@ -37,6 +37,9 @@ const (
 	CodeShuttingDown = "shutting_down"
 	// CodeInternal: the server failed to encode a payload (a bug).
 	CodeInternal = "internal"
+	// CodeTooLarge: the reply would be a line longer than MaxLine; ask for
+	// less (a smaller trace count).
+	CodeTooLarge = "too_large"
 )
 
 // Errf builds an error response with a machine-readable code.

@@ -2,6 +2,7 @@ package control
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -18,6 +19,11 @@ import (
 // requests; cmd/aqsimd answers them against a live fabric (internal/service
 // layers its verbs around DispatchController). There is one protocol
 // version (see codes.go); the full schema is documented in DESIGN.md.
+
+// MaxLine is the longest line, its newline included, that either end of
+// the wire reads. A longer request ends its connection; a longer reply is
+// never written — the server answers CodeTooLarge in its place.
+const MaxLine = 1 << 20
 
 // WireRequest is one client message.
 type WireRequest struct {
@@ -58,6 +64,9 @@ type WireResponse struct {
 	IDs  []uint32 `json:"ids,omitempty"`
 	// Data carries a structured payload — a service.Snapshot, a trace
 	// tail, version info — whose shape is op-specific (see DESIGN.md).
+	// It is the last key of a response line, and WireServer writes it as
+	// it is: a handler sets it to json.Marshal output or another compact,
+	// HTML-escaped encoding, never to bytes it has not encoded.
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
@@ -124,12 +133,16 @@ func (s *WireServer) Close() error {
 func (s *WireServer) handle(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	enc := json.NewEncoder(conn)
+	sc.Buffer(make([]byte, 0, 4096), MaxLine)
+	// head holds each response's envelope; see encodeLine. A payload is
+	// not kept past its line, so a connection holds no reply's bytes.
+	var head bytes.Buffer
+	enc := json.NewEncoder(&head)
 	alive := true
 	// emit stamps every response with the protocol version and gives an
 	// error without a class the bad_request code, so clients can always
-	// branch on Code.
+	// branch on Code. A response whose line would exceed MaxLine goes out
+	// as a too_large error instead, so the client can read on.
 	emit := func(resp WireResponse) bool {
 		if !alive {
 			return false
@@ -138,7 +151,17 @@ func (s *WireServer) handle(conn net.Conn) {
 		if resp.Error != "" && resp.Code == "" {
 			resp.Code = CodeBadRequest
 		}
-		if err := enc.Encode(resp); err != nil {
+		line, err := encodeLine(&head, enc, resp)
+		if err != nil {
+			alive = false
+			return false
+		}
+		if len(line) > MaxLine {
+			tooLarge := Errf(CodeTooLarge, "reply of %d bytes exceeds the %d-byte line limit", len(line), MaxLine)
+			tooLarge.V = ProtoV2
+			line, _ = encodeLine(&head, enc, tooLarge) // strings and a version always encode
+		}
+		if _, err := conn.Write(line); err != nil {
 			alive = false
 		}
 		return alive
@@ -158,6 +181,28 @@ func (s *WireServer) handle(conn net.Conn) {
 			s.h(req, emit)
 		}
 	}
+}
+
+// encodeLine returns resp's line as json.Encoder writes it, newline
+// included, without scanning its payload again: the envelope is encoded
+// into head without Data, and Data — the last key — is appended to it as
+// the handler encoded it, then the closing brace. A line without Data is
+// head's own bytes, valid until the next call.
+func encodeLine(head *bytes.Buffer, enc *json.Encoder, resp WireResponse) ([]byte, error) {
+	data := resp.Data
+	resp.Data = nil
+	head.Reset()
+	if err := enc.Encode(resp); err != nil {
+		return nil, err
+	}
+	env := head.Bytes()
+	if len(data) == 0 {
+		return env, nil
+	}
+	env = env[:len(env)-len("}\n")]
+	line := make([]byte, 0, len(env)+len(dataKey)+len(data)+len("}\n"))
+	line = append(append(append(line, env...), dataKey...), data...)
+	return append(line, "}\n"...), nil
 }
 
 // helloData is the "hello" payload: every protocol version the server
@@ -266,6 +311,7 @@ type Client struct {
 	conn net.Conn
 	enc  *json.Encoder
 	sc   *bufio.Scanner
+	env  []byte // Recv's envelope buffer
 }
 
 // Dial connects to a controller daemon.
@@ -280,7 +326,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an existing connection (useful with net.Pipe in tests).
 func NewClient(conn net.Conn) *Client {
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), MaxLine)
 	return &Client{conn: conn, enc: json.NewEncoder(conn), sc: sc}
 }
 
@@ -304,12 +350,69 @@ func (c *Client) Recv() (WireResponse, error) {
 		}
 		return WireResponse{}, fmt.Errorf("control: connection closed")
 	}
-	var resp WireResponse
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	resp, err := c.decode(c.sc.Bytes())
+	if err != nil {
 		return WireResponse{}, err
 	}
 	if !resp.OK && resp.Error != "" {
 		return resp, fmt.Errorf("control: %s", resp.Error)
 	}
 	return resp, nil
+}
+
+// dataKey opens the "data" member, the last key of a server line. No JSON
+// string holds these bytes — a quote inside a string is escaped — so their
+// first occurrence on a line is a key.
+var dataKey = []byte(`,"data":`)
+
+// decode returns what json.Unmarshal of line into a WireResponse returns,
+// reading the payload once. A line shaped as WireServer writes it — an
+// envelope, `,"data":`, one object or array, the closing brace — has only
+// its envelope decoded; the payload's extent is found by tracking strings
+// and nesting, and its bytes are copied out as Data unvalidated (as the
+// last key, they are what json.Unmarshal keeps even if the envelope holds
+// another "data"). Every other line is decoded in full.
+func (c *Client) decode(line []byte) (WireResponse, error) {
+	var resp WireResponse
+	if i := bytes.Index(line, dataKey); i > 0 {
+		tail := line[i+len(dataKey):]
+		if n := compositeLen(tail); n > 0 && n == len(tail)-1 && tail[n] == '}' {
+			c.env = append(append(c.env[:0], line[:i]...), '}')
+			if json.Unmarshal(c.env, &resp) == nil {
+				resp.Data = bytes.Clone(tail[:n])
+				return resp, nil
+			}
+			resp = WireResponse{}
+		}
+	}
+	err := json.Unmarshal(line, &resp)
+	return resp, err
+}
+
+// compositeLen returns the length of the object or array b starts with, or
+// 0 if b starts with neither or it never closes. It follows strings and
+// nesting only, so on valid JSON it finds where the value ends and on
+// anything else some length or 0.
+func compositeLen(b []byte) int {
+	if len(b) == 0 || (b[0] != '{' && b[0] != '[') {
+		return 0
+	}
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return 0
 }

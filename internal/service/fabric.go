@@ -147,11 +147,12 @@ type Fabric struct {
 
 	// fp folds every boundary snapshot into a running FNV-64a hash; two
 	// runs with identical configs and identically-scheduled mutations
-	// produce identical fingerprints. fpEnc writes each snapshot into it:
-	// Encode writes exactly json.Marshal's bytes and a newline, without
-	// a fresh byte slice per window.
-	fp    hash.Hash64
-	fpEnc *json.Encoder
+	// produce identical fingerprints. Each window folds json.Marshal of
+	// its snapshot and a newline; enc keeps those bytes — the payload of
+	// the step, advance and watch replies for that window. Each window
+	// marshals into a fresh slice, so a published enc never changes.
+	fp  hash.Hash64
+	enc json.RawMessage
 }
 
 // NewFabric builds the fabric described by cfg.
@@ -164,7 +165,6 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		script: make(map[uint64][]func(*Fabric)),
 		fp:     fnv.New64a(),
 	}
-	f.fpEnc = json.NewEncoder(f.fp)
 	if cfg.TraceLen > 0 {
 		f.ring = trace.NewRing(cfg.TraceLen)
 	}
@@ -279,15 +279,17 @@ func (f *Fabric) AdvanceWindow() Snapshot {
 		fp.recent.Push(fp.lastGbps)
 	}
 	snap := f.Snapshot(false)
-	f.foldFingerprint(snap)
+	enc, err := json.Marshal(snap)
+	if err != nil {
+		panic(fmt.Sprintf("service: snapshot not marshalable: %v", err))
+	}
+	f.fp.Write(enc)
+	f.fp.Write(newline)
+	f.enc = enc
 	return snap
 }
 
-func (f *Fabric) foldFingerprint(snap Snapshot) {
-	if err := f.fpEnc.Encode(snap); err != nil {
-		panic(fmt.Sprintf("service: snapshot not marshalable: %v", err))
-	}
-}
+var newline = []byte{'\n'}
 
 // Fingerprint returns the run's accumulated window-snapshot hash together
 // with the window count. Two runs of the same config with the same

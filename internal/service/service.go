@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,6 +27,14 @@ type RunConfig struct {
 	// StartPaused starts the loop at window 0 waiting for run-control
 	// commands instead of free-running.
 	StartPaused bool
+}
+
+// Boundary is one published window boundary: its snapshot and the
+// json.Marshal bytes of it that the fingerprint folded, which the step,
+// advance and watch replies carry as they are.
+type Boundary struct {
+	Snapshot
+	Enc json.RawMessage `json:"-"`
 }
 
 // command is one queued mutation: executed by the loop goroutine at a
@@ -54,8 +63,8 @@ type Service struct {
 	target sim.Time // advance-to deadline; 0 = none
 	quit   bool
 
-	snap    Snapshot // latest boundary snapshot
-	subs    map[int]chan Snapshot
+	last    Boundary // latest published boundary
+	subs    map[int]chan Boundary
 	nextSub int
 
 	onQuit func() // wire "quit" hook, see SetOnQuit
@@ -69,7 +78,7 @@ func Start(f *Fabric, cfg RunConfig) *Service {
 		f:      f,
 		cfg:    cfg,
 		paused: cfg.StartPaused,
-		subs:   make(map[int]chan Snapshot),
+		subs:   make(map[int]chan Boundary),
 		done:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -106,7 +115,7 @@ func (s *Service) loop() {
 		}
 		s.mu.Unlock()
 		start := time.Now()
-		snap := s.f.AdvanceWindow()
+		b := Boundary{Snapshot: s.f.AdvanceWindow(), Enc: s.f.enc}
 		if s.cfg.Pace > 0 {
 			wall := time.Duration(float64(s.f.cfg.Window) / s.cfg.Pace)
 			if d := wall - time.Since(start); d > 0 {
@@ -114,10 +123,10 @@ func (s *Service) loop() {
 			}
 		}
 		s.mu.Lock()
-		s.snap = snap
+		s.last = b
 		for _, ch := range s.subs {
 			select {
-			case ch <- snap:
+			case ch <- b:
 			default: // slow subscriber: drop rather than stall the fabric
 			}
 		}
@@ -162,11 +171,11 @@ func (s *Service) Do(fn func(*Fabric) control.WireResponse) control.WireResponse
 	return <-c.resp
 }
 
-// Latest returns the most recently published boundary snapshot.
-func (s *Service) Latest() Snapshot {
+// Latest returns the most recently published boundary.
+func (s *Service) Latest() Boundary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snap
+	return s.last
 }
 
 // Paused reports whether the loop is parked at a boundary.
@@ -210,12 +219,12 @@ func (s *Service) Step(n int) error {
 		return ErrNotPaused
 	}
 	s.steps += uint64(n)
-	target := s.snap.Window + s.steps
+	target := s.last.Window + s.steps
 	s.cond.Broadcast()
-	for s.snap.Window < target && !s.quit {
+	for s.last.Window < target && !s.quit {
 		s.cond.Wait()
 	}
-	if s.snap.Window < target {
+	if s.last.Window < target {
 		return ErrShuttingDown
 	}
 	return nil
@@ -229,26 +238,26 @@ func (s *Service) AdvanceTo(t sim.Time) error {
 	if s.quit {
 		return ErrShuttingDown
 	}
-	if t <= sim.Time(s.snap.NowNS) {
-		return fmt.Errorf("target %d ns not ahead of now %d ns", t, s.snap.NowNS)
+	if t <= sim.Time(s.last.NowNS) {
+		return fmt.Errorf("target %d ns not ahead of now %d ns", t, s.last.NowNS)
 	}
 	s.target = t
 	s.paused = false
 	s.cond.Broadcast()
-	for sim.Time(s.snap.NowNS) < t && !s.quit {
+	for sim.Time(s.last.NowNS) < t && !s.quit {
 		s.cond.Wait()
 	}
-	if sim.Time(s.snap.NowNS) < t {
+	if sim.Time(s.last.NowNS) < t {
 		return ErrShuttingDown
 	}
 	return nil
 }
 
-// Subscribe registers a snapshot stream (buffered; the loop drops frames
+// Subscribe registers a boundary stream (buffered; the loop drops frames
 // a slow reader misses rather than stalling). The channel closes on
 // shutdown. Call cancel when done.
-func (s *Service) Subscribe() (<-chan Snapshot, func()) {
-	ch := make(chan Snapshot, 64)
+func (s *Service) Subscribe() (<-chan Boundary, func()) {
+	ch := make(chan Boundary, 64)
 	s.mu.Lock()
 	if s.quit {
 		close(ch)

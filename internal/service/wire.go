@@ -92,12 +92,12 @@ func (s *Service) dispatch(req control.WireRequest, emit func(control.WireRespon
 		ch, cancel := s.Subscribe()
 		defer cancel()
 		for i := 0; i < n; i++ {
-			snap, ok := <-ch
+			b, ok := <-ch
 			if !ok {
 				emit(control.Errf(control.CodeShuttingDown, "service shutting down"))
 				return
 			}
-			if !emit(dataResponse(snap)) {
+			if !emit(control.WireResponse{OK: true, Data: b.Enc}) {
 				return
 			}
 		}
@@ -135,14 +135,14 @@ func (s *Service) dispatch(req control.WireRequest, emit func(control.WireRespon
 			emit(errResponse(err))
 			return
 		}
-		emit(dataResponse(s.Latest()))
+		emit(control.WireResponse{OK: true, Data: s.Latest().Enc})
 
 	case "advance":
 		if err := s.AdvanceTo(sim.Time(req.UntilNS)); err != nil {
 			emit(errResponse(err))
 			return
 		}
-		emit(dataResponse(s.Latest()))
+		emit(control.WireResponse{OK: true, Data: s.Latest().Enc})
 
 	case "quit":
 		// Acknowledge first — the client's read must not race the

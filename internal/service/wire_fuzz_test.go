@@ -80,9 +80,9 @@ var wireFuzzSeeds = []string{
 // a decoded one is bounded (see the constants above) and re-encoded, and
 // quit is skipped, as is a watch while the fabric is paused (it would wait
 // for windows no one steps). Properties: no panic — one in the server's
-// connection goroutine ends the test binary; every response decodes,
-// carries "v":2, and has a code unless it is OK; and afterwards pause,
-// stats, fingerprint and step 1 still answer OK.
+// connection goroutine ends the test binary; every response fits in
+// control.MaxLine, decodes, carries "v":2, and has a code unless it is OK;
+// and afterwards pause, stats, fingerprint and step 1 still answer OK.
 func FuzzWireRequest(f *testing.F) {
 	for _, seed := range wireFuzzSeeds {
 		f.Add(seed)
@@ -107,7 +107,7 @@ func FuzzWireRequest(f *testing.F) {
 		}
 		defer func() { conn.Close(); ws.Close(); s.Quit(); <-served }()
 		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 0, 4096), 1<<24)
+		sc.Buffer(make([]byte, 0, 4096), control.MaxLine)
 
 		// send writes one line and reads its n responses.
 		send := func(line []byte, n int) []control.WireResponse {
@@ -135,8 +135,8 @@ func FuzzWireRequest(f *testing.F) {
 		for _, raw := range strings.Split(script, "\n") {
 			// Read a line as the server's scanner does: one trailing CR is
 			// dropped, and an empty line gets no response. The scanner ends
-			// a connection at a 1 MiB line by design; stay well under it
-			// even after re-encoding.
+			// a connection at a control.MaxLine line by design; stay well
+			// under it even after re-encoding.
 			text := strings.TrimSuffix(raw, "\r")
 			if len(text) == 0 || len(text) > 1<<16 {
 				continue

@@ -21,7 +21,7 @@ type testDaemon struct {
 
 // dialService starts a service daemon on a loopback listener and returns
 // a connected client plus the daemon handles.
-func dialService(t *testing.T, cfg Config, run RunConfig) testDaemon {
+func dialService(t testing.TB, cfg Config, run RunConfig) testDaemon {
 	t.Helper()
 	f, err := NewFabric(cfg)
 	if err != nil {
