@@ -107,8 +107,7 @@ type grantState struct {
 	id     packet.AQID
 	req    Request
 	table  *core.Table
-	aq     *core.AQ
-	rate   units.BitRate
+	aq     *core.AQ // holds the grant's one deployed rate: aq.Rate()
 	active bool
 }
 
@@ -173,11 +172,10 @@ func (c *Controller) Grant(req Request, tbl *core.Table) (Grant, error) {
 		CC:           req.CC,
 		ECNThreshold: req.ECNThreshold,
 	})
-	gs.rate = req.Bandwidth
 	if req.Mode == Weighted {
 		c.rebalanceLocked(tbl)
 	}
-	return Grant{ID: id, Rate: gs.rate}, nil
+	return Grant{ID: id, Rate: gs.aq.Rate()}, nil
 }
 
 // Release undeploys a granted AQ and rebalances its table. It reports
@@ -237,7 +235,6 @@ func (c *Controller) SetGuarantee(id packet.AQID, bw units.BitRate, weight float
 			return 0, ErrInsufficientBandwidth
 		}
 		gs.req.Bandwidth = bw
-		gs.rate = bw
 		gs.aq.SetRate(bw)
 	case weight > 0 && bw == 0:
 		if gs.req.Mode != Weighted {
@@ -251,7 +248,7 @@ func (c *Controller) SetGuarantee(id packet.AQID, bw units.BitRate, weight float
 		return 0, fmt.Errorf("%w: need exactly one of bandwidth or weight", ErrBadRequest)
 	}
 	c.rebalanceLocked(gs.table)
-	return gs.rate, nil
+	return gs.aq.Rate(), nil
 }
 
 // GrantInfo is one grant's introspectable state: identity, guarantee, and
@@ -277,7 +274,7 @@ func (c *Controller) Info() []GrantInfo {
 			ID:     gs.id,
 			Tenant: gs.req.Tenant,
 			Mode:   gs.req.Mode.String(),
-			Rate:   float64(gs.rate),
+			Rate:   float64(gs.aq.Rate()),
 			Weight: gs.req.Weight,
 			Active: gs.active,
 			AQ:     gs.aq.Stats(),
@@ -291,7 +288,7 @@ func (c *Controller) Rate(id packet.AQID) units.BitRate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gs := c.lookupLocked(id); gs != nil {
-		return gs.rate
+		return gs.aq.Rate()
 	}
 	return 0
 }
@@ -346,8 +343,6 @@ func (c *Controller) rebalanceLocked(tbl *core.Table) {
 		if gs.table != tbl || gs.req.Mode != Weighted || !gs.active {
 			continue
 		}
-		rate := units.BitRate(float64(avail) * gs.req.Weight / total)
-		gs.rate = rate
-		gs.aq.SetRate(rate)
+		gs.aq.SetRate(units.BitRate(float64(avail) * gs.req.Weight / total))
 	}
 }

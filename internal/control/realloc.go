@@ -30,7 +30,6 @@ type Reallocator struct {
 	// Rounds counts completed adjustment rounds (for tests).
 	Rounds int
 	tickT  *sim.Timer
-	stop   bool
 }
 
 type reallocEntry struct {
@@ -64,14 +63,11 @@ func (r *Reallocator) Manage(id packet.AQID, tbl *core.Table, weight float64) {
 	r.entries = append(r.entries, reallocEntry{id: id, aq: aq, weight: weight})
 }
 
-// Start begins the periodic adjustment; Stop halts it.
+// Start begins the periodic adjustment.
 func (r *Reallocator) Start() { r.tickT.ArmAfter(r.interval) }
 
-// Stop halts the loop after the current interval.
-func (r *Reallocator) Stop() { r.stop = true }
-
 func (r *Reallocator) tick() {
-	if r.stop || len(r.entries) == 0 {
+	if len(r.entries) == 0 {
 		return
 	}
 	r.Rounds++

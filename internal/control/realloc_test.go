@@ -91,7 +91,40 @@ func TestReallocatorRestoresFairShareOnDemand(t *testing.T) {
 	if math.Abs(float64(aqB.Rate())-5e9) > 1.5e9 {
 		t.Fatalf("phase 2: B at %v, want ~5G", aqB.Rate())
 	}
-	re.Stop()
+}
+
+// TestControllerReadsReallocatedRate: the reallocator sets a managed AQ's
+// rate directly, so every rate the controller reports — Rate, Info and
+// SetGuarantee's return — must read the AQ's rate, not a copy taken at the
+// last rebalance.
+func TestControllerReadsReallocatedRate(t *testing.T) {
+	eng := sim.NewEngine()
+	ctrl := NewController(10 * units.Gbps)
+	tbl := core.NewTable()
+	gA, _ := ctrl.Grant(Request{Tenant: "a", Mode: Weighted, Weight: 1}, tbl)
+	gB, _ := ctrl.Grant(Request{Tenant: "b", Mode: Weighted, Weight: 1}, tbl)
+	re := NewReallocator(eng, ctrl, sim.Millisecond)
+	re.Manage(gA.ID, tbl, 1)
+	re.Manage(gB.ID, tbl, 1)
+	re.Start()
+	eng.RunUntil(3 * sim.Millisecond)
+
+	aqA := tbl.Lookup(gA.ID)
+	if re.Rounds == 0 || aqA.Rate() >= 5*units.Gbps {
+		t.Fatalf("%d rounds, A's AQ at %v: want the idle grant cut below its 5 Gbps share", re.Rounds, aqA.Rate())
+	}
+	if got := ctrl.Rate(gA.ID); got != aqA.Rate() {
+		t.Fatalf("Rate = %v, AQ at %v", got, aqA.Rate())
+	}
+	if got := ctrl.Info()[0].Rate; got != float64(aqA.Rate()) {
+		t.Fatalf("Info rate = %v, AQ at %v", got, aqA.Rate())
+	}
+	// An idle grant is left out of the rebalance, so a new weight leaves
+	// its AQ at the reallocated rate, and that is the rate to report.
+	ctrl.SetActive(gA.ID, false)
+	if got, err := ctrl.SetGuarantee(gA.ID, 0, 2); err != nil || got != aqA.Rate() {
+		t.Fatalf("SetGuarantee = %v, %v; AQ at %v", got, err, aqA.Rate())
+	}
 }
 
 func TestWeightedWaterfill(t *testing.T) {

@@ -274,11 +274,3 @@ func (a *AQ) VirtualDelay() sim.Time {
 	}
 	return sim.FromFloat(a.gap / a.rate)
 }
-
-// Reset clears the runtime registers; used when an AQ is redeployed.
-func (a *AQ) Reset() {
-	a.gap = 0
-	a.lastTime = 0
-	a.arrived, a.arrivedBytes, a.drops, a.marks = 0, 0, 0, 0
-	a.fluidBytes, a.fluidDropped, a.fluidMarked = 0, 0, 0
-}

@@ -201,15 +201,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	aq := New(Config{ID: 1, Rate: units.Gbps})
-	aq.Process(0, packet.NewData(1, 2, 1, 0, 960))
-	aq.Reset()
-	if aq.Gap() != 0 || aq.Stats() != (AQStats{}) {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestCCTypeString(t *testing.T) {
 	if DropType.String() != "drop" || ECNType.String() != "ecn" || DelayType.String() != "delay" {
 		t.Fatal("CCType String mismatch")

@@ -6,7 +6,6 @@ import (
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 )
 
 // tagRun is what registration fixed for one maximal run of consecutively
@@ -76,12 +75,11 @@ type cohort struct {
 
 	// Parallel state, nil until a Start lays the cohort out: one slot per
 	// entity, or per run for delivered and dropped while perRun holds.
-	rate      []float64      // current sending rate, bytes/ns; reactive models only
-	alpha     []float64      // DCTCP mark-fraction EWMA; allocated for ECN only
-	delivered []float64      // cumulative accepted bytes
-	dropped   []float64      // cumulative dropped bytes (link clip + AQ)
-	meters    []*stats.Meter // per entity, allocated only once some entity has a meter
-	perRun    bool           // delivered and dropped hold one slot per run (Fixed, untagged); set by AddN
+	rate      []float64 // current sending rate, bytes/ns; reactive models only
+	alpha     []float64 // DCTCP mark-fraction EWMA; allocated for ECN only
+	delivered []float64 // cumulative accepted bytes
+	dropped   []float64 // cumulative dropped bytes (link clip + AQ)
+	perRun    bool      // delivered and dropped hold one slot per run (Fixed, untagged); set by AddN
 }
 
 // matches reports whether an entity with the given placement and storage

@@ -34,7 +34,6 @@ package fluid
 import (
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/units"
 )
 
@@ -141,9 +140,6 @@ type EntityConfig struct {
 	// Pipe is the index (from Lane.AddPipe) of the link the entity's
 	// bytes traverse, for residual-rate accounting; -1 for none.
 	Pipe int
-	// Meter, when non-nil, receives the entity's accepted bytes per
-	// epoch (fractional adds).
-	Meter *stats.Meter
 }
 
 // Entity is a stable handle to one fluid flow: (cohort, index) into the

@@ -7,7 +7,6 @@ import (
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/units"
 )
@@ -67,9 +66,7 @@ type Lane struct {
 	// of them whose AQ ID resolved to nothing, for Table.CountFluid.
 	lookups, misses uint64
 
-	// now/lastFire bracket the epoch being integrated while fire runs.
-	now      sim.Time
-	lastFire sim.Time
+	lastFire sim.Time // when the previous epoch fired
 	deadline sim.Time // no epochs fire after this (0 = unbounded)
 	running  bool
 
@@ -177,13 +174,6 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	if l.running || c.delivered != nil {
 		c.layout()
 	}
-	if cfg.Meter != nil || c.meters != nil {
-		// The first metered entity backfills nil meters for the earlier ones.
-		c.meters = append(c.meters, make([]*stats.Meter, int(end)-len(c.meters))...)
-		for i := first; i < int(end); i++ {
-			c.meters[i] = cfg.Meter
-		}
-	}
 	l.total += n
 	return Entity{lane: l, c: int32(ci), i: int32(first)}
 }
@@ -242,7 +232,6 @@ func (l *Lane) fire() {
 		l.rearm(now)
 		return
 	}
-	l.now = now
 	l.lastFire = now
 	fdt := float64(dt)
 
@@ -307,7 +296,7 @@ func (l *Lane) fire() {
 			clip = pa.clip
 		}
 		if c.perRun {
-			l.stepPerRun(c, now, fdt, clip, pa)
+			l.stepPerRun(c, fdt, clip, pa)
 		} else {
 			l.stepCohort(c, now, dt, fdt, clip, pa)
 		}
@@ -343,7 +332,7 @@ const runCap = 64
 // nothing is deployed under its ID; an untagged run counts nothing. Per
 // entity the operands and their order are those of Table.ProcessFluid
 // followed by the model update, and every accumulator — AQ registers, lane
-// totals, pipe account, meters — still sees the entities in registration
+// totals, pipe account — still sees the entities in registration
 // order, so the result is bit-identical to stepping them one call at a
 // time.
 //
@@ -422,13 +411,6 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 			s = e
 		}
 		account(want[:k], acc[:k], drp[:k], c.delivered[lo:hi], c.dropped[lo:hi], fdt)
-		if c.meters != nil {
-			for j, m := range c.meters[lo:hi] {
-				if m != nil {
-					m.AddFloat(now, acc[j])
-				}
-			}
-		}
 		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
 	l.delivered, l.dropped = sums.Accepted, sums.Dropped
@@ -453,12 +435,12 @@ func account(want, acc, drp, delivered, dropped []float64, fdt float64) {
 // stepPerRun advances a per-run cohort by one epoch. Every entity of one of
 // its runs is Fixed and untagged, so it is offered the run's bytes and
 // accepts them all: the offer is computed once per run, and the run's one
-// slot update is bit for bit each entity's own. The lane and pipe sums and
-// the meters still take the run's entities one at a time in registration
-// order, as account does, so every accumulator sees the per-entity operand
-// sequence. No AQ drops anything, and adding a 0 drop moves no sum, so the
-// lane's dropped total is left as it is.
-func (l *Lane) stepPerRun(c *cohort, now sim.Time, fdt, clip float64, pa *pipeAccount) {
+// slot update is bit for bit each entity's own. The lane and pipe sums
+// still take the run's entities one at a time in registration order, as
+// account does, so every accumulator sees the per-entity operand sequence.
+// No AQ drops anything, and adding a 0 drop moves no sum, so the lane's
+// dropped total is left as it is.
+func (l *Lane) stepPerRun(c *cohort, fdt, clip float64, pa *pipeAccount) {
 	laneDelivered, pipeAccepted := l.delivered, 0.0
 	if pa != nil {
 		pipeAccepted = pa.accepted
@@ -471,13 +453,6 @@ func (l *Lane) stepPerRun(c *cohort, now sim.Time, fdt, clip float64, pa *pipeAc
 		for i := lo; i < r.end; i++ {
 			laneDelivered += a
 			pipeAccepted += rate
-		}
-		if c.meters != nil {
-			for _, m := range c.meters[lo:r.end] {
-				if m != nil {
-					m.AddFloat(now, a)
-				}
-			}
 		}
 		c.delivered[ri] += a
 		c.dropped[ri] += shed(w, a, 0, fdt)

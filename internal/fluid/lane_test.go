@@ -10,7 +10,6 @@ import (
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/units"
 )
@@ -61,7 +60,6 @@ type refEntity struct {
 	id     packet.AQID
 	par    Params
 	pipe   int
-	meter  *stats.Meter
 	rate   float64
 	want   float64
 	demand float64
@@ -91,7 +89,7 @@ func (r *refLane) add(cfg EntityConfig, n int) {
 	}
 	for ; n > 0; n-- {
 		r.ents = append(r.ents, refEntity{
-			id: cfg.AQ, par: par, pipe: cfg.Pipe, meter: cfg.Meter,
+			id: cfg.AQ, par: par, pipe: cfg.Pipe,
 			rate: rate, demand: cfg.Demand.BytesPerNano(),
 		})
 	}
@@ -131,9 +129,6 @@ func (r *refLane) step(now, dt sim.Time) {
 			clipped = 0
 		}
 		e.dropped += fb.Dropped + clipped
-		if e.meter != nil {
-			e.meter.AddFloat(now, fb.Accepted)
-		}
 		r.delivered += fb.Accepted
 		r.dropped += fb.Dropped
 		if e.pipe >= 0 {
@@ -194,10 +189,10 @@ func (r *refLane) step(now, dt sim.Time) {
 // population mixes what the run walk has to get right — tags that change
 // mid-cohort, untagged entities, tags nothing is deployed under, same-tag
 // runs longer than the scratch cap and runs that straddle a chunk
-// boundary, all four models, all three AQ feedback types, metered
-// entities, a clipping pipe — and the script deploys and removes AQs
-// between epochs (changing what an AQ ID resolves to) and
-// interleaves packet Updates that leave last_time mid-epoch.
+// boundary, all four models, all three AQ feedback types, a clipping
+// pipe — and the script deploys and removes AQs between epochs (changing
+// what an AQ ID resolves to) and interleaves packet Updates that leave
+// last_time mid-epoch.
 func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	const epoch = 100 * sim.Microsecond
 	deploy := []core.Config{
@@ -219,36 +214,27 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	pi := lane.AddPipe(pipe)
 	ref := &refLane{table: tables[1], pipeCap: []float64{pipe.Rate().BytesPerNano()}, accepted: make([]float64, 1)}
 
-	var meters [2][]*stats.Meter
-	add := func(cfg EntityConfig, n int, metered bool) {
-		cfgs := [2]EntityConfig{cfg, cfg}
-		if metered {
-			for i := range cfgs {
-				m := stats.NewMeter(epoch)
-				meters[i] = append(meters[i], m)
-				cfgs[i].Meter = m
-			}
-		}
-		lane.AddN(cfgs[0], n)
-		ref.add(cfgs[1], n)
+	add := func(cfg EntityConfig, n int) {
+		lane.AddN(cfg, n)
+		ref.add(cfg, n)
 	}
 	for _, cc := range []string{"udp", "cubic", "dctcp", "swift"} {
 		// One cohort per model (same pipe, same params), walked as: a
-		// metered run, a run longer than the cap, a miss, untagged
+		// short run, a run longer than the cap, a miss, untagged
 		// entities, single-entity tag flips, and a run that crosses the
 		// next chunk boundary. The floor is lowered so the reactive
 		// models have room to move in both directions.
 		par := ParamsFor(cc)
 		par.MinRate = units.Mbps.BytesPerNano()
-		add(EntityConfig{AQ: 1, Params: &par, Rate: 200 * units.Mbps, Pipe: pi}, 3, true)
-		add(EntityConfig{AQ: 2, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 2*runCap+5, false)
-		add(EntityConfig{AQ: 9, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 4, false)
-		add(EntityConfig{Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 3, true)
+		add(EntityConfig{AQ: 1, Params: &par, Rate: 200 * units.Mbps, Pipe: pi}, 3)
+		add(EntityConfig{AQ: 2, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 2*runCap+5)
+		add(EntityConfig{AQ: 9, Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 4)
+		add(EntityConfig{Params: &par, Rate: 10 * units.Mbps, Pipe: pi}, 3)
 		for i := 0; i < 6; i++ {
-			add(EntityConfig{AQ: packet.AQID(1 + i%3), Params: &par, Rate: 30 * units.Mbps, Demand: 300 * units.Mbps, Pipe: pi}, 1, i == 0)
+			add(EntityConfig{AQ: packet.AQID(1 + i%3), Params: &par, Rate: 30 * units.Mbps, Demand: 300 * units.Mbps, Pipe: pi}, 1)
 		}
-		add(EntityConfig{AQ: 3, Params: &par, Rate: 5 * units.Mbps, Pipe: pi}, runCap, false)
-		add(EntityConfig{AQ: 5, Params: &par, Rate: 5 * units.Mbps, Pipe: -1}, 7, false)
+		add(EntityConfig{AQ: 3, Params: &par, Rate: 5 * units.Mbps, Pipe: pi}, runCap)
+		add(EntityConfig{AQ: 5, Params: &par, Rate: 5 * units.Mbps, Pipe: -1}, 7)
 	}
 
 	// Table edits and packet arrivals between epochs, applied to both
@@ -311,11 +297,6 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 		if bits(a.Gap()) != bits(r.Gap()) || a.VirtualDelay() != r.VirtualDelay() ||
 			bits(as.FluidBytes) != bits(rs.FluidBytes) || bits(as.FluidDropped) != bits(rs.FluidDropped) || bits(as.FluidMarked) != bits(rs.FluidMarked) {
 			t.Fatalf("AQ %d: gap %v stats %+v, reference gap %v stats %+v", id, a.Gap(), as, r.Gap(), rs)
-		}
-	}
-	for i, m := range meters[0] {
-		if got, want := m.Stats().TotalBytes, meters[1][i].Stats().TotalBytes; got != want || got == 0 {
-			t.Fatalf("meter %d: %d bytes, reference %d (want equal and non-zero)", i, got, want)
 		}
 	}
 }
@@ -552,7 +533,7 @@ func laneBytes(l *Lane) uint64 {
 	n := uintptr(cap(l.cohorts)) * unsafe.Sizeof(cohort{})
 	for _, c := range l.cohorts {
 		n += uintptr(cap(c.runs))*unsafe.Sizeof(tagRun{}) +
-			uintptr(cap(c.delivered)+cap(c.dropped)+cap(c.rate)+cap(c.alpha)+cap(c.meters))*8
+			uintptr(cap(c.delivered)+cap(c.dropped)+cap(c.rate)+cap(c.alpha))*8
 	}
 	return uint64(n)
 }

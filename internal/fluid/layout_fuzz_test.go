@@ -9,7 +9,6 @@ import (
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/units"
 )
@@ -25,21 +24,20 @@ import (
 // Fixed cohorts with no rate array beside reactive ones with it, untagged
 // Fixed cohorts with one delivered and dropped slot per run, which an add
 // to a laid-out one extends by a run of its own and beside which a tagged
-// add opens a cohort of its own, a meter first attached to a late entity, a
-// cohort grown while it is running and while the lane is stopped, and the
-// read-only accessors, which find an entity's run by binary search. The
-// lane starts at the script's first epoch op, so the leading adds register
-// on a lane with no per-entity storage yet: each is compared through the
-// accessors as it lands, the first Start lays the whole population out, and
-// every add after it lays out its own tail, or, on a stopped lane, only a
-// laid-out cohort's.
+// add opens a cohort of its own, a cohort grown while it is running and
+// while the lane is stopped, and the read-only accessors, which find an
+// entity's run by binary search. The lane starts at the script's first
+// epoch op, so the leading adds register on a lane with no per-entity
+// storage yet: each is compared through the accessors as it lands, the
+// first Start lays the whole population out, and every add after it lays
+// out its own tail, or, on a stopped lane, only a laid-out cohort's.
 //
 // Script encoding, one op byte at a time:
 //
 //	op&3 == 0, 1  add: n = layoutSizes[op>>2&7], unpiped = op>>5&1, rate
 //	              menu entry op>>6; then a shape byte sh: tag menu entry
 //	              sh&7 (mod 6), model sh>>3&3, demand cap sh>>5&3 (none,
-//	              rate/2, rate·2, rate), metered = sh>>7; compared at once
+//	              rate/2, rate·2, rate), sh>>7 unused; compared at once
 //	              while the lane is not running
 //	op&3 == 2     op>>5 == 7: Stop, then a full comparison; otherwise
 //	              Start at the last epoch if not running, then 1 + op>>2&7
@@ -49,8 +47,7 @@ import (
 //	              last_time lands past the next epoch
 //
 // Every number is compared bitwise: the entities' own, the lane's byte
-// totals, the pipe account, the table's counters, the AQs' registers and
-// the meters.
+// totals, the pipe account, the table's counters and the AQs' registers.
 func FuzzLaneLayout(f *testing.F) {
 	f.Add([]byte{0x08, 0x09, 0x02})
 	f.Fuzz(runLayoutScript)
@@ -95,7 +92,6 @@ func runLayoutScript(t *testing.T, script []byte) {
 		pars[m] = ParamsFor(name)
 		pars[m].MinRate = units.Mbps.BytesPerNano() // room for the reactive models to move both ways
 	}
-	var meters [2][]*stats.Meter
 
 	epochs := 0
 	var laid []int // see layOut
@@ -113,8 +109,7 @@ func runLayoutScript(t *testing.T, script []byte) {
 			if len(ref.ents)+n > maxEntities {
 				break
 			}
-			model, metered := Model(sh>>3&3), sh>>7 == 1
-			cfg := EntityConfig{AQ: layoutTags[sh&7%6], Params: &pars[model], Rate: layoutRates[op>>6], Pipe: pi}
+			cfg := EntityConfig{AQ: layoutTags[sh&7%6], Params: &pars[sh>>3&3], Rate: layoutRates[op>>6], Pipe: pi}
 			if op>>5&1 == 1 {
 				cfg.Pipe = -1
 			}
@@ -126,19 +121,12 @@ func runLayoutScript(t *testing.T, script []byte) {
 			case 3:
 				cfg.Demand = cfg.Rate
 			}
-			cfgs := [2]EntityConfig{cfg, cfg}
-			if metered {
-				for i := range cfgs {
-					cfgs[i].Meter = stats.NewMeter(epoch)
-					meters[i] = append(meters[i], cfgs[i].Meter)
-				}
-			}
 			if n == 1 {
-				lane.Add(cfgs[0])
+				lane.Add(cfg)
 			} else {
-				lane.AddN(cfgs[0], n)
+				lane.AddN(cfg, n)
 			}
-			ref.add(cfgs[1], n)
+			ref.add(cfg, n)
 			if lane.running {
 				laid = layOut(laid, lane)
 			} else {
@@ -188,11 +176,6 @@ func runLayoutScript(t *testing.T, script []byte) {
 		if bits(a.Gap()) != bits(r.Gap()) || a.VirtualDelay() != r.VirtualDelay() ||
 			bits(as.FluidBytes) != bits(rs.FluidBytes) || bits(as.FluidDropped) != bits(rs.FluidDropped) || bits(as.FluidMarked) != bits(rs.FluidMarked) {
 			t.Fatalf("AQ %d: gap %v stats %+v, reference gap %v stats %+v", id, a.Gap(), as, r.Gap(), rs)
-		}
-	}
-	for i, m := range meters[0] {
-		if got, want := m.Stats().TotalBytes, meters[1][i].Stats().TotalBytes; got != want {
-			t.Fatalf("meter %d: %d bytes, reference %d", i, got, want)
 		}
 	}
 }
@@ -280,9 +263,6 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 			}
 			if c.alpha != nil && bits(c.alpha[i]) != bits(r.alpha) {
 				t.Fatalf("entity (%d,%d): alpha %v, reference %v", ci, i, c.alpha[i], r.alpha)
-			}
-			if metered := c.meters != nil && c.meters[i] != nil; metered != (r.meter != nil) {
-				t.Fatalf("entity (%d,%d): metered %v, reference %v", ci, i, metered, r.meter != nil)
 			}
 		}
 		base += c.size()

@@ -102,12 +102,7 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("service: unknown cc algorithm %q", ccName)
 	}
-	mean := float64(0)
-	if s, ok := sizer.(interface{ MeanBytes() float64 }); ok {
-		mean = s.MeanBytes()
-	} else {
-		mean = float64(spec.Size)
-	}
+	mean := sizer.MeanBytes()
 	loadRate := spec.Load * float64(f.capacity) / 8 // bytes per second offered
 	// The mean inter-arrival must convert to sim.Time with room for
 	// Rand.ExpTime's tail (−ln u ≤ 37) below the point where sim.FromFloat

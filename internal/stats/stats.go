@@ -21,14 +21,9 @@ type Meter struct {
 	total  uint64
 	first  sim.Time
 	last   sim.Time
-	// seen records that at least one add happened, so first/last track the
-	// min/max add time even when the bytes of an add round to zero (fluid
-	// epochs contribute fractions of a byte).
+	// seen records that at least one add happened: first is a minimum, and
+	// until the first add sets it outright its zero value would win.
 	seen bool
-	// frac carries the sub-byte remainder of fractional adds (AddFloat)
-	// until it accumulates to whole bytes, keeping the bucket counts
-	// integral and every reduction order-independent.
-	frac float64
 }
 
 // NewMeter returns a meter with the given bucket width.
@@ -47,29 +42,6 @@ func (m *Meter) Add(now sim.Time, n int) {
 	}
 	m.counts[idx] += uint64(n)
 	m.total += uint64(n)
-	m.mark(now)
-}
-
-// AddFloat accounts a fractional byte contribution observed at time now —
-// the fluid lane's epochs integrate real-valued rates, so one entity's
-// epoch share is rarely a whole byte. The metered range still extends to
-// now's bucket even when the deposit rounds to zero, so the range clamp in
-// Gbps and Series covers fluid-only traffic; sub-byte remainders carry
-// over until they accumulate to whole bytes (the meter's lifetime total is
-// within one byte of the sum of its adds).
-func (m *Meter) AddFloat(now sim.Time, b float64) {
-	if b < 0 {
-		return
-	}
-	idx := int(now / m.bucket)
-	for len(m.counts) <= idx {
-		m.counts = append(m.counts, 0)
-	}
-	m.frac += b
-	n := uint64(m.frac)
-	m.frac -= float64(n)
-	m.counts[idx] += n
-	m.total += n
 	m.mark(now)
 }
 

@@ -45,63 +45,6 @@ func TestMeterGbpsClampsToMeteredRange(t *testing.T) {
 	}
 }
 
-// TestMeterAddFloatFractional is the regression test for the fluid lane's
-// fractional-byte contributions: sub-byte adds must carry over until they
-// accumulate to whole bytes (conservation within one byte), and must still
-// extend the metered range so the Gbps clamp covers fluid-only
-// buckets even when an add rounds to zero.
-func TestMeterAddFloatFractional(t *testing.T) {
-	m := NewMeter(sim.Millisecond)
-	// 4000 epochs of 0.3 bytes each = 1200 bytes, never a whole byte at
-	// a time for the first three adds of every ten.
-	var want float64
-	for i := 0; i < 4000; i++ {
-		m.AddFloat(sim.Time(i)*250*sim.Microsecond, 0.3)
-		want += 0.3
-	}
-	if got := float64(m.Stats().TotalBytes); math.Abs(got-want) >= 1 {
-		t.Fatalf("TotalBytes = %v, want within 1 byte of %v", got, want)
-	}
-	// The last add was at 999.75 ms: the metered range must cover bucket
-	// 999 even though that particular add deposited no whole byte.
-	if m.end() != 1000*sim.Millisecond {
-		t.Fatalf("end = %v, want 1000ms", m.end())
-	}
-	if s := m.Stats(); s.FirstNS != 0 || s.LastNS != int64(999750*sim.Microsecond) {
-		t.Fatalf("range = [%d, %d], want [0, 999.75ms]", s.FirstNS, s.LastNS)
-	}
-	// The clamp still pulls an over-long window back to the metered end
-	// rather than deflating the average with unmetered tail.
-	full := m.Gbps(0, 2000*sim.Millisecond)
-	if clamped := m.Gbps(0, 1000*sim.Millisecond); full != clamped {
-		t.Fatalf("Gbps clamp lost: full=%v clamped=%v", full, clamped)
-	}
-	if full <= 0 {
-		t.Fatalf("Gbps = %v, want > 0", full)
-	}
-}
-
-// TestMeterAddFloatZeroDeposit: a metered range opened by adds that all
-// round to zero bytes still covers the touched buckets.
-func TestMeterAddFloatZeroDeposit(t *testing.T) {
-	m := NewMeter(sim.Millisecond)
-	m.AddFloat(500_000, 0.25)
-	if s := m.Stats(); s.TotalBytes != 0 {
-		t.Fatalf("TotalBytes = %d, want 0 (carry held)", s.TotalBytes)
-	}
-	if m.end() != sim.Millisecond {
-		t.Fatalf("end = %v, want 1ms (bucket touched)", m.end())
-	}
-	if len(m.counts) != 1 || m.counts[0] != 0 {
-		t.Fatalf("buckets = %v, want one empty bucket", m.counts)
-	}
-	// The carry materializes once later adds top it up.
-	m.AddFloat(600_000, 0.75)
-	if s := m.Stats(); s.TotalBytes != 1 {
-		t.Fatalf("TotalBytes = %d, want 1 after carry", s.TotalBytes)
-	}
-}
-
 func TestMeterStatsJSONFriendly(t *testing.T) {
 	m := NewMeter(sim.Millisecond)
 	m.Add(100, 1000)

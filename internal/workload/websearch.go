@@ -32,9 +32,11 @@ var webSearchCDF = []cdfPoint{
 	{20_000_000, 1.00},
 }
 
-// Sizer samples flow sizes in bytes.
+// Sizer samples flow sizes in bytes, and reports their mean, which converts
+// an offered load fraction into a Poisson arrival rate.
 type Sizer interface {
 	Sample(r *sim.Rand) int64
+	MeanBytes() float64
 }
 
 // WebSearch samples the web-search distribution by inverse-transform over
@@ -55,8 +57,7 @@ func (WebSearch) Sample(r *sim.Rand) int64 {
 	return int64(webSearchCDF[len(webSearchCDF)-1].bytes)
 }
 
-// MeanBytes returns the analytic mean of the distribution, used to convert
-// an offered load fraction into a Poisson arrival rate.
+// MeanBytes returns the analytic mean of the distribution.
 func (WebSearch) MeanBytes() float64 {
 	prevB, prevP := 1000.0, 0.0
 	mean := 0.0
@@ -67,8 +68,12 @@ func (WebSearch) MeanBytes() float64 {
 	return mean
 }
 
-// Fixed always samples the same size; used by tests and microbenchmarks.
+// Fixed always samples the same size: the daemon's workload kind "fixed",
+// which the churn experiment attaches.
 type Fixed int64
 
 // Sample implements Sizer.
 func (f Fixed) Sample(*sim.Rand) int64 { return int64(f) }
+
+// MeanBytes returns the one size.
+func (f Fixed) MeanBytes() float64 { return float64(f) }
