@@ -174,27 +174,6 @@ func TestUniqueIDs(t *testing.T) {
 	}
 }
 
-func TestResourceModel(t *testing.T) {
-	m := NewResourceModel()
-	if got := m.MemoryBytes(1_000_000); got != 15_000_000 {
-		t.Fatalf("1M AQs = %d bytes, want 15MB", got)
-	}
-	if m.MaxAQs() < 1_000_000 {
-		t.Fatalf("MaxAQs = %d; the paper's point is millions fit", m.MaxAQs())
-	}
-	if got := m.SRAMPct(m.MaxAQs()); math.Abs(got-100) > 0.1 {
-		t.Fatalf("full budget pct = %v", got)
-	}
-	if len(m.StaticUsage()) != 4 {
-		t.Fatal("static usage rows missing")
-	}
-	for _, u := range m.StaticUsage() {
-		if u.Percent <= 0 || u.Percent >= 100 {
-			t.Fatalf("%s = %v%%", u.Resource, u.Percent)
-		}
-	}
-}
-
 func TestWireProtocolOverTCP(t *testing.T) {
 	ctrl, tbl, addr := serveController(t, 10*units.Gbps)
 	cli, err := Dial(addr)

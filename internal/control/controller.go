@@ -2,8 +2,8 @@
 // that receives tenant requests, grants them against link capacity (in
 // absolute mode) or network weights (in weighted mode), generates unique AQ
 // IDs, and deploys AQ configurations into switch pipeline tables. It also
-// provides the switch resource model used to reproduce Figures 11 and 12,
-// and a TCP wire protocol so the controller can run as a daemon (cmd/aqctl).
+// provides §6's arrival-rate reallocator and the TCP wire protocol that
+// cmd/aqsimd serves and cmd/aqctl speaks.
 package control
 
 import (

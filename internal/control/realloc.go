@@ -21,9 +21,8 @@ import (
 // and the spare capacity is given to the backlogged entities — a max-min
 // allocation over demands with weighted floors.
 type Reallocator struct {
-	eng      *sim.Engine
-	ctrl     *Controller
-	interval sim.Time
+	eng  *sim.Engine
+	ctrl *Controller
 
 	entries []reallocEntry
 
@@ -39,13 +38,13 @@ type reallocEntry struct {
 	lastBytes uint64
 }
 
-// NewReallocator builds a reallocator on top of a controller. interval <= 0
-// selects 5 ms, a typical EyeQ-style adjustment period.
-func NewReallocator(eng *sim.Engine, ctrl *Controller, interval sim.Time) *Reallocator {
-	if interval <= 0 {
-		interval = 5 * sim.Millisecond
-	}
-	r := &Reallocator{eng: eng, ctrl: ctrl, interval: interval}
+// reallocInterval is the reallocator's adjustment period, a typical
+// EyeQ-style 5 ms.
+const reallocInterval = 5 * sim.Millisecond
+
+// NewReallocator builds a reallocator on top of a controller.
+func NewReallocator(eng *sim.Engine, ctrl *Controller) *Reallocator {
+	r := &Reallocator{eng: eng, ctrl: ctrl}
 	r.tickT = eng.NewTimer(r.tick)
 	return r
 }
@@ -64,7 +63,7 @@ func (r *Reallocator) Manage(id packet.AQID, tbl *core.Table, weight float64) {
 }
 
 // Start begins the periodic adjustment.
-func (r *Reallocator) Start() { r.tickT.ArmAfter(r.interval) }
+func (r *Reallocator) Start() { r.tickT.ArmAfter(reallocInterval) }
 
 func (r *Reallocator) tick() {
 	if len(r.entries) == 0 {
@@ -80,7 +79,7 @@ func (r *Reallocator) tick() {
 		arrivedBytes := e.aq.Stats().ArrivedBytes
 		bytes := arrivedBytes - e.lastBytes
 		e.lastBytes = arrivedBytes
-		offered := float64(bytes) * 8 / r.interval.Seconds()
+		offered := float64(bytes) * 8 / reallocInterval.Seconds()
 		// Demand headroom: an entity pinned at its allocation is assumed
 		// to want more (its true demand is unobservable, as in EyeQ's
 		// congestion detectors); a clearly under-using entity is taken at
@@ -104,7 +103,7 @@ func (r *Reallocator) tick() {
 		}
 		e.aq.SetRate(rate)
 	}
-	r.tickT.ArmAfter(r.interval)
+	r.tickT.ArmAfter(reallocInterval)
 }
 
 func (r *Reallocator) weights(total float64) []float64 {

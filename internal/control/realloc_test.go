@@ -34,7 +34,7 @@ func TestReallocatorShiftsIdleShare(t *testing.T) {
 	gB, _ := ctrl.Grant(Request{Tenant: "b", Mode: Weighted, Weight: 1, Limit: 1 << 30}, tbl)
 	aqA, aqB := tbl.Lookup(gA.ID), tbl.Lookup(gB.ID)
 
-	re := NewReallocator(eng, ctrl, 5*sim.Millisecond)
+	re := NewReallocator(eng, ctrl)
 	re.Manage(gA.ID, tbl, 1)
 	re.Manage(gB.ID, tbl, 1)
 	re.Start()
@@ -69,7 +69,7 @@ func TestReallocatorRestoresFairShareOnDemand(t *testing.T) {
 	gB, _ := ctrl.Grant(Request{Tenant: "b", Mode: Weighted, Weight: 1, Limit: 1 << 30}, tbl)
 	aqA, aqB := tbl.Lookup(gA.ID), tbl.Lookup(gB.ID)
 
-	re := NewReallocator(eng, ctrl, 5*sim.Millisecond)
+	re := NewReallocator(eng, ctrl)
 	re.Manage(gA.ID, tbl, 1)
 	re.Manage(gB.ID, tbl, 1)
 	re.Start()
@@ -103,11 +103,11 @@ func TestControllerReadsReallocatedRate(t *testing.T) {
 	tbl := core.NewTable()
 	gA, _ := ctrl.Grant(Request{Tenant: "a", Mode: Weighted, Weight: 1}, tbl)
 	gB, _ := ctrl.Grant(Request{Tenant: "b", Mode: Weighted, Weight: 1}, tbl)
-	re := NewReallocator(eng, ctrl, sim.Millisecond)
+	re := NewReallocator(eng, ctrl)
 	re.Manage(gA.ID, tbl, 1)
 	re.Manage(gB.ID, tbl, 1)
 	re.Start()
-	eng.RunUntil(3 * sim.Millisecond)
+	eng.RunUntil(15 * sim.Millisecond)
 
 	aqA := tbl.Lookup(gA.ID)
 	if re.Rounds == 0 || aqA.Rate() >= 5*units.Gbps {

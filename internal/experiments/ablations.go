@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"aqueue/internal/control"
+	"aqueue/internal/packet"
 	"aqueue/internal/sim"
+	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/transport"
 	"aqueue/internal/units"
@@ -14,17 +16,14 @@ import (
 // bandwidth due to excess packet drops"). Returns Gbps.
 func AblationAQLimit(limit int, horizon sim.Time) float64 {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 1, 1, spec, spec)
 	ctrl := control.NewController(spec.Rate)
-	g, err := ctrl.Grant(control.Request{Tenant: "x", Mode: control.Absolute,
+	id := mustGrant(ctrl, control.Request{Tenant: "x", Mode: control.Absolute,
 		Bandwidth: 5 * units.Gbps, Limit: limit, Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
-	flows := longFlows(d.Left, d.Right, 4, ccFactory("cubic"), transport.Options{IngressAQ: g.ID})
+	flows := longFlows(d.Left, d.Right, 4, ccFactory("cubic"), transport.Options{IngressAQ: id})
 	eng.RunUntil(horizon)
-	return gbpsOf(sumAcked(flows), horizon)
+	return stats.RateGbps(sumAcked(flows), horizon)
 }
 
 // AblationWorkConservation measures an entity with a 3 Gbps guarantee on
@@ -32,18 +31,15 @@ func AblationAQLimit(limit int, horizon sim.Time) float64 {
 // bypass. Returns the entity's Gbps: ~3 strict, ~10 with the bypass.
 func AblationWorkConservation(bypass bool, horizon sim.Time) float64 {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 1, 1, spec, spec)
 	d.S1.WorkConserving = bypass
 	ctrl := control.NewController(spec.Rate)
-	g, err := ctrl.Grant(control.Request{Tenant: "x", Mode: control.Absolute,
+	id := mustGrant(ctrl, control.Request{Tenant: "x", Mode: control.Absolute,
 		Bandwidth: 3 * units.Gbps, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
-	flows := longFlows(d.Left, d.Right, 4, ccFactory("cubic"), transport.Options{IngressAQ: g.ID})
+	flows := longFlows(d.Left, d.Right, 4, ccFactory("cubic"), transport.Options{IngressAQ: id})
 	eng.RunUntil(horizon)
-	return gbpsOf(sumAcked(flows), horizon)
+	return stats.RateGbps(sumAcked(flows), horizon)
 }
 
 // AblationWeightedRebalance measures the surviving entity's rate after its
@@ -52,36 +48,32 @@ func AblationWorkConservation(bypass bool, horizon sim.Time) float64 {
 // (~10 Gbps); without it the survivor stays at its static 5 Gbps.
 func AblationWeightedRebalance(rebalance bool, horizon sim.Time) float64 {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 2, 2, spec, spec)
 	ctrl := control.NewController(spec.Rate)
-	grant := func(tenant string) control.Grant {
-		g, err := ctrl.Grant(control.Request{Tenant: tenant, Mode: control.Weighted,
+	grant := func(tenant string) packet.AQID {
+		return mustGrant(ctrl, control.Request{Tenant: tenant, Mode: control.Weighted,
 			Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-		if err != nil {
-			panic(err)
-		}
-		return g
 	}
-	gA := grant("A")
-	gB := grant("B")
+	idA := grant("A")
+	idB := grant("B")
 
 	a := transport.NewSender(d.Left[0], d.Right[0], 0, ccFactory("cubic")(),
-		transport.Options{IngressAQ: gA.ID})
+		transport.Options{IngressAQ: idA})
 	a.Start(0)
 	b := transport.NewSender(d.Left[1], d.Right[1], 0, ccFactory("cubic")(),
-		transport.Options{IngressAQ: gB.ID})
+		transport.Options{IngressAQ: idB})
 	b.Start(0)
 
 	half := horizon / 2
 	eng.RunUntil(half)
 	b.Stop()
 	if rebalance {
-		ctrl.SetActive(gB.ID, false)
+		ctrl.SetActive(idB, false)
 	}
 	ackedAtHalf := uint64(a.AckedBytes())
 	eng.RunUntil(horizon)
-	return gbpsOf(uint64(a.AckedBytes())-ackedAtHalf, horizon-half)
+	return stats.RateGbps(uint64(a.AckedBytes())-ackedAtHalf, horizon-half)
 }
 
 // AblationReallocator measures entity A's rate when its peer B demands
@@ -90,35 +82,29 @@ func AblationWeightedRebalance(rebalance bool, horizon sim.Time) float64 {
 // pinned at its static 5 Gbps; with it A absorbs B's idle capacity.
 func AblationReallocator(enabled bool, horizon sim.Time) float64 {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 2, 2, spec, spec)
 	ctrl := control.NewController(spec.Rate)
-	gA, err := ctrl.Grant(control.Request{Tenant: "A", Mode: control.Weighted,
+	idA := mustGrant(ctrl, control.Request{Tenant: "A", Mode: control.Weighted,
 		Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
-	gB, err := ctrl.Grant(control.Request{Tenant: "B", Mode: control.Weighted,
+	idB := mustGrant(ctrl, control.Request{Tenant: "B", Mode: control.Weighted,
 		Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
 	if enabled {
-		re := control.NewReallocator(eng, ctrl, 5*sim.Millisecond)
-		re.Manage(gA.ID, d.S1.Ingress, 1)
-		re.Manage(gB.ID, d.S1.Ingress, 1)
+		re := control.NewReallocator(eng, ctrl)
+		re.Manage(idA, d.S1.Ingress, 1)
+		re.Manage(idB, d.S1.Ingress, 1)
 		re.Start()
 	}
 	flows := longFlows(d.Left[:1], d.Right[:1], 4, ccFactory("cubic"),
-		transport.Options{IngressAQ: gA.ID})
+		transport.Options{IngressAQ: idA})
 	// Entity B: a 1 Gbps CBR — far under its share.
 	u := transport.NewUDPSender(d.Left[1], d.Right[1], 1*units.Gbps,
-		transport.Options{IngressAQ: gB.ID})
+		transport.Options{IngressAQ: idB})
 	u.Start(0)
 	// Measure A over the second half (the reallocator needs a few rounds).
 	half := horizon / 2
 	eng.RunUntil(half)
 	at := sumAcked(flows)
 	eng.RunUntil(horizon)
-	return gbpsOf(sumAcked(flows)-at, horizon-half)
+	return stats.RateGbps(sumAcked(flows)-at, horizon-half)
 }

@@ -31,7 +31,7 @@ type CCShareResult struct {
 // warmup.
 func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCShareResult {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	m := len(entities)
 	hostsPer := 2
 	d := topo.NewDumbbell(eng, m*hostsPer, m*hostsPer, spec, spec)
@@ -44,7 +44,7 @@ func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCSh
 		}
 		return idx / hostsPer
 	}
-	rc := newRxClassifier(d.Right, m, sim.Millisecond, classify)
+	rc := newRxClassifier(d.Right, m, classify)
 
 	ctrl := control.NewController(spec.Rate)
 	for i, e := range entities {
@@ -52,7 +52,7 @@ func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCSh
 		dsts := d.Right[i*hostsPer : (i+1)*hostsPer]
 		var opt transport.Options
 		if approach == AQ {
-			g, err := ctrl.Grant(control.Request{
+			opt.IngressAQ = mustGrant(ctrl, control.Request{
 				Tenant:   e.cc,
 				Mode:     control.Weighted,
 				Weight:   1,
@@ -60,10 +60,6 @@ func runCCShare(p harness.Params, approach Approach, entities []ccEntity) []CCSh
 				Limit:    aqLimitFor(spec),
 				Position: control.Ingress,
 			}, d.S1.Ingress)
-			if err != nil {
-				panic(err)
-			}
-			opt.IngressAQ = g.ID
 		}
 		if e.udp {
 			u := transport.NewUDPSender(srcs[0], dsts[0], spec.Rate, opt)

@@ -33,16 +33,13 @@ func Churn(p harness.Params) *harness.Result {
 		panic(err)
 	}
 	grant := func(f *service.Fabric, tenant string, weight float64) *service.Driver {
-		g, err := f.Ctrl().Grant(control.Request{
+		id := mustGrant(f.Ctrl(), control.Request{
 			Tenant: tenant, Mode: control.Weighted, Weight: weight,
 			Limit: aqLimitFor(f.Config().Trunk),
 		}, f.LookupTable("S1", control.Ingress))
-		if err != nil {
-			panic(err)
-		}
-		spec := service.LoadSpec{Tenant: tenant, AQ: g.ID, Kind: "websearch", Load: 0.4}
+		spec := service.LoadSpec{Tenant: tenant, AQ: id, Kind: "websearch", Load: 0.4}
 		if tenant == "B" {
-			spec = service.LoadSpec{Tenant: tenant, AQ: g.ID, Kind: "fixed", Size: 50_000, Load: 0.3}
+			spec = service.LoadSpec{Tenant: tenant, AQ: id, Kind: "fixed", Size: 50_000, Load: 0.3}
 		}
 		d, err := f.Attach(spec)
 		if err != nil {

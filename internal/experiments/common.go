@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"aqueue/internal/cc"
+	"aqueue/internal/control"
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
@@ -55,7 +56,7 @@ func ccTypeFor(name string) core.CCType {
 	switch name {
 	case "dctcp":
 		return core.ECNType
-	case "swift":
+	case "swift", "timely":
 		return core.DelayType
 	default:
 		return core.DropType
@@ -72,6 +73,16 @@ func ccFactory(name string) cc.Factory {
 	return f
 }
 
+// mustGrant grants req on tbl and returns the AQ ID, panicking on refusal
+// (experiment definitions are static, so this is a programming error).
+func mustGrant(ctrl *control.Controller, req control.Request, tbl *core.Table) packet.AQID {
+	g, err := ctrl.Grant(req, tbl)
+	if err != nil {
+		panic(err)
+	}
+	return g.ID
+}
+
 // ecnCapable reports whether flows of this CC should set ECT.
 func ecnCapable(name string) bool { return name == "dctcp" }
 
@@ -83,19 +94,14 @@ type rxClassifier struct {
 }
 
 // newRxClassifier installs hooks on the hosts and returns meters indexed by
-// entity.
-func newRxClassifier(hosts []*topo.Host, n int, bucket sim.Time, classify func(*packet.Packet) int) *rxClassifier {
+// entity, in 1 ms buckets.
+func newRxClassifier(hosts []*topo.Host, n int, classify func(*packet.Packet) int) *rxClassifier {
 	rc := &rxClassifier{meters: make([]*stats.Meter, n)}
 	for i := range rc.meters {
-		rc.meters[i] = stats.NewMeter(bucket)
+		rc.meters[i] = stats.NewMeter(sim.Millisecond)
 	}
 	for _, h := range hosts {
-		h := h
-		prev := h.RxHook
 		h.RxHook = func(p *packet.Packet) {
-			if prev != nil {
-				prev(p)
-			}
 			if p.Kind != packet.Data {
 				return
 			}
@@ -136,17 +142,6 @@ func sumAcked(ss []*transport.Sender) uint64 {
 	}
 	return sum
 }
-
-// gbpsOf converts bytes over a horizon into Gbit/s.
-func gbpsOf(bytes uint64, horizon sim.Time) float64 {
-	return stats.RateGbps(bytes, horizon)
-}
-
-// simSpec is the default §5.1 simulation link spec.
-func simSpec() topo.LinkSpec { return topo.DefaultSim() }
-
-// testbedSpec is the default §5.4 testbed link spec.
-func testbedSpec() topo.LinkSpec { return topo.DefaultTestbed() }
 
 // aqLimitFor picks the AQ limit used when granting against a link spec:
 // the paper's §6 default of "the physical queue limit".

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
+	"aqueue/internal/cc"
+	"aqueue/internal/core"
+	"aqueue/internal/fluid"
 	"aqueue/internal/harness"
 	"aqueue/internal/sim"
 )
@@ -202,18 +206,52 @@ func TestTable4BehaviourPreserved(t *testing.T) {
 	}
 }
 
+// TestCCTypeForMatchesFluidModel: the AQ feedback type granted for an
+// algorithm must be the signal its fluid model reacts to — loss for Drop,
+// ECN for ECN, delay for Delay.
+func TestCCTypeForMatchesFluidModel(t *testing.T) {
+	want := map[fluid.Model]core.CCType{
+		fluid.Loss:  core.DropType,
+		fluid.ECN:   core.ECNType,
+		fluid.Delay: core.DelayType,
+	}
+	for _, name := range cc.Names() {
+		model := fluid.ParamsFor(name).Model
+		w, ok := want[model]
+		if !ok {
+			t.Fatalf("%s: fluid model %v has no AQ feedback type", name, model)
+		}
+		if got := ccTypeFor(name); got != w {
+			t.Errorf("ccTypeFor(%q) = %v, want %v (fluid model %v)", name, got, w, model)
+		}
+	}
+}
+
 func TestFig11Fig12(t *testing.T) {
 	f11 := Fig11(harness.Params{}).Tables[0]
 	if len(f11.Rows) != 4 {
 		t.Fatalf("Fig11 rows = %d", len(f11.Rows))
 	}
+	for _, row := range f11.Rows {
+		pct, err := strconv.ParseFloat(row[1], 64)
+		if err != nil || pct <= 0 || pct >= 100 {
+			t.Fatalf("%s = %q%%, want a percentage in (0, 100)", row[0], row[1])
+		}
+	}
 	f12 := Fig12(harness.Params{}).Tables[0]
 	if len(f12.Rows) != len(Fig12Counts) {
 		t.Fatalf("Fig12 rows = %d", len(f12.Rows))
 	}
-	// 1M AQs must fit ("millions of traffic constituents").
+	// 1M AQs take 15 MB at 15 B each and must fit ("millions of traffic
+	// constituents").
 	for i, n := range Fig12Counts {
-		if n == 1_000_000 && f12.Rows[i][3] != "yes" {
+		if n != 1_000_000 {
+			continue
+		}
+		if f12.Rows[i][1] != "15.00" {
+			t.Fatalf("1M AQs use %s MB, want 15.00", f12.Rows[i][1])
+		}
+		if f12.Rows[i][3] != "yes" {
 			t.Fatal("1M AQs do not fit the SRAM budget")
 		}
 	}

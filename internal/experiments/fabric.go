@@ -7,7 +7,6 @@ import (
 	"aqueue/internal/harness"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/transport"
 	"aqueue/internal/units"
@@ -17,16 +16,9 @@ import (
 // The fabric extension experiments take AQ beyond the paper's dumbbell and
 // star: a leaf-spine fabric with ECMP, with the entity's AQs deployed on
 // every leaf switch (§4.1 allows multiple AQs per entity). They check that
-// the guarantees survive multi-pathing and multi-hop AQ traversal.
-
-// fabricSpecs builds the fabric link classes: 10G edges and 10G
-// leaf-spine links, i.e. a 2:1 oversubscribed fabric where the leaf
+// the guarantees survive multi-pathing and multi-hop AQ traversal. Edge and
+// leaf-spine links are both the 10G §5.1 spec, so the oversubscribed leaf
 // uplinks are the contended resource.
-func fabricSpecs() (edge, fab topo.LinkSpec) {
-	edge = simSpec()
-	fab = simSpec()
-	return
-}
 
 // ExtFabricIsolation shares a 2-leaf/2-spine fabric between two entities
 // whose VMs are split across both leaves; entity B opens 4x the flows.
@@ -36,11 +28,11 @@ func fabricSpecs() (edge, fab topo.LinkSpec) {
 func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 	run := func(useAQ bool) (float64, float64) {
 		eng := sim.NewEngine()
-		edge, fab := fabricSpecs()
-		f := topo.NewLeafSpine(eng, 2, 2, 4, edge, fab)
+		spec := topo.DefaultSim()
+		f := topo.NewLeafSpine(eng, 2, 2, 4, spec, spec)
 		// Entity A: hosts 0,1 (leaf 0) -> hosts 4,5 (leaf 1).
 		// Entity B: hosts 2,3 (leaf 0) -> hosts 6,7 (leaf 1).
-		rc := newRxClassifier(f.Hosts[4:], 2, sim.Millisecond, func(pkt *packet.Packet) int {
+		rc := newRxClassifier(f.Hosts[4:], 2, func(pkt *packet.Packet) int {
 			switch pkt.Dst {
 			case 4, 5:
 				return 0
@@ -53,19 +45,11 @@ func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 		if useAQ {
 			// One grant per entity per leaf switch: the controller hands
 			// out distinct IDs, the tenant tags by source leaf.
-			ctrl := control.NewController(edge.Rate * 2) // two uplinked hosts per entity
-			gA, err := ctrl.Grant(control.Request{Tenant: "A", Mode: control.Weighted,
-				Weight: 1, Limit: aqLimitFor(edge), Position: control.Ingress}, f.Leaves[0].Ingress)
-			if err != nil {
-				panic(err)
-			}
-			gB, err := ctrl.Grant(control.Request{Tenant: "B", Mode: control.Weighted,
-				Weight: 1, Limit: aqLimitFor(edge), Position: control.Ingress}, f.Leaves[0].Ingress)
-			if err != nil {
-				panic(err)
-			}
-			optA.IngressAQ = gA.ID
-			optB.IngressAQ = gB.ID
+			ctrl := control.NewController(spec.Rate * 2) // two uplinked hosts per entity
+			optA.IngressAQ = mustGrant(ctrl, control.Request{Tenant: "A", Mode: control.Weighted,
+				Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, f.Leaves[0].Ingress)
+			optB.IngressAQ = mustGrant(ctrl, control.Request{Tenant: "B", Mode: control.Weighted,
+				Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, f.Leaves[0].Ingress)
 		}
 		longFlows([]*topo.Host{f.Hosts[0], f.Hosts[1]},
 			[]*topo.Host{f.Hosts[4], f.Hosts[5]}, 8, ccFactory("cubic"), optA)
@@ -87,26 +71,17 @@ func ExtFabricIsolation(p harness.Params) (pqA, pqB, aqA, aqB float64) {
 func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 	run := func(useAQ bool) float64 {
 		eng := sim.NewEngine()
-		edge, fab := fabricSpecs()
-		f := topo.NewLeafSpine(eng, 3, 2, 3, edge, fab)
+		spec := topo.DefaultSim()
+		f := topo.NewLeafSpine(eng, 3, 2, 3, spec, spec)
 		victim := f.Hosts[0]
-		meter := stats.NewMeter(sim.Millisecond)
-		victim.RxHook = func(pkt *packet.Packet) {
-			if pkt.Kind == packet.Data {
-				meter.Add(victim.Engine().Now(), pkt.Size)
-			}
-		}
+		rc := newRxClassifier([]*topo.Host{victim}, 1, func(*packet.Packet) int { return 0 })
 		var opt transport.Options
 		opt.EcnCapable = true
 		if useAQ {
-			ctrl := control.NewController(edge.Rate)
-			g, err := ctrl.Grant(control.Request{Tenant: "victim-in", Mode: control.Absolute,
-				Bandwidth: 2 * units.Gbps, CC: core.ECNType, Limit: aqLimitFor(edge),
+			ctrl := control.NewController(spec.Rate)
+			opt.EgressAQ = mustGrant(ctrl, control.Request{Tenant: "victim-in", Mode: control.Absolute,
+				Bandwidth: 2 * units.Gbps, CC: core.ECNType, Limit: aqLimitFor(spec),
 				Position: control.Egress}, f.Leaf(0).Egress)
-			if err != nil {
-				panic(err)
-			}
-			opt.EgressAQ = g.ID
 		}
 		in := workload.Incast{
 			Senders:       f.Hosts[1:],
@@ -118,7 +93,7 @@ func ExtFabricIncast(p harness.Params) (pqGbps, aqGbps float64) {
 		}
 		in.Start()
 		eng.RunUntil(p.Horizon)
-		return meter.Gbps(p.Horizon/4, p.Horizon)
+		return rc.Gbps(0, p.Horizon/4, p.Horizon)
 	}
 	return run(false), run(true)
 }

@@ -16,26 +16,18 @@ import (
 // goodput in Gbps. weights sets the A:B share when AQ is used.
 func fig8Run(p harness.Params, approach Approach, nB int, wA, wB float64) (float64, float64) {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 2, 2, spec, spec)
-	rc := newRxClassifier(d.Right, 2, sim.Millisecond, func(pkt *packet.Packet) int {
+	rc := newRxClassifier(d.Right, 2, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - 2 // dst 2 -> entity A, dst 3 -> entity B
 	})
 	ctrl := control.NewController(spec.Rate)
 	var optA, optB transport.Options
 	if approach == AQ {
-		gA, err := ctrl.Grant(control.Request{Tenant: "A", Mode: control.Weighted,
+		optA.IngressAQ = mustGrant(ctrl, control.Request{Tenant: "A", Mode: control.Weighted,
 			Weight: wA, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-		if err != nil {
-			panic(err)
-		}
-		gB, err := ctrl.Grant(control.Request{Tenant: "B", Mode: control.Weighted,
+		optB.IngressAQ = mustGrant(ctrl, control.Request{Tenant: "B", Mode: control.Weighted,
 			Weight: wB, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-		if err != nil {
-			panic(err)
-		}
-		optA.IngressAQ = gA.ID
-		optB.IngressAQ = gB.ID
 	}
 	longFlows(d.Left[:1], d.Right[:1], 1, ccFactory("cubic"), optA)
 	longFlows(d.Left[1:2], d.Right[1:2], nB, ccFactory("cubic"), optB)

@@ -38,26 +38,22 @@ type Fig9Result struct {
 func fig9Run(p harness.Params, approach Approach) Fig9Result {
 	phase := p.Horizon / 4
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	n := len(Fig9Entities)
 	d := topo.NewDumbbell(eng, n, n, spec, spec)
-	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
+	rc := newRxClassifier(d.Right, n, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - n
 	})
 	ctrl := control.NewController(spec.Rate)
 	for i, e := range Fig9Entities {
 		var opt transport.Options
 		if approach == AQ {
-			g, err := ctrl.Grant(control.Request{Tenant: e.Name, Mode: control.Weighted,
+			id := mustGrant(ctrl, control.Request{Tenant: e.Name, Mode: control.Weighted,
 				Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-			if err != nil {
-				panic(err)
-			}
 			// Granted but idle until the entity starts sending; the
 			// activation is an event on S1's engine.
-			ctrl.SetActive(g.ID, false)
-			opt.IngressAQ = g.ID
-			id := g.ID
+			ctrl.SetActive(id, false)
+			opt.IngressAQ = id
 			d.S1.Engine().At(sim.Time(i)*phase, func() { ctrl.SetActive(id, true) })
 		}
 		src, dst := d.Left[i], d.Right[i]

@@ -72,20 +72,16 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 	n := nFG + 1
 	horizon := p.Horizon
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, n, n, spec, spec)
-	rc := newRxClassifier(d.Right, n, sim.Millisecond, func(pkt *packet.Packet) int {
+	rc := newRxClassifier(d.Right, n, func(pkt *packet.Packet) int {
 		return int(pkt.Dst) - n
 	})
 	ctrl := control.NewController(spec.Rate)
 
 	grant := func(name string) packet.AQID {
-		g, err := ctrl.Grant(control.Request{Tenant: name, Mode: control.Weighted,
+		return mustGrant(ctrl, control.Request{Tenant: name, Mode: control.Weighted,
 			Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-		if err != nil {
-			panic(err)
-		}
-		return g.ID
 	}
 	for i := 0; i < nFG; i++ {
 		opt := transport.Options{IngressAQ: grant(fmt.Sprintf("fg-%d", i))}
@@ -133,20 +129,14 @@ func fluidGuaranteeRun(p harness.Params, fluidBG bool) (fg []float64, bg float64
 func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	const vms = 4
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, vms+1, vms+1, spec, spec)
 	ctrl := control.NewController(spec.Rate)
 
-	g, err := ctrl.Grant(control.Request{Tenant: "tenant", Mode: control.Weighted,
+	id := mustGrant(ctrl, control.Request{Tenant: "tenant", Mode: control.Weighted,
 		Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
-	bgGrant, err := ctrl.Grant(control.Request{Tenant: "bg", Mode: control.Weighted,
+	bgID := mustGrant(ctrl, control.Request{Tenant: "bg", Mode: control.Weighted,
 		Weight: 1, Limit: aqLimitFor(spec), Position: control.Ingress}, d.S1.Ingress)
-	if err != nil {
-		panic(err)
-	}
 
 	r := sim.NewRand(p.Seed)
 	var ws workload.WebSearch
@@ -166,20 +156,19 @@ func fluidCompletionRun(p harness.Params, fluidBG bool) sim.Time {
 	if fluidBG {
 		lane := fluid.NewLane(d.S1.Engine(), d.S1.Ingress, 0)
 		pi := lane.AddPipe(d.Bottleneck)
-		lane.Add(fluid.EntityConfig{AQ: bgGrant.ID, CC: "udp", Rate: spec.Rate, Pipe: pi})
+		lane.Add(fluid.EntityConfig{AQ: bgID, CC: "udp", Rate: spec.Rate, Pipe: pi})
 		lane.SetDeadline(runCap)
 		lane.Start(0)
 		stopBG = lane.Stop
 	} else {
 		u := transport.NewUDPSender(d.Left[vms], d.Right[vms], spec.Rate,
-			transport.Options{IngressAQ: bgGrant.ID})
+			transport.Options{IngressAQ: bgID})
 		u.Start(0)
 		stopBG = u.Stop
 	}
 
 	tr := &stats.FCT{}
-	opt := transport.Options{IngressAQ: g.ID}
-	id := g.ID
+	opt := transport.Options{IngressAQ: id}
 	runClosedLoop(d.Left[:vms], d.Right[:vms], sizes, ccFactory("cubic"), opt, tr, r, func() {
 		ctrl.SetActive(id, false)
 		stopBG()

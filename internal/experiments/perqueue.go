@@ -28,7 +28,7 @@ import (
 func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJain float64) {
 	run := func(useAQ bool) float64 {
 		eng := sim.NewEngine()
-		spec := simSpec()
+		spec := topo.DefaultSim()
 		d := topo.NewDumbbell(eng, entities, entities, spec, spec)
 		if !useAQ {
 			// Replace the bottleneck's FIFO with a DRR over the hardware
@@ -41,13 +41,9 @@ func ExtPerEntityQueues(p harness.Params, entities, hwQueues int) (drrJain, aqJa
 		for i := 0; i < entities; i++ {
 			var opt transport.Options
 			if useAQ {
-				g, err := ctrl.Grant(control.Request{Tenant: fmt.Sprint(i),
+				opt.IngressAQ = mustGrant(ctrl, control.Request{Tenant: fmt.Sprint(i),
 					Mode: control.Weighted, Weight: 1, Limit: aqLimitFor(spec),
 					Position: control.Ingress}, d.S1.Ingress)
-				if err != nil {
-					panic(err)
-				}
-				opt.IngressAQ = g.ID
 			} else {
 				// Tag with a synthetic entity ID for the DRR classifier;
 				// no AQ is deployed, so switches pass the tag through.

@@ -8,7 +8,6 @@ import (
 	"aqueue/internal/packet"
 	"aqueue/internal/ratelimit"
 	"aqueue/internal/sim"
-	"aqueue/internal/stats"
 	"aqueue/internal/topo"
 	"aqueue/internal/transport"
 	"aqueue/internal/units"
@@ -28,7 +27,7 @@ type Table3Row struct {
 // returns the windowed min~max of A's outbound and inbound rates.
 func table3Run(p harness.Params, approach Approach) Table3Row {
 	eng := sim.NewEngine()
-	spec := testbedSpec()
+	spec := topo.DefaultTestbed()
 	st := topo.NewStar(eng, 4, spec)
 	horizon := p.Horizon
 	warmup := horizon / 4
@@ -36,24 +35,18 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 	const profile = 5 * units.Gbps
 	a := st.Hosts[0]
 
-	// Outbound = data from A delivered anywhere; inbound = data delivered
-	// to A, timed by the receiving host's clock.
-	outMeter := stats.NewMeter(sim.Millisecond)
-	inMeter := stats.NewMeter(sim.Millisecond)
-	for _, h := range st.Hosts {
-		h := h
-		h.RxHook = func(pkt *packet.Packet) {
-			if pkt.Kind != packet.Data {
-				return
-			}
-			if pkt.Src == a.ID() {
-				outMeter.Add(h.Engine().Now(), pkt.Size)
-			}
-			if pkt.Dst == a.ID() {
-				inMeter.Add(h.Engine().Now(), pkt.Size)
-			}
+	// Class 0 (outbound) = data from A delivered anywhere; class 1
+	// (inbound) = data delivered to A, timed by the receiving host's clock.
+	// A never sends to itself, so no packet is in both.
+	rc := newRxClassifier(st.Hosts, 2, func(pkt *packet.Packet) int {
+		switch {
+		case pkt.Src == a.ID():
+			return 0
+		case pkt.Dst == a.ID():
+			return 1
 		}
-	}
+		return -1
+	})
 
 	ctrl := control.NewController(spec.Rate)
 	outAQ := make(map[packet.HostID]packet.AQID)
@@ -79,7 +72,7 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 		}
 	case DRL:
 		// One DRL control loop re-programs every VM's token buckets.
-		drl = ratelimit.NewDRL(st.Eng, spec.Rate, ratelimit.DefaultInterval)
+		drl = ratelimit.NewDRL(st.Eng, spec.Rate)
 		for _, h := range st.Hosts {
 			drl.AddVM(h, ratelimit.Profile{OutMin: profile, OutMax: profile, InMax: profile})
 		}
@@ -113,10 +106,10 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 	}
 	eng.RunUntil(horizon)
 
-	rangeOf := func(m *stats.Meter) (float64, float64) {
+	rangeOf := func(class int) (float64, float64) {
 		lo, hi := -1.0, -1.0
 		for from := warmup; from+window <= horizon; from += window {
-			g := m.Gbps(from, from+window)
+			g := rc.Gbps(class, from, from+window)
 			if lo < 0 || g < lo {
 				lo = g
 			}
@@ -127,8 +120,8 @@ func table3Run(p harness.Params, approach Approach) Table3Row {
 		return lo, hi
 	}
 	var row Table3Row
-	row.OutLo, row.OutHi = rangeOf(outMeter)
-	row.InLo, row.InHi = rangeOf(inMeter)
+	row.OutLo, row.OutHi = rangeOf(0)
+	row.InLo, row.InHi = rangeOf(1)
 	return row
 }
 

@@ -44,13 +44,9 @@ func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Per
 	opt.EcnCapable = ecnCapable(ccName)
 	if useAQ {
 		ctrl := control.NewController(100 * units.Gbps)
-		g, err := ctrl.Grant(control.Request{Tenant: ccName, Mode: control.Absolute,
+		opt.IngressAQ = mustGrant(ctrl, control.Request{Tenant: ccName, Mode: control.Absolute,
 			Bandwidth: 25 * units.Gbps, CC: ccTypeFor(ccName),
 			Limit: qLimit, ECNThreshold: aqEcnK, Position: control.Ingress}, d.S1.Ingress)
-		if err != nil {
-			panic(err)
-		}
-		opt.IngressAQ = g.ID
 		for _, h := range d.Right {
 			h.RxHook = func(pkt *packet.Packet) {
 				if pkt.Kind == packet.Data {
@@ -67,7 +63,7 @@ func table4Run(p harness.Params, ccName string, useAQ bool) (float64, *stats.Per
 	}
 	flows := longFlows(d.Left, d.Right, 5, ccFactory(ccName), opt)
 	eng.RunUntil(p.Horizon)
-	return gbpsOf(sumAcked(flows), p.Horizon), delays
+	return stats.RateGbps(sumAcked(flows), p.Horizon), delays
 }
 
 // Table4CCs are the algorithms the paper reports in Table 4.

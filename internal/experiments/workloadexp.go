@@ -4,7 +4,6 @@ import (
 	"aqueue/internal/cc"
 	"aqueue/internal/control"
 	"aqueue/internal/harness"
-	"aqueue/internal/packet"
 	"aqueue/internal/ratelimit"
 	"aqueue/internal/sim"
 	"aqueue/internal/stats"
@@ -32,7 +31,7 @@ type wlSpec struct {
 // four approaches differ. The trace is drawn from p.Seed.
 func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 	eng := sim.NewEngine()
-	spec := simSpec()
+	spec := topo.DefaultSim()
 	totalVMs := 0
 	for _, s := range specs {
 		totalVMs += s.vms
@@ -49,7 +48,7 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 	if approach == DRL {
 		// The DRL control loop re-programs every sender VM's token buckets
 		// each interval.
-		drl = ratelimit.NewDRL(d.Eng, spec.Rate, ratelimit.DefaultInterval)
+		drl = ratelimit.NewDRL(d.Eng, spec.Rate)
 	}
 
 	r := sim.NewRand(p.Seed)
@@ -76,10 +75,9 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 
 		share := units.BitRate(float64(spec.Rate) * s.weight / totalWeight)
 		var opt transport.Options
-		var grantID packet.AQID
 		switch approach {
 		case AQ:
-			g, err := ctrl.Grant(control.Request{
+			opt.IngressAQ = mustGrant(ctrl, control.Request{
 				Tenant:   s.name,
 				Mode:     control.Weighted,
 				Weight:   s.weight,
@@ -87,11 +85,6 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 				Limit:    aqLimitFor(spec),
 				Position: control.Ingress,
 			}, d.S1.Ingress)
-			if err != nil {
-				panic(err)
-			}
-			opt.IngressAQ = g.ID
-			grantID = g.ID
 		case PRL:
 			perVM := units.BitRate(float64(share) / float64(s.vms))
 			for _, h := range srcs {
@@ -112,12 +105,11 @@ func wlRun(p harness.Params, approach Approach, specs []wlSpec) []sim.Time {
 		sizes := trace[:s.flows]
 		tr := &stats.FCT{}
 		trackers[i] = tr
-		id := grantID
 		runClosedLoop(srcs, dsts, sizes, ccFactory(s.cc), opt, tr, r, func() {
 			if approach == AQ {
 				// The entity is done; return its share to the others
 				// (weighted-mode rebalance, §4.1).
-				ctrl.SetActive(id, false)
+				ctrl.SetActive(opt.IngressAQ, false)
 			}
 		})
 	}

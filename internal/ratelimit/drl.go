@@ -31,9 +31,7 @@ type Profile struct {
 // traffic under-utilizes its allocation — the effect §5.2 measures.
 type DRL struct {
 	eng      *sim.Engine
-	interval sim.Time
 	capacity units.BitRate // shared bottleneck capacity
-	floor    units.BitRate // bootstrap rate for newly active pairs
 
 	vms   map[packet.HostID]*drlVM
 	pairs map[pairKey]*drlPair
@@ -59,20 +57,20 @@ type drlPair struct {
 	rate      units.BitRate
 }
 
-// DefaultInterval is the paper's DRL adjustment interval (§5.1).
-const DefaultInterval = 15 * sim.Millisecond
+const (
+	// interval is the paper's DRL adjustment interval (§5.1).
+	interval = 15 * sim.Millisecond
+	// floor is the bootstrap rate of a newly active pair and the rate an
+	// idle pair returns to.
+	floor = 50 * units.Mbps
+)
 
 // NewDRL builds a DRL for a set of VMs sharing a bottleneck of the given
 // capacity.
-func NewDRL(eng *sim.Engine, capacity units.BitRate, interval sim.Time) *DRL {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
+func NewDRL(eng *sim.Engine, capacity units.BitRate) *DRL {
 	return &DRL{
 		eng:      eng,
-		interval: interval,
 		capacity: capacity,
-		floor:    50 * units.Mbps,
 		vms:      make(map[packet.HostID]*drlVM),
 		pairs:    make(map[pairKey]*drlPair),
 	}
@@ -97,7 +95,7 @@ func (d *DRL) Start() {
 	}
 	d.started = true
 	d.tickT = d.eng.NewTimer(d.tick)
-	d.tickT.ArmAfter(d.interval)
+	d.tickT.ArmAfter(interval)
 }
 
 // PairRate reports the current allocation of a pair (0 if inactive).
@@ -118,7 +116,7 @@ func (d *DRL) submit(h *topo.Host, pkt *packet.Packet) {
 	if !ok {
 		init := d.initialRate(k)
 		p = &drlPair{rate: init}
-		p.tb = NewTokenBucket(d.eng, init, 0, h.Transmit)
+		p.tb = NewTokenBucket(d.eng, init, h.Transmit)
 		d.pairs[k] = p
 	}
 	p.submitted += uint64(pkt.Size)
@@ -150,8 +148,8 @@ func (d *DRL) initialRate(k pairKey) units.BitRate {
 	if r2 := units.BitRate(float64(in) / float64(nDst)); r2 < r {
 		r = r2
 	}
-	if r < d.floor {
-		r = d.floor
+	if r < floor {
+		r = floor
 	}
 	return r
 }
@@ -161,14 +159,14 @@ func (d *DRL) tick() {
 	d.Ticks++
 	var demands []pairDemand
 	for k, p := range d.pairs {
-		offered := float64(p.submitted) * 8 / d.interval.Seconds()
-		backlog := float64(p.tb.Backlog()) * 8 / d.interval.Seconds()
+		offered := float64(p.submitted) * 8 / interval.Seconds()
+		backlog := float64(p.tb.Backlog()) * 8 / interval.Seconds()
 		p.submitted = 0
 		if offered == 0 && backlog == 0 {
 			p.idleFor++
 			if p.idleFor >= 3 {
-				p.rate = d.floor
-				p.tb.SetRate(d.floor)
+				p.rate = floor
+				p.tb.SetRate(floor)
 				continue
 			}
 		} else {
@@ -190,13 +188,13 @@ func (d *DRL) tick() {
 				est = 2 * float64(p.rate)
 			}
 		}
-		if est < float64(d.floor) {
-			est = float64(d.floor)
+		if est < float64(floor) {
+			est = float64(floor)
 		}
 		demands = append(demands, pairDemand{k, est})
 	}
 	if len(demands) == 0 {
-		d.tickT.ArmAfter(d.interval)
+		d.tickT.ArmAfter(interval)
 		return
 	}
 	sort.Slice(demands, func(i, j int) bool { // deterministic iteration
@@ -250,14 +248,14 @@ func (d *DRL) tick() {
 	extra := control.Waterfill(leftover, resid, nil)
 	for i, dm := range demands {
 		rate := units.BitRate(guaranteed[i] + extra[i])
-		if rate < d.floor {
-			rate = d.floor
+		if rate < floor {
+			rate = floor
 		}
 		p := d.pairs[dm.key]
 		p.rate = rate
 		p.tb.SetRate(rate)
 	}
-	d.tickT.ArmAfter(d.interval)
+	d.tickT.ArmAfter(interval)
 }
 
 // pairDemand is one pair's estimated demand in bits per second.

@@ -16,7 +16,7 @@ import (
 func TestTokenBucketRate(t *testing.T) {
 	eng := sim.NewEngine()
 	var released uint64
-	tb := NewTokenBucket(eng, 1*units.Gbps, 0, func(p *packet.Packet) {
+	tb := NewTokenBucket(eng, 1*units.Gbps, func(p *packet.Packet) {
 		released += uint64(p.Size)
 	})
 	// Offer 2 Gbps for 50 ms: a 1040B packet every 4160 ns.
@@ -44,7 +44,7 @@ func TestTokenBucketRate(t *testing.T) {
 func TestTokenBucketBurstThenIdlePassesImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	var out []*packet.Packet
-	tb := NewTokenBucket(eng, 1*units.Gbps, 5000, func(p *packet.Packet) { out = append(out, p) })
+	tb := NewTokenBucket(eng, 1*units.Gbps, func(p *packet.Packet) { out = append(out, p) })
 	tb.Submit(packet.NewData(0, 1, 1, 0, 1000))
 	if len(out) != 1 {
 		t.Fatal("first packet within burst should pass immediately")
@@ -55,7 +55,7 @@ func TestTokenBucketBurstThenIdlePassesImmediately(t *testing.T) {
 func TestTokenBucketSetRate(t *testing.T) {
 	eng := sim.NewEngine()
 	var released int
-	tb := NewTokenBucket(eng, 1*units.Mbps, 1100, func(p *packet.Packet) { released++ })
+	tb := NewTokenBucket(eng, 1*units.Mbps, func(p *packet.Packet) { released++ })
 	for i := 0; i < 10; i++ {
 		tb.Submit(packet.NewData(0, 1, 1, 0, 1000))
 	}
@@ -127,7 +127,7 @@ func TestWaterfill(t *testing.T) {
 func TestDRLRampsUpBackloggedPair(t *testing.T) {
 	eng := sim.NewEngine()
 	d := topo.NewDumbbell(eng, 2, 2, topo.DefaultSim(), topo.DefaultSim())
-	drl := NewDRL(eng, 10*units.Gbps, DefaultInterval)
+	drl := NewDRL(eng, 10*units.Gbps)
 	for _, h := range d.Left {
 		drl.AddVM(h, Profile{OutMax: 10 * units.Gbps, InMax: 10 * units.Gbps})
 	}
@@ -158,7 +158,7 @@ func TestDRLRespectsInboundCap(t *testing.T) {
 	// pair allocations toward it must approach but not exceed the cap.
 	eng := sim.NewEngine()
 	st := topo.NewStar(eng, 4, topo.DefaultTestbed())
-	drl := NewDRL(eng, 25*units.Gbps, DefaultInterval)
+	drl := NewDRL(eng, 25*units.Gbps)
 	for _, h := range st.Hosts {
 		drl.AddVM(h, Profile{OutMax: 25 * units.Gbps, InMax: 5 * units.Gbps})
 	}
@@ -195,7 +195,7 @@ func TestDRLRespectsInboundCap(t *testing.T) {
 func TestDRLIdlePairsReturnToFloor(t *testing.T) {
 	eng := sim.NewEngine()
 	d := topo.NewDumbbell(eng, 1, 1, topo.DefaultSim(), topo.DefaultSim())
-	drl := NewDRL(eng, 10*units.Gbps, 10*sim.Millisecond)
+	drl := NewDRL(eng, 10*units.Gbps)
 	drl.AddVM(d.Left[0], Profile{OutMax: 10 * units.Gbps, InMax: 10 * units.Gbps})
 	drl.Start()
 	s := transport.NewSender(d.Left[0], d.Right[0], 2*1000*1000, cc.NewCubic(), transport.Options{})

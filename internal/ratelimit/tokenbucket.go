@@ -20,33 +20,31 @@ type TokenBucket struct {
 	eng    *sim.Engine
 	pool   *packet.Pool
 	rate   float64 // bytes per nanosecond
-	burst  float64 // bucket depth in bytes
 	tokens float64
 	last   sim.Time
 	q      *queue.FIFO
 	out    func(*packet.Packet)
 	drainT *sim.Timer
 
-	// Submitted and Dropped count shaper arrivals and queue-limit drops.
-	Submitted uint64
-	Dropped   uint64
+	// Dropped counts queue-limit drops.
+	Dropped uint64
 }
 
-// Default shaper queue: deep enough to absorb a window, small enough that
-// unresponsive senders see loss (as with a real qdisc).
-const defaultShaperQueue = 500 * 1000
+const (
+	// Shaper queue: deep enough to absorb a window, small enough that
+	// unresponsive senders see loss (as with a real qdisc).
+	defaultShaperQueue = 500 * 1000
+	// burst is the bucket depth in bytes: three full-size packets.
+	burst = 3 * packet.MaxDataBytes
+)
 
 // NewTokenBucket builds a shaper releasing packets through out.
-func NewTokenBucket(eng *sim.Engine, rate units.BitRate, burst int, out func(*packet.Packet)) *TokenBucket {
-	if burst <= 0 {
-		burst = 3 * packet.MaxDataBytes
-	}
+func NewTokenBucket(eng *sim.Engine, rate units.BitRate, out func(*packet.Packet)) *TokenBucket {
 	tb := &TokenBucket{
 		eng:    eng,
 		pool:   packet.PoolFor(eng),
 		rate:   rate.BytesPerNano(),
-		burst:  float64(burst),
-		tokens: float64(burst),
+		tokens: burst,
 		q:      queue.New(defaultShaperQueue, 0),
 		out:    out,
 	}
@@ -73,7 +71,6 @@ func (tb *TokenBucket) Backlog() int { return tb.q.Bytes() }
 
 // Submit shapes one packet.
 func (tb *TokenBucket) Submit(p *packet.Packet) {
-	tb.Submitted++
 	tb.refill()
 	if tb.q.Len() == 0 && tb.tokens >= float64(p.Size) {
 		tb.tokens -= float64(p.Size)
@@ -92,8 +89,8 @@ func (tb *TokenBucket) Submit(p *packet.Packet) {
 func (tb *TokenBucket) refill() {
 	now := tb.eng.Now()
 	tb.tokens += float64(now-tb.last) * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
+	if tb.tokens > burst {
+		tb.tokens = burst
 	}
 	tb.last = now
 }
@@ -139,7 +136,7 @@ func (tb *TokenBucket) schedule() {
 // pre-determined rate limiter): data packets are shaped, ACKs pass. The
 // shaper is returned for rate changes and inspection.
 func AttachPRL(h *topo.Host, rate units.BitRate) *TokenBucket {
-	tb := NewTokenBucket(h.Engine(), rate, 0, h.Transmit)
+	tb := NewTokenBucket(h.Engine(), rate, h.Transmit)
 	h.Filter = func(p *packet.Packet) bool {
 		if p.Kind != packet.Data {
 			return false

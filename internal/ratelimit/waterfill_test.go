@@ -55,7 +55,7 @@ func TestDRLGuaranteeTier(t *testing.T) {
 	// its guarantee, not the bootstrap floor.
 	// (Integration coverage for the guarantee tier lives in the
 	// experiments package; this checks initialRate arithmetic.)
-	d := NewDRL(nil, 10e9, DefaultInterval)
+	d := NewDRL(nil, 10e9)
 	// No VMs registered: capacity-based split.
 	if got := d.initialRate(pairKey{1, 2}); got != 10e9*1.0 {
 		t.Fatalf("initialRate without profiles = %v", got)

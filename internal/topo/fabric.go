@@ -18,13 +18,6 @@ type LeafSpine struct {
 	Leaves       []*Switch
 	Hosts        []*Host
 	HostsPerLeaf int
-
-	// LeafUp[l][s] is the uplink pipe from leaf l to spine s; SpineDown[s][l]
-	// the downlink from spine s to leaf l; HostDown[h] the pipe from host
-	// h's leaf down to it. Exposed for measurement hooks.
-	LeafUp    [][]*Pipe
-	SpineDown [][]*Pipe
-	HostDown  []*Pipe
 }
 
 // NewLeafSpine builds a fabric on one engine with the given leaf, spine
@@ -41,16 +34,12 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 	f := &LeafSpine{
 		Eng:          b.eng,
 		HostsPerLeaf: hostsPerLeaf,
-		LeafUp:       make([][]*Pipe, leaves),
-		SpineDown:    make([][]*Pipe, spines),
 	}
 	for s := 0; s < spines; s++ {
 		f.Spines = append(f.Spines, NewSwitch(b.eng, fmt.Sprintf("spine%d", s)))
-		f.SpineDown[s] = make([]*Pipe, leaves)
 	}
 	for l := 0; l < leaves; l++ {
 		f.Leaves = append(f.Leaves, NewSwitch(b.eng, fmt.Sprintf("leaf%d", l)))
-		f.LeafUp[l] = make([]*Pipe, spines)
 	}
 
 	// Leaf <-> spine mesh.
@@ -58,14 +47,10 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 	for l := 0; l < leaves; l++ {
 		upPorts[l] = make([]int, spines)
 		for s := 0; s < spines; s++ {
-			up := b.pipe(fabricLink, f.Spines[s])
-			f.LeafUp[l][s] = up
-			upPorts[l][s] = f.Leaves[l].AddPort(up)
-			down := b.pipe(fabricLink, f.Leaves[l])
-			f.SpineDown[s][l] = down
+			upPorts[l][s] = f.Leaves[l].AddPort(b.pipe(fabricLink, f.Spines[s]))
 			// Spine ports are added in leaf order, so spine port l is
 			// toward leaf l (the routes below rely on it).
-			f.Spines[s].AddPort(down)
+			f.Spines[s].AddPort(b.pipe(fabricLink, f.Leaves[l]))
 		}
 	}
 
@@ -76,11 +61,9 @@ func (b *build) leafSpine(leaves, spines, hostsPerLeaf int, edge, fabricLink Lin
 		for i := 0; i < hostsPerLeaf; i++ {
 			h := NewHost(b.eng, id)
 			h.SetUplink(b.pipe(edge, f.Leaves[l]))
-			down := b.pipe(edge, h)
-			port := f.Leaves[l].AddPort(down)
+			port := f.Leaves[l].AddPort(b.pipe(edge, h))
 			f.Leaves[l].AddRoute(id, port)
 			f.Hosts = append(f.Hosts, h)
-			f.HostDown = append(f.HostDown, down)
 			id++
 		}
 	}
