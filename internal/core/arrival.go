@@ -265,24 +265,20 @@ func (t *Table) ProcessFluid(now sim.Time, id packet.AQID, bytes float64, dt sim
 	if id == packet.NoAQ {
 		return FluidFeedback{Accepted: bytes}
 	}
-	t.fluidEpochs.Add(1)
+	t.fluidEpochs++
 	aq := t.aqs.Get(id)
 	if aq == nil {
-		t.fluidMisses.Add(1)
+		t.fluidMisses++
 		return FluidFeedback{Accepted: bytes}
 	}
 	return aq.OnFluidEpoch(now, bytes, dt)
 }
 
 // CountFluid adds n per-entity epoch integrations, misses of them, to the
-// fluid counters, one atomic add per counter: a lane that resolves its runs
-// with Lookup and integrates them itself reports an epoch's counts in one
-// call, and they read as n ProcessFluid calls would have left them.
+// fluid counters: a lane that resolves its runs with Lookup and integrates
+// them itself reports an epoch's counts in one call, and they read as n
+// ProcessFluid calls would have left them.
 func (t *Table) CountFluid(n, misses uint64) {
-	if n > 0 {
-		t.fluidEpochs.Add(n)
-	}
-	if misses > 0 {
-		t.fluidMisses.Add(misses)
-	}
+	t.fluidEpochs += n
+	t.fluidMisses += misses
 }

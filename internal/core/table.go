@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"aqueue/internal/ident"
 	"aqueue/internal/packet"
@@ -22,10 +21,10 @@ import (
 // service run loop is at a window boundary — may call Process,
 // ProcessFluid, Lookup, CountFluid, Deploy, DeployBatch and Remove: they
 // run or replace AQs, whose registers are plain fields (see AQ), and a
-// lookup may build the ID index's slice. What other
-// goroutines may do while the owner works is observe: Stats reads atomic
-// counters. Its readers are the service loop, which snapshots them into
-// telemetry at window boundaries, and bench, after a run.
+// lookup may build the ID index's slice. The counters are plain fields
+// too, and Stats is read under the same rule: by the service loop at a
+// window boundary (its snapshot and the stats verb both run there), and by
+// bench and the harness after the run has ended.
 type Table struct {
 	aqs ident.Index[packet.AQID, *AQ]
 
@@ -34,21 +33,18 @@ type Table struct {
 	trace      *trace.Ring
 	traceWhere string
 
-	// Counters. Atomic for the one writer / many readers contract above,
-	// so a Stats call from another goroutine never races the owner.
-	lookups atomic.Uint64
-	misses  atomic.Uint64
+	// Counters, written only by the owner.
+	lookups uint64
+	misses  uint64
 
 	// Fluid-lane counters, separate so the packet counters (and any
 	// fingerprint folded over them) are untouched when the fluid lane is
 	// off. fluidEpochs counts per-entity epoch integrations.
-	fluidEpochs atomic.Uint64
-	fluidMisses atomic.Uint64
+	fluidEpochs uint64
+	fluidMisses uint64
 }
 
-// TableStats is a consistent-enough snapshot of the table's counters
-// (each counter is read atomically; the set is not fenced as a group,
-// which is fine for reporting).
+// TableStats is a snapshot of the table's counters.
 type TableStats struct {
 	Lookups uint64 `json:"lookups"`
 	Misses  uint64 `json:"misses"`
@@ -61,10 +57,10 @@ type TableStats struct {
 // Stats returns a snapshot of the lookup and miss counters.
 func (t *Table) Stats() TableStats {
 	return TableStats{
-		Lookups:     t.lookups.Load(),
-		Misses:      t.misses.Load(),
-		FluidEpochs: t.fluidEpochs.Load(),
-		FluidMisses: t.fluidMisses.Load(),
+		Lookups:     t.lookups,
+		Misses:      t.misses,
+		FluidEpochs: t.fluidEpochs,
+		FluidMisses: t.fluidMisses,
 	}
 }
 
@@ -113,10 +109,10 @@ func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict 
 	if id == packet.NoAQ {
 		return Pass
 	}
-	t.lookups.Add(1)
+	t.lookups++
 	aq := t.aqs.Get(id)
 	if aq == nil {
-		t.misses.Add(1)
+		t.misses++
 		return Pass
 	}
 	if t.trace == nil {

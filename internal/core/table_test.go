@@ -58,54 +58,60 @@ func TestTableProcessMatchDrops(t *testing.T) {
 
 // TestTableCountersConcurrent pins the table's concurrency contract: one
 // owner — the engine goroutine — runs Process and reports a fluid lane's
-// epoch counts through CountFluid, and any number of observers read
-// Table.Stats while it does (today the service loop at window
-// boundaries and bench after a run; the contract admits a reader while
-// traffic flows). Under -race the readers must not
-// race the writer, every snapshot they take must be monotone, and the
-// final counts are exact. Concurrent Process on one table is NOT part of
-// the contract: the A-Gap registers are plain fields, and each AQ lives on
+// epoch counts through CountFluid, and its counters are plain fields. A
+// reader on another goroutine reads Table.Stats only while the owner is
+// parked behind it, as the service loop does at a window boundary, or
+// after the run has ended, as bench and the harness do. Under -race such
+// readers must not race the writer, every snapshot they take must be
+// monotone, and the final counts are exact. A reader while traffic flows
+// and concurrent Process on one table are NOT part of the contract: the
+// counters and the A-Gap registers are plain fields, and each AQ lives on
 // exactly one engine.
 func TestTableCountersConcurrent(t *testing.T) {
 	tbl := NewTable()
 	tbl.Deploy(Config{ID: 1, Rate: units.Gbps, Limit: 1 << 30})
-	const readers, rounds = 4, 4000
-	stop := make(chan struct{})
+	const readers, windows, rounds = 4, 40, 100
+	// Each window boundary hands the parked table to one reader, which
+	// snapshots it and hands it back.
+	boundary, resume := make(chan int), make(chan struct{})
 	var wg sync.WaitGroup
+	var last TableStats // handed from reader to reader through the owner
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var last TableStats
-			for {
+			for w := range boundary {
 				s := tbl.Stats()
 				if s.Lookups < last.Lookups || s.Misses < last.Misses ||
 					s.FluidEpochs < last.FluidEpochs || s.FluidMisses < last.FluidMisses {
-					t.Errorf("Stats went backwards: %+v after %+v", s, last)
-					return
+					t.Errorf("window %d: Stats went backwards: %+v after %+v", w, s, last)
+				}
+				if s.Lookups != uint64(2*rounds*w) {
+					t.Errorf("window %d: %d lookups, want %d", w, s.Lookups, 2*rounds*w)
 				}
 				last = s
-				select {
-				case <-stop:
-					return
-				default:
-				}
+				resume <- struct{}{}
 			}
 		}()
 	}
 	p := packet.NewData(1, 2, 1, 0, 960)
-	for i := 0; i < rounds; i++ {
-		tbl.Process(sim.Time(i), 1, p)
-		tbl.Process(sim.Time(i), 42, p) // miss
-		tbl.CountFluid(3, 1)
+	for w := 1; w <= windows; w++ {
+		for i := 0; i < rounds; i++ {
+			tbl.Process(sim.Time(w*rounds+i), 1, p)
+			tbl.Process(sim.Time(w*rounds+i), 42, p) // miss
+			tbl.CountFluid(3, 1)
+		}
+		boundary <- w
+		<-resume
 	}
-	close(stop)
+	close(boundary)
 	wg.Wait()
-	if s := tbl.Stats(); s.Lookups != 2*rounds || s.Misses != rounds || s.FluidEpochs != 3*rounds || s.FluidMisses != rounds {
-		t.Fatalf("Stats = %+v, want %d lookups, %d misses, %d fluid epochs, %d fluid misses", s, 2*rounds, rounds, 3*rounds, rounds)
+	const n = windows * rounds
+	if s := tbl.Stats(); s.Lookups != 2*n || s.Misses != n || s.FluidEpochs != 3*n || s.FluidMisses != n {
+		t.Fatalf("Stats = %+v, want %d lookups, %d misses, %d fluid epochs, %d fluid misses", s, 2*n, n, 3*n, n)
 	}
-	if a := tbl.Lookup(1).Stats(); a.Arrived != rounds {
-		t.Fatalf("AQ arrived = %d, want %d", a.Arrived, rounds)
+	if a := tbl.Lookup(1).Stats(); a.Arrived != n {
+		t.Fatalf("AQ arrived = %d, want %d", a.Arrived, n)
 	}
 }
 

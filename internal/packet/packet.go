@@ -53,7 +53,6 @@ const (
 type Packet struct {
 	Src, Dst HostID
 	Flow     FlowID
-	Kind     Kind
 	Size     int // bytes on the wire, including header
 
 	// Transport fields.
@@ -64,19 +63,6 @@ type Packet struct {
 	// triggered it — a one-block SACK that lets the sender run FACK-style
 	// loss recovery.
 	EchoSeq int64
-
-	// ECN: CE is the congestion-experienced codepoint set by queues/AQs;
-	// EcnCapable gates marking (UDP entities in the experiments are not
-	// ECN-capable, so AQ drops their excess instead); EcnEcho is the
-	// receiver's echo carried on ACKs.
-	EcnCapable bool
-	CE         bool
-	EcnEcho    bool
-
-	// AQ tags matched by switches (§4.2). Tenants tag data packets; ACKs
-	// carry NoAQ and bypass AQ processing.
-	IngressAQ AQID
-	EgressAQ  AQID
 
 	// VirtualDelay is the accumulated virtual queuing delay A(k)/R stamped
 	// by delay-type AQs along the path; the receiver echoes it back on the
@@ -99,8 +85,25 @@ type Packet struct {
 	EchoSentAt sim.Time
 	EnqueuedAt sim.Time
 
+	// The one-byte fields and the two AQ tags share the last 16 bytes, so
+	// a Packet is 128 bytes — two cache lines — on a 64-bit machine.
+	Kind Kind
+
+	// ECN: CE is the congestion-experienced codepoint set by queues/AQs;
+	// EcnCapable gates marking (UDP entities in the experiments are not
+	// ECN-capable, so AQ drops their excess instead); EcnEcho is the
+	// receiver's echo carried on ACKs.
+	EcnCapable bool
+	CE         bool
+	EcnEcho    bool
+
 	// Retransmission marker, used by transport accounting and tests.
 	Retransmit bool
+
+	// AQ tags matched by switches (§4.2). Tenants tag data packets; ACKs
+	// carry NoAQ and bypass AQ processing.
+	IngressAQ AQID
+	EgressAQ  AQID
 }
 
 // NewData builds an MSS-or-smaller data segment in fresh memory, outside

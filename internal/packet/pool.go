@@ -18,10 +18,24 @@ import "aqueue/internal/sim"
 // (poison_debug.go), which CI runs.
 
 // Pool is an engine's packet free list. The simulator is single-goroutine
-// per engine, so the list needs no locking.
+// per engine, so the list and its counters need no locking.
 type Pool struct {
 	free []*Packet
+
+	// gets and releases count Get and Release calls (a nil Release is not
+	// one), so gets − releases is the number of packets the run holds.
+	gets, releases uint64
 }
+
+// PoolStats is a snapshot of a pool's Get and Release counts. No run
+// snapshot or fingerprint includes it.
+type PoolStats struct {
+	Gets     uint64
+	Releases uint64
+}
+
+// Stats returns the pool's Get and Release counts.
+func (pl *Pool) Stats() PoolStats { return PoolStats{Gets: pl.gets, Releases: pl.releases} }
 
 // PoolFor returns the engine's packet free list, creating it on first use.
 // It is stored in the engine's opaque pool slot, so components built on the
@@ -49,6 +63,7 @@ func (pl *Pool) Get() *Packet {
 	} else {
 		p = new(Packet)
 	}
+	pl.gets++
 	debugAcquire(p)
 	return p
 }
@@ -63,6 +78,7 @@ func (pl *Pool) Release(p *Packet) {
 		return
 	}
 	debugRelease(p)
+	pl.releases++
 	pl.free = append(pl.free, p)
 }
 

@@ -25,3 +25,18 @@ func TestGetReturnsZeroedPacket(t *testing.T) {
 func TestReleaseNilIsNoop(t *testing.T) {
 	PoolFor(sim.NewEngine()).Release(nil)
 }
+
+func TestPoolStatsCountsGetsAndReleases(t *testing.T) {
+	pl := PoolFor(sim.NewEngine())
+	a, b := pl.NewData(1, 2, 3, 0, 1000), pl.NewAck(2, 1, 3, 1000)
+	pl.Release(a)
+	pl.Release(nil)
+	pl.Release(pl.Get()) // reuses a
+	if st := pl.Stats(); st != (PoolStats{Gets: 3, Releases: 2}) {
+		t.Fatalf("Stats = %+v, want 3 gets and 2 releases (b still out)", st)
+	}
+	pl.Release(b)
+	if st := pl.Stats(); st.Gets != st.Releases {
+		t.Fatalf("Stats = %+v after every packet came back", st)
+	}
+}

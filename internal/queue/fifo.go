@@ -15,11 +15,21 @@ import (
 
 // FIFO is a byte-limited tail-drop FIFO with optional ECN marking.
 // The zero value is not usable; use New.
+//
+// A FIFO has one of two uses and never mixes them. A storing FIFO
+// holds its packets: Push, Pop and Peek, as a token bucket's shaping queue
+// does. A counting FIFO holds only their number and bytes: Admit and
+// PopDrainedN, as a pipe's egress port does, whose packets the pipe
+// already holds in its own in-flight records. Admission — tail drop, ECN
+// marking and the RED ramp — reads queued bytes alone, so both uses decide
+// every packet the same way. The ring is allocated by the first Push, so a
+// counting FIFO never holds storage.
 type FIFO struct {
-	limit   int // bytes; <=0 means unlimited
-	ecnKB   int // ECN marking threshold in bytes; <=0 disables marking
-	bytes   int
-	packets ring.Buffer[*packet.Packet]
+	limit int // bytes; <=0 means unlimited
+	ecnKB int // ECN marking threshold in bytes; <=0 disables marking
+	bytes int
+	n     int                          // queued packets, stored or counted
+	store *ring.Buffer[*packet.Packet] // nil until the first Push
 
 	// AQMDropNonECT selects NS3/RED-style AQM semantics: above the ECN
 	// threshold, ECN-capable packets are marked while everything else is
@@ -59,7 +69,7 @@ func (q *FIFO) Stats() FIFOStats {
 		Marked:   q.Marked,
 		MaxBytes: q.MaxBytes,
 		Bytes:    q.bytes,
-		Packets:  q.packets.Len(),
+		Packets:  q.n,
 	}
 }
 
@@ -78,16 +88,29 @@ func New(limit, ecnThreshold int) *FIFO {
 func (q *FIFO) SetAQMSeed(seed uint64) { q.rng = sim.NewRand(seed) }
 
 // Len returns the number of queued packets.
-func (q *FIFO) Len() int { return q.packets.Len() }
+func (q *FIFO) Len() int { return q.n }
+
+// Cap returns the number of packets the FIFO's storage holds before it
+// grows: 0 for a counting FIFO, which never allocates any.
+func (q *FIFO) Cap() int {
+	if q.store == nil {
+		return 0
+	}
+	return q.store.Cap()
+}
 
 // Bytes returns the queued bytes.
 func (q *FIFO) Bytes() int { return q.bytes }
 
-// Push enqueues p at time now. It returns false — and does not take
-// ownership of p — when the byte limit would be exceeded (tail drop).
-// When the post-enqueue occupancy exceeds the ECN threshold and the packet
-// is ECN-capable, the CE codepoint is set.
-func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
+// Admit decides whether p joins the queue at time now and, when it does,
+// counts it: its size joins the queued bytes and every counter is
+// updated, but the packet itself is not stored. It returns false — and
+// does not take ownership of p — when the byte limit would be exceeded
+// (tail drop) or the RED ramp drops it. When the post-enqueue occupancy
+// exceeds the ECN threshold and the packet is ECN-capable, the CE
+// codepoint is set. A counting FIFO's caller keeps the packet and retires
+// it with PopDrainedN.
+func (q *FIFO) Admit(now sim.Time, p *packet.Packet) bool {
 	if q.limit > 0 && q.bytes+p.Size > q.limit {
 		q.Dropped++
 		return false
@@ -104,7 +127,7 @@ func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
 	}
 	p.EnqueuedAt = now
 	q.bytes += p.Size
-	q.packets.Push(p)
+	q.n++
 	q.Enqueued++
 	if q.bytes > q.MaxBytes {
 		q.MaxBytes = q.bytes
@@ -127,27 +150,54 @@ func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
 	return true
 }
 
-// PopDrainedN removes the n head entries without touching the packets they
-// hold and subtracts totalSize from the queued bytes. A pipe running the
-// virtual-transmitter fast path retires entries as their serialization
-// starts, from its own record of their sizes, so the queue never reads a
-// packet the pipe has handed on.
+// Push admits p at time now (see Admit) and stores it for Pop. It returns
+// false — and does not take ownership of p — when admission drops it.
+func (q *FIFO) Push(now sim.Time, p *packet.Packet) bool {
+	if q.store == nil {
+		if q.n != 0 {
+			panic("queue: Push on a counting FIFO")
+		}
+		q.store = new(ring.Buffer[*packet.Packet])
+	}
+	if !q.Admit(now, p) {
+		return false
+	}
+	q.store.Push(p)
+	return true
+}
+
+// PopDrainedN retires the n oldest counted packets, whose sizes total
+// totalSize, from a counting FIFO. A pipe retires its queued packets as
+// their serialization starts, from its own in-flight records, so the
+// queue never stores or reads them.
 func (q *FIFO) PopDrainedN(n, totalSize int) {
-	q.packets.PopN(n)
+	if q.store != nil {
+		panic("queue: PopDrainedN on a storing FIFO")
+	}
+	q.n -= n
 	q.bytes -= totalSize
 }
 
-// Pop dequeues the head packet, or returns nil when empty.
+// Pop dequeues the head packet of a storing FIFO, or returns nil when
+// empty.
 func (q *FIFO) Pop() *packet.Packet {
-	p, ok := q.packets.Pop()
+	if q.store == nil {
+		return nil
+	}
+	p, ok := q.store.Pop()
 	if ok {
 		q.bytes -= p.Size
+		q.n--
 	}
 	return p
 }
 
-// Peek returns the head packet without removing it.
+// Peek returns the head packet of a storing FIFO without removing it, or
+// nil when empty.
 func (q *FIFO) Peek() *packet.Packet {
-	p, _ := q.packets.Peek()
+	if q.store == nil {
+		return nil
+	}
+	p, _ := q.store.Peek()
 	return p
 }

@@ -146,18 +146,19 @@ func TestFIFOPopDrainedIgnoresRecycledHead(t *testing.T) {
 	q := New(0, 0)
 	a := data(100)
 	b := data(200)
-	q.Push(0, a)
-	q.Push(0, b)
-	// The drain contract: the caller recorded the size at enqueue time, and
-	// the head object may have been recycled since. PopDrainedN must account
-	// with the supplied size, never by reading the (possibly reused) packet.
+	q.Admit(0, a)
+	q.Admit(0, b)
+	// The counting contract: the caller keeps the packets and supplies
+	// their sizes, and the head object may have been recycled since.
+	// PopDrainedN must account with the supplied size, never by reading a
+	// packet — a counting FIFO holds none to read.
 	a.Size = 9999
 	q.PopDrainedN(1, 100)
 	if q.Len() != 1 || q.Bytes() != 200 {
 		t.Fatalf("after drain: len=%d bytes=%d, want 1/200", q.Len(), q.Bytes())
 	}
-	if q.Peek() != b {
-		t.Fatal("drain removed the wrong entry")
+	if q.Peek() != nil || q.Cap() != 0 {
+		t.Fatalf("counting FIFO stores packets: peek %v, cap %d", q.Peek(), q.Cap())
 	}
 	q.PopDrainedN(1, 200)
 	if q.Len() != 0 || q.Bytes() != 0 {
@@ -166,24 +167,60 @@ func TestFIFOPopDrainedIgnoresRecycledHead(t *testing.T) {
 	if q.Pop() != nil {
 		t.Fatal("pop on fully drained queue returned a packet")
 	}
+	if st := q.Stats(); st.Enqueued != 2 || st.MaxBytes != 300 || st.Packets != 0 {
+		t.Fatalf("counters %+v, want 2 enqueued, 300 B high water, 0 packets", st)
+	}
 }
 
 func TestFIFOPopDrainedInterleavesWithPop(t *testing.T) {
-	// Drains and pops can alternate (the pipe drains lazily, stats code
-	// pops); byte accounting must stay exact either way.
-	q := New(0, 0)
-	sizes := []int{100, 200, 300, 400}
-	for _, s := range sizes {
-		q.Push(0, data(s))
+	// A FIFO either stores (Push/Pop/Peek) or counts (Admit/PopDrainedN);
+	// the two never mix. Fed the same arrivals and departures, both uses
+	// decide every drop and mark alike and agree on every counter, because
+	// admission reads queued bytes alone.
+	store, count := New(1000, 500), New(1000, 500)
+	var counted []int
+	sizes := []int{300, 400, 500, 200, 100, 600, 300, 300}
+	for i, size := range sizes {
+		a, b := data(size), data(size)
+		a.EcnCapable, b.EcnCapable = i%2 == 0, i%2 == 0
+		okA, okB := store.Push(0, a), count.Admit(0, b)
+		if okA != okB || a.CE != b.CE {
+			t.Fatalf("packet %d (%d B): store accepted %v CE %v, count accepted %v CE %v", i, size, okA, a.CE, okB, b.CE)
+		}
+		if okB {
+			counted = append(counted, size)
+		}
+		if i%3 == 2 {
+			// One departure from each: the storing FIFO pops its head,
+			// the counting one retires the same size by count.
+			if got := store.Pop(); got == nil || got.Size != counted[0] {
+				t.Fatalf("pop after packet %d returned %v, want %d B", i, got, counted[0])
+			}
+			count.PopDrainedN(1, counted[0])
+			counted = counted[1:]
+		}
+		if s, c := store.Stats(), count.Stats(); s != c {
+			t.Fatalf("after packet %d: storing %+v, counting %+v", i, s, c)
+		}
 	}
-	q.PopDrainedN(1, 100)
-	if got := q.Pop(); got == nil || got.Size != 200 {
-		t.Fatalf("pop after drain returned size %v, want 200", got)
+	if count.Pop() != nil || count.Peek() != nil || count.Cap() != 0 {
+		t.Fatal("counting FIFO returned or stored a packet")
 	}
-	q.PopDrainedN(1, 300)
-	if q.Len() != 1 || q.Bytes() != 400 {
-		t.Fatalf("len=%d bytes=%d, want 1/400", q.Len(), q.Bytes())
+	if store.Cap() == 0 {
+		t.Fatal("storing FIFO allocated no storage")
 	}
+	mustPanic(t, "PopDrainedN on a storing FIFO", func() { store.PopDrainedN(1, 100) })
+	mustPanic(t, "Push on a counting FIFO", func() { count.Push(0, data(100)) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 func TestRingGrowthPreservesOrder(t *testing.T) {

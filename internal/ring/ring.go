@@ -1,5 +1,5 @@
 // Package ring provides Buffer, the one growable circular buffer of the
-// tree. It holds the physical queue's packets, each DRR class, a pipe's
+// tree. It holds a storing FIFO's packets, each DRR class, a pipe's
 // in-flight records, a flow's per-segment state and the service's
 // per-pipe throughput history.
 package ring

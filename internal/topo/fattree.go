@@ -22,8 +22,6 @@ type FatTree struct {
 	Aggs  [][]*Switch
 	Edges [][]*Switch
 	Hosts []*Host
-	// HostDown[h] is the edge-switch pipe down to host h.
-	HostDown []*Pipe
 }
 
 // HostsPerPod returns (k/2)².
@@ -111,10 +109,8 @@ func NewFatTreeIn(c *sim.Cluster, k int, edge, fabricLink LinkSpec) *FatTree {
 			for i := 0; i < half; i++ {
 				h := NewHost(b.eng, id)
 				h.SetUplink(b.pipe(edge, es))
-				down := b.pipe(edge, h)
-				hostPorts[p][e][i] = es.AddPort(down)
+				hostPorts[p][e][i] = es.AddPort(b.pipe(edge, h))
 				f.Hosts = append(f.Hosts, h)
-				f.HostDown = append(f.HostDown, down)
 				id++
 			}
 		}

@@ -39,8 +39,11 @@ type Pipe struct {
 	// fast path: a FIFO drains deterministically, so each packet's
 	// serialization window is known at enqueue time and Send can plan the
 	// delivery directly — one engine event per packet instead of a
-	// txDone/deliver pair. nil when a custom scheduler (DRR) is installed,
-	// which falls back to the event-driven transmitter.
+	// txDone/deliver pair. On this path fq is a counting FIFO (Admit and
+	// PopDrainedN): it decides admission from its byte count and stores
+	// nothing, because flights already holds every packet it counts. nil
+	// when a custom scheduler (DRR) is installed, which falls back to the
+	// event-driven transmitter.
 	fq *queue.FIFO
 	// txFreeAt is when the transmitter finishes its current backlog; a
 	// packet enqueued now starts serializing at max(now, txFreeAt).
@@ -48,18 +51,19 @@ type Pipe struct {
 
 	// flights holds one record per packet whose delivery is planned but
 	// not yet made, in delivery order — on the FIFO path that is also
-	// arrival and start order. Its head is the one delivery armed in the
-	// engine: deliveries within a pipe are strictly ordered (lastPlan), so
-	// the rest wait here and chain as each delivery fires. A long fat pipe
-	// carries delay/txTime packets in flight; keeping them out of the event
-	// heap keeps every sift shallow.
+	// arrival and start order — and is the one place the pipe holds the
+	// packet. Its head is the one delivery armed in the engine: deliveries
+	// within a pipe are strictly ordered (lastPlan), so the rest wait here
+	// and chain as each delivery fires. A long fat pipe carries
+	// delay/txTime packets in flight; keeping them out of the event heap
+	// keeps every sift shallow.
 	flights ring.Buffer[flight]
-	// waiting counts the last entries of flights that fq still holds:
+	// waiting counts the last entries of flights that fq still counts:
 	// accepted on the FIFO path, not yet serializing. drainStarted retires
 	// them lazily as their start times pass, so fq's occupancy — which
 	// drives tail drop, ECN marking and Backlog — matches what the
 	// event-driven transmitter would report; deliver retires one whose
-	// start passed unobserved, so fq never holds a delivered packet.
+	// start passed unobserved, so fq never counts a delivered packet.
 	waiting int
 
 	// jitter, when positive, adds a uniform random component in
@@ -163,11 +167,17 @@ func (p *Pipe) SetJitter(j sim.Time, seed uint64) {
 }
 
 // Queue exposes the physical FIFO for stats and work-conservation checks;
-// it returns nil when a different scheduler is installed.
+// it returns nil when a different scheduler is installed. The FIFO counts
+// the pipe's queued packets and stores none: its Pop and Peek return nil.
 func (p *Pipe) Queue() *queue.FIFO {
 	f, _ := p.q.(*queue.FIFO)
 	return f
 }
+
+// InFlight returns the number of packets the pipe holds in its flights
+// records: accepted, not yet delivered. On the FIFO path that is every
+// packet the pipe owns.
+func (p *Pipe) InFlight() int { return p.flights.Len() }
 
 // Rate returns the link rate.
 func (p *Pipe) Rate() units.BitRate { return p.rate }
@@ -233,9 +243,10 @@ func (p *Pipe) Engine() *sim.Engine { return p.eng }
 // arrival order at a known rate, so the packet's serialization window
 // [start, start+tx) is fixed the moment it is accepted, and the delivery
 // is planned here instead of by a txDone event — one engine event per
-// packet instead of two. The FIFO still sees every Push (tail-drop, ECN
-// and AQM decisions are its, with identical occupancy), but its entries
-// are drained lazily as their start times pass.
+// packet instead of two. The FIFO still admits every packet (tail-drop,
+// ECN and AQM decisions are its, with identical occupancy) but only counts
+// it; the packet itself is held once, in flights, and the count is
+// drained lazily as start times pass.
 func (p *Pipe) Send(pkt *packet.Packet) {
 	if p.fq == nil {
 		if !p.q.Push(p.eng.Now(), pkt) {
@@ -247,7 +258,7 @@ func (p *Pipe) Send(pkt *packet.Packet) {
 	}
 	now := p.eng.Now()
 	p.drainStarted(now)
-	if !p.fq.Push(now, pkt) {
+	if !p.fq.Admit(now, pkt) {
 		p.pool.Release(pkt)
 		return
 	}
@@ -284,7 +295,7 @@ func (p *Pipe) drainStarted(now sim.Time) {
 		if f.start > now {
 			break
 		}
-		bytes += f.size
+		bytes += f.pkt.Size
 	}
 	if n > 0 {
 		p.waiting -= n
@@ -338,7 +349,7 @@ func (p *Pipe) planDelivery(start, end sim.Time, pkt *packet.Packet) {
 		at = p.lastPlan + 1 // never reorder within a pipe
 	}
 	p.lastPlan = at
-	p.flights.Push(flight{start: start, at: at, size: pkt.Size, pkt: pkt})
+	p.flights.Push(flight{start: start, at: at, pkt: pkt})
 	if p.flights.Len() == 1 {
 		p.eng.AtDetached(at, p.deliverFn, nil)
 	}
@@ -349,12 +360,12 @@ func (p *Pipe) planDelivery(start, end sim.Time, pkt *packet.Packet) {
 // so it takes the engine's root hole and the chain's event schedule is
 // independent of whatever the receiver does. A head fq still counts —
 // its start passed with no Send or Backlog to drain it — is retired from
-// fq first.
+// fq first, while the pipe still owns the packet whose size it reads.
 func (p *Pipe) deliver() {
 	f, _ := p.flights.Pop()
 	if p.waiting > p.flights.Len() {
 		p.waiting--
-		p.fq.PopDrainedN(1, f.size)
+		p.fq.PopDrainedN(1, f.pkt.Size)
 	}
 	if next, ok := p.flights.Peek(); ok {
 		p.eng.AtDetached(next.at, p.deliverFn, nil)
@@ -363,10 +374,10 @@ func (p *Pipe) deliver() {
 }
 
 // flight is one packet between acceptance and delivery: when its
-// serialization starts, when it arrives at the destination, and its size
-// as accepted, which the FIFO's accounting reads instead of the packet.
+// serialization starts, when it arrives at the destination, and the packet,
+// which the pipe owns until deliver hands it on — so the FIFO's accounting
+// reads its size from the packet itself.
 type flight struct {
 	start, at sim.Time
-	size      int
 	pkt       *packet.Packet
 }
