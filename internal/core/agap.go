@@ -80,7 +80,7 @@ const (
 
 // AQ is one augmented queue: the deployed configuration plus the two runtime
 // registers of Algorithm 1 (gap and last_time). The paper stores these in
-// switch SRAM; the 15-byte-per-AQ layout is modelled in internal/control.
+// switch SRAM; the 15-byte-per-AQ layout is modelled by Table.MemoryBytes.
 //
 // An AQ has a single owner: the goroutine of the engine its switch runs on.
 // Process, Update, the fluid kernels, SetRate and Reset all mutate the
@@ -232,17 +232,21 @@ func (a *AQ) Update(now sim.Time, size int) float64 {
 type Verdict uint8
 
 const (
-	// Pass lets the packet continue, possibly mutated (CE mark, virtual
-	// delay stamp).
+	// Pass lets the packet continue, possibly mutated (virtual delay
+	// stamp).
 	Pass Verdict = iota
 	// Drop discards the packet before it enters the network.
 	Drop
+	// Mark lets the packet continue with its CE bit set (and its virtual
+	// delay stamped, as on Pass).
+	Mark
 )
 
 // Process runs Algorithm 1 followed by Algorithm 2 on packet p arriving at
 // time now. On Drop the A-Gap is decremented by the packet size again
 // (Algorithm 2 lines 2–4), so dropped traffic does not count against the
-// entity's allocation.
+// entity's allocation. It returns Mark exactly when it sets CE and counts
+// a mark.
 func (a *AQ) Process(now sim.Time, p *packet.Packet) Verdict {
 	a.arrived++
 	a.arrivedBytes += uint64(p.Size)
@@ -252,9 +256,11 @@ func (a *AQ) Process(now sim.Time, p *packet.Packet) Verdict {
 		a.drops++
 		return Drop
 	}
+	v := Pass
 	if a.cc == ECNType && gap > a.ecnThreshold && p.EcnCapable {
 		p.CE = true
 		a.marks++
+		v = Mark
 	}
 	// Virtual queuing delay: the time the AQ needs to "drain" the current
 	// A-Gap at rate R, accumulated along the path (§3.3.2). It is stamped
@@ -263,7 +269,7 @@ func (a *AQ) Process(now sim.Time, p *packet.Packet) Verdict {
 	if a.rate > 0 {
 		p.VirtualDelay += sim.FromFloat(gap / a.rate)
 	}
-	return Pass
+	return v
 }
 
 // VirtualDelay returns the current virtual queuing delay A(t)/R without

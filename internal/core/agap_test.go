@@ -117,9 +117,9 @@ func TestProcessECNMarking(t *testing.T) {
 			t.Fatalf("packet %d should pass unmarked (gap %v)", i, aq.Gap())
 		}
 	}
-	// Fourth: gap 4000 > 3000 — marked.
+	// Fourth: gap 4000 > 3000 — marked, and the verdict says so.
 	p := mk()
-	if aq.Process(0, p) != Pass || !p.CE {
+	if aq.Process(0, p) != Mark || !p.CE {
 		t.Fatal("packet above virtual ECN threshold should be marked")
 	}
 	if st := aq.Stats(); st.Marks != 1 {
@@ -127,8 +127,7 @@ func TestProcessECNMarking(t *testing.T) {
 	}
 	// Non-ECN-capable traffic is never marked.
 	q := packet.NewData(1, 2, 1, 0, 960)
-	aq.Process(0, q)
-	if q.CE {
+	if aq.Process(0, q) != Pass || q.CE {
 		t.Fatal("non-ECN-capable packet was marked")
 	}
 }

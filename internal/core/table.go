@@ -6,7 +6,6 @@ import (
 	"aqueue/internal/ident"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/trace"
 )
 
 // Table is the per-pipeline AQ lookup table of a switch (§4.2): a map from
@@ -27,11 +26,6 @@ import (
 // bench and the harness after the run has ended.
 type Table struct {
 	aqs ident.Index[packet.AQID, *AQ]
-
-	// trace, when non-nil, receives AQDrop and AQMark events — the two
-	// outcomes only the AQ layer can observe. traceWhere labels them.
-	trace      *trace.Ring
-	traceWhere string
 
 	// Counters, written only by the owner.
 	lookups uint64
@@ -102,9 +96,8 @@ func (t *Table) Len() int { return t.aqs.Len() }
 func (t *Table) IDs() []packet.AQID { return t.aqs.Keys() }
 
 // Process matches the packet's tag for this pipeline position and, when an
-// AQ is deployed under it, runs the per-packet framework. It returns Drop
-// only when a matched AQ drops the packet; unmatched or untagged packets
-// pass through.
+// AQ is deployed under it, runs the per-packet framework and returns its
+// verdict; unmatched or untagged packets pass through.
 func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict {
 	if id == packet.NoAQ {
 		return Pass
@@ -115,25 +108,7 @@ func (t *Table) Process(now sim.Time, id packet.AQID, p *packet.Packet) Verdict 
 		t.misses++
 		return Pass
 	}
-	if t.trace == nil {
-		return aq.Process(now, p)
-	}
-	marksBefore := aq.marks
-	v := aq.Process(now, p)
-	if v == Drop {
-		t.trace.Record(trace.FromPacket(now, trace.AQDrop, p, t.traceWhere))
-	} else if aq.marks != marksBefore {
-		t.trace.Record(trace.FromPacket(now, trace.AQMark, p, t.traceWhere))
-	}
-	return v
-}
-
-// SetTrace attaches a ring that receives an AQDrop or AQMark event for
-// every packet the table's AQs drop or ECN-mark, labelled with where.
-// A nil ring detaches tracing; the hot path then pays one branch.
-func (t *Table) SetTrace(r *trace.Ring, where string) {
-	t.trace = r
-	t.traceWhere = where
+	return aq.Process(now, p)
 }
 
 // MemoryBytes models the SRAM footprint of the deployed AQs using the

@@ -18,16 +18,26 @@ const (
 )
 
 // released tracks packets currently sitting in a free list, to catch
-// double releases. A sync.Map because harness workers release packets on
-// several goroutines, each into its own engine's pool.
-var released sync.Map
+// double releases. Harness workers release on several goroutines, so a
+// mutex guards it; a map reuses its buckets, so the debug build allocates
+// nothing in steady state.
+var (
+	releasedMu sync.Mutex
+	released   = map[*Packet]struct{}{}
+)
 
 func debugAcquire(p *Packet) {
-	released.Delete(p)
+	releasedMu.Lock()
+	delete(released, p)
+	releasedMu.Unlock()
 }
 
 func debugRelease(p *Packet) {
-	if _, dup := released.LoadOrStore(p, struct{}{}); dup {
+	releasedMu.Lock()
+	_, dup := released[p]
+	released[p] = struct{}{}
+	releasedMu.Unlock()
+	if dup {
 		panic(fmt.Sprintf("packet: double release of %p", p))
 	}
 	*p = Packet{

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"aqueue/internal/control"
@@ -165,9 +166,6 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		script: make(map[uint64][]func(*Fabric)),
 		fp:     fnv.New64a(),
 	}
-	if cfg.TraceLen > 0 {
-		f.ring = trace.NewRing(cfg.TraceLen)
-	}
 	switch cfg.Topo {
 	case "dumbbell":
 		d := topo.NewDumbbell(f.eng, cfg.Hosts, cfg.Hosts, cfg.Edge, cfg.Trunk)
@@ -178,9 +176,6 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		f.addPipe("S1->S2", d.Bottleneck)
 		f.addPipe("S2->S1", d.ReverseTrunk)
 		f.fluidSw, f.fluidPipe = d.S1, d.Bottleneck
-		for _, h := range append(append([]*topo.Host{}, d.Left...), d.Right...) {
-			h.SetTrace(f.ring)
-		}
 	case "star":
 		if cfg.Hosts < 2 || cfg.Hosts%2 != 0 {
 			return nil, fmt.Errorf("service: star needs an even host count >= 2, got %d", cfg.Hosts)
@@ -193,11 +188,17 @@ func NewFabric(cfg Config) (*Fabric, error) {
 		for i := half; i < cfg.Hosts; i++ {
 			f.addPipe(fmt.Sprintf("SW->h%d", i), s.Down[i])
 		}
-		for _, h := range s.Hosts {
-			h.SetTrace(f.ring)
-		}
 	default:
 		return nil, fmt.Errorf("service: unknown topology %q", cfg.Topo)
+	}
+	if cfg.TraceLen > 0 {
+		f.ring = trace.NewRing(cfg.TraceLen)
+		for _, h := range slices.Concat(f.srcs, f.dsts) {
+			f.ring.Host(h)
+		}
+		for _, s := range f.switches {
+			f.ring.Switch(s.sw)
+		}
 	}
 	f.ctrl = control.NewController(f.capacity)
 	return f, nil
@@ -207,7 +208,6 @@ func (f *Fabric) addSwitch(name string, sw *topo.Switch) {
 	f.switches = append(f.switches, fabricSwitch{name: name, sw: sw})
 	f.tables[name+"/"+control.Ingress.String()] = sw.Ingress
 	f.tables[name+"/"+control.Egress.String()] = sw.Egress
-	sw.SetTrace(f.ring)
 }
 
 func (f *Fabric) addPipe(name string, p *topo.Pipe) {

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"aqueue/internal/cc"
 	"aqueue/internal/fluid"
@@ -20,7 +21,7 @@ import (
 // tenant's granted AQ.
 type LoadSpec struct {
 	Tenant string      `json:"tenant,omitempty"`
-	AQ     packet.AQID `json:"aq,omitempty"`   // ingress AQ tag (0 = untagged)
+	AQ     packet.AQID `json:"aq,omitempty"`   // ingress AQ tag (0 = untagged); must be deployed at an ingress table
 	Kind   string      `json:"kind"`           // websearch | datamining | fixed | fluid
 	Size   int64       `json:"size,omitempty"` // bytes, kind "fixed" only
 	Load   float64     `json:"load"`           // fraction of fabric capacity
@@ -87,6 +88,9 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	if offered := spec.Load * float64(f.capacity); !(spec.Load > 0 && offered <= math.MaxFloat64) {
 		return nil, fmt.Errorf("service: attach needs a positive load with a finite offered rate, got %g", spec.Load)
 	}
+	if !f.tagMatched(spec) {
+		return nil, fmt.Errorf("service: AQ %d is deployed at no ingress table the driver's traffic meets", spec.AQ)
+	}
 	if spec.Kind == "fluid" {
 		return f.attachFluid(spec)
 	}
@@ -137,6 +141,16 @@ func (f *Fabric) Attach(spec LoadSpec) (*Driver, error) {
 	f.drivers = append(f.drivers, d)
 	d.arm()
 	return d, nil
+}
+
+// tagMatched reports whether spec's AQ id is 0 (untagged) or deployed
+// where the driver's traffic is matched: a packet flow carries it as its
+// IngressAQ tag, which every switch's ingress table reads, and fluid
+// entities run through the bottleneck switch's ingress table alone.
+func (f *Fabric) tagMatched(spec LoadSpec) bool {
+	return spec.AQ == packet.NoAQ || slices.ContainsFunc(f.switches, func(s fabricSwitch) bool {
+		return (spec.Kind != "fluid" || s.sw == f.fluidSw) && s.sw.Ingress.Lookup(spec.AQ) != nil
+	})
 }
 
 // MaxFluidEntities bounds the entity count of one kind "fluid" driver. The

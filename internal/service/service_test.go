@@ -8,6 +8,7 @@ import (
 	"aqueue/internal/control"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
+	"aqueue/internal/units"
 )
 
 // testConfig is a small, fast fabric: 2x2 dumbbell, 200 us windows.
@@ -164,6 +165,51 @@ func TestAttachValidation(t *testing.T) {
 	last := uint32(len(names) + 1)
 	if f.Driver(0) != nil || f.Driver(last+1) != nil || f.Detach(0) || f.Detach(last+1) {
 		t.Fatal("a driver ID outside 1..n resolved")
+	}
+}
+
+// TestAttachRefusesUnmatchedAQ: a driver's flows carry its AQ id in the
+// ingress tag, and a fluid driver's entities run through the bottleneck
+// switch's ingress table, so an id deployed nowhere the driver's traffic
+// is matched would enforce nothing. Such an attach is refused; id 0 stays
+// untagged, and a grant at a matching table is admitted.
+func TestAttachRefusesUnmatchedAQ(t *testing.T) {
+	f, err := NewFabric(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := func(sw string, pos control.Position) packet.AQID {
+		g, err := f.Ctrl().Grant(control.Request{Tenant: sw + pos.String(), Mode: control.Absolute,
+			Bandwidth: 100 * units.Mbps, Position: pos}, f.LookupTable(sw, pos))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.ID
+	}
+	s2Egress, s2Ingress, s1Ingress := grant("S2", control.Egress), grant("S2", control.Ingress), grant("S1", control.Ingress)
+	for _, spec := range []LoadSpec{
+		{AQ: s2Egress, Kind: "fixed", Size: 20_000, Load: 0.5},
+		{AQ: 99, Kind: "fixed", Size: 20_000, Load: 0.5},
+		{AQ: s2Egress, Kind: "fluid", Load: 0.5},
+		{AQ: s2Ingress, Kind: "fluid", Load: 0.5}, // fluid runs through S1's ingress only
+		{AQ: 99, Kind: "fluid", Load: 0.5},
+	} {
+		if _, err := f.Attach(spec); err == nil {
+			t.Errorf("attach %s with AQ %d accepted", spec.Kind, spec.AQ)
+		}
+	}
+	for _, spec := range []LoadSpec{
+		{Kind: "fixed", Size: 20_000, Load: 0.1},
+		{AQ: s2Ingress, Kind: "fixed", Size: 20_000, Load: 0.1},
+		{AQ: s1Ingress, Kind: "fixed", Size: 20_000, Load: 0.1},
+		{AQ: s1Ingress, Kind: "fluid", Load: 0.1},
+	} {
+		if _, err := f.Attach(spec); err != nil {
+			t.Errorf("attach %s with AQ %d: %v", spec.Kind, spec.AQ, err)
+		}
+	}
+	if len(f.drivers) != 4 {
+		t.Fatalf("%d drivers attached, want 4", len(f.drivers))
 	}
 }
 

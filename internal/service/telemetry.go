@@ -106,41 +106,15 @@ func (f *Fabric) pipeMeter(fp *fabricPipe) *stats.MeterStats {
 	return ms
 }
 
-// TraceEvent is the wire form of one trace-ring entry.
-type TraceEvent struct {
-	AtNS  int64  `json:"at_ns"`
-	Kind  string `json:"kind"`
-	Flow  uint64 `json:"flow,omitempty"`
-	Src   int32  `json:"src"`
-	Dst   int32  `json:"dst"`
-	Seq   int64  `json:"seq,omitempty"`
-	Size  int    `json:"size,omitempty"`
-	Where string `json:"where,omitempty"`
-}
-
 // TraceTail returns the newest n ring events (oldest first). It returns
-// nil when tracing is disabled.
-func (f *Fabric) TraceTail(n int) []TraceEvent {
+// nil when tracing is disabled or n <= 0, and an empty slice (the reply's
+// "events":[]) while the ring is empty.
+func (f *Fabric) TraceTail(n int) []trace.Event {
 	if f.ring == nil || n <= 0 {
 		return nil
 	}
-	evs := f.ring.Tail(n)
-	out := make([]TraceEvent, len(evs))
-	for i, e := range evs {
-		out[i] = wireEvent(e)
+	if evs := f.ring.Tail(n); evs != nil {
+		return evs
 	}
-	return out
-}
-
-func wireEvent(e trace.Event) TraceEvent {
-	return TraceEvent{
-		AtNS:  int64(e.At),
-		Kind:  e.Kind.String(),
-		Flow:  uint64(e.Flow),
-		Src:   int32(e.Src),
-		Dst:   int32(e.Dst),
-		Seq:   e.Seq,
-		Size:  e.Size,
-		Where: e.Where,
-	}
+	return []trace.Event{}
 }

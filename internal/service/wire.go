@@ -6,6 +6,7 @@ import (
 	"aqueue/internal/control"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
+	"aqueue/internal/trace"
 )
 
 // This file is the fabric service's wire front end: a control.Handler
@@ -109,7 +110,7 @@ func (s *Service) dispatch(req control.WireRequest, emit func(control.WireRespon
 		}
 		emit(s.Do(func(f *Fabric) control.WireResponse {
 			return dataResponse(struct {
-				Events []TraceEvent `json:"events"`
+				Events []trace.Event `json:"events"`
 			}{Events: f.TraceTail(n)})
 		}))
 

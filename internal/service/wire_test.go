@@ -124,7 +124,7 @@ func TestServiceWireSession(t *testing.T) {
 		t.Fatalf("trace: %v", err)
 	}
 	var tail struct {
-		Events []TraceEvent `json:"events"`
+		Events []json.RawMessage `json:"events"`
 	}
 	if err := json.Unmarshal(tr.Data, &tail); err != nil {
 		t.Fatalf("trace payload: %v", err)
@@ -177,6 +177,7 @@ func TestServiceWireErrors(t *testing.T) {
 		{control.WireRequest{Op: "attach", V: 2, Kind: "fluid", Load: 0.5, Entities: MaxFluidEntities + 1}, control.CodeBadRequest},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "websearch", Load: 1e-14}, control.CodeBadRequest},
 		{control.WireRequest{Op: "attach", V: 2, Kind: "websearch", Load: 1e-300}, control.CodeBadRequest},
+		{control.WireRequest{Op: "attach", V: 2, ID: 42, Kind: "websearch", Load: 0.5}, control.CodeBadRequest},
 		{control.WireRequest{Op: "release", V: 2, ID: 42}, control.CodeUnknownID},
 		{control.WireRequest{Op: "grant", V: 2, Mode: "weighted", Weight: 1, Switch: "S9"}, control.CodeUnknownTable},
 	}

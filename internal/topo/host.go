@@ -1,12 +1,9 @@
 package topo
 
 import (
-	"strconv"
-
 	"aqueue/internal/ident"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/trace"
 )
 
 // FlowHandler consumes packets belonging to one transport flow.
@@ -46,19 +43,17 @@ type Host struct {
 
 	// RxHook, when set, observes every packet delivered to this host
 	// before flow dispatch; the experiment harness uses it for throughput
-	// and delay measurement.
+	// and delay measurement, and a trace ring for its receive events.
 	RxHook func(p *packet.Packet)
+
+	// TxHook, when set, observes every packet this host sends, before the
+	// send filter sees it.
+	TxHook func(p *packet.Packet)
 
 	// Counters.
 	RxPackets uint64
 	RxBytes   uint64
 	Orphans   uint64 // packets with no registered flow handler
-
-	// trace, when non-nil, receives a Send event per outbound packet and a
-	// Recv event per delivery. traceWhere is precomputed at SetTrace time so
-	// the hot path never formats strings.
-	trace      *trace.Ring
-	traceWhere string
 }
 
 // NewHost returns a host with the given ID; attach its uplink with SetUplink.
@@ -96,14 +91,6 @@ func (h *Host) ID() packet.HostID { return h.id }
 // Engine returns the simulation engine the host runs on.
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
-// SetTrace attaches a ring that receives a Send event for every packet
-// this host emits and a Recv event for every packet delivered to it,
-// labelled "host:<id>". A nil ring detaches tracing.
-func (h *Host) SetTrace(r *trace.Ring) {
-	h.trace = r
-	h.traceWhere = "host:" + strconv.Itoa(int(h.id))
-}
-
 // SetUplink attaches the pipe that carries this host's outbound traffic.
 func (h *Host) SetUplink(p *Pipe) { h.out = p }
 
@@ -122,9 +109,6 @@ func (h *Host) Unregister(id packet.FlowID) { h.handlers.Delete(id) }
 func (h *Host) Receive(p *packet.Packet) {
 	h.RxPackets++
 	h.RxBytes += uint64(p.Size)
-	if h.trace != nil {
-		h.trace.Record(trace.FromPacket(h.eng.Now(), trace.Recv, p, h.traceWhere))
-	}
 	if h.RxHook != nil {
 		h.RxHook(p)
 	}
@@ -138,8 +122,8 @@ func (h *Host) Receive(p *packet.Packet) {
 
 // Send emits a packet from this host, honouring the send filter.
 func (h *Host) Send(p *packet.Packet) {
-	if h.trace != nil {
-		h.trace.Record(trace.FromPacket(h.eng.Now(), trace.Send, p, h.traceWhere))
+	if h.TxHook != nil {
+		h.TxHook(p)
 	}
 	if h.Filter != nil && h.Filter(p) {
 		return

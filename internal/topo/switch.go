@@ -6,7 +6,6 @@ import (
 	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
-	"aqueue/internal/trace"
 )
 
 // Switch is a store-and-forward switch with per-destination routing and the
@@ -30,6 +29,11 @@ type Switch struct {
 	// Ingress and Egress are the AQ tables for the two pipeline positions.
 	Ingress *core.Table
 	Egress  *core.Table
+
+	// AQHook, when set, observes every packet an AQ of either table marks
+	// or drops: t is the table whose AQ decided, v is Mark or Drop. It runs
+	// before a dropped packet is released.
+	AQHook func(t *core.Table, v core.Verdict, p *packet.Packet)
 
 	// WorkConserving enables the §6 extension: AQ processing is bypassed
 	// while the physical queue of the packet's output port is empty, so
@@ -57,15 +61,8 @@ func NewSwitch(eng *sim.Engine, name string) *Switch {
 // Engine returns the simulation engine the switch runs on.
 func (s *Switch) Engine() *sim.Engine { return s.eng }
 
-// SetTrace attaches a ring to both AQ pipelines, labelled
-// "<name>:ingress" and "<name>:egress". The switch itself emits nothing —
-// the tables record the AQ drop/mark events, and hosts record the
-// send/receive endpoints — so one ring attached at every component sees
-// each occurrence exactly once. A nil ring detaches.
-func (s *Switch) SetTrace(r *trace.Ring) {
-	s.Ingress.SetTrace(r, s.name+":ingress")
-	s.Egress.SetTrace(r, s.name+":egress")
-}
+// Name returns the name the switch was built with.
+func (s *Switch) Name() string { return s.name }
 
 // AddPort attaches an egress pipe and returns its port number.
 func (s *Switch) AddPort(p *Pipe) int {
@@ -158,12 +155,10 @@ func (s *Switch) Receive(p *packet.Packet) {
 		return
 	}
 	now := s.eng.Now()
-	if s.Ingress.Process(now, p.IngressAQ, p) == core.Drop {
-		s.aqDrop(p)
+	if v := s.Ingress.Process(now, p.IngressAQ, p); v != core.Pass && s.aqVerdict(s.Ingress, v, p) {
 		return
 	}
-	if s.Egress.Process(now, p.EgressAQ, p) == core.Drop {
-		s.aqDrop(p)
+	if v := s.Egress.Process(now, p.EgressAQ, p); v != core.Pass && s.aqVerdict(s.Egress, v, p) {
 		return
 	}
 	out.Send(p)
@@ -189,11 +184,19 @@ func (s *Switch) Stats() SwitchStats {
 	}
 }
 
-// aqDrop accounts an AQ-pipeline drop and releases the packet: the switch
-// is the packet's last owner on this path.
-func (s *Switch) aqDrop(p *packet.Packet) {
+// aqVerdict reports a mark or drop by table t's AQ to AQHook and, on a
+// drop, accounts it and releases the packet: the switch is the packet's
+// last owner on this path. It reports whether the packet was dropped.
+func (s *Switch) aqVerdict(t *core.Table, v core.Verdict, p *packet.Packet) bool {
+	if s.AQHook != nil {
+		s.AQHook(t, v, p)
+	}
+	if v != core.Drop {
+		return false
+	}
 	s.AQDrops++
 	s.pool.Release(p)
+	return true
 }
 
 // String identifies the switch in logs.

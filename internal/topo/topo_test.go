@@ -154,20 +154,38 @@ func TestSwitchAQPipelines(t *testing.T) {
 	c := &collector{eng: eng}
 	port := sw.AddPort(NewPipe(eng, units.Gbps, 0, 0, 0, c))
 	sw.AddRoute(5, port)
-	// An ingress AQ with a tiny limit drops the second back-to-back packet.
+	// An ingress AQ with a tiny limit drops the second back-to-back packet;
+	// an egress ECN AQ with a one-byte threshold marks the third.
 	sw.Ingress.Deploy(core.Config{ID: 9, Rate: units.Kbps, Limit: 1200})
+	sw.Egress.Deploy(core.Config{ID: 3, Rate: units.Gbps, CC: core.ECNType, ECNThreshold: 1})
+	type call struct {
+		t    *core.Table
+		v    core.Verdict
+		size int
+	}
+	var calls []call
+	sw.AQHook = func(t *core.Table, v core.Verdict, p *packet.Packet) {
+		calls = append(calls, call{t, v, p.Size}) // a dropped packet is not yet released
+	}
 	a := packet.NewData(0, 5, 1, 0, 1000)
 	a.IngressAQ = 9
 	b := packet.NewData(0, 5, 1, 1000, 1000)
 	b.IngressAQ = 9
+	m := packet.NewData(0, 5, 2, 0, 1000)
+	m.EgressAQ, m.EcnCapable = 3, true
+	want := []call{{sw.Ingress, core.Drop, b.Size}, {sw.Egress, core.Mark, m.Size}}
 	sw.Receive(a)
 	sw.Receive(b)
+	sw.Receive(m)
 	eng.Run()
-	if len(c.pkts) != 1 {
-		t.Fatalf("delivered %d, want 1 (AQ drop)", len(c.pkts))
+	if len(c.pkts) != 2 || !c.pkts[1].CE {
+		t.Fatalf("delivered %d, want 2 (AQ drop), the second CE-marked", len(c.pkts))
 	}
 	if sw.AQDrops != 1 {
 		t.Fatalf("AQDrops = %d, want 1", sw.AQDrops)
+	}
+	if len(calls) != len(want) || calls[0] != want[0] || calls[1] != want[1] {
+		t.Fatalf("AQHook saw %+v, want %+v", calls, want)
 	}
 }
 
@@ -236,6 +254,8 @@ func TestHostSendFilter(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewStar(eng, 2, DefaultTestbed())
 	var intercepted []*packet.Packet
+	sent := 0
+	s.Hosts[0].TxHook = func(*packet.Packet) { sent++ }
 	s.Hosts[0].Filter = func(p *packet.Packet) bool {
 		if p.Kind == packet.Data {
 			intercepted = append(intercepted, p)
@@ -246,8 +266,8 @@ func TestHostSendFilter(t *testing.T) {
 	s.Hosts[0].Send(packet.NewData(0, 1, 1, 0, 1000))
 	s.Hosts[0].Send(packet.NewAck(0, 1, 1, 0))
 	eng.Run()
-	if len(intercepted) != 1 {
-		t.Fatalf("filter consumed %d, want 1", len(intercepted))
+	if len(intercepted) != 1 || sent != 2 {
+		t.Fatalf("filter consumed %d, want 1; TxHook saw %d sends, want both", len(intercepted), sent)
 	}
 	if s.Hosts[1].RxPackets != 1 {
 		t.Fatalf("host 1 got %d packets, want just the ACK", s.Hosts[1].RxPackets)
@@ -255,8 +275,8 @@ func TestHostSendFilter(t *testing.T) {
 	// Transmit bypasses the filter.
 	s.Hosts[0].Transmit(intercepted[0])
 	eng.Run()
-	if s.Hosts[1].RxPackets != 2 {
-		t.Fatal("Transmit did not bypass the filter")
+	if s.Hosts[1].RxPackets != 2 || sent != 2 {
+		t.Fatal("Transmit did not bypass the filter and the send hook")
 	}
 }
 

@@ -72,28 +72,37 @@ func TestTraceAQDropsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSinkWiringEndToEnd attaches one ring through the SetTrace plumbing —
-// hosts for the send/recv endpoints, the switch for its AQ pipelines — and
-// checks every event class shows up exactly where it was emitted.
+// TestSinkWiringEndToEnd attaches one ring through its wiring — hosts for
+// the send/recv endpoints, the switch's AQ hook for both pipelines — and
+// checks every event class shows up exactly where it was emitted, and
+// that each table's traced marks and drops are exactly its AQ's counters.
 func TestSinkWiringEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	spec := topo.DefaultSim()
 	d := topo.NewDumbbell(eng, 1, 1, spec, spec)
-	d.S1.Ingress.Deploy(core.Config{
+	ingress := d.S1.Ingress.Deploy(core.Config{
 		ID: 1, Rate: 1 * units.Gbps, Limit: 30_000,
 		CC: core.ECNType, ECNThreshold: 10_000,
 	})
+	egress := d.S1.Egress.Deploy(core.Config{ID: 2, Rate: 500 * units.Mbps, Limit: 20_000})
 
-	ring := trace.NewRing(8192)
-	d.Left[0].SetTrace(ring)
-	d.Right[0].SetTrace(ring)
-	d.S1.SetTrace(ring)
+	ring := trace.NewRing(1 << 16)
+	ring.Host(d.Left[0])
+	ring.Host(d.Right[0])
+	ring.Switch(d.S1)
 
 	s := transport.NewSender(d.Left[0], d.Right[0], 0, cc.NewCubic(),
 		transport.Options{IngressAQ: 1, EcnCapable: true})
 	s.Start(0)
-	eng.RunUntil(30 * sim.Millisecond)
+	se := transport.NewSender(d.Left[0], d.Right[0], 0, cc.NewCubic(),
+		transport.Options{EgressAQ: 2})
+	se.Start(0)
+	eng.RunUntil(10 * sim.Millisecond)
 	s.Stop()
+	se.Stop()
+	if uint64(ring.Len()) != ring.Recorded {
+		t.Fatalf("ring wrapped: %d retained of %d", ring.Len(), ring.Recorded)
+	}
 
 	counts := map[trace.Kind]int{}
 	// Both endpoints emit Send events for the one flow (data from host 0,
@@ -120,10 +129,36 @@ func TestSinkWiringEndToEnd(t *testing.T) {
 		t.Fatalf("more deliveries (%d) than sends (%d)", counts[trace.Recv], counts[trace.Send])
 	}
 
-	// Detach: the components must go quiet.
-	d.Left[0].SetTrace(nil)
-	d.Right[0].SetTrace(nil)
-	d.S1.SetTrace(nil)
+	// Every flow's AQ events, per location, against the AQs' own counters.
+	aqEvents := map[trace.Kind]map[string]uint64{trace.AQMark: {}, trace.AQDrop: {}}
+	for _, e := range ring.Events() {
+		if m := aqEvents[e.Kind]; m != nil {
+			m[e.Where]++
+		}
+	}
+	for _, c := range []struct {
+		where string
+		aq    *core.AQ
+	}{{"S1:ingress", ingress}, {"S1:egress", egress}} {
+		st := c.aq.Stats()
+		if got := aqEvents[trace.AQMark][c.where]; got != st.Marks {
+			t.Errorf("%s: %d marks traced, AQ counted %d", c.where, got, st.Marks)
+		}
+		if got := aqEvents[trace.AQDrop][c.where]; got != st.Drops {
+			t.Errorf("%s: %d drops traced, AQ counted %d", c.where, got, st.Drops)
+		}
+	}
+	if aqEvents[trace.AQDrop]["S1:egress"] == 0 {
+		t.Fatal("the egress AQ traced no drops")
+	}
+	if n := len(aqEvents[trace.AQMark]) + len(aqEvents[trace.AQDrop]); n != 3 {
+		t.Fatalf("AQ events at %v, want marks and drops at S1:ingress and drops at S1:egress only", aqEvents)
+	}
+
+	// Detach: nil the hooks, and the components must go quiet.
+	d.Left[0].TxHook, d.Left[0].RxHook = nil, nil
+	d.Right[0].TxHook, d.Right[0].RxHook = nil, nil
+	d.S1.AQHook = nil
 	before := ring.Recorded
 	s2 := transport.NewSender(d.Left[0], d.Right[0], 0, cc.NewCubic(),
 		transport.Options{IngressAQ: 1})

@@ -1,16 +1,19 @@
-// Package trace provides lightweight observability for simulation runs:
-// a bounded in-memory event ring the harness can attach to hosts, switches
-// and AQs, and whose tail the daemon's "trace" verb serves. It is the
-// debugging substrate the repository's own development used; experiments
-// keep it detached unless asked, so the hot path stays allocation-free.
+// Package trace provides a bounded in-memory event ring for simulation
+// runs, whose tail the daemon's "trace" verb serves. Ring.Host and
+// Ring.Switch wire it onto the packet path's hooks (Host.TxHook and RxHook,
+// Switch.AQHook), so the event format and its location labels live here
+// alone; a detached component pays one nil check per hook.
 package trace
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
+	"aqueue/internal/core"
 	"aqueue/internal/packet"
 	"aqueue/internal/sim"
+	"aqueue/internal/topo"
 )
 
 // Kind classifies trace events.
@@ -40,23 +43,25 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one recorded occurrence.
+// MarshalText encodes the kind by name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Event is one recorded occurrence. Its JSON form is the daemon's "trace"
+// reply.
 type Event struct {
-	At    sim.Time
-	Kind  Kind
-	Flow  packet.FlowID
-	Src   packet.HostID
-	Dst   packet.HostID
-	Seq   int64
-	Size  int
-	Where string
+	At    sim.Time      `json:"at_ns"`
+	Kind  Kind          `json:"kind"`
+	Flow  packet.FlowID `json:"flow,omitempty"`
+	Src   packet.HostID `json:"src"`
+	Dst   packet.HostID `json:"dst"`
+	Seq   int64         `json:"seq,omitempty"`
+	Size  int           `json:"size,omitempty"`
+	Where string        `json:"where,omitempty"`
 }
 
 // Ring is a bounded event buffer: when full, the oldest events are
-// overwritten, so attaching it to a long run keeps the tail. Hosts,
-// switches and AQ tables accept a Ring via their SetTrace methods and
-// record into it on the hot path behind a nil check, so detached
-// components pay one branch per packet and nothing else.
+// overwritten, so attaching it to a long run keeps the tail. Ring.Host and
+// Ring.Switch attach it to the packet path's hooks.
 type Ring struct {
 	buf     []Event
 	next    int
@@ -127,5 +132,33 @@ func FromPacket(at sim.Time, k Kind, p *packet.Packet, where string) Event {
 	return Event{
 		At: at, Kind: k, Flow: p.Flow, Src: p.Src, Dst: p.Dst,
 		Seq: p.Seq, Size: p.Size, Where: where,
+	}
+}
+
+// Host records a Send event for every packet the host sends and a Recv
+// event for every packet delivered to it, labelled "host:<id>", by setting
+// its TxHook and RxHook; nil them to detach.
+func (r *Ring) Host(h *topo.Host) {
+	where := "host:" + strconv.Itoa(int(h.ID()))
+	eng := h.Engine()
+	h.TxHook = func(p *packet.Packet) { r.Record(FromPacket(eng.Now(), Send, p, where)) }
+	h.RxHook = func(p *packet.Packet) { r.Record(FromPacket(eng.Now(), Recv, p, where)) }
+}
+
+// Switch records an AQMark or AQDrop event for every packet an AQ of the
+// switch marks or drops, labelled "<name>:ingress" or "<name>:egress", by
+// setting its AQHook; nil it to detach.
+func (r *Ring) Switch(s *topo.Switch) {
+	ingress, egress := s.Name()+":ingress", s.Name()+":egress"
+	eng := s.Engine()
+	s.AQHook = func(t *core.Table, v core.Verdict, p *packet.Packet) {
+		kind, where := AQMark, ingress
+		if v == core.Drop {
+			kind = AQDrop
+		}
+		if t == s.Egress {
+			where = egress
+		}
+		r.Record(FromPacket(eng.Now(), kind, p, where))
 	}
 }
