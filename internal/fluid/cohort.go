@@ -34,24 +34,27 @@ func capped(rate, demand float64) float64 {
 func (r tagRun) want() float64 { return capped(r.rate, r.demand) }
 
 // cohort is a maximal run of consecutively-registered entities sharing one
-// (pipe, Params, per-run) class. What registration fixed lives in the run
-// table; what the model evolves lives in parallel slices — structure of
-// arrays — so the epoch loop streams through contiguous float64 lanes
-// instead of pointer-chasing one heap object per entity, and the model and
-// its constants are a property of the cohort, not of each entity. State is
+// (pipe, Params) class. What registration fixed lives in the run table;
+// what the model evolves lives in parallel slices — structure of arrays —
+// so the epoch loop streams through contiguous float64 lanes instead of
+// pointer-chasing one heap object per entity, and the model and its
+// constants are a property of the cohort, not of each entity. State is
 // stored where it varies, at exact size when the lane first starts:
 //
-//   - A per-run cohort, one of Fixed entities registered untagged, holds
-//     delivered and dropped once per run, 16 B a run. Every entity of such
-//     a run is offered the same bytes, passes no AQ and is clipped alike,
-//     so one slot update per epoch is bit for bit each entity's own; the
-//     lane steps such a cohort run by run (Lane.stepPerRun).
-//   - Any other cohort holds delivered and dropped per entity, 16 B an
-//     entity; the reactive models add rate, and ECN alpha.
+//   - A Fixed cohort holds delivered and dropped once per run, 16 B a run.
+//     Every entity of a run is offered the same bytes, so the lane steps
+//     the cohort run by run (Lane.stepFixed). An untagged run's entities
+//     also pass no AQ and are clipped alike: its slots hold each entity's
+//     own numbers, one update an epoch. A tagged run's entities meet their
+//     AQ one after another and come out apart: its slots hold the run's
+//     sums, every entity's outcome folded in in entity order, and an
+//     entity reads an even share of them (outcomeAt).
+//   - A reactive cohort holds delivered and dropped per entity, 16 B an
+//     entity, and rate, and for ECN alpha.
 //
-// Which of the two a cohort is follows from registration alone and is
-// fixed when AddN creates it: a tagged Fixed add after untagged ones opens
-// a cohort of its own, so a cohort never changes layout.
+// The class follows from the model alone, so a cohort never changes
+// layout. A run whose slots already hold sums is never extended: an AddN
+// on a laid-out Fixed cohort opens a run of its own.
 //
 // The run-based grouping is what keeps the lane byte-identical to
 // the former per-object layout: iterating cohorts in creation order and
@@ -74,45 +77,46 @@ type cohort struct {
 	runs []tagRun
 
 	// Parallel state, nil until a Start lays the cohort out: one slot per
-	// entity, or per run for delivered and dropped while perRun holds.
+	// entity, or per run for a Fixed cohort's delivered and dropped.
 	rate      []float64 // current sending rate, bytes/ns; reactive models only
 	alpha     []float64 // DCTCP mark-fraction EWMA; allocated for ECN only
 	delivered []float64 // cumulative accepted bytes
 	dropped   []float64 // cumulative dropped bytes (link clip + AQ)
-	perRun    bool      // delivered and dropped hold one slot per run (Fixed, untagged); set by AddN
 }
 
-// matches reports whether an entity with the given placement and storage
-// class extends this cohort's run. Params is all-scalar, so == is exact
-// class identity.
-func (c *cohort) matches(pipe int32, par Params, perRun bool) bool {
-	return c.pipe == pipe && c.par == par && c.perRun == perRun
+// matches reports whether an entity with the given placement and model
+// extends this cohort's run. Params is all-scalar, so == is exact class
+// identity.
+func (c *cohort) matches(pipe int32, par Params) bool {
+	return c.pipe == pipe && c.par == par
 }
 
 // size returns the cohort's entity count: the end of its last run.
 func (c *cohort) size() int { return int(c.runs[len(c.runs)-1].end) }
 
-// layout extends the cohort's arrays over the entities (or runs) registered
-// since the last call, a reactive entity's rate from its run's registered
-// (floored) rate, walking the run table back from its end. The first call
-// allocates each array at exactly its size; a later one appends the tail.
+// layout extends the cohort's arrays over the entities (or, in a Fixed
+// cohort, the runs) registered since the last call, a reactive entity's
+// rate from its run's registered (floored) rate, walking the run table
+// back from its end. The first call allocates each array at exactly its
+// size; a later one appends the tail.
 func (c *cohort) layout() {
 	n, from := c.size(), len(c.delivered)
-	if c.perRun {
+	if c.par.Model == Fixed {
 		n = len(c.runs)
 	}
 	c.delivered, c.dropped = extend(c.delivered, n), extend(c.dropped, n)
+	if c.par.Model == Fixed {
+		return
+	}
 	if c.par.Model == ECN {
 		c.alpha = extend(c.alpha, n)
 	}
-	if c.par.Model != Fixed {
-		c.rate = extend(c.rate, n)
-		for i, ri := n-1, len(c.runs)-1; i >= from; i-- {
-			if ri > 0 && int32(i) < c.runs[ri-1].end {
-				ri--
-			}
-			c.rate[i] = c.runs[ri].rate
+	c.rate = extend(c.rate, n)
+	for i, ri := n-1, len(c.runs)-1; i >= from; i-- {
+		if ri > 0 && int32(i) < c.runs[ri-1].end {
+			ri--
 		}
+		c.rate[i] = c.runs[ri].rate
 	}
 }
 
@@ -141,30 +145,36 @@ func (c *cohort) rateAt(i int32) float64 {
 	return c.runOf(i).rate
 }
 
-// outcomeAt returns entity i's cumulative accepted and dropped bytes, from
-// its own slots or, in a per-run cohort, its run's: 0 before its cohort is
-// laid out.
+// outcomeAt returns entity i's cumulative accepted and dropped bytes: 0
+// before its cohort is laid out, its own slots' in a reactive cohort, and
+// in a Fixed one its run's, which for a tagged run hold the sums over its
+// n entities and are read over n (Entity.Delivered states the split).
 func (c *cohort) outcomeAt(i int32) (delivered, dropped float64) {
 	switch {
 	case c.delivered == nil:
 		return 0, 0
-	case c.perRun:
-		ri := c.runIndex(i)
-		return c.delivered[ri], c.dropped[ri]
+	case c.par.Model != Fixed:
+		return c.delivered[i], c.dropped[i]
 	}
-	return c.delivered[i], c.dropped[i]
+	ri := c.runIndex(i)
+	delivered, dropped = c.delivered[ri], c.dropped[ri]
+	if r := c.runs[ri]; r.aqid != packet.NoAQ {
+		n := float64(r.end)
+		if ri > 0 {
+			n -= float64(c.runs[ri-1].end)
+		}
+		delivered, dropped = delivered/n, dropped/n
+	}
+	return delivered, dropped
 }
 
-// react folds one epoch's feedback into the rate ODEs of the entities from
-// lo on, one per element of accepted: the first-order update of the
-// cohort's model. Each model reads only its own signal — dropped for the
-// loss fraction, mark for ECN, delay for Delay — and Fixed reads none.
+// react folds one epoch's feedback into the rate ODEs of a reactive
+// cohort's entities from lo on, one per element of accepted: the
+// first-order update of the cohort's model. Each model reads only its own
+// signal — dropped for the loss fraction, mark for ECN, delay for Delay.
 // demand holds the chunk's demand caps, spread from the run table by the
 // caller.
 func (c *cohort) react(lo int, accepted, dropped, mark, demand []float64, delay []sim.Time, clip, fdt float64) {
-	if c.par.Model == Fixed {
-		return
-	}
 	beta := c.par.Beta
 	rate := c.rate[lo:]
 	for j, acc := range accepted {

@@ -15,20 +15,18 @@
 // simulator from thousands of concurrent flows to millions of entities.
 //
 // Entity state is structure-of-arrays: consecutively-registered entities of
-// one (pipe, params, per-run) class form a cohort (cohort.go) that keeps,
-// as the paper's Table 1 does for an AQ, configuration apart from state: a
-// run table holds what registration fixed — tag, demand cap, registered
-// rate, once per run of identical entities — and parallel float64 slices
-// hold only what a model evolves, where it varies: delivered and dropped
-// once per run in a per-run cohort, one of Fixed entities registered
-// untagged, whose entities all see the same numbers, and per entity
-// otherwise; rate for the reactive models, alpha for ECN. Whether a cohort
-// is per run is fixed when AddN creates it. A cohort is stepped run by run:
-// each run is resolved by one core.Table.Lookup and integrated as one
-// core.AQ.OnFluidRun transaction, and a per-run cohort's run takes one
-// offer and one slot update. Either way the result is bit-identical to one
-// Table.ProcessFluid call per entity. An Entity is a stable (cohort, index)
-// handle.
+// one (pipe, params) class form a cohort (cohort.go) that keeps, as the
+// paper's Table 1 does for an AQ, configuration apart from state: a run
+// table holds what registration fixed — tag, demand cap, registered rate,
+// once per run of identical entities — and parallel float64 slices hold
+// only what a model evolves: delivered and dropped once per run in a Fixed
+// cohort, whose runs are accounted as a whole, and per entity in a
+// reactive one, beside rate, and alpha for ECN. A cohort is stepped run by
+// run: each run is resolved by one core.Table.Lookup and integrated as one
+// core.AQ.OnFluidRun transaction, and a Fixed run takes one offer and folds
+// its outcome into one slot pair. Every AQ register, counter and lane
+// total is bit-identical to one Table.ProcessFluid call per entity. An
+// Entity is a stable (cohort, index) handle.
 package fluid
 
 import (
@@ -160,13 +158,19 @@ func (e Entity) Rate() units.BitRate {
 }
 
 // Delivered returns the cumulative bytes the network accepted from the
-// entity.
+// entity. A Fixed entity reads its run's account, and the run — entities
+// registered alike by consecutive adds — is accounted as a whole. Every
+// entity of an untagged run is offered the same bytes and meets no AQ, so
+// each reads exactly its own total. The entities of a tagged run of n meet
+// their AQ one after another and come out apart; each reads an even split,
+// the run's total over n, and a run of one reads exactly its own.
 func (e Entity) Delivered() float64 {
 	d, _ := e.lane.cohorts[e.c].outcomeAt(e.i)
 	return d
 }
 
-// Dropped returns the cumulative bytes shed by link sharing and the AQ.
+// Dropped returns the cumulative bytes shed by link sharing and the AQ,
+// split within a Fixed run as Delivered is.
 func (e Entity) Dropped() float64 {
 	_, d := e.lane.cohorts[e.c].outcomeAt(e.i)
 	return d

@@ -43,10 +43,10 @@ type pipeAccount struct {
 //
 // Entity state is held in structure-of-arrays cohorts (see cohort.go):
 // a run table for what registration fixed, arrays for what the model
-// evolves, per run where every entity of a run holds the same numbers and
-// per entity otherwise. The lane steps cohorts directly, integrating each
-// run of the table as one AQ.OnFluidRun transaction resolved by one
-// Table.Lookup, and a per-run cohort one slot update per run. The table's
+// evolves, per run in a Fixed cohort and per entity otherwise. The lane
+// steps cohorts directly, integrating each run of the table as one
+// AQ.OnFluidRun transaction resolved by one Table.Lookup, and folding a
+// Fixed run's outcome into its one slot pair. The table's
 // fluid counters take an epoch's lookups and misses in one
 // Table.CountFluid call. The lane's delivered and dropped totals and each
 // pipe's accepted rate fold in that same pass, inside the kernel's loop,
@@ -106,18 +106,17 @@ func (l *Lane) AddPipe(p *topo.Pipe) int {
 }
 
 // Add builds an entity from cfg and registers it with the lane, returning
-// a stable handle. Consecutive Adds with the same (pipe, params, per-run)
-// class extend one cohort.
+// a stable handle. Consecutive Adds with the same (pipe, params) class
+// extend one cohort.
 func (l *Lane) Add(cfg EntityConfig) Entity { return l.AddN(cfg, 1) }
 
 // AddN registers n identical entities from cfg — one cohort extension, one
 // run of its table extended or appended — and returns the handle of the
 // first; the rest follow in registration order via Entities(). A Fixed
-// model with no AQ tag is the per-run class: its cohort stores delivered
-// and dropped once per run, for good. Their state is laid out at the next
-// Start, or at once while the lane runs or when their cohort already has
-// storage; until then they read 0 delivered and dropped at their registered
-// rate. It panics on n < 1, a pipe index AddPipe did not return, a Rate or
+// model's cohort stores delivered and dropped once per run, for good.
+// Their state is laid out at the next Start, or at once while the lane
+// runs or when their cohort already has storage; until then they read 0
+// delivered and dropped at their registered rate. It panics on n < 1, a pipe index AddPipe did not return, a Rate or
 // Demand that is NaN, infinite or negative (no such rate is ever stored),
 // and a cohort that would outgrow the int32 entity index.
 func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
@@ -138,9 +137,8 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 		}
 		pipe = int32(cfg.Pipe)
 	}
-	perRun := par.Model == Fixed && cfg.AQ == packet.NoAQ
 	ci, first := len(l.cohorts)-1, 0
-	extends := ci >= 0 && l.cohorts[ci].matches(pipe, par, perRun)
+	extends := ci >= 0 && l.cohorts[ci].matches(pipe, par)
 	if extends {
 		first = l.cohorts[ci].size()
 	}
@@ -153,7 +151,6 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 			pipe:      pipe,
 			aiSlope:   par.ai(),
 			floorRate: par.floor(),
-			perRun:    perRun,
 		})
 		ci++
 	}
@@ -164,9 +161,9 @@ func (l *Lane) AddN(cfg EntityConfig, n int) Entity {
 	}
 	demand := cfg.Demand.BytesPerNano()
 	end := int32(first + n)
-	// A run of a laid-out per-run cohort holds its entities' running totals,
+	// A run of a laid-out Fixed cohort holds its entities' running totals,
 	// which new entities do not share: they open a run of their own.
-	if last := len(c.runs) - 1; !(c.perRun && c.delivered != nil) && last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
+	if last := len(c.runs) - 1; !(par.Model == Fixed && c.delivered != nil) && last >= 0 && c.runs[last].aqid == cfg.AQ && c.runs[last].demand == demand && c.runs[last].rate == rate {
 		c.runs[last].end = end
 	} else {
 		c.runs = append(c.runs, tagRun{end: end, aqid: cfg.AQ, demand: demand, rate: rate})
@@ -295,8 +292,8 @@ func (l *Lane) fire() {
 			pa = &l.pipes[c.pipe]
 			clip = pa.clip
 		}
-		if c.perRun {
-			l.stepPerRun(c, fdt, clip, pa)
+		if c.par.Model == Fixed {
+			l.stepFixed(c, now, dt, fdt, clip, pa)
 		} else {
 			l.stepCohort(c, now, dt, fdt, clip, pa)
 		}
@@ -314,44 +311,39 @@ func (l *Lane) fire() {
 	l.rearm(now)
 }
 
-// runCap is the longest run of entity epochs stepCohort integrates as one
-// AQ transaction: the size of its stack scratch. A constant, not a knob —
-// longer same-tag runs are chunked and carry their state through the AQ
-// registers, so the cap moves no result, only how often the registers are
-// written back.
+// runCap is the longest run of entity epochs stepCohort and stepFixed
+// integrate as one AQ transaction: the size of their stack scratch. A
+// constant, not a knob — longer same-tag runs are chunked and carry their
+// state through the AQ registers, so the cap moves no result, only how
+// often the registers are written back.
 const runCap = 64
 
-// stepCohort advances one cohort by one epoch, runCap entities at a time:
-// walk the run table, derive each entity's want and offered mass (once per
-// run for a Fixed cohort, whose rate is the run's), integrate every run
-// through its AQ in one OnFluidRun transaction (untagged and unmatched runs
-// pass with everything accepted), update each entity's own slots
-// (account), then apply the cohort's model reaction. A per-run cohort is
-// stepped by stepPerRun instead. Each run segment resolves its AQ with one
-// Table.Lookup and counts its entities as lookups, and as misses when
-// nothing is deployed under its ID; an untagged run counts nothing. Per
-// entity the operands and their order are those of Table.ProcessFluid
-// followed by the model update, and every accumulator — AQ registers, lane
-// totals, pipe account — still sees the entities in registration
-// order, so the result is bit-identical to stepping them one call at a
-// time.
+// stepCohort advances a reactive cohort by one epoch, runCap entities at a
+// time: walk the run table, derive each entity's want and offered mass from
+// its rate, integrate every run through its AQ in one OnFluidRun
+// transaction (untagged and unmatched runs pass with everything accepted),
+// update each entity's own slots (account), then apply the cohort's model
+// reaction. A Fixed cohort is stepped by stepFixed instead. Each run
+// segment resolves its AQ with one Table.Lookup and counts its entities as
+// lookups, and as misses when nothing is deployed under its ID; an
+// untagged run counts nothing. Per entity the operands and their order are
+// those of Table.ProcessFluid followed by the model update, and every
+// accumulator — AQ registers, lane totals, pipe account — still sees the
+// entities in registration order, so the result is bit-identical to
+// stepping them one call at a time.
 //
 // The lane's delivered and dropped totals and the pipe's accepted rate are
 // one core.FluidTotals held for the whole cohort: OnFluidRun folds each
 // entity of a matched run into them in the loop that carries the gap, whose
 // chain of dependent adds their chains overlap, and a pass-through run is
-// folded here, in the same entity order. Adding a pass-through run's 0 drop
-// would move no sum, so the dropped total is left as it is. An unpiped
-// cohort's accepted-rate sum is computed all the same and dropped.
+// folded by passThrough, in the same entity order. An unpiped cohort's
+// accepted-rate sum is computed all the same and dropped.
 func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
 	var want, demand, bytes, acc, drp, markBuf [runCap]float64
 	var delayBuf [runCap]sim.Time
 	// Only the model that reacts to a signal pays for computing it.
 	needMark, needDelay := c.par.Model == ECN, c.par.Model == Delay
-	sums := core.FluidTotals{Accepted: l.delivered, Dropped: l.dropped}
-	if pa != nil {
-		sums.AcceptedRate = pa.accepted
-	}
+	sums := l.sums(pa)
 	ri := 0 // the run holding the next entity to step
 	for lo, n := 0, c.size(); lo < n; lo += runCap {
 		hi := lo + runCap
@@ -366,17 +358,9 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 				e = end - lo
 				ri++
 			}
-			if c.rate == nil {
-				w := run.want()
-				b := offered(w, clip, fdt)
-				for j := s; j < e; j++ {
-					want[j], bytes[j] = w, b
-				}
-			} else {
-				for j, r := range c.rate[lo+s : lo+e] {
-					w := capped(r, run.demand)
-					want[s+j], demand[s+j], bytes[s+j] = w, run.demand, offered(w, clip, fdt)
-				}
+			for j, r := range c.rate[lo+s : lo+e] {
+				w := capped(r, run.demand)
+				want[s+j], demand[s+j], bytes[s+j] = w, run.demand, offered(w, clip, fdt)
 			}
 			var mark []float64
 			var delay []sim.Time
@@ -386,23 +370,12 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 			if needDelay {
 				delay = delayBuf[s:e]
 			}
-			var aq *core.AQ
-			if run.aqid != packet.NoAQ {
-				aq = l.table.Lookup(run.aqid)
-				l.lookups += uint64(e - s)
-				if aq == nil {
-					l.misses += uint64(e - s)
-				}
-			}
-			if aq != nil {
+			if aq := l.lookup(run.aqid, e-s); aq != nil {
 				aq.OnFluidRun(now, dt, bytes[s:e], acc[s:e], drp[s:e], mark, delay, &sums)
 			} else {
-				accepted, rate := sums.Accepted, sums.AcceptedRate
 				for _, b := range bytes[s:e] {
-					accepted += b
-					rate += b / fdt
+					passThrough(&sums, b, 1, fdt)
 				}
-				sums.Accepted, sums.AcceptedRate = accepted, rate
 				copy(acc[s:e], bytes[s:e])
 				clear(drp[s:e])
 				clear(mark)
@@ -413,10 +386,7 @@ func (l *Lane) stepCohort(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pi
 		account(want[:k], acc[:k], drp[:k], c.delivered[lo:hi], c.dropped[lo:hi], fdt)
 		c.react(lo, acc[:k], drp[:k], markBuf[:k], demand[:k], delayBuf[:k], clip, fdt)
 	}
-	l.delivered, l.dropped = sums.Accepted, sums.Dropped
-	if pa != nil {
-		pa.accepted = sums.AcceptedRate
-	}
+	l.store(sums, pa)
 }
 
 // account adds one chunk's outcomes, entity by entity, to the entities' own
@@ -432,42 +402,104 @@ func account(want, acc, drp, delivered, dropped []float64, fdt float64) {
 	}
 }
 
-// stepPerRun advances a per-run cohort by one epoch. Every entity of one of
-// its runs is Fixed and untagged, so it is offered the run's bytes and
-// accepts them all: the offer is computed once per run, and the run's one
-// slot update is bit for bit each entity's own. The lane and pipe sums
-// still take the run's entities one at a time in registration order, as
-// account does, so every accumulator sees the per-entity operand sequence.
-// No AQ drops anything, and adding a 0 drop moves no sum, so the lane's
-// dropped total is left as it is.
-func (l *Lane) stepPerRun(c *cohort, fdt, clip float64, pa *pipeAccount) {
-	laneDelivered, pipeAccepted := l.delivered, 0.0
-	if pa != nil {
-		pipeAccepted = pa.accepted
-	}
+// stepFixed advances a Fixed cohort by one epoch, run by run. Every entity
+// of a run wants the run's rate, so the offer is computed once per run. A
+// matched run is integrated through its AQ runCap entities at a time, as
+// stepCohort does, and each entity's outcome is folded into the run's
+// slots in entity order, in registers across the run's chunks. An
+// unmatched run passes every entity whole; an untagged one does too, and
+// since its entities hold the same numbers its slots take one update, each
+// entity's own (see cohort.outcomeAt). The lane and pipe sums still take
+// every entity one at a time in registration order, so every accumulator
+// sees the per-entity operand sequence.
+func (l *Lane) stepFixed(c *cohort, now, dt sim.Time, fdt, clip float64, pa *pipeAccount) {
+	var bytes, acc, drp [runCap]float64
+	sums := l.sums(pa)
 	lo := int32(0)
 	for ri, r := range c.runs {
-		w := r.want()
-		a := offered(w, clip, fdt)
-		rate := a / fdt
-		for i := lo; i < r.end; i++ {
-			laneDelivered += a
-			pipeAccepted += rate
-		}
-		c.delivered[ri] += a
-		c.dropped[ri] += shed(w, a, 0, fdt)
+		n := int(r.end - lo)
 		lo = r.end
+		w := r.want()
+		b := offered(w, clip, fdt)
+		delivered, dropped := c.delivered[ri], c.dropped[ri]
+		if aq := l.lookup(r.aqid, n); aq != nil {
+			chunk := bytes[:min(n, runCap)]
+			for j := range chunk {
+				chunk[j] = b
+			}
+			for k := n; k > 0; k -= runCap {
+				m := min(k, runCap)
+				aq.OnFluidRun(now, dt, bytes[:m], acc[:m], drp[:m], nil, nil, &sums)
+				for j, a := range acc[:m] {
+					delivered += a
+					dropped += shed(w, a, drp[j], fdt)
+				}
+			}
+		} else {
+			passThrough(&sums, b, n, fdt)
+			if r.aqid == packet.NoAQ {
+				n = 1
+			}
+			for d := shed(w, b, 0, fdt); n > 0; n-- {
+				delivered += b
+				dropped += d
+			}
+		}
+		c.delivered[ri], c.dropped[ri] = delivered, dropped
 	}
-	l.delivered = laneDelivered
+	l.store(sums, pa)
+}
+
+// sums returns the running lane totals and pipe account a cohort's step
+// folds its entities into.
+func (l *Lane) sums(pa *pipeAccount) core.FluidTotals {
+	sums := core.FluidTotals{Accepted: l.delivered, Dropped: l.dropped}
 	if pa != nil {
-		pa.accepted = pipeAccepted
+		sums.AcceptedRate = pa.accepted
 	}
+	return sums
+}
+
+// store writes a cohort's running sums back to the lane and the pipe.
+func (l *Lane) store(sums core.FluidTotals, pa *pipeAccount) {
+	l.delivered, l.dropped = sums.Accepted, sums.Dropped
+	if pa != nil {
+		pa.accepted = sums.AcceptedRate
+	}
+}
+
+// lookup resolves a run segment of n entities tagged id, counting them as
+// lookups and, when nothing is deployed under id, as misses. An untagged
+// segment resolves to nil and counts nothing.
+func (l *Lane) lookup(id packet.AQID, n int) *core.AQ {
+	if id == packet.NoAQ {
+		return nil
+	}
+	aq := l.table.Lookup(id)
+	l.lookups += uint64(n)
+	if aq == nil {
+		l.misses += uint64(n)
+	}
+	return aq
+}
+
+// passThrough folds n entities, each offered b bytes that no AQ touches,
+// into the running sums one entity at a time: all accepted, at b/fdt each.
+// Adding their 0 drops would move no sum, so the dropped total is left as
+// it is.
+func passThrough(sums *core.FluidTotals, b float64, n int, fdt float64) {
+	accepted, rate, r := sums.Accepted, sums.AcceptedRate, b/fdt
+	for ; n > 0; n-- {
+		accepted += b
+		rate += r
+	}
+	sums.Accepted, sums.AcceptedRate = accepted, rate
 }
 
 // offered returns the bytes an entity wanting w bytes/ns is offered in an
 // epoch of fdt ns under the pipe clip, rounded to a float64 before any sum
-// takes it, never fused into one. The chunk fill and stepPerRun both take
-// it from here: bit identity needs the one rounding.
+// takes it, never fused into one. stepCohort and stepFixed both take it
+// from here: bit identity needs the one rounding.
 func offered(w, clip, fdt float64) float64 { return float64(w * clip * fdt) }
 
 // shed returns what an epoch adds to an entity's dropped bytes: the d its AQ

@@ -17,8 +17,8 @@ import (
 // TestFireSteadyStateAllocFree pins the structure-of-arrays payoff: once a
 // lane is warm, an epoch allocates nothing — no per-entity objects, no
 // timer garbage — across all four model loops, tagged and
-// untagged entities, a Fixed cohort laid out per run, and a live pipe
-// account.
+// untagged entities, a Fixed cohort laid out per run with untagged and
+// tagged runs, and a live pipe account.
 func TestFireSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	table := core.NewTable()
@@ -32,9 +32,10 @@ func TestFireSteadyStateAllocFree(t *testing.T) {
 	lane.AddN(EntityConfig{CC: "swift", Rate: units.Gbps, Pipe: pi}, 8)
 	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps, Pipe: pi}, 8)
 	lane.AddN(EntityConfig{CC: "udp", Rate: units.Gbps / 2, Pipe: pi}, 8)
+	lane.AddN(EntityConfig{AQ: 1, CC: "udp", Rate: units.Gbps / 2, Pipe: pi}, 8)
 	lane.Start(0)
-	if c := &lane.cohorts[3]; !c.perRun || len(c.delivered) != 2 {
-		t.Fatalf("the untagged Fixed cohort: per run %v, %d delivered slots; want per run, 2", c.perRun, len(c.delivered))
+	if c := &lane.cohorts[3]; c.par.Model != Fixed || len(c.runs) != 3 || len(c.delivered) != 3 {
+		t.Fatalf("the Fixed cohort: %v, %d runs, %d delivered slots; want Fixed, 3 and 3", c.par.Model, len(c.runs), len(c.delivered))
 	}
 
 	// Warm up: first epochs grow the engine's heaps and touch every code
@@ -64,35 +65,88 @@ type refEntity struct {
 	want   float64
 	demand float64
 	alpha  float64
+	run    int // index into refLane.runs for a Fixed entity, -1 otherwise
+
+	delivered, dropped float64
+}
+
+// refRun is a run of Fixed entities as the lane's contract defines it: the
+// entities of consecutive adds of one class (pipe, params, tag, demand cap,
+// rate), sealed once its outcome has storage — at a Start, or at once when
+// added to a running lane or beside a sealed run of the same cohort — so a
+// later add opens a run of its own. It keeps its entities' outcomes
+// summed, folded in registration order every epoch.
+type refRun struct {
+	n      int
+	sealed bool
 
 	delivered, dropped float64
 }
 
 // refLane steps entities one table call at a time: Table.ProcessFluid per
 // entity in registration order, then that entity's model update. It has no
-// cohorts, no runs, no cursor and no scratch — the reference the run-length
-// lane must match bit for bit.
+// cohorts, no cursor and no scratch — the reference the run-length lane
+// must match bit for bit. Its runs are only what an entity of a tagged
+// Fixed run of n reads, an even split of the run's sums (outcome); every
+// other entity reads its own numbers.
 type refLane struct {
 	table    *core.Table
 	pipeCap  []float64 // bytes per ns
 	accepted []float64 // per pipe, bytes per ns, last epoch
 	ents     []refEntity
+	runs     []refRun
+	running  bool
 
 	delivered, dropped float64
 }
 
 func (r *refLane) add(cfg EntityConfig, n int) {
 	par := *cfg.Params
-	rate := cfg.Rate.BytesPerNano()
-	if par.Model != Fixed && rate < par.floor() {
-		rate = par.floor()
+	e := refEntity{
+		id: cfg.AQ, par: par, pipe: cfg.Pipe,
+		rate: cfg.Rate.BytesPerNano(), demand: cfg.Demand.BytesPerNano(), run: -1,
+	}
+	if par.Model != Fixed && e.rate < par.floor() {
+		e.rate = par.floor()
+	}
+	if par.Model == Fixed {
+		var prev *refEntity
+		if len(r.ents) > 0 {
+			prev = &r.ents[len(r.ents)-1]
+		}
+		cohort := prev != nil && prev.par == par && prev.pipe == e.pipe
+		if cohort && prev.id == e.id && prev.demand == e.demand && prev.rate == e.rate && !r.runs[prev.run].sealed {
+			e.run = prev.run
+		} else {
+			e.run = len(r.runs)
+			r.runs = append(r.runs, refRun{sealed: r.running || cohort && r.runs[prev.run].sealed})
+		}
+		r.runs[e.run].n += n
 	}
 	for ; n > 0; n-- {
-		r.ents = append(r.ents, refEntity{
-			id: cfg.AQ, par: par, pipe: cfg.Pipe,
-			rate: rate, demand: cfg.Demand.BytesPerNano(),
-		})
+		r.ents = append(r.ents, e)
 	}
+}
+
+// start and stop follow Lane.Start and Stop: a start seals every run.
+func (r *refLane) start() {
+	r.running = true
+	for i := range r.runs {
+		r.runs[i].sealed = true
+	}
+}
+
+func (r *refLane) stop() { r.running = false }
+
+// outcome returns what entity i reads as delivered and dropped: its run's
+// sums over n for an entity of a tagged Fixed run, its own otherwise.
+func (r *refLane) outcome(i int) (delivered, dropped float64) {
+	e := &r.ents[i]
+	if e.run < 0 || e.id == packet.NoAQ {
+		return e.delivered, e.dropped
+	}
+	run := &r.runs[e.run]
+	return run.delivered / float64(run.n), run.dropped / float64(run.n)
 }
 
 func (r *refLane) step(now, dt sim.Time) {
@@ -135,6 +189,9 @@ func (r *refLane) step(now, dt sim.Time) {
 			r.accepted[e.pipe] += fb.Accepted / fdt
 		}
 		if e.par.Model == Fixed {
+			run := &r.runs[e.run]
+			run.delivered += fb.Accepted
+			run.dropped += fb.Dropped + clipped
 			continue
 		}
 		loss := fb.LossFrac()
@@ -192,7 +249,8 @@ func (r *refLane) step(now, dt sim.Time) {
 // boundary, all four models, all three AQ feedback types, a clipping
 // pipe — and the script deploys and removes AQs between epochs (changing
 // what an AQ ID resolves to) and interleaves packet Updates that leave
-// last_time mid-epoch.
+// last_time mid-epoch. A Fixed entity of a tagged run reads the even split
+// of its run's sums, which refLane folds entity by entity.
 func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	const epoch = 100 * sim.Microsecond
 	deploy := []core.Config{
@@ -241,6 +299,7 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	// tables at the same simulated instant.
 	both := func(f func(t *core.Table)) { f(tables[0]); f(tables[1]) }
 	lane.Start(0)
+	ref.start()
 	for k := 1; k <= 40; k++ {
 		now := sim.Time(k) * epoch
 		eng.RunUntil(now + epoch/2) // epoch k fires at now
@@ -270,9 +329,10 @@ func TestRunLengthLaneMatchesPerEntity(t *testing.T) {
 	for i, e := range ents {
 		r := &ref.ents[i]
 		c := &lane.cohorts[e.c]
-		if bits(c.rateAt(e.i)) != bits(r.rate) || bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
+		delivered, dropped := ref.outcome(i)
+		if bits(c.rateAt(e.i)) != bits(r.rate) || bits(e.Delivered()) != bits(delivered) || bits(e.Dropped()) != bits(dropped) {
 			t.Fatalf("entity %d (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v",
-				i, r.id, r.par.Model, c.rateAt(e.i), e.Delivered(), e.Dropped(), r.rate, r.delivered, r.dropped)
+				i, r.id, r.par.Model, c.rateAt(e.i), e.Delivered(), e.Dropped(), r.rate, delivered, dropped)
 		}
 		if r.par.Model == ECN && bits(c.alpha[e.i]) != bits(r.alpha) {
 			t.Fatalf("entity %d: alpha %v, reference %v", i, c.alpha[e.i], r.alpha)
@@ -366,14 +426,14 @@ func TestPipeRateChangeMidRun(t *testing.T) {
 	lane.Stop()
 }
 
-// TestPerRunCohortIsExact: an untagged Fixed cohort holds one delivered
-// slot per run and is stepped run by run, and its numbers are exact, not
-// approximate: an entity's Delivered and the lane's total equal the
+// TestPerRunCohortIsExact: a Fixed cohort holds one delivered slot per run
+// and is stepped run by run, and its numbers are exact, not approximate:
+// an untagged entity's Delivered and the lane's total equal the
 // closed-form value after ten epochs, after the cohort grows by a run of
 // its own while running, and after Stop. Every entity is stepped every
-// epoch. A tagged Fixed add after the untagged ones, before Start or while
-// running, opens a second cohort stored per entity and leaves the first
-// one's runs and slots as they were.
+// epoch. A tagged Fixed add, before Start or while running, extends the
+// same cohort by a run of its own and leaves the earlier runs and slots as
+// they were; a tagged run of one reads its own total.
 func TestPerRunCohortIsExact(t *testing.T) {
 	eng := sim.NewEngine()
 	table := core.NewTable()
@@ -389,8 +449,8 @@ func TestPerRunCohortIsExact(t *testing.T) {
 
 	eng.RunUntil(10*ep + ep/2) // 10 epochs fired
 	c := &lane.cohorts[0]
-	if !c.perRun || len(c.runs) != 1 || len(c.delivered) != 1 {
-		t.Fatalf("per run %v with %d runs and %d delivered slots, want one run of 4 and its slot", c.perRun, len(c.runs), len(c.delivered))
+	if c.par.Model != Fixed || len(c.runs) != 1 || len(c.delivered) != 1 {
+		t.Fatalf("%v with %d runs and %d delivered slots, want Fixed, one run of 4 and its slot", c.par.Model, len(c.runs), len(c.delivered))
 	}
 	st := lane.Stats()
 	if st.EntityEpochs != 40 || st.SkippedEntityEpochs != 0 {
@@ -416,14 +476,14 @@ func TestPerRunCohortIsExact(t *testing.T) {
 		t.Fatalf("lane delivered after growth = %v, want exactly %v", got, want)
 	}
 
-	// A tagged add while running opens a second cohort; the first keeps its
-	// runs and its two slots, untouched.
+	// A tagged add while running opens a third run of the same cohort; the
+	// first two keep their bounds and slots, untouched.
 	runs, delivered, dropped := slices.Clone(c.runs), slices.Clone(c.delivered), slices.Clone(c.dropped)
 	e5 := lane.Add(tagged)
-	checkTaggedCohort(t, lane)
+	checkTaggedRun(t, lane, 3)
 	c = &lane.cohorts[0]
-	if !slices.Equal(c.runs, runs) || !slices.Equal(c.delivered, delivered) || !slices.Equal(c.dropped, dropped) {
-		t.Fatalf("the tagged add moved the per-run cohort: runs %+v delivered %v dropped %v, were %+v %v %v",
+	if !slices.Equal(c.runs[:2], runs) || !slices.Equal(c.delivered[:2], delivered) || !slices.Equal(c.dropped[:2], dropped) {
+		t.Fatalf("the tagged add moved the earlier runs: runs %+v delivered %v dropped %v, were %+v %v %v",
 			c.runs, c.delivered, c.dropped, runs, delivered, dropped)
 	}
 	eng.RunUntil(14*ep + ep/2)
@@ -441,17 +501,17 @@ func TestPerRunCohortIsExact(t *testing.T) {
 		t.Fatalf("post-Stop tagged entity Delivered = %v dropped %v, want exactly %v and 0", got, e5.Dropped(), want)
 	}
 
-	// Before Start, too, the tagged add opens a cohort of its own.
+	// Before Start, too, the tagged add is a run of its own in the cohort.
 	eng = sim.NewEngine()
 	lane = NewLane(eng, table, 0)
 	lane.AddN(udp, 4)
 	lane.Add(tagged)
 	lane.Start(0)
 	eng.RunUntil(10*ep + ep/2)
-	checkTaggedCohort(t, lane)
-	if c := &lane.cohorts[0]; !c.perRun || len(c.runs) != 1 || len(c.delivered) != 1 || c.delivered[0] != 10*perEpoch {
-		t.Fatalf("tagged add before Start: first cohort per run %v, runs %+v, delivered %v; want one run, one slot of %v",
-			c.perRun, c.runs, c.delivered, 10*perEpoch)
+	checkTaggedRun(t, lane, 2)
+	if c := &lane.cohorts[0]; c.runs[0].end != 4 || c.delivered[0] != 10*perEpoch || c.delivered[1] != 10*perEpoch {
+		t.Fatalf("tagged add before Start: runs %+v, delivered %v; want an untagged run of 4 and both slots %v",
+			c.runs, c.delivered, 10*perEpoch)
 	}
 	if got, want := lane.Stats().DeliveredBytes, 50*perEpoch; got != want {
 		t.Fatalf("tagged add before Start: lane delivered = %v, want exactly %v", got, want)
@@ -459,16 +519,17 @@ func TestPerRunCohortIsExact(t *testing.T) {
 	lane.Stop()
 }
 
-// checkTaggedCohort fails t unless the lane has a second cohort, not per
-// run, holding one entity on AQ 1 with a slot of its own.
-func checkTaggedCohort(t *testing.T, lane *Lane) {
+// checkTaggedRun fails t unless the lane has one cohort, Fixed, with runs
+// runs and a slot each, the last holding one entity on AQ 1.
+func checkTaggedRun(t *testing.T, lane *Lane, runs int) {
 	t.Helper()
-	if len(lane.cohorts) != 2 {
-		t.Fatalf("%d cohorts, want the per-run one and a tagged one", len(lane.cohorts))
+	if len(lane.cohorts) != 1 {
+		t.Fatalf("%d cohorts, want one Fixed cohort", len(lane.cohorts))
 	}
-	if c := &lane.cohorts[1]; c.perRun || c.size() != 1 || len(c.delivered) != 1 || c.runs[0].aqid != 1 {
-		t.Fatalf("tagged cohort: per run %v, %d entities, %d delivered slots, runs %+v; want one per entity on AQ 1",
-			c.perRun, c.size(), len(c.delivered), c.runs)
+	c := &lane.cohorts[0]
+	last := c.runs[len(c.runs)-1]
+	if len(c.runs) != runs || len(c.delivered) != runs || last.aqid != 1 || int(last.end) != c.size() || c.size()-int(c.runs[runs-2].end) != 1 {
+		t.Fatalf("Fixed cohort: runs %+v, %d delivered slots; want %d runs and slots, the last one entity on AQ 1", c.runs, len(c.delivered), runs)
 	}
 }
 
@@ -543,16 +604,16 @@ func laneBytes(l *Lane) uint64 {
 // cohort of 16 k in runs of 16 at alternating rates, and starting the lane
 // allocates at most twice what the lane then holds — the run tables'
 // regrowth is the slack — every per-entity array is exactly its cohort's
-// size, and the untagged cohort holds delivered and dropped once per run.
-// Grown per AddN call, the arrays allocated about five times what they
-// kept.
+// size, and both Fixed cohorts, the tagged one and the untagged one, hold
+// delivered and dropped once per run, at exactly their run count. Grown
+// per AddN call, the arrays allocated about five times what they kept.
 func TestLaneBuildLaysOutOnce(t *testing.T) {
 	const entities, fill = 200_000, 16_000
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	lane := buildLane(entities)
-	fillPar := Params{Model: Fixed} // a class of its own: buildLane's Fixed cohort is tagged
+	fillPar := Params{Model: Fixed} // a class of its own beside buildLane's Fixed cohort
 	for g := 0; g < fill/16; g++ {
 		lane.AddN(EntityConfig{Params: &fillPar, Rate: units.Gbps / units.BitRate(1+g%2), Pipe: -1}, 16)
 	}
@@ -563,29 +624,33 @@ func TestLaneBuildLaysOutOnce(t *testing.T) {
 	if allocated > 2*held {
 		t.Errorf("building allocated %d B for %d B held: more than 2x", allocated, held)
 	}
-	perRun := &lane.cohorts[len(lane.cohorts)-1]
-	if !perRun.perRun || len(perRun.runs) != fill/16 || len(perRun.delivered) != fill/16 || cap(perRun.delivered) != fill/16 ||
-		len(perRun.dropped) != fill/16 || cap(perRun.dropped) != fill/16 {
-		t.Fatalf("untagged Fixed cohort: per run %v, %d runs, delivered len %d cap %d, dropped len %d cap %d; want per run, all %d",
-			perRun.perRun, len(perRun.runs), len(perRun.delivered), cap(perRun.delivered), len(perRun.dropped), cap(perRun.dropped), fill/16)
+	if fillCohort := &lane.cohorts[len(lane.cohorts)-1]; len(fillCohort.runs) != fill/16 {
+		t.Fatalf("untagged Fixed cohort: %d runs, want %d", len(fillCohort.runs), fill/16)
 	}
-	for ci := range lane.cohorts[:len(lane.cohorts)-1] {
+	fixed := 0
+	for ci := range lane.cohorts {
 		c := &lane.cohorts[ci]
-		if c.perRun {
-			t.Fatalf("cohort %d (%v) laid out per run", ci, c.par.Model)
-		}
-		arrays := [][]float64{c.delivered, c.dropped}
-		if c.par.Model != Fixed {
+		arrays, slots := [][]float64{c.delivered, c.dropped}, c.size()
+		if c.par.Model == Fixed {
+			fixed++
+			slots = len(c.runs)
+		} else {
 			arrays = append(arrays, c.rate)
 		}
 		if c.par.Model == ECN {
 			arrays = append(arrays, c.alpha)
 		}
+		if c.rate != nil && c.par.Model == Fixed || c.alpha != nil && c.par.Model != ECN {
+			t.Fatalf("cohort %d (%v): %d rate and %d alpha slots it has no use for", ci, c.par.Model, len(c.rate), len(c.alpha))
+		}
 		for _, a := range arrays {
-			if len(a) != c.size() || cap(a) != c.size() {
-				t.Fatalf("cohort %d (%v): array len %d cap %d, want both %d", ci, c.par.Model, len(a), cap(a), c.size())
+			if len(a) != slots || cap(a) != slots {
+				t.Fatalf("cohort %d (%v, %d entities in %d runs): array len %d cap %d, want both %d", ci, c.par.Model, c.size(), len(c.runs), len(a), cap(a), slots)
 			}
 		}
+	}
+	if fixed != 2 {
+		t.Fatalf("%d Fixed cohorts, want buildLane's tagged one and the untagged fill", fixed)
 	}
 }
 
@@ -594,9 +659,11 @@ func TestLaneBuildLaysOutOnce(t *testing.T) {
 // registered before Start, answered from registration (nothing delivered or
 // dropped, the registered rate, floored for a reactive model), with no
 // storage behind them; the first Start, which lays everything out at exact
-// size; an AddN on a running lane, which lays out its tail at once; and,
-// between Stop and a restart, an AddN extending a laid-out cohort, which
-// does too, and one opening a new cohort, which the restart lays out.
+// size; an AddN on a running lane, which lays out its tail at once — on a
+// tagged Fixed run, a run of its own beside the one whose sums it does not
+// share; and, between Stop and a restart, an AddN extending a laid-out
+// cohort, which does too, and one opening a new cohort, which the restart
+// lays out.
 func TestLaneLayoutLifecycle(t *testing.T) {
 	const epoch = 100 * sim.Microsecond
 	eng := sim.NewEngine()
@@ -628,6 +695,7 @@ func TestLaneLayoutLifecycle(t *testing.T) {
 	}
 	next := epoch // when the lane's next epoch fires
 	run := func(k int) {
+		ref.start()
 		laid = layOut(laid, lane)
 		for ; k > 0; k-- {
 			eng.RunUntil(next + epoch/2)
@@ -647,20 +715,28 @@ func TestLaneLayoutLifecycle(t *testing.T) {
 
 	lane.Start(0)
 	for ci := range lane.cohorts {
-		if c := &lane.cohorts[ci]; cap(c.delivered) != c.size() || cap(c.dropped) != c.size() || cap(c.rate) != len(c.rate) || cap(c.alpha) != len(c.alpha) {
-			t.Fatalf("cohort %d laid out with slack: caps %d %d %d %d for %d entities",
-				ci, cap(c.delivered), cap(c.dropped), cap(c.rate), cap(c.alpha), c.size())
+		c := &lane.cohorts[ci]
+		slots := c.size()
+		if c.par.Model == Fixed {
+			slots = len(c.runs)
+		}
+		if cap(c.delivered) != slots || cap(c.dropped) != slots || cap(c.rate) != len(c.rate) || cap(c.alpha) != len(c.alpha) {
+			t.Fatalf("cohort %d laid out with slack: caps %d %d %d %d for %d entities in %d runs",
+				ci, cap(c.delivered), cap(c.dropped), cap(c.rate), cap(c.alpha), c.size(), len(c.runs))
 		}
 	}
 	run(3)
-	add(2, 5, 1, 250*units.Mbps) // extends the running Fixed cohort
+	add(2, 5, 1, 250*units.Mbps) // extends the running Fixed cohort by a tagged run of its own
 	add(0, 33, 2, 3*units.Mbps)  // a new cubic cohort, floored
 	add(0, 7, 1, 100*units.Mbps) // its second run
 	run(3)
 
 	lane.Stop()
+	ref.stop()
 	add(0, 4, 1, 100*units.Mbps) // extends a laid-out cohort: its tail at once
 	add(1, 9, 1, 50*units.Mbps)  // a new cohort: no storage until the restart
+	add(2, 6, 2, 75*units.Mbps)  // a new Fixed cohort: likewise
+	add(2, 6, 2, 75*units.Mbps)  // the same run, extended before its layout
 	lane.Start(eng.Now())
 	next = eng.Now() + epoch
 	run(3)

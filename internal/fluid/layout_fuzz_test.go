@@ -21,12 +21,13 @@ import (
 // script can reach: runs that merge across AddN calls and runs that must
 // not (equal tag, different demand cap or rate), runs ending exactly on,
 // one short of and one past a 64-entity chunk, a run spanning four chunks,
-// Fixed cohorts with no rate array beside reactive ones with it, untagged
-// Fixed cohorts with one delivered and dropped slot per run, which an add
-// to a laid-out one extends by a run of its own and beside which a tagged
-// add opens a cohort of its own, a cohort grown while it is running and
-// while the lane is stopped, and the read-only accessors, which find an
-// entity's run by binary search. The lane starts at the script's first
+// Fixed cohorts with no rate array beside reactive ones with it, holding
+// one delivered and dropped slot pair per run, tagged and untagged runs
+// mixed, which an add to a laid-out one extends by a run of its own, a
+// cohort grown while it is running and while the lane is stopped, and the
+// read-only accessors, which find an entity's run by binary search and
+// give an entity of a tagged Fixed run an even split of the run's sums,
+// which refLane folds itself. The lane starts at the script's first
 // epoch op, so the leading adds register on a lane with no per-entity
 // storage yet: each is compared through the accessors as it lands, the
 // first Start lays the whole population out, and every add after it lays
@@ -46,8 +47,9 @@ import (
 //	              redeploy 2, a packet on AQ 1 now, a packet on AQ 3 whose
 //	              last_time lands past the next epoch
 //
-// Every number is compared bitwise: the entities' own, the lane's byte
-// totals, the pipe account, the table's counters and the AQs' registers.
+// Every number is compared bitwise: what the entities read, the lane's
+// byte totals, the pipe account, the table's counters and the AQs'
+// registers.
 func FuzzLaneLayout(f *testing.F) {
 	f.Add([]byte{0x08, 0x09, 0x02})
 	f.Fuzz(runLayoutScript)
@@ -135,12 +137,14 @@ func runLayoutScript(t *testing.T, script []byte) {
 		case 2:
 			if op>>5 == 7 {
 				lane.Stop()
+				ref.stop()
 				checkLayout(t, lane, ref, tables, laid)
 				break
 			}
 			// A no-op while running. The engine is half an epoch past the
 			// last one, so the next fires on the reference's grid.
 			lane.Start(sim.Time(epochs) * epoch)
+			ref.start()
 			laid = layOut(laid, lane)
 			for k := 1 + int(op>>2&7); k > 0 && epochs < maxEpochs; k-- {
 				epochs++
@@ -193,17 +197,16 @@ func layOut(laid []int, lane *Lane) []int {
 
 // checkLayout compares the lane with the reference entity by entity in
 // registration order, checks the run table's own invariants on the way —
-// runs ordered, non-empty, maximal but where an add to a laid-out per-run
+// runs ordered, non-empty, maximal but where an add to a laid-out Fixed
 // cohort opened a run of its own (a run past the laid[ci] cohort ci had
-// when it got storage) — each cohort's storage class, per run exactly when
-// it is Fixed and its first run untagged, and then with no tagged run, and
-// the storage: the first len(laid) cohorts hold delivered and dropped
-// spanning the cohort, one slot per run for a per-run cohort and per entity
-// otherwise, rate too for a reactive model and alpha for ECN, and the rest,
-// registered since the last Start on a lane that is not running, hold none.
-// It reads the first and last entity of every run through the public
-// handle, whose AQID, Rate, Delivered and Dropped find the run by binary
-// search (runIndex).
+// when it got it), and a Fixed cohort's runs bounded as refLane's are —
+// and the storage: the first len(laid) cohorts hold delivered and dropped,
+// one slot per run for a Fixed cohort and per entity otherwise, rate too
+// for a reactive model and alpha for ECN, and the rest, registered since
+// the last Start on a lane that is not running, hold none. It reads the
+// first and last entity of every run through the public handle, whose
+// AQID, Rate, Delivered and Dropped find the run by binary search
+// (runIndex).
 func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, laid []int) {
 	t.Helper()
 	laidOut := len(laid)
@@ -214,9 +217,7 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 	base := 0 // registration index of the cohort's first entity
 	for ci := range lane.cohorts {
 		c := &lane.cohorts[ci]
-		if perRun := c.par.Model == Fixed && c.runs[0].aqid == packet.NoAQ; c.perRun != perRun {
-			t.Fatalf("cohort %d (%v, first run tagged %d): per run %v", ci, c.par.Model, c.runs[0].aqid, c.perRun)
-		}
+		fixed := c.par.Model == Fixed
 		slots := func(has bool) int {
 			if ci < laidOut && has {
 				return c.size()
@@ -224,42 +225,51 @@ func checkLayout(t testing.TB, lane *Lane, ref *refLane, tables [2]*core.Table, 
 			return 0
 		}
 		outcomes := slots(true)
-		if c.perRun && ci < laidOut {
+		if fixed && ci < laidOut {
 			outcomes = len(c.runs)
 		}
 		if len(c.delivered) != outcomes || len(c.dropped) != outcomes ||
-			len(c.rate) != slots(c.par.Model != Fixed) || len(c.alpha) != slots(c.par.Model == ECN) {
-			t.Fatalf("cohort %d (%v, %d entities in %d runs, %d of %d laid out, per run %v): %d delivered, %d dropped, %d rate, %d alpha slots",
-				ci, c.par.Model, c.size(), len(c.runs), laidOut, len(lane.cohorts), c.perRun, len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
+			len(c.rate) != slots(!fixed) || len(c.alpha) != slots(c.par.Model == ECN) {
+			t.Fatalf("cohort %d (%v, %d entities in %d runs, %d of %d laid out): %d delivered, %d dropped, %d rate, %d alpha slots",
+				ci, c.par.Model, c.size(), len(c.runs), laidOut, len(lane.cohorts), len(c.delivered), len(c.dropped), len(c.rate), len(c.alpha))
 		}
 		lo := int32(0)
 		for ri, run := range c.runs {
 			if run.end <= lo {
 				t.Fatalf("cohort %d run %d ends at %d, previous at %d", ci, ri, run.end, lo)
 			}
-			if c.perRun && run.aqid != packet.NoAQ {
-				t.Fatalf("per-run cohort %d run %d is tagged %d", ci, ri, run.aqid)
-			}
-			if ri > 0 && !(c.perRun && ci < laidOut && ri >= laid[ci]) {
+			if ri > 0 && !(fixed && ci < laidOut && ri >= laid[ci]) {
 				if p := c.runs[ri-1]; p.aqid == run.aqid && p.demand == run.demand && p.rate == run.rate {
 					t.Fatalf("cohort %d runs %d and %d are one run split in two: %+v", ci, ri-1, ri, run)
 				}
 			}
 			for _, i := range [2]int32{lo, run.end - 1} {
 				e, r := Entity{lane: lane, c: int32(ci), i: i}, &ref.ents[base+int(i)]
+				delivered, dropped := ref.outcome(base + int(i))
 				if e.AQID() != r.id || e.Rate() != units.BitRate(r.rate*8e9) ||
-					bits(e.Delivered()) != bits(r.delivered) || bits(e.Dropped()) != bits(r.dropped) {
+					bits(e.Delivered()) != bits(delivered) || bits(e.Dropped()) != bits(dropped) {
 					t.Fatalf("handle (%d,%d): tag %d rate %v delivered %v dropped %v, reference %d %v %v %v", ci, i,
-						e.AQID(), e.Rate(), e.Delivered(), e.Dropped(), r.id, units.BitRate(r.rate*8e9), r.delivered, r.dropped)
+						e.AQID(), e.Rate(), e.Delivered(), e.Dropped(), r.id, units.BitRate(r.rate*8e9), delivered, dropped)
 				}
+			}
+			lo = run.end
+		}
+		// A Fixed run holds its slots for exactly refLane's run: it starts
+		// one and ends with it.
+		lo = 0
+		for ri, run := range c.runs {
+			if first := base + int(lo); fixed && (ref.ents[first].run < 0 || first > 0 && ref.ents[first-1].run == ref.ents[first].run ||
+				ref.runs[ref.ents[first].run].n != int(run.end-lo)) {
+				t.Fatalf("cohort %d run %d holds entities %d to %d, not a reference run", ci, ri, first, base+int(run.end)-1)
 			}
 			lo = run.end
 		}
 		for i := int32(0); i < lo; i++ {
 			r := &ref.ents[base+int(i)]
-			if delivered, dropped := c.outcomeAt(i); bits(c.rateAt(i)) != bits(r.rate) || bits(delivered) != bits(r.delivered) || bits(dropped) != bits(r.dropped) {
+			wantDelivered, wantDropped := ref.outcome(base + int(i))
+			if delivered, dropped := c.outcomeAt(i); bits(c.rateAt(i)) != bits(r.rate) || bits(delivered) != bits(wantDelivered) || bits(dropped) != bits(wantDropped) {
 				t.Fatalf("entity (%d,%d) (tag %d, %v): rate %v delivered %v dropped %v, reference %v %v %v", ci, i, r.id, r.par.Model,
-					c.rateAt(i), delivered, dropped, r.rate, r.delivered, r.dropped)
+					c.rateAt(i), delivered, dropped, r.rate, wantDelivered, wantDropped)
 			}
 			if c.alpha != nil && bits(c.alpha[i]) != bits(r.alpha) {
 				t.Fatalf("entity (%d,%d): alpha %v, reference %v", ci, i, c.alpha[i], r.alpha)
@@ -312,9 +322,10 @@ func TestCheckLayoutCatchesSplitRun(t *testing.T) {
 		t.Fatalf("run split before Start: checkLayout reported %q", msg)
 	}
 	lane.Start(0)
+	ref.start()
 	defer lane.Stop()
-	if !c.perRun || len(c.delivered) != 2 {
-		t.Fatalf("after Start: per run %v, %d delivered slots", c.perRun, len(c.delivered))
+	if c.par.Model != Fixed || len(c.delivered) != 2 {
+		t.Fatalf("after Start: %v, %d delivered slots", c.par.Model, len(c.delivered))
 	}
 	if msg := rec.run(func() { checkLayout(rec, lane, ref, tables, []int{2}) }); !strings.Contains(msg, "split in two") {
 		t.Fatalf("run split before the layout, checked after it: checkLayout reported %q", msg)

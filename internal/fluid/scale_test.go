@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -107,8 +108,8 @@ func buildScale(s scaleSpec) *scaleFabric {
 				lane.AddN(cfg, groupSize(g))
 			}
 			if fill > 0 {
-				// The untagged fill: one per-run cohort, one slot update per
-				// run and epoch.
+				// The untagged fill: an unpiped Fixed cohort of its own, one slot
+				// update per run and epoch.
 				lane.AddN(EntityConfig{Rate: share / 2, Pipe: -1}, fill)
 			}
 			lane.SetDeadline(s.horizon)
@@ -192,21 +193,106 @@ func TestFatTreeLanesAdvanceAndShed(t *testing.T) {
 	}
 }
 
+// TestFluidLedgerBalances is the fluid half of the byte ledger, checked
+// from outside the lane code on the 16-per-AQ shape — tagged Fixed runs of
+// 16 (and one of 12) on the uplinks, tagged loss runs, and untagged fill —
+// over ten epochs with a packet foreground:
+//
+//   - per AQ, the bytes its own counters accepted, FluidBytes −
+//     FluidDropped, equal the sum of what its entities read as Delivered;
+//   - per lane, the bytes its entities were offered — their rate times the
+//     epoch, read between epochs through Rate — equal the sum of what they
+//     read as Delivered plus Dropped, AQ sheds and pipe clips together.
+//
+// Neither side is computed the other's way, so they agree only to
+// rounding, and each tolerance is the first-order bound on it: u = 2^-53
+// times the magnitude times the roundings that feed either side. Per AQ,
+// over m entity-epochs of n entities: m terms in each of FluidBytes,
+// FluidDropped and a run's delivered sum, m rounded accepted = offered −
+// dropped, the n shares of the run's sum and the n-term sum of them, and
+// the subtraction: 4m + 2n + 1. Per lane, over M entity-epochs of N
+// entities: three roundings in each offered term (Rate's bit rate, the
+// byte rate, the product with the epoch) and one in its M-term sum, five
+// in the lane's (want·fdt, accepted + dropped, the clip, dropped + clip,
+// the share), one each in the delivered and dropped sums, and the N-term
+// sum of the entities: 11M + N.
+func TestFluidLedgerBalances(t *testing.T) {
+	const epoch, epochs = 200 * sim.Microsecond, 10
+	const u = 0x1p-53
+	sf := buildScale(scaleSpec{
+		k: 4, entities: 3200, fgFlows: 8,
+		epoch: epoch, horizon: epochs * epoch,
+		perAQ: 16, fillFrac: 0.25,
+	})
+	offered := make([]float64, len(sf.lanes))
+	for k := 0; k < epochs; k++ {
+		for li, l := range sf.lanes {
+			for _, e := range l.Entities() {
+				offered[li] += e.Rate().BytesPerNano() * float64(epoch)
+			}
+		}
+		sf.c.RunUntil(sim.Time(k)*epoch + 3*epoch/2) // epoch k+1 fires at (k+1)·epoch
+	}
+
+	fixedRuns := 0
+	for li, l := range sf.lanes {
+		if st := l.Stats(); st.Epochs != epochs || st.Entities != 400 {
+			t.Fatalf("lane %d: %d epochs of %d entities, want %d of 400", li, st.Epochs, st.Entities, epochs)
+		}
+		for ci := range l.cohorts {
+			if c := &l.cohorts[ci]; c.par.Model == Fixed && c.runs[0].aqid != packet.NoAQ {
+				fixedRuns += len(c.runs)
+			}
+		}
+		delivered := map[packet.AQID]float64{}
+		members := map[packet.AQID]int{}
+		var ledger float64
+		ents := l.Entities()
+		for _, e := range ents {
+			if id := e.AQID(); id != packet.NoAQ {
+				delivered[id] += e.Delivered()
+				members[id]++
+			}
+			ledger += e.Delivered() + e.Dropped()
+		}
+		for _, id := range l.table.IDs() {
+			aq := l.table.Lookup(id)
+			st := aq.Stats()
+			m, n := float64(epochs*members[id]), float64(members[id])
+			accepted := st.FluidBytes - st.FluidDropped
+			tol := (4*m + 2*n + 1) * u * st.FluidBytes
+			if n == 0 || st.FluidDropped <= 0 || math.Abs(accepted-delivered[id]) > tol {
+				t.Fatalf("lane %d AQ %d: accepted %v (FluidBytes %v − FluidDropped %v), its %v entities delivered %v: off by %.3g, tolerance %.3g",
+					li, id, accepted, st.FluidBytes, st.FluidDropped, n, delivered[id], accepted-delivered[id], tol)
+			}
+		}
+		bigM, bigN := float64(epochs*len(ents)), float64(len(ents))
+		if tol := (11*bigM + bigN) * u * offered[li]; math.Abs(offered[li]-ledger) > tol {
+			t.Fatalf("lane %d: offered %v, delivered + dropped %v: off by %.3g, tolerance %.3g", li, offered[li], ledger, offered[li]-ledger, tol)
+		}
+	}
+	if fixedRuns == 0 {
+		t.Fatalf("no tagged Fixed run: the shape lost what this test checks")
+	}
+}
+
 // TestLaneHeapPerEntity is the absolute bound on per-entity host memory in
 // the benchmark's shape: the cohorts' run tables and arrays plus the
-// shared-AQ state, fabric and foreground included, must fit in 24 live
-// bytes per entity once built (23.1 measured with go1.24 on linux/amd64:
-// 16 B for a tagged Fixed entity, 24 B for a loss one, nothing per entity
-// for the untagged fill, which holds one delivered/dropped pair per run,
-// and the rest AQs, their one ID-index layout each, and append slack). The
-// bound pins the layout: the fill laid out per entity read 27.7, a map
-// kept beside every table's dense mirror 24.6, and one more float64 column
-// per tagged entity would add 6. Both readings follow a collection, so dead
-// append backing arrays are not priced. The benchmark's built_heap_mb holds
-// the relative 5 % line from PR to PR; this is the line a run of small
-// regressions cannot walk past.
+// shared-AQ state, fabric and foreground included, must fit in 16 live
+// bytes per entity once built (13.8 measured with go1.24 on linux/amd64:
+// 24 B for a loss entity, nothing per entity for the Fixed ones, tagged or
+// untagged fill, which hold one delivered/dropped pair per run, and the
+// rest AQs, their one ID-index layout each, and append slack). The bound
+// pins the layout: tagged Fixed entities holding their own pair read 23.0,
+// the fill laid out per entity too 27.7, and one more float64 column per
+// tagged entity would add 6. It also asserts the layout itself: every
+// Fixed cohort holds two slots per run, so a tagged run of 16 holds 2, not
+// 32. Both readings follow a collection, so dead append backing arrays are
+// not priced. The benchmark's built_heap_mb holds the relative 5 % line
+// from PR to PR; this is the line a run of small regressions cannot walk
+// past.
 func TestLaneHeapPerEntity(t *testing.T) {
-	const entities, budget = 200_000, 24.0
+	const entities, budget = 200_000, 16.0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -222,6 +308,26 @@ func TestLaneHeapPerEntity(t *testing.T) {
 	t.Logf("%.1f live heap bytes per entity at %d entities", perEntity, entities)
 	if perEntity > budget {
 		t.Errorf("live heap %.1f B/entity exceeds the %.0f B/entity budget", perEntity, budget)
+	}
+	taggedRuns := 0
+	for _, l := range sf.lanes {
+		for ci := range l.cohorts {
+			c := &l.cohorts[ci]
+			if c.par.Model != Fixed {
+				continue
+			}
+			if slots := len(c.delivered) + len(c.dropped); slots != 2*len(c.runs) {
+				t.Fatalf("Fixed cohort of %d entities in %d runs holds %d outcome slots, want 2 a run", c.size(), len(c.runs), slots)
+			}
+			for _, r := range c.runs {
+				if r.aqid != packet.NoAQ {
+					taggedRuns++
+				}
+			}
+		}
+	}
+	if taggedRuns == 0 {
+		t.Fatalf("no tagged Fixed run: the shape lost what this test checks")
 	}
 }
 

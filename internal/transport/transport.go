@@ -74,8 +74,13 @@ type Sender struct {
 	// sb is the SACK scoreboard: one state per segment from cumAck on.
 	// Every ACK touches it two or three times even on a clean path, so it
 	// is a segRing rather than a map; its base advances with cumAck.
-	sb       segRing
+	sb segRing
+	// rtxQ[rtxHead:] is the retransmission queue. Popping advances the
+	// head, and the queue rewinds to the front of its array whenever it
+	// empties, so appends reuse the array instead of allocating past its
+	// end (see rtxKeep).
 	rtxQ     []int64
+	rtxHead  int
 	pipe     int   // segments believed to be in the network
 	lossScan int64 // sequences below this are classified
 	fack     int64 // highest SACKed edge
@@ -237,12 +242,24 @@ func (s *Sender) paceDelay(sizeBytes int, w float64) sim.Time {
 	return sim.FromFloat(float64(sizeBytes) / rate)
 }
 
+// rtxKeep is the largest retransmission-queue array a sender keeps for
+// reuse once the queue empties. A larger one — an RTO requeues the whole
+// window — is released then, so a flow does not hold its worst loss
+// episode's array for the rest of its life, while the small array a fast
+// retransmit refills is reused instead of reallocated.
+const rtxKeep = 2
+
 // popRtx returns the next scoreboard-lost segment, skipping entries that
 // have since been SACKed or cumulatively acknowledged.
 func (s *Sender) popRtx() (int64, bool) {
-	for len(s.rtxQ) > 0 {
-		seq := s.rtxQ[0]
-		s.rtxQ = s.rtxQ[1:]
+	for s.rtxHead < len(s.rtxQ) {
+		seq := s.rtxQ[s.rtxHead]
+		if s.rtxHead++; s.rtxHead == len(s.rtxQ) {
+			s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
+			if cap(s.rtxQ) > rtxKeep {
+				s.rtxQ = nil
+			}
+		}
 		if seq >= s.cumAck && s.sb.get(seq) == stLost {
 			return seq, true
 		}
@@ -375,7 +392,7 @@ func (s *Sender) onTimeout() {
 	s.dupacks = 0
 	s.inRecovery = false
 	mss := int64(s.opt.MSS)
-	s.rtxQ = s.rtxQ[:0]
+	s.rtxQ, s.rtxHead = s.rtxQ[:0], 0
 	s.pipe = 0
 	for seq := s.cumAck; seq < s.nextSeq; seq += mss {
 		if s.sb.get(seq) != stSacked {
@@ -399,7 +416,7 @@ func (s *Sender) Handle(p *packet.Packet) {
 		return
 	}
 	// Duplicate ACK.
-	if s.pipe == 0 && len(s.rtxQ) == 0 {
+	if s.pipe == 0 && s.rtxHead == len(s.rtxQ) {
 		return
 	}
 	s.dupacks++
